@@ -172,13 +172,56 @@ let op_of_tokens line tokens =
       { stride = i stride; pad = i pad; kernel_shape = shape_of_string line s }
   | _ -> fail line "unknown operator"
 
+(* [Printf.sprintf "%h" x], rendered straight into [buf]: the sign, then
+   [infinity], [nan], or [0x] + the leading digit + the mantissa's hex
+   digits without trailing zeros + [p] + the signed decimal exponent
+   (subnormals as [0x0.<digits>p-1022]). Allocation-free, where sprintf
+   allocates a format closure and a string per float; inlined, so the
+   float argument is not boxed either. *)
+let add_float_hex buf x =
+  let bits = Int64.bits_of_float x in
+  if bits < 0L then Buffer.add_char buf '-';
+  let e = Int64.to_int (Int64.shift_right_logical bits 52) land 0x7ff in
+  let m = Int64.to_int (Int64.logand bits 0xf_ffff_ffff_ffffL) in
+  if e = 0x7ff then Buffer.add_string buf (if m = 0 then "infinity" else "nan")
+  else begin
+    Buffer.add_string buf (if e = 0 then "0x0" else "0x1");
+    if m <> 0 then begin
+      Buffer.add_char buf '.';
+      let m = ref m in
+      while !m <> 0 do
+        Buffer.add_char buf "0123456789abcdef".[!m lsr 48];
+        m := (!m lsl 4) land 0xf_ffff_ffff_ffff
+      done
+    end;
+    let exp = if e = 0 then if m = 0 then 0 else -1022 else e - 1023 in
+    Buffer.add_char buf 'p';
+    Buffer.add_char buf (if exp < 0 then '-' else '+');
+    let a = abs exp in
+    if a >= 1000 then Buffer.add_char buf (Char.chr (48 + (a / 1000)));
+    if a >= 100 then Buffer.add_char buf (Char.chr (48 + (a / 100 mod 10)));
+    if a >= 10 then Buffer.add_char buf (Char.chr (48 + (a / 10 mod 10)));
+    Buffer.add_char buf (Char.chr (48 + (a mod 10)))
+  end
+[@@inline]
+
 (* Tensor <-> single token: SHAPE:V0,V1,... with %h floats so round-trips
    are bit-exact. Used by the checkpoint format in [Echo_runtime]. *)
+let add_tensor buf t =
+  Buffer.add_string buf (shape_to_string (Tensor.shape t));
+  Buffer.add_char buf ':';
+  (* One copy of the data rather than a [Tensor.get1] per element: a
+     float returned across modules is boxed. *)
+  let d = Tensor.to_array t in
+  for i = 0 to Array.length d - 1 do
+    if i > 0 then Buffer.add_char buf ',';
+    add_float_hex buf (Array.unsafe_get d i)
+  done
+
 let tensor_to_string t =
-  let values =
-    Array.to_list (Array.map (Printf.sprintf "%h") (Tensor.to_array t))
-  in
-  shape_to_string (Tensor.shape t) ^ ":" ^ String.concat "," values
+  let buf = Buffer.create (16 * Tensor.numel t) in
+  add_tensor buf t;
+  Buffer.contents buf
 
 let tensor_of_string s =
   match String.index_opt s ':' with

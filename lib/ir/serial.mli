@@ -32,5 +32,14 @@ val tensor_to_string : Echo_tensor.Tensor.t -> string
 (** One token, [SHAPE:v0,v1,...], with [%h] hex floats — round-trips are
     bit-exact. *)
 
+val add_tensor : Buffer.t -> Echo_tensor.Tensor.t -> unit
+(** {!tensor_to_string} appended to a buffer, without the intermediate
+    string. *)
+
+val add_float_hex : Buffer.t -> float -> unit
+(** Appends exactly the bytes of [Printf.sprintf "%h" x] (including
+    [nan], [-nan], [infinity], [-infinity], [-0x0p+0] and subnormals),
+    without allocating. *)
+
 val tensor_of_string : string -> Echo_tensor.Tensor.t
 (** @raise Parse_error on malformed input. *)

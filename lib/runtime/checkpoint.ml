@@ -15,46 +15,98 @@ exception Corrupt of string
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 let header = "echo-checkpoint v1"
 
-(* FNV-1a 64. *)
-let checksum s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    s;
+(* FNV-1a 64, continued from [h] over [len] bytes of [s] from [off]. A
+   plain loop: the hash stays an unboxed local. *)
+let fnv_offset = 0xcbf29ce484222325L
+
+let fnv h s ~off ~len =
+  let h = ref h in
+  for i = off to off + len - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        0x100000001b3L
+  done;
   !h
 
-let body ckpt =
-  let buf = Buffer.create 4096 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
+let checksum s = fnv fnv_offset s ~off:0 ~len:(String.length s)
+
+(* The body streams to the channel through one line buffer: each line is
+   rendered in place (tensors straight from their floats), folded into the
+   running checksum and written out, so no whole-file string exists. The
+   bytes are exactly the format's: [header], [step], [opt-steps], [rng],
+   [loss] lines, then [param] and [slot] lines with [Serial] tensors. *)
+type sink = {
+  oc : out_channel;
+  line : Buffer.t;
+  chunk : Bytes.t;  (* checksum staging: [line] is copied out piecewise *)
+  mutable hash : int64;
+}
+
+let end_line w =
+  Buffer.add_char w.line '\n';
+  let len = Buffer.length w.line in
+  let size = Bytes.length w.chunk in
+  let off = ref 0 in
+  while !off < len do
+    let n = min size (len - !off) in
+    Buffer.blit w.line !off w.chunk 0 n;
+    w.hash <- fnv w.hash (Bytes.unsafe_to_string w.chunk) ~off:0 ~len:n;
+    off := !off + n
+  done;
+  Buffer.output_buffer w.oc w.line;
+  Buffer.clear w.line
+
+let write_body w ckpt =
+  let line fmt =
+    Printf.ksprintf
+      (fun s ->
+        Buffer.add_string w.line s;
+        end_line w)
+      fmt
+  in
   line "%s" header;
   line "step %d" ckpt.step;
   line "opt-steps %d" ckpt.opt_steps;
   (match ckpt.rng_state with
   | Some s -> line "rng %Lx" s
   | None -> ());
-  List.iter (fun l -> line "loss %h" l) ckpt.losses;
+  List.iter
+    (fun l ->
+      Buffer.add_string w.line "loss ";
+      Serial.add_float_hex w.line l;
+      end_line w)
+    ckpt.losses;
+  let tensor_line prefix t =
+    Buffer.add_string w.line prefix;
+    Serial.add_tensor w.line t;
+    end_line w
+  in
   List.iter
     (fun (name, t) ->
-      line "param %s %s" (Serial.escape name) (Serial.tensor_to_string t))
+      tensor_line (Printf.sprintf "param %s " (Serial.escape name)) t)
     ckpt.params;
   List.iter
     (fun (slot, entries) ->
       List.iter
         (fun (idx, t) ->
-          line "slot %s %d %s" (Serial.escape slot) idx
-            (Serial.tensor_to_string t))
+          tensor_line (Printf.sprintf "slot %s %d " (Serial.escape slot) idx) t)
         entries)
-    ckpt.slots;
-  Buffer.contents buf
+    ckpt.slots
 
 let save ~path ckpt =
-  let b = body ckpt in
   let tmp = path ^ ".tmp" in
   let oc = open_out tmp in
-  output_string oc b;
-  Printf.fprintf oc "checksum %Lx\n" (checksum b);
+  let w =
+    {
+      oc;
+      line = Buffer.create 65536;
+      chunk = Bytes.create 65536;
+      hash = fnv_offset;
+    }
+  in
+  write_body w ckpt;
+  Printf.fprintf oc "checksum %Lx\n" w.hash;
   close_out oc;
   Sys.rename tmp path
 

@@ -81,7 +81,7 @@ let map2 f a b =
    destination-passing [Into] variants share the exact same arithmetic —
    bit-identity between the two code paths holds by construction. *)
 let k_neg x = -.x
-let k_sigmoid x = 1.0 /. (1.0 +. exp (-.x))
+let k_sigmoid x = 1.0 /. (1.0 +. exp (-.x)) [@@inline]
 let k_relu x = if x > 0.0 then x else 0.0
 let k_sq x = x *. x
 let k_recip x = 1.0 /. x
@@ -227,14 +227,13 @@ let slice ~axis ~lo ~hi t =
   let outer, inner = axis_blocks t.shape axis in
   let width = hi - lo in
   let out = Array.make (outer * width * inner) 0.0 in
+  (* The kept [width * inner] cells of each outer block are contiguous. *)
   for o = 0 to outer - 1 do
-    for a = 0 to width - 1 do
-      Array.blit t.data
-        (((o * d) + lo + a) * inner)
-        out
-        (((o * width) + a) * inner)
-        inner
-    done
+    Array.blit t.data
+      (((o * d) + lo) * inner)
+      out
+      (o * width * inner)
+      (width * inner)
   done;
   create out_shape out
 
@@ -318,20 +317,36 @@ let reduce_sum ~axis ~keepdims t =
 (* [reduce_mean] is defined after [Into] (it delegates to
    [Into.reduce_mean]). *)
 
+(* Repeat each [inner]-cell block of [src] [n] times. A one-cell block
+   (broadcasting a column) is a fill, not [n] one-element blits. *)
+let broadcast_blocks (src : float array) (dst : float array) ~outer ~n ~inner =
+  for o = 0 to outer - 1 do
+    if inner = 1 then Array.fill dst (o * n) n (Array.unsafe_get src o)
+    else
+      for a = 0 to n - 1 do
+        Array.blit src (o * inner) dst (((o * n) + a) * inner) inner
+      done
+  done
+
 let broadcast_axis ~axis ~n t =
   if axis < 0 || axis >= Shape.rank t.shape then invalid_arg "Tensor.broadcast_axis: bad axis";
   if t.shape.(axis) <> 1 then invalid_arg "Tensor.broadcast_axis: axis dim must be 1";
   let outer, inner = axis_blocks t.shape axis in
   let out_shape = Array.mapi (fun i d -> if i = axis then n else d) t.shape in
   let out = Array.make (outer * n * inner) 0.0 in
-  for o = 0 to outer - 1 do
-    for a = 0 to n - 1 do
-      Array.blit t.data (o * inner) out (((o * n) + a) * inner) inner
-    done
-  done;
+  broadcast_blocks t.data out ~outer ~n ~inner;
   create out_shape out
 
-let frobenius t = sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 t.data)
+(* A plain loop, not [Array.fold_left]: the fold's closure would box the
+   float accumulator on every element. *)
+let frobenius t =
+  let d = t.data in
+  let acc = ref 0.0 in
+  for i = 0 to Array.length d - 1 do
+    let x = Array.unsafe_get d i in
+    acc := !acc +. (x *. x)
+  done;
+  sqrt !acc
 
 (* {1 Neural-network kernels} *)
 
@@ -567,26 +582,40 @@ let conv2d_grad_kernel ~stride ~pad ~input ~kernel_shape ~grad_out =
    work-stealing schedule, whose chunk boundaries are a pure function of
    the loop size and the handle's configuration. *)
 
-(* Cache-blocked, packed GEMM. Below the runtime's blocking threshold
+(* Register-tiled GEMM in dot form. Below the runtime's blocking threshold
    ([Parallel.blocking_threshold]) multiply-adds the original unblocked
-   loops run unchanged (packing would dominate). Above it, a logically
-   transposed A operand is packed into a contiguous row-major scratch once
-   per call and the inner loops are register-blocked 8 output rows at a
-   time; the trans_b-only case instead uses dot-product tiling over
-   contiguous rows of both operands (see [dot_rows_nt]). In every path the
-   accumulation order of each output element stays ascending-[l] with the
-   a(i,l) = 0 skip, so blocked, unblocked, sequential and parallel
-   variants all produce identical bits. *)
+   loops run unchanged (packing would dominate). Above it, A is normalised
+   to m x k rows — packed (a pure transposing copy, so operand bits are
+   unchanged) only under trans_a — and B is read where it lies through a
+   (j, l) stride pair, so no variant copies B. Each output element is one
+   dot product over [l]: 4x2 output tiles accumulate in eight unboxed
+   locals (four A values and two B values feed eight chains per [l], the
+   [l] loop unrolled by two) and are stored once, so callers skip the
+   zero-fill.
 
-(* Pack scratch, grown monotonically and reused across calls. Packing
-   always happens on the calling domain before the parallel region, so the
-   scratch is keyed per domain ([Domain.DLS]): two executors driven from
-   different domains — e.g. concurrent compiles under different blocking
-   thresholds — each pack into their own buffer and cannot race. *)
-let pack_scratch_a : float array ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [||])
+   Every output element is still its own ascending-[l] chain from +0. The
+   sequential semantics skip a term whose a(i,l) is exactly zero; the
+   tiled loop adds it instead, which leaves the bits unchanged as long as
+   the skipped product is a zero. That holds when every B value is finite:
+   then a zero a(i,l) gives a +-0 product, and adding +-0 to an
+   accumulator leaves it unchanged because the accumulator starts at +0
+   and can never become -0: under round-to-nearest a sum is -0 only when
+   both operands are -0. One O(k*n) scan over B per call decides it; if B
+   holds an inf or a NaN (where 0 * inf = NaN would differ from a skip)
+   the call takes the per-element skip loop. Either way blocked,
+   unblocked, sequential and parallel variants produce identical bits.
+   Each step is written [product +. acc], the order the unblocked loops
+   compile to (their accumulator is a memory operand), so where a NaN
+   product meets a different NaN in the accumulator every path keeps the
+   product's payload. *)
 
-let pack_scratch_b : float array ref Domain.DLS.key =
+(* Transposed-A pack scratch, grown monotonically and reused across
+   calls. Packing always happens on the calling domain before the parallel
+   region, so the scratch is keyed per domain ([Domain.DLS]): two
+   executors driven from different domains — e.g. concurrent compiles
+   under different blocking thresholds — each pack into their own buffer
+   and cannot race. *)
+let pack_scratch : float array ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [||])
 
 (* Running-value scratch for the fused elementwise kernel (one chunk's
@@ -594,14 +623,11 @@ let pack_scratch_b : float array ref Domain.DLS.key =
 let fused_scratch : float array ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [||])
 
-let pack_scratch key numel =
-  let cell = Domain.DLS.get key in
-  if Array.length !cell < numel then cell := Array.make numel 0.0;
-  !cell
-
 (* [src] is a row-major [rows x cols] matrix; writes its transpose
-   ([cols x rows], row-major) into [dst]. *)
-let pack_transpose src ~rows ~cols dst =
+   ([cols x rows], row-major) into [dst]. Annotated [float array] so the
+   copy moves unboxed doubles instead of going through the polymorphic
+   array primitives. *)
+let pack_transpose (src : float array) ~rows ~cols (dst : float array) =
   for r = 0 to rows - 1 do
     let base = r * cols in
     for c = 0 to cols - 1 do
@@ -609,234 +635,123 @@ let pack_transpose src ~rows ~cols dst =
     done
   done
 
-(* out[lo..hi) rows of the m x n product += A * B with A packed m x k and B
-   packed k x n. Output rows are register-blocked by 8 (one load of each B
-   element feeds eight accumulator rows) and the j loop is tiled so the
-   active output rows and B row segment stay L1-resident. Rows whose a(i,l)
-   is zero fall back to per-row conditional loops to preserve the
-   sequential skip exactly: every output element still accumulates in
-   ascending l, so blocking never changes bits. *)
-let gemm_jb = 256
-
-(* One row's contribution for the mixed-zero fallback and remainder rows:
-   out[r+jlo..r+jhi) += x * bd[brow+jlo..brow+jhi). *)
-let gemm_row1 bd out ~brow ~jlo ~jhi x r =
-  if x <> 0.0 then
-    for j = jlo to jhi - 1 do
-      Array.unsafe_set out (r + j)
-        (Array.unsafe_get out (r + j) +. (x *. Array.unsafe_get bd (brow + j)))
-    done
-
-let gemm_rows ad bd out ~k ~n ~lo ~hi =
-  let i = ref lo in
-  while !i + 8 <= hi do
-    let i0 = !i in
-    let a0 = i0 * k and a1 = (i0 + 1) * k and a2 = (i0 + 2) * k in
-    let a3 = (i0 + 3) * k and a4 = (i0 + 4) * k and a5 = (i0 + 5) * k in
-    let a6 = (i0 + 6) * k and a7 = (i0 + 7) * k in
-    let r0 = i0 * n and r1 = (i0 + 1) * n and r2 = (i0 + 2) * n in
-    let r3 = (i0 + 3) * n and r4 = (i0 + 4) * n and r5 = (i0 + 5) * n in
-    let r6 = (i0 + 6) * n and r7 = (i0 + 7) * n in
-    let jj = ref 0 in
-    while !jj < n do
-      let jlo = !jj in
-      let jhi = min n (jlo + gemm_jb) in
-      for l = 0 to k - 1 do
-        let x0 = Array.unsafe_get ad (a0 + l) in
-        let x1 = Array.unsafe_get ad (a1 + l) in
-        let x2 = Array.unsafe_get ad (a2 + l) in
-        let x3 = Array.unsafe_get ad (a3 + l) in
-        let x4 = Array.unsafe_get ad (a4 + l) in
-        let x5 = Array.unsafe_get ad (a5 + l) in
-        let x6 = Array.unsafe_get ad (a6 + l) in
-        let x7 = Array.unsafe_get ad (a7 + l) in
-        let brow = l * n in
-        if
-          x0 <> 0.0 && x1 <> 0.0 && x2 <> 0.0 && x3 <> 0.0 && x4 <> 0.0
-          && x5 <> 0.0 && x6 <> 0.0 && x7 <> 0.0
-        then
-          for j = jlo to jhi - 1 do
-            let bv = Array.unsafe_get bd (brow + j) in
-            Array.unsafe_set out (r0 + j)
-              (Array.unsafe_get out (r0 + j) +. (x0 *. bv));
-            Array.unsafe_set out (r1 + j)
-              (Array.unsafe_get out (r1 + j) +. (x1 *. bv));
-            Array.unsafe_set out (r2 + j)
-              (Array.unsafe_get out (r2 + j) +. (x2 *. bv));
-            Array.unsafe_set out (r3 + j)
-              (Array.unsafe_get out (r3 + j) +. (x3 *. bv));
-            Array.unsafe_set out (r4 + j)
-              (Array.unsafe_get out (r4 + j) +. (x4 *. bv));
-            Array.unsafe_set out (r5 + j)
-              (Array.unsafe_get out (r5 + j) +. (x5 *. bv));
-            Array.unsafe_set out (r6 + j)
-              (Array.unsafe_get out (r6 + j) +. (x6 *. bv));
-            Array.unsafe_set out (r7 + j)
-              (Array.unsafe_get out (r7 + j) +. (x7 *. bv))
-          done
-        else begin
-          gemm_row1 bd out ~brow ~jlo ~jhi x0 r0;
-          gemm_row1 bd out ~brow ~jlo ~jhi x1 r1;
-          gemm_row1 bd out ~brow ~jlo ~jhi x2 r2;
-          gemm_row1 bd out ~brow ~jlo ~jhi x3 r3;
-          gemm_row1 bd out ~brow ~jlo ~jhi x4 r4;
-          gemm_row1 bd out ~brow ~jlo ~jhi x5 r5;
-          gemm_row1 bd out ~brow ~jlo ~jhi x6 r6;
-          gemm_row1 bd out ~brow ~jlo ~jhi x7 r7
-        end
-      done;
-      jj := jhi
-    done;
-    i := i0 + 8
+(* [x -. x] is 0 for every finite [x] and NaN for an inf or a NaN. *)
+let all_finite (d : float array) len =
+  let i = ref 0 in
+  while !i < len && Array.unsafe_get d !i -. Array.unsafe_get d !i = 0.0 do
+    incr i
   done;
-  while !i < hi do
-    let i0 = !i in
-    let arow = i0 * k and r = i0 * n in
-    for l = 0 to k - 1 do
-      let x = Array.unsafe_get ad (arow + l) in
-      if x <> 0.0 then begin
-        let brow = l * n in
-        for j = 0 to n - 1 do
-          Array.unsafe_set out (r + j)
-            (Array.unsafe_get out (r + j)
-            +. (x *. Array.unsafe_get bd (brow + j)))
-        done
-      end
-    done;
-    i := i0 + 1
-  done
+  !i = len
 
-(* trans_b (and not trans_a): out[i,j] is the dot product of contiguous A
-   row i and contiguous B row j, so no packing is needed — B^T is never
-   materialised. 4x4 output tiles accumulate in an unboxed float scratch;
-   each element is still its own ascending-l chain with the a(i,l) = 0
-   skip, so bits match the unblocked loops exactly. Every covered output
-   element is overwritten, so callers skip the zero-fill. *)
-let dot_rows_nt ad bd out ~k ~n ~lo ~hi =
-  let acc = Array.make 16 0.0 in
+(* In the kernels below a(i,l) is [ad.(i*k + l)] and b(l,j) is
+   [bd.(j*bj + l*bl)]. *)
+
+(* out[i,j] with the sequential skip: the reference chain, used for the
+   tile edges and for every element when B is not all finite. *)
+let dot_skip (ad : float array) (bd : float array) (out : float array) ~k ~n
+    ~bj ~bl i j =
+  let arow = i * k and acc = ref 0.0 in
+  for l = 0 to k - 1 do
+    let x = Array.unsafe_get ad (arow + l) in
+    if x <> 0.0 then
+      acc := (x *. Array.unsafe_get bd ((j * bj) + (l * bl))) +. !acc
+  done;
+  Array.unsafe_set out ((i * n) + j) !acc
+
+(* Rows [lo, hi) of out = A B for an all-finite B: 4x2 tiles in eight
+   unboxed accumulators, [p] walking b(l, j0) down the tile's columns;
+   edges via [dot_skip]. *)
+let gemm_tiles (ad : float array) (bd : float array) (out : float array) ~k ~n
+    ~bj ~bl ~lo ~hi =
   let i = ref lo in
   while !i + 4 <= hi do
     let i0 = !i in
-    let a0 = i0 * k and a1 = (i0 + 1) * k in
-    let a2 = (i0 + 2) * k and a3 = (i0 + 3) * k in
+    let a0 = i0 * k in
+    let a1 = a0 + k in
+    let a2 = a1 + k in
+    let a3 = a2 + k in
     let j = ref 0 in
-    while !j + 4 <= n do
+    while !j + 2 <= n do
       let j0 = !j in
-      let b0 = j0 * k and b1 = (j0 + 1) * k in
-      let b2 = (j0 + 2) * k and b3 = (j0 + 3) * k in
-      Array.fill acc 0 16 0.0;
-      for l = 0 to k - 1 do
-        let bv0 = Array.unsafe_get bd (b0 + l) in
-        let bv1 = Array.unsafe_get bd (b1 + l) in
-        let bv2 = Array.unsafe_get bd (b2 + l) in
-        let bv3 = Array.unsafe_get bd (b3 + l) in
-        let x0 = Array.unsafe_get ad (a0 + l) in
-        if x0 <> 0.0 then begin
-          Array.unsafe_set acc 0 (Array.unsafe_get acc 0 +. (x0 *. bv0));
-          Array.unsafe_set acc 1 (Array.unsafe_get acc 1 +. (x0 *. bv1));
-          Array.unsafe_set acc 2 (Array.unsafe_get acc 2 +. (x0 *. bv2));
-          Array.unsafe_set acc 3 (Array.unsafe_get acc 3 +. (x0 *. bv3))
-        end;
-        let x1 = Array.unsafe_get ad (a1 + l) in
-        if x1 <> 0.0 then begin
-          Array.unsafe_set acc 4 (Array.unsafe_get acc 4 +. (x1 *. bv0));
-          Array.unsafe_set acc 5 (Array.unsafe_get acc 5 +. (x1 *. bv1));
-          Array.unsafe_set acc 6 (Array.unsafe_get acc 6 +. (x1 *. bv2));
-          Array.unsafe_set acc 7 (Array.unsafe_get acc 7 +. (x1 *. bv3))
-        end;
-        let x2 = Array.unsafe_get ad (a2 + l) in
-        if x2 <> 0.0 then begin
-          Array.unsafe_set acc 8 (Array.unsafe_get acc 8 +. (x2 *. bv0));
-          Array.unsafe_set acc 9 (Array.unsafe_get acc 9 +. (x2 *. bv1));
-          Array.unsafe_set acc 10 (Array.unsafe_get acc 10 +. (x2 *. bv2));
-          Array.unsafe_set acc 11 (Array.unsafe_get acc 11 +. (x2 *. bv3))
-        end;
-        let x3 = Array.unsafe_get ad (a3 + l) in
-        if x3 <> 0.0 then begin
-          Array.unsafe_set acc 12 (Array.unsafe_get acc 12 +. (x3 *. bv0));
-          Array.unsafe_set acc 13 (Array.unsafe_get acc 13 +. (x3 *. bv1));
-          Array.unsafe_set acc 14 (Array.unsafe_get acc 14 +. (x3 *. bv2));
-          Array.unsafe_set acc 15 (Array.unsafe_get acc 15 +. (x3 *. bv3))
-        end
+      let c00 = ref 0.0 and c01 = ref 0.0 and c10 = ref 0.0 in
+      let c11 = ref 0.0 and c20 = ref 0.0 and c21 = ref 0.0 in
+      let c30 = ref 0.0 and c31 = ref 0.0 in
+      (* [l] indexes A and [p] is b(l, j0). The two halves of the
+         unrolled body are spelled out: a local function capturing the
+         accumulators would box them. *)
+      let l = ref 0 and p = ref (j0 * bj) in
+      while !l + 2 <= k do
+        let l0 = !l and p0 = !p in
+        let y0 = Array.unsafe_get bd p0 in
+        let y1 = Array.unsafe_get bd (p0 + bj) in
+        let x0 = Array.unsafe_get ad (a0 + l0) in
+        c00 := (x0 *. y0) +. !c00;
+        c01 := (x0 *. y1) +. !c01;
+        let x1 = Array.unsafe_get ad (a1 + l0) in
+        c10 := (x1 *. y0) +. !c10;
+        c11 := (x1 *. y1) +. !c11;
+        let x2 = Array.unsafe_get ad (a2 + l0) in
+        c20 := (x2 *. y0) +. !c20;
+        c21 := (x2 *. y1) +. !c21;
+        let x3 = Array.unsafe_get ad (a3 + l0) in
+        c30 := (x3 *. y0) +. !c30;
+        c31 := (x3 *. y1) +. !c31;
+        let p1 = p0 + bl in
+        let y0 = Array.unsafe_get bd p1 in
+        let y1 = Array.unsafe_get bd (p1 + bj) in
+        let x0 = Array.unsafe_get ad (a0 + l0 + 1) in
+        c00 := (x0 *. y0) +. !c00;
+        c01 := (x0 *. y1) +. !c01;
+        let x1 = Array.unsafe_get ad (a1 + l0 + 1) in
+        c10 := (x1 *. y0) +. !c10;
+        c11 := (x1 *. y1) +. !c11;
+        let x2 = Array.unsafe_get ad (a2 + l0 + 1) in
+        c20 := (x2 *. y0) +. !c20;
+        c21 := (x2 *. y1) +. !c21;
+        let x3 = Array.unsafe_get ad (a3 + l0 + 1) in
+        c30 := (x3 *. y0) +. !c30;
+        c31 := (x3 *. y1) +. !c31;
+        l := l0 + 2;
+        p := p1 + bl
       done;
+      if !l < k then begin
+        let l0 = !l and p0 = !p in
+        let y0 = Array.unsafe_get bd p0 in
+        let y1 = Array.unsafe_get bd (p0 + bj) in
+        let x0 = Array.unsafe_get ad (a0 + l0) in
+        c00 := (x0 *. y0) +. !c00;
+        c01 := (x0 *. y1) +. !c01;
+        let x1 = Array.unsafe_get ad (a1 + l0) in
+        c10 := (x1 *. y0) +. !c10;
+        c11 := (x1 *. y1) +. !c11;
+        let x2 = Array.unsafe_get ad (a2 + l0) in
+        c20 := (x2 *. y0) +. !c20;
+        c21 := (x2 *. y1) +. !c21;
+        let x3 = Array.unsafe_get ad (a3 + l0) in
+        c30 := (x3 *. y0) +. !c30;
+        c31 := (x3 *. y1) +. !c31
+      end;
+      let r = (i0 * n) + j0 in
+      Array.unsafe_set out r !c00;
+      Array.unsafe_set out (r + 1) !c01;
+      Array.unsafe_set out (r + n) !c10;
+      Array.unsafe_set out (r + n + 1) !c11;
+      Array.unsafe_set out (r + (2 * n)) !c20;
+      Array.unsafe_set out (r + (2 * n) + 1) !c21;
+      Array.unsafe_set out (r + (3 * n)) !c30;
+      Array.unsafe_set out (r + (3 * n) + 1) !c31;
+      j := j0 + 2
+    done;
+    if !j < n then
       for di = 0 to 3 do
-        let r = ((i0 + di) * n) + j0 and s = 4 * di in
-        Array.unsafe_set out r (Array.unsafe_get acc s);
-        Array.unsafe_set out (r + 1) (Array.unsafe_get acc (s + 1));
-        Array.unsafe_set out (r + 2) (Array.unsafe_get acc (s + 2));
-        Array.unsafe_set out (r + 3) (Array.unsafe_get acc (s + 3))
+        dot_skip ad bd out ~k ~n ~bj ~bl (i0 + di) !j
       done;
-      j := j0 + 4
-    done;
-    while !j < n do
-      let j0 = !j in
-      let bb = j0 * k in
-      Array.fill acc 0 4 0.0;
-      for l = 0 to k - 1 do
-        let bv = Array.unsafe_get bd (bb + l) in
-        let x0 = Array.unsafe_get ad (a0 + l) in
-        if x0 <> 0.0 then
-          Array.unsafe_set acc 0 (Array.unsafe_get acc 0 +. (x0 *. bv));
-        let x1 = Array.unsafe_get ad (a1 + l) in
-        if x1 <> 0.0 then
-          Array.unsafe_set acc 1 (Array.unsafe_get acc 1 +. (x1 *. bv));
-        let x2 = Array.unsafe_get ad (a2 + l) in
-        if x2 <> 0.0 then
-          Array.unsafe_set acc 2 (Array.unsafe_get acc 2 +. (x2 *. bv));
-        let x3 = Array.unsafe_get ad (a3 + l) in
-        if x3 <> 0.0 then
-          Array.unsafe_set acc 3 (Array.unsafe_get acc 3 +. (x3 *. bv))
-      done;
-      Array.unsafe_set out ((i0 * n) + j0) (Array.unsafe_get acc 0);
-      Array.unsafe_set out (((i0 + 1) * n) + j0) (Array.unsafe_get acc 1);
-      Array.unsafe_set out (((i0 + 2) * n) + j0) (Array.unsafe_get acc 2);
-      Array.unsafe_set out (((i0 + 3) * n) + j0) (Array.unsafe_get acc 3);
-      j := j0 + 1
-    done;
     i := i0 + 4
   done;
-  while !i < hi do
-    let i0 = !i in
-    let arow = i0 * k and row = i0 * n in
-    let j = ref 0 in
-    while !j + 4 <= n do
-      let j0 = !j in
-      let b0 = j0 * k and b1 = (j0 + 1) * k in
-      let b2 = (j0 + 2) * k and b3 = (j0 + 3) * k in
-      Array.fill acc 0 4 0.0;
-      for l = 0 to k - 1 do
-        let x = Array.unsafe_get ad (arow + l) in
-        if x <> 0.0 then begin
-          Array.unsafe_set acc 0
-            (Array.unsafe_get acc 0 +. (x *. Array.unsafe_get bd (b0 + l)));
-          Array.unsafe_set acc 1
-            (Array.unsafe_get acc 1 +. (x *. Array.unsafe_get bd (b1 + l)));
-          Array.unsafe_set acc 2
-            (Array.unsafe_get acc 2 +. (x *. Array.unsafe_get bd (b2 + l)));
-          Array.unsafe_set acc 3
-            (Array.unsafe_get acc 3 +. (x *. Array.unsafe_get bd (b3 + l)))
-        end
-      done;
-      Array.unsafe_set out (row + j0) (Array.unsafe_get acc 0);
-      Array.unsafe_set out (row + j0 + 1) (Array.unsafe_get acc 1);
-      Array.unsafe_set out (row + j0 + 2) (Array.unsafe_get acc 2);
-      Array.unsafe_set out (row + j0 + 3) (Array.unsafe_get acc 3);
-      j := j0 + 4
-    done;
-    while !j < n do
-      let j0 = !j in
-      let bb = j0 * k in
-      Array.unsafe_set acc 0 0.0;
-      for l = 0 to k - 1 do
-        let x = Array.unsafe_get ad (arow + l) in
-        if x <> 0.0 then
-          Array.unsafe_set acc 0
-            (Array.unsafe_get acc 0 +. (x *. Array.unsafe_get bd (bb + l)))
-      done;
-      Array.unsafe_set out (row + j0) (Array.unsafe_get acc 0);
-      j := j0 + 1
-    done;
-    i := i0 + 1
+  for i = !i to hi - 1 do
+    for j = 0 to n - 1 do
+      dot_skip ad bd out ~k ~n ~bj ~bl i j
+    done
   done
 
 (* {1 Dispatch-once elementwise loops}
@@ -844,9 +759,11 @@ let dot_rows_nt ad bd out ~k ~n ~lo ~hi =
    One concrete stride-1 loop per opcode, selected once per chunk. The hot
    loops carry no closure call and no float boxing: each arm reads and
    writes unboxed floats through [Array.unsafe_get]/[unsafe_set] on plain
-   [float array]s (already an unboxed flat double buffer in OCaml), which
-   is what lets flambda keep the accumulator in a register and the
-   back-end vectorise the simple arms. *)
+   [float array]s (already an unboxed flat double buffer in OCaml). The
+   toolchain is the plain (non-flambda) native compiler, which inlines
+   only small functions on its own: a scalar kernel that is not inlined
+   takes and returns a boxed float per element, so any kernel too large
+   for the default threshold ([k_sigmoid]) is marked [@@inline]. *)
 
 (* [apply1 step s d lo hi]: d.(i) <- step s.(i) on [lo, hi). Binary
    opcodes never reach here (the [Into] unary wrappers only build unary
@@ -998,12 +915,13 @@ module Into = struct
   let scale_by ?runtime x s ~dst =
     unary ?runtime "scale_by" (F_scale s.data.(0)) x ~dst
 
-  (* Same i -> l (skip a_il = 0) -> j accumulation order as the sequential
-     triple loop in every variant, so results are bit-identical across the
-     unblocked path, the packed/blocked path, and every domain count. [dst]
-     must not alias an operand. Output rows are partitioned across the
-     runtime's domains; each chunk zero-fills and accumulates only its own
-     rows. *)
+  (* Every variant computes each output element as the sequential triple
+     loop does — ascending l from +0, skipping a_il = 0 (see the GEMM
+     comment above for why the tiled path may add those terms) — so results
+     are bit-identical across the unblocked path, the tiled path, and every
+     domain count. [dst] must not alias an operand. Output rows are
+     partitioned across the runtime's domains; each chunk writes only its
+     own rows. *)
   let matmul ?(runtime = Parallel.sequential) ?(trans_a = false)
       ?(trans_b = false) a b ~dst =
     if Shape.rank a.shape <> 2 || Shape.rank b.shape <> 2 then
@@ -1020,39 +938,29 @@ module Into = struct
     let ad = a.data and bd = b.data in
     let work = 2 * k * n in
     if m * n * k >= Parallel.blocking_threshold runtime then begin
-      if trans_b && not trans_a then
-        (* Both operand rows are contiguous along l, so dot-product tiling
-           beats packing: no O(k*n) transpose per call, and the 4x4 output
-           tile lives in an unboxed scratch. The kernel overwrites every
-           element of its rows, so no zero-fill. *)
+      (* A as m x k rows, packed on the calling domain before the
+         fan-out; B in place. The kernels overwrite every element of their
+         rows, so no zero-fill. *)
+      let pa =
+        if trans_a then begin
+          let cell = Domain.DLS.get pack_scratch in
+          if Array.length !cell < m * k then cell := Array.make (m * k) 0.0;
+          pack_transpose ad ~rows:am ~cols:an !cell;
+          !cell
+        end
+        else ad
+      in
+      let bj, bl = if trans_b then (bn, 1) else (1, bn) in
+      if all_finite bd (k * n) then
         Parallel.parallel_for runtime ~work ~n:m (fun lo hi ->
-            dot_rows_nt ad bd out ~k ~n ~lo ~hi)
-      else begin
-        (* Packed/blocked path: normalise both operands to row-major
-           notrans layout (packing is a pure copy, so operand bits are
-           unchanged), then run the register-blocked kernel on each row
-           chunk. Packing happens on the calling domain before the
-           fan-out. *)
-        let pa =
-          if trans_a then begin
-            let s = pack_scratch pack_scratch_a (m * k) in
-            pack_transpose ad ~rows:am ~cols:an s;
-            s
-          end
-          else ad
-        in
-        let pb =
-          if trans_b then begin
-            let s = pack_scratch pack_scratch_b (k * n) in
-            pack_transpose bd ~rows:bm ~cols:bn s;
-            s
-          end
-          else bd
-        in
+            gemm_tiles pa bd out ~k ~n ~bj ~bl ~lo ~hi)
+      else
         Parallel.parallel_for runtime ~work ~n:m (fun lo hi ->
-            Array.fill out (lo * n) ((hi - lo) * n) 0.0;
-            gemm_rows pa pb out ~k ~n ~lo ~hi)
-      end
+            for i = lo to hi - 1 do
+              for j = 0 to n - 1 do
+                dot_skip pa bd out ~k ~n ~bj ~bl i j
+              done
+            done)
     end
     else
       Parallel.parallel_for runtime ~work ~n:m (fun lo hi ->
@@ -1140,13 +1048,11 @@ module Into = struct
     let outer, inner = axis_blocks src.shape axis in
     let width = hi - lo in
     for o = 0 to outer - 1 do
-      for a = 0 to width - 1 do
-        Array.blit src.data
-          (((o * d) + lo + a) * inner)
-          dst.data
-          (((o * width) + a) * inner)
-          inner
-      done
+      Array.blit src.data
+        (((o * d) + lo) * inner)
+        dst.data
+        (o * width * inner)
+        (width * inner)
     done
 
   let pad_slice ~axis ~lo ~full src ~dst =
@@ -1245,11 +1151,7 @@ module Into = struct
     check "broadcast_axis" dst
       (Array.mapi (fun i d -> if i = axis then n else d) src.shape);
     let outer, inner = axis_blocks src.shape axis in
-    for o = 0 to outer - 1 do
-      for a = 0 to n - 1 do
-        Array.blit src.data (o * inner) dst.data (((o * n) + a) * inner) inner
-      done
-    done
+    broadcast_blocks src.data dst.data ~outer ~n ~inner
 
   (* Softmax family: [dst] may alias the input — within each row the maximum
      and the normaliser are read from the input before any cell of that row
@@ -1485,6 +1387,60 @@ module Into = struct
           | step -> apply1 step buf buf 0 w
         done;
         Array.blit buf 0 d lo w)
+
+  (* {2 Optimizer updates}
+
+     One pass per update rule. Each element goes through exactly the
+     operations, operands and order of the rule's tensor formulation
+     ([scale] is [c *. x], [add_scalar] is [c +. x], [sq] is [x *. x]), so
+     the result is bit-identical to composing the allocating ops. Slots
+     update in place and [dst] may alias [param]: element [i] of every
+     operand is read before element [i] of anything is written. *)
+
+  let check_update name param others =
+    List.iter (fun t -> check name t param.shape) others
+
+  (* p - lr * g *)
+  let sgd ~lr ~param ~grad ~dst =
+    check_update "sgd" param [ grad; dst ];
+    let p = param.data and g = grad.data and d = dst.data in
+    for i = 0 to Array.length p - 1 do
+      Array.unsafe_set d i
+        (Array.unsafe_get p i -. (lr *. Array.unsafe_get g i))
+    done
+
+  (* v' = momentum * v + g; p - lr * v' *)
+  let momentum ~lr ~momentum ~param ~grad ~velocity ~dst =
+    check_update "momentum" param [ grad; velocity; dst ];
+    let p = param.data and g = grad.data and v = velocity.data in
+    let d = dst.data in
+    for i = 0 to Array.length p - 1 do
+      let v' = (momentum *. Array.unsafe_get v i) +. Array.unsafe_get g i in
+      Array.unsafe_set v i v';
+      Array.unsafe_set d i (Array.unsafe_get p i -. (lr *. v'))
+    done
+
+  (* m' = b1 * m + (1 - b1) * g; v' = b2 * v + (1 - b2) * g^2;
+     p - lr * (c1 * m') / (eps + sqrt (c2 * v')) with the bias corrections
+     c = 1 / (1 - b^step). *)
+  let adam ~lr ~beta1 ~beta2 ~eps ~step ~param ~grad ~m ~v ~dst =
+    check_update "adam" param [ grad; m; v; dst ];
+    let steps = float_of_int step in
+    let c1 = 1.0 /. (1.0 -. Float.pow beta1 steps) in
+    let c2 = 1.0 /. (1.0 -. Float.pow beta2 steps) in
+    let omb1 = 1.0 -. beta1 and omb2 = 1.0 -. beta2 in
+    let p = param.data and g = grad.data in
+    let md = m.data and vd = v.data and d = dst.data in
+    for i = 0 to Array.length p - 1 do
+      let gi = Array.unsafe_get g i in
+      let m' = (beta1 *. Array.unsafe_get md i) +. (omb1 *. gi) in
+      let v' = (beta2 *. Array.unsafe_get vd i) +. (omb2 *. k_sq gi) in
+      Array.unsafe_set md i m';
+      Array.unsafe_set vd i v';
+      Array.unsafe_set d i
+        (Array.unsafe_get p i
+        -. ((lr *. (c1 *. m')) /. (eps +. sqrt (c2 *. v'))))
+    done
 end
 
 (* {1 Allocating wrappers over [Into]} *)

@@ -256,18 +256,56 @@ module Into : sig
     ?runtime:Parallel.t -> ?trans_a:bool -> ?trans_b:bool -> t -> t -> dst:t -> unit
   (** [dst] must not alias an operand (a GEMM cannot run in place).
 
-      Products of at least [Parallel.blocking_threshold runtime]
-      multiply-adds take a cache-blocked path: a logically transposed
-      operand is packed into a contiguous scratch once per call and the
-      inner loops are register-blocked over the output rows. The
-      accumulation order per output element (ascending inner index,
-      skipping zero [a] elements) is the same on both paths, so the switch
-      never changes results. The threshold rides on the runtime handle
+      Each output element accumulates from [+0] over ascending inner index,
+      skipping terms whose [a] element is exactly zero. Products of at
+      least [Parallel.blocking_threshold runtime] multiply-adds take a
+      register-tiled dot-product path: a transposed [a] is packed into a
+      scratch once per call, [b] is read in place, and 4x2 output tiles
+      accumulate in registers. That path adds the zero-[a]
+      terms instead of skipping them only when every [b] element is finite,
+      where the sum's bits cannot change; otherwise it keeps the skip. So
+      the switch never changes results. The threshold rides on the runtime handle
       ([Parallel.create ~blocking_threshold] /
       [Parallel.with_config]), so concurrent executors with different
       settings cannot race. *)
 
   val add_bias : ?runtime:Parallel.t -> t -> t -> dst:t -> unit
+
+  (** {2 Optimizer updates}
+
+      One sequential pass per update rule. Per element each kernel applies
+      the same operations in the same order as the rule written with the
+      allocating ops, so results are bit-identical to that formulation.
+      The slot tensors ([velocity], [m], [v]) are updated in place, and
+      [dst] may alias [param].
+      @raise Invalid_argument if any tensor's shape differs from [param]'s. *)
+
+  val sgd : lr:float -> param:t -> grad:t -> dst:t -> unit
+  (** [dst = param - lr * grad]. *)
+
+  val momentum :
+    lr:float -> momentum:float -> param:t -> grad:t -> velocity:t -> dst:t -> unit
+  (** [velocity <- momentum * velocity + grad];
+      [dst = param - lr * velocity]. *)
+
+  val adam :
+    lr:float ->
+    beta1:float ->
+    beta2:float ->
+    eps:float ->
+    step:int ->
+    param:t ->
+    grad:t ->
+    m:t ->
+    v:t ->
+    dst:t ->
+    unit
+  (** [m <- beta1 * m + (1 - beta1) * grad];
+      [v <- beta2 * v + (1 - beta2) * grad^2];
+      [dst = param - lr * m_hat / (eps + sqrt v_hat)], with
+      [m_hat = m / (1 - beta1^step)] and [v_hat = v / (1 - beta2^step)]
+      (each applied as a multiplication by the reciprocal). *)
+
   val slice : axis:int -> lo:int -> hi:int -> t -> dst:t -> unit
   val pad_slice : axis:int -> lo:int -> full:int -> t -> dst:t -> unit
   val concat : axis:int -> t list -> dst:t -> unit

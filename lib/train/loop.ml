@@ -61,7 +61,14 @@ let train ~graph ~params ~optimizer ?clip_norm ?on_step ?on_event ?budget_bytes
   let emit = match on_event with Some f -> f | None -> fun _ -> () in
   let param_nodes = Array.of_list (List.map fst params) in
   let n_params = Array.length param_nodes in
-  let param_values = ref (Array.of_list (List.map snd params)) in
+  (* The loop owns its parameter tensors: the caller's are copied once, so
+     the in-place optimizer step (and a parameter bit flip) never reaches
+     them — campaign golden runs share one set of initial values. *)
+  let param_values =
+    Array.of_list (List.map (fun (_, v) -> Tensor.copy v) params)
+  in
+  (* Clipping scales into these, allocated on the first step. *)
+  let clip_buffers = ref [||] in
   (* Activation bit-flip sites: the materialising forward nodes of the
      *original* graph, in deterministic schedule order. Elementwise nodes
      are excluded (a fusion plan may bury them in registers) and so are
@@ -98,21 +105,19 @@ let train ~graph ~params ~optimizer ?clip_norm ?on_step ?on_event ?budget_bytes
       | _ -> ())
     (Fault.specs faults);
   (* A parameter flip indexes the flattened concatenation of all parameter
-     tensors in declaration order (mod the total), persists across steps,
-     and copies the hit tensor first so callers sharing the initial values
-     (e.g. campaign golden runs) never observe the corruption. *)
+     tensors in declaration order (mod the total) and persists across
+     steps. It lands in the loop's own copy, never the caller's. *)
   let apply_param_flip ~index ~bit =
-    let values = !param_values in
-    let total = Array.fold_left (fun acc v -> acc + Tensor.numel v) 0 values in
+    let total =
+      Array.fold_left (fun acc v -> acc + Tensor.numel v) 0 param_values
+    in
     let i = index mod total in
     let rec locate k off =
-      let n = Tensor.numel values.(k) in
+      let n = Tensor.numel param_values.(k) in
       if i < off + n then (k, i - off) else locate (k + 1) (off + n)
     in
     let k, local = locate 0 0 in
-    let v = Tensor.copy values.(k) in
-    Tensor.flip_bit v ~index:local ~bit;
-    values.(k) <- v;
+    Tensor.flip_bit param_values.(k) ~index:local ~bit;
     Printf.sprintf "%s[%d] bit %d" (Node.name param_nodes.(k)) local bit
   in
   (* The device budget is mutable: a simulated OOM fault shrinks it mid-run
@@ -187,7 +192,7 @@ let train ~graph ~params ~optimizer ?clip_norm ?on_step ?on_event ?budget_bytes
           Array.to_list
             (Array.map2
                (fun node v -> (Node.name node, v))
-               param_nodes !param_values);
+               param_nodes param_values);
         slots =
           [
             ("velocity", snap.Optimizer.velocity);
@@ -216,7 +221,7 @@ let train ~graph ~params ~optimizer ?clip_norm ?on_step ?on_event ?budget_bytes
                  "Loop.train: checkpoint %s parameter %d is %S, the model's \
                   is %S — wrong checkpoint for this model?"
                  path i name (Node.name node));
-          !param_values.(i) <- tensor)
+          param_values.(i) <- tensor)
         ckpt.Checkpoint.params;
       Optimizer.restore optimizer ~param_nodes
         {
@@ -293,9 +298,8 @@ let train ~graph ~params ~optimizer ?clip_norm ?on_step ?on_event ?budget_bytes
       | None -> ());
       let e = !exe in
       List.iter (fun (node, tensor) -> feed_compat e node tensor) batch;
-      let values = !param_values in
       for i = 0 to n_params - 1 do
-        feed_compat e param_nodes.(i) values.(i)
+        feed_compat e param_nodes.(i) param_values.(i)
       done;
       (try Executor.run e
        with Echo_exec.Interp.Missing_feed names ->
@@ -331,7 +335,12 @@ let train ~graph ~params ~optimizer ?clip_norm ?on_step ?on_event ?budget_bytes
       let grads =
         match clip_norm with
         | None -> grads
-        | Some max_norm -> Optimizer.clip_by_global_norm_arrays ~max_norm grads
+        | Some max_norm ->
+          if Array.length !clip_buffers = 0 then
+            clip_buffers :=
+              Array.map (fun g -> Tensor.zeros (Tensor.shape g)) grads;
+          Optimizer.clip_by_global_norm_into ~max_norm grads
+            ~dst:!clip_buffers
       in
       let grad_norm = global_norm grads in
       if not (Float.is_finite loss && Float.is_finite grad_norm) then begin
@@ -344,9 +353,8 @@ let train ~graph ~params ~optimizer ?clip_norm ?on_step ?on_event ?budget_bytes
         (match on_step with
         | Some f -> f { step = !step; loss; grad_norm }
         | None -> ());
-        param_values :=
-          Optimizer.step_arrays optimizer ~param_nodes ~params:!param_values
-            ~grads;
+        Optimizer.step_in_place optimizer ~param_nodes ~params:param_values
+          ~grads;
         losses := loss :: !losses
       end);
     incr step;
@@ -359,7 +367,7 @@ let train ~graph ~params ~optimizer ?clip_norm ?on_step ?on_event ?budget_bytes
   {
     losses = List.rev !losses;
     params =
-      List.combine (Array.to_list param_nodes) (Array.to_list !param_values);
+      List.combine (Array.to_list param_nodes) (Array.to_list param_values);
   }
 
 let perplexity loss = exp loss

@@ -29,30 +29,27 @@ let state tbl node shape =
     Hashtbl.replace tbl (Node.id node) t;
     t
 
-(* The single update rule both entry points share: one parameter, one
-   gradient, state already bumped to the current step count. *)
-let update t node value g =
+(* The single update rule every entry point shares: one parameter, one
+   gradient, state already bumped to the current step count. Writes the
+   new value into [dst] (which may be [value] itself) and steps the slots
+   in place, through one [Tensor.Into] pass per rule. *)
+let update t node value g ~dst =
   match t.spec with
-  | Sgd { lr } -> Tensor.sub value (Tensor.scale lr g)
+  | Sgd { lr } -> Tensor.Into.sgd ~lr ~param:value ~grad:g ~dst
   | Momentum { lr; momentum } ->
-    let v = state t.velocity node (Tensor.shape value) in
-    let v' = Tensor.add (Tensor.scale momentum v) g in
-    Hashtbl.replace t.velocity (Node.id node) v';
-    Tensor.sub value (Tensor.scale lr v')
+    let velocity = state t.velocity node (Tensor.shape value) in
+    Tensor.Into.momentum ~lr ~momentum ~param:value ~grad:g ~velocity ~dst
   | Adam { lr; beta1; beta2; eps } ->
     let m = state t.velocity node (Tensor.shape value) in
     let v = state t.second node (Tensor.shape value) in
-    let m' = Tensor.add (Tensor.scale beta1 m) (Tensor.scale (1.0 -. beta1) g) in
-    let v' =
-      Tensor.add (Tensor.scale beta2 v) (Tensor.scale (1.0 -. beta2) (Tensor.sq g))
-    in
-    Hashtbl.replace t.velocity (Node.id node) m';
-    Hashtbl.replace t.second (Node.id node) v';
-    let steps = float_of_int t.steps in
-    let m_hat = Tensor.scale (1.0 /. (1.0 -. Float.pow beta1 steps)) m' in
-    let v_hat = Tensor.scale (1.0 /. (1.0 -. Float.pow beta2 steps)) v' in
-    Tensor.sub value
-      (Tensor.div (Tensor.scale lr m_hat) (Tensor.add_scalar eps (Tensor.sqrt_ v_hat)))
+    Tensor.Into.adam ~lr ~beta1 ~beta2 ~eps ~step:t.steps ~param:value ~grad:g
+      ~m ~v ~dst
+
+(* [params] is never mutated: the new value goes to a fresh tensor. *)
+let updated t node value g =
+  let dst = Tensor.zeros (Tensor.shape value) in
+  update t node value g ~dst;
+  dst
 
 let step t ~params ~grads =
   t.steps <- t.steps + 1;
@@ -65,17 +62,26 @@ let step t ~params ~grads =
       invalid_arg
         (Printf.sprintf "Optimizer.step: no gradient for %s" (Node.name node))
   in
-  List.map (fun (node, value) -> (node, update t node value (grad_of node))) params
+  List.map (fun (node, value) -> (node, updated t node value (grad_of node))) params
 
-let step_arrays t ~param_nodes ~params ~grads =
+let check_arrays name ~param_nodes ~params ~grads =
   let n = Array.length param_nodes in
   if Array.length params <> n || Array.length grads <> n then
     invalid_arg
-      (Printf.sprintf
-         "Optimizer.step_arrays: %d parameter nodes, %d values, %d gradients"
-         n (Array.length params) (Array.length grads));
+      (Printf.sprintf "Optimizer.%s: %d parameter nodes, %d values, %d gradients"
+         name n (Array.length params) (Array.length grads))
+
+let step_arrays t ~param_nodes ~params ~grads =
+  check_arrays "step_arrays" ~param_nodes ~params ~grads;
   t.steps <- t.steps + 1;
-  Array.mapi (fun i value -> update t param_nodes.(i) value grads.(i)) params
+  Array.mapi (fun i value -> updated t param_nodes.(i) value grads.(i)) params
+
+let step_in_place t ~param_nodes ~params ~grads =
+  check_arrays "step_in_place" ~param_nodes ~params ~grads;
+  t.steps <- t.steps + 1;
+  Array.iteri
+    (fun i value -> update t param_nodes.(i) value grads.(i) ~dst:value)
+    params
 
 type snapshot = {
   steps : int;
@@ -117,32 +123,32 @@ let restore (t : t) ~param_nodes snap =
   fill t.velocity snap.velocity;
   fill t.second snap.second
 
+(* [Some k] when the global norm exceeds [max_norm]: every gradient is
+   then scaled by [k]. *)
+let clip_factor ~max_norm norms =
+  let norm = sqrt norms in
+  if norm <= max_norm then None else Some (max_norm /. norm)
+
+let sum_sq fold grads =
+  fold
+    (fun acc g ->
+      let n = Tensor.frobenius g in
+      acc +. (n *. n))
+    0.0 grads
+
 let clip_by_global_norm ~max_norm grads =
-  let total_sq =
-    List.fold_left
-      (fun acc (_, g) ->
-        let n = Tensor.frobenius g in
-        acc +. (n *. n))
-      0.0 grads
-  in
-  let norm = sqrt total_sq in
-  if norm <= max_norm then grads
-  else begin
-    let k = max_norm /. norm in
-    List.map (fun (p, g) -> (p, Tensor.scale k g)) grads
-  end
+  match clip_factor ~max_norm (sum_sq List.fold_left (List.map snd grads)) with
+  | None -> grads
+  | Some k -> List.map (fun (p, g) -> (p, Tensor.scale k g)) grads
 
 let clip_by_global_norm_arrays ~max_norm grads =
-  let total_sq =
-    Array.fold_left
-      (fun acc g ->
-        let n = Tensor.frobenius g in
-        acc +. (n *. n))
-      0.0 grads
-  in
-  let norm = sqrt total_sq in
-  if norm <= max_norm then grads
-  else begin
-    let k = max_norm /. norm in
-    Array.map (fun g -> Tensor.scale k g) grads
-  end
+  match clip_factor ~max_norm (sum_sq Array.fold_left grads) with
+  | None -> grads
+  | Some k -> Array.map (fun g -> Tensor.scale k g) grads
+
+let clip_by_global_norm_into ~max_norm grads ~dst =
+  match clip_factor ~max_norm (sum_sq Array.fold_left grads) with
+  | None -> grads
+  | Some k ->
+    Array.iteri (fun i g -> Tensor.Into.scale k g ~dst:dst.(i)) grads;
+    dst

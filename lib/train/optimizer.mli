@@ -1,7 +1,11 @@
 (** First-order optimizers over (parameter, gradient) tensor pairs.
 
-    State is keyed by parameter node id and updated functionally on the host;
-    the simulated-GPU footprint of the state is accounted analytically by
+    State is keyed by parameter node id and lives on the host: each step
+    updates the slot tensors (velocity, second moment) in place, through one
+    [Echo_tensor.Tensor.Into] pass per parameter. {!step} and {!step_arrays}
+    return fresh parameter tensors and never mutate the ones passed in;
+    {!step_in_place} overwrites them. All three compute the same bits. The
+    simulated-GPU footprint of the state is accounted analytically by
     [Echo_exec.Footprint]. *)
 
 open Echo_tensor
@@ -32,6 +36,15 @@ val step_arrays :
     the update rule — and the optimizer state — with {!step}.
     @raise Invalid_argument naming the three lengths on a mismatch. *)
 
+val step_in_place :
+  t -> param_nodes:Node.t array -> params:Tensor.t array -> grads:Tensor.t array
+  -> unit
+(** {!step_arrays} without the fresh tensors: overwrites each [params.(i)]
+    with its updated value, bit-identical to what {!step_arrays} returns.
+    The compiled training loop's entry point; it owns the parameter
+    tensors it passes. [grads.(i)] may alias [params.(i)].
+    @raise Invalid_argument naming the three lengths on a mismatch. *)
+
 (** {1 Checkpointing} *)
 
 type snapshot = {
@@ -60,3 +73,10 @@ val clip_by_global_norm : max_norm:float -> (Node.t * Tensor.t) list
 
 val clip_by_global_norm_arrays : max_norm:float -> Tensor.t array -> Tensor.t array
 (** {!clip_by_global_norm} over a positional gradient array. *)
+
+val clip_by_global_norm_into :
+  max_norm:float -> Tensor.t array -> dst:Tensor.t array -> Tensor.t array
+(** {!clip_by_global_norm_arrays} scaling into caller-owned buffers: returns
+    the input array when no clipping is needed, otherwise writes each scaled
+    gradient into [dst.(i)] (same shape as the gradient) and returns [dst].
+    Bit-identical to {!clip_by_global_norm_arrays}. *)

@@ -563,6 +563,76 @@ let test_train_arity_message () =
        contains ~sub:"1 gradient output(s)" msg
        && contains ~sub:"2 parameter(s)" msg)
 
+(* The executor's allocation contract: after the first run has sized the
+   per-domain pack and fusion scratch, a training step's kernels allocate
+   nothing — every value lands in a preallocated arena buffer and every
+   scalar stays unboxed. What remains is a fixed per-run overhead (the
+   parallel-for chunk closures and the like). The graph is a peephole
+   LSTM-LM step whose 16x64 . 64x256 gate matmuls (and their gradients)
+   clear the blocking threshold, so the tiled GEMM, the sigmoid kernel,
+   the slice copies and the peephole broadcasts all run. Measured at 7_710
+   minor words per run (347 instructions, about 22 words each); the bound
+   of 10_000 leaves a 30% margin. Before the kernels were made
+   allocation-free the same run took 163_075 words: a kernel that boxes
+   one float per element costs 2 to 4 words per element, thousands per
+   instruction here, so a returning boxing leak cannot hide under the
+   bound. *)
+let test_run_allocation_bound () =
+  let lm =
+    Language_model.build
+      {
+        Language_model.ptb_default with
+        vocab = 50;
+        embed = 64;
+        hidden = 64;
+        layers = 1;
+        seq_len = 4;
+        batch = 16;
+        dropout = 0.2;
+        cell = Recurrent.Peephole;
+      }
+  in
+  let model = lm.Language_model.model in
+  let g = (Model.training model).Echo_autodiff.Grad.graph in
+  let runtime = Parallel.sequential in
+  let threshold = Parallel.blocking_threshold runtime in
+  let has p = List.exists (fun n -> p (Node.op n) n) (Graph.nodes g) in
+  check_bool "a matmul above the blocking threshold" true
+    (has (fun op n ->
+         match (op, Node.inputs n) with
+         | Op.Matmul _, [ a; _ ] ->
+           let s = Node.shape n in
+           s.(0) * s.(1) * Shape.numel (Node.shape a) / s.(0) >= threshold
+         | _ -> false));
+  List.iter
+    (fun (what, p) -> check_bool what true (has (fun op _ -> p op)))
+    [
+      ("a sigmoid", function Op.Sigmoid -> true | _ -> false);
+      ("a broadcast", function Op.BroadcastAxis _ -> true | _ -> false);
+      ("a slice", function Op.Slice _ -> true | _ -> false);
+    ];
+  let exe =
+    Pipeline.executor
+      (Pipeline.compile_graph ~runtime ~fuse:true
+         ~sanitize:Echo_analysis.Sanitize.Off g)
+  in
+  let rng = Rng.create 5 in
+  let ids n = Tensor.init (Node.shape n) (fun _ -> float_of_int (Rng.int rng 50)) in
+  Executor.feed exe lm.Language_model.token_input (ids lm.Language_model.token_input);
+  Executor.feed exe lm.Language_model.label_input (ids lm.Language_model.label_input);
+  List.iter (fun (n, v) -> Executor.feed exe n v) (Params.bindings model.Model.params);
+  Executor.run exe;
+  let runs = 4 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to runs do
+    Executor.run exe
+  done;
+  let per_run = (Gc.minor_words () -. w0) /. float_of_int runs in
+  Printf.printf "minor words per run: %.0f (%d instructions)\n" per_run
+    (Executor.active_instruction_count exe);
+  if per_run > 10_000.0 then
+    Alcotest.failf "Executor.run allocated %.0f minor words (bound 10000)" per_run
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   [
@@ -577,6 +647,7 @@ let suite =
         t "kernel runtime differential" test_runtime_differential;
         t "missing feeds aggregated" test_missing_feeds_aggregated;
         t "train arity message" test_train_arity_message;
+        t "run allocation bound" test_run_allocation_bound;
       ] );
     ( "compiler.fusion",
       [

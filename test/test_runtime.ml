@@ -345,6 +345,128 @@ let test_checkpoint_missing_slot_field_names_cause () =
             (Printf.sprintf "checksum %Lx\n" (fnv1a body)));
       expect_corrupt ~affix:"unrecognised" path "slot line missing its tensor")
 
+(* Golden bytes: a checkpoint holding every float the hex encoding treats
+   specially, a scalar, a 2-D tensor and a name that needs escaping is
+   byte-for-byte the format written the plain way — each line built with
+   [Printf] ([%h] for losses) and [Serial.tensor_to_string], sealed with
+   the FNV-1a checksum — and it loads back. *)
+let golden_floats =
+  [|
+    Float.nan;
+    Float.neg Float.nan;
+    Float.infinity;
+    Float.neg_infinity;
+    -0.0;
+    0.0;
+    Float.succ 0.0 (* smallest subnormal *);
+    Float.neg (Float.succ 0.0);
+    Int64.float_of_bits 0x000f_ffff_ffff_ffffL (* largest subnormal *);
+    Int64.float_of_bits 0x0000_0000_0100_0000L;
+    Float.min_float;
+    Float.max_float;
+    1.0;
+    -1.5;
+    Float.pi;
+    1e-300;
+    -3.0e150;
+  |]
+
+let test_checkpoint_golden_bytes () =
+  let matrix =
+    Tensor.create [| 2; 9 |]
+      (Array.init 18 (fun i ->
+           golden_floats.(i mod Array.length golden_floats)))
+  in
+  let t =
+    {
+      Checkpoint.step = 12;
+      rng_state = Some 0xfeed_beefL;
+      opt_steps = 11;
+      losses = Array.to_list golden_floats;
+      params =
+        [
+          ("enc layer 0%w\nx", matrix);
+          ("scale", Tensor.scalar (-0.0));
+          ("b", Tensor.of_list1 [ Float.nan; 2.5 ]);
+        ];
+      slots =
+        [
+          ("velocity", [ (0, Tensor.map (fun x -> x /. 3.0) matrix); (2, Tensor.of_list1 [ 0.0; -0.0 ]) ]);
+          ("second moment", [ (1, Tensor.scalar Float.infinity) ]);
+        ];
+    }
+  in
+  let reference =
+    let b = Buffer.create 4096 in
+    let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
+    line "echo-checkpoint v1";
+    line "step %d" t.Checkpoint.step;
+    line "opt-steps %d" t.Checkpoint.opt_steps;
+    line "rng %Lx" (Option.get t.Checkpoint.rng_state);
+    List.iter (fun l -> line "loss %h" l) t.Checkpoint.losses;
+    List.iter
+      (fun (name, v) ->
+        line "param %s %s" (Serial.escape name) (Serial.tensor_to_string v))
+      t.Checkpoint.params;
+    List.iter
+      (fun (slot, entries) ->
+        List.iter
+          (fun (i, v) ->
+            line "slot %s %d %s" (Serial.escape slot) i
+              (Serial.tensor_to_string v))
+          entries)
+      t.Checkpoint.slots;
+    let body = Buffer.contents b in
+    body ^ Printf.sprintf "checksum %Lx\n" (fnv1a body)
+  in
+  (* [tensor_to_string] itself is pinned to [%h], element by element. *)
+  check_bool "tensor_to_string is %h" true
+    (Serial.tensor_to_string matrix
+    = "2x9:"
+      ^ String.concat ","
+          (List.map (Printf.sprintf "%h") (Array.to_list (Tensor.to_array matrix))));
+  with_temp (fun path ->
+      Checkpoint.save ~path t;
+      let bytes = In_channel.with_open_bin path In_channel.input_all in
+      Alcotest.(check string) "golden bytes" reference bytes;
+      let r = Checkpoint.load path in
+      check_bool "losses load" true
+        (List.for_all2 bits_equal t.Checkpoint.losses r.Checkpoint.losses);
+      List.iter2
+        (fun (n1, v1) (n2, v2) ->
+          Alcotest.(check string) "name" n1 n2;
+          check_bool "values load" true
+            (Shape.equal (Tensor.shape v1) (Tensor.shape v2)
+            && Array.for_all2 bits_equal (Tensor.to_array v1) (Tensor.to_array v2)))
+        t.Checkpoint.params r.Checkpoint.params;
+      check_int "slot groups" 2 (List.length r.Checkpoint.slots))
+
+(* The allocation-free hex renderer against [%h] over random bit
+   patterns: every exponent range, signs and payloads. *)
+let test_float_hex_matches_printf () =
+  let rng = Rng.create 99 in
+  for _ = 1 to 20_000 do
+    let bits =
+      Int64.logor
+        (Int64.shift_left (Int64.of_int (Rng.int rng (1 lsl 30))) 34)
+        (Int64.of_int (Rng.int rng (1 lsl 30) * 16 + Rng.int rng 16))
+    in
+    (* Half the draws zero the low mantissa bits, to hit short digit runs. *)
+    let bits = if Rng.int rng 2 = 0 then Int64.logand bits (-0x1_0000_0000L) else bits in
+    let x = Int64.float_of_bits bits in
+    let b = Buffer.create 32 in
+    Serial.add_float_hex b x;
+    let want = Printf.sprintf "%h" x in
+    if Buffer.contents b <> want then
+      Alcotest.failf "%Lx: rendered %s, %%h gives %s" bits (Buffer.contents b) want
+  done;
+  Array.iter
+    (fun x ->
+      let b = Buffer.create 32 in
+      Serial.add_float_hex b x;
+      Alcotest.(check string) "special" (Printf.sprintf "%h" x) (Buffer.contents b))
+    golden_floats
+
 let test_serial_tensor_roundtrip () =
   let t =
     Tensor.init [| 3; 2 |] (fun i ->
@@ -673,6 +795,8 @@ let suite =
           test_checkpoint_flipped_checksum_byte_names_cause;
         t "missing slot field names its cause"
           test_checkpoint_missing_slot_field_names_cause;
+        t "golden bytes" test_checkpoint_golden_bytes;
+        t "hex floats match %h" test_float_hex_matches_printf;
         t "serial tensor roundtrip" test_serial_tensor_roundtrip;
         t "rng state roundtrip" test_rng_state_roundtrip;
       ] );

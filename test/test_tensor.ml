@@ -126,7 +126,10 @@ let bits_equal a b =
 
 (* Independent scalar oracle for the documented matmul semantics: each
    output element accumulates in ascending l, skipping terms whose a-side
-   factor is exactly 0.0. Every kernel path must match this bit for bit. *)
+   factor is exactly 0.0. Every kernel path must match this bit for bit.
+   Each step adds as [product +. acc], the operand order every kernel
+   compiles to: when a NaN product meets a different NaN already in the
+   accumulator, the product's payload is the one kept. *)
 let matmul_oracle ~trans_a ~trans_b ~m ~n ~k a b =
   Tensor.init [| m; n |] (fun idx ->
       let i = idx.(0) and j = idx.(1) in
@@ -139,7 +142,7 @@ let matmul_oracle ~trans_a ~trans_b ~m ~n ~k a b =
           let bv =
             if trans_b then Tensor.get b [| j; l |] else Tensor.get b [| l; j |]
           in
-          acc := !acc +. (x *. bv)
+          acc := (x *. bv) +. !acc
       done;
       !acc)
 
@@ -152,6 +155,15 @@ let sparse_uniform rng shape =
   done;
   t
 
+(* [t] with about 10% of its cells overwritten by draws from [values]. *)
+let poison rng values t =
+  let t = Tensor.copy t in
+  for i = 0 to Tensor.numel t - 1 do
+    if Rng.float rng < 0.1 then
+      Tensor.set1 t i values.(Rng.int rng (Array.length values))
+  done;
+  t
+
 (* Sweep sizes across the blocking threshold, all four transpose variants,
    forced-naive / default / forced-blocked thresholds, and sequential vs a
    2-domain pool. The threshold is per-runtime configuration now, so every
@@ -159,7 +171,13 @@ let sparse_uniform rng shape =
    hardware cap with the work gate open, so the fan-out + work-stealing
    path genuinely runs even on one core. Every combination must be bitwise
    equal to the oracle. [dst] starts as NaN so an unwritten element can
-   never pass. *)
+   never pass.
+
+   Three operand kinds pin the semantics the blocked kernel's finiteness
+   check relies on: finite sparse operands (where it adds the zero-[a]
+   terms instead of skipping them); infinities and NaNs in B where A has
+   zeros (a skipped 0 * inf must not turn into a NaN); and NaNs in A
+   (never skipped, so they must propagate). *)
 let test_matmul_blocked_sweep () =
   let sizes = [ (1, 1, 1); (3, 5, 2); (8, 8, 8); (17, 33, 9); (40, 40, 40); (64, 32, 48) ] in
   let pool =
@@ -174,6 +192,8 @@ let test_matmul_blocked_sweep () =
         (fun (trans_a, trans_b) ->
           let a = sparse_uniform rng (if trans_a then [| k; m |] else [| m; k |]) in
           let b = sparse_uniform rng (if trans_b then [| n; k |] else [| k; n |]) in
+          List.iter
+            (fun (kind, a, b) ->
           let expect = matmul_oracle ~trans_a ~trans_b ~m ~n ~k a b in
           List.iter
             (fun threshold ->
@@ -187,15 +207,23 @@ let test_matmul_blocked_sweep () =
                   if not (bits_equal expect dst) then
                     Alcotest.failf
                       "matmul %dx%dx%d ta=%b tb=%b threshold=%d runtime=%s \
-                       differs from oracle"
-                      m n k trans_a trans_b threshold rt_name)
+                       operands=%s differs from oracle"
+                      m n k trans_a trans_b threshold rt_name kind)
                 [ ("seq", Parallel.sequential); ("pool2", pool) ])
             [ 0; default_threshold; max_int ];
           if not (bits_equal expect (Tensor.matmul ~trans_a ~trans_b a b))
           then
             Alcotest.failf
-              "allocating matmul %dx%dx%d ta=%b tb=%b differs from oracle"
-              m n k trans_a trans_b)
+              "allocating matmul %dx%dx%d ta=%b tb=%b operands=%s differs \
+               from oracle"
+              m n k trans_a trans_b kind)
+            [
+              ("finite", a, b);
+              ( "inf/nan in B",
+                a,
+                poison rng [| Float.infinity; Float.neg_infinity; Float.nan |] b );
+              ("nan in A", poison rng [| Float.nan |] a, b);
+            ])
         [ (false, false); (true, false); (false, true); (true, true) ])
     sizes
 

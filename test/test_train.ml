@@ -67,6 +67,164 @@ let test_footprint_kinds () =
        (Optimizer.create (Optimizer.Adam { lr = 0.1; beta1 = 0.9; beta2 = 0.99; eps = 1e-8 }))
     = Echo_exec.Footprint.Adam)
 
+(* The optimizer's three entry points against each other and against the
+   update rules written with the allocating tensor ops (the formulation the
+   [Tensor.Into] update kernels must reproduce bit for bit). Over four
+   steps of every rule: [step_in_place] equals [step_arrays], slots
+   included; [step] and [step_arrays] never touch the tensors they are
+   given; [step] agrees too; and all of them equal the reference. *)
+let same_bits a b =
+  Shape.equal (Tensor.shape a) (Tensor.shape b)
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       (Tensor.to_array a) (Tensor.to_array b)
+
+let reference_update spec ~step ~slots i value g =
+  let slot tbl =
+    match Hashtbl.find_opt tbl i with
+    | Some t -> t
+    | None -> Tensor.zeros (Tensor.shape value)
+  in
+  let first, second = slots in
+  match spec with
+  | Optimizer.Sgd { lr } -> Tensor.sub value (Tensor.scale lr g)
+  | Optimizer.Momentum { lr; momentum } ->
+    let v = Tensor.add (Tensor.scale momentum (slot first)) g in
+    Hashtbl.replace first i v;
+    Tensor.sub value (Tensor.scale lr v)
+  | Optimizer.Adam { lr; beta1; beta2; eps } ->
+    let m =
+      Tensor.add (Tensor.scale beta1 (slot first)) (Tensor.scale (1.0 -. beta1) g)
+    in
+    let v =
+      Tensor.add
+        (Tensor.scale beta2 (slot second))
+        (Tensor.scale (1.0 -. beta2) (Tensor.sq g))
+    in
+    Hashtbl.replace first i m;
+    Hashtbl.replace second i v;
+    let steps = float_of_int step in
+    let m_hat = Tensor.scale (1.0 /. (1.0 -. Float.pow beta1 steps)) m in
+    let v_hat = Tensor.scale (1.0 /. (1.0 -. Float.pow beta2 steps)) v in
+    Tensor.sub value
+      (Tensor.div (Tensor.scale lr m_hat) (Tensor.add_scalar eps (Tensor.sqrt_ v_hat)))
+
+let test_entry_points_agree () =
+  let rng = Rng.create 31 in
+  let shapes = [| [| 3; 4 |]; [| 5 |]; [| 1 |] |] in
+  let param_nodes = Array.map (fun s -> Node.variable ~name:"p" s) shapes in
+  List.iter
+    (fun (name, spec) ->
+      let fresh () = Optimizer.create spec in
+      let o_arrays = fresh () and o_place = fresh () and o_list = fresh () in
+      (* Parameters on the scale of one update, so a rounding difference
+         in the update survives the final subtraction. *)
+      let init =
+        Array.map (fun s -> Tensor.uniform rng s ~lo:(-1e-3) ~hi:1e-3) shapes
+      in
+      (* Exact zeros in the gradients too: Adam's first steps then divide a
+         zero moment by eps. *)
+      let grads () =
+        Array.map
+          (fun s ->
+            let g = Tensor.uniform rng s ~lo:(-2.0) ~hi:2.0 in
+            Tensor.set1 g 0 0.0;
+            g)
+          shapes
+      in
+      let arrays = ref init and list = ref (Array.to_list init) in
+      let place = Array.map Tensor.copy init in
+      let reference = ref (Array.map Tensor.copy init) in
+      let slots = (Hashtbl.create 4, Hashtbl.create 4) in
+      for step = 1 to 4 do
+        let g = grads () in
+        let before = Array.map Tensor.copy !arrays in
+        let next = Optimizer.step_arrays o_arrays ~param_nodes ~params:!arrays ~grads:g in
+        Array.iteri
+          (fun i t ->
+            check_bool
+              (Printf.sprintf "%s: step_arrays leaves params %d untouched" name i)
+              true (same_bits before.(i) t))
+          !arrays;
+        let list_before = List.map Tensor.copy !list in
+        let params = List.mapi (fun i v -> (param_nodes.(i), v)) !list in
+        let grads = List.mapi (fun i gi -> (param_nodes.(i), gi)) (Array.to_list g) in
+        let stepped = List.map snd (Optimizer.step o_list ~params ~grads) in
+        List.iter2
+          (fun b t -> check_bool (name ^ ": step leaves params untouched") true (same_bits b t))
+          list_before !list;
+        Optimizer.step_in_place o_place ~param_nodes ~params:place ~grads:g;
+        reference :=
+          Array.mapi
+            (fun i v -> reference_update spec ~step ~slots i v g.(i))
+            !reference;
+        Array.iteri
+          (fun i t ->
+            let what = Printf.sprintf "%s step %d param %d" name step i in
+            check_bool (what ^ ": in place == step_arrays") true (same_bits t place.(i));
+            check_bool (what ^ ": step == step_arrays") true
+              (same_bits t (List.nth stepped i));
+            check_bool (what ^ ": == tensor-op reference") true
+              (same_bits t !reference.(i)))
+          next;
+        arrays := next;
+        list := stepped;
+        let s1 = Optimizer.snapshot o_arrays ~param_nodes in
+        let s2 = Optimizer.snapshot o_place ~param_nodes in
+        let same_slots a b =
+          List.length a = List.length b
+          && List.for_all2 (fun (i, x) (j, y) -> i = j && same_bits x y) a b
+        in
+        check_bool (name ^ ": step counters") true (s1.Optimizer.steps = s2.Optimizer.steps);
+        check_bool (name ^ ": velocity slots") true
+          (same_slots s1.Optimizer.velocity s2.Optimizer.velocity);
+        check_bool (name ^ ": second-moment slots") true
+          (same_slots s1.Optimizer.second s2.Optimizer.second)
+      done)
+    [
+      ("sgd", Optimizer.Sgd { lr = 0.1 });
+      ("momentum", Optimizer.Momentum { lr = 0.05; momentum = 0.9 });
+      ("adam", Optimizer.Adam { lr = 1e-3; beta1 = 0.9; beta2 = 0.999; eps = 1e-8 });
+    ]
+
+(* Clipping into persistent buffers is bit-identical to the allocating
+   clip, and leaves its input alone. *)
+let test_clip_into_agrees () =
+  let rng = Rng.create 8 in
+  let grads = [| Tensor.uniform rng [| 4; 3 |] ~lo:(-3.0) ~hi:3.0; Tensor.uniform rng [| 7 |] ~lo:(-3.0) ~hi:3.0 |] in
+  let before = Array.map Tensor.copy grads in
+  let dst = Array.map (fun g -> Tensor.zeros (Tensor.shape g)) grads in
+  let fresh = Optimizer.clip_by_global_norm_arrays ~max_norm:1.0 grads in
+  let into = Optimizer.clip_by_global_norm_into ~max_norm:1.0 grads ~dst in
+  check_bool "writes the buffers" true (into == dst);
+  Array.iteri (fun i g -> check_bool "same bits" true (same_bits g into.(i))) fresh;
+  Array.iteri (fun i g -> check_bool "input untouched" true (same_bits before.(i) g)) grads;
+  check_bool "no clip returns the input" true
+    (Optimizer.clip_by_global_norm_into ~max_norm:1e9 grads ~dst == grads)
+
+(* [Loop.train] steps its own copy of the parameters in place; the
+   caller's tensors — shared, e.g., by campaign golden runs — keep their
+   values. *)
+let test_loop_leaves_caller_params () =
+  let w = Node.variable ~name:"w" [| 3 |] in
+  let target = Node.placeholder ~name:"t" [| 3 |] in
+  let loss = Node.reduce_sum ~axis:0 ~keepdims:false (Node.sq (Node.sub w target)) in
+  let training = Echo_autodiff.Grad.differentiate ~loss ~wrt:[ w ] in
+  let init = Tensor.of_list1 [ 0.5; -1.0; 2.0 ] in
+  let kept = Tensor.copy init in
+  let result =
+    Loop.train ~graph:training.Echo_autodiff.Grad.graph ~params:[ (w, init) ]
+      ~optimizer:
+        (Optimizer.create
+           (Optimizer.Adam { lr = 0.1; beta1 = 0.9; beta2 = 0.999; eps = 1e-8 }))
+      ~clip_norm:1.0
+      ~batches:(List.init 4 (fun _ -> [ (target, Tensor.of_list1 [ 3.0; -2.0; 1.0 ]) ]))
+      ()
+  in
+  check_bool "caller's tensor untouched" true (same_bits kept init);
+  check_bool "trained values differ" false
+    (same_bits kept (snd (List.hd result.Loop.params)))
+
 (* Training loop on a convex toy problem: minimise ||w - target||^2. *)
 let test_loop_converges () =
   let w = Node.variable ~name:"w" [| 2 |] in
@@ -199,12 +357,15 @@ let suite =
         t "missing gradient" test_missing_gradient_raises;
         t "clipping" test_clipping;
         t "footprint kinds" test_footprint_kinds;
+        t "entry points agree" test_entry_points_agree;
+        t "clip into buffers" test_clip_into_agrees;
       ] );
     ( "loop",
       [
         t "converges" test_loop_converges;
         t "on_step callback" test_loop_on_step_callback;
         t "perplexity" test_perplexity;
+        t "caller params untouched" test_loop_leaves_caller_params;
       ] );
     ( "corpus",
       [
