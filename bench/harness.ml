@@ -66,6 +66,8 @@ let training_graph model =
   (Pipeline.differentiate (Pipeline.of_model model))
     .Pipeline.autodiff.Echo_autodiff.Grad.graph
 
+let echo budget = Planner.instantiate ~knobs:[ ("budget", budget) ] "echo"
+
 (* Policy comparison set used by the headline experiments — resolved
    through the planner registry, like every other consumer. *)
 let policies =
@@ -73,9 +75,9 @@ let policies =
     Planner.instantiate "stash-all";
     Planner.instantiate "mirror-all-cheap";
     Planner.instantiate "checkpoint-sqrt";
-    Planner.instantiate ~knobs:[ ("budget", 0.03) ] "echo";
-    Planner.instantiate ~knobs:[ ("budget", 0.10) ] "echo";
-    Planner.instantiate ~knobs:[ ("budget", 0.30) ] "echo";
+    echo 0.03;
+    echo 0.10;
+    echo 0.30;
   ]
 
 (* Memoised policy reports per named graph so E2/E3/E5/E7 share work. *)

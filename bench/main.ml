@@ -91,7 +91,7 @@ let e3 () =
       List.iter
         (fun (_, report) ->
           row "%-14s %-18s %12s %7.2fx %+8.1f%%@." model.Model.name
-            report.Pass.policy
+            report.Pass.planner
             (Footprint.human report.Pass.optimised_mem.Memplan.live_peak_bytes)
             (Pass.reduction report)
             (100.0 *. Pass.overhead report))
@@ -135,7 +135,7 @@ let e5 () =
           let rewritten, _ = Pass.run_instance ~device inst graph in
           let pt = Echo_gpusim.Costmodel.phase_times device rewritten in
           row "%-14s %-18s %10.2f %10.2f %+8.1f%%@." model.Model.name
-            report.Pass.policy
+            report.Pass.planner
             (ms pt.Echo_gpusim.Costmodel.forward_s)
             (ms pt.Echo_gpusim.Costmodel.backward_s)
             (100.0 *. Pass.overhead report))
@@ -203,7 +203,7 @@ let e7 () =
         (fun (inst, report) ->
           let rewritten, _ = Pass.run_instance ~device inst graph in
           row "%-14s %-18s %9d %8d %12s %12s %9.1f%%@." model.Model.name
-            report.Pass.policy report.Pass.mirrored_nodes report.Pass.clone_nodes
+            report.Pass.planner report.Pass.mirrored_nodes report.Pass.clone_nodes
             (Footprint.human report.Pass.claimed_saving_bytes)
             (Footprint.human report.Pass.optimised_mem.Memplan.stash_bytes)
             (100.0 *. Pass.recompute_flops_ratio rewritten ~original:graph))
@@ -217,7 +217,7 @@ let e8 () =
   heading "E8" "sensitivity: LM reduction factor vs T and H (echo 10%)";
   let run cfg_desc model =
     let graph = training_graph model in
-    let _, report = Pass.run ~device (Pass.Echo { overhead_budget = 0.10 }) graph in
+    let _, report = Pass.run_instance ~device (echo 0.10) graph in
     row "%-18s peak %12s -> %12s  (%.2fx at %+.1f%%)@." cfg_desc
       (Footprint.human report.Pass.baseline_mem.Memplan.live_peak_bytes)
       (Footprint.human report.Pass.optimised_mem.Memplan.live_peak_bytes)
@@ -249,7 +249,7 @@ let e9 () =
   List.iter
     (fun (name, model) ->
       let graph = training_graph model in
-      let _, report = Pass.run ~device (Pass.Echo { overhead_budget = 0.10 }) graph in
+      let _, report = Pass.run_instance ~device (echo 0.10) graph in
       row "%-14s %12s %12s %7.2fx %+8.1f%%@." name
         (Footprint.human report.Pass.baseline_mem.Memplan.live_peak_bytes)
         (Footprint.human report.Pass.optimised_mem.Memplan.live_peak_bytes)
@@ -274,7 +274,7 @@ let e10 () =
   in
   let lm = Language_model.build cfg in
   let graph = training_graph lm.Language_model.model in
-  let echo_graph, report = Pass.run ~device (Pass.Echo { overhead_budget = 0.10 }) graph in
+  let echo_graph, report = Pass.run_instance ~device (echo 0.10) graph in
   let steps = 30 in
   let stream = Corpus.generate ~seed:5 ~vocab:cfg.Language_model.vocab ~length:40_000 in
   let batches =
@@ -310,22 +310,19 @@ let e11 () =
   ignore model;
   row "%-22s %8s %9s %14s %14s@." "variant" "factor" "overhead" "claimed" "measured";
   List.iter
-    (fun policy ->
-      let _, report = Pass.run ~device policy graph in
+    (fun name ->
+      let inst = Planner.instantiate ~knobs:[ ("budget", 0.05) ] name in
+      let _, report = Pass.run_instance ~device inst graph in
       let measured =
         report.Pass.baseline_mem.Memplan.stash_bytes
         - report.Pass.optimised_mem.Memplan.stash_bytes
       in
-      row "%-22s %7.2fx %+8.1f%% %14s %14s@." report.Pass.policy
+      row "%-22s %7.2fx %+8.1f%% %14s %14s@." report.Pass.planner
         (Pass.reduction report)
         (100.0 *. Pass.overhead report)
         (Footprint.human report.Pass.claimed_saving_bytes)
         (Footprint.human measured))
-    [
-      Pass.Echo { overhead_budget = 0.05 };
-      Pass.Echo_no_sharing { overhead_budget = 0.05 };
-      Pass.Echo_no_transitive { overhead_budget = 0.05 };
-    ]
+    [ "echo"; "echo-noshare"; "echo-notrans" ]
 
 (* E12: microbenchmark — cost model vs host kernels (Bechamel). *)
 let kernel_cases () =
@@ -412,7 +409,7 @@ let e13 () =
   row "pipeline: %a@." Echo_opt.Pipeline.pp_stats stats;
   row "%-22s %12s %8s %9s@." "variant" "peak" "factor" "overhead";
   let show name g =
-    let _, report = Pass.run ~device (Pass.Echo { overhead_budget = 0.10 }) g in
+    let _, report = Pass.run_instance ~device (echo 0.10) g in
     row "%-22s %12s %7.2fx %+8.1f%%@." name
       (Footprint.human report.Pass.optimised_mem.Memplan.live_peak_bytes)
       (float_of_int (Memplan.plan graph).Memplan.live_peak_bytes
@@ -432,7 +429,7 @@ let e14 () =
   row "launch-overhead share of the iteration: %.1f%%@."
     (100.0 *. Echo_gpusim.Timeline.launch_share device tl);
   let echo_graph, report =
-    Pass.run ~device (Pass.Echo { overhead_budget = 0.10 }) graph
+    Pass.run_instance ~device (echo 0.10) graph
   in
   let t0 = Echo_gpusim.Costmodel.graph_time device graph in
   let t1 = Echo_gpusim.Costmodel.graph_time device echo_graph in
@@ -708,7 +705,7 @@ let e17 () =
               kind = Echo_runtime.Fault.Oom { budget_bytes = budget } } ]
       in
       let on_event = function
-        | Echo_runtime.Event.Replan { policy; _ } -> survivor := policy
+        | Echo_runtime.Event.Replan { planner; _ } -> survivor := planner
         | _ -> ()
       in
       (match

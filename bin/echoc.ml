@@ -23,6 +23,17 @@ open Echo_core
 open Echo_exec
 module Pipeline = Echo_compiler.Pipeline
 
+(* Bad input at a validated entry point: one line on stderr naming the
+   offending flag or value, exit status 2. *)
+let die_as prefix fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline (prefix ^ ": " ^ msg);
+      exit 2)
+    fmt
+
+let die fmt = die_as "echoc" fmt
+
 type model_choice = Lm | Peephole_lm | Gru_lm | Rnn_lm | Nmt_model | Ds2 | Transformer_model
 
 let build_graph choice ~batch ~seq_len ~hidden ~layers =
@@ -101,7 +112,7 @@ let resolve_planner ?flag ~budget default =
   in
   let spec = Option.value spec ~default in
   match Echo_core.Planner.parse spec with
-  | Error msg -> failwith msg
+  | Error msg -> die "%s" msg
   | Ok instance -> begin
     (* The legacy --budget flag feeds any planner that declares a [budget]
        knob the spec itself left unbound (spec knobs win). *)
@@ -464,7 +475,12 @@ let run model_choice batch seq_len hidden layers policy budget all breakdown
   let device =
     match Echo_gpusim.Device.by_name device_name with
     | Some d -> d
-    | None -> failwith (Printf.sprintf "unknown device %S" device_name)
+    | None ->
+      die "unknown device %S (one of %s)" device_name
+        (String.concat ", "
+           (List.map
+              (fun d -> d.Echo_gpusim.Device.name)
+              Echo_gpusim.Device.all))
   in
   (* Validate --sanitize before anything is built: a typo must be a loud
      error naming the flag and the value, never a silent fallback. *)
@@ -506,20 +522,30 @@ let run model_choice batch seq_len hidden layers policy budget all breakdown
   | None ->
   if corpus_file <> None then
     failwith "--corpus only applies to --train (nothing else reads batches)";
+  let planners =
+    if all then Pass.default_instances
+    else [ resolve_planner ?flag:policy ~budget "echo" ]
+  in
   if compile then
     Format.printf "kernel runtime: %d domain(s)@."
       (Echo_tensor.Parallel.domains runtime);
-  let model = build_graph model_choice ~batch ~seq_len ~hidden ~layers in
-  Format.printf "%a@." Model.describe model;
   (* Stage 1-3 of the compilation pipeline: source -> training -> optimized.
-     A serialized graph enters the pipeline after the autodiff stage. *)
+     A serialized graph enters the pipeline after the autodiff stage; the
+     zoo model is only built when no graph is loaded. *)
   let training =
     match load_file with
     | Some path ->
-      let g = Echo_ir.Serial.of_file path in
+      let g =
+        try Echo_ir.Serial.of_file path with
+        | Sys_error msg -> die "--load: %s" msg
+        | Echo_ir.Serial.Parse_error msg -> die "--load %s: %s" path msg
+      in
       Format.printf "loaded %s@." path;
       Pipeline.of_training_graph ~name:path g
-    | None -> Pipeline.differentiate (Pipeline.of_model model)
+    | None ->
+      let model = build_graph model_choice ~batch ~seq_len ~hidden ~layers in
+      Format.printf "%a@." Model.describe model;
+      Pipeline.differentiate (Pipeline.of_model model)
   in
   Format.printf "training graph: %a@." Echo_ir.Graph.pp_stats
     training.Pipeline.autodiff.Echo_autodiff.Grad.graph;
@@ -527,10 +553,6 @@ let run model_choice batch seq_len hidden layers policy budget all breakdown
   (match optimized.Pipeline.opt_stats with
   | Some stats -> Format.printf "optimised: %a@." Echo_opt.Pipeline.pp_stats stats
   | None -> ());
-  let planners =
-    if all then Pass.default_instances
-    else [ resolve_planner ?flag:policy ~budget "echo" ]
-  in
   let lint = lint || lint_strict || corrupt <> None in
   let lint_failed = ref false in
   List.iter
@@ -818,12 +840,7 @@ let main_term =
    are validated strictly up front — like the ECHO_DOMAINS parser, a bad
    value is a loud error naming the flag and the value, never a silent
    fallback. *)
-let serve_die fmt =
-  Printf.ksprintf
-    (fun msg ->
-      prerr_endline ("echoc serve: " ^ msg);
-      exit 2)
-    fmt
+let serve_die fmt = die_as "echoc serve" fmt
 
 let parse_positive ~flag value =
   match int_of_string_opt value with

@@ -21,14 +21,14 @@ let () =
       in
       Format.printf "=== %s (%d output frames) ===@." label ds2.Deepspeech.out_frames;
       List.iter
-        (fun policy ->
-          let rw = Pipeline.rewrite ~device ~policy optimized in
+        (fun planner ->
+          let rw = Pipeline.rewrite ~device ~planner optimized in
           Format.printf "  %a@." Pass.pp_report rw.Pipeline.report)
         [
-          Pass.Stash_all;
-          Pass.Checkpoint_sqrt;
-          Pass.Echo { overhead_budget = 0.03 };
-          Pass.Echo { overhead_budget = 0.30 };
+          Planner.instantiate "stash-all";
+          Planner.instantiate "checkpoint-sqrt";
+          Planner.instantiate ~knobs:[ ("budget", 0.03) ] "echo";
+          Planner.instantiate ~knobs:[ ("budget", 0.30) ] "echo";
         ];
       Format.printf "@.")
     [

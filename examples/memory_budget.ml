@@ -29,7 +29,7 @@ let () =
         Format.printf
           "target %4.0f%% (%9s): shipped %-12s peak %9s at %+5.1f%% overhead@."
           (100.0 *. frac) (Footprint.human target)
-          outcome.Autotune.report.Pass.policy
+          outcome.Autotune.report.Pass.planner
           (Footprint.human
              outcome.Autotune.report.Pass.optimised_mem.Memplan.live_peak_bytes)
           (100.0 *. Pass.overhead outcome.Autotune.report)

@@ -13,13 +13,14 @@ module Pipeline = Echo_compiler.Pipeline
 
 let () =
   let device = Echo_gpusim.Device.titan_xp in
-  let policies =
+  let echo b = Planner.instantiate ~knobs:[ ("budget", b) ] "echo" in
+  let planners =
     [
-      Pass.Stash_all;
-      Pass.Checkpoint_sqrt;
-      Pass.Echo { overhead_budget = 0.03 };
-      Pass.Echo { overhead_budget = 0.10 };
-      Pass.Echo { overhead_budget = 0.30 };
+      Planner.instantiate "stash-all";
+      Planner.instantiate "checkpoint-sqrt";
+      echo 0.03;
+      echo 0.10;
+      echo 0.30;
     ]
   in
   Format.printf
@@ -36,20 +37,20 @@ let () =
       in
       Format.printf "batch=%d:@." batch;
       List.iter
-        (fun policy ->
+        (fun planner ->
           let report =
-            (Pipeline.rewrite ~device ~policy optimized).Pipeline.report
+            (Pipeline.rewrite ~device ~planner optimized).Pipeline.report
           in
           let total =
             Footprint.total_bytes report.Pass.optimised_mem
               ~optimizer:Footprint.Momentum
           in
           Format.printf "  %-18s peak %-10s (%4.2fx)  +%4.1f%% time  %s@."
-            report.Pass.policy (Footprint.human total) (Pass.reduction report)
+            report.Pass.planner (Footprint.human total) (Pass.reduction report)
             (100.0 *. Pass.overhead report)
             (if total <= device.Echo_gpusim.Device.memory_bytes then "fits"
              else "OOM");
           ())
-        policies;
+        planners;
       Format.printf "@.")
     [ 32; 64; 128 ]

@@ -31,7 +31,7 @@ let () =
   let device = Echo_gpusim.Device.titan_xp in
   let rw =
     Pipeline.rewrite ~device
-      ~policy:(Pass.Echo { overhead_budget = 0.10 })
+      ~planner:(Planner.instantiate ~knobs:[ ("budget", 0.10) ] "echo")
       (Pipeline.optimize ~enabled:false training)
   in
   let echo_graph = rw.Pipeline.graph in

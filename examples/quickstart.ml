@@ -59,9 +59,9 @@ let () =
   Format.printf "@.%-18s %-30s %-8s %-24s %s@." "policy" "footprint" "factor"
     "sim time/iter" "bitwise-equal";
   List.iter
-    (fun policy ->
+    (fun planner ->
       let exe =
-        Pipeline.rewrite ~device ~policy optimized |> Pipeline.plan
+        Pipeline.rewrite ~device ~planner optimized |> Pipeline.plan
         |> Pipeline.fuse |> Pipeline.compile ~runtime
       in
       let report =
@@ -72,7 +72,7 @@ let () =
       let outputs = Executor.eval (Pipeline.executor exe) ~feeds in
       let equal = List.for_all2 Tensor.equal baseline_outputs outputs in
       Format.printf "%-18s %12s -> %-12s %5.2fx  %8.2f -> %8.2f ms  %b@."
-        report.Pass.policy
+        report.Pass.planner
         (Echo_exec.Footprint.human
            report.Pass.baseline_mem.Echo_exec.Memplan.live_peak_bytes)
         (Echo_exec.Footprint.human
@@ -82,11 +82,11 @@ let () =
         (1000.0 *. report.Pass.optimised_time_s)
         equal;
       assert equal)
-    Pass.default_policies;
+    Pass.default_instances;
 
   (* The executable stage in one call, with its per-stage summary. *)
   let exe = Pipeline.compile_source ~device ~optimize:false
-      ~policy:(Pass.Echo { overhead_budget = 0.10 })
+      ~planner:(Planner.instantiate ~knobs:[ ("budget", 0.10) ] "echo")
       (Pipeline.of_model lm.model)
   in
   Format.printf "@.%a@." Pipeline.describe exe;

@@ -59,14 +59,8 @@ type rewritten = {
   report : Echo_core.Pass.report;
 }
 
-let rewrite ?(device = Echo_gpusim.Device.titan_xp) ?policy ?planner
-    (opt : optimized) =
-  let planner =
-    match (planner, policy) with
-    | Some i, _ -> i
-    | None, Some p -> Echo_core.Pass.instance_of_policy p
-    | None, None -> Echo_core.Planner.instantiate "stash-all"
-  in
+let rewrite ?(device = Echo_gpusim.Device.titan_xp)
+    ?(planner = Echo_core.Planner.instantiate "stash-all") (opt : optimized) =
   let graph, report = Echo_core.Pass.run_instance ~device planner opt.graph in
   { optimized = opt; graph; planner; report }
 
@@ -262,14 +256,8 @@ let cache_key ?planner ?runtime ?fuse ?budget_bytes ?sanitize graph =
             Echo_analysis.Sanitize.mode_name sanitize;
           ]))
 
-let compile_graph ?budget_bytes ?policy ?planner ?runtime ?fuse ?sanitize
-    ?cache graph =
-  let planner =
-    match (planner, policy) with
-    | Some i, _ -> Some i
-    | None, Some p -> Some (Echo_core.Pass.instance_of_policy p)
-    | None, None -> None
-  in
+let compile_graph ?budget_bytes ?planner ?runtime ?fuse ?sanitize ?cache
+    graph =
   let build () =
     of_training_graph graph
     |> optimize ~enabled:false |> rewrite ?planner |> plan
@@ -283,14 +271,11 @@ let compile_graph ?budget_bytes ?policy ?planner ?runtime ?fuse ?sanitize
       ~key:(cache_key ?planner ?runtime ?fuse ?budget_bytes ?sanitize graph)
       ~compile:build
 
-let compile_source ?device ?optimize:(opt_enabled = true) ?policy ?planner
+let compile_source ?device ?optimize:(opt_enabled = true) ?planner
     ?budget_bytes ?runtime ?fuse ?sanitize src =
   let opt = optimize ~enabled:opt_enabled (differentiate src) in
   compile ?budget_bytes ?runtime ?sanitize
-    (fuse_stage ?enabled:fuse ?runtime
-       (plan (rewrite ?device ?policy ?planner opt)))
-
-let validated_eval (pl : planned) ~feeds = Echo_exec.Arena_exec.eval pl.graph ~feeds
+    (fuse_stage ?enabled:fuse ?runtime (plan (rewrite ?device ?planner opt)))
 
 let describe fmt e =
   let pl = e.fused.planned in

@@ -88,14 +88,13 @@ type rewritten = {
 
 val rewrite :
   ?device:Echo_gpusim.Device.t ->
-  ?policy:Echo_core.Pass.policy ->
   ?planner:Echo_core.Planner.instance ->
   optimized ->
   rewritten
 (** Apply a recomputation planner resolved through the
-    {!Echo_core.Planner} registry. [planner] wins over the legacy [policy]
-    constructor when both are given; the default is ["stash-all"] (the
-    framework baseline) on {!Echo_gpusim.Device.titan_xp}. *)
+    {!Echo_core.Planner} registry ([Planner.instantiate ?knobs name]). The
+    default is ["stash-all"] (the framework baseline) on
+    {!Echo_gpusim.Device.titan_xp}. *)
 
 (** {1 Planned stage} *)
 
@@ -114,11 +113,6 @@ val plan : ?offsets:bool -> rewritten -> planned
     greedy best-fit unless the planner overrides it, as [olla-arena] does),
     which is quadratic-ish and only needed when the arena layout itself is
     inspected. *)
-
-val validated_eval : planned -> feeds:Echo_exec.Interp.feeds -> Echo_tensor.Tensor.t list
-(** Evaluate the planned graph through the liveness-validating
-    {!Echo_exec.Arena_exec} — certifies that the plan's death steps are
-    sound. @raise Echo_exec.Arena_exec.Freed_too_early on a planner bug. *)
 
 (** {1 Fused stage} *)
 
@@ -246,7 +240,6 @@ val cache_key :
 
 val compile_graph :
   ?budget_bytes:int ->
-  ?policy:Echo_core.Pass.policy ->
   ?planner:Echo_core.Planner.instance ->
   ?runtime:Echo_tensor.Parallel.t ->
   ?fuse:bool ->
@@ -254,7 +247,7 @@ val compile_graph :
   ?cache:cache ->
   Graph.t ->
   executable
-(** [of_training_graph |> optimize ~enabled:false |> rewrite ?policy ?planner
+(** [of_training_graph |> optimize ~enabled:false |> rewrite ?planner
     |> plan |> fuse |> compile]: compile an existing training graph (default
     planner ["stash-all"], i.e. as-is; [fuse] defaults to the [ECHO_FUSION]
     environment setting). This is what [Loop.train] uses, both on the
@@ -271,7 +264,6 @@ val compile_graph :
 val compile_source :
   ?device:Echo_gpusim.Device.t ->
   ?optimize:bool ->
-  ?policy:Echo_core.Pass.policy ->
   ?planner:Echo_core.Planner.instance ->
   ?budget_bytes:int ->
   ?runtime:Echo_tensor.Parallel.t ->
@@ -282,4 +274,4 @@ val compile_source :
 (** The whole pipeline in one call. *)
 
 val describe : Format.formatter -> executable -> unit
-(** Per-stage summary: node counts, opt stats, policy, plan, footprint. *)
+(** Per-stage summary: node counts, opt stats, planner, plan, footprint. *)

@@ -2,48 +2,19 @@ open Echo_ir
 open Echo_gpusim
 open Echo_exec
 
-type policy =
-  | Stash_all
-  | Mirror_all_cheap
-  | Checkpoint_sqrt
-  | Echo of { overhead_budget : float }
-  | Echo_cheap_only of { overhead_budget : float }
-  | Echo_no_sharing of { overhead_budget : float }
-  | Echo_no_transitive of { overhead_budget : float }
-  | Recompute_all
-
-(* The variant is a thin compatibility veneer over the registry: every
-   policy resolves to a registered planner instance, and [run] goes through
-   the same [run_instance] code path every other consumer uses. *)
-let instance_of_policy policy =
-  let echo name b = Planner.instantiate ~knobs:[ ("budget", b) ] name in
-  match policy with
-  | Stash_all -> Planner.instantiate "stash-all"
-  | Mirror_all_cheap -> Planner.instantiate "mirror-all-cheap"
-  | Checkpoint_sqrt -> Planner.instantiate "checkpoint-sqrt"
-  | Echo { overhead_budget } -> echo "echo" overhead_budget
-  | Echo_cheap_only { overhead_budget } -> echo "echo-cheap" overhead_budget
-  | Echo_no_sharing { overhead_budget } -> echo "echo-noshare" overhead_budget
-  | Echo_no_transitive { overhead_budget } ->
-    echo "echo-notrans" overhead_budget
-  | Recompute_all -> Planner.instantiate "recompute-all"
-
-let policy_name policy = Planner.label (instance_of_policy policy)
-
-let default_policies =
+let default_instances =
+  let echo b = Planner.instantiate ~knobs:[ ("budget", b) ] "echo" in
   [
-    Stash_all;
-    Mirror_all_cheap;
-    Checkpoint_sqrt;
-    Echo { overhead_budget = 0.03 };
-    Echo { overhead_budget = 0.30 };
-    Recompute_all;
+    Planner.instantiate "stash-all";
+    Planner.instantiate "mirror-all-cheap";
+    Planner.instantiate "checkpoint-sqrt";
+    echo 0.03;
+    echo 0.30;
+    Planner.instantiate "recompute-all";
   ]
 
-let default_instances = List.map instance_of_policy default_policies
-
 type report = {
-  policy : string;
+  planner : string;
   mirrored_nodes : int;
   clone_nodes : int;
   claimed_saving_bytes : int;
@@ -64,7 +35,7 @@ let run_instance ~device instance graph =
   let optimised = run_selected ~share graph selection in
   let report =
     {
-      policy = Planner.label instance;
+      planner = Planner.label instance;
       mirrored_nodes = Ids.Set.cardinal selection.Select.mirror_ids;
       clone_nodes = Rewrite.clone_count optimised;
       claimed_saving_bytes = selection.Select.claimed_saving_bytes;
@@ -76,8 +47,6 @@ let run_instance ~device instance graph =
     }
   in
   (optimised, report)
-
-let run ~device policy graph = run_instance ~device (instance_of_policy policy) graph
 
 let reduction r =
   float_of_int r.baseline_mem.Memplan.live_peak_bytes
@@ -96,7 +65,7 @@ let pp_report fmt r =
   Format.fprintf fmt
     "%-18s mirrored=%-5d clones=%-5d footprint %s -> %s (%.2fx) time %.2f ms -> \
      %.2f ms (%+.1f%%)"
-    r.policy r.mirrored_nodes r.clone_nodes
+    r.planner r.mirrored_nodes r.clone_nodes
     (Footprint.human r.baseline_mem.Memplan.live_peak_bytes)
     (Footprint.human r.optimised_mem.Memplan.live_peak_bytes)
     (reduction r)

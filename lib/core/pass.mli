@@ -6,45 +6,19 @@
     and the rewritten graph with the memory planner and the simulated-GPU
     cost model. Every reported number is measured on the actual graphs — the
     selection estimators can be wrong (see the ablations) without
-    compromising the report.
-
-    The [policy] variant survives as a thin compatibility veneer: each
-    constructor resolves to a registered planner ({!instance_of_policy}),
-    and [run] delegates to [run_instance] — there is exactly one code
-    path. New policies are added by registering a planner, not by extending
-    the variant. *)
+    compromising the report. Strategies are named by their registry name
+    ([Planner.instantiate ?knobs name]); a new one is added by registering
+    a planner. *)
 
 open Echo_ir
 open Echo_gpusim
 
-type policy =
-  | Stash_all  (** the framework baseline: keep every feature map *)
-  | Mirror_all_cheap  (** legacy heuristic, no cost-benefit analysis *)
-  | Checkpoint_sqrt  (** Chen et al. √n segment checkpointing *)
-  | Echo of { overhead_budget : float }  (** the paper's policy *)
-  | Echo_cheap_only of { overhead_budget : float }
-      (** Echo without the second (expensive-closure) pass *)
-  | Echo_no_sharing of { overhead_budget : float }
-      (** ablation: clones are not shared among backward consumers *)
-  | Echo_no_transitive of { overhead_budget : float }
-      (** ablation: estimator ignores transitive stashing *)
-  | Recompute_all  (** memory lower bound / time upper bound *)
-
-val instance_of_policy : policy -> Planner.instance
-(** The registered planner a legacy constructor resolves to ([Echo { b }]
-    becomes ["echo"] with knob [budget = b], and so on). *)
-
-val policy_name : policy -> string
-
-val default_policies : policy list
+val default_instances : Planner.instance list
 (** The comparison set used across benchmarks: stash-all, mirror-all-cheap,
     √n checkpointing, Echo (3% and 30% budgets), recompute-all. *)
 
-val default_instances : Planner.instance list
-(** {!default_policies} resolved through the registry. *)
-
 type report = {
-  policy : string;
+  planner : string;  (** {!Planner.label} of the planner that ran *)
   mirrored_nodes : int;  (** selected forward nodes *)
   clone_nodes : int;  (** recomputation clones materialised *)
   claimed_saving_bytes : int;
@@ -60,9 +34,6 @@ val run_instance :
 (** Returns the rewritten graph and the measurement report. A planner whose
     selection is empty (e.g. [stash-all], [olla-arena]) returns the input
     graph unchanged. *)
-
-val run : device:Device.t -> policy -> Graph.t -> Graph.t * report
-(** [run_instance] on {!instance_of_policy}. *)
 
 val reduction : report -> float
 (** Baseline/optimised peak-footprint ratio (>1 is better), on the

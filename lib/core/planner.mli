@@ -9,14 +9,15 @@
     maintained by hand.
 
     Everything downstream — [Pass], [Autotune], [Pipeline.rewrite],
-    [Loop.train], [echoc], the benches — resolves planners through this
-    registry. Adding a policy means registering one value here; no variant
-    to extend, no per-layer plumbing.
+    [Loop.train], [echoc], the benches, the examples and the tests — names
+    planners by registry name ({!instantiate}), the one planner vocabulary.
+    Adding a policy means registering one value here; no variant to
+    extend, no per-layer plumbing.
 
     The registry ships with:
     - [stash-all], [mirror-all-cheap], [checkpoint-sqrt], [echo] (knob
       [budget]), [echo-cheap], [echo-noshare], [echo-notrans],
-      [recompute-all] — the former [Pass.policy] variants;
+      [recompute-all] — the paper's comparison set and ablations;
     - [dp-bptt] — Gruslys et al.-style balanced-byte segment checkpointing
       with an optional memory budget (knobs [slots], [budget-mib]);
     - [olla-arena] — stash-all semantics with the OLLA-style annealed

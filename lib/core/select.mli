@@ -66,4 +66,4 @@ val selection_of : Device.t -> Node.t list -> claimed_saving:int -> selection
     shares. *)
 
 val empty : selection
-(** The no-op selection ([Stash_all]'s plan). *)
+(** The no-op selection (the [stash-all] planner's plan). *)

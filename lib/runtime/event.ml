@@ -2,7 +2,7 @@ type t =
   | Budget_hit of { step : int; requested_bytes : int; budget_bytes : int }
   | Replan of {
       step : int;
-      policy : string;
+      planner : string;
       footprint_bytes : int;
       budget_bytes : int;
     }
@@ -21,9 +21,9 @@ let to_string = function
   | Budget_hit { step; requested_bytes; budget_bytes } ->
     Printf.sprintf "step %d: budget hit (%d bytes needed, %d allowed)" step
       requested_bytes budget_bytes
-  | Replan { step; policy; footprint_bytes; budget_bytes } ->
+  | Replan { step; planner; footprint_bytes; budget_bytes } ->
     Printf.sprintf "step %d: replanned to %s (%d bytes under a %d-byte budget)"
-      step policy footprint_bytes budget_bytes
+      step planner footprint_bytes budget_bytes
   | Fault_injected { step; fault; target } ->
     Printf.sprintf "step %d: injected %s into %s" step
       (Fault.kind_to_string step fault)

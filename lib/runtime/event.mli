@@ -14,12 +14,12 @@ type t =
           fault-shrunk) device budget allows only [budget_bytes]. *)
   | Replan of {
       step : int;
-      policy : string;  (** surviving policy, [Echo_core.Pass.policy_name] *)
+      planner : string;  (** surviving planner, [Echo_core.Planner.label] *)
       footprint_bytes : int;  (** footprint of the re-compiled executor *)
       budget_bytes : int;
     }
       (** The runtime escalated through the recomputation ladder and
-          re-compiled at the cheapest policy that fits. *)
+          re-compiled at the cheapest planner that fits. *)
   | Fault_injected of { step : int; fault : Fault.kind; target : string }
       (** A scheduled bit-flip was applied. [target] names the tensor hit
           (parameter name or activation-site node name) — the differential

@@ -153,7 +153,7 @@ let train ~graph ~params ~optimizer ?clip_norm ?on_step ?on_event ?budget_bytes
         (Event.Replan
            {
              step;
-             policy = Echo_core.Autotune.label outcome;
+             planner = Echo_core.Autotune.label outcome;
              footprint_bytes = Executor.footprint_bytes e;
              budget_bytes = allowed;
            });

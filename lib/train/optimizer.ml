@@ -51,19 +51,6 @@ let updated t node value g =
   update t node value g ~dst;
   dst
 
-let step t ~params ~grads =
-  t.steps <- t.steps + 1;
-  let grad_of node =
-    match
-      List.find_opt (fun (p, _) -> Node.id p = Node.id node) grads
-    with
-    | Some (_, g) -> g
-    | None ->
-      invalid_arg
-        (Printf.sprintf "Optimizer.step: no gradient for %s" (Node.name node))
-  in
-  List.map (fun (node, value) -> (node, updated t node value (grad_of node))) params
-
 let check_arrays name ~param_nodes ~params ~grads =
   let n = Array.length param_nodes in
   if Array.length params <> n || Array.length grads <> n then
@@ -129,25 +116,20 @@ let clip_factor ~max_norm norms =
   let norm = sqrt norms in
   if norm <= max_norm then None else Some (max_norm /. norm)
 
-let sum_sq fold grads =
-  fold
+let sum_sq grads =
+  Array.fold_left
     (fun acc g ->
       let n = Tensor.frobenius g in
       acc +. (n *. n))
     0.0 grads
 
-let clip_by_global_norm ~max_norm grads =
-  match clip_factor ~max_norm (sum_sq List.fold_left (List.map snd grads)) with
-  | None -> grads
-  | Some k -> List.map (fun (p, g) -> (p, Tensor.scale k g)) grads
-
 let clip_by_global_norm_arrays ~max_norm grads =
-  match clip_factor ~max_norm (sum_sq Array.fold_left grads) with
+  match clip_factor ~max_norm (sum_sq grads) with
   | None -> grads
   | Some k -> Array.map (fun g -> Tensor.scale k g) grads
 
 let clip_by_global_norm_into ~max_norm grads ~dst =
-  match clip_factor ~max_norm (sum_sq Array.fold_left grads) with
+  match clip_factor ~max_norm (sum_sq grads) with
   | None -> grads
   | Some k ->
     Array.iteri (fun i g -> Tensor.Into.scale k g ~dst:dst.(i)) grads;

@@ -1,10 +1,10 @@
-(** First-order optimizers over (parameter, gradient) tensor pairs.
+(** First-order optimizers over positional (parameter, gradient) arrays.
 
     State is keyed by parameter node id and lives on the host: each step
     updates the slot tensors (velocity, second moment) in place, through one
-    [Echo_tensor.Tensor.Into] pass per parameter. {!step} and {!step_arrays}
-    return fresh parameter tensors and never mutate the ones passed in;
-    {!step_in_place} overwrites them. All three compute the same bits. The
+    [Echo_tensor.Tensor.Into] pass per parameter. {!step_arrays} returns
+    fresh parameter tensors and never mutates the ones passed in;
+    {!step_in_place} overwrites them. Both compute the same bits. The
     simulated-GPU footprint of the state is accounted analytically by
     [Echo_exec.Footprint]. *)
 
@@ -22,18 +22,13 @@ val create : spec -> t
 
 val footprint_kind : t -> Echo_exec.Footprint.optimizer
 
-val step : t -> params:(Node.t * Tensor.t) list -> grads:(Node.t * Tensor.t) list
-  -> (Node.t * Tensor.t) list
-(** One update; returns the new parameter values in [params] order.
-    [grads] must cover every parameter (match by node id).
-    @raise Invalid_argument on a missing gradient. *)
-
 val step_arrays :
   t -> param_nodes:Node.t array -> params:Tensor.t array -> grads:Tensor.t array
   -> Tensor.t array
-(** Array variant used by the compiled training loop: [grads.(i)] is the
-    gradient of [param_nodes.(i)] (positional pairing, no id lookup). Shares
-    the update rule — and the optimizer state — with {!step}.
+(** One update; returns the new parameter values in [params] order.
+    [grads.(i)] is the gradient of [param_nodes.(i)] (positional pairing, no
+    id lookup). Shares the update rule — and the optimizer state — with
+    {!step_in_place}.
     @raise Invalid_argument naming the three lengths on a mismatch. *)
 
 val step_in_place :
@@ -67,12 +62,11 @@ val restore : t -> param_nodes:Node.t array -> snapshot -> unit
     Subsequent updates are bit-identical to an optimizer that never paused.
     @raise Invalid_argument if a snapshot index is out of range. *)
 
-val clip_by_global_norm : max_norm:float -> (Node.t * Tensor.t) list
-  -> (Node.t * Tensor.t) list
-(** Standard RNN-training gradient clipping. *)
-
 val clip_by_global_norm_arrays : max_norm:float -> Tensor.t array -> Tensor.t array
-(** {!clip_by_global_norm} over a positional gradient array. *)
+(** Standard RNN-training gradient clipping: when the global norm of the
+    gradients exceeds [max_norm], returns them scaled by
+    [max_norm / norm] in fresh tensors; otherwise returns the input
+    array. *)
 
 val clip_by_global_norm_into :
   max_norm:float -> Tensor.t array -> dst:Tensor.t array -> Tensor.t array

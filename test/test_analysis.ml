@@ -51,8 +51,11 @@ let lm_training_graph () =
   let lm = Language_model.build tiny_lm_cfg in
   (Model.training lm.Language_model.model).Echo_autodiff.Grad.graph
 
-let rewritten policy =
-  let g, _ = Pass.run ~device:dev policy (lm_training_graph ()) in
+let rewritten name =
+  let g, _ =
+    Pass.run_instance ~device:dev (Planner.instantiate name)
+      (lm_training_graph ())
+  in
   g
 
 (* ---------------- diagnostics plumbing ---------------- *)
@@ -93,7 +96,7 @@ let test_graph_check_clean_and_validate () =
   Graph.validate g
 
 let test_assign_check_collects_all_corruptions () =
-  let g = rewritten Pass.Stash_all in
+  let g = rewritten "stash-all" in
   let a = Echo_exec.Assign.assign g in
   check_bool "sound plan is clean" true
     (Report.is_clean (Echo_exec.Assign.check a));
@@ -114,14 +117,14 @@ let test_assign_check_collects_all_corruptions () =
 (* ---------------- negative tests: one per checker ---------------- *)
 
 let test_schedule_checker_fires_on_broken_order () =
-  let g = rewritten Pass.Stash_all in
+  let g = rewritten "stash-all" in
   check_int "sound schedule" 0 (Report.error_count (Verify.check_schedule g));
   let schedule = require "swap_schedule" (Mutate.swap_schedule g) in
   check_bool "fires" true
     (has_error ~check:"schedule" (Verify.check_schedule ~schedule g))
 
 let test_offset_checker_fires_on_overlap_and_escape () =
-  let g = rewritten Pass.Stash_all in
+  let g = rewritten "stash-all" in
   let a = Echo_exec.Assign.assign g in
   check_int "sound offsets" 0 (Report.error_count (Verify.check_offsets g a));
   check_bool "overlap fires" true
@@ -136,7 +139,7 @@ let unfused_binding g =
   Executor.buffer_binding (Pipeline.executor exe)
 
 let test_alias_checker_fires_on_shared_live_buffer () =
-  let g = rewritten Pass.Stash_all in
+  let g = rewritten "stash-all" in
   let binding = unfused_binding g in
   check_int "sound binding" 0
     (Report.error_count (Verify.check_binding g binding));
@@ -145,7 +148,7 @@ let test_alias_checker_fires_on_shared_live_buffer () =
     (has_error ~check:"alias" (Verify.check_binding g corrupted))
 
 let test_inplace_checker_fires_on_retargeted_donor () =
-  let g = rewritten Pass.Stash_all in
+  let g = rewritten "stash-all" in
   let binding = unfused_binding g in
   let corrupted =
     require "retarget_inplace" (Mutate.retarget_inplace g binding)
@@ -154,20 +157,20 @@ let test_inplace_checker_fires_on_retargeted_donor () =
     (has_error ~check:"inplace" (Verify.check_binding g corrupted))
 
 let test_recompute_checker_fires_on_reseeded_clone () =
-  let g = rewritten Pass.Recompute_all in
+  let g = rewritten "recompute-all" in
   check_int "sound clones" 0 (Report.error_count (Verify.check_recompute g));
   let reseeded = require "reseed_clone" (Mutate.reseed_clone g) in
   check_bool "fires" true
     (has_error ~check:"recompute" (Verify.check_recompute reseeded))
 
 let test_recompute_checker_fires_on_late_clone () =
-  let g = rewritten Pass.Recompute_all in
+  let g = rewritten "recompute-all" in
   let late = require "bad_clone_hint" (Mutate.bad_clone_hint g) in
   check_bool "fires" true
     (has_error ~check:"recompute" (Verify.check_recompute late))
 
 let test_fusion_checker_fires_on_region_crossing () =
-  let g = rewritten Pass.Stash_all in
+  let g = rewritten "stash-all" in
   check_int "sound plan" 0
     (Report.error_count (Verify.check_fusion g (Fuse.analyse g)));
   let crossing = require "cross_region_group" (Mutate.cross_region_group g) in
@@ -205,7 +208,7 @@ let test_fusion_checker_fires_on_handmade_corruptions () =
     (has_error ~check:"fusion" (Verify.check_fusion chain wrong_root))
 
 let test_fallback_checker_counts_and_cross_checks () =
-  let g = rewritten Pass.Stash_all in
+  let g = rewritten "stash-all" in
   (* No conv ops in the LM: silent when counts agree, an error when the
      executor claims fallbacks the graph cannot contain. *)
   check_int "silent" 0
@@ -270,12 +273,12 @@ let zoo_models () =
       .Transformer.model;
   ]
 
-let matrix_policies =
+let matrix_planners =
   [
-    Pass.Stash_all;
-    Pass.Echo { overhead_budget = 0.2 };
-    Pass.Checkpoint_sqrt;
-    Pass.Recompute_all;
+    Planner.instantiate "stash-all";
+    Planner.instantiate ~knobs:[ ("budget", 0.2) ] "echo";
+    Planner.instantiate "checkpoint-sqrt";
+    Planner.instantiate "recompute-all";
   ]
 
 let test_zoo_matrix_lints_clean () =
@@ -288,10 +291,10 @@ let test_zoo_matrix_lints_clean () =
       let src = Pipeline.of_model model in
       let opt = Pipeline.optimize (Pipeline.differentiate src) in
       List.iter
-        (fun policy ->
+        (fun planner ->
           let pl =
             Pipeline.plan ~offsets:true
-              (Pipeline.rewrite ~device:dev ~policy opt)
+              (Pipeline.rewrite ~device:dev ~planner opt)
           in
           List.iter
             (fun fusion ->
@@ -301,12 +304,12 @@ let test_zoo_matrix_lints_clean () =
               let report = Pipeline.verify (Pipeline.Executable exe) in
               let label =
                 Printf.sprintf "%s/%s/fuse=%b" model.Model.name
-                  (Pass.policy_name policy) fusion
+                  (Planner.label planner) fusion
               in
               check_int (label ^ " errors") 0 (Report.error_count report);
               check_int (label ^ " warnings") 0 (Report.warning_count report))
             [ true; false ])
-        matrix_policies)
+        matrix_planners)
     (zoo_models ())
 
 let test_every_stage_verifies_clean () =
@@ -316,7 +319,7 @@ let test_every_stage_verifies_clean () =
   let opt = Pipeline.optimize tr in
   let rw =
     Pipeline.rewrite ~device:dev
-      ~policy:(Pass.Echo { overhead_budget = 0.2 })
+      ~planner:(Planner.instantiate ~knobs:[ ("budget", 0.2) ] "echo")
       opt
   in
   let pl = Pipeline.plan rw in

@@ -180,7 +180,9 @@ let test_conv_fallback_differential () =
   model_differential ~id_bound:5 ds2.Deepspeech.model
 
 (* The whole pipeline, stage by stage, on a real model — the executable's
-   outputs must survive the Echo rewrite bit for bit. *)
+   outputs must survive the Echo rewrite bit for bit, with the
+   shadow-memory sanitizer checking every read against the plan's
+   lifetimes. *)
 let test_pipeline_stages_compose () =
   let lm =
     Language_model.build
@@ -210,16 +212,17 @@ let test_pipeline_stages_compose () =
   let reference = Echo_exec.Interp.eval g ~feeds in
   let exe =
     Pipeline.compile_source
-      ~policy:(Echo_core.Pass.Echo { overhead_budget = 0.2 })
-      ~optimize:false src
+      ~planner:(Echo_core.Planner.instantiate ~knobs:[ ("budget", 0.2) ] "echo")
+      ~optimize:false ~sanitize:Echo_analysis.Sanitize.Cells src
   in
   let compiled = Executor.eval (Pipeline.executor exe) ~feeds in
   check_bool "echo-rewritten executable bit-identical" true
     (List.for_all2 Tensor.equal reference compiled);
-  (* The arena-validating reference executor accepts the same plan. *)
-  let validated = Pipeline.validated_eval (Pipeline.planned_of exe) ~feeds in
-  check_bool "arena exec agrees" true
-    (List.for_all2 Tensor.equal reference validated)
+  (* No read outlived its planned lifetime. *)
+  match Executor.sanitize_report (Pipeline.executor exe) with
+  | Some report ->
+    Alcotest.(check int) "sanitizer clean" 0 (Echo_diag.Report.error_count report)
+  | None -> Alcotest.fail "compiled without the sanitizer"
 
 (* Kernel runtime differential: the same LM training graph — loss and all
    gradients — must come out bitwise identical from the interpreter, the

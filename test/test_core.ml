@@ -260,63 +260,73 @@ let test_chain_span_fences () =
 
 (* Pass *)
 
-let policy_list =
+let budgeted name budget =
+  Planner.instantiate ~knobs:[ ("budget", budget) ] name
+
+let planner_list =
   [
-    Pass.Stash_all;
-    Pass.Mirror_all_cheap;
-    Pass.Checkpoint_sqrt;
-    Pass.Echo { overhead_budget = 0.05 };
-    Pass.Echo { overhead_budget = 0.3 };
-    Pass.Echo_cheap_only { overhead_budget = 0.05 };
-    Pass.Echo_no_sharing { overhead_budget = 0.05 };
-    Pass.Echo_no_transitive { overhead_budget = 0.05 };
-    Pass.Recompute_all;
+    Planner.instantiate "stash-all";
+    Planner.instantiate "mirror-all-cheap";
+    Planner.instantiate "checkpoint-sqrt";
+    budgeted "echo" 0.05;
+    budgeted "echo" 0.3;
+    budgeted "echo-cheap" 0.05;
+    budgeted "echo-noshare" 0.05;
+    budgeted "echo-notrans" 0.05;
+    Planner.instantiate "recompute-all";
   ]
 
 let test_pass_all_policies_preserve_semantics () =
   let graph, feeds = mlp_training ~batch:8 ~dim:32 ~classes:5 ~seed:17 in
   let baseline = Interp.eval graph ~feeds in
   List.iter
-    (fun policy ->
-      let rewritten, _ = Pass.run ~device:dev policy graph in
+    (fun planner ->
+      let rewritten, _ = Pass.run_instance ~device:dev planner graph in
       Graph.validate rewritten;
       let outputs = Interp.eval rewritten ~feeds in
-      check_bool (Pass.policy_name policy) true
+      check_bool (Planner.label planner) true
         (List.for_all2 Tensor.equal baseline outputs))
-    policy_list
+    planner_list
 
 let test_pass_echo_never_regresses () =
   let graph, _ = mlp_training ~batch:16 ~dim:64 ~classes:8 ~seed:18 in
   List.iter
     (fun budget ->
-      let _, report = Pass.run ~device:dev (Pass.Echo { overhead_budget = budget }) graph in
+      let _, report = Pass.run_instance ~device:dev (budgeted "echo" budget) graph in
       check_bool "reduction >= 1" true (Pass.reduction report >= 1.0))
     [ 0.01; 0.05; 0.2; 0.5 ]
 
 let test_pass_stash_all_identity () =
   let graph, _ = mlp_training ~batch:4 ~dim:8 ~classes:3 ~seed:19 in
-  let rewritten, report = Pass.run ~device:dev Pass.Stash_all graph in
+  let rewritten, report =
+    Pass.run_instance ~device:dev (Planner.instantiate "stash-all") graph
+  in
   check_bool "same graph" true (rewritten == graph);
   check_int "no mirrors" 0 report.Pass.mirrored_nodes;
   Alcotest.(check (float 1e-9)) "no overhead" 0.0 (Pass.overhead report)
 
 let test_pass_no_sharing_costs_more () =
   let graph, _ = mlp_training ~batch:8 ~dim:32 ~classes:5 ~seed:20 in
-  let _, shared = Pass.run ~device:dev (Pass.Echo_no_sharing { overhead_budget = 0.1 }) graph in
+  let _, shared = Pass.run_instance ~device:dev (budgeted "echo-noshare" 0.1) graph in
   check_bool "clones >= mirrored (duplication)" true
     (shared.Pass.clone_nodes >= shared.Pass.mirrored_nodes)
 
 let test_pass_flops_ratio () =
   let graph, _ = mlp_training ~batch:8 ~dim:32 ~classes:5 ~seed:21 in
-  let rewritten, _ = Pass.run ~device:dev Pass.Recompute_all graph in
+  let rewritten, _ =
+    Pass.run_instance ~device:dev (Planner.instantiate "recompute-all") graph
+  in
   let ratio = Pass.recompute_flops_ratio rewritten ~original:graph in
   check_bool "positive extra flops" true (ratio > 0.0);
   check_bool "bounded by forward" true (ratio < 1.0)
 
 let test_policy_names_unique () =
-  let names = List.map Pass.policy_name policy_list in
-  let sorted = List.sort_uniq compare names in
-  check_int "unique" (List.length names) (List.length sorted)
+  List.iter
+    (fun (what, planners) ->
+      let labels = List.map Planner.label planners in
+      check_int what (List.length labels)
+        (List.length (List.sort_uniq compare labels)))
+    [ ("default instances", Pass.default_instances); ("test list", planner_list) ]
 
 (* Property: mirror rewrite preserves semantics for random mirror subsets of
    random training graphs. *)

@@ -109,12 +109,15 @@ let small_training () =
   in
   (Model.training lm.Language_model.model).Echo_autodiff.Grad.graph
 
+let echo budget =
+  Echo_core.Planner.instantiate ~knobs:[ ("budget", budget) ] "echo"
+
 let test_echo_larger_budget_never_worse_than_noop () =
   let graph = small_training () in
   List.iter
     (fun b ->
       let _, r =
-        Echo_core.Pass.run ~device:dev (Echo_core.Pass.Echo { overhead_budget = b }) graph
+        Echo_core.Pass.run_instance ~device:dev (echo b) graph
       in
       check_bool "no regression at any budget" true (Echo_core.Pass.reduction r >= 1.0))
     [ 0.005; 0.02; 0.08; 0.4; 1.0 ]
@@ -125,12 +128,12 @@ let test_echo_cheap_only_sound () =
      non-regressing plans and cheap-only stays within its overhead budget. *)
   let graph = small_training () in
   let _, cheap =
-    Echo_core.Pass.run ~device:dev
-      (Echo_core.Pass.Echo_cheap_only { overhead_budget = 0.2 })
+    Echo_core.Pass.run_instance ~device:dev
+      (Echo_core.Planner.instantiate ~knobs:[ ("budget", 0.2) ] "echo-cheap")
       graph
   in
   let _, full =
-    Echo_core.Pass.run ~device:dev (Echo_core.Pass.Echo { overhead_budget = 0.2 }) graph
+    Echo_core.Pass.run_instance ~device:dev (echo 0.2) graph
   in
   check_bool "cheap-only no regression" true (Echo_core.Pass.reduction cheap >= 1.0);
   check_bool "full no regression" true (Echo_core.Pass.reduction full >= 1.0);
@@ -140,7 +143,7 @@ let test_echo_cheap_only_sound () =
 let test_timeline_clones_in_backward_lane () =
   let graph = small_training () in
   let rewritten, _ =
-    Echo_core.Pass.run ~device:dev (Echo_core.Pass.Echo { overhead_budget = 0.3 }) graph
+    Echo_core.Pass.run_instance ~device:dev (echo 0.3) graph
   in
   let tl = Echo_gpusim.Timeline.simulate dev rewritten in
   let clone_events =

@@ -51,18 +51,18 @@ let test_lm_trains_identically_under_every_policy () =
   let steps = 8 in
   let base = train_losses lm graph steps in
   List.iter
-    (fun policy ->
-      let rewritten, _ = Pass.run ~device:dev policy graph in
+    (fun planner ->
+      let rewritten, _ = Pass.run_instance ~device:dev planner graph in
       let losses = train_losses lm rewritten steps in
       List.iter2
         (fun a b ->
-          check_bool (Pass.policy_name policy ^ " loss identical") true (a = b))
+          check_bool (Planner.label planner ^ " loss identical") true (a = b))
         base losses)
     [
-      Pass.Mirror_all_cheap;
-      Pass.Checkpoint_sqrt;
-      Pass.Echo { overhead_budget = 0.1 };
-      Pass.Recompute_all;
+      Planner.instantiate "mirror-all-cheap";
+      Planner.instantiate "checkpoint-sqrt";
+      Planner.instantiate ~knobs:[ ("budget", 0.1) ] "echo";
+      Planner.instantiate "recompute-all";
     ]
 
 let test_lm_learns () =
@@ -106,7 +106,7 @@ let test_lm_whole_model_gradcheck () =
     Alcotest.failf "LM gradcheck failed on %s"
       (String.concat ", " (List.map (fun r -> r.Echo_compiler.Gradcheck.param) failures))
 
-let semantic_check ?(id_bound = 20) model policies =
+let semantic_check ?(id_bound = 20) model planners =
   let training = Model.training model in
   let graph = training.Echo_autodiff.Grad.graph in
   let rng = Rng.create 3 in
@@ -123,17 +123,20 @@ let semantic_check ?(id_bound = 20) model policies =
   in
   let baseline = Echo_exec.Interp.eval graph ~feeds in
   List.iter
-    (fun policy ->
-      let rewritten, _ = Pass.run ~device:dev policy graph in
+    (fun planner ->
+      let rewritten, _ = Pass.run_instance ~device:dev planner graph in
       let outputs = Echo_exec.Interp.eval rewritten ~feeds in
       check_bool
-        (model.Model.name ^ "/" ^ Pass.policy_name policy)
+        (model.Model.name ^ "/" ^ Planner.label planner)
         true
         (List.for_all2 Tensor.equal baseline outputs))
-    policies
+    planners
 
-let quick_policies =
-  [ Pass.Checkpoint_sqrt; Pass.Echo { overhead_budget = 0.2 } ]
+let quick_planners =
+  [
+    Planner.instantiate "checkpoint-sqrt";
+    Planner.instantiate ~knobs:[ ("budget", 0.2) ] "echo";
+  ]
 
 let test_nmt_semantics_preserved () =
   let nmt =
@@ -152,7 +155,7 @@ let test_nmt_semantics_preserved () =
         dropout = 0.1;
       }
   in
-  semantic_check nmt.Nmt.model quick_policies
+  semantic_check nmt.Nmt.model quick_planners
 
 let test_ds2_semantics_preserved () =
   let ds2 =
@@ -169,7 +172,7 @@ let test_ds2_semantics_preserved () =
         dropout = 0.0;
       }
   in
-  semantic_check ~id_bound:5 ds2.Deepspeech.model quick_policies
+  semantic_check ~id_bound:5 ds2.Deepspeech.model quick_planners
 
 let test_transformer_semantics_preserved () =
   let tr =
@@ -186,7 +189,7 @@ let test_transformer_semantics_preserved () =
         dropout = 0.1;
       }
   in
-  semantic_check tr.Transformer.model quick_policies
+  semantic_check tr.Transformer.model quick_planners
 
 let test_footprint_direction_on_models () =
   (* On every zoo model (at small scale) Echo must not increase the peak and
@@ -213,7 +216,11 @@ let test_footprint_direction_on_models () =
   List.iter
     (fun model ->
       let graph = (Model.training model).Echo_autodiff.Grad.graph in
-      let _, echo = Pass.run ~device:dev (Pass.Echo { overhead_budget = 0.2 }) graph in
+      let _, echo =
+        Pass.run_instance ~device:dev
+          (Planner.instantiate ~knobs:[ ("budget", 0.2) ] "echo")
+          graph
+      in
       check_bool (model.Model.name ^ " echo no regression") true
         (Pass.reduction echo >= 1.0);
       check_bool (model.Model.name ^ " echo overhead bounded") true

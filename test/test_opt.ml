@@ -156,7 +156,9 @@ let test_pipeline_composes_with_echo () =
   let g, feeds = lm_graph () in
   let g', _ = Pipeline.run g in
   let rewritten, report =
-    Echo_core.Pass.run ~device:dev (Echo_core.Pass.Echo { overhead_budget = 0.1 }) g'
+    Echo_core.Pass.run_instance ~device:dev
+      (Echo_core.Planner.instantiate ~knobs:[ ("budget", 0.1) ] "echo")
+      g'
   in
   check_bool "echo after pipeline still sound" true (outputs_equal g' rewritten ~feeds);
   check_bool "no regression" true (Echo_core.Pass.reduction report >= 1.0)
@@ -274,9 +276,11 @@ let test_autotune_best_throughput () =
   match
     Echo_core.Autotune.best_throughput ~device:dev g ~budget_bytes:(2 * base)
       ~candidates:
-        (List.map Echo_core.Pass.instance_of_policy
-           [ Echo_core.Pass.Stash_all; Echo_core.Pass.Checkpoint_sqrt;
-             Echo_core.Pass.Echo { overhead_budget = 0.3 } ])
+        [
+          Echo_core.Planner.instantiate "stash-all";
+          Echo_core.Planner.instantiate "checkpoint-sqrt";
+          Echo_core.Planner.instantiate ~knobs:[ ("budget", 0.3) ] "echo";
+        ]
   with
   | Some o ->
     check_bool "fastest fitting = baseline" true

@@ -170,7 +170,7 @@ let prop_fault_grammar_roundtrip =
 let test_event_to_string () =
   let events =
     [ Event.Budget_hit { step = 3; requested_bytes = 10; budget_bytes = 5 };
-      Event.Replan { step = 3; policy = "echo(5%)"; footprint_bytes = 4; budget_bytes = 5 };
+      Event.Replan { step = 3; planner = "echo(5%)"; footprint_bytes = 4; budget_bytes = 5 };
       Event.Fault_injected
         {
           step = 4;
@@ -572,15 +572,15 @@ let test_oom_replan_differential () =
   let replans =
     List.filter_map
       (function
-        | Event.Replan { policy; footprint_bytes; _ } -> Some (policy, footprint_bytes)
+        | Event.Replan { planner; footprint_bytes; _ } -> Some (planner, footprint_bytes)
         | _ -> None)
       (List.rev !events)
   in
   check_int "exactly one replan" 1 (List.length replans);
-  let policy, footprint_bytes = List.hd replans in
-  Alcotest.(check string) "surviving policy"
+  let planner, footprint_bytes = List.hd replans in
+  Alcotest.(check string) "surviving planner"
     (Echo_core.Autotune.label outcome)
-    policy;
+    planner;
   check_bool "under budget" true (footprint_bytes <= budget);
   check_bool "budget hit surfaced first" true
     (match List.rev !events with Event.Budget_hit _ :: _ -> true | _ -> false);

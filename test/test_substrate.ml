@@ -1,5 +1,5 @@
-(* The executor-validation substrate: liveness-validating execution, static
-   offset assignment, and graph serialization. *)
+(* The executor-validation substrate: sanitized execution of rewritten
+   graphs, static offset assignment, and graph serialization. *)
 
 open Echo_tensor
 open Echo_ir
@@ -33,52 +33,95 @@ let lm_setup () =
   in
   ((Model.training lm.Language_model.model).Echo_autodiff.Grad.graph, feeds)
 
-(* Arena executor *)
+(* Sanitized execution: every planner's rewrite, compiled with the
+   shadow-memory sanitizer, reads no buffer past its planned lifetime and
+   computes the interpreter's bits. *)
 
-let test_arena_matches_interp () =
+let test_planners_run_sanitized () =
   let graph, feeds = lm_setup () in
-  let a = Interp.eval graph ~feeds in
-  let b = Arena_exec.eval graph ~feeds in
-  check_bool "bit-identical under recycling" true (List.for_all2 Tensor.equal a b)
-
-let test_arena_on_rewritten_graphs () =
-  let graph, feeds = lm_setup () in
-  let baseline = Interp.eval graph ~feeds in
+  let reference = Interp.eval graph ~feeds in
   List.iter
-    (fun policy ->
-      let rewritten, _ = Echo_core.Pass.run ~device:dev policy graph in
-      let outs = Arena_exec.eval rewritten ~feeds in
-      check_bool
-        (Echo_core.Pass.policy_name policy ^ " executable under recycling")
-        true
-        (List.for_all2 Tensor.equal baseline outs))
+    (fun planner ->
+      let label = Echo_core.Planner.label planner in
+      let rewritten, _ = Echo_core.Pass.run_instance ~device:dev planner graph in
+      let exe =
+        Echo_compiler.Executor.compile ~sanitize:Echo_analysis.Sanitize.Cells
+          rewritten
+      in
+      let outputs = Echo_compiler.Executor.eval exe ~feeds in
+      check_bool (label ^ " bit-identical to interp") true
+        (List.for_all2 Tensor.equal reference outputs);
+      match Echo_compiler.Executor.sanitize_report exe with
+      | Some report ->
+        check_int (label ^ " sanitizer clean") 0
+          (Echo_diag.Report.error_count report)
+      | None -> Alcotest.fail "compiled without the sanitizer")
     [
-      Echo_core.Pass.Checkpoint_sqrt;
-      Echo_core.Pass.Echo { overhead_budget = 0.3 };
-      Echo_core.Pass.Recompute_all;
+      Echo_core.Planner.instantiate "stash-all";
+      Echo_core.Planner.instantiate "checkpoint-sqrt";
+      Echo_core.Planner.instantiate ~knobs:[ ("budget", 0.3) ] "echo";
+      Echo_core.Planner.instantiate "recompute-all";
     ]
 
-let test_arena_detects_premature_free () =
-  (* Craft a liveness violation by hand: feed Arena_exec a graph whose node
-     is consumed after its computed death. Using the public API this cannot
-     happen (that is the point) — instead we check that a value really is
-     dropped: peak live count for a chain is 2 (current + next), far below
-     the node count. *)
+(* The un-rewritten graph, fused and unfused, under the sanitizer. *)
+let test_sanitized_matches_interp () =
+  let graph, feeds = lm_setup () in
+  let reference = Interp.eval graph ~feeds in
+  List.iter
+    (fun (what, fusion) ->
+      let exe =
+        Echo_compiler.Executor.compile ?fusion
+          ~sanitize:Echo_analysis.Sanitize.Cells graph
+      in
+      let outputs = Echo_compiler.Executor.eval exe ~feeds in
+      check_bool (what ^ " bit-identical to interp") true
+        (List.for_all2 Tensor.equal reference outputs))
+    [ ("unfused", None); ("fused", Some (Fuse.analyse graph)) ]
+
+(* Peak number of simultaneously live transient values over the schedule:
+   the values a recycling executor must retain at once. *)
+let max_live_values graph =
+  let live = Liveness.analyse graph in
+  let intervals = Liveness.intervals live in
+  let peak = ref 0 in
+  for step = 0 to Liveness.step_count live - 1 do
+    let n =
+      List.length
+        (List.filter
+           (fun (i : Liveness.interval) -> i.def_step <= step && step <= i.last_step)
+           intervals)
+    in
+    peak := max !peak n
+  done;
+  !peak
+
+let test_chain_constant_values () =
   let x = Node.placeholder [| 4 |] in
   let rec extend acc k = if k = 0 then acc else extend (Node.sq acc) (k - 1) in
   let out = extend (Node.neg x) 20 in
   let g = Graph.create [ out ] in
-  let peak = Arena_exec.max_live_values g ~feeds:[ (x, Tensor.ones [| 4 |]) ] in
-  check_bool "chain runs in O(1) values" true (peak <= 2)
-
-let test_arena_echo_peak_below_baseline () =
-  let graph, feeds = lm_setup () in
-  let rewritten, _ =
-    Echo_core.Pass.run ~device:dev (Echo_core.Pass.Echo { overhead_budget = 0.3 }) graph
+  let feeds = [ (x, Tensor.ones [| 4 |]) ] in
+  check_bool "chain runs in O(1) values" true (max_live_values g <= 2);
+  let exe =
+    Echo_compiler.Executor.compile ~sanitize:Echo_analysis.Sanitize.Cells g
   in
-  let p0 = Arena_exec.max_live_values graph ~feeds in
-  let p1 = Arena_exec.max_live_values rewritten ~feeds in
-  (* value-count is a crude proxy for bytes, but recomputation should not
+  let buffers =
+    List.sort_uniq compare (List.map snd (Echo_compiler.Executor.buffer_binding exe))
+  in
+  check_bool "chain binds at most two buffers" true (List.length buffers <= 2);
+  check_bool "chain bit-identical to interp" true
+    (List.for_all2 Tensor.equal (Interp.eval g ~feeds)
+       (Echo_compiler.Executor.eval exe ~feeds))
+
+let test_echo_retained_values_bounded () =
+  let graph, _ = lm_setup () in
+  let rewritten, _ =
+    Echo_core.Pass.run_instance ~device:dev
+      (Echo_core.Planner.instantiate ~knobs:[ ("budget", 0.3) ] "echo")
+      graph
+  in
+  let p0 = max_live_values graph and p1 = max_live_values rewritten in
+  (* a value count is a crude proxy for bytes, but recomputation should not
      blow up the number of simultaneously retained values *)
   check_bool "retained values comparable" true (p1 <= p0 * 2)
 
@@ -114,7 +157,9 @@ let test_assign_validates_models () =
 let test_assign_echo_graph_smaller () =
   let graph, _ = lm_setup () in
   let rewritten, _ =
-    Echo_core.Pass.run ~device:dev (Echo_core.Pass.Echo { overhead_budget = 0.3 }) graph
+    Echo_core.Pass.run_instance ~device:dev
+      (Echo_core.Planner.instantiate ~knobs:[ ("budget", 0.3) ] "echo")
+      graph
   in
   let p0 = Assign.assign graph and p1 = Assign.assign rewritten in
   Assign.validate p0;
@@ -178,7 +223,9 @@ let test_serial_roundtrip_footprint () =
 let test_serial_roundtrip_rewritten () =
   let graph, feeds = lm_setup () in
   let rewritten, _ =
-    Echo_core.Pass.run ~device:dev (Echo_core.Pass.Echo { overhead_budget = 0.3 }) graph
+    Echo_core.Pass.run_instance ~device:dev
+      (Echo_core.Planner.instantiate ~knobs:[ ("budget", 0.3) ] "echo")
+      graph
   in
   let reloaded = roundtrip rewritten in
   let by_name =
@@ -228,12 +275,12 @@ let test_serial_file_roundtrip () =
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   [
-    ( "arena_exec",
+    ( "sanitized_exec",
       [
-        t "matches interp" test_arena_matches_interp;
-        t "rewritten graphs executable" test_arena_on_rewritten_graphs;
-        t "chain runs in O(1) values" test_arena_detects_premature_free;
-        t "echo retained values bounded" test_arena_echo_peak_below_baseline;
+        t "matches interp" test_sanitized_matches_interp;
+        t "planners run clean" test_planners_run_sanitized;
+        t "chain runs in O(1) values" test_chain_constant_values;
+        t "echo retained values bounded" test_echo_retained_values_bounded;
       ] );
     ( "assign",
       [

@@ -9,54 +9,55 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-9))
 
-let param value =
-  let node = Node.variable ~name:"p" (Tensor.shape value) in
-  (node, value)
+(* One parameter node for [value], and one [step_arrays] update of it. *)
+let param value = [| Node.variable ~name:"p" (Tensor.shape value) |]
+
+let step1 opt param_nodes value grad =
+  (Optimizer.step_arrays opt ~param_nodes ~params:[| value |] ~grads:[| grad |]).(0)
 
 let test_sgd_step () =
-  let p, v = param (Tensor.of_list1 [ 1.0; 2.0 ]) in
+  let v = Tensor.of_list1 [ 1.0; 2.0 ] in
   let opt = Optimizer.create (Optimizer.Sgd { lr = 0.1 }) in
-  let updated = Optimizer.step opt ~params:[ (p, v) ] ~grads:[ (p, Tensor.of_list1 [ 1.0; -1.0 ]) ] in
+  let updated = step1 opt (param v) v (Tensor.of_list1 [ 1.0; -1.0 ]) in
   check_bool "w - lr*g" true
-    (Tensor.approx_equal (snd (List.hd updated)) (Tensor.of_list1 [ 0.9; 2.1 ]))
+    (Tensor.approx_equal updated (Tensor.of_list1 [ 0.9; 2.1 ]))
 
 let test_momentum_accumulates () =
-  let p, v = param (Tensor.of_list1 [ 0.0 ]) in
+  let v = Tensor.of_list1 [ 0.0 ] in
+  let p = param v in
   let opt = Optimizer.create (Optimizer.Momentum { lr = 1.0; momentum = 0.5 }) in
   let g = Tensor.of_list1 [ 1.0 ] in
-  let v1 = Optimizer.step opt ~params:[ (p, v) ] ~grads:[ (p, g) ] in
-  let v2 = Optimizer.step opt ~params:v1 ~grads:[ (p, g) ] in
+  let v1 = step1 opt p v g in
+  let v2 = step1 opt p v1 g in
   (* velocities: 1, then 1.5; positions: -1, then -2.5 *)
-  check_float "after two steps" (-2.5) (Tensor.get1 (snd (List.hd v2)) 0)
+  check_float "after two steps" (-2.5) (Tensor.get1 v2 0)
 
 let test_adam_direction_and_magnitude () =
-  let p, v = param (Tensor.of_list1 [ 0.0 ]) in
+  let v = Tensor.of_list1 [ 0.0 ] in
   let opt =
     Optimizer.create (Optimizer.Adam { lr = 0.1; beta1 = 0.9; beta2 = 0.999; eps = 1e-8 })
   in
-  let updated =
-    Optimizer.step opt ~params:[ (p, v) ] ~grads:[ (p, Tensor.of_list1 [ 3.0 ]) ]
-  in
-  let x = Tensor.get1 (snd (List.hd updated)) 0 in
+  let x = Tensor.get1 (step1 opt (param v) v (Tensor.of_list1 [ 3.0 ])) 0 in
   (* First Adam step is ~ -lr regardless of gradient scale. *)
   check_bool "step ~ -lr" true (Float.abs (x +. 0.1) < 1e-3)
 
 let test_missing_gradient_raises () =
-  let p, v = param (Tensor.of_list1 [ 0.0 ]) in
+  let v = Tensor.of_list1 [ 0.0 ] in
   let opt = Optimizer.create (Optimizer.Sgd { lr = 0.1 }) in
   check_bool "raises" true
     (try
-       ignore (Optimizer.step opt ~params:[ (p, v) ] ~grads:[]);
+       ignore
+         (Optimizer.step_arrays opt ~param_nodes:(param v) ~params:[| v |]
+            ~grads:[||]);
        false
      with Invalid_argument _ -> true)
 
 let test_clipping () =
-  let p, _ = param (Tensor.of_list1 [ 0.0; 0.0 ]) in
   let g = Tensor.of_list1 [ 3.0; 4.0 ] in
-  let clipped = Optimizer.clip_by_global_norm ~max_norm:1.0 [ (p, g) ] in
-  check_float "renormalised" 1.0 (Tensor.frobenius (snd (List.hd clipped)));
-  let untouched = Optimizer.clip_by_global_norm ~max_norm:10.0 [ (p, g) ] in
-  check_bool "below threshold untouched" true (Tensor.equal g (snd (List.hd untouched)))
+  let clipped = Optimizer.clip_by_global_norm_arrays ~max_norm:1.0 [| g |] in
+  check_float "renormalised" 1.0 (Tensor.frobenius clipped.(0));
+  let untouched = Optimizer.clip_by_global_norm_arrays ~max_norm:10.0 [| g |] in
+  check_bool "below threshold untouched" true (Tensor.equal g untouched.(0))
 
 let test_footprint_kinds () =
   check_bool "sgd" true
@@ -67,12 +68,12 @@ let test_footprint_kinds () =
        (Optimizer.create (Optimizer.Adam { lr = 0.1; beta1 = 0.9; beta2 = 0.99; eps = 1e-8 }))
     = Echo_exec.Footprint.Adam)
 
-(* The optimizer's three entry points against each other and against the
+(* The optimizer's two entry points against each other and against the
    update rules written with the allocating tensor ops (the formulation the
    [Tensor.Into] update kernels must reproduce bit for bit). Over four
    steps of every rule: [step_in_place] equals [step_arrays], slots
-   included; [step] and [step_arrays] never touch the tensors they are
-   given; [step] agrees too; and all of them equal the reference. *)
+   included; [step_arrays] never touches the tensors it is given; and both
+   equal the reference. *)
 let same_bits a b =
   Shape.equal (Tensor.shape a) (Tensor.shape b)
   && Array.for_all2
@@ -116,7 +117,7 @@ let test_entry_points_agree () =
   List.iter
     (fun (name, spec) ->
       let fresh () = Optimizer.create spec in
-      let o_arrays = fresh () and o_place = fresh () and o_list = fresh () in
+      let o_arrays = fresh () and o_place = fresh () in
       (* Parameters on the scale of one update, so a rounding difference
          in the update survives the final subtraction. *)
       let init =
@@ -132,7 +133,7 @@ let test_entry_points_agree () =
             g)
           shapes
       in
-      let arrays = ref init and list = ref (Array.to_list init) in
+      let arrays = ref init in
       let place = Array.map Tensor.copy init in
       let reference = ref (Array.map Tensor.copy init) in
       let slots = (Hashtbl.create 4, Hashtbl.create 4) in
@@ -146,13 +147,6 @@ let test_entry_points_agree () =
               (Printf.sprintf "%s: step_arrays leaves params %d untouched" name i)
               true (same_bits before.(i) t))
           !arrays;
-        let list_before = List.map Tensor.copy !list in
-        let params = List.mapi (fun i v -> (param_nodes.(i), v)) !list in
-        let grads = List.mapi (fun i gi -> (param_nodes.(i), gi)) (Array.to_list g) in
-        let stepped = List.map snd (Optimizer.step o_list ~params ~grads) in
-        List.iter2
-          (fun b t -> check_bool (name ^ ": step leaves params untouched") true (same_bits b t))
-          list_before !list;
         Optimizer.step_in_place o_place ~param_nodes ~params:place ~grads:g;
         reference :=
           Array.mapi
@@ -162,13 +156,10 @@ let test_entry_points_agree () =
           (fun i t ->
             let what = Printf.sprintf "%s step %d param %d" name step i in
             check_bool (what ^ ": in place == step_arrays") true (same_bits t place.(i));
-            check_bool (what ^ ": step == step_arrays") true
-              (same_bits t (List.nth stepped i));
             check_bool (what ^ ": == tensor-op reference") true
               (same_bits t !reference.(i)))
           next;
         arrays := next;
-        list := stepped;
         let s1 = Optimizer.snapshot o_arrays ~param_nodes in
         let s2 = Optimizer.snapshot o_place ~param_nodes in
         let same_slots a b =
