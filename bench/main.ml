@@ -546,11 +546,12 @@ let e15 () =
   record_json "E15" (List.rev !json)
 
 (* E16: matmul kernel micro-bench — GFLOP/s by size for the naive loops,
-   the cache-blocked/packed kernel, and the blocked kernel on a 2-domain
-   pool; plus the four transpose variants at the headline size. Each
-   configuration is checked bitwise against the naive kernel first. *)
+   the blocked path (the C SIMD micro-kernel), and the blocked path on a
+   2-domain pool; plus the four transpose variants at the headline size
+   and the four GEMM shapes of an NMT training step. Each configuration is
+   checked against the naive kernel first. *)
 let e16 () =
-  heading "E16" "matmul kernel GFLOP/s (naive vs blocked vs parallel)";
+  heading "E16" "matmul kernel GFLOP/s (naive vs blocked C kernel vs parallel)";
   let module I = Tensor.Into in
   (* Per-runtime thresholds: one handle per matmul configuration instead of
      toggling a process-global. *)
@@ -642,6 +643,48 @@ let e16 () =
         :: !json)
     [ ("nn", false, false); ("tn", true, false); ("nt", false, true);
       ("tt", true, true) ];
+  (* The GEMMs of an NMT step (hidden 64, batch 16, vocabulary 500), in the
+     orientation the step runs them: the LSTM gates forward, their input
+     gradient and weight gradient, and the output projection. *)
+  List.iter
+    (fun (label, m, n, k, trans_a, trans_b) ->
+      let operand s = Tensor.uniform rng s ~lo:(-1.0) ~hi:1.0 in
+      let a = operand (if trans_a then [| k; m |] else [| m; k |]) in
+      let b = operand (if trans_b then [| n; k |] else [| k; n |]) in
+      let dst = Tensor.zeros [| m; n |] in
+      let reference = Tensor.zeros [| m; n |] in
+      I.matmul ~runtime:rt_naive ~trans_a ~trans_b a b ~dst:reference;
+      I.matmul ~runtime:rt_blocked ~trans_a ~trans_b a b ~dst;
+      let ok = Tensor.equal reference dst in
+      let reps =
+        (match !scale with Full -> 50_000_000 | Quick -> 10_000_000)
+        / (m * n * k)
+        |> max 1
+      in
+      let naive =
+        gflops ~m ~n ~k ~reps (fun () ->
+          I.matmul ~runtime:rt_naive ~trans_a ~trans_b a b ~dst)
+      in
+      let blocked =
+        gflops ~m ~n ~k ~reps (fun () ->
+          I.matmul ~runtime:rt_blocked ~trans_a ~trans_b a b ~dst)
+      in
+      row
+        "nmt %-9s %3dx%3dx%3d  naive %6.2f  blocked %6.2f GFLOP/s (%4.2fx, \
+         %s)@."
+        label m n k naive blocked (blocked /. naive)
+        (if ok then "bit-identical" else "MISMATCH");
+      json :=
+        (Printf.sprintf "nmt_%s_naive" label, naive)
+        :: (Printf.sprintf "nmt_%s_blocked" label, blocked)
+        :: (Printf.sprintf "nmt_%s_identical" label, if ok then 1.0 else 0.0)
+        :: !json)
+    [
+      ("gates", 16, 256, 64, false, true);
+      ("dinput", 16, 64, 256, false, false);
+      ("dweight", 256, 64, 16, true, false);
+      ("proj", 320, 500, 64, false, true);
+    ];
   Parallel.shutdown pool2;
   record_json "E16" (List.rev !json)
 

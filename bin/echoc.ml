@@ -135,12 +135,16 @@ let train_mode model_choice ~batch ~seq_len ~hidden ~layers ~vocab ~steps
   (* Parse the fault plan first: a malformed --faults/ECHO_FAULTS entry is a
      configuration error and must be reported before any model is built or
      compiled, not steps into the run. *)
+  let faults_source =
+    if faults_spec = None then "ECHO_FAULTS" else "--faults"
+  in
   let faults =
     try
       match faults_spec with
       | Some s -> Echo_runtime.Fault.parse s
       | None -> Echo_runtime.Fault.of_env ()
-    with Echo_runtime.Fault.Bad_spec msg -> failwith msg
+    with Echo_runtime.Fault.Bad_spec msg ->
+      if faults_spec = None then die "%s" msg else die "--faults %s" msg
   in
   let cell =
     match model_choice with
@@ -159,7 +163,7 @@ let train_mode model_choice ~batch ~seq_len ~hidden ~layers ~vocab ~steps
       (fun path ->
         let c =
           try Echo_workloads.Corpus.load_text path
-          with Invalid_argument msg -> failwith msg
+          with Invalid_argument msg -> die "--corpus: %s" msg
         in
         Format.printf "corpus %s: %d tokens, vocabulary %d@." path
           (Echo_workloads.Corpus.length c)
@@ -271,8 +275,9 @@ let train_mode model_choice ~batch ~seq_len ~hidden ~layers ~vocab ~steps
       ?planner ~batches ()
   in
   let result =
-    try train ()
-    with Echo_compiler.Executor.Budget_exceeded { requested_bytes; budget_bytes }
+    try train () with
+    | Echo_runtime.Fault.Bad_spec msg -> die "%s %s" faults_source msg
+    | Echo_compiler.Executor.Budget_exceeded { requested_bytes; budget_bytes }
     ->
       failwith
         (Printf.sprintf

@@ -207,14 +207,15 @@ let add_float_hex buf x =
 
 (* Tensor <-> single token: SHAPE:V0,V1,... with %h floats so round-trips
    are bit-exact. Used by the checkpoint format in [Echo_runtime]. *)
-let add_tensor buf t =
+let add_tensor ?(drain = ignore) buf t =
   Buffer.add_string buf (shape_to_string (Tensor.shape t));
   Buffer.add_char buf ':';
-  (* One copy of the data rather than a [Tensor.get1] per element: a
-     float returned across modules is boxed. *)
-  let d = Tensor.to_array t in
+  let d = Tensor.unsafe_data t in
   for i = 0 to Array.length d - 1 do
-    if i > 0 then Buffer.add_char buf ',';
+    if i > 0 then begin
+      if i land 255 = 0 then drain buf;
+      Buffer.add_char buf ','
+    end;
     add_float_hex buf (Array.unsafe_get d i)
   done
 

@@ -32,9 +32,12 @@ val tensor_to_string : Echo_tensor.Tensor.t -> string
 (** One token, [SHAPE:v0,v1,...], with [%h] hex floats — round-trips are
     bit-exact. *)
 
-val add_tensor : Buffer.t -> Echo_tensor.Tensor.t -> unit
+val add_tensor :
+  ?drain:(Buffer.t -> unit) -> Buffer.t -> Echo_tensor.Tensor.t -> unit
 (** {!tensor_to_string} appended to a buffer, without the intermediate
-    string. *)
+    string or a copy of the data. [drain buf] (default: nothing) is called
+    after every 256 elements, so a writer that empties [buf] there streams
+    a tensor of any size through a buffer of bounded length. *)
 
 val add_float_hex : Buffer.t -> float -> unit
 (** Appends exactly the bytes of [Printf.sprintf "%h" x] (including

@@ -32,10 +32,12 @@ let fnv h s ~off ~len =
 let checksum s = fnv fnv_offset s ~off:0 ~len:(String.length s)
 
 (* The body streams to the channel through one line buffer: each line is
-   rendered in place (tensors straight from their floats), folded into the
-   running checksum and written out, so no whole-file string exists. The
-   bytes are exactly the format's: [header], [step], [opt-steps], [rng],
-   [loss] lines, then [param] and [slot] lines with [Serial] tensors. *)
+   rendered in place (tensors straight from their floats, drained every
+   256 elements so the buffer never grows past its initial size), folded
+   into the running checksum and written out, so neither a whole-file nor
+   a whole-line string exists. The bytes are exactly the format's:
+   [header], [step], [opt-steps], [rng], [loss] lines, then [param] and
+   [slot] lines with [Serial] tensors. *)
 type sink = {
   oc : out_channel;
   line : Buffer.t;
@@ -43,8 +45,7 @@ type sink = {
   mutable hash : int64;
 }
 
-let end_line w =
-  Buffer.add_char w.line '\n';
+let drain w =
   let len = Buffer.length w.line in
   let size = Bytes.length w.chunk in
   let off = ref 0 in
@@ -56,6 +57,10 @@ let end_line w =
   done;
   Buffer.output_buffer w.oc w.line;
   Buffer.clear w.line
+
+let end_line w =
+  Buffer.add_char w.line '\n';
+  drain w
 
 let write_body w ckpt =
   let line fmt =
@@ -79,7 +84,7 @@ let write_body w ckpt =
     ckpt.losses;
   let tensor_line prefix t =
     Buffer.add_string w.line prefix;
-    Serial.add_tensor w.line t;
+    Serial.add_tensor ~drain:(fun _ -> drain w) w.line t;
     end_line w
   in
   List.iter
@@ -100,8 +105,8 @@ let save ~path ckpt =
   let w =
     {
       oc;
-      line = Buffer.create 65536;
-      chunk = Bytes.create 65536;
+      line = Buffer.create 16384;
+      chunk = Bytes.create 16384;
       hash = fnv_offset;
     }
   in

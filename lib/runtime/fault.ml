@@ -27,7 +27,7 @@ let grammar =
    flip@STEP=act:SITE:INDEX:BIT | flaky@SEED=PERMILLE | \
    flipflaky@SEED=PERMILLE (BIT in 0..63, INDEX/SITE/STEP non-negative)"
 
-let bad entry = raise (Bad_spec (Printf.sprintf "ECHO_FAULTS entry %S: %s" entry grammar))
+let bad entry = raise (Bad_spec (Printf.sprintf "entry %S: %s" entry grammar))
 
 let none =
   { specs = []; flaky = None; flaky_done = -1;
@@ -116,7 +116,8 @@ let of_env () =
   match Sys.getenv_opt "ECHO_FAULTS" with
   | None -> none
   | Some s when String.trim s = "" -> none
-  | Some s -> parse s
+  | Some s -> (
+    try parse s with Bad_spec msg -> raise (Bad_spec ("ECHO_FAULTS " ^ msg)))
 
 let is_empty t = t.specs = [] && t.flaky = None && t.flip_flaky = None
 let specs t = t.specs

@@ -71,7 +71,8 @@ exception Transient_failure of string
 exception Bad_spec of string
 (** Raised by {!parse} / {!of_env} / {!of_specs} on a malformed or
     out-of-bounds entry; the payload names the offending entry and the
-    accepted grammar. *)
+    accepted grammar — [entry "oom@x": expected ...]. {!of_env} prefixes it
+    with [ECHO_FAULTS]; other callers prefix their own source. *)
 
 val none : t
 (** The empty plan (never fires). *)

@@ -53,6 +53,7 @@ let set t idx v = t.data.(Shape.ravel t.shape idx) <- v
 let get1 t i = t.data.(i)
 let set1 t i v = t.data.(i) <- v
 let to_array t = Array.copy t.data
+let unsafe_data t = t.data
 let copy t = { shape = t.shape; data = Array.copy t.data }
 
 let flip_bit t ~index ~bit =
@@ -582,34 +583,39 @@ let conv2d_grad_kernel ~stride ~pad ~input ~kernel_shape ~grad_out =
    work-stealing schedule, whose chunk boundaries are a pure function of
    the loop size and the handle's configuration. *)
 
-(* Register-tiled GEMM in dot form. Below the runtime's blocking threshold
+(* Blocked GEMM. Below the runtime's blocking threshold
    ([Parallel.blocking_threshold]) multiply-adds the original unblocked
-   loops run unchanged (packing would dominate). Above it, A is normalised
-   to m x k rows — packed (a pure transposing copy, so operand bits are
-   unchanged) only under trans_a — and B is read where it lies through a
-   (j, l) stride pair, so no variant copies B. Each output element is one
-   dot product over [l]: 4x2 output tiles accumulate in eight unboxed
-   locals (four A values and two B values feed eight chains per [l], the
-   [l] loop unrolled by two) and are stored once, so callers skip the
-   zero-fill.
+   loops run unchanged (packing would dominate). Above it, one C
+   micro-kernel ([gemm_kernel], gemm_stubs.c) computes every output
+   element as its own dot product: a vector lane is one output element,
+   accumulating [product + acc] over ascending [l] from +0 in 4x4 tiles of
+   2-lane registers, stored once, so callers skip the zero-fill. The
+   kernel needs one operand with unit stride along the vectorised output
+   axis: along j, B as k x n (as it lies when not [trans_b]); along i, A
+   as k x m (as it lies under [trans_a]). Under [trans_b] alone one
+   operand is packed by a transposing copy (operand bits unchanged) —
+   whichever is smaller: A to k x m when m < n, else B to k x n.
 
-   Every output element is still its own ascending-[l] chain from +0. The
-   sequential semantics skip a term whose a(i,l) is exactly zero; the
-   tiled loop adds it instead, which leaves the bits unchanged as long as
-   the skipped product is a zero. That holds when every B value is finite:
-   then a zero a(i,l) gives a +-0 product, and adding +-0 to an
-   accumulator leaves it unchanged because the accumulator starts at +0
-   and can never become -0: under round-to-nearest a sum is -0 only when
-   both operands are -0. One O(k*n) scan over B per call decides it; if B
-   holds an inf or a NaN (where 0 * inf = NaN would differ from a skip)
-   the call takes the per-element skip loop. Either way blocked,
-   unblocked, sequential and parallel variants produce identical bits.
-   Each step is written [product +. acc], the order the unblocked loops
-   compile to (their accumulator is a memory operand), so where a NaN
-   product meets a different NaN in the accumulator every path keeps the
-   product's payload. *)
+   Every output element is still the sequential chain. The sequential
+   semantics skip a term whose a(i,l) is exactly zero; the kernel adds it
+   instead, which leaves the bits unchanged as long as the skipped product
+   is a zero. That holds when every B value is finite: then a zero a(i,l)
+   gives a +-0 product, and adding +-0 to an accumulator leaves it
+   unchanged because the accumulator starts at +0 and can never become -0:
+   under round-to-nearest a sum is -0 only when both operands are -0. The
+   C compiler may also commute the add, which changes the result only
+   where two different NaN payloads meet; with B finite and A free of
+   NaN, every NaN a chain can hold is the hardware's default NaN
+   (inf * 0, inf - inf), so that cannot happen. One O(k*n) scan over B
+   and one O(m*k) scan over A per call decide it; otherwise the call
+   takes [dot_skip], the per-element reference chain, written
+   [product +. acc] — the order the unblocked loops compile to (their
+   accumulator is a memory operand), so where a NaN product meets a
+   different NaN in the accumulator every path keeps the product's
+   payload. Either way blocked, unblocked, sequential and parallel
+   variants produce identical bits. *)
 
-(* Transposed-A pack scratch, grown monotonically and reused across
+(* Transposing-pack scratch, grown monotonically and reused across
    calls. Packing always happens on the calling domain before the parallel
    region, so the scratch is keyed per domain ([Domain.DLS]): two
    executors driven from different domains — e.g. concurrent compiles
@@ -635,6 +641,13 @@ let pack_transpose (src : float array) ~rows ~cols (dst : float array) =
     done
   done
 
+(* [pack_transpose] into this domain's [pack_scratch]. *)
+let pack_scratch_transpose src ~rows ~cols =
+  let cell = Domain.DLS.get pack_scratch in
+  if Array.length !cell < rows * cols then cell := Array.make (rows * cols) 0.0;
+  pack_transpose src ~rows ~cols !cell;
+  !cell
+
 (* [x -. x] is 0 for every finite [x] and NaN for an inf or a NaN. *)
 let all_finite (d : float array) len =
   let i = ref 0 in
@@ -643,116 +656,46 @@ let all_finite (d : float array) len =
   done;
   !i = len
 
-(* In the kernels below a(i,l) is [ad.(i*k + l)] and b(l,j) is
-   [bd.(j*bj + l*bl)]. *)
+(* [x = x] is false only for a NaN. *)
+let no_nan (d : float array) len =
+  let i = ref 0 in
+  while !i < len && Array.unsafe_get d !i = Array.unsafe_get d !i do
+    incr i
+  done;
+  !i = len
 
-(* out[i,j] with the sequential skip: the reference chain, used for the
-   tile edges and for every element when B is not all finite. *)
+(* out[i,j] with the sequential skip, where a(i,l) is [ad.(i*ai + l*al)]
+   and b(l,j) is [bd.(j*bj + l*bl)]: the reference chain, used for every
+   element when an operand may hold a NaN that reaches an add. *)
 let dot_skip (ad : float array) (bd : float array) (out : float array) ~k ~n
-    ~bj ~bl i j =
-  let arow = i * k and acc = ref 0.0 in
+    ~ai ~al ~bj ~bl i j =
+  let acc = ref 0.0 in
   for l = 0 to k - 1 do
-    let x = Array.unsafe_get ad (arow + l) in
+    let x = Array.unsafe_get ad ((i * ai) + (l * al)) in
     if x <> 0.0 then
       acc := (x *. Array.unsafe_get bd ((j * bj) + (l * bl))) +. !acc
   done;
   Array.unsafe_set out ((i * n) + j) !acc
 
-(* Rows [lo, hi) of out = A B for an all-finite B: 4x2 tiles in eight
-   unboxed accumulators, [p] walking b(l, j0) down the tile's columns;
-   edges via [dot_skip]. *)
-let gemm_tiles (ad : float array) (bd : float array) (out : float array) ~k ~n
-    ~bj ~bl ~lo ~hi =
-  let i = ref lo in
-  while !i + 4 <= hi do
-    let i0 = !i in
-    let a0 = i0 * k in
-    let a1 = a0 + k in
-    let a2 = a1 + k in
-    let a3 = a2 + k in
-    let j = ref 0 in
-    while !j + 2 <= n do
-      let j0 = !j in
-      let c00 = ref 0.0 and c01 = ref 0.0 and c10 = ref 0.0 in
-      let c11 = ref 0.0 and c20 = ref 0.0 and c21 = ref 0.0 in
-      let c30 = ref 0.0 and c31 = ref 0.0 in
-      (* [l] indexes A and [p] is b(l, j0). The two halves of the
-         unrolled body are spelled out: a local function capturing the
-         accumulators would box them. *)
-      let l = ref 0 and p = ref (j0 * bj) in
-      while !l + 2 <= k do
-        let l0 = !l and p0 = !p in
-        let y0 = Array.unsafe_get bd p0 in
-        let y1 = Array.unsafe_get bd (p0 + bj) in
-        let x0 = Array.unsafe_get ad (a0 + l0) in
-        c00 := (x0 *. y0) +. !c00;
-        c01 := (x0 *. y1) +. !c01;
-        let x1 = Array.unsafe_get ad (a1 + l0) in
-        c10 := (x1 *. y0) +. !c10;
-        c11 := (x1 *. y1) +. !c11;
-        let x2 = Array.unsafe_get ad (a2 + l0) in
-        c20 := (x2 *. y0) +. !c20;
-        c21 := (x2 *. y1) +. !c21;
-        let x3 = Array.unsafe_get ad (a3 + l0) in
-        c30 := (x3 *. y0) +. !c30;
-        c31 := (x3 *. y1) +. !c31;
-        let p1 = p0 + bl in
-        let y0 = Array.unsafe_get bd p1 in
-        let y1 = Array.unsafe_get bd (p1 + bj) in
-        let x0 = Array.unsafe_get ad (a0 + l0 + 1) in
-        c00 := (x0 *. y0) +. !c00;
-        c01 := (x0 *. y1) +. !c01;
-        let x1 = Array.unsafe_get ad (a1 + l0 + 1) in
-        c10 := (x1 *. y0) +. !c10;
-        c11 := (x1 *. y1) +. !c11;
-        let x2 = Array.unsafe_get ad (a2 + l0 + 1) in
-        c20 := (x2 *. y0) +. !c20;
-        c21 := (x2 *. y1) +. !c21;
-        let x3 = Array.unsafe_get ad (a3 + l0 + 1) in
-        c30 := (x3 *. y0) +. !c30;
-        c31 := (x3 *. y1) +. !c31;
-        l := l0 + 2;
-        p := p1 + bl
-      done;
-      if !l < k then begin
-        let l0 = !l and p0 = !p in
-        let y0 = Array.unsafe_get bd p0 in
-        let y1 = Array.unsafe_get bd (p0 + bj) in
-        let x0 = Array.unsafe_get ad (a0 + l0) in
-        c00 := (x0 *. y0) +. !c00;
-        c01 := (x0 *. y1) +. !c01;
-        let x1 = Array.unsafe_get ad (a1 + l0) in
-        c10 := (x1 *. y0) +. !c10;
-        c11 := (x1 *. y1) +. !c11;
-        let x2 = Array.unsafe_get ad (a2 + l0) in
-        c20 := (x2 *. y0) +. !c20;
-        c21 := (x2 *. y1) +. !c21;
-        let x3 = Array.unsafe_get ad (a3 + l0) in
-        c30 := (x3 *. y0) +. !c30;
-        c31 := (x3 *. y1) +. !c31
-      end;
-      let r = (i0 * n) + j0 in
-      Array.unsafe_set out r !c00;
-      Array.unsafe_set out (r + 1) !c01;
-      Array.unsafe_set out (r + n) !c10;
-      Array.unsafe_set out (r + n + 1) !c11;
-      Array.unsafe_set out (r + (2 * n)) !c20;
-      Array.unsafe_set out (r + (2 * n) + 1) !c21;
-      Array.unsafe_set out (r + (3 * n)) !c30;
-      Array.unsafe_set out (r + (3 * n) + 1) !c31;
-      j := j0 + 2
-    done;
-    if !j < n then
-      for di = 0 to 3 do
-        dot_skip ad bd out ~k ~n ~bj ~bl (i0 + di) !j
-      done;
-    i := i0 + 4
-  done;
-  for i = !i to hi - 1 do
-    for j = 0 to n - 1 do
-      dot_skip ad bd out ~k ~n ~bj ~bl i j
-    done
-  done
+(* [gemm_kernel p q out k pr pl qs r0 r1 c0 c1 sr sc] stores
+   x(r,c) = sum_l p.(r*pr + l*pl) * q.(l*qs + c) at out.(r*sr + c*sc) for
+   r in [r0, r1), c in [c0, c1); see gemm_stubs.c. *)
+external gemm_kernel :
+  float array ->
+  float array ->
+  float array ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  unit = "echo_gemm_byte" "echo_gemm"
+[@@noalloc]
 
 (* {1 Dispatch-once elementwise loops}
 
@@ -917,8 +860,8 @@ module Into = struct
 
   (* Every variant computes each output element as the sequential triple
      loop does — ascending l from +0, skipping a_il = 0 (see the GEMM
-     comment above for why the tiled path may add those terms) — so results
-     are bit-identical across the unblocked path, the tiled path, and every
+     comment above for why the blocked path may add those terms) — so results
+     are bit-identical across the unblocked path, the blocked path, and every
      domain count. [dst] must not alias an operand. Output rows are
      partitioned across the runtime's domains; each chunk writes only its
      own rows. *)
@@ -938,29 +881,34 @@ module Into = struct
     let ad = a.data and bd = b.data in
     let work = 2 * k * n in
     if m * n * k >= Parallel.blocking_threshold runtime then begin
-      (* A as m x k rows, packed on the calling domain before the
-         fan-out; B in place. The kernels overwrite every element of their
-         rows, so no zero-fill. *)
-      let pa =
-        if trans_a then begin
-          let cell = Domain.DLS.get pack_scratch in
-          if Array.length !cell < m * k then cell := Array.make (m * k) 0.0;
-          pack_transpose ad ~rows:am ~cols:an !cell;
-          !cell
-        end
-        else ad
-      in
-      let bj, bl = if trans_b then (bn, 1) else (1, bn) in
-      if all_finite bd (k * n) then
-        Parallel.parallel_for runtime ~work ~n:m (fun lo hi ->
-            gemm_tiles pa bd out ~k ~n ~bj ~bl ~lo ~hi)
-      else
+      (* Packs happen on the calling domain before the fan-out. The kernels
+         overwrite every element of their rows, so no zero-fill. *)
+      let ai, al = if trans_a then (1, m) else (k, 1) in
+      let bj, bl = if trans_b then (k, 1) else (1, n) in
+      if not (all_finite bd (k * n) && no_nan ad (m * k)) then
         Parallel.parallel_for runtime ~work ~n:m (fun lo hi ->
             for i = lo to hi - 1 do
               for j = 0 to n - 1 do
-                dot_skip pa bd out ~k ~n ~bj ~bl i j
+                dot_skip ad bd out ~k ~n ~ai ~al ~bj ~bl i j
               done
             done)
+      else if trans_b && (trans_a || m < n) then begin
+        (* Along i: kernel rows are j over B (n x k), columns i over A as
+           k x m; the chunk's rows of [out] are kernel columns. *)
+        let at =
+          if trans_a then ad else pack_scratch_transpose ad ~rows:m ~cols:k
+        in
+        Parallel.parallel_for runtime ~work ~n:m (fun lo hi ->
+            gemm_kernel bd at out k k 1 m 0 n lo hi 1 n)
+      end
+      else begin
+        (* Along j: kernel rows are i over A, columns j over B as k x n. *)
+        let bkn =
+          if trans_b then pack_scratch_transpose bd ~rows:n ~cols:k else bd
+        in
+        Parallel.parallel_for runtime ~work ~n:m (fun lo hi ->
+            gemm_kernel ad bkn out k ai al n lo hi 0 n n 1)
+      end
     end
     else
       Parallel.parallel_for runtime ~work ~n:m (fun lo hi ->

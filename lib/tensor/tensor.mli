@@ -47,6 +47,11 @@ val set1 : t -> int -> float -> unit
 val to_array : t -> float array
 (** A fresh copy of the underlying buffer. *)
 
+val unsafe_data : t -> float array
+(** The underlying buffer itself, shared with [t]: writes through it change
+    [t]. For code that streams every element without allocating — a float
+    that {!get1} returns to another module is boxed. *)
+
 val copy : t -> t
 
 val flip_bit : t -> index:int -> bit:int -> unit
@@ -259,11 +264,11 @@ module Into : sig
       Each output element accumulates from [+0] over ascending inner index,
       skipping terms whose [a] element is exactly zero. Products of at
       least [Parallel.blocking_threshold runtime] multiply-adds take a
-      register-tiled dot-product path: a transposed [a] is packed into a
-      scratch once per call, [b] is read in place, and 4x2 output tiles
-      accumulate in registers. That path adds the zero-[a]
-      terms instead of skipping them only when every [b] element is finite,
-      where the sum's bits cannot change; otherwise it keeps the skip. So
+      blocked path: a C SIMD kernel in which each vector lane is one
+      output element's chain, with no fused multiply-add. It adds the
+      zero-[a] terms instead of skipping them, and runs only when every
+      [b] element is finite and no [a] element is a NaN, where the bits
+      cannot change; otherwise the call keeps the per-element skip. So
       the switch never changes results. The threshold rides on the runtime handle
       ([Parallel.create ~blocking_threshold] /
       [Parallel.with_config]), so concurrent executors with different

@@ -90,7 +90,7 @@ let train ~graph ~params ~optimizer ?clip_norm ?on_step ?on_event ?budget_bytes
         raise
           (Fault.Bad_spec
              (Printf.sprintf
-                "ECHO_FAULTS entry %S: activation site %d out of range — \
+                "entry %S: activation site %d out of range — \
                  this graph has %d injection sites (0..%d)"
                 (Fault.kind_to_string step kind)
                 site
@@ -100,7 +100,7 @@ let train ~graph ~params ~optimizer ?clip_norm ?on_step ?on_event ?budget_bytes
         raise
           (Fault.Bad_spec
              (Printf.sprintf
-                "ECHO_FAULTS entry %S: this run has no parameters to flip"
+                "entry %S: this run has no parameters to flip"
                 (Fault.kind_to_string step kind)))
       | _ -> ())
     (Fault.specs faults);

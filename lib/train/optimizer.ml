@@ -78,14 +78,15 @@ type snapshot = {
 
 (* State is keyed by node id in memory, but node ids are process-local:
    snapshots key by parameter *index* so a checkpoint written in one process
-   restores correctly in another. *)
+   restores correctly in another. The slot tensors are shared, not copied:
+   a checkpoint writes them straight from the live state. *)
 let snapshot (t : t) ~param_nodes =
   let collect tbl =
     let entries = ref [] in
     Array.iteri
       (fun i node ->
         match Hashtbl.find_opt tbl (Node.id node) with
-        | Some tensor -> entries := (i, Tensor.copy tensor) :: !entries
+        | Some tensor -> entries := (i, tensor) :: !entries
         | None -> ())
       param_nodes;
     List.rev !entries

@@ -49,13 +49,16 @@ type snapshot = {
   second : (int * Tensor.t) list;  (** Adam second moment, same keying *)
 }
 (** Optimizer state detached from process-local node ids: slot tensors are
-    deep-copied and keyed by position in [param_nodes], so a snapshot
-    serialised by [Echo_runtime.Checkpoint] restores exactly in a fresh
-    process whose rebuilt graph has different ids. *)
+    keyed by position in [param_nodes], so a snapshot serialised by
+    [Echo_runtime.Checkpoint] restores exactly in a fresh process whose
+    rebuilt graph has different ids. *)
 
 val snapshot : t -> param_nodes:Node.t array -> snapshot
-(** Capture current state. Parameters with no slot yet (e.g. before the
-    first step, or plain SGD) are simply absent from the lists. *)
+(** The current state, without copying: the slot tensors are the
+    optimizer's live ones, so the next {!step_in_place} or {!step_arrays}
+    changes them — serialise (or [Tensor.copy]) before stepping again.
+    Parameters with no slot yet (e.g. before the first step, or plain SGD)
+    are simply absent from the lists. *)
 
 val restore : t -> param_nodes:Node.t array -> snapshot -> unit
 (** Replace [t]'s entire state with [snapshot], re-keying by [param_nodes].

@@ -77,7 +77,11 @@ let load_text path =
                 (String.map (fun c -> if c = '\t' then ' ' else c) line));
            toks := 0 :: !toks
          done
-       with End_of_file -> ());
+       with
+      | End_of_file -> ()
+      | Sys_error msg ->
+        (* open_in accepts a directory; reading it fails *)
+        invalid_arg (Printf.sprintf "Corpus.load_text: %s: %s" path msg));
       if !next < 2 then
         invalid_arg
           (Printf.sprintf

@@ -572,9 +572,11 @@ let test_train_arity_message () =
    scalar stays unboxed. What remains is a fixed per-run overhead (the
    parallel-for chunk closures and the like). The graph is a peephole
    LSTM-LM step whose 16x64 . 64x256 gate matmuls (and their gradients)
-   clear the blocking threshold, so the tiled GEMM, the sigmoid kernel,
-   the slice copies and the peephole broadcasts all run. Measured at 7_710
-   minor words per run (347 instructions, about 22 words each); the bound
+   clear the blocking threshold, so the blocked GEMM, the sigmoid kernel,
+   the slice copies and the peephole broadcasts all run; a second run at
+   threshold 0 sends every GEMM of the step through the blocked path.
+   Measured at 7_702 minor words per run at either threshold (347
+   instructions, about 22 words each); the bound
    of 10_000 leaves a 30% margin. Before the kernels were made
    allocation-free the same run took 163_075 words: a kernel that boxes
    one float per element costs 2 to 4 words per element, thousands per
@@ -614,27 +616,45 @@ let test_run_allocation_bound () =
       ("a broadcast", function Op.BroadcastAxis _ -> true | _ -> false);
       ("a slice", function Op.Slice _ -> true | _ -> false);
     ];
-  let exe =
-    Pipeline.executor
-      (Pipeline.compile_graph ~runtime ~fuse:true
-         ~sanitize:Echo_analysis.Sanitize.Off g)
-  in
-  let rng = Rng.create 5 in
-  let ids n = Tensor.init (Node.shape n) (fun _ -> float_of_int (Rng.int rng 50)) in
-  Executor.feed exe lm.Language_model.token_input (ids lm.Language_model.token_input);
-  Executor.feed exe lm.Language_model.label_input (ids lm.Language_model.label_input);
-  List.iter (fun (n, v) -> Executor.feed exe n v) (Params.bindings model.Model.params);
-  Executor.run exe;
-  let runs = 4 in
-  let w0 = Gc.minor_words () in
-  for _ = 1 to runs do
-    Executor.run exe
-  done;
-  let per_run = (Gc.minor_words () -. w0) /. float_of_int runs in
-  Printf.printf "minor words per run: %.0f (%d instructions)\n" per_run
-    (Executor.active_instruction_count exe);
-  if per_run > 10_000.0 then
-    Alcotest.failf "Executor.run allocated %.0f minor words (bound 10000)" per_run
+  (* The default threshold, then one at which every GEMM of the step takes
+     the blocked path: its C kernel and pack scratch must not allocate. *)
+  List.iter
+    (fun (what, runtime) ->
+      let exe =
+        Pipeline.executor
+          (Pipeline.compile_graph ~runtime ~fuse:true
+             ~sanitize:Echo_analysis.Sanitize.Off g)
+      in
+      let rng = Rng.create 5 in
+      let ids n =
+        Tensor.init (Node.shape n) (fun _ -> float_of_int (Rng.int rng 50))
+      in
+      Executor.feed exe lm.Language_model.token_input
+        (ids lm.Language_model.token_input);
+      Executor.feed exe lm.Language_model.label_input
+        (ids lm.Language_model.label_input);
+      List.iter
+        (fun (n, v) -> Executor.feed exe n v)
+        (Params.bindings model.Model.params);
+      Executor.run exe;
+      let runs = 4 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to runs do
+        Executor.run exe
+      done;
+      let per_run = (Gc.minor_words () -. w0) /. float_of_int runs in
+      Printf.printf "%s: minor words per run: %.0f (%d instructions)\n" what
+        per_run
+        (Executor.active_instruction_count exe);
+      if per_run > 10_000.0 then
+        Alcotest.failf
+          "%s: Executor.run allocated %.0f minor words (bound 10000)" what
+          per_run)
+    [
+      ("default threshold", runtime);
+      ( "every GEMM blocked",
+        Parallel.with_config ~blocking_threshold:0 runtime );
+    ]
 
 let suite =
   let t name f = Alcotest.test_case name `Quick f in

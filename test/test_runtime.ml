@@ -490,15 +490,15 @@ let test_rng_state_roundtrip () =
 
 (* Budget enforcement *)
 
-let lm_setup ?(steps = 8) () =
+let lm_setup ?(steps = 8) ?(vocab = 60) ?(width = 12) () =
   let open Echo_models in
   let lm =
     Language_model.build
       {
         Language_model.ptb_default with
-        vocab = 60;
-        embed = 12;
-        hidden = 12;
+        vocab;
+        embed = width;
+        hidden = width;
         layers = 2;
         seq_len = 6;
         batch = 3;
@@ -508,7 +508,7 @@ let lm_setup ?(steps = 8) () =
   let training = Model.training lm.Language_model.model in
   let graph = training.Echo_autodiff.Grad.graph in
   let params = Params.bindings lm.Language_model.model.Model.params in
-  let stream = Corpus.generate ~seed:11 ~vocab:60 ~length:2_000 in
+  let stream = Corpus.generate ~seed:11 ~vocab ~length:2_000 in
   let batches =
     List.map
       (fun (tokens, labels) ->
@@ -731,6 +731,40 @@ let test_checkpoint_resume_bit_exact () =
         (fun (_, a) (_, b) -> check_bool "params reproduce" true (Tensor.equal a b))
         uninterrupted.Loop.params resumed.Loop.params)
 
+(* A checkpoint write streams the live parameter and slot tensors to disk:
+   per save it allocates less than the optimizer's slot state itself. (It
+   used to deep-copy every slot and copy every tensor again to encode it,
+   which grew the heap peak with every save.) Allocation is counted from
+   one step's [on_step] to a later one, past compilation; the minor count
+   comes from [Gc.minor_words], which, unlike [Gc.quick_stat]'s, includes
+   the current minor heap. *)
+let test_checkpoint_save_allocation () =
+  let graph, params, batches, _ = lm_setup ~steps:6 ~vocab:200 ~width:32 () in
+  let slot_bytes =
+    (* Adam: a first and a second moment per parameter element *)
+    List.fold_left (fun acc (_, t) -> acc + (2 * 8 * Tensor.numel t)) 0 params
+  in
+  let allocated_bytes () =
+    let s = Gc.quick_stat () in
+    8.0 *. (Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words)
+  in
+  with_temp (fun path ->
+      (* bytes allocated over the last four steps *)
+      let steady checkpoint =
+        let marks = ref [] in
+        ignore
+          (Loop.train ~graph ~params ~optimizer:(adam ()) ~faults:Fault.none
+             ?checkpoint
+             ~on_step:(fun _ -> marks := allocated_bytes () :: !marks)
+             ~batches ());
+        List.hd !marks -. List.nth !marks 4
+      in
+      let saving = steady (Some { Loop.path; every = 1; resume = false }) in
+      let per_save = (saving -. steady None) /. 4.0 in
+      if per_save >= float_of_int slot_bytes then
+        Alcotest.failf "a checkpoint save allocated %.0f bytes (slots: %d)"
+          per_save slot_bytes)
+
 let test_checkpoint_rejects_wrong_model () =
   let graph, params, batches, _ = lm_setup ~steps:2 () in
   with_temp (fun path ->
@@ -796,6 +830,7 @@ let suite =
         t "missing slot field names its cause"
           test_checkpoint_missing_slot_field_names_cause;
         t "golden bytes" test_checkpoint_golden_bytes;
+        t "save allocates less than the slots" test_checkpoint_save_allocation;
         t "hex floats match %h" test_float_hex_matches_printf;
         t "serial tensor roundtrip" test_serial_tensor_roundtrip;
         t "rng state roundtrip" test_rng_state_roundtrip;

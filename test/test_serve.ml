@@ -406,6 +406,10 @@ let test_corpus_load_text () =
   check_bool "missing file rejected" true
     (match Corpus.load_text "/nonexistent/echo.txt" with
     | _ -> false
+    | exception Invalid_argument _ -> true);
+  check_bool "directory rejected" true
+    (match Corpus.load_text (Filename.get_temp_dir_name ()) with
+    | _ -> false
     | exception Invalid_argument _ -> true)
 
 (* End to end over the real Unix socket: the server in a domain, a scripted

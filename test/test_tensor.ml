@@ -131,17 +131,14 @@ let bits_equal a b =
    compiles to: when a NaN product meets a different NaN already in the
    accumulator, the product's payload is the one kept. *)
 let matmul_oracle ~trans_a ~trans_b ~m ~n ~k a b =
+  let a = Tensor.to_array a and b = Tensor.to_array b in
   Tensor.init [| m; n |] (fun idx ->
       let i = idx.(0) and j = idx.(1) in
       let acc = ref 0.0 in
       for l = 0 to k - 1 do
-        let x =
-          if trans_a then Tensor.get a [| l; i |] else Tensor.get a [| i; l |]
-        in
+        let x = if trans_a then a.((l * m) + i) else a.((i * k) + l) in
         if x <> 0.0 then
-          let bv =
-            if trans_b then Tensor.get b [| j; l |] else Tensor.get b [| l; j |]
-          in
+          let bv = if trans_b then b.((j * k) + l) else b.((l * n) + j) in
           acc := (x *. bv) +. !acc
       done;
       !acc)
@@ -164,68 +161,118 @@ let poison rng values t =
   done;
   t
 
-(* Sweep sizes across the blocking threshold, all four transpose variants,
-   forced-naive / default / forced-blocked thresholds, and sequential vs a
-   2-domain pool. The threshold is per-runtime configuration now, so every
-   point is a fresh [with_config] view; the pool is oversubscribed past the
-   hardware cap with the work gate open, so the fan-out + work-stealing
-   path genuinely runs even on one core. Every combination must be bitwise
-   equal to the oracle. [dst] starts as NaN so an unwritten element can
-   never pass.
+(* Sweep sizes across the blocking threshold, forced-naive / default /
+   forced-blocked thresholds, and sequential vs a 2-domain pool. The
+   threshold is per-runtime configuration now, so every point is a fresh
+   [with_config] view; the pool is oversubscribed past the hardware cap
+   with the work gate open, so the fan-out + work-stealing path genuinely
+   runs even on one core. Every combination must be bitwise equal to the
+   oracle. [dst] starts as NaN so an unwritten element can never pass.
 
-   Three operand kinds pin the semantics the blocked kernel's finiteness
-   check relies on: finite sparse operands (where it adds the zero-[a]
-   terms instead of skipping them); infinities and NaNs in B where A has
-   zeros (a skipped 0 * inf must not turn into a NaN); and NaNs in A
-   (never skipped, so they must propagate). *)
+   Sizes: small ones in all four transpose variants, m and n = 1, 2, 3
+   mod 4 on both sides of m < n (the blocked kernel's tile edges and its
+   choice of vectorised axis under [trans_b]), and the four GEMM shapes of
+   an NMT training step (hidden 64, batch 16, vocabulary 500) in the
+   orientation the step runs them.
+
+   Four operand kinds pin the semantics the blocked kernel's gates rely
+   on: finite sparse operands (where it adds the zero-[a] terms instead of
+   skipping them); infinities and NaNs in B where A has zeros (a skipped
+   0 * inf must not turn into a NaN); NaNs in A (never skipped, so they
+   must propagate); and two distinct NaN payloads in A, where a kernel
+   that commutes [product + acc] keeps the wrong payload.
+
+   Last, an FMA-contraction canary over a full 8x8 tile: every output is
+   (-1 * 1) + 0 and then (1 + 2^-30) * (1 - 2^-30) added to that. Unfused
+   the product rounds to 1 and the output is +0; a kernel built with
+   contracted multiply-adds gives -2^-60. *)
 let test_matmul_blocked_sweep () =
-  let sizes = [ (1, 1, 1); (3, 5, 2); (8, 8, 8); (17, 33, 9); (40, 40, 40); (64, 32, 48) ] in
+  let every = [ (false, false); (true, false); (false, true); (true, true) ] in
+  let cases =
+    List.map
+      (fun s -> (s, every))
+      [
+        (1, 1, 1); (3, 5, 2); (8, 8, 8); (17, 33, 9); (40, 40, 40);
+        (64, 32, 48); (5, 10, 3); (10, 5, 3); (7, 15, 6); (15, 7, 6);
+        (13, 14, 9); (14, 13, 9);
+      ]
+    @ [
+        ((16, 256, 64), [ (false, true) ]);
+        ((16, 64, 256), [ (false, false) ]);
+        ((256, 64, 16), [ (true, false) ]);
+        ((320, 500, 64), [ (false, true) ]);
+      ]
+  in
   let pool =
     Parallel.create ~domains:2 ~oversubscribe:true ~min_fanout_work:0 ()
   in
   Fun.protect ~finally:(fun () -> Parallel.shutdown pool) @@ fun () ->
   let rng = Rng.create 11 in
   let default_threshold = Parallel.blocking_threshold Parallel.sequential in
+  let check ~trans_a ~trans_b (m, n, k) kind a b =
+    let expect = matmul_oracle ~trans_a ~trans_b ~m ~n ~k a b in
+    List.iter
+      (fun threshold ->
+        List.iter
+          (fun (rt_name, base) ->
+            let runtime =
+              Parallel.with_config ~blocking_threshold:threshold base
+            in
+            let dst = Tensor.full [| m; n |] Float.nan in
+            Tensor.Into.matmul ~runtime ~trans_a ~trans_b a b ~dst;
+            if not (bits_equal expect dst) then
+              Alcotest.failf
+                "matmul %dx%dx%d ta=%b tb=%b threshold=%d runtime=%s \
+                 operands=%s differs from oracle"
+                m n k trans_a trans_b threshold rt_name kind)
+          [ ("seq", Parallel.sequential); ("pool2", pool) ])
+      [ 0; default_threshold; max_int ];
+    if not (bits_equal expect (Tensor.matmul ~trans_a ~trans_b a b)) then
+      Alcotest.failf
+        "allocating matmul %dx%dx%d ta=%b tb=%b operands=%s differs from \
+         oracle"
+        m n k trans_a trans_b kind;
+    expect
+  in
+  let payloads =
+    [| Int64.float_of_bits 0x7FF8000000000001L;
+       Int64.float_of_bits 0xFFF8000000000ABCL |]
+  in
   List.iter
-    (fun (m, n, k) ->
+    (fun (((m, n, k) as size), orientations) ->
       List.iter
         (fun (trans_a, trans_b) ->
           let a = sparse_uniform rng (if trans_a then [| k; m |] else [| m; k |]) in
           let b = sparse_uniform rng (if trans_b then [| n; k |] else [| k; n |]) in
           List.iter
-            (fun (kind, a, b) ->
-          let expect = matmul_oracle ~trans_a ~trans_b ~m ~n ~k a b in
-          List.iter
-            (fun threshold ->
-              List.iter
-                (fun (rt_name, base) ->
-                  let runtime =
-                    Parallel.with_config ~blocking_threshold:threshold base
-                  in
-                  let dst = Tensor.full [| m; n |] Float.nan in
-                  Tensor.Into.matmul ~runtime ~trans_a ~trans_b a b ~dst;
-                  if not (bits_equal expect dst) then
-                    Alcotest.failf
-                      "matmul %dx%dx%d ta=%b tb=%b threshold=%d runtime=%s \
-                       operands=%s differs from oracle"
-                      m n k trans_a trans_b threshold rt_name kind)
-                [ ("seq", Parallel.sequential); ("pool2", pool) ])
-            [ 0; default_threshold; max_int ];
-          if not (bits_equal expect (Tensor.matmul ~trans_a ~trans_b a b))
-          then
-            Alcotest.failf
-              "allocating matmul %dx%dx%d ta=%b tb=%b operands=%s differs \
-               from oracle"
-              m n k trans_a trans_b kind)
+            (fun (kind, a, b) -> ignore (check ~trans_a ~trans_b size kind a b))
             [
               ("finite", a, b);
               ( "inf/nan in B",
                 a,
                 poison rng [| Float.infinity; Float.neg_infinity; Float.nan |] b );
               ("nan in A", poison rng [| Float.nan |] a, b);
+              ("two nan payloads in A", poison rng payloads a, b);
             ])
-        [ (false, false); (true, false); (false, true); (true, true) ])
-    sizes
+        orientations)
+    cases;
+  let e = Float.ldexp 1.0 (-30) in
+  List.iter
+    (fun (trans_a, trans_b) ->
+      (* [l] is axis 1 of A unless transposed, axis 0 of B unless
+         transposed *)
+      let a =
+        Tensor.init (if trans_a then [| 2; 8 |] else [| 8; 2 |]) (fun idx ->
+            if idx.(if trans_a then 0 else 1) = 0 then -1.0 else 1.0 +. e)
+      in
+      let b =
+        Tensor.init (if trans_b then [| 8; 2 |] else [| 2; 8 |]) (fun idx ->
+            if idx.(if trans_b then 1 else 0) = 0 then 1.0 else 1.0 -. e)
+      in
+      let expect = check ~trans_a ~trans_b (8, 8, 2) "fma canary" a b in
+      check_bool "canary outputs are +0" true
+        (bits_equal expect (Tensor.zeros [| 8; 8 |])))
+    every
 
 let test_add_bias () =
   let m = t2 [ [ 1.; 2. ]; [ 3.; 4. ] ] in
