@@ -153,8 +153,7 @@ let train_mode model_choice ~batch ~seq_len ~hidden ~layers ~vocab ~steps
     | Gru_lm -> Recurrent.Gru
     | Rnn_lm -> Recurrent.Vanilla
     | Nmt_model | Ds2 | Transformer_model ->
-      failwith
-        "--train drives the LM family only (lm, peephole-lm, gru-lm, rnn-lm)"
+      die "--train drives the LM family only (lm, peephole-lm, gru-lm, rnn-lm)"
   in
   (* --corpus: a real PTB-style text file replaces the synthetic stream and
      fixes the vocabulary; a conflicting --vocab is a configuration error. *)
@@ -300,7 +299,7 @@ let train_mode model_choice ~batch ~seq_len ~hidden ~layers ~vocab ~steps
 let campaign_mode ~pool spec_text =
   let module Campaign = Echo_campaign.Campaign in
   match Campaign.parse_spec spec_text with
-  | Error msg -> failwith msg
+  | Error msg -> die "--campaign: %s" msg
   | Ok spec ->
     let report = Campaign.run ~pool spec in
     print_string (Campaign.summary report);
@@ -323,6 +322,13 @@ let campaign_mode ~pool spec_text =
    one deliberate corruption first, demonstrating (and letting scripts
    assert, with --lint-strict's nonzero exit) that the checker for that
    artifact actually fires. *)
+let corruptions =
+  [
+    "schedule"; "slot-overlap"; "slot-escape"; "alias"; "inplace-donor";
+    "clone-seed"; "clone-hint"; "fusion-region"; "partition-overlap";
+    "partition-gap"; "lifetime"; "alias-offsets"; "fused-interior";
+  ]
+
 let lint_policy ~runtime ~sanitize ~no_fuse ~corrupt label rw =
   let module Verify = Echo_analysis.Verify in
   let module Mutate = Echo_analysis.Mutate in
@@ -357,11 +363,8 @@ let lint_policy ~runtime ~sanitize ~no_fuse ~corrupt label rw =
       let need what = function
         | Some v -> v
         | None ->
-          failwith
-            (Printf.sprintf
-               "--corrupt %s: this graph offers no site for that corruption \
-                (%s)"
-               kind what)
+          die "--corrupt %s: this graph offers no site for that corruption (%s)"
+            kind what
       in
       (match kind with
       | "schedule" ->
@@ -457,14 +460,7 @@ let lint_policy ~runtime ~sanitize ~no_fuse ~corrupt label rw =
             (Mutate.widen_fused_interior plan)
         in
         Race.check_fused widened
-      | other ->
-        failwith
-          (Printf.sprintf
-             "unknown corruption %S: one of schedule, slot-overlap, \
-              slot-escape, alias, inplace-donor, clone-seed, clone-hint, \
-              fusion-region, partition-overlap, partition-gap, lifetime, \
-              alias-offsets, fused-interior"
-             other))
+      | _ -> assert false (* [run] validated --corrupt against [corruptions] *))
   in
   List.iter
     (fun d -> Format.printf "%a@." Echo_diag.pp d)
@@ -493,9 +489,17 @@ let run model_choice batch seq_len hidden layers policy budget all breakdown
     Option.map
       (fun v ->
         try Echo_analysis.Sanitize.mode_of_string ~source:"--sanitize" v
-        with Invalid_argument msg -> failwith msg)
+        with Invalid_argument msg -> die "%s" msg)
       sanitize_spec
   in
+  (* Likewise --corrupt: an unknown kind is reported before any model is
+     built and compiled. *)
+  Option.iter
+    (fun kind ->
+      if not (List.mem kind corruptions) then
+        die "--corrupt: unknown corruption %S (one of %s)" kind
+          (String.concat ", " corruptions))
+    corrupt;
   (* The kernel runtime is process-wide: set it here once and every
      subsequent [Pipeline.compile] (with no explicit [?runtime]) uses it. *)
   let runtime =
@@ -526,7 +530,7 @@ let run model_choice batch seq_len hidden layers policy budget all breakdown
       ~checkpoint_every ~resume ~no_fuse ~tune_exec ~corpus_file ~sanitize
   | None ->
   if corpus_file <> None then
-    failwith "--corpus only applies to --train (nothing else reads batches)";
+    die "--corpus only applies to --train (nothing else reads batches)";
   let planners =
     if all then Pass.default_instances
     else [ resolve_planner ?flag:policy ~budget "echo" ]

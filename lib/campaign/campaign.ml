@@ -217,20 +217,8 @@ let data_for lm ~steps ~seed =
   in
   (batches, dead_index)
 
-(* The same site filter [Loop.train] uses: materialising non-elementwise
-   forward nodes of the original training graph, in schedule order. *)
 let act_site_count graph =
-  List.length
-    (List.filter
-       (fun n ->
-         (not (Fuse.elementwise n))
-         &&
-         match Node.op n with
-         | Op.Placeholder | Op.Variable | Op.Zeros | Op.ConstFill _
-         | Op.DropoutMask _ ->
-           false
-         | _ -> true)
-       (Graph.forward_nodes graph))
+  List.length (List.filter Loop.is_act_site (Graph.forward_nodes graph))
 
 let train_once ~spec ~model ~fuse ~planner ~faults ~graph ~lm ?sanitize
     ~on_event () =

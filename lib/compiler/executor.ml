@@ -3,13 +3,6 @@ open Echo_ir
 open Echo_exec
 module Sanitize = Echo_analysis.Sanitize
 
-(* A physical transient buffer. [writers] counts the instructions that write
-   into it across the whole schedule: a constant node owning a single-writer
-   buffer can be materialised once at compile time and skipped at run time.
-   [bid] is a compile-time identity handed to the static verifier so it can
-   prove that nodes sharing a physical buffer never overlap in lifetime. *)
-type buf = { arr : float array; mutable writers : int; mutable bid : int }
-
 type t = {
   graph : Graph.t;
   runtime : Parallel.t;
@@ -23,9 +16,7 @@ type t = {
   mutable all_fed : bool;
   output_slots : int array;
   outs : Tensor.t array;
-  transient_bytes : int;
-  persistent_bytes : int;
-  max_workspace_bytes : int;
+  footprint_bytes : int;
   fused_groups : int;
   fused_interiors : int;
   binding : (Node.t * int) list;
@@ -57,15 +48,14 @@ let () =
 
 let nop () = ()
 
-let compile ?(inplace = true) ?budget_bytes ?runtime ?fusion ?liveness
-    ?sanitize graph =
+let compile ?budget_bytes ?runtime ?fusion ?liveness ?sanitize graph =
   let runtime =
     match runtime with Some r -> r | None -> Parallel.default ()
   in
-  (* [?liveness] overrides the plan the executor frees and recycles
-     buffers against — the race-verify mutation harness injects corrupted
-     intervals here ([Liveness.of_intervals]) to prove the sanitizer
-     catches the resulting stale reads on a real executor. *)
+  (* [?liveness] overrides the analysis the planner's walk frees and
+     recycles buffers against — the race-verify mutation harness injects
+     corrupted intervals here ([Liveness.of_intervals]) to prove the
+     sanitizer catches the resulting stale reads on a real executor. *)
   let liveness =
     match liveness with Some l -> l | None -> Liveness.analyse ?fusion graph
   in
@@ -74,22 +64,11 @@ let compile ?(inplace = true) ?budget_bytes ?runtime ?fusion ?liveness
   in
   (* Fused interiors get no buffer, no tensor and no instruction; a group
      root compiles to one fused instruction over the group's external
-     inputs. Both follow the same [Fuse.plan] the planner used, so the
-     measured footprint still equals [Memplan.plan ?fusion]'s arena. *)
-  let interior node =
-    match fusion with
-    | Some f -> Fuse.is_interior f (Node.id node)
-    | None -> false
-  in
+     inputs. Both follow the same [Fuse.plan] the planner used. *)
   let group_of_root node =
     match fusion with
     | Some f -> Fuse.group_of_root f (Node.id node)
     | None -> None
-  in
-  let inplace_inputs node =
-    match fusion with
-    | Some f -> Fuse.inplace_candidates f node
-    | None -> Node.inputs node
   in
   let nodes = Array.of_list (Graph.nodes graph) in
   let n = Array.length nodes in
@@ -98,105 +77,55 @@ let compile ?(inplace = true) ?budget_bytes ?runtime ?fusion ?liveness
   let values = Array.make n (Tensor.scalar 0.0) in
   let is_persistent_slot = Array.make n false in
   let persistent = ref [] in
-  let persistent_bytes = ref 0 in
-  let max_ws = ref 0 in
-  (* Buffer assignment mirrors [Memplan.plan ~reuse:true] exactly — same
-     exact-size pool, same in-place eligibility and input order — so the
-     executor's footprint IS the planner's arena prediction. *)
-  let pool : (int, buf list ref) Hashtbl.t = Hashtbl.create 64 in
-  let pool_take numel =
-    match Hashtbl.find_opt pool numel with
-    | Some ({ contents = b :: rest } as l) ->
-      l := rest;
-      Some b
-    | Some { contents = [] } | None -> None
-  in
-  let pool_put numel b =
-    match Hashtbl.find_opt pool numel with
-    | Some l -> l := b :: !l
-    | None -> Hashtbl.replace pool numel (ref [ b ])
-  in
-  let transient_bytes = ref 0 in
-  (* Budget enforcement happens here, during allocation, so the raise
-     carries the running arena total at the moment it first crosses the
-     ceiling — a simulated device OOM, not a post-hoc check. *)
-  let check_budget () =
-    match budget_bytes with
-    | Some budget ->
-      let total = !persistent_bytes + !transient_bytes + !max_ws in
-      if total > budget then
-        raise (Budget_exceeded { requested_bytes = total; budget_bytes = budget })
-    | None -> ()
-  in
-  let buf_of_slot : buf option array = Array.make n None in
-  let transferred : (int, unit) Hashtbl.t = Hashtbl.create 256 in
-  let inplace_buf step node =
-    if not (inplace && Memplan.inplace_capable node) then None
-    else begin
-      let size = Node.size_bytes node in
-      let eligible input =
-        (not (Liveness.is_persistent input))
-        && Node.size_bytes input = size
-        && (not (Hashtbl.mem transferred (Node.id input)))
-        && (not (Graph.is_output graph (Node.id input)))
-        &&
-        match Liveness.interval liveness (Node.id input) with
-        | itv -> itv.Liveness.last_step = step
-        | exception Not_found -> false
-      in
-      match List.find_opt eligible (inplace_inputs node) with
-      | None -> None
-      | Some input ->
-        Hashtbl.replace transferred (Node.id input) ();
-        buf_of_slot.(Hashtbl.find slot_of_id (Node.id input))
-    end
-  in
-  (* Phase 1: assign every slot a physical buffer (recycling dying buffers
-     like the planner) and wrap it in its output tensor once. *)
+  (* The planner's walk decides every slot's physical buffer; the executor
+     only allocates what it says, so the footprint IS the planner's arena
+     prediction. [writers] counts the slots writing each buffer across the
+     whole schedule: a constant node owning a single-writer buffer is
+     materialised once at compile time and skipped at run time. *)
+  let mem = Memplan.plan ?fusion ~liveness graph in
+  let bid_of_slot = mem.Memplan.buffer_of_slot in
+  let buffer_count = Array.fold_left max (-1) bid_of_slot + 1 in
+  let buffers = Array.make buffer_count [||] in
+  let writers = Array.make buffer_count 0 in
+  Array.iter
+    (fun b -> if b >= 0 then writers.(b) <- writers.(b) + 1)
+    bid_of_slot;
+  (* Bind every slot to its buffer in schedule order, creating each buffer
+     at its first use (ids are numbered in first-use order). The budget is
+     enforced here, before the buffer is created, so the raise carries the
+     running arena total at the slot where it first crosses the ceiling — a
+     simulated device OOM, not a post-hoc check. *)
+  let allocated = ref 0 and max_ws = ref 0 and created = ref 0 in
   Array.iteri
     (fun step node ->
       let ws = Workspace.bytes node in
       if ws > !max_ws then max_ws := ws;
-      (match Node.op node with
-      | Op.Placeholder | Op.Variable ->
+      let b = bid_of_slot.(step) in
+      let fresh = b = !created in
+      if Liveness.is_persistent node then begin
         is_persistent_slot.(step) <- true;
         persistent := (node, step) :: !persistent;
-        persistent_bytes := !persistent_bytes + Node.size_bytes node
-      | _ when interior node ->
-        (* Lives in registers inside the group root's fused kernel:
-           [values.(step)] is never read and no instruction is emitted. *)
-        ()
-      | _ ->
-        let numel = Shape.numel (Node.shape node) in
-        let b =
-          match inplace_buf step node with
-          | Some b -> b
-          | None -> (
-            match pool_take numel with
-            | Some b -> b
-            | None ->
-              transient_bytes := !transient_bytes + Node.size_bytes node;
-              { arr = Array.make numel 0.0; writers = 0; bid = -1 })
-        in
-        b.writers <- b.writers + 1;
-        buf_of_slot.(step) <- Some b;
-        values.(step) <- Tensor.create (Node.shape node) b.arr);
-      check_budget ();
-      List.iter
-        (fun dying ->
-          if not (Hashtbl.mem transferred (Node.id dying)) then begin
-            let slot = Hashtbl.find slot_of_id (Node.id dying) in
-            match buf_of_slot.(slot) with
-            | Some b -> pool_put (Array.length b.arr) b
-            | None -> ()
-          end)
-        (Liveness.dying_at liveness step))
+        allocated := !allocated + Node.size_bytes node
+      end
+      else if fresh then allocated := !allocated + Node.size_bytes node;
+      (match budget_bytes with
+      | Some budget when !allocated + !max_ws > budget ->
+        raise
+          (Budget_exceeded
+             { requested_bytes = !allocated + !max_ws; budget_bytes = budget })
+      | Some _ | None -> ());
+      if b >= 0 then begin
+        if fresh then begin
+          buffers.(b) <- Array.make (Shape.numel (Node.shape node)) 0.0;
+          incr created
+        end;
+        values.(step) <- Tensor.create (Node.shape node) buffers.(b)
+      end)
     nodes;
-  (* Phase 2: compile each node to one closure over its input slots and its
-     fixed destination tensor. Runs after phase 1 so writer counts are
-     final. *)
+  (* Compile each node to one closure over its input slots and its fixed
+     destination tensor; [writers] is the count of its buffer's writers. *)
   let instrs = Array.make n nop in
-  let build node dst buf =
+  let build node dst writers =
     let slots =
       Array.of_list
         (List.map
@@ -209,20 +138,20 @@ let compile ?(inplace = true) ?budget_bytes ?runtime ?fusion ?liveness
     match Node.op node with
     | Op.Placeholder | Op.Variable -> assert false
     | Op.Zeros ->
-      if buf.writers = 1 then begin
+      if writers = 1 then begin
         I.fill ~dst 0.0;
         nop
       end
       else fun () -> I.fill ~dst 0.0
     | Op.ConstFill v ->
-      if buf.writers = 1 then begin
+      if writers = 1 then begin
         I.fill ~dst v;
         nop
       end
       else fun () -> I.fill ~dst v
     | Op.DropoutMask { p; seed } ->
       let mask = Tensor.dropout_mask ~seed ~p (Node.shape node) in
-      if buf.writers = 1 then begin
+      if writers = 1 then begin
         I.blit ~src:mask ~dst;
         nop
       end
@@ -352,12 +281,12 @@ let compile ?(inplace = true) ?budget_bytes ?runtime ?fusion ?liveness
   in
   Array.iteri
     (fun step node ->
-      match buf_of_slot.(step) with
-      | Some b -> (
-        match group_of_root node with
-        | Some g -> instrs.(step) <- build_fused g values.(step)
-        | None -> instrs.(step) <- build node values.(step) b)
-      | None -> ())
+      let b = bid_of_slot.(step) in
+      if b >= 0 then
+        instrs.(step) <-
+          (match group_of_root node with
+          | Some g -> build_fused g values.(step)
+          | None -> build node values.(step) writers.(b)))
     nodes;
   let output_slots =
     Array.of_list
@@ -366,22 +295,6 @@ let compile ?(inplace = true) ?budget_bytes ?runtime ?fusion ?liveness
          (Graph.outputs graph))
   in
   let persistent = Array.of_list (List.rev !persistent) in
-  (* Number the physical buffers in first-use order and record which buffer
-     each materialising slot ended up in — the artifact the alias sanitizer
-     re-derives lifetimes against. *)
-  let next_bid = ref 0 in
-  let binding = ref [] in
-  Array.iteri
-    (fun step node ->
-      match buf_of_slot.(step) with
-      | None -> ()
-      | Some b ->
-        if b.bid < 0 then begin
-          b.bid <- !next_bid;
-          incr next_bid
-        end;
-        binding := (node, b.bid) :: !binding)
-    nodes;
   let fallback_count =
     Array.fold_left
       (fun acc node ->
@@ -392,20 +305,11 @@ let compile ?(inplace = true) ?budget_bytes ?runtime ?fusion ?liveness
   in
   (* Describe the schedule to the shadow-memory sanitizer: what each slot
      writes (bid + extent), which arena cells it reads and from which
-     producer, and how long the plan keeps its value alive. Built after
-     bid numbering so the descriptions use the same buffer identities the
-     static checkers see. *)
+     producer, and how long the plan keeps its value alive, in the same
+     buffer identities the static checkers see. *)
   let sanitizer =
     if not (Sanitize.is_on sanitize_mode) then None
     else begin
-      let buffers = Hashtbl.create 64 in
-      Array.iter
-        (fun b ->
-          match b with
-          | Some b when not (Hashtbl.mem buffers b.bid) ->
-            Hashtbl.replace buffers b.bid b.arr
-          | _ -> ())
-        buf_of_slot;
       let tracked_inputs node =
         match group_of_root node with
         | Some g -> g.Fuse.externals
@@ -418,15 +322,14 @@ let compile ?(inplace = true) ?budget_bytes ?runtime ?fusion ?liveness
               Printf.sprintf "%s %s" (Op.to_string (Node.op node))
                 (Node.name node)
             in
+            let b = bid_of_slot.(step) in
             let si_dst =
-              match buf_of_slot.(step) with
-              | Some b -> Some (b.bid, Shape.numel (Node.shape node))
-              | None -> None
+              if b < 0 then None else Some (b, Shape.numel (Node.shape node))
             in
             let si_const =
-              match (buf_of_slot.(step), Node.op node) with
-              | Some b, (Op.Zeros | Op.ConstFill _ | Op.DropoutMask _) ->
-                b.writers = 1
+              match Node.op node with
+              | Op.Zeros | Op.ConstFill _ | Op.DropoutMask _ ->
+                b >= 0 && writers.(b) = 1
               | _ -> false
             in
             let si_reads =
@@ -436,12 +339,10 @@ let compile ?(inplace = true) ?budget_bytes ?runtime ?fusion ?liveness
                   (List.filter_map
                      (fun input ->
                        match Hashtbl.find_opt slot_of_id (Node.id input) with
-                       | None -> None
-                       | Some s -> (
-                         match buf_of_slot.(s) with
-                         | Some b ->
-                           Some (s, b.bid, Shape.numel (Node.shape input))
-                         | None -> None))
+                       | Some s when bid_of_slot.(s) >= 0 ->
+                         Some
+                           (s, bid_of_slot.(s), Shape.numel (Node.shape input))
+                       | Some _ | None -> None)
                      (tracked_inputs node))
             in
             let si_expire =
@@ -455,7 +356,7 @@ let compile ?(inplace = true) ?budget_bytes ?runtime ?fusion ?liveness
       Some
         (Sanitize.create sanitize_mode ~slots
            ~buffers:
-             (Hashtbl.fold (fun bid arr acc -> (bid, arr) :: acc) buffers []))
+             (Array.to_list (Array.mapi (fun b arr -> (b, arr)) buffers)))
     end
   in
   {
@@ -471,18 +372,20 @@ let compile ?(inplace = true) ?budget_bytes ?runtime ?fusion ?liveness
     all_fed = Array.length persistent = 0;
     output_slots;
     outs = Array.make (Array.length output_slots) (Tensor.scalar 0.0);
-    transient_bytes = !transient_bytes;
-    persistent_bytes = !persistent_bytes;
-    max_workspace_bytes = !max_ws;
+    footprint_bytes = mem.Memplan.arena_bytes;
     fused_groups =
       (match fusion with Some f -> Fuse.group_count f | None -> 0);
     fused_interiors =
       (match fusion with Some f -> Fuse.interior_count f | None -> 0);
-    binding = List.rev !binding;
+    binding =
+      List.filter_map
+        (fun s ->
+          let b = bid_of_slot.(s) in
+          if b >= 0 then Some (nodes.(s), b) else None)
+        (List.init n Fun.id);
     fallback_count;
     materialising =
-      Array.init n (fun s ->
-          is_persistent_slot.(s) || buf_of_slot.(s) <> None);
+      Array.init n (fun s -> is_persistent_slot.(s) || bid_of_slot.(s) >= 0);
     pending_flips = [];
     sanitize = sanitizer;
   }
@@ -496,14 +399,9 @@ let fused_interior_count e = e.fused_interiors
 let active_instruction_count e =
   Array.fold_left (fun acc f -> if f == nop then acc else acc + 1) 0 e.instrs
 
-let footprint_bytes e =
-  e.persistent_bytes + e.transient_bytes + e.max_workspace_bytes
-
-let transient_bytes e = e.transient_bytes
-let persistent_bytes e = e.persistent_bytes
+let footprint_bytes e = e.footprint_bytes
 let buffer_binding e = e.binding
 let interp_fallback_count e = e.fallback_count
-let sanitize_mode e = match e.sanitize with None -> Sanitize.Off | Some s -> Sanitize.mode s
 let sanitize_report e = Option.map Sanitize.report e.sanitize
 
 let slot_opt e node = Hashtbl.find_opt e.slot_of_id (Node.id node)
@@ -515,11 +413,6 @@ let slot e node =
     invalid_arg
       (Printf.sprintf "Executor.slot: node %s (#%d) is not in the graph"
          (Node.name node) (Node.id node))
-
-let materialises e node =
-  match slot_opt e node with
-  | Some s -> e.materialising.(s)
-  | None -> false
 
 let schedule_flip e ~slot ~index ~bit =
   if slot < 0 || slot >= Array.length e.nodes then
@@ -550,11 +443,6 @@ let set_input e s tensor =
   e.values.(s) <- tensor;
   e.fed.(s) <- true
 
-let feed e node tensor =
-  match slot_opt e node with
-  | Some s -> set_input e s tensor
-  | None -> () (* feeds for nodes outside the graph are legal, like Interp *)
-
 (* Name-based input resolution: the bridge that lets a cached executable
    serve a structurally identical graph from a different build (fresh node
    ids). Canonical fingerprints include leaf names, so a fingerprint match
@@ -571,20 +459,17 @@ let input_slot_by_name e name =
   | _ ->
     invalid_arg
       (Printf.sprintf
-         "Executor.input_slot_by_name: %d inputs are named %S — name-based \
-          feeding needs unique input names"
+         "Executor.feed: %d inputs are named %S — name-based feeding needs \
+          unique input names"
          (List.length hits) name)
 
-let feed_named e name tensor =
-  match input_slot_by_name e name with
+let feed e node tensor =
+  match slot_opt e node with
   | Some s -> set_input e s tensor
-  | None ->
-    invalid_arg
-      (Printf.sprintf "Executor.feed_named: no input named %S in this graph"
-         name)
-
-let input_names e =
-  Array.to_list (Array.map (fun (node, _) -> Node.name node) e.persistent)
+  | None -> (
+    match input_slot_by_name e (Node.name node) with
+    | Some s -> set_input e s tensor
+    | None -> () (* feeds for inputs this graph lacks are legal, like Interp *))
 
 let run e =
   if not e.all_fed then begin

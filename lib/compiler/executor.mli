@@ -3,13 +3,14 @@
     [compile] lowers a planned graph once into a flat instruction array:
     the schedule is frozen, every node gets a dense integer {e slot}
     (its schedule index), input lookups are precompiled slot reads, and
-    every transient node is bound at compile time to a physical buffer
-    recycled under exactly the discipline of {!Echo_exec.Memplan.plan}
-    (exact-size pool + in-place transfer into dying same-size inputs).
-    Running a step is then a single array sweep with {e zero} tensor
-    allocation — buffers are reused across nodes within a step and across
-    training steps, which is the "compile once, train many steps" execution
-    model the Echo paper assumes.
+    every transient node is bound at compile time to the physical buffer
+    {!Echo_exec.Memplan.plan}'s walk assigned it
+    ([Memplan.report.buffer_of_slot]: exact-size pool + in-place transfer
+    into dying same-size inputs). The executor allocates exactly those
+    buffers and decides none itself. Running a step is then a single array
+    sweep with {e zero} tensor allocation — buffers are reused across nodes
+    within a step and across training steps, which is the "compile once,
+    train many steps" execution model the Echo paper assumes.
 
     Numerics are bit-identical to the reference interpreter {!Echo_exec.Interp}
     by construction: both execute the same scalar kernels in the same
@@ -36,7 +37,6 @@ exception Budget_exceeded of { requested_bytes : int; budget_bytes : int }
     re-plans through the recomputation escalation ladder. *)
 
 val compile :
-  ?inplace:bool ->
   ?budget_bytes:int ->
   ?runtime:Parallel.t ->
   ?fusion:Fuse.plan ->
@@ -45,8 +45,6 @@ val compile :
   Graph.t ->
   t
 (** Compile the graph's schedule into instructions and bind buffers.
-    [inplace] (default [true]) mirrors the planner's in-place optimisation;
-    disable it to match [Memplan.plan ~inplace:false].
 
     [budget_bytes] is a hard ceiling on the device-accounted arena: buffer
     allocation that crosses it aborts compilation with {!Budget_exceeded}.
@@ -68,8 +66,8 @@ val compile :
     bit-identical to the unfused executor (same scalar kernels, same
     partitioning).
 
-    [liveness] (default: [Liveness.analyse ?fusion graph]) is the plan
-    the executor frees and recycles buffers against. Overriding it is the
+    [liveness] (default: [Liveness.analyse ?fusion graph]) is the analysis
+    the planner's walk frees and recycles buffers against. Overriding it is the
     race-verify mutation harness's injection point: a corrupted interval
     list ({!Echo_exec.Liveness.of_intervals}) becomes a real executor
     whose early frees the shadow-memory sanitizer must catch.
@@ -93,35 +91,21 @@ val set_input : t -> int -> Tensor.t -> unit
     @raise Invalid_argument on a non-input slot or a shape mismatch. *)
 
 val feed : t -> Node.t -> Tensor.t -> unit
-(** [set_input] by node. Feeds for nodes not present in the graph are
-    silently ignored, matching {!Echo_exec.Interp.eval}'s tolerance of
-    superfluous feeds. *)
-
-val input_slot_by_name : t -> string -> int option
-(** Slot of the unique [Placeholder]/[Variable] with this name, if any.
-    Name-based resolution lets a cached executable serve a structurally
-    identical graph from a different build, whose node ids differ; the
-    canonical {!Echo_ir.Graph.fingerprint} includes leaf names, so a
-    fingerprint match guarantees resolution succeeds.
-    @raise Invalid_argument when several inputs share the name. *)
-
-val feed_named : t -> string -> Tensor.t -> unit
-(** [set_input] through {!input_slot_by_name}.
-    @raise Invalid_argument when the name is absent or ambiguous. *)
-
-val input_names : t -> string list
-(** Names of every feedable input ([Placeholder]/[Variable]). *)
+(** [set_input] by node. A node absent from the graph resolves by name to
+    the unique [Placeholder]/[Variable] carrying it: this lets a cached
+    executable serve a structurally identical graph from a different build,
+    whose node ids differ (the canonical {!Echo_ir.Graph.fingerprint}
+    includes leaf names, so a fingerprint match guarantees resolution
+    succeeds). A feed no input matches is silently ignored, matching
+    {!Echo_exec.Interp.eval}'s tolerance of superfluous feeds.
+    @raise Invalid_argument when several inputs share the absent node's
+    name, or on a shape mismatch. *)
 
 val run : t -> unit
 (** Execute one step over the frozen schedule.
     @raise Echo_exec.Interp.Missing_feed naming every unfed input. *)
 
 (** {1 Fault injection} *)
-
-val materialises : t -> Node.t -> bool
-(** The node owns a run-time value in this executor — a transient buffer or
-    a fed persistent tensor. False for fused interiors (register-resident,
-    nothing to upset) and nodes outside the graph. *)
 
 val schedule_flip : t -> slot:int -> index:int -> bit:int -> unit
 (** Arm one single-event upset for the {e next} {!run}: immediately after
@@ -131,8 +115,9 @@ val schedule_flip : t -> slot:int -> index:int -> bit:int -> unit
     regardless of planner, fusion or domain count. All armed flips are
     cleared after that run; when none are pending the execution path is
     byte-for-byte the unfaulted one.
-    @raise Invalid_argument on an out-of-range slot, a slot that does not
-    {!materialises}, a negative index, or a bit outside 0..63. *)
+    @raise Invalid_argument on an out-of-range slot, a slot that owns no
+    run-time value (a fused interior: register-resident, nothing to upset),
+    a negative index, or a bit outside 0..63. *)
 
 val outputs : t -> Tensor.t array
 (** Output values of the last {!run}, in graph-output order. See the
@@ -169,27 +154,21 @@ val fused_interior_count : t -> int
 val footprint_bytes : t -> int
 (** Device-accounted (4 bytes/element) footprint of the compiled artifact:
     persistent + transient pool + max workspace. Equal to
-    [(Memplan.plan graph).arena_bytes] by construction — the differential
-    test suite asserts this. *)
-
-val transient_bytes : t -> int
-val persistent_bytes : t -> int
+    [(Memplan.plan ?fusion graph).arena_bytes] by construction: the
+    executor allocates exactly the buffers that plan's walk assigned. *)
 
 val buffer_binding : t -> (Node.t * int) list
 (** The compile-time buffer binding: [(node, physical buffer id)] for every
-    transient slot that materialises (fused interiors and buried constants
-    are absent), in schedule order. Two nodes share a physical buffer iff
-    they carry the same id — the verification layer
-    ({!Echo_analysis.Verify}) re-derives liveness from scratch and proves no
-    two overlapping-live nodes share one. *)
+    transient slot that materialises (fused interiors are absent), in
+    schedule order — [Memplan.report.buffer_of_slot] without the [-1]s.
+    Two nodes share a physical buffer iff they carry the same id — the
+    verification layer ({!Echo_analysis.Verify}) re-derives liveness from
+    scratch and proves no two overlapping-live nodes share one. *)
 
 val interp_fallback_count : t -> int
 (** Number of compiled instructions that evaluate through the reference
     interpreter instead of a native compiled kernel (currently the conv2d
     family). Surfaced by [echoc --lint] as an info diagnostic. *)
-
-val sanitize_mode : t -> Echo_analysis.Sanitize.mode
-(** The shadow-memory sanitizer mode this executor was compiled with. *)
 
 val sanitize_report : t -> Echo_diag.Report.t option
 (** The sanitizer's findings so far ([None] when compiled with it off).

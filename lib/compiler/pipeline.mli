@@ -257,9 +257,9 @@ val compile_graph :
     {!cache_key} serves the previously compiled executable and skips the
     entire pipeline, including the [ECHO_VERIFY=1] self-certification
     (the verdict is a pure function of the artifact and was rendered when
-    the entry was built). Feed the served executor by name
-    ({!Executor.feed_named}) — its node ids belong to the build that
-    populated the entry. *)
+    the entry was built). The served executor's node ids belong to the
+    build that populated the entry; {!Executor.feed} resolves this build's
+    nodes against it by name. *)
 
 val compile_source :
   ?device:Echo_gpusim.Device.t ->

@@ -11,6 +11,7 @@ type report = {
   breakdown : (Category.t * int) list;
   node_count : int;
   step_of_backward_start : int option;
+  buffer_of_slot : int array;
 }
 
 (* Elementwise operators may write their result into a dying input's buffer
@@ -31,8 +32,10 @@ let inplace_capable node =
   | Op.Conv2dGradInput _ | Op.Conv2dGradKernel _ ->
     false
 
-let plan ?(reuse = true) ?(inplace = true) ?fusion graph =
-  let liveness = Liveness.analyse ?fusion graph in
+let plan ?(reuse = true) ?(inplace = true) ?fusion ?liveness graph =
+  let liveness =
+    match liveness with Some l -> l | None -> Liveness.analyse ?fusion graph
+  in
   let schedule = Graph.nodes graph in
   (* Fused interiors never materialize: no allocation, no liveness, and the
      in-place candidates of a group root are the group's external inputs —
@@ -56,26 +59,33 @@ let plan ?(reuse = true) ?(inplace = true) ?fusion graph =
       | _ -> ())
     schedule;
   let persistent = !weight_bytes + !input_bytes in
-  (* Exact-size free pool: size -> number of free buffers. *)
-  let pool : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  (* Exact-size free pool: size -> ids of the free buffers of that size,
+     most recently freed first. *)
+  let pool : (int, int list) Hashtbl.t = Hashtbl.create 64 in
   let pool_take size =
     match Hashtbl.find_opt pool size with
-    | Some n when n > 0 ->
-      Hashtbl.replace pool size (n - 1);
-      true
-    | Some _ | None -> false
+    | Some (b :: rest) ->
+      Hashtbl.replace pool size rest;
+      Some b
+    | Some [] | None -> None
   in
-  let pool_put size =
-    Hashtbl.replace pool size (1 + try Hashtbl.find pool size with Not_found -> 0)
+  let pool_put size b =
+    Hashtbl.replace pool size
+      (b :: Option.value (Hashtbl.find_opt pool size) ~default:[])
   in
-  let category = Hashtbl.create 1024 in
-  let cat_of n =
-    match Hashtbl.find_opt category (Node.id n) with
-    | Some c -> c
-    | None ->
-      let c = Category.of_node graph n in
-      Hashtbl.replace category (Node.id n) c;
-      c
+  (* Per-slot state. A transient node's slot is its liveness interval's
+     [def_step], so inputs and dying nodes are found without a lookup
+     table of their own. *)
+  let n = List.length schedule in
+  let buffer_of_slot = Array.make n (-1) in
+  (* Slots whose buffer was handed over to an in-place consumer: they must
+     not be freed again when their death step is processed. *)
+  let transferred = Array.make n false in
+  let category = Array.make n (-1) in
+  let cat_of slot node =
+    if category.(slot) < 0 then
+      category.(slot) <- Category.index (Category.of_node graph node);
+    category.(slot)
   in
   let arena = ref 0 in
   let live = ref 0 in
@@ -87,45 +97,55 @@ let plan ?(reuse = true) ?(inplace = true) ?fusion graph =
   let peak_ws = ref 0 in
   let max_ws = ref 0 in
   let bwd_start = ref None in
-  (* Inputs whose buffer was handed over to an in-place consumer: they must
-     not be freed again when their death step is processed. *)
-  let transferred : (int, unit) Hashtbl.t = Hashtbl.create 256 in
-  let try_inplace step node liveness =
-    inplace_capable node
-    &&
-    let size = Node.size_bytes node in
-    let eligible input =
-      (not (Liveness.is_persistent input))
-      && Node.size_bytes input = size
-      && (not (Hashtbl.mem transferred (Node.id input)))
-      && (not (Graph.is_output graph (Node.id input)))
-      &&
-      match Liveness.interval liveness (Node.id input) with
-      | itv -> itv.Liveness.last_step = step
-      | exception Not_found -> false
-    in
-    match List.find_opt eligible (inplace_inputs node) with
-    | None -> false
-    | Some input ->
-      Hashtbl.replace transferred (Node.id input) ();
-      let from_cat = Category.index (cat_of input) in
-      let to_cat = Category.index (cat_of node) in
-      live_by_cat.(from_cat) <- live_by_cat.(from_cat) - size;
-      live_by_cat.(to_cat) <- live_by_cat.(to_cat) + size;
-      true
+  let next_bid = ref 0 in
+  (* The slot of the first input whose buffer [node] may write into: a
+     bound transient buffer (persistent nodes and fused interiors have
+     none) of the same size, dying at this very step. *)
+  let inplace_donor step node =
+    if not (inplace && inplace_capable node) then None
+    else
+      let size = Node.size_bytes node in
+      List.find_map
+        (fun input ->
+          match Liveness.interval liveness (Node.id input) with
+          | exception Not_found -> None
+          | itv ->
+            let s = itv.Liveness.def_step in
+            if
+              itv.Liveness.last_step = step
+              && buffer_of_slot.(s) >= 0
+              && (not transferred.(s))
+              && Node.size_bytes input = size
+              && not (Graph.is_output graph (Node.id input))
+            then Some (s, input)
+            else None)
+        (inplace_inputs node)
   in
   List.iteri
     (fun step node ->
       if !bwd_start = None && Node.region node = Node.Backward then
         bwd_start := Some step;
       if (not (Liveness.is_persistent node)) && not (interior node) then begin
-        if not (inplace && try_inplace step node liveness) then begin
-          let size = Node.size_bytes node in
-          if not (reuse && pool_take size) then arena := !arena + size;
-          live := !live + size;
-          let ci = Category.index (cat_of node) in
-          live_by_cat.(ci) <- live_by_cat.(ci) + size
-        end
+        let size = Node.size_bytes node in
+        buffer_of_slot.(step) <-
+          (match inplace_donor step node with
+          | Some (s, input) ->
+            transferred.(s) <- true;
+            let from_cat = cat_of s input and to_cat = cat_of step node in
+            live_by_cat.(from_cat) <- live_by_cat.(from_cat) - size;
+            live_by_cat.(to_cat) <- live_by_cat.(to_cat) + size;
+            buffer_of_slot.(s)
+          | None -> (
+            live := !live + size;
+            let ci = cat_of step node in
+            live_by_cat.(ci) <- live_by_cat.(ci) + size;
+            match if reuse then pool_take size else None with
+            | Some b -> b
+            | None ->
+              arena := !arena + size;
+              let b = !next_bid in
+              incr next_bid;
+              b))
       end;
       let ws = Workspace.bytes node in
       if ws > !max_ws then max_ws := ws;
@@ -138,12 +158,16 @@ let plan ?(reuse = true) ?(inplace = true) ?fusion graph =
       end;
       List.iter
         (fun dying ->
-          if not (Hashtbl.mem transferred (Node.id dying)) then begin
+          let s =
+            (Liveness.interval liveness (Node.id dying)).Liveness.def_step
+          in
+          let b = buffer_of_slot.(s) in
+          if b >= 0 && not transferred.(s) then begin
             let size = Node.size_bytes dying in
             live := !live - size;
-            let ci = Category.index (cat_of dying) in
+            let ci = cat_of s dying in
             live_by_cat.(ci) <- live_by_cat.(ci) - size;
-            pool_put size
+            pool_put size b
           end)
         (Liveness.dying_at liveness step))
     schedule;
@@ -161,12 +185,10 @@ let plan ?(reuse = true) ?(inplace = true) ?fusion graph =
     stash_bytes = Liveness.stash_bytes liveness graph;
     max_workspace_bytes = !max_ws;
     breakdown;
-    node_count = List.length schedule;
+    node_count = n;
     step_of_backward_start = !bwd_start;
+    buffer_of_slot;
   }
-
-let reduction_factor ~baseline optimised =
-  float_of_int baseline.arena_bytes /. float_of_int optimised.arena_bytes
 
 let mib bytes = float_of_int bytes /. (1024.0 *. 1024.0)
 

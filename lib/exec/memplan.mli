@@ -12,7 +12,12 @@
       device footprint an external observer (nvidia-smi) reports.
 
     Benchmarks report the arena size as "the footprint"; the live peak is the
-    ideal-allocator reference. *)
+    ideal-allocator reference.
+
+    The same walk decides which physical buffer every schedule slot writes
+    ([buffer_of_slot]). [Echo_compiler.Executor] allocates exactly
+    those buffers, so the executor's footprint is this arena by
+    construction. *)
 
 open Echo_ir
 
@@ -30,15 +35,26 @@ type report = {
   node_count : int;
   step_of_backward_start : int option;
       (** first schedule index executing a backward-region node *)
+  buffer_of_slot : int array;
+      (** by schedule index: the physical buffer the slot's result is
+          written to, [-1] for persistent nodes and fused interiors. Ids are
+          dense and numbered in first-use order; two slots share a buffer
+          iff they carry the same id. *)
 }
 
 val inplace_capable : Node.t -> bool
 (** True for operators allowed to write their result into a dying input's
     buffer of the same size (elementwise families plus the fused
-    softmax/softmax-xent kernels). Shared with [Echo_compiler.Executor] so
-    the executor's buffer discipline is the planner's by construction. *)
+    softmax/softmax-xent kernels). [Echo_analysis.Mutate] uses it to pick
+    in-place sites to corrupt. *)
 
-val plan : ?reuse:bool -> ?inplace:bool -> ?fusion:Fuse.plan -> Graph.t -> report
+val plan :
+  ?reuse:bool ->
+  ?inplace:bool ->
+  ?fusion:Fuse.plan ->
+  ?liveness:Liveness.t ->
+  Graph.t ->
+  report
 (** [reuse] (default [true]) enables the exact-size pool; with [~reuse:false]
     every transient allocation is fresh, so [arena_bytes] degenerates to the
     sum of all transient buffers — the "no memory planning" strawman.
@@ -49,9 +65,8 @@ val plan : ?reuse:bool -> ?inplace:bool -> ?fusion:Fuse.plan -> Graph.t -> repor
     external inputs of a group stay live to the root's step, and a root's
     in-place candidates are the group's externals. The resulting
     [arena_bytes] equals the fused executor's measured footprint, exactly as
-    in the unfused case. *)
-
-val reduction_factor : baseline:report -> report -> float
-(** Ratio of arena footprints (baseline / optimised). *)
+    in the unfused case. [liveness] (default [Liveness.analyse ?fusion
+    graph]) is the analysis buffers are freed and handed over against; the
+    executor forwards its own override here. *)
 
 val pp : Format.formatter -> report -> unit

@@ -388,17 +388,11 @@ let eval_stacked t reqs =
         float_of_int toks.(row mod k).(row / k))
   in
   (* Cache-hit executors belong to whichever build populated the entry, so
-     all feeds resolve by name; "labels" is absent from the logits-only
-     graph and params the graph buried are skipped, like [Executor.feed]
-     does for foreign nodes. *)
-  let feed name tensor =
-    match Executor.input_slot_by_name e name with
-    | Some s -> Executor.set_input e s tensor
-    | None -> ()
-  in
-  feed "tokens" ids;
+     [Executor.feed] resolves these nodes by name; params the graph buried
+     are skipped. *)
+  Executor.feed e lm.Language_model.token_input ids;
   List.iter
-    (fun (node, v) -> feed (Node.name node) v)
+    (fun (node, v) -> Executor.feed e node v)
     (Params.bindings lm.Language_model.model.Model.params);
   Executor.run e;
   let logits = (Executor.outputs e).(0) in

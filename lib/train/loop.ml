@@ -41,19 +41,6 @@ let is_act_site n =
     false
   | _ -> true
 
-(* Feed by node when the executor was compiled from this very build, by name
-   when it was served from a plan cache — a cached executor's nodes belong
-   to whichever build populated the entry, so ids differ but leaf names
-   (part of the cache key's fingerprint) are guaranteed to resolve. Inputs
-   absent from the graph are ignored either way, matching [Executor.feed]. *)
-let feed_compat e node tensor =
-  if Graph.mem (Executor.graph e) (Node.id node) then
-    Executor.feed e node tensor
-  else
-    match Executor.input_slot_by_name e (Node.name node) with
-    | Some s -> Executor.set_input e s tensor
-    | None -> ()
-
 let train ~graph ~params ~optimizer ?clip_norm ?on_step ?on_event ?budget_bytes
     ?(faults = Fault.of_env ()) ?checkpoint
     ?(device = Echo_gpusim.Device.titan_xp) ?(max_retries = 2) ?rng ?runtime
@@ -297,9 +284,11 @@ let train ~graph ~params ~optimizer ?clip_norm ?on_step ?on_event ?budget_bytes
         emit (Event.Fault_injected { step = !step; fault; target })
       | None -> ());
       let e = !exe in
-      List.iter (fun (node, tensor) -> feed_compat e node tensor) batch;
+      (* A plan-cache hit serves an executor built from another build of
+         this graph: [Executor.feed] resolves those nodes by name. *)
+      List.iter (fun (node, tensor) -> Executor.feed e node tensor) batch;
       for i = 0 to n_params - 1 do
-        feed_compat e param_nodes.(i) param_values.(i)
+        Executor.feed e param_nodes.(i) param_values.(i)
       done;
       (try Executor.run e
        with Echo_exec.Interp.Missing_feed names ->

@@ -136,5 +136,11 @@ val train :
     @raise Echo_runtime.Checkpoint.Corrupt when resuming from a damaged
     checkpoint file. *)
 
+val is_act_site : Node.t -> bool
+(** Activation-site predicate for [flip@STEP=act:SITE:...] faults: a
+    materialising, non-elementwise node that is neither an input nor a
+    compile-time constant. Site [SITE] is the [SITE]th forward node of the
+    original graph, in schedule order, that satisfies it. *)
+
 val perplexity : float -> float
 (** [exp loss], the language-modelling quality metric. *)

@@ -41,7 +41,7 @@ let eval_both g ~feeds =
 (* Property: on random square-shaped DAGs (including all four matmul
    transpose variants), the executor matches the interpreter bitwise on two
    consecutive runs with different feeds, and its footprint equals the
-   planner's arena prediction — with and without in-place transfers. *)
+   planner's arena prediction. *)
 let prop_executor_differential =
   QCheck.Test.make ~name:"executor == interpreter on random DAGs" ~count:60
     QCheck.(int_range 0 100_000)
@@ -77,10 +77,7 @@ let prop_executor_differential =
          holding stale step-1 state would break the second comparison. *)
       identical_run 1.0 && identical_run 0.25
       && Executor.footprint_bytes exe
-         = (Echo_exec.Memplan.plan g).Echo_exec.Memplan.arena_bytes
-      && Executor.footprint_bytes (Executor.compile ~inplace:false g)
-         = (Echo_exec.Memplan.plan ~inplace:false g).Echo_exec.Memplan
-             .arena_bytes)
+         = (Echo_exec.Memplan.plan g).Echo_exec.Memplan.arena_bytes)
 
 (* Model training graphs: compiled executor vs interpreter, bitwise. *)
 let model_differential ?(id_bound = 20) model =
@@ -543,6 +540,82 @@ let test_missing_feeds_aggregated () =
        false
      with Echo_exec.Interp.Missing_feed msg -> both_named msg)
 
+(* One feed rule: a node absent from the executor's graph (another build of
+   the same structure, as a plan-cache hit serves) feeds the input that
+   carries its name; a name no input carries is ignored; a name several
+   inputs carry is refused. *)
+let test_feed_by_name () =
+  let build () =
+    let x = Node.placeholder ~name:"x" [| 2 |] in
+    let w = Node.variable ~name:"w" [| 2 |] in
+    (x, w, Graph.create [ Node.mul x w ])
+  in
+  let x1, w1, g1 = build () in
+  let x2, w2, _ = build () in
+  let xv = Tensor.of_list1 [ 1.0; 2.0 ] and wv = Tensor.of_list1 [ 3.0; 5.0 ] in
+  let reference = Echo_exec.Interp.eval g1 ~feeds:[ (x1, xv); (w1, wv) ] in
+  let exe = Executor.compile g1 in
+  Executor.feed exe x2 xv;
+  Executor.feed exe w2 wv;
+  Executor.feed exe
+    (Node.placeholder ~name:"absent" [| 7 |])
+    (Tensor.zeros [| 7 |]);
+  Executor.run exe;
+  check_bool "fed by name from a second build" true
+    (List.for_all2 Tensor.equal reference
+       (Array.to_list (Executor.outputs exe)));
+  let a = Node.placeholder ~name:"dup" [| 2 |] in
+  let b = Node.placeholder ~name:"dup" [| 2 |] in
+  let exe = Executor.compile (Graph.create [ Node.add a b ]) in
+  check_bool "ambiguous name raises" true
+    (try
+       Executor.feed exe (Node.placeholder ~name:"dup" [| 2 |]) xv;
+       false
+     with Invalid_argument msg -> contains ~sub:"dup" msg)
+
+(* The buffer assignment and the budget payload on a graph with in-place
+   transfers (tanh and sigmoid into their matmul inputs), exact-size pool
+   reuse (d and f take freed buffers; h picks one of two free same-size
+   buffers) and a second buffer size. A refactor of the assignment must
+   reproduce these exactly. *)
+let test_binding_and_budget_pinned () =
+  let x = Node.placeholder ~name:"x" [| 4; 4 |] in
+  let w = Node.variable ~name:"w" [| 4; 4 |] in
+  let a = Node.matmul x w in
+  let b = Node.tanh_ a in
+  let s = Node.reduce_sum ~axis:0 ~keepdims:false b in
+  let c = Node.matmul b w in
+  let d = Node.matmul c w in
+  let e = Node.sigmoid d in
+  let f = Node.matmul x w in
+  let ef = Node.matmul e f in
+  let h = Node.matmul ef w in
+  let g = Graph.create [ h; s ] in
+  let exe = Executor.compile g in
+  Alcotest.(check (list (pair int int)))
+    "binding (node id, buffer id)"
+    (List.map
+       (fun (n, bid) -> (Node.id n, bid))
+       [ (a, 0); (b, 0); (s, 1); (c, 2); (d, 0); (e, 0); (f, 2); (ef, 3);
+         (h, 0) ])
+    (List.map (fun (n, bid) -> (Node.id n, bid)) (Executor.buffer_binding exe));
+  Alcotest.(check int) "footprint" 336 (Executor.footprint_bytes exe);
+  (* The payload is the running total at the first slot that crosses the
+     ceiling: persistent so far + transient buffers so far + workspace. *)
+  List.iter
+    (fun (budget, expected) ->
+      let requested =
+        match Executor.compile ~budget_bytes:budget g with
+        | _ -> None
+        | exception Executor.Budget_exceeded { requested_bytes; _ } ->
+          Some requested_bytes
+      in
+      Alcotest.(check (option int))
+        (Printf.sprintf "requested bytes under a %d B budget" budget)
+        expected requested)
+    [ (100, Some 128); (150, Some 192); (200, Some 208); (250, Some 272);
+      (300, Some 336); (336, None) ]
+
 (* Loop.train's arity error names both counts. *)
 let test_train_arity_message () =
   let v = Node.variable ~name:"w" [| 2 |] in
@@ -669,6 +742,8 @@ let suite =
         t "pipeline stages compose" test_pipeline_stages_compose;
         t "kernel runtime differential" test_runtime_differential;
         t "missing feeds aggregated" test_missing_feeds_aggregated;
+        t "feed by name" test_feed_by_name;
+        t "binding and budget pinned" test_binding_and_budget_pinned;
         t "train arity message" test_train_arity_message;
         t "run allocation bound" test_run_allocation_bound;
       ] );
