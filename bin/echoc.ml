@@ -157,6 +157,8 @@ let train_mode model_choice ~batch ~seq_len ~hidden ~layers ~vocab ~steps
   in
   (* --corpus: a real PTB-style text file replaces the synthetic stream and
      fixes the vocabulary; a conflicting --vocab is a configuration error. *)
+  if corpus_file <> None && vocab <> None then
+    die "--vocab conflicts with --corpus (the corpus fixes the vocabulary)";
   let real_corpus =
     Option.map
       (fun path ->
@@ -164,16 +166,9 @@ let train_mode model_choice ~batch ~seq_len ~hidden ~layers ~vocab ~steps
           try Echo_workloads.Corpus.load_text path
           with Invalid_argument msg -> die "--corpus: %s" msg
         in
-        Format.printf "corpus %s: %d tokens, vocabulary %d@." path
-          (Echo_workloads.Corpus.length c)
-          (Echo_workloads.Corpus.vocab c);
-        c)
+        (path, c))
       corpus_file
   in
-  (match (real_corpus, vocab) with
-  | Some _, Some _ ->
-    failwith "--vocab conflicts with --corpus (the corpus fixes the vocabulary)"
-  | _ -> ());
   let d = Language_model.ptb_default in
   let cfg =
     {
@@ -186,36 +181,42 @@ let train_mode model_choice ~batch ~seq_len ~hidden ~layers ~vocab ~steps
       layers = Option.value layers ~default:d.Language_model.layers;
       vocab =
         (match real_corpus with
-        | Some c -> Echo_workloads.Corpus.vocab c
+        | Some (_, c) -> Echo_workloads.Corpus.vocab c
         | None -> Option.value vocab ~default:d.Language_model.vocab);
     }
   in
-  let lm = Language_model.build cfg in
-  Format.printf "%a@." Model.describe lm.Language_model.model;
-  let training = Model.training lm.Language_model.model in
   let corpus =
     match real_corpus with
-    | Some c -> c
+    | Some (_, c) -> c
     | None ->
       Echo_workloads.Corpus.generate ~seed:5 ~vocab:cfg.Language_model.vocab
         ~length:
           (((steps + 2) * cfg.Language_model.batch * cfg.Language_model.seq_len)
           + 1)
   in
+  (* Checked before the model is built: a corpus that cannot fill the run
+     is bad input, reported on its own. *)
+  let raw =
+    try
+      Echo_workloads.Corpus.lm_batches corpus ~batch:cfg.Language_model.batch
+        ~seq_len:cfg.Language_model.seq_len ~steps
+    with Invalid_argument _ ->
+      die
+        "corpus too short: %d token(s) cannot fill %d step(s) of %d x %d — use \
+         a longer file or fewer/smaller batches"
+        (Echo_workloads.Corpus.length corpus)
+        steps cfg.Language_model.batch cfg.Language_model.seq_len
+  in
+  Option.iter
+    (fun (path, c) ->
+      Format.printf "corpus %s: %d tokens, vocabulary %d@." path
+        (Echo_workloads.Corpus.length c)
+        (Echo_workloads.Corpus.vocab c))
+    real_corpus;
+  let lm = Language_model.build cfg in
+  Format.printf "%a@." Model.describe lm.Language_model.model;
+  let training = Model.training lm.Language_model.model in
   let batches =
-    let raw =
-      try
-        Echo_workloads.Corpus.lm_batches corpus
-          ~batch:cfg.Language_model.batch ~seq_len:cfg.Language_model.seq_len
-          ~steps
-      with Invalid_argument _ ->
-        failwith
-          (Printf.sprintf
-             "corpus too short: %d token(s) cannot fill %d step(s) of %d x %d \
-              — use a longer file or fewer/smaller batches"
-             (Echo_workloads.Corpus.length corpus)
-             steps cfg.Language_model.batch cfg.Language_model.seq_len)
-    in
     List.map
       (fun (tokens, labels) ->
         [
@@ -243,8 +244,7 @@ let train_mode model_choice ~batch ~seq_len ~hidden ~layers ~vocab ~steps
           ~budget_bytes:(Option.value budget_bytes ~default:max_int)
       with
       | None ->
-        failwith
-          "--tune-exec: no plan on the escalation ladder fits --budget-bytes"
+        die "--tune-exec: no plan on the escalation ladder fits --budget-bytes"
       | Some choice ->
         let c = choice.A.combo in
         Format.printf
@@ -278,12 +278,11 @@ let train_mode model_choice ~batch ~seq_len ~hidden ~layers ~vocab ~steps
     | Echo_runtime.Fault.Bad_spec msg -> die "%s %s" faults_source msg
     | Echo_compiler.Executor.Budget_exceeded { requested_bytes; budget_bytes }
     ->
-      failwith
-        (Printf.sprintf
-           "out of memory: the run needs at least %d bytes but the device \
-            allows %d, and no policy on the escalation ladder (up to \
-            recompute-all) fits — shrink the model or raise the budget"
-           requested_bytes budget_bytes)
+      die
+        "out of memory: the run needs at least %d bytes but the device allows \
+         %d, and no policy on the escalation ladder (up to recompute-all) \
+         fits — shrink the model or raise the budget"
+        requested_bytes budget_bytes
   in
   match List.rev result.Echo_train.Loop.losses with
   | final :: _ ->
@@ -774,8 +773,8 @@ let main_term =
           ~doc:
             "Run the Echo-verify static checkers over every compiled \
              artifact (schedule, recomputation clones, offset assignment, \
-             fusion plan, buffer binding, interpreter fallbacks) and print \
-             the collected diagnostics.")
+             fusion plan, buffer binding) and print the collected \
+             diagnostics.")
   in
   let lint_strict =
     Arg.(

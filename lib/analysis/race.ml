@@ -111,9 +111,10 @@ let access_of node =
   let inputs = Node.inputs node in
   match Node.op node with
   | Op.Placeholder | Op.Variable -> sequential_access node []
-  (* Compile-time or sequential writers: [fill]/[blit]-family kernels run
-     on the calling domain, so there is no intra-instruction concurrency
-     to prove. *)
+  (* Compile-time or sequential writers: the [fill]/[blit]-family kernels
+     and the three [Into] convolution kernels take no runtime and run on
+     the calling domain, so there is no intra-instruction concurrency to
+     prove. *)
   | Op.Zeros | Op.ConstFill _ | Op.DropoutMask _ | Op.Slice _ | Op.PadSlice _
   | Op.Concat _ | Op.Reshape _ | Op.BroadcastAxis _ | Op.CrossEntropy
   | Op.Conv2d _ | Op.Conv2dGradInput _ | Op.Conv2dGradKernel _ ->

@@ -59,11 +59,6 @@ let inplace_capable_op op =
   | Op.Conv2dGradInput _ | Op.Conv2dGradKernel _ ->
     false
 
-let fallback_op op =
-  match op with
-  | Op.Conv2d _ | Op.Conv2dGradInput _ | Op.Conv2dGradKernel _ -> true
-  | _ -> false
-
 let describe n =
   Printf.sprintf "%s %s (#%d)" (Op.to_string (Node.op n)) (Node.name n)
     (Node.id n)
@@ -656,30 +651,7 @@ let check_binding ?fusion graph binding =
     by_bid;
   report
 
-let check_fallbacks ?compiled_count graph =
-  let report = Report.create () in
-  let fallback_nodes =
-    List.filter (fun n -> fallback_op (Node.op n)) (Graph.nodes graph)
-  in
-  let derived = List.length fallback_nodes in
-  (match compiled_count with
-  | Some c when c <> derived ->
-    Report.errorf report ~check:"fallback" ~stage:"executable"
-      ~nodes:(List.map Node.id fallback_nodes)
-      "the compiled executor reports %d interpreter-fallback instruction(s) \
-       but the graph has %d conv-family node(s)"
-      c derived
-  | Some _ | None -> ());
-  if derived > 0 then
-    Report.infof report ~check:"fallback" ~stage:"executable"
-      ~nodes:(List.map Node.id fallback_nodes)
-      "%d instruction(s) evaluate through the reference interpreter (conv2d \
-       family has no compiled kernel yet)"
-      derived;
-  report
-
-let lint ?schedule ?fusion ?offsets ?binding ?fallback_count ?max_externals
-    graph =
+let lint ?schedule ?fusion ?offsets ?binding ?max_externals graph =
   let report = Report.create () in
   let add r = Report.append r ~into:report in
   add (check_schedule ?schedule graph);
@@ -694,5 +666,4 @@ let lint ?schedule ?fusion ?offsets ?binding ?fallback_count ?max_externals
   (match binding with
   | Some b -> add (check_binding ?fusion graph b)
   | None -> ());
-  add (check_fallbacks ?compiled_count:fallback_count graph);
   report

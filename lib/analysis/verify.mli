@@ -88,14 +88,6 @@ val check_binding :
     output. Also proves the binding covers every materialising node exactly
     once. *)
 
-val check_fallbacks : ?compiled_count:int -> Graph.t -> Echo_diag.Report.t
-(** Check ["fallback"]: info-severity count of operators the compiled
-    executor evaluates through the reference interpreter (the conv2d
-    family). When [compiled_count] (from
-    {!val:Echo_compiler.Executor.interp_fallback_count}) is given and
-    disagrees with the graph-derived count, that is an error — the compiled
-    artifact diverged from its graph. *)
-
 (** {1 Composition} *)
 
 val lint :
@@ -103,12 +95,11 @@ val lint :
   ?fusion:Fuse.plan ->
   ?offsets:Echo_exec.Assign.t ->
   ?binding:(Node.t * int) list ->
-  ?fallback_count:int ->
   ?max_externals:int ->
   Graph.t ->
   Echo_diag.Report.t
 (** Run every checker applicable to the artifacts provided and collect all
-    findings into one report: {!check_schedule}, {!check_determinism},
-    {!check_recompute} and {!check_fallbacks} always; {!check_fusion} when
-    [fusion] is given; {!check_offsets} when [offsets] is given;
-    {!check_binding} when [binding] is given. *)
+    findings into one report: {!check_schedule}, {!check_determinism} and
+    {!check_recompute} always; {!check_fusion} when [fusion] is given;
+    {!check_offsets} when [offsets] is given; {!check_binding} when
+    [binding] is given. *)

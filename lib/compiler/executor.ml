@@ -21,7 +21,6 @@ type t = {
   fused_interiors : int;
   binding : (Node.t * int) list;
       (** (node, physical buffer id) for every materialising transient slot *)
-  fallback_count : int;  (** instructions that evaluate through Interp *)
   materialising : bool array;
       (** by slot: the slot owns a value at run time (transient buffer or
           fed persistent tensor) — fused interiors don't *)
@@ -203,16 +202,14 @@ let compile ?budget_bytes ?runtime ?fusion ?liveness ?sanitize graph =
       fun () -> I.embedding ~runtime ~table:(x ()) ~ids:(y ()) ~dst ()
     | Op.EmbeddingGrad _ ->
       fun () -> I.embedding_grad ~runtime ~ids:(x ()) ~grad_out:(y ()) ~dst ()
-    | (Op.Conv2d _ | Op.Conv2dGradInput _ | Op.Conv2dGradKernel _) as op ->
-      (* Convolutions have no destination-passing kernel yet: evaluate via
-         the reference interpreter and copy into the assigned buffer, so the
-         memory discipline stays uniform. *)
-      let out_shape = Node.shape node in
+    | Op.Conv2d { stride; pad } ->
+      fun () -> I.conv2d ~stride ~pad ~input:(x ()) ~kernel:(y ()) ~dst
+    | Op.Conv2dGradInput { stride; pad; _ } ->
       fun () ->
-        let ins =
-          Array.to_list (Array.map (fun s -> values.(s)) slots)
-        in
-        I.blit ~src:(Interp.eval_node op out_shape ins) ~dst
+        I.conv2d_grad_input ~stride ~pad ~kernel:(x ()) ~grad_out:(y ()) ~dst
+    | Op.Conv2dGradKernel { stride; pad; _ } ->
+      fun () ->
+        I.conv2d_grad_kernel ~stride ~pad ~input:(x ()) ~grad_out:(y ()) ~dst
   in
   (* One instruction per fused group: per output element the whole chain
      folds in a register, reading only the group's external inputs and
@@ -295,14 +292,6 @@ let compile ?budget_bytes ?runtime ?fusion ?liveness ?sanitize graph =
          (Graph.outputs graph))
   in
   let persistent = Array.of_list (List.rev !persistent) in
-  let fallback_count =
-    Array.fold_left
-      (fun acc node ->
-        match Node.op node with
-        | Op.Conv2d _ | Op.Conv2dGradInput _ | Op.Conv2dGradKernel _ -> acc + 1
-        | _ -> acc)
-      0 nodes
-  in
   (* Describe the schedule to the shadow-memory sanitizer: what each slot
      writes (bid + extent), which arena cells it reads and from which
      producer, and how long the plan keeps its value alive, in the same
@@ -383,7 +372,6 @@ let compile ?budget_bytes ?runtime ?fusion ?liveness ?sanitize graph =
           let b = bid_of_slot.(s) in
           if b >= 0 then Some (nodes.(s), b) else None)
         (List.init n Fun.id);
-    fallback_count;
     materialising =
       Array.init n (fun s -> is_persistent_slot.(s) || bid_of_slot.(s) >= 0);
     pending_flips = [];
@@ -401,7 +389,6 @@ let active_instruction_count e =
 
 let footprint_bytes e = e.footprint_bytes
 let buffer_binding e = e.binding
-let interp_fallback_count e = e.fallback_count
 let sanitize_report e = Option.map Sanitize.report e.sanitize
 
 let slot_opt e node = Hashtbl.find_opt e.slot_of_id (Node.id node)

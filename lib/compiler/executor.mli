@@ -165,11 +165,6 @@ val buffer_binding : t -> (Node.t * int) list
     verification layer ({!Echo_analysis.Verify}) re-derives liveness from
     scratch and proves no two overlapping-live nodes share one. *)
 
-val interp_fallback_count : t -> int
-(** Number of compiled instructions that evaluate through the reference
-    interpreter instead of a native compiled kernel (currently the conv2d
-    family). Surfaced by [echoc --lint] as an info diagnostic. *)
-
 val sanitize_report : t -> Echo_diag.Report.t option
 (** The sanitizer's findings so far ([None] when compiled with it off).
     {!run} raises [Echo_analysis.Sanitize.Sanitize_failed] as soon as a

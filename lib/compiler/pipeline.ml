@@ -161,9 +161,7 @@ let verify stage =
   | Executable e ->
     let f = e.fused in
     Echo_analysis.Verify.lint ?fusion:f.fusion ?offsets:f.planned.offsets
-      ~binding:(Executor.buffer_binding e.executor)
-      ~fallback_count:(Executor.interp_fallback_count e.executor)
-      f.graph
+      ~binding:(Executor.buffer_binding e.executor) f.graph
 
 (* The race checker over a compiled executable: every artifact the
    executor actually carries — its runtime, fusion plan, buffer binding

@@ -189,8 +189,8 @@ val verify : stage -> Echo_diag.Report.t
     and topology, determinism, recomputation-clone fidelity at every stage;
     plus the offset assignment at [Planned] (computed on the spot if the
     stage skipped it), the fusion plan at [Fused], and the compiled buffer
-    binding and interpreter-fallback count at [Executable]. Returns the
-    collected report; a sound artifact has no error findings.
+    binding at [Executable]. Returns the collected report; a sound artifact
+    has no error findings.
 
     {!compile} runs this automatically under [ECHO_VERIFY=1]
     ({!Echo_analysis.Verify.env_enabled}) and raises

@@ -468,109 +468,7 @@ let embedding_grad ~table_shape ~ids ~grad_out =
   done;
   create table_shape out
 
-(* {1 Convolution (naive direct)} *)
-
 let conv_out_dim ~stride ~pad ~k dim = ((dim + (2 * pad) - k) / stride) + 1
-
-let conv2d ~stride ~pad ~input ~kernel =
-  if Shape.rank (shape input) <> 4 || Shape.rank (shape kernel) <> 4 then
-    invalid_arg "Tensor.conv2d: expects 4-D input and kernel";
-  let b = (shape input).(0) and cin = (shape input).(1) in
-  let h = (shape input).(2) and w = (shape input).(3) in
-  let cout = (shape kernel).(0) and cin' = (shape kernel).(1) in
-  let kh = (shape kernel).(2) and kw = (shape kernel).(3) in
-  if cin <> cin' then invalid_arg "Tensor.conv2d: channel mismatch";
-  let oh = conv_out_dim ~stride ~pad ~k:kh h and ow = conv_out_dim ~stride ~pad ~k:kw w in
-  if oh < 1 || ow < 1 then invalid_arg "Tensor.conv2d: output collapses to zero";
-  let out = zeros [| b; cout; oh; ow |] in
-  for n = 0 to b - 1 do
-    for co = 0 to cout - 1 do
-      for oy = 0 to oh - 1 do
-        for ox = 0 to ow - 1 do
-          let acc = ref 0.0 in
-          for ci = 0 to cin - 1 do
-            for ky = 0 to kh - 1 do
-              let iy = (oy * stride) + ky - pad in
-              if iy >= 0 && iy < h then
-                for kx = 0 to kw - 1 do
-                  let ix = (ox * stride) + kx - pad in
-                  if ix >= 0 && ix < w then
-                    acc :=
-                      !acc
-                      +. get input [| n; ci; iy; ix |] *. get kernel [| co; ci; ky; kx |]
-                done
-            done
-          done;
-          set out [| n; co; oy; ox |] !acc
-        done
-      done
-    done
-  done;
-  out
-
-let conv2d_grad_input ~stride ~pad ~input_shape ~kernel ~grad_out =
-  let b = input_shape.(0) and cin = input_shape.(1) in
-  let h = input_shape.(2) and w = input_shape.(3) in
-  let cout = (shape kernel).(0) in
-  let kh = (shape kernel).(2) and kw = (shape kernel).(3) in
-  let oh = (shape grad_out).(2) and ow = (shape grad_out).(3) in
-  let out = zeros input_shape in
-  for n = 0 to b - 1 do
-    for co = 0 to cout - 1 do
-      for oy = 0 to oh - 1 do
-        for ox = 0 to ow - 1 do
-          let g = get grad_out [| n; co; oy; ox |] in
-          if g <> 0.0 then
-            for ci = 0 to cin - 1 do
-              for ky = 0 to kh - 1 do
-                let iy = (oy * stride) + ky - pad in
-                if iy >= 0 && iy < h then
-                  for kx = 0 to kw - 1 do
-                    let ix = (ox * stride) + kx - pad in
-                    if ix >= 0 && ix < w then
-                      set out [| n; ci; iy; ix |]
-                        (get out [| n; ci; iy; ix |]
-                        +. (g *. get kernel [| co; ci; ky; kx |]))
-                  done
-              done
-            done
-        done
-      done
-    done
-  done;
-  out
-
-let conv2d_grad_kernel ~stride ~pad ~input ~kernel_shape ~grad_out =
-  let b = (shape input).(0) and cin = (shape input).(1) in
-  let h = (shape input).(2) and w = (shape input).(3) in
-  let cout = kernel_shape.(0) in
-  let kh = kernel_shape.(2) and kw = kernel_shape.(3) in
-  let oh = (shape grad_out).(2) and ow = (shape grad_out).(3) in
-  let out = zeros kernel_shape in
-  for n = 0 to b - 1 do
-    for co = 0 to cout - 1 do
-      for oy = 0 to oh - 1 do
-        for ox = 0 to ow - 1 do
-          let g = get grad_out [| n; co; oy; ox |] in
-          if g <> 0.0 then
-            for ci = 0 to cin - 1 do
-              for ky = 0 to kh - 1 do
-                let iy = (oy * stride) + ky - pad in
-                if iy >= 0 && iy < h then
-                  for kx = 0 to kw - 1 do
-                    let ix = (ox * stride) + kx - pad in
-                    if ix >= 0 && ix < w then
-                      set out [| co; ci; ky; kx |]
-                        (get out [| co; ci; ky; kx |]
-                        +. (g *. get input [| n; ci; iy; ix |]))
-                  done
-              done
-            done
-        done
-      done
-    done
-  done;
-  out
 
 (* {1 Multicore kernel runtime support}
 
@@ -1336,6 +1234,115 @@ module Into = struct
         done;
         Array.blit buf 0 d lo w)
 
+  (* {2 Convolution (naive direct)}
+
+     Flat-index loops over the operands' arrays, in the loop nest and
+     accumulation order of the textbook multi-index formulation. Sequential;
+     [dst] must not alias an operand. The forward kernel writes each [dst]
+     element once; both gradients zero-fill [dst] and scatter-add, skipping
+     zero [grad_out] elements. *)
+
+  let conv2d ~stride ~pad ~input ~kernel ~dst =
+    let b = input.shape.(0) and cin = input.shape.(1) in
+    let h = input.shape.(2) and w = input.shape.(3) in
+    let cout = kernel.shape.(0) and kh = kernel.shape.(2) in
+    let kw = kernel.shape.(3) in
+    let oh = conv_out_dim ~stride ~pad ~k:kh h in
+    let ow = conv_out_dim ~stride ~pad ~k:kw w in
+    check "conv2d" dst [| b; cout; oh; ow |];
+    let x = input.data and k = kernel.data and d = dst.data in
+    for n = 0 to b - 1 do
+      for co = 0 to cout - 1 do
+        for oy = 0 to oh - 1 do
+          for ox = 0 to ow - 1 do
+            let acc = ref 0.0 in
+            for ci = 0 to cin - 1 do
+              let xc = ((n * cin) + ci) * h and kc = ((co * cin) + ci) * kh in
+              for ky = 0 to kh - 1 do
+                let iy = (oy * stride) + ky - pad in
+                if iy >= 0 && iy < h then begin
+                  let xr = (xc + iy) * w and kr = (kc + ky) * kw in
+                  for kx = 0 to kw - 1 do
+                    let ix = (ox * stride) + kx - pad in
+                    if ix >= 0 && ix < w then
+                      acc := !acc +. (x.(xr + ix) *. k.(kr + kx))
+                  done
+                end
+              done
+            done;
+            d.((((((n * cout) + co) * oh) + oy) * ow) + ox) <- !acc
+          done
+        done
+      done
+    done
+
+  (* The input shape is [dst]'s. *)
+  let conv2d_grad_input ~stride ~pad ~kernel ~grad_out ~dst =
+    let b = dst.shape.(0) and cin = dst.shape.(1) in
+    let h = dst.shape.(2) and w = dst.shape.(3) in
+    let cout = kernel.shape.(0) and kh = kernel.shape.(2) in
+    let kw = kernel.shape.(3) in
+    let oh = grad_out.shape.(2) and ow = grad_out.shape.(3) in
+    let k = kernel.data and g = grad_out.data and d = dst.data in
+    Array.fill d 0 (Array.length d) 0.0;
+    for n = 0 to b - 1 do
+      for co = 0 to cout - 1 do
+        for oy = 0 to oh - 1 do
+          for ox = 0 to ow - 1 do
+            let gv = g.((((((n * cout) + co) * oh) + oy) * ow) + ox) in
+            if gv <> 0.0 then
+              for ci = 0 to cin - 1 do
+                let dc = ((n * cin) + ci) * h and kc = ((co * cin) + ci) * kh in
+                for ky = 0 to kh - 1 do
+                  let iy = (oy * stride) + ky - pad in
+                  if iy >= 0 && iy < h then begin
+                    let dr = (dc + iy) * w and kr = (kc + ky) * kw in
+                    for kx = 0 to kw - 1 do
+                      let ix = (ox * stride) + kx - pad in
+                      if ix >= 0 && ix < w then
+                        d.(dr + ix) <- d.(dr + ix) +. (gv *. k.(kr + kx))
+                    done
+                  end
+                done
+              done
+          done
+        done
+      done
+    done
+
+  (* The kernel shape is [dst]'s. *)
+  let conv2d_grad_kernel ~stride ~pad ~input ~grad_out ~dst =
+    let b = input.shape.(0) and cin = input.shape.(1) in
+    let h = input.shape.(2) and w = input.shape.(3) in
+    let cout = dst.shape.(0) and kh = dst.shape.(2) and kw = dst.shape.(3) in
+    let oh = grad_out.shape.(2) and ow = grad_out.shape.(3) in
+    let x = input.data and g = grad_out.data and d = dst.data in
+    Array.fill d 0 (Array.length d) 0.0;
+    for n = 0 to b - 1 do
+      for co = 0 to cout - 1 do
+        for oy = 0 to oh - 1 do
+          for ox = 0 to ow - 1 do
+            let gv = g.((((((n * cout) + co) * oh) + oy) * ow) + ox) in
+            if gv <> 0.0 then
+              for ci = 0 to cin - 1 do
+                let xc = ((n * cin) + ci) * h and dc = ((co * cin) + ci) * kh in
+                for ky = 0 to kh - 1 do
+                  let iy = (oy * stride) + ky - pad in
+                  if iy >= 0 && iy < h then begin
+                    let xr = (xc + iy) * w and dr = (dc + ky) * kw in
+                    for kx = 0 to kw - 1 do
+                      let ix = (ox * stride) + kx - pad in
+                      if ix >= 0 && ix < w then
+                        d.(dr + kx) <- d.(dr + kx) +. (gv *. x.(xr + ix))
+                    done
+                  end
+                done
+              done
+          done
+        done
+      done
+    done
+
   (* {2 Optimizer updates}
 
      One pass per update rule. Each element goes through exactly the
@@ -1409,6 +1416,28 @@ let matmul ?(trans_a = false) ?(trans_b = false) a b =
          (if trans_b then "^T" else ""));
   let dst = zeros [| m; n |] in
   Into.matmul ~trans_a ~trans_b a b ~dst;
+  dst
+
+let conv2d ~stride ~pad ~input ~kernel =
+  if Shape.rank input.shape <> 4 || Shape.rank kernel.shape <> 4 then
+    invalid_arg "Tensor.conv2d: expects 4-D input and kernel";
+  if input.shape.(1) <> kernel.shape.(1) then
+    invalid_arg "Tensor.conv2d: channel mismatch";
+  let oh = conv_out_dim ~stride ~pad ~k:kernel.shape.(2) input.shape.(2) in
+  let ow = conv_out_dim ~stride ~pad ~k:kernel.shape.(3) input.shape.(3) in
+  if oh < 1 || ow < 1 then invalid_arg "Tensor.conv2d: output collapses to zero";
+  let dst = zeros [| input.shape.(0); kernel.shape.(0); oh; ow |] in
+  Into.conv2d ~stride ~pad ~input ~kernel ~dst;
+  dst
+
+let conv2d_grad_input ~stride ~pad ~input_shape ~kernel ~grad_out =
+  let dst = zeros input_shape in
+  Into.conv2d_grad_input ~stride ~pad ~kernel ~grad_out ~dst;
+  dst
+
+let conv2d_grad_kernel ~stride ~pad ~input ~kernel_shape ~grad_out =
+  let dst = zeros kernel_shape in
+  Into.conv2d_grad_kernel ~stride ~pad ~input ~grad_out ~dst;
   dst
 
 let transpose2d t =

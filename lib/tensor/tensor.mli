@@ -4,8 +4,10 @@
     numerical gradient checking accurate); the simulated GPU footprint model
     in [echo_exec] accounts tensors at 4 bytes/element, i.e. fp32 on device.
 
-    All operations allocate fresh result tensors; nothing aliases unless the
-    documentation says so. Shape errors raise [Invalid_argument]. *)
+    Operations outside {!Into} allocate fresh result tensors; most are thin
+    wrappers that allocate the result and call the {!Into} kernel of the
+    same name. Nothing aliases unless the documentation says so. Shape
+    errors raise [Invalid_argument]. *)
 
 type t
 
@@ -191,7 +193,9 @@ val embedding_grad : table_shape:Shape.t -> ids:t -> grad_out:t -> t
 
 val conv2d : stride:int -> pad:int -> input:t -> kernel:t -> t
 (** [input]: [B x Cin x H x W]; [kernel]: [Cout x Cin x Kh x Kw]. Naive
-    direct convolution. *)
+    direct convolution ({!Into.conv2d} into a fresh tensor).
+    @raise Invalid_argument on a rank or channel mismatch, or when the
+    output would have no rows or columns. *)
 
 val conv2d_grad_input : stride:int -> pad:int -> input_shape:Shape.t -> kernel:t -> grad_out:t -> t
 val conv2d_grad_kernel : stride:int -> pad:int -> input:t -> kernel_shape:Shape.t -> grad_out:t -> t
@@ -337,6 +341,25 @@ module Into : sig
   (** The table shape is taken from [dst]. Parallelised over destination
       table rows (ids repeat), never over input rows. The trailing [unit]
       anchors the optional [?runtime] (no positional operand exists). *)
+
+  (** {2 Convolution}
+
+      Sequential, and [dst] must not alias an operand. Each output element
+      accumulates in the same loop order as the allocating {!conv2d}
+      family, so the results are bit-identical to it. *)
+
+  val conv2d : stride:int -> pad:int -> input:t -> kernel:t -> dst:t -> unit
+  (** Writes each [dst] element exactly once. *)
+
+  val conv2d_grad_input :
+    stride:int -> pad:int -> kernel:t -> grad_out:t -> dst:t -> unit
+  (** The input shape is taken from [dst], which is zero-filled and then
+      scatter-added into; zero [grad_out] elements are skipped. *)
+
+  val conv2d_grad_kernel :
+    stride:int -> pad:int -> input:t -> grad_out:t -> dst:t -> unit
+  (** The kernel shape is taken from [dst], which is zero-filled and then
+      scatter-added into; zero [grad_out] elements are skipped. *)
 end
 
 (** {1 Comparison and printing} *)

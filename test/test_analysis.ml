@@ -207,16 +207,6 @@ let test_fusion_checker_fires_on_handmade_corruptions () =
   check_bool "wrong root fires" true
     (has_error ~check:"fusion" (Verify.check_fusion chain wrong_root))
 
-let test_fallback_checker_counts_and_cross_checks () =
-  let g = rewritten "stash-all" in
-  (* No conv ops in the LM: silent when counts agree, an error when the
-     executor claims fallbacks the graph cannot contain. *)
-  check_int "silent" 0
-    (Report.error_count (Verify.check_fallbacks ~compiled_count:0 g)
-    + Report.info_count (Verify.check_fallbacks ~compiled_count:0 g));
-  check_bool "mismatch fires" true
-    (has_error ~check:"fallback" (Verify.check_fallbacks ~compiled_count:1 g))
-
 let test_determinism_notes_shared_seeds () =
   let m1 = Node.dropout_mask ~name:"m1" ~p:0.5 ~seed:7 [| 2; 2 |] in
   let m2 = Node.dropout_mask ~name:"m2" ~p:0.5 ~seed:7 [| 2; 2 |] in
@@ -284,8 +274,8 @@ let matrix_planners =
 let test_zoo_matrix_lints_clean () =
   (* Every E1 model x every policy x fusion on/off: the full lint (with the
      offset assignment computed) reports no errors and no warnings on real
-     compiled artifacts. DS2's conv fallbacks surface as info, which a
-     clean pass allows. *)
+     compiled artifacts, DS2's convolutions included. Info findings are
+     allowed. *)
   List.iter
     (fun model ->
       let src = Pipeline.of_model model in
@@ -366,8 +356,6 @@ let suite =
           test_fusion_checker_fires_on_region_crossing;
         t "fusion checker fires on hand-made corruptions"
           test_fusion_checker_fires_on_handmade_corruptions;
-        t "fallback checker counts and cross-checks"
-          test_fallback_checker_counts_and_cross_checks;
         t "determinism checker notes shared seeds"
           test_determinism_notes_shared_seeds;
         t "zoo x policy x fusion matrix lints clean"

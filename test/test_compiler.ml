@@ -79,23 +79,26 @@ let prop_executor_differential =
       && Executor.footprint_bytes exe
          = (Echo_exec.Memplan.plan g).Echo_exec.Memplan.arena_bytes)
 
+(* Seeded feeds for a model: rank-4 placeholders (spectrograms) get normal
+   values, every other placeholder ids below [id_bound]. *)
+let model_feeds ?(id_bound = 20) ?(seed = 7) model =
+  let rng = Rng.create seed in
+  List.map
+    (fun node ->
+      match Shape.rank (Node.shape node) with
+      | 4 -> (node, Tensor.normal rng (Node.shape node) ~mean:0.0 ~std:1.0)
+      | _ ->
+        (node,
+         Tensor.init (Node.shape node) (fun _ ->
+             float_of_int (Rng.int rng id_bound))))
+    model.Model.placeholders
+  @ Params.bindings model.Model.params
+
 (* Model training graphs: compiled executor vs interpreter, bitwise. *)
-let model_differential ?(id_bound = 20) model =
+let model_differential ?id_bound model =
   let training = Model.training model in
   let g = training.Echo_autodiff.Grad.graph in
-  let rng = Rng.create 7 in
-  let feeds =
-    List.map
-      (fun node ->
-        match Shape.rank (Node.shape node) with
-        | 4 -> (node, Tensor.normal rng (Node.shape node) ~mean:0.0 ~std:1.0)
-        | _ ->
-          (node,
-           Tensor.init (Node.shape node) (fun _ ->
-               float_of_int (Rng.int rng id_bound))))
-      model.Model.placeholders
-    @ Params.bindings model.Model.params
-  in
+  let feeds = model_feeds ?id_bound model in
   let reference, compiled = eval_both g ~feeds in
   check_bool (model.Model.name ^ " bit-identical") true
     (List.for_all2 Tensor.equal reference compiled);
@@ -157,24 +160,50 @@ let test_transformer_differential () =
   in
   model_differential ~id_bound:15 tr.Transformer.model
 
-(* Convolutions have no Into kernel; the executor falls back to the
-   interpreter per node. DS2's training graph exercises that path. *)
-let test_conv_fallback_differential () =
-  let ds2 =
-    Deepspeech.build
-      {
-        Deepspeech.ds2_like with
-        batch = 1;
-        time = 12;
-        freq = 8;
-        conv_channels = 2;
-        rnn_hidden = 4;
-        rnn_layers = 1;
-        classes = 5;
-        dropout = 0.0;
-      }
-  in
-  model_differential ~id_bound:5 ds2.Deepspeech.model
+(* The test-size DeepSpeech2: its training graph runs the forward
+   convolution and both convolution gradients. *)
+let small_ds2 () =
+  (Deepspeech.build
+     {
+       Deepspeech.ds2_like with
+       batch = 1;
+       time = 12;
+       freq = 8;
+       conv_channels = 2;
+       rnn_hidden = 4;
+       rnn_layers = 1;
+       classes = 5;
+       dropout = 0.0;
+     })
+    .Deepspeech.model
+
+(* DS2 through the convolution kernels, against the interpreter. Two
+   different feeds go through the SAME sanitized executor: a gradient
+   kernel that accumulated onto its own previous step instead of
+   zero-filling would break the second comparison, and the sanitizer checks
+   every read against the plan's lifetimes. *)
+let test_conv_differential () =
+  let model = small_ds2 () in
+  let g = (Model.training model).Echo_autodiff.Grad.graph in
+  let exe = Executor.compile ~sanitize:Echo_analysis.Sanitize.Cells g in
+  Alcotest.(check int)
+    "footprint == plan"
+    (Echo_exec.Memplan.plan g).Echo_exec.Memplan.arena_bytes
+    (Executor.footprint_bytes exe);
+  List.iter
+    (fun seed ->
+      let feeds = model_feeds ~id_bound:5 ~seed model in
+      check_bool
+        (Printf.sprintf "feed %d bit-identical" seed)
+        true
+        (List.for_all2 Tensor.equal
+           (Echo_exec.Interp.eval g ~feeds)
+           (Executor.eval exe ~feeds)))
+    [ 7; 8 ];
+  match Executor.sanitize_report exe with
+  | Some report ->
+    Alcotest.(check int) "sanitizer clean" 0 (Echo_diag.Report.error_count report)
+  | None -> Alcotest.fail "compiled without the sanitizer"
 
 (* The whole pipeline, stage by stage, on a real model — the executable's
    outputs must survive the Echo rewrite bit for bit, with the
@@ -654,7 +683,27 @@ let test_train_arity_message () =
    allocation-free the same run took 163_075 words: a kernel that boxes
    one float per element costs 2 to 4 words per element, thousands per
    instruction here, so a returning boxing leak cannot hide under the
-   bound. *)
+   bound.
+
+   The second case is the test-size DeepSpeech2 step, which runs the three
+   convolution kernels: measured at 8_251 minor words per run (354
+   instructions), bound 11_000. While convolutions went through the
+   interpreter and a blit, the same run took 96_684 words. *)
+let words_per_run ~what ~bound exe =
+  Executor.run exe;
+  let runs = 4 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to runs do
+    Executor.run exe
+  done;
+  let per_run = (Gc.minor_words () -. w0) /. float_of_int runs in
+  Printf.printf "%s: minor words per run: %.0f (%d instructions)\n" what
+    per_run
+    (Executor.active_instruction_count exe);
+  if per_run > bound then
+    Alcotest.failf "%s: Executor.run allocated %.0f minor words (bound %.0f)"
+      what per_run bound
+
 let test_run_allocation_bound () =
   let lm =
     Language_model.build
@@ -709,25 +758,23 @@ let test_run_allocation_bound () =
       List.iter
         (fun (n, v) -> Executor.feed exe n v)
         (Params.bindings model.Model.params);
-      Executor.run exe;
-      let runs = 4 in
-      let w0 = Gc.minor_words () in
-      for _ = 1 to runs do
-        Executor.run exe
-      done;
-      let per_run = (Gc.minor_words () -. w0) /. float_of_int runs in
-      Printf.printf "%s: minor words per run: %.0f (%d instructions)\n" what
-        per_run
-        (Executor.active_instruction_count exe);
-      if per_run > 10_000.0 then
-        Alcotest.failf
-          "%s: Executor.run allocated %.0f minor words (bound 10000)" what
-          per_run)
+      words_per_run ~what ~bound:10_000.0 exe)
     [
       ("default threshold", runtime);
       ( "every GEMM blocked",
         Parallel.with_config ~blocking_threshold:0 runtime );
-    ]
+    ];
+  let ds2 = small_ds2 () in
+  let exe =
+    Pipeline.executor
+      (Pipeline.compile_graph ~runtime ~fuse:true
+         ~sanitize:Echo_analysis.Sanitize.Off
+         (Model.training ds2).Echo_autodiff.Grad.graph)
+  in
+  List.iter
+    (fun (n, v) -> Executor.feed exe n v)
+    (model_feeds ~id_bound:5 ds2);
+  words_per_run ~what:"DS2" ~bound:11_000.0 exe
 
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
@@ -738,7 +785,7 @@ let suite =
         t "LM training graph differential" test_lm_differential;
         t "NMT training graph differential" test_nmt_differential;
         t "transformer training graph differential" test_transformer_differential;
-        t "conv fallback differential" test_conv_fallback_differential;
+        t "DS2 conv differential" test_conv_differential;
         t "pipeline stages compose" test_pipeline_stages_compose;
         t "kernel runtime differential" test_runtime_differential;
         t "missing feeds aggregated" test_missing_feeds_aggregated;

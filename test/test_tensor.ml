@@ -459,6 +459,167 @@ let test_conv2d_channel_mismatch () =
        false
      with Invalid_argument _ -> true)
 
+(* The multi-index convolution loops the flat-index kernels replaced, kept
+   verbatim as the reference they must match bit for bit. *)
+let naive_conv2d ~stride ~pad ~input ~kernel =
+  let shape = Tensor.shape and get = Tensor.get and set = Tensor.set in
+  let b = (shape input).(0) and cin = (shape input).(1) in
+  let h = (shape input).(2) and w = (shape input).(3) in
+  let cout = (shape kernel).(0) in
+  let kh = (shape kernel).(2) and kw = (shape kernel).(3) in
+  let oh = ((h + (2 * pad) - kh) / stride) + 1 in
+  let ow = ((w + (2 * pad) - kw) / stride) + 1 in
+  let out = Tensor.zeros [| b; cout; oh; ow |] in
+  for n = 0 to b - 1 do
+    for co = 0 to cout - 1 do
+      for oy = 0 to oh - 1 do
+        for ox = 0 to ow - 1 do
+          let acc = ref 0.0 in
+          for ci = 0 to cin - 1 do
+            for ky = 0 to kh - 1 do
+              let iy = (oy * stride) + ky - pad in
+              if iy >= 0 && iy < h then
+                for kx = 0 to kw - 1 do
+                  let ix = (ox * stride) + kx - pad in
+                  if ix >= 0 && ix < w then
+                    acc :=
+                      !acc
+                      +. get input [| n; ci; iy; ix |] *. get kernel [| co; ci; ky; kx |]
+                done
+            done
+          done;
+          set out [| n; co; oy; ox |] !acc
+        done
+      done
+    done
+  done;
+  out
+
+let naive_conv2d_grad_input ~stride ~pad ~input_shape ~kernel ~grad_out =
+  let shape = Tensor.shape and get = Tensor.get and set = Tensor.set in
+  let b = input_shape.(0) and cin = input_shape.(1) in
+  let h = input_shape.(2) and w = input_shape.(3) in
+  let cout = (shape kernel).(0) in
+  let kh = (shape kernel).(2) and kw = (shape kernel).(3) in
+  let oh = (shape grad_out).(2) and ow = (shape grad_out).(3) in
+  let out = Tensor.zeros input_shape in
+  for n = 0 to b - 1 do
+    for co = 0 to cout - 1 do
+      for oy = 0 to oh - 1 do
+        for ox = 0 to ow - 1 do
+          let g = get grad_out [| n; co; oy; ox |] in
+          if g <> 0.0 then
+            for ci = 0 to cin - 1 do
+              for ky = 0 to kh - 1 do
+                let iy = (oy * stride) + ky - pad in
+                if iy >= 0 && iy < h then
+                  for kx = 0 to kw - 1 do
+                    let ix = (ox * stride) + kx - pad in
+                    if ix >= 0 && ix < w then
+                      set out [| n; ci; iy; ix |]
+                        (get out [| n; ci; iy; ix |]
+                        +. (g *. get kernel [| co; ci; ky; kx |]))
+                  done
+              done
+            done
+        done
+      done
+    done
+  done;
+  out
+
+let naive_conv2d_grad_kernel ~stride ~pad ~input ~kernel_shape ~grad_out =
+  let shape = Tensor.shape and get = Tensor.get and set = Tensor.set in
+  let b = (shape input).(0) and cin = (shape input).(1) in
+  let h = (shape input).(2) and w = (shape input).(3) in
+  let cout = kernel_shape.(0) in
+  let kh = kernel_shape.(2) and kw = kernel_shape.(3) in
+  let oh = (shape grad_out).(2) and ow = (shape grad_out).(3) in
+  let out = Tensor.zeros kernel_shape in
+  for n = 0 to b - 1 do
+    for co = 0 to cout - 1 do
+      for oy = 0 to oh - 1 do
+        for ox = 0 to ow - 1 do
+          let g = get grad_out [| n; co; oy; ox |] in
+          if g <> 0.0 then
+            for ci = 0 to cin - 1 do
+              for ky = 0 to kh - 1 do
+                let iy = (oy * stride) + ky - pad in
+                if iy >= 0 && iy < h then
+                  for kx = 0 to kw - 1 do
+                    let ix = (ox * stride) + kx - pad in
+                    if ix >= 0 && ix < w then
+                      set out [| co; ci; ky; kx |]
+                        (get out [| co; ci; ky; kx |]
+                        +. (g *. get input [| n; ci; iy; ix |]))
+                  done
+              done
+            done
+        done
+      done
+    done
+  done;
+  out
+
+(* Raw bit equality: [Tensor.equal] would let 0.0 stand for -0.0. *)
+let same_bits a b =
+  Shape.equal (Tensor.shape a) (Tensor.shape b)
+  && Array.for_all2
+       (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
+       (Tensor.to_array a) (Tensor.to_array b)
+
+(* The destination-passing convolution kernels and their allocating
+   wrappers against the naive loops, bit for bit, over random geometry.
+   [grad_out] carries exact zeros so the skip path runs, and every [dst]
+   starts as NaN, so a kernel that reads a cell before writing it, or skips
+   the zero fill, shows up as a NaN. *)
+let prop_conv_kernels_match_naive =
+  QCheck.Test.make ~name:"conv kernels == naive loops" ~count:200
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let pick lo hi = lo + Rng.int rng (hi - lo + 1) in
+      let b = pick 1 2 and cin = pick 1 3 and cout = pick 1 3 in
+      let stride = pick 1 2 and pad = pick 0 2 in
+      let kh = pick 1 3 and kw = pick 1 3 in
+      let h = pick (max 1 (kh - (2 * pad))) 7 in
+      let w = pick (max 1 (kw - (2 * pad))) 7 in
+      let input = Tensor.uniform rng [| b; cin; h; w |] ~lo:(-2.0) ~hi:2.0 in
+      let kernel =
+        Tensor.uniform rng [| cout; cin; kh; kw |] ~lo:(-2.0) ~hi:2.0
+      in
+      let expect = naive_conv2d ~stride ~pad ~input ~kernel in
+      let out_shape = Tensor.shape expect in
+      let grad_out =
+        Tensor.init out_shape (fun _ ->
+            if Rng.int rng 3 = 0 then 0.0 else Rng.uniform rng ~lo:(-2.0) ~hi:2.0)
+      in
+      let input_shape = Tensor.shape input in
+      let kernel_shape = Tensor.shape kernel in
+      let nan_dst shape = Tensor.full shape Float.nan in
+      let fwd = nan_dst out_shape in
+      Tensor.Into.conv2d ~stride ~pad ~input ~kernel ~dst:fwd;
+      let gi = nan_dst input_shape in
+      Tensor.Into.conv2d_grad_input ~stride ~pad ~kernel ~grad_out ~dst:gi;
+      let gk = nan_dst kernel_shape in
+      Tensor.Into.conv2d_grad_kernel ~stride ~pad ~input ~grad_out ~dst:gk;
+      let expect_gi =
+        naive_conv2d_grad_input ~stride ~pad ~input_shape ~kernel ~grad_out
+      in
+      let expect_gk =
+        naive_conv2d_grad_kernel ~stride ~pad ~input ~kernel_shape ~grad_out
+      in
+      same_bits expect fwd
+      && same_bits expect (Tensor.conv2d ~stride ~pad ~input ~kernel)
+      && same_bits expect_gi gi
+      && same_bits expect_gi
+           (Tensor.conv2d_grad_input ~stride ~pad ~input_shape ~kernel
+              ~grad_out)
+      && same_bits expect_gk gk
+      && same_bits expect_gk
+           (Tensor.conv2d_grad_kernel ~stride ~pad ~input ~kernel_shape
+              ~grad_out))
+
 let test_equal_and_diff () =
   let a = Tensor.of_list1 [ 1.0; 2.0 ] in
   check_bool "equal" true (Tensor.equal a (Tensor.copy a));
@@ -595,6 +756,7 @@ let suite =
         t "conv2d hand" test_conv2d_hand;
         t "conv2d stride/pad" test_conv2d_stride_pad;
         t "conv2d channel mismatch" test_conv2d_channel_mismatch;
+        QCheck_alcotest.to_alcotest prop_conv_kernels_match_naive;
         t "equality helpers" test_equal_and_diff;
         QCheck_alcotest.to_alcotest prop_softmax_rows_sum_to_one;
       ] );
