@@ -100,6 +100,21 @@ let policy_reports name graph =
     Hashtbl.replace report_cache name rs;
     rs
 
+(* Whether [a] and [b] hold the same float bits, element by element:
+   [Tensor.equal]'s float [=] takes -0 for +0 and fails on every NaN. *)
+let bits_equal a b =
+  let open Echo_tensor in
+  Tensor.numel a = Tensor.numel b
+  &&
+  let ok = ref true in
+  for i = 0 to Tensor.numel a - 1 do
+    if
+      Int64.bits_of_float (Tensor.get1 a i)
+      <> Int64.bits_of_float (Tensor.get1 b i)
+    then ok := false
+  done;
+  !ok
+
 let mib bytes = float_of_int bytes /. (1024.0 *. 1024.0)
 let ms s = 1000.0 *. s
 
@@ -117,37 +132,41 @@ let wall () = Unix.gettimeofday ()
    PRs: E15/E16/E17 land in BENCH_E15.json (the default path), E18 in
    BENCH_E18.json. Sections accumulate in run order, keyed by output file,
    and [json_flush] writes each file once at process exit; a file is only
-   written when one of its experiments ran. *)
-let json_fragments : (string * string * (string * float) list) list ref =
+   written when one of its experiments ran. A section's [tags] are string
+   fields written before its numbers. *)
+let json_fragments :
+    (string * string * (string * string) list * (string * float) list) list
+    ref =
   ref []
 
-let record_json ?(path = "BENCH_E15.json") section fields =
-  json_fragments := !json_fragments @ [ (path, section, fields) ]
+let record_json ?(path = "BENCH_E15.json") ?(tags = []) section fields =
+  json_fragments := !json_fragments @ [ (path, section, tags, fields) ]
 
 let json_flush () =
   let paths =
     List.fold_left
-      (fun acc (p, _, _) -> if List.mem p acc then acc else acc @ [ p ])
+      (fun acc (p, _, _, _) -> if List.mem p acc then acc else acc @ [ p ])
       [] !json_fragments
   in
   List.iter
     (fun path ->
       let sections =
         List.filter_map
-          (fun (p, s, f) -> if p = path then Some (s, f) else None)
+          (fun (p, s, t, f) -> if p = path then Some (s, t, f) else None)
           !json_fragments
       in
       let buf = Buffer.create 1024 in
       Buffer.add_string buf "{\n";
       List.iteri
-        (fun i (section, fields) ->
+        (fun i (section, tags, fields) ->
           if i > 0 then Buffer.add_string buf ",\n";
           Buffer.add_string buf (Printf.sprintf "  %S: {\n" section);
           List.iteri
-            (fun j (k, v) ->
+            (fun j line ->
               if j > 0 then Buffer.add_string buf ",\n";
-              Buffer.add_string buf (Printf.sprintf "    %S: %.6g" k v))
-            fields;
+              Buffer.add_string buf ("    " ^ line))
+            (List.map (fun (k, v) -> Printf.sprintf "%S: %S" k v) tags
+            @ List.map (fun (k, v) -> Printf.sprintf "%S: %.6g" k v) fields);
           Buffer.add_string buf "\n  }")
         sections;
       Buffer.add_string buf "\n}\n";

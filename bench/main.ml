@@ -17,8 +17,9 @@ open Harness
 
 let scale = ref Full
 
-(* --check: smoke-gate mode. Runs the E18 grid (by default alone) and
-   exits 1 if any monotonicity/fused-regression invariant is violated. *)
+(* --check: smoke-gate mode. Runs the E18 grid and the E22 matrix (by
+   default alone) and exits 1 if any of their invariants, or an E16
+   bit-identity check, is violated. *)
 let check_mode = ref false
 
 let zoo () =
@@ -450,7 +451,9 @@ let e14 () =
    checked bitwise against the interpreter; the numbers land in
    BENCH_E15.json so the perf trajectory is tracked across PRs. *)
 let e15 () =
-  heading "E15" "execution engines and kernel runtimes (PTB-shape LM)";
+  heading "E15"
+    (Printf.sprintf "execution engines and kernel runtimes (PTB-shape LM, gemm %s)"
+       (Tensor.gemm_isa ()));
   let cfg =
     match !scale with
     | Full ->
@@ -546,12 +549,18 @@ let e15 () =
   record_json "E15" (List.rev !json)
 
 (* E16: matmul kernel micro-bench — GFLOP/s by size for the naive loops,
-   the blocked path (the C SIMD micro-kernel), and the blocked path on a
-   2-domain pool; plus the four transpose variants at the headline size
-   and the four GEMM shapes of an NMT training step. Each configuration is
-   checked against the naive kernel first. *)
+   the blocked path (the C SIMD micro-kernel, in the build [Tensor.gemm_isa]
+   names), and the blocked path on a 2-domain pool; plus the four
+   transpose variants at the headline size and the four GEMM shapes of an
+   NMT training step. Each configuration is checked bit for bit against
+   the naive kernel first; [--check] turns a mismatch into exit 1. *)
+let e16_violations = ref []
+
 let e16 () =
-  heading "E16" "matmul kernel GFLOP/s (naive vs blocked C kernel vs parallel)";
+  let isa = Tensor.gemm_isa () in
+  heading "E16"
+    (Printf.sprintf
+       "matmul kernel GFLOP/s (naive vs blocked C kernel [%s] vs parallel)" isa);
   let module I = Tensor.Into in
   (* Per-runtime thresholds: one handle per matmul configuration instead of
      toggling a process-global. *)
@@ -566,6 +575,14 @@ let e16 () =
     Parallel.create ~domains:2 ~blocking_threshold:0 ()
   in
   let json = ref [] in
+  let e16_identical what reference dst =
+    let ok = bits_equal reference dst in
+    if not ok then
+      e16_violations :=
+        Printf.sprintf "%s: blocked [%s] differs from naive" what isa
+        :: !e16_violations;
+    ok
+  in
   let gflops ~m ~n ~k ~reps f =
     f () (* warm-up *);
     let t0 = wall () in
@@ -581,7 +598,7 @@ let e16 () =
     let reference = Tensor.zeros [| m; n |] in
     I.matmul ~runtime:rt_naive a b ~dst:reference;
     I.matmul ~runtime:rt_blocked a b ~dst;
-    let ok = Tensor.equal reference dst in
+    let ok = e16_identical (Printf.sprintf "%dx%dx%d" m n k) reference dst in
     let reps =
       match !scale with
       | Full -> max 1 (50_000_000 / (m * n * k))
@@ -629,7 +646,9 @@ let e16 () =
           I.matmul ~runtime:rt_naive ~trans_a ~trans_b a b ~dst)
       in
       I.matmul ~runtime:rt_blocked ~trans_a ~trans_b a b ~dst;
-      let ok = Tensor.equal reference dst in
+      let ok =
+        e16_identical (Printf.sprintf "%dd %s" tsize label) reference dst
+      in
       let blocked =
         gflops ~m:tsize ~n:tsize ~k:tsize ~reps (fun () ->
           I.matmul ~runtime:rt_blocked ~trans_a ~trans_b a b ~dst)
@@ -655,7 +674,7 @@ let e16 () =
       let reference = Tensor.zeros [| m; n |] in
       I.matmul ~runtime:rt_naive ~trans_a ~trans_b a b ~dst:reference;
       I.matmul ~runtime:rt_blocked ~trans_a ~trans_b a b ~dst;
-      let ok = Tensor.equal reference dst in
+      let ok = e16_identical ("nmt " ^ label) reference dst in
       let reps =
         (match !scale with Full -> 50_000_000 | Quick -> 10_000_000)
         / (m * n * k)
@@ -686,7 +705,7 @@ let e16 () =
       ("proj", 320, 500, 64, false, true);
     ];
   Parallel.shutdown pool2;
-  record_json "E16" (List.rev !json)
+  record_json ~tags:[ ("gemm_isa", isa) ] "E16" (List.rev !json)
 
 (* E17: fault-tolerant training under a shrinking memory budget — a
    simulated OOM fires at step 2 with the device ceiling set to a falling
@@ -1471,7 +1490,8 @@ let () =
          (unless --only narrows it) and exit 1 if fused wall-clock \
          regresses, parallelism is non-monotone, any (zoo x planner x \
          fusion) config has a static race finding, or a sanitized run \
-         diverges" );
+         diverges; with --only E16, if the blocked matmul's bits differ \
+         from the naive loops'" );
     ]
   in
   Arg.parse args (fun _ -> ()) "echo experiment harness";
@@ -1527,7 +1547,8 @@ let () =
         false
       end
     in
+    let ok16 = render "E16" e16_violations in
     let ok18 = render "E18" e18_violations in
     let ok22 = render "E22" e22_violations in
-    if not (ok18 && ok22) then exit 1
+    if not (ok16 && ok18 && ok22) then exit 1
   end

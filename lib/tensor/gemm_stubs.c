@@ -1,65 +1,86 @@
 /* The SIMD micro-kernel behind Tensor.Into.matmul's blocked path.
 
-   Computes x(r, c) = sum over l of p(r, l) * q(l, c) for r in [r0, r1)
-   and c in [c0, c1), where p(r, l) = P[r*pr + l*pl], q(l, c) =
-   Q[l*qs + c] (unit stride along c), and stores x(r, c) at
-   out[r*sr + c*sc]. 4x4 tiles keep eight 2-lane accumulators; edges run
-   the same chain one element at a time.
+   The kernel body is written once (gemm_kernel.h) and built twice:
+
+   - portable: 2-lane vectors in 4x4 tiles. The GCC/Clang vector
+     extension compiles it to SSE2 on x86-64 and to NEON on arm64 with no
+     -m flag.
+   - avx2 (x86-64 GCC/Clang only): 4-lane vectors in 4x8 tiles, compiled
+     under target("avx2"). FMA is never enabled.
 
    Each vector lane is one output element: it accumulates (p * q) + acc
    over ascending l from +0, exactly the scalar chain, so the result does
-   not depend on the vector width. The GCC/Clang vector extension compiles
-   to SSE2 on x86-64 and to NEON on arm64 with no -m flag; the library is
-   built with -ffp-contract=off so no multiply-add is fused. The caller
-   only takes this path when no operand NaN can reach an add (tensor.ml),
-   so the compiler's freedom to commute the add cannot change a NaN
-   payload. */
+   not depend on the vector width. The library is built with
+   -ffp-contract=off, so no multiply-add is fused in either build. The C
+   compiler may commute an add, which changes a result only where two NaN
+   payloads meet; the kernel therefore reports whether it stored any NaN,
+   and the caller recomputes those elements by the reference chain
+   (tensor.ml).
 
+   echo_gemm_select picks the build once, from Tensor's module
+   initialisation, before any domain can run a matmul; the hot path only
+   reads the chosen pointer. */
+
+#include <caml/alloc.h>
 #include <caml/mlvalues.h>
 
-typedef double v2 __attribute__((vector_size(16)));
-typedef double v2u __attribute__((vector_size(16), aligned(8)));
+#define LANES 2
+#define KERNEL gemm_portable
+#define TARGET
+#include "gemm_kernel.h"
 
-static double dot(const double *p, intnat pl, const double *q, intnat qs,
-                  intnat k)
+#if defined(__aarch64__)
+#define GEMM_PORTABLE_ISA "neon"
+#elif defined(__x86_64__)
+#define GEMM_PORTABLE_ISA "sse2"
+#else
+#define GEMM_PORTABLE_ISA "generic"
+#endif
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define GEMM_HAVE_AVX2 1
+#define LANES 4
+#define KERNEL gemm_avx2
+#define TARGET __attribute__((target("avx2")))
+#include "gemm_kernel.h"
+#endif
+
+typedef int (*gemm_fn)(const double *, const double *, double *, intnat,
+                       intnat, intnat, intnat, intnat, intnat, intnat,
+                       intnat, intnat, intnat);
+
+static gemm_fn gemm_impl = gemm_portable;
+static const char *gemm_isa = GEMM_PORTABLE_ISA;
+
+/* Selects the best build the CPU supports, or the portable one when
+   [portable] is true (a test-only override). */
+value echo_gemm_select(value portable)
 {
-  double acc = 0.0;
-  for (intnat l = 0; l < k; l++) acc = p[l * pl] * q[l * qs] + acc;
-  return acc;
+  gemm_impl = gemm_portable;
+  gemm_isa = GEMM_PORTABLE_ISA;
+#ifdef GEMM_HAVE_AVX2
+  __builtin_cpu_init();
+  if (!Bool_val(portable) && __builtin_cpu_supports("avx2")) {
+    gemm_impl = gemm_avx2;
+    gemm_isa = "avx2";
+  }
+#endif
+  return Val_unit;
+}
+
+value echo_gemm_isa(value unit)
+{
+  (void)unit;
+  return caml_copy_string(gemm_isa);
 }
 
 value echo_gemm(value vp, value vq, value vout, intnat k, intnat pr,
                 intnat pl, intnat qs, intnat r0, intnat r1, intnat c0,
                 intnat c1, intnat sr, intnat sc)
 {
-  const double *P = (const double *)vp, *Q = (const double *)vq;
-  double *out = (double *)vout;
-  intnat r = r0;
-  for (; r + 4 <= r1; r += 4) {
-    intnat c = c0;
-    for (; c + 4 <= c1; c += 4) {
-      v2 acc[4][2] = {{{0.0, 0.0}}};
-      for (intnat l = 0; l < k; l++) {
-        const double *p = P + r * pr + l * pl, *q = Q + l * qs + c;
-        v2 y0 = *(const v2u *)q, y1 = *(const v2u *)(q + 2);
-        for (int i = 0; i < 4; i++) {
-          v2 x = {p[i * pr], p[i * pr]};
-          acc[i][0] = x * y0 + acc[i][0];
-          acc[i][1] = x * y1 + acc[i][1];
-        }
-      }
-      for (int i = 0; i < 4; i++)
-        for (int j = 0; j < 4; j++)
-          out[(r + i) * sr + (c + j) * sc] = acc[i][j / 2][j % 2];
-    }
-    for (; c < c1; c++)
-      for (int i = 0; i < 4; i++)
-        out[(r + i) * sr + c * sc] = dot(P + (r + i) * pr, pl, Q + c, qs, k);
-  }
-  for (; r < r1; r++)
-    for (intnat c = c0; c < c1; c++)
-      out[r * sr + c * sc] = dot(P + r * pr, pl, Q + c, qs, k);
-  return Val_unit;
+  return Val_bool(gemm_impl((const double *)vp, (const double *)vq,
+                            (double *)vout, k, pr, pl, qs, r0, r1, c0, c1,
+                            sr, sc));
 }
 
 value echo_gemm_byte(value *argv, int argc)

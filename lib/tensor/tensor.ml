@@ -486,32 +486,33 @@ let conv_out_dim ~stride ~pad ~k dim = ((dim + (2 * pad) - k) / stride) + 1
    loops run unchanged (packing would dominate). Above it, one C
    micro-kernel ([gemm_kernel], gemm_stubs.c) computes every output
    element as its own dot product: a vector lane is one output element,
-   accumulating [product + acc] over ascending [l] from +0 in 4x4 tiles of
-   2-lane registers, stored once, so callers skip the zero-fill. The
-   kernel needs one operand with unit stride along the vectorised output
-   axis: along j, B as k x n (as it lies when not [trans_b]); along i, A
-   as k x m (as it lies under [trans_a]). Under [trans_b] alone one
-   operand is packed by a transposing copy (operand bits unchanged) —
-   whichever is smaller: A to k x m when m < n, else B to k x n.
+   accumulating [product + acc] over ascending [l] from +0, stored once,
+   so callers skip the zero-fill. The kernel body is built twice — 2-lane
+   vectors in 4x4 tiles (SSE2 or NEON) and, on x86-64, 4-lane AVX2
+   vectors in 4x8 tiles — and the build is picked once per process, at
+   this module's initialisation ([gemm_isa]). The kernel needs one operand
+   with unit stride along the vectorised output axis: along j, B as k x n
+   (as it lies when not [trans_b]); along i, A as k x m (as it lies under
+   [trans_a]). Under [trans_b] alone one operand is packed by a
+   transposing copy (operand bits unchanged) — whichever is smaller: A to
+   k x m when m < n, else B to k x n.
 
    Every output element is still the sequential chain. The sequential
    semantics skip a term whose a(i,l) is exactly zero; the kernel adds it
-   instead, which leaves the bits unchanged as long as the skipped product
-   is a zero. That holds when every B value is finite: then a zero a(i,l)
-   gives a +-0 product, and adding +-0 to an accumulator leaves it
-   unchanged because the accumulator starts at +0 and can never become -0:
-   under round-to-nearest a sum is -0 only when both operands are -0. The
-   C compiler may also commute the add, which changes the result only
-   where two different NaN payloads meet; with B finite and A free of
-   NaN, every NaN a chain can hold is the hardware's default NaN
-   (inf * 0, inf - inf), so that cannot happen. One O(k*n) scan over B
-   and one O(m*k) scan over A per call decide it; otherwise the call
-   takes [dot_skip], the per-element reference chain, written
-   [product +. acc] — the order the unblocked loops compile to (their
-   accumulator is a memory operand), so where a NaN product meets a
-   different NaN in the accumulator every path keeps the product's
-   payload. Either way blocked, unblocked, sequential and parallel
-   variants produce identical bits. *)
+   instead, and the C compiler may commute the add. Neither changes an
+   output the kernel stores as a non-NaN. NaN is sticky, so such an output
+   never held a NaN: every zero-[a] term added was a +-0 product, and no
+   two NaN payloads met. Adding +-0 leaves the accumulator unchanged,
+   because it starts at +0 and can never become -0: under round-to-nearest
+   a sum is -0 only when both operands are -0. Commuting a non-NaN add is
+   exact. So the kernel reports whether it stored any NaN, and only then
+   does the chunk recompute each NaN element of its own rows with
+   [dot_skip], the per-element reference chain, written [product +. acc]
+   — the order the unblocked loops compile to (their accumulator is a
+   memory operand), so where a NaN product meets a different NaN in the
+   accumulator every path keeps the product's payload. Either way blocked,
+   unblocked, sequential and parallel variants, and both kernel builds,
+   produce identical bits. *)
 
 (* Transposing-pack scratch, grown monotonically and reused across
    calls. Packing always happens on the calling domain before the parallel
@@ -546,25 +547,8 @@ let pack_scratch_transpose src ~rows ~cols =
   pack_transpose src ~rows ~cols !cell;
   !cell
 
-(* [x -. x] is 0 for every finite [x] and NaN for an inf or a NaN. *)
-let all_finite (d : float array) len =
-  let i = ref 0 in
-  while !i < len && Array.unsafe_get d !i -. Array.unsafe_get d !i = 0.0 do
-    incr i
-  done;
-  !i = len
-
-(* [x = x] is false only for a NaN. *)
-let no_nan (d : float array) len =
-  let i = ref 0 in
-  while !i < len && Array.unsafe_get d !i = Array.unsafe_get d !i do
-    incr i
-  done;
-  !i = len
-
 (* out[i,j] with the sequential skip, where a(i,l) is [ad.(i*ai + l*al)]
-   and b(l,j) is [bd.(j*bj + l*bl)]: the reference chain, used for every
-   element when an operand may hold a NaN that reaches an add. *)
+   and b(l,j) is [bd.(j*bj + l*bl)]: the reference chain. *)
 let dot_skip (ad : float array) (bd : float array) (out : float array) ~k ~n
     ~ai ~al ~bj ~bl i j =
   let acc = ref 0.0 in
@@ -575,9 +559,20 @@ let dot_skip (ad : float array) (bd : float array) (out : float array) ~k ~n
   done;
   Array.unsafe_set out ((i * n) + j) !acc
 
+(* Recomputes by [dot_skip] every NaN element of out rows [lo, hi) (the
+   kernel's output, see the GEMM comment above). *)
+let fix_nans ad bd out ~k ~n ~ai ~al ~bj ~bl lo hi =
+  for i = lo to hi - 1 do
+    for j = 0 to n - 1 do
+      if Float.is_nan (Array.unsafe_get out ((i * n) + j)) then
+        dot_skip ad bd out ~k ~n ~ai ~al ~bj ~bl i j
+    done
+  done
+
 (* [gemm_kernel p q out k pr pl qs r0 r1 c0 c1 sr sc] stores
    x(r,c) = sum_l p.(r*pr + l*pl) * q.(l*qs + c) at out.(r*sr + c*sc) for
-   r in [r0, r1), c in [c0, c1); see gemm_stubs.c. *)
+   r in [r0, r1), c in [c0, c1), and returns whether any stored x(r,c) is
+   a NaN; see gemm_stubs.c. *)
 external gemm_kernel :
   float array ->
   float array ->
@@ -592,8 +587,22 @@ external gemm_kernel :
   (int[@untagged]) ->
   (int[@untagged]) ->
   (int[@untagged]) ->
-  unit = "echo_gemm_byte" "echo_gemm"
+  bool = "echo_gemm_byte" "echo_gemm"
 [@@noalloc]
+
+(* [gemm_select portable] points [gemm_kernel] at the best build the CPU
+   supports, or at the portable build when [portable]. *)
+external gemm_select : bool -> unit = "echo_gemm_select"
+external gemm_isa : unit -> string = "echo_gemm_isa"
+
+(* Runs before any domain can call [gemm_kernel]. *)
+let () = gemm_select false
+
+module For_testing = struct
+  let with_portable_gemm f =
+    gemm_select true;
+    Fun.protect ~finally:(fun () -> gemm_select false) f
+end
 
 (* {1 Dispatch-once elementwise loops}
 
@@ -781,31 +790,25 @@ module Into = struct
     if m * n * k >= Parallel.blocking_threshold runtime then begin
       (* Packs happen on the calling domain before the fan-out. The kernels
          overwrite every element of their rows, so no zero-fill. *)
-      let ai, al = if trans_a then (1, m) else (k, 1) in
-      let bj, bl = if trans_b then (k, 1) else (1, n) in
-      if not (all_finite bd (k * n) && no_nan ad (m * k)) then
-        Parallel.parallel_for runtime ~work ~n:m (fun lo hi ->
-            for i = lo to hi - 1 do
-              for j = 0 to n - 1 do
-                dot_skip ad bd out ~k ~n ~ai ~al ~bj ~bl i j
-              done
-            done)
-      else if trans_b && (trans_a || m < n) then begin
+      if trans_b && (trans_a || m < n) then begin
         (* Along i: kernel rows are j over B (n x k), columns i over A as
            k x m; the chunk's rows of [out] are kernel columns. *)
         let at =
           if trans_a then ad else pack_scratch_transpose ad ~rows:m ~cols:k
         in
         Parallel.parallel_for runtime ~work ~n:m (fun lo hi ->
-            gemm_kernel bd at out k k 1 m 0 n lo hi 1 n)
+            if gemm_kernel bd at out k k 1 m 0 n lo hi 1 n then
+              fix_nans at bd out ~k ~n ~ai:1 ~al:m ~bj:k ~bl:1 lo hi)
       end
       else begin
         (* Along j: kernel rows are i over A, columns j over B as k x n. *)
+        let ai, al = if trans_a then (1, m) else (k, 1) in
         let bkn =
           if trans_b then pack_scratch_transpose bd ~rows:n ~cols:k else bd
         in
         Parallel.parallel_for runtime ~work ~n:m (fun lo hi ->
-            gemm_kernel ad bkn out k ai al n lo hi 0 n n 1)
+            if gemm_kernel ad bkn out k ai al n lo hi 0 n n 1 then
+              fix_nans ad bkn out ~k ~n ~ai ~al ~bj:1 ~bl:n lo hi)
       end
     end
     else

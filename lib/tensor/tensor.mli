@@ -268,15 +268,14 @@ module Into : sig
       Each output element accumulates from [+0] over ascending inner index,
       skipping terms whose [a] element is exactly zero. Products of at
       least [Parallel.blocking_threshold runtime] multiply-adds take a
-      blocked path: a C SIMD kernel in which each vector lane is one
-      output element's chain, with no fused multiply-add. It adds the
-      zero-[a] terms instead of skipping them, and runs only when every
-      [b] element is finite and no [a] element is a NaN, where the bits
-      cannot change; otherwise the call keeps the per-element skip. So
-      the switch never changes results. The threshold rides on the runtime handle
-      ([Parallel.create ~blocking_threshold] /
-      [Parallel.with_config]), so concurrent executors with different
-      settings cannot race. *)
+      blocked path: a C SIMD kernel ({!gemm_isa}) in which each vector lane
+      is one output element's chain, with no fused multiply-add. It adds
+      the zero-[a] terms instead of skipping them, which cannot change an
+      output it stores as a non-NaN; every NaN it stores is recomputed by
+      the skipping chain. So the switch never changes results. The
+      threshold rides on the runtime handle ([Parallel.create
+      ~blocking_threshold] / [Parallel.with_config]), so concurrent
+      executors with different settings cannot race. *)
 
   val add_bias : ?runtime:Parallel.t -> t -> t -> dst:t -> unit
 
@@ -362,10 +361,25 @@ module Into : sig
       scatter-added into; zero [grad_out] elements are skipped. *)
 end
 
+val gemm_isa : unit -> string
+(** The build of the blocked-matmul kernel in use: ["avx2"] (4-lane
+    vectors, 4x8 tiles) where the CPU supports it, else the portable
+    2-lane build, ["sse2"] on x86-64, ["neon"] on arm64 or ["generic"].
+    Picked once, when this module is initialised. *)
+
+(** Test-only hooks. *)
+module For_testing : sig
+  val with_portable_gemm : (unit -> 'a) -> 'a
+  (** [with_portable_gemm f] runs [f] with the blocked matmul on the
+      portable kernel build, then restores the dispatched one. No other
+      domain may be inside a matmul while it switches. *)
+end
+
 (** {1 Comparison and printing} *)
 
 val equal : t -> t -> bool
-(** Exact (bitwise float) equality of shape and contents. *)
+(** Equal shapes and elementwise float [=]: [-0.] equals [+0.] and a NaN
+    equals nothing. *)
 
 val approx_equal : ?tol:float -> t -> t -> bool
 (** Max-absolute-difference comparison; default [tol = 1e-9]. *)

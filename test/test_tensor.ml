@@ -168,34 +168,51 @@ let poison rng values t =
    with the work gate open, so the fan-out + work-stealing path genuinely
    runs even on one core. Every combination must be bitwise equal to the
    oracle. [dst] starts as NaN so an unwritten element can never pass.
+   The sweep runs once on the dispatched kernel build and once on the
+   portable 2-lane build ([Tensor.For_testing.with_portable_gemm]), so a
+   host with AVX2 still checks what other hosts run.
 
-   Sizes: small ones in all four transpose variants, m and n = 1, 2, 3
-   mod 4 on both sides of m < n (the blocked kernel's tile edges and its
-   choice of vectorised axis under [trans_b]), and the four GEMM shapes of
-   an NMT training step (hidden 64, batch 16, vocabulary 500) in the
-   orientation the step runs them.
+   Sizes: small ones in all four transpose variants; m and n = 1..7 mod 8
+   on both sides of m < n with k = 1 and k = 5 (the edges of the 4x8 and
+   4x4 tiles, and the choice of vectorised axis under [trans_b]; a zero
+   dimension is not a valid shape); and the four GEMM shapes of an NMT
+   training step (hidden 64, batch 16, vocabulary 500) in the orientation
+   the step runs them.
 
-   Four operand kinds pin the semantics the blocked kernel's gates rely
-   on: finite sparse operands (where it adds the zero-[a] terms instead of
+   Four operand kinds pin the semantics the blocked kernel relies on:
+   finite sparse operands (where it adds the zero-[a] terms instead of
    skipping them); infinities and NaNs in B where A has zeros (a skipped
    0 * inf must not turn into a NaN); NaNs in A (never skipped, so they
    must propagate); and two distinct NaN payloads in A, where a kernel
    that commutes [product + acc] keeps the wrong payload.
 
+   One poisoned row: dense operands with a single inf in B under a single
+   zero in A, so the kernel stores exactly one NaN, in one chunk's rows,
+   and only that chunk recomputes it.
+
    Last, an FMA-contraction canary over a full 8x8 tile: every output is
    (-1 * 1) + 0 and then (1 + 2^-30) * (1 - 2^-30) added to that. Unfused
    the product rounds to 1 and the output is +0; a kernel built with
    contracted multiply-adds gives -2^-60. *)
-let test_matmul_blocked_sweep () =
+let matmul_blocked_sweep () =
   let every = [ (false, false); (true, false); (false, true); (true, true) ] in
+  let edges =
+    List.concat_map
+      (fun r ->
+        List.concat_map
+          (fun k -> [ (8 + r, 24 - r, k); (24 - r, 8 + r, k) ])
+          [ 1; 5 ])
+      [ 1; 2; 3; 4; 5; 6; 7 ]
+  in
   let cases =
     List.map
       (fun s -> (s, every))
-      [
-        (1, 1, 1); (3, 5, 2); (8, 8, 8); (17, 33, 9); (40, 40, 40);
-        (64, 32, 48); (5, 10, 3); (10, 5, 3); (7, 15, 6); (15, 7, 6);
-        (13, 14, 9); (14, 13, 9);
-      ]
+      ([
+         (1, 1, 1); (3, 5, 2); (8, 8, 8); (17, 33, 9); (40, 40, 40);
+         (64, 32, 48); (5, 10, 3); (10, 5, 3); (7, 15, 6); (15, 7, 6);
+         (13, 14, 9); (14, 13, 9);
+       ]
+      @ edges)
     @ [
         ((16, 256, 64), [ (false, true) ]);
         ((16, 64, 256), [ (false, false) ]);
@@ -223,15 +240,16 @@ let test_matmul_blocked_sweep () =
             if not (bits_equal expect dst) then
               Alcotest.failf
                 "matmul %dx%dx%d ta=%b tb=%b threshold=%d runtime=%s \
-                 operands=%s differs from oracle"
-                m n k trans_a trans_b threshold rt_name kind)
+                 operands=%s gemm=%s differs from oracle"
+                m n k trans_a trans_b threshold rt_name kind
+                (Tensor.gemm_isa ()))
           [ ("seq", Parallel.sequential); ("pool2", pool) ])
       [ 0; default_threshold; max_int ];
     if not (bits_equal expect (Tensor.matmul ~trans_a ~trans_b a b)) then
       Alcotest.failf
-        "allocating matmul %dx%dx%d ta=%b tb=%b operands=%s differs from \
-         oracle"
-        m n k trans_a trans_b kind;
+        "allocating matmul %dx%dx%d ta=%b tb=%b operands=%s gemm=%s differs \
+         from oracle"
+        m n k trans_a trans_b kind (Tensor.gemm_isa ());
     expect
   in
   let payloads =
@@ -256,6 +274,39 @@ let test_matmul_blocked_sweep () =
             ])
         orientations)
     cases;
+  (* The poisoned row: a(i0, l0) = 0 and b(l0, j0) = inf, every other
+     element nonzero and finite. Output (i0, j0) skips the 0 * inf and is
+     finite; every other output of column j0 is +-inf, not NaN. The
+     fix-up allocates nothing: the poisoned call allocates exactly what
+     the clean one does. *)
+  let m, n, k = (37, 41, 9) and i0, j0, l0 = (29, 6, 4) in
+  let blocked = Parallel.with_config ~blocking_threshold:0 Parallel.sequential in
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  List.iter
+    (fun (trans_a, trans_b) ->
+      let dense shape = Tensor.uniform rng shape ~lo:0.5 ~hi:1.0 in
+      let a = dense (if trans_a then [| k; m |] else [| m; k |]) in
+      let b = dense (if trans_b then [| n; k |] else [| k; n |]) in
+      let clean_a = Tensor.copy a and clean_b = Tensor.copy b in
+      Tensor.set a (if trans_a then [| l0; i0 |] else [| i0; l0 |]) 0.0;
+      Tensor.set b (if trans_b then [| j0; l0 |] else [| l0; j0 |])
+        Float.infinity;
+      let expect = check ~trans_a ~trans_b (m, n, k) "poisoned row" a b in
+      for i = 0 to m - 1 do
+        let x = Tensor.get expect [| i; j0 |] in
+        check_bool "one NaN-prone output" (i = i0) (Float.is_finite x)
+      done;
+      let dst = Tensor.zeros [| m; n |] in
+      let run a b () =
+        Tensor.Into.matmul ~runtime:blocked ~trans_a ~trans_b a b ~dst
+      in
+      let clean = words (run clean_a clean_b) in
+      check_float "fix-up allocates nothing" clean (words (run a b)))
+    every;
   let e = Float.ldexp 1.0 (-30) in
   List.iter
     (fun (trans_a, trans_b) ->
@@ -273,6 +324,16 @@ let test_matmul_blocked_sweep () =
       check_bool "canary outputs are +0" true
         (bits_equal expect (Tensor.zeros [| 8; 8 |])))
     every
+
+let test_matmul_blocked_sweep () = matmul_blocked_sweep ()
+
+let test_matmul_blocked_sweep_portable () =
+  let dispatched = Tensor.gemm_isa () in
+  Tensor.For_testing.with_portable_gemm (fun () ->
+      check_bool "portable build selected" true
+        (List.mem (Tensor.gemm_isa ()) [ "sse2"; "neon"; "generic" ]);
+      matmul_blocked_sweep ());
+  check_bool "dispatched build restored" true (Tensor.gemm_isa () = dispatched)
 
 let test_add_bias () =
   let m = t2 [ [ 1.; 2. ]; [ 3.; 4. ] ] in
@@ -718,6 +779,8 @@ let suite =
         t "matmul identity" test_matmul_identity;
         t "matmul mismatch" test_matmul_inner_mismatch;
         t "matmul blocked/parallel sweep" test_matmul_blocked_sweep;
+        t "matmul blocked/parallel sweep, portable kernel"
+          test_matmul_blocked_sweep_portable;
         t "add_bias" test_add_bias;
         t "outer" test_outer;
         QCheck_alcotest.to_alcotest prop_matmul_distributes;
