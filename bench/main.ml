@@ -836,6 +836,7 @@ let e18 () =
       @ Params.bindings model.Model.params
     in
     let fusion = Fuse.analyse graph in
+    let fused_plan = Memplan.plan ~fusion graph in
     (* One executor per grid point. d = 1 is the sequential runtime;
        larger counts run on Domain pools (hardware-capped, so on a small
        machine the extra configurations execute the very same sequential
@@ -856,7 +857,8 @@ let e18 () =
           ( d,
             runtime,
             List.init replicas (fun _ -> Executor.compile ~runtime graph),
-            List.init replicas (fun _ -> Executor.compile ~runtime ~fusion graph)
+            List.init replicas (fun _ ->
+                Executor.compile ~runtime ~plan:fused_plan graph)
           ))
         domain_counts
     in
@@ -1407,11 +1409,9 @@ let e22 () =
       model.Model.placeholders
     @ Params.bindings model.Model.params
   in
-  let fusion = Fuse.analyse graph in
+  let plan = Memplan.plan ~fusion:(Fuse.analyse graph) graph in
   let steps, rounds = match !scale with Full -> (5, 3) | Quick -> (3, 2) in
-  let reference =
-    Executor.eval (Executor.compile ~fusion graph) ~feeds
-  in
+  let reference = Executor.eval (Executor.compile ~plan graph) ~feeds in
   row "%-4s %10s %10s %10s %9s %9s %14s@." "" "plain" "cells" "full"
     "cells-x" "full-x" "outputs";
   let identical_everywhere = ref true in
@@ -1421,7 +1421,7 @@ let e22 () =
         if d = 1 then Parallel.sequential else Parallel.create ~domains:d ()
       in
       let time_and_check mode =
-        let exe = Executor.compile ~runtime ~fusion ~sanitize:mode graph in
+        let exe = Executor.compile ~runtime ~plan ~sanitize:mode graph in
         let same =
           List.for_all2 Tensor.equal reference (Executor.eval exe ~feeds)
         in

@@ -429,20 +429,14 @@ let lint_policy ~runtime ~sanitize ~no_fuse ~corrupt label rw =
         Echo_tensor.Parallel.shutdown fanout;
         report
       | "lifetime" ->
-        let fusion = fused.Pipeline.fusion in
-        let corrupted =
-          need "no buffer read after its definition step"
-            (Mutate.shrink_lifetime (Liveness.analyse ?fusion graph))
-        in
+        (* Shrink a lifetime in the plan the compiled executor frees
+           against. *)
+        let plan = Echo_compiler.Executor.plan (Pipeline.executor exe) in
         let intervals =
-          List.map
-            (fun itv ->
-              ( Echo_ir.Node.id itv.Liveness.node,
-                itv.Liveness.def_step,
-                itv.Liveness.last_step ))
-            corrupted
+          need "no buffer read after its definition step"
+            (Mutate.shrink_lifetime (Memplan.intervals graph plan))
         in
-        Race.check_lifetimes ?fusion ~intervals graph
+        Race.check_lifetimes ?fusion:plan.Memplan.fusion ~intervals graph
       | "alias-offsets" ->
         let binding = unfused_binding () in
         let layout =

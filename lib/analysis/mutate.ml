@@ -219,8 +219,8 @@ let bad_clone_hint graph =
 (* Race-verify corruptions: each targets exactly one of the Race /
    Sanitize checkers, and the harness proves it fires both statically
    (through Race's [?chunk_bounds]/[?intervals]/[?layout] injection
-   points) and dynamically (through [Executor.compile ?liveness] or a
-   directly-driven [Sanitize]).                                        *)
+   points) and dynamically (through an executor compiled from a corrupted
+   [Memplan] plan, or a directly-driven [Sanitize]).                  *)
 (* ------------------------------------------------------------------ *)
 
 (* A corrupted chunk formula: every interior boundary is shifted one row,
@@ -237,11 +237,11 @@ let shift_partition kind n parts i =
 (* Expire one read-after-def buffer at its definition step: the pool may
    recycle it under the pending read. The corrupted intervals go to
    [Race.check_lifetimes ?intervals] statically and, through
-   [Liveness.of_intervals] and [Executor.compile ?liveness], to a real
-   executor whose sanitizer must catch the stale read dynamically. *)
-let shrink_lifetime liveness =
+   [Liveness.of_intervals], [Memplan.plan ~liveness] and
+   [Executor.compile ~plan], to a real executor whose sanitizer must catch
+   the stale read dynamically. *)
+let shrink_lifetime its =
   let module L = Echo_exec.Liveness in
-  let its = L.intervals liveness in
   match
     List.find_opt
       (fun itv ->

@@ -52,8 +52,8 @@ val cross_region_group : Graph.t -> Fuse.plan option
     Each targets exactly one {!Race} / {!Sanitize} checker; the harness
     proves every one fires both statically (through [Race]'s
     [?chunk_bounds] / [?intervals] / [?layout] injection points) and
-    dynamically (through [Executor.compile ?liveness] or a directly
-    driven {!Sanitize}). *)
+    dynamically (through an executor compiled from a corrupted memory plan,
+    [Executor.compile ~plan], or a directly driven {!Sanitize}). *)
 
 val shift_partition : [ `Overlap | `Gap ] -> int -> int -> int -> int * int
 (** A corrupted chunk formula with every interior boundary shifted one
@@ -62,12 +62,14 @@ val shift_partition : [ `Overlap | `Gap ] -> int -> int -> int -> int * int
     overlap / gap. *)
 
 val shrink_lifetime :
-  Echo_exec.Liveness.t -> Echo_exec.Liveness.interval list option
-(** Expire one read-after-def buffer at its definition step, so the pool
-    may recycle it under the pending read — {!Race.check_lifetimes} must
-    report the stale read, and an executor compiled over
-    [Liveness.of_intervals] of the same corruption must trip the
-    sanitizer. *)
+  Echo_exec.Liveness.interval list -> Echo_exec.Liveness.interval list option
+(** Expire one read-after-def buffer of the given intervals (a
+    [Liveness.intervals] analysis or an executor plan's
+    [Memplan.intervals]) at its definition step, so the pool may recycle it
+    under the pending read — {!Race.check_lifetimes} must report the stale
+    read, and an executor compiled from
+    [Memplan.plan ~liveness:(Liveness.of_intervals ...)] of the same
+    corruption must trip the sanitizer. *)
 
 val alias_offsets : Graph.t -> (Node.t * int) list -> (int * int) list option
 (** A corrupted arena layout placing one buffer's base on top of another

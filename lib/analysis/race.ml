@@ -445,7 +445,8 @@ let check_lifetimes ?fusion ~intervals graph =
   let roots, interiors = fusion_index fusion in
   let claimed = Hashtbl.create 1024 in
   List.iter
-    (fun (id, def, last) ->
+    (fun { Echo_exec.Liveness.node; def_step = def; last_step = last } ->
+      let id = Node.id node in
       if Hashtbl.mem claimed id then
         err ~nodes:[ id ] "node #%d has two liveness intervals in the plan" id
       else Hashtbl.replace claimed id ();

@@ -81,9 +81,13 @@ val check_fused : Fuse.plan -> Report.t
     multiplier, read wholly before the fan-out). *)
 
 val check_lifetimes :
-  ?fusion:Fuse.plan -> intervals:(int * int * int) list -> Graph.t -> Report.t
-(** The plan's [(node_id, def_step, last_step)] triples against
-    re-derived positions and last reads: an early expiry is a stale-read
+  ?fusion:Fuse.plan ->
+  intervals:Echo_exec.Liveness.interval list ->
+  Graph.t ->
+  Report.t
+(** The plan's liveness intervals (an executor plan's
+    {!Echo_exec.Memplan.intervals}) against re-derived positions and last
+    reads: an early expiry is a stale-read
     race (the pool recycles the buffer under a pending read), a late one
     a phantom read, and every non-persistent, non-interior node must have
     exactly one interval. *)
@@ -103,7 +107,7 @@ val check_addresses :
 val check :
   ?chunk_bounds:(int -> int -> int -> int * int) ->
   ?layout:(int * int) list ->
-  ?intervals:(int * int * int) list ->
+  ?intervals:Echo_exec.Liveness.interval list ->
   ?fusion:Fuse.plan ->
   ?binding:(Node.t * int) list ->
   runtime:Echo_tensor.Parallel.t ->

@@ -16,14 +16,7 @@ type t = {
   mutable all_fed : bool;
   output_slots : int array;
   outs : Tensor.t array;
-  footprint_bytes : int;
-  fused_groups : int;
-  fused_interiors : int;
-  binding : (Node.t * int) list;
-      (** (node, physical buffer id) for every materialising transient slot *)
-  materialising : bool array;
-      (** by slot: the slot owns a value at run time (transient buffer or
-          fed persistent tensor) — fused interiors don't *)
+  plan : Memplan.report;
   mutable pending_flips : (int * int * int) list;
       (** (slot, index, bit) single-event upsets to apply during the next
           {!run}, right after the slot's instruction writes; cleared after
@@ -47,17 +40,12 @@ let () =
 
 let nop () = ()
 
-let compile ?budget_bytes ?runtime ?fusion ?liveness ?sanitize graph =
+let compile ?budget_bytes ?runtime ?plan ?sanitize graph =
   let runtime =
     match runtime with Some r -> r | None -> Parallel.default ()
   in
-  (* [?liveness] overrides the analysis the planner's walk frees and
-     recycles buffers against — the race-verify mutation harness injects
-     corrupted intervals here ([Liveness.of_intervals]) to prove the
-     sanitizer catches the resulting stale reads on a real executor. *)
-  let liveness =
-    match liveness with Some l -> l | None -> Liveness.analyse ?fusion graph
-  in
+  let plan = match plan with Some p -> p | None -> Memplan.plan graph in
+  let fusion = plan.Memplan.fusion in
   let sanitize_mode =
     match sanitize with Some m -> m | None -> Sanitize.env_mode ()
   in
@@ -76,13 +64,12 @@ let compile ?budget_bytes ?runtime ?fusion ?liveness ?sanitize graph =
   let values = Array.make n (Tensor.scalar 0.0) in
   let is_persistent_slot = Array.make n false in
   let persistent = ref [] in
-  (* The planner's walk decides every slot's physical buffer; the executor
-     only allocates what it says, so the footprint IS the planner's arena
+  (* The plan decides every slot's physical buffer; the executor only
+     allocates what it says, so the footprint IS the plan's arena
      prediction. [writers] counts the slots writing each buffer across the
      whole schedule: a constant node owning a single-writer buffer is
      materialised once at compile time and skipped at run time. *)
-  let mem = Memplan.plan ?fusion ~liveness graph in
-  let bid_of_slot = mem.Memplan.buffer_of_slot in
+  let bid_of_slot = plan.Memplan.buffer_of_slot in
   let buffer_count = Array.fold_left max (-1) bid_of_slot + 1 in
   let buffers = Array.make buffer_count [||] in
   let writers = Array.make buffer_count 0 in
@@ -334,11 +321,7 @@ let compile ?budget_bytes ?runtime ?fusion ?liveness ?sanitize graph =
                        | Some _ | None -> None)
                      (tracked_inputs node))
             in
-            let si_expire =
-              match Liveness.interval liveness (Node.id node) with
-              | itv -> itv.Liveness.last_step
-              | exception Not_found -> max_int
-            in
+            let si_expire = plan.Memplan.expiry_of_slot.(step) in
             { Sanitize.si_name; si_dst; si_const; si_reads; si_expire })
           nodes
       in
@@ -361,19 +344,7 @@ let compile ?budget_bytes ?runtime ?fusion ?liveness ?sanitize graph =
     all_fed = Array.length persistent = 0;
     output_slots;
     outs = Array.make (Array.length output_slots) (Tensor.scalar 0.0);
-    footprint_bytes = mem.Memplan.arena_bytes;
-    fused_groups =
-      (match fusion with Some f -> Fuse.group_count f | None -> 0);
-    fused_interiors =
-      (match fusion with Some f -> Fuse.interior_count f | None -> 0);
-    binding =
-      List.filter_map
-        (fun s ->
-          let b = bid_of_slot.(s) in
-          if b >= 0 then Some (nodes.(s), b) else None)
-        (List.init n Fun.id);
-    materialising =
-      Array.init n (fun s -> is_persistent_slot.(s) || bid_of_slot.(s) >= 0);
+    plan;
     pending_flips = [];
     sanitize = sanitizer;
   }
@@ -381,14 +352,25 @@ let compile ?budget_bytes ?runtime ?fusion ?liveness ?sanitize graph =
 let graph e = e.graph
 let runtime e = e.runtime
 let instruction_count e = Array.length e.instrs
-let fused_group_count e = e.fused_groups
-let fused_interior_count e = e.fused_interiors
+let plan e = e.plan
+
+let fused_group_count e =
+  Option.fold ~none:0 ~some:Fuse.group_count e.plan.Memplan.fusion
+
+let fused_interior_count e =
+  Option.fold ~none:0 ~some:Fuse.interior_count e.plan.Memplan.fusion
 
 let active_instruction_count e =
   Array.fold_left (fun acc f -> if f == nop then acc else acc + 1) 0 e.instrs
 
-let footprint_bytes e = e.footprint_bytes
-let buffer_binding e = e.binding
+let footprint_bytes e = e.plan.Memplan.arena_bytes
+
+let buffer_binding e =
+  let bids = e.plan.Memplan.buffer_of_slot in
+  List.filter_map
+    (fun s -> if bids.(s) >= 0 then Some (e.nodes.(s), bids.(s)) else None)
+    (List.init (Array.length e.nodes) Fun.id)
+
 let sanitize_report e = Option.map Sanitize.report e.sanitize
 
 let slot_opt e node = Hashtbl.find_opt e.slot_of_id (Node.id node)
@@ -406,7 +388,10 @@ let schedule_flip e ~slot ~index ~bit =
     invalid_arg
       (Printf.sprintf "Executor.schedule_flip: slot %d outside 0..%d" slot
          (Array.length e.nodes - 1));
-  if not e.materialising.(slot) then
+  (* Fused interiors own no value at run time; transient buffers and fed
+     persistent tensors do. *)
+  let bids = e.plan.Memplan.buffer_of_slot in
+  if not (e.is_persistent_slot.(slot) || bids.(slot) >= 0) then
     invalid_arg
       (Printf.sprintf
          "Executor.schedule_flip: slot %d (%s) does not materialise — fused \

@@ -4,10 +4,10 @@
     the schedule is frozen, every node gets a dense integer {e slot}
     (its schedule index), input lookups are precompiled slot reads, and
     every transient node is bound at compile time to the physical buffer
-    {!Echo_exec.Memplan.plan}'s walk assigned it
-    ([Memplan.report.buffer_of_slot]: exact-size pool + in-place transfer
-    into dying same-size inputs). The executor allocates exactly those
-    buffers and decides none itself. Running a step is then a single array
+    the memory plan it is handed ({!Echo_exec.Memplan.report}) assigned it
+    ([buffer_of_slot]: exact-size pool + in-place transfer into dying
+    same-size inputs). The executor allocates exactly those buffers and
+    decides none itself. Running a step is then a single array
     sweep with {e zero} tensor allocation — buffers are reused across nodes
     within a step and across training steps, which is the "compile once,
     train many steps" execution model the Echo paper assumes.
@@ -39,8 +39,7 @@ exception Budget_exceeded of { requested_bytes : int; budget_bytes : int }
 val compile :
   ?budget_bytes:int ->
   ?runtime:Parallel.t ->
-  ?fusion:Fuse.plan ->
-  ?liveness:Echo_exec.Liveness.t ->
+  ?plan:Echo_exec.Memplan.report ->
   ?sanitize:Echo_analysis.Sanitize.mode ->
   Graph.t ->
   t
@@ -57,20 +56,20 @@ val compile :
     domains. Results are bit-identical at every domain count — see
     {!Echo_tensor.Parallel}.
 
-    [fusion] (default absent: nothing fuses) compiles each group of the
-    given {!Echo_ir.Fuse.plan} into a single fused instruction — one pass
-    over the root's buffer with the chain folding in registers, via
-    {!Echo_tensor.Tensor.Into.fused}. Interiors get no buffer, no tensor
-    and no instruction, so [footprint_bytes] equals
-    [(Memplan.plan ~fusion graph).arena_bytes], and results stay
-    bit-identical to the unfused executor (same scalar kernels, same
-    partitioning).
-
-    [liveness] (default: [Liveness.analyse ?fusion graph]) is the analysis
-    the planner's walk frees and recycles buffers against. Overriding it is the
-    race-verify mutation harness's injection point: a corrupted interval
-    list ({!Echo_exec.Liveness.of_intervals}) becomes a real executor
-    whose early frees the shadow-memory sanitizer must catch.
+    [plan] (default [Memplan.plan graph]: unfused) is the memory plan the
+    executor carries out, and {!plan} returns it; it must have been made
+    for [graph]. Every slot writes the buffer [plan.buffer_of_slot] names,
+    so [footprint_bytes] is [plan.arena_bytes]. Each group of
+    [plan.fusion] compiles into a single fused instruction — one pass over
+    the root's buffer with the chain folding in registers, via
+    {!Echo_tensor.Tensor.Into.fused}; interiors get no buffer, no tensor
+    and no instruction, and results stay bit-identical to the unfused
+    executor (same scalar kernels, same partitioning). The sanitizer
+    expires each slot's reads at [plan.expiry_of_slot]. A plan built over
+    corrupted intervals ([Memplan.plan ~liveness:(Liveness.of_intervals
+    ...)]) is the race-verify mutation harness's injection point: it
+    becomes a real executor whose early frees the shadow-memory sanitizer
+    must catch.
 
     [sanitize] (default {!Echo_analysis.Sanitize.env_mode}, i.e. the
     [ECHO_SANITIZE] environment variable) brackets every instruction of
@@ -143,19 +142,24 @@ val active_instruction_count : t -> int
     buried constants don't count either. *)
 
 val fused_group_count : t -> int
-(** Number of fused groups compiled; [0] without [?fusion]. Matches
-    [Echo_opt.Fusion.stats] on the same graph by construction (both derive
-    from {!Echo_ir.Fuse.analyse}). *)
+(** Number of fused groups compiled; [0] when the plan has no fusion.
+    Matches [Echo_opt.Fusion.stats] on the same graph by construction
+    (both derive from {!Echo_ir.Fuse.analyse}). *)
 
 val fused_interior_count : t -> int
 (** Chain members that were folded into a fused instruction and got no
     buffer, tensor or instruction of their own. *)
 
+val plan : t -> Echo_exec.Memplan.report
+(** The memory plan the executor was compiled from — the same value passed
+    as [?plan], not a copy: the buffers it allocates, the fusion groups it
+    compiles and the lifetimes it frees against. *)
+
 val footprint_bytes : t -> int
 (** Device-accounted (4 bytes/element) footprint of the compiled artifact:
     persistent + transient pool + max workspace. Equal to
-    [(Memplan.plan ?fusion graph).arena_bytes] by construction: the
-    executor allocates exactly the buffers that plan's walk assigned. *)
+    [(plan e).arena_bytes] by construction: the executor allocates exactly
+    the buffers that plan assigned. *)
 
 val buffer_binding : t -> (Node.t * int) list
 (** The compile-time buffer binding: [(node, physical buffer id)] for every

@@ -67,7 +67,6 @@ let rewrite ?(device = Echo_gpusim.Device.titan_xp)
 type planned = {
   rewritten : rewritten;
   graph : Graph.t;
-  liveness : Echo_exec.Liveness.t;
   memplan : Echo_exec.Memplan.report;
   offsets : Echo_exec.Assign.t option;
 }
@@ -76,7 +75,6 @@ let plan ?(offsets = false) (rw : rewritten) =
   {
     rewritten = rw;
     graph = rw.graph;
-    liveness = Echo_exec.Liveness.analyse rw.graph;
     (* The rewrite stage already measured the rewritten graph; reuse it
        rather than planning a third time. *)
     memplan = rw.report.Echo_core.Pass.optimised_mem;
@@ -164,31 +162,25 @@ let verify stage =
       ~binding:(Executor.buffer_binding e.executor) f.graph
 
 (* The race checker over a compiled executable: every artifact the
-   executor actually carries — its runtime, fusion plan, buffer binding
-   and the liveness intervals it frees against — handed to
+   executor actually carries — its runtime, and its plan's fusion groups,
+   buffer binding and the liveness intervals it frees against — handed to
    [Race.check]. *)
 let race_verify e =
-  let f = e.fused in
   let executor = e.executor in
-  let intervals =
-    List.map
-      (fun itv ->
-        Echo_exec.Liveness.
-          (Node.id itv.node, itv.def_step, itv.last_step))
-      (Echo_exec.Liveness.intervals
-         (Echo_exec.Liveness.analyse ?fusion:f.fusion f.graph))
-  in
-  Echo_analysis.Race.check ?fusion:f.fusion ~intervals
+  let graph = Executor.graph executor in
+  let plan = Executor.plan executor in
+  Echo_analysis.Race.check ?fusion:plan.Echo_exec.Memplan.fusion
+    ~intervals:(Echo_exec.Memplan.intervals graph plan)
     ~binding:(Executor.buffer_binding executor)
-    ~runtime:(Executor.runtime executor) f.graph
+    ~runtime:(Executor.runtime executor) graph
 
 let compile ?budget_bytes ?runtime ?sanitize (f : fused) =
   let e =
     {
       fused = f;
       executor =
-        Executor.compile ?budget_bytes ?runtime ?fusion:f.fusion ?sanitize
-          f.graph;
+        Executor.compile ?budget_bytes ?runtime ~plan:f.fused_memplan
+          ?sanitize f.graph;
     }
   in
   (* ECHO_VERIFY=1: every compile self-certifies; error findings abort.

@@ -8,7 +8,7 @@
       source      --differentiate-->  training     (autodiff: loss + grads)
       training    --optimize------->  optimized    (fold + CSE)
       optimized   --rewrite-------->  rewritten    (the Echo pass)
-      rewritten   --plan----------->  planned      (liveness + memplan + assign)
+      rewritten   --plan----------->  planned      (memplan + assign)
       planned     --fuse----------->  fused        (elementwise chain groups)
       fused       --compile-------->  executable   (slot-based executor)
     v}
@@ -101,14 +101,14 @@ val rewrite :
 type planned = {
   rewritten : rewritten;
   graph : Graph.t;
-  liveness : Echo_exec.Liveness.t;
   memplan : Echo_exec.Memplan.report;
+      (** the rewrite stage's unfused plan ([report.optimised_mem]) *)
   offsets : Echo_exec.Assign.t option;
       (** static byte-offset assignment; request with [plan ~offsets:true] *)
 }
 
 val plan : ?offsets:bool -> rewritten -> planned
-(** Liveness analysis + memory plan. [offsets] (default [false]) also runs
+(** The unfused memory plan. [offsets] (default [false]) also runs
     the planner's static offset assigner ({!Echo_core.Planner.assigner} —
     greedy best-fit unless the planner overrides it, as [olla-arena] does),
     which is quadratic-ish and only needed when the arena layout itself is
@@ -122,9 +122,10 @@ type fused = {
   fusion : Fuse.plan option;
       (** [None] when the stage is disabled — nothing fuses *)
   fused_memplan : Echo_exec.Memplan.report;
-      (** the plan the executor's footprint will match: planned under the
-          fusion plan when enabled, identical to [planned.memplan] when
-          disabled *)
+      (** the plan {!compile} hands the executor, which allocates exactly its
+          buffers: planned under the fusion plan when enabled (its
+          [fusion] is this record's), the very value [planned.memplan]
+          when disabled *)
 }
 
 val fuse : ?enabled:bool -> ?runtime:Echo_tensor.Parallel.t -> planned -> fused
@@ -152,7 +153,9 @@ val compile :
   ?sanitize:Echo_analysis.Sanitize.mode ->
   fused ->
   executable
-(** Lower to the slot executor. [runtime] selects the kernel runtime the
+(** Lower to the slot executor, compiled from [fused_memplan]
+    ({!Executor.compile}[ ~plan]), so [Executor.plan] of the result is that
+    very value. [runtime] selects the kernel runtime the
     executor's instructions partition work over (default
     [Parallel.default ()], sized by [ECHO_DOMAINS]); this is the single
     place the training loop, [echoc], bench and examples pick multicore
@@ -201,8 +204,9 @@ val race_verify : executable -> Echo_diag.Report.t
     ({!Echo_analysis.Race.check}) over everything the compiled executable
     carries: its kernel runtime (chunk coverage and disjointness of every
     fanned-out instruction, in-place alias legality, false-sharing lint),
-    its fusion plan (sweep extents), its liveness intervals (no buffer
-    recycled under a pending read) and its buffer binding (no two
+    its fusion plan (sweep extents), the liveness intervals its plan frees
+    against ({!Executor.plan}, rebuilt by {!Echo_exec.Memplan.intervals};
+    no buffer recycled under a pending read) and its buffer binding (no two
     address-overlapping live values). A sound executable has no error
     findings at any domain count. Also runs automatically — alongside
     {!verify} — inside {!compile} under [ECHO_VERIFY=1]. *)

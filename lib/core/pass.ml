@@ -31,8 +31,15 @@ let run_selected ~share graph selection =
 
 let run_instance ~device instance graph =
   let baseline_mem = Memplan.plan graph in
+  let baseline_time_s = Costmodel.graph_time device graph in
   let { Planner.selection; share } = Planner.plan instance ~device graph in
   let optimised = run_selected ~share graph selection in
+  (* An empty selection hands back the input graph itself: its plan and
+     simulated time are the baseline's. *)
+  let optimised_mem, optimised_time_s =
+    if optimised == graph then (baseline_mem, baseline_time_s)
+    else (Memplan.plan optimised, Costmodel.graph_time device optimised)
+  in
   let report =
     {
       planner = Planner.label instance;
@@ -41,9 +48,9 @@ let run_instance ~device instance graph =
       claimed_saving_bytes = selection.Select.claimed_saving_bytes;
       claimed_cost_s = selection.Select.claimed_cost_s;
       baseline_mem;
-      optimised_mem = Memplan.plan optimised;
-      baseline_time_s = Costmodel.graph_time device graph;
-      optimised_time_s = Costmodel.graph_time device optimised;
+      optimised_mem;
+      baseline_time_s;
+      optimised_time_s;
     }
   in
   (optimised, report)

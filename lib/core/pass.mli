@@ -33,7 +33,8 @@ val run_instance :
   device:Device.t -> Planner.instance -> Graph.t -> Graph.t * report
 (** Returns the rewritten graph and the measurement report. A planner whose
     selection is empty (e.g. [stash-all], [olla-arena]) returns the input
-    graph unchanged. *)
+    graph unchanged, and its report's [optimised_mem] is the very
+    [baseline_mem] value (the graph is planned and costed once). *)
 
 val reduction : report -> float
 (** Baseline/optimised peak-footprint ratio (>1 is better), on the

@@ -65,10 +65,11 @@ let analyse ?fusion graph =
     schedule;
   { by_id; ordered = List.rev !ordered; deaths; steps = List.length schedule }
 
-(* Rebuild an analysis from explicit intervals. The executor frees and
-   recycles buffers off whatever [t] it is handed, so this is the injection
-   point for the race-verify mutation harness: a corrupted interval list
-   becomes a real executor whose pool reuse genuinely clobbers live data. *)
+(* Rebuild an analysis from explicit intervals. The memory planner frees
+   and recycles buffers off whatever [t] it is handed, and the executor
+   allocates that plan, so this is the injection point for the race-verify
+   mutation harness: a corrupted interval list becomes a real executor
+   whose pool reuse genuinely clobbers live data. *)
 let of_intervals ~steps intervals =
   let by_id = Hashtbl.create (2 * List.length intervals) in
   let deaths = Hashtbl.create (2 * List.length intervals) in

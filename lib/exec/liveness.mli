@@ -22,10 +22,11 @@ val analyse : ?fusion:Fuse.plan -> Graph.t -> t
 
 val of_intervals : steps:int -> interval list -> t
 (** An analysis rebuilt from explicit intervals (death table re-derived
-    from the [last_step]s). [Executor.compile ?liveness] frees buffers off
-    whatever analysis it is handed, so this is how the race-verify mutation
-    harness turns a corrupted interval list into a real executor whose
-    early frees the dynamic sanitizer must catch. *)
+    from the [last_step]s). [Memplan.plan ?liveness] frees buffers off
+    whatever analysis it is handed and the executor allocates the plan it
+    is given, so this is how the race-verify mutation harness turns a
+    corrupted interval list into a real executor whose early frees the
+    dynamic sanitizer must catch. *)
 
 val intervals : t -> interval list
 (** One interval per non-persistent node, in schedule order. *)

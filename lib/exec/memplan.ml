@@ -12,6 +12,8 @@ type report = {
   node_count : int;
   step_of_backward_start : int option;
   buffer_of_slot : int array;
+  expiry_of_slot : int array;
+  fusion : Fuse.plan option;
 }
 
 (* Elementwise operators may write their result into a dying input's buffer
@@ -171,6 +173,11 @@ let plan ?(reuse = true) ?(inplace = true) ?fusion ?liveness graph =
           end)
         (Liveness.dying_at liveness step))
     schedule;
+  let expiry_of_slot = Array.make n (-1) in
+  List.iter
+    (fun { Liveness.def_step; last_step; _ } ->
+      expiry_of_slot.(def_step) <- last_step)
+    (Liveness.intervals liveness);
   let breakdown_arr = !peak_breakdown in
   breakdown_arr.(Category.index Category.Workspace) <- !peak_ws;
   let breakdown =
@@ -188,7 +195,18 @@ let plan ?(reuse = true) ?(inplace = true) ?fusion ?liveness graph =
     node_count = n;
     step_of_backward_start = !bwd_start;
     buffer_of_slot;
+    expiry_of_slot;
+    fusion;
   }
+
+let intervals graph r =
+  List.concat
+    (List.mapi
+       (fun step node ->
+         let last_step = r.expiry_of_slot.(step) in
+         if last_step < 0 then []
+         else [ { Liveness.node; def_step = step; last_step } ])
+       (Graph.nodes graph))
 
 let mib bytes = float_of_int bytes /. (1024.0 *. 1024.0)
 

@@ -15,9 +15,11 @@
     ideal-allocator reference.
 
     The same walk decides which physical buffer every schedule slot writes
-    ([buffer_of_slot]). [Echo_compiler.Executor] allocates exactly
-    those buffers, so the executor's footprint is this arena by
-    construction. *)
+    ([buffer_of_slot]) and records the lifetime each buffer is freed
+    against ([expiry_of_slot]). A report is the whole plan:
+    [Echo_compiler.Executor] is handed one, allocates exactly those
+    buffers and sanitizes against those lifetimes, so the executor's
+    footprint is this arena by construction. *)
 
 open Echo_ir
 
@@ -40,6 +42,15 @@ type report = {
           written to, [-1] for persistent nodes and fused interiors. Ids are
           dense and numbered in first-use order; two slots share a buffer
           iff they carry the same id. *)
+  expiry_of_slot : int array;
+      (** by schedule index: the [last_step] of the liveness interval the
+          walk freed the slot's buffer against — [max_int] for graph
+          outputs, [-1] for persistent nodes and fused interiors (no
+          interval). The executor's sanitizer expires reads against it and
+          [Echo_compiler.Pipeline.race_verify] checks it ({!intervals}). *)
+  fusion : Fuse.plan option;
+      (** the fusion plan the report was planned under; the executor
+          compiles exactly these groups *)
 }
 
 val inplace_capable : Node.t -> bool
@@ -66,7 +77,16 @@ val plan :
     in-place candidates are the group's externals. The resulting
     [arena_bytes] equals the fused executor's measured footprint, exactly as
     in the unfused case. [liveness] (default [Liveness.analyse ?fusion
-    graph]) is the analysis buffers are freed and handed over against; the
-    executor forwards its own override here. *)
+    graph]) is the analysis buffers are freed and handed over against, and
+    the lifetimes [expiry_of_slot] records. Overriding it is the
+    race-verify mutation harness's injection point: a corrupted interval
+    list ({!Liveness.of_intervals}) becomes a plan, and an executor compiled
+    from it a real one, whose early frees the sanitizer must catch. *)
+
+val intervals : Graph.t -> report -> Liveness.interval list
+(** The liveness intervals the plan freed against, rebuilt in schedule
+    order from [expiry_of_slot]: one per slot that is neither persistent
+    nor a fused interior. [graph] must be the graph the report was planned
+    for. *)
 
 val pp : Format.formatter -> report -> unit

@@ -269,13 +269,18 @@ let matrix_planners =
     Planner.instantiate ~knobs:[ ("budget", 0.2) ] "echo";
     Planner.instantiate "checkpoint-sqrt";
     Planner.instantiate "recompute-all";
+    (* a short anneal: the lint checks the layout, not its quality *)
+    Planner.instantiate ~knobs:[ ("iters", 50.0); ("restarts", 1.0) ]
+      "olla-arena";
   ]
 
 let test_zoo_matrix_lints_clean () =
   (* Every E1 model x every policy x fusion on/off: the full lint (with the
      offset assignment computed) reports no errors and no warnings on real
      compiled artifacts, DS2's convolutions included. Info findings are
-     allowed. *)
+     allowed. Each executor runs the very plan its fused stage made, so its
+     footprint is that plan's arena; a planner that selects nothing plans
+     its graph once. *)
   List.iter
     (fun model ->
       let src = Pipeline.of_model model in
@@ -297,7 +302,19 @@ let test_zoo_matrix_lints_clean () =
                   (Planner.label planner) fusion
               in
               check_int (label ^ " errors") 0 (Report.error_count report);
-              check_int (label ^ " warnings") 0 (Report.warning_count report))
+              check_int (label ^ " warnings") 0 (Report.warning_count report);
+              let executor = Pipeline.executor exe in
+              let plan = exe.Pipeline.fused.Pipeline.fused_memplan in
+              check_bool (label ^ " executor runs the fused plan") true
+                (Executor.plan executor == plan);
+              check_int (label ^ " footprint == plan")
+                plan.Echo_exec.Memplan.arena_bytes
+                (Executor.footprint_bytes executor);
+              let rw = pl.Pipeline.rewritten.Pipeline.report in
+              if List.mem (Planner.label planner) [ "stash-all"; "olla-arena" ]
+              then
+                check_bool (label ^ " empty selection planned once") true
+                  (rw.Pass.optimised_mem == rw.Pass.baseline_mem))
             [ true; false ])
         matrix_planners)
     (zoo_models ())

@@ -364,7 +364,9 @@ let prop_fused_differential =
       done;
       let g = Graph.create [ List.hd !pool ] in
       let fusion = Fuse.analyse g in
-      let fused = Executor.compile ~fusion g in
+      let fused =
+        Executor.compile ~plan:(Echo_exec.Memplan.plan ~fusion g) g
+      in
       let unfused = Executor.compile g in
       let feeds = synthetic_feeds seed g in
       let a = Executor.eval fused ~feeds in
@@ -466,7 +468,7 @@ let test_fused_interiors_slotless () =
     (List.fold_left
        (fun acc g -> acc + Fuse.interior_bytes g)
        0 (Fuse.groups fusion));
-  let exe = Executor.compile ~fusion g in
+  let exe = Executor.compile ~plan:(Echo_exec.Memplan.plan ~fusion g) g in
   Alcotest.(check int) "one active instruction" 1
     (Executor.active_instruction_count exe);
   Alcotest.(check int) "measured footprint == fused plan"
@@ -499,7 +501,11 @@ let test_fusion_stats_match_executor () =
     (Model.training lm.Language_model.model).Echo_autodiff.Grad.graph
   in
   let stats = Echo_opt.Fusion.analyse g in
-  let exe = Executor.compile ~fusion:(Fuse.analyse g) g in
+  let exe =
+    Executor.compile
+      ~plan:(Echo_exec.Memplan.plan ~fusion:(Fuse.analyse g) g)
+      g
+  in
   Alcotest.(check int) "group counts agree" stats.Echo_opt.Fusion.groups
     (Executor.fused_group_count exe);
   Alcotest.(check int) "interior counts agree"

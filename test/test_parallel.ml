@@ -199,7 +199,9 @@ let test_executor_repeated_runs_deterministic () =
   in
   Fun.protect ~finally:(fun () -> Parallel.shutdown pool) @@ fun () ->
   let fusion = Fuse.analyse g in
-  let exe = Executor.compile ~runtime:pool ~fusion g in
+  let exe =
+    Executor.compile ~runtime:pool ~plan:(Echo_exec.Memplan.plan ~fusion g) g
+  in
   for run = 1 to 3 do
     check_bool
       (Printf.sprintf "fused 4-domain run %d bit-identical" run)
@@ -301,7 +303,9 @@ let test_fit_exec_search () =
     Fun.protect ~finally:(fun () -> Parallel.shutdown runtime) @@ fun () ->
     let exe =
       if choice.A.combo.A.fuse then
-        Executor.compile ~runtime ~fusion:(Fuse.analyse g') g'
+        Executor.compile ~runtime
+          ~plan:(Echo_exec.Memplan.plan ~fusion:(Fuse.analyse g') g')
+          g'
       else Executor.compile ~runtime g'
     in
     check_bool "tuned combo bit-identical" true

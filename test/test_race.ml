@@ -24,6 +24,7 @@ module Mutate = Echo_analysis.Mutate
 module Pipeline = Echo_compiler.Pipeline
 module Executor = Echo_compiler.Executor
 module Liveness = Echo_exec.Liveness
+module Memplan = Echo_exec.Memplan
 module Report = Echo_diag.Report
 module Loop = Echo_train.Loop
 module Optimizer = Echo_train.Optimizer
@@ -155,20 +156,13 @@ let test_partition_checker_fires () =
 
 let test_lifetime_checker_fires () =
   let g = lm_graph () in
-  let live = Liveness.analyse g in
-  let triples l =
-    List.map
-      (fun itv ->
-        (Node.id itv.Liveness.node, itv.Liveness.def_step, itv.Liveness.last_step))
-      l
-  in
+  let live = Liveness.intervals (Liveness.analyse g) in
   check_bool "clean intervals pass" false
-    (Report.has_errors
-       (Race.check_lifetimes ~intervals:(triples (Liveness.intervals live)) g));
+    (Report.has_errors (Race.check_lifetimes ~intervals:live g));
   let corrupted = require "shrink_lifetime" (Mutate.shrink_lifetime live) in
   check_bool "shrunk lifetime flagged" true
     (has_error ~check:"race-liveness"
-       (Race.check_lifetimes ~intervals:(triples corrupted) g))
+       (Race.check_lifetimes ~intervals:corrupted g))
 
 let test_alias_offsets_checker_fires () =
   let g = lm_graph () in
@@ -207,27 +201,55 @@ let toy_training () =
   in
   (training.Echo_autodiff.Grad.graph, feeds)
 
-(* A corrupted liveness plan compiled into a real executor: the arena
-   recycles the victim's buffer under its still-pending read, and the
-   Cells-mode sanitizer must refuse the step. *)
-let test_sanitizer_catches_shrunk_lifetime () =
-  let g, feeds = toy_training () in
-  let live = Liveness.analyse g in
-  (* the clean plan runs sanitized without findings *)
-  let clean = Executor.compile ~sanitize:Sanitize.Full g in
-  ignore (Executor.eval clean ~feeds);
-  let corrupted = require "shrink_lifetime" (Mutate.shrink_lifetime live) in
-  let exe =
-    Executor.compile
-      ~liveness:(Liveness.of_intervals ~steps:(Liveness.step_count live) corrupted)
-      ~sanitize:Sanitize.Cells g
+(* [g]'s memory plan, made over its liveness with one lifetime shrunk. *)
+let shrunk_plan ?fusion g =
+  let live = Liveness.analyse ?fusion g in
+  let corrupted =
+    require "shrink_lifetime" (Mutate.shrink_lifetime (Liveness.intervals live))
   in
+  let steps = Liveness.step_count live in
+  Memplan.plan ?fusion ~liveness:(Liveness.of_intervals ~steps corrupted) g
+
+let expect_stale_read exe ~feeds =
   match Executor.eval exe ~feeds with
   | _ -> Alcotest.fail "sanitizer accepted a read past the plan's expiry"
   | exception Sanitize.Sanitize_failed report ->
     check_bool "expired read flagged" true
       (has_error ~check:"sanitize-expired" report
       || has_error ~check:"sanitize-stale" report)
+
+(* A corrupted liveness plan compiled into a real executor: the arena
+   recycles the victim's buffer under its still-pending read, and the
+   Cells-mode sanitizer must refuse the step. *)
+let test_sanitizer_catches_shrunk_lifetime () =
+  let g, feeds = toy_training () in
+  (* the clean plan runs sanitized without findings *)
+  let clean = Executor.compile ~sanitize:Sanitize.Full g in
+  ignore (Executor.eval clean ~feeds);
+  let exe = Executor.compile ~plan:(shrunk_plan g) ~sanitize:Sanitize.Cells g in
+  expect_stale_read exe ~feeds
+
+(* The fused stage's plan is the one the executable runs and race-verify
+   checks: a lifetime shrunk in [fused_memplan] must surface both
+   statically (race-liveness) and dynamically (the sanitizer). *)
+let test_pipeline_runs_and_checks_its_plan () =
+  let g, feeds = toy_training () in
+  let f =
+    Pipeline.of_training_graph g
+    |> Pipeline.optimize ~enabled:false
+    |> Pipeline.rewrite |> Pipeline.plan
+    |> Pipeline.fuse ~enabled:true
+  in
+  let fused_memplan = shrunk_plan ?fusion:f.Pipeline.fusion f.Pipeline.graph in
+  let exe =
+    Pipeline.compile ~sanitize:Sanitize.Cells
+      { f with Pipeline.fused_memplan }
+  in
+  check_bool "executor carries the handed plan" true
+    (Executor.plan (Pipeline.executor exe) == fused_memplan);
+  check_bool "race-verify checks the shrunk lifetime" true
+    (has_error ~check:"race-liveness" (Pipeline.race_verify exe));
+  expect_stale_read (Pipeline.executor exe) ~feeds
 
 (* The sanitizer state machine itself, driven directly: each check name
    fires on the hand-made corruption built for it. *)
@@ -445,7 +467,7 @@ let prop_sanitizer_transparent =
       let fusion = if fuse then Some (Fuse.analyse g) else None in
       with_fanout domains (fun runtime ->
           let compile sanitize =
-            Executor.compile ~runtime ?fusion ~sanitize g
+            Executor.compile ~runtime ~plan:(Memplan.plan ?fusion g) ~sanitize g
           in
           let reference = Executor.eval (compile Sanitize.Off) ~feeds in
           let sanitized = Executor.eval (compile mode) ~feeds in
@@ -486,6 +508,8 @@ let suite =
           test_fused_interior_checker_fires;
         Alcotest.test_case "sanitizer catches a shrunk lifetime at runtime"
           `Quick test_sanitizer_catches_shrunk_lifetime;
+        Alcotest.test_case "pipeline runs and race-checks the fused plan"
+          `Quick test_pipeline_runs_and_checks_its_plan;
         Alcotest.test_case "sanitizer unit checks all fire" `Quick
           test_sanitizer_unit_checks;
         Alcotest.test_case "sanitized training is bit-identical" `Quick

@@ -70,7 +70,8 @@ let test_sanitized_matches_interp () =
   List.iter
     (fun (what, fusion) ->
       let exe =
-        Echo_compiler.Executor.compile ?fusion
+        Echo_compiler.Executor.compile
+          ~plan:(Memplan.plan ?fusion graph)
           ~sanitize:Echo_analysis.Sanitize.Cells graph
       in
       let outputs = Echo_compiler.Executor.eval exe ~feeds in
