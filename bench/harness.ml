@@ -115,6 +115,29 @@ let bits_equal a b =
   done;
   !ok
 
+(* The documented matmul semantics as a plain triple loop into [dst]
+   ([m x n]): each output element accumulates [product +. acc] over
+   ascending l from +0, skipping terms whose a-side factor is exactly 0.0
+   — the oracle of the tensor test suite. E16's bit reference and its
+   baseline column. *)
+let matmul_loops ?(trans_a = false) ?(trans_b = false) ~m ~n ~k a b ~dst =
+  let open Echo_tensor in
+  let a = Tensor.unsafe_data a
+  and b = Tensor.unsafe_data b
+  and out = Tensor.unsafe_data dst in
+  for i = 0 to m - 1 do
+    for j = 0 to n - 1 do
+      let acc = ref 0.0 in
+      for l = 0 to k - 1 do
+        let x = if trans_a then a.((l * m) + i) else a.((i * k) + l) in
+        if x <> 0.0 then
+          let y = if trans_b then b.((j * k) + l) else b.((l * n) + j) in
+          acc := (x *. y) +. !acc
+      done;
+      out.((i * n) + j) <- !acc
+    done
+  done
+
 let mib bytes = float_of_int bytes /. (1024.0 *. 1024.0)
 let ms s = 1000.0 *. s
 

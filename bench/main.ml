@@ -18,7 +18,7 @@ open Harness
 let scale = ref Full
 
 (* --check: smoke-gate mode. Runs the E18 grid and the E22 matrix (by
-   default alone) and exits 1 if any of their invariants, or an E16
+   default alone) and exits 1 if any of their invariants, or an E15 or E16
    bit-identity check, is violated. *)
 let check_mode = ref false
 
@@ -445,11 +445,13 @@ let e14 () =
   ignore report
 
 (* E15: per-step execution engines — steps/sec of the reference interpreter
-   vs the compiled slot-based executor (with PR 1's naive matmul, with the
-   blocked matmul, and with the blocked matmul under Domain pools of
-   1/2/4), on a PTB-shaped LM training graph. Every engine's outputs are
-   checked bitwise against the interpreter; the numbers land in
-   BENCH_E15.json so the perf trajectory is tracked across PRs. *)
+   vs the compiled slot-based executor, sequential and under Domain pools
+   of 1/2/4, on a PTB-shaped LM training graph. Every engine's outputs are
+   checked bit for bit against the interpreter ([--check] turns a mismatch
+   into exit 1); the numbers land in BENCH_E15.json so the perf trajectory
+   is tracked across PRs. *)
+let e15_violations = ref []
+
 let e15 () =
   heading "E15"
     (Printf.sprintf "execution engines and kernel runtimes (PTB-shape LM, gemm %s)"
@@ -476,18 +478,9 @@ let e15 () =
     :: Params.bindings lm.Language_model.model.Model.params
   in
   let module Executor = Echo_compiler.Executor in
-  (* Per-runtime blocking thresholds: the naive configuration is simply a
-     sequential handle whose threshold never trips — no process-global
-     toggles, so the engines could even run concurrently. *)
-  let seq_naive =
-    Parallel.with_config ~blocking_threshold:max_int Parallel.sequential
-  in
   let c0 = wall () in
   let exe_seq = Executor.compile ~runtime:Parallel.sequential graph in
   let compile_s = wall () -. c0 in
-  let exe_naive = Executor.compile ~runtime:seq_naive graph in
-  (* Reference outputs: the interpreter — blocked and naive matmuls are
-     bit-identical by construction, so this is the exact PR 1 numerics. *)
   let interp_outs = Interp.eval graph ~feeds in
   let steps = match !scale with Full -> 10 | Quick -> 3 in
   let steps_per_sec f =
@@ -496,9 +489,6 @@ let e15 () =
     for _ = 1 to steps do f () done;
     float_of_int steps /. Float.max (wall () -. t0) 1e-9
   in
-  let check exe =
-    List.for_all2 Tensor.equal interp_outs (Executor.eval exe ~feeds)
-  in
   let run_exe exe () =
     List.iter (fun (n, t) -> Executor.feed exe n t) feeds;
     Executor.run exe
@@ -506,12 +496,14 @@ let e15 () =
   row "graph: %d nodes, executor compile %.3f s, footprint %s@."
     (Graph.node_count graph) compile_s
     (Footprint.human (Executor.footprint_bytes exe_seq));
-  let all_identical = ref true in
   let json = ref [] in
   let record key sps = json := (key, sps) :: !json in
   let measure label key exe =
-    let ok = check exe in
-    if not ok then all_identical := false;
+    let ok = List.for_all2 bits_equal interp_outs (Executor.eval exe ~feeds) in
+    if not ok then
+      e15_violations :=
+        Printf.sprintf "%s: outputs differ from the interpreter's" label
+        :: !e15_violations;
     let sps = steps_per_sec (run_exe exe) in
     row "%-34s %8.2f steps/s  (outputs %s)@." label sps
       (if ok then "bit-identical" else "MISMATCH");
@@ -523,63 +515,49 @@ let e15 () =
   in
   row "%-34s %8.2f steps/s@." "reference interpreter" interp_sps;
   record "interp" interp_sps;
-  let naive_sps =
-    measure "executor (naive matmul, seq)" "executor_naive" exe_naive
-  in
-  let blocked_sps =
-    measure "executor (blocked matmul, seq)" "executor_blocked" exe_seq
-  in
+  let seq_sps = measure "executor (seq)" "executor_seq" exe_seq in
   List.iter
     (fun domains ->
       let runtime = Parallel.create ~domains () in
       let exe = Executor.compile ~runtime graph in
       ignore
         (measure
-           (Printf.sprintf "executor (blocked, %d domain%s)" domains
+           (Printf.sprintf "executor (%d domain%s)" domains
               (if domains = 1 then "" else "s"))
            (Printf.sprintf "executor_parallel_%dd" domains)
            exe);
       Parallel.shutdown runtime)
     [ 1; 2; 4 ];
-  row "blocked vs PR1-naive executor: %.2fx; executor vs interp: %.2fx@."
-    (blocked_sps /. naive_sps) (blocked_sps /. interp_sps);
-  row "all engines bit-identical to the interpreter: %b@." !all_identical;
-  record "blocked_over_naive" (blocked_sps /. naive_sps);
-  record "identical" (if !all_identical then 1.0 else 0.0);
+  let identical = !e15_violations = [] in
+  row "executor vs interp: %.2fx@." (seq_sps /. interp_sps);
+  row "all engines bit-identical to the interpreter: %b@." identical;
+  record "identical" (if identical then 1.0 else 0.0);
   record_json "E15" (List.rev !json)
 
-(* E16: matmul kernel micro-bench — GFLOP/s by size for the naive loops,
-   the blocked path (the C SIMD micro-kernel, in the build [Tensor.gemm_isa]
-   names), and the blocked path on a 2-domain pool; plus the four
-   transpose variants at the headline size and the four GEMM shapes of an
-   NMT training step. Each configuration is checked bit for bit against
-   the naive kernel first; [--check] turns a mismatch into exit 1. *)
+(* E16: matmul kernel micro-bench — GFLOP/s by size for the reference
+   triple loop ([Harness.matmul_loops]), the C SIMD micro-kernel (in the
+   build [Tensor.gemm_isa] names), and the kernel on a 2-domain pool; plus
+   the four transpose variants at the headline size and the four GEMM
+   shapes of an NMT training step. Each configuration is checked bit for
+   bit against the loop first; [--check] turns a mismatch into exit 1. *)
 let e16_violations = ref []
 
 let e16 () =
   let isa = Tensor.gemm_isa () in
   heading "E16"
     (Printf.sprintf
-       "matmul kernel GFLOP/s (naive vs blocked C kernel [%s] vs parallel)" isa);
+       "matmul kernel GFLOP/s (reference loops vs C kernel [%s] vs parallel)"
+       isa);
   let module I = Tensor.Into in
-  (* Per-runtime thresholds: one handle per matmul configuration instead of
-     toggling a process-global. *)
-  let rt_naive =
-    Parallel.with_config ~blocking_threshold:max_int Parallel.sequential
-  in
-  let rt_blocked =
-    Parallel.with_config ~blocking_threshold:0 Parallel.sequential
-  in
   let rng = Rng.create 77 in
-  let pool2 =
-    Parallel.create ~domains:2 ~blocking_threshold:0 ()
-  in
+  let pool2 = Parallel.create ~domains:2 () in
   let json = ref [] in
   let e16_identical what reference dst =
     let ok = bits_equal reference dst in
     if not ok then
       e16_violations :=
-        Printf.sprintf "%s: blocked [%s] differs from naive" what isa
+        Printf.sprintf "%s: kernel [%s] differs from the reference loops" what
+          isa
         :: !e16_violations;
     ok
   in
@@ -596,69 +574,65 @@ let e16 () =
     let b = Tensor.uniform rng [| k; n |] ~lo:(-1.0) ~hi:1.0 in
     let dst = Tensor.zeros [| m; n |] in
     let reference = Tensor.zeros [| m; n |] in
-    I.matmul ~runtime:rt_naive a b ~dst:reference;
-    I.matmul ~runtime:rt_blocked a b ~dst;
+    matmul_loops ~m ~n ~k a b ~dst:reference;
+    I.matmul a b ~dst;
     let ok = e16_identical (Printf.sprintf "%dx%dx%d" m n k) reference dst in
     let reps =
       match !scale with
       | Full -> max 1 (50_000_000 / (m * n * k))
       | Quick -> max 1 (10_000_000 / (m * n * k))
     in
-    let naive =
-      gflops ~m ~n ~k ~reps (fun () -> I.matmul ~runtime:rt_naive a b ~dst)
-    in
-    let blocked =
-      gflops ~m ~n ~k ~reps (fun () -> I.matmul ~runtime:rt_blocked a b ~dst)
-    in
+    let loops = gflops ~m ~n ~k ~reps (fun () -> matmul_loops ~m ~n ~k a b ~dst) in
+    let kernel = gflops ~m ~n ~k ~reps (fun () -> I.matmul a b ~dst) in
     let parallel2 =
       gflops ~m ~n ~k ~reps (fun () -> I.matmul ~runtime:pool2 a b ~dst)
     in
     row
-      "%4dx%4dx%4d  naive %6.2f  blocked %6.2f (%4.2fx)  2-domain %6.2f \
+      "%4dx%4dx%4d  loops %6.2f  kernel %6.2f (%5.2fx)  2-domain %6.2f \
        GFLOP/s  (%s)@."
-      m n k naive blocked (blocked /. naive) parallel2
+      m n k loops kernel (kernel /. loops) parallel2
       (if ok then "bit-identical" else "MISMATCH");
     json :=
-      (Printf.sprintf "naive_%d" size, naive)
-      :: (Printf.sprintf "blocked_%d" size, blocked)
+      (Printf.sprintf "loops_%d" size, loops)
+      :: (Printf.sprintf "kernel_%d" size, kernel)
       :: (Printf.sprintf "parallel2_%d" size, parallel2)
       :: (Printf.sprintf "identical_%d" size, if ok then 1.0 else 0.0)
       :: !json
   in
   let sizes = match !scale with Full -> [ 64; 128; 256 ] | Quick -> [ 32; 64; 128 ] in
   List.iter bench_size sizes;
-  (* Transpose variants at one size: the packed path must win on all four. *)
+  (* Transpose variants at one size. *)
   let tsize = match !scale with Full -> 256 | Quick -> 64 in
   let a = Tensor.uniform rng [| tsize; tsize |] ~lo:(-1.0) ~hi:1.0 in
   let b = Tensor.uniform rng [| tsize; tsize |] ~lo:(-1.0) ~hi:1.0 in
   let dst = Tensor.zeros [| tsize; tsize |] in
   let reference = Tensor.zeros [| tsize; tsize |] in
+  let m = tsize and n = tsize and k = tsize in
   List.iter
     (fun (label, trans_a, trans_b) ->
-      I.matmul ~runtime:rt_naive ~trans_a ~trans_b a b ~dst:reference;
+      matmul_loops ~trans_a ~trans_b ~m ~n ~k a b ~dst:reference;
       let reps =
         (match !scale with Full -> 20_000_000 | Quick -> 4_000_000)
-        / (tsize * tsize * tsize)
+        / (m * n * k)
         |> max 1
       in
-      let naive =
-        gflops ~m:tsize ~n:tsize ~k:tsize ~reps (fun () ->
-          I.matmul ~runtime:rt_naive ~trans_a ~trans_b a b ~dst)
+      let loops =
+        gflops ~m ~n ~k ~reps (fun () ->
+          matmul_loops ~trans_a ~trans_b ~m ~n ~k a b ~dst)
       in
-      I.matmul ~runtime:rt_blocked ~trans_a ~trans_b a b ~dst;
+      I.matmul ~trans_a ~trans_b a b ~dst;
       let ok =
         e16_identical (Printf.sprintf "%dd %s" tsize label) reference dst
       in
-      let blocked =
-        gflops ~m:tsize ~n:tsize ~k:tsize ~reps (fun () ->
-          I.matmul ~runtime:rt_blocked ~trans_a ~trans_b a b ~dst)
+      let kernel =
+        gflops ~m ~n ~k ~reps (fun () -> I.matmul ~trans_a ~trans_b a b ~dst)
       in
-      row "%dd %-8s naive %6.2f  blocked %6.2f GFLOP/s (%4.2fx, %s)@." tsize
-        label naive blocked (blocked /. naive)
+      row "%dd %-8s loops %6.2f  kernel %6.2f GFLOP/s (%5.2fx, %s)@." tsize
+        label loops kernel (kernel /. loops)
         (if ok then "bit-identical" else "MISMATCH");
       json :=
-        (Printf.sprintf "%s_naive_%d" label tsize, naive)
-        :: (Printf.sprintf "%s_blocked_%d" label tsize, blocked)
+        (Printf.sprintf "%s_loops_%d" label tsize, loops)
+        :: (Printf.sprintf "%s_kernel_%d" label tsize, kernel)
         :: !json)
     [ ("nn", false, false); ("tn", true, false); ("nt", false, true);
       ("tt", true, true) ];
@@ -672,30 +646,29 @@ let e16 () =
       let b = operand (if trans_b then [| n; k |] else [| k; n |]) in
       let dst = Tensor.zeros [| m; n |] in
       let reference = Tensor.zeros [| m; n |] in
-      I.matmul ~runtime:rt_naive ~trans_a ~trans_b a b ~dst:reference;
-      I.matmul ~runtime:rt_blocked ~trans_a ~trans_b a b ~dst;
+      matmul_loops ~trans_a ~trans_b ~m ~n ~k a b ~dst:reference;
+      I.matmul ~trans_a ~trans_b a b ~dst;
       let ok = e16_identical ("nmt " ^ label) reference dst in
       let reps =
         (match !scale with Full -> 50_000_000 | Quick -> 10_000_000)
         / (m * n * k)
         |> max 1
       in
-      let naive =
+      let loops =
         gflops ~m ~n ~k ~reps (fun () ->
-          I.matmul ~runtime:rt_naive ~trans_a ~trans_b a b ~dst)
+          matmul_loops ~trans_a ~trans_b ~m ~n ~k a b ~dst)
       in
-      let blocked =
-        gflops ~m ~n ~k ~reps (fun () ->
-          I.matmul ~runtime:rt_blocked ~trans_a ~trans_b a b ~dst)
+      let kernel =
+        gflops ~m ~n ~k ~reps (fun () -> I.matmul ~trans_a ~trans_b a b ~dst)
       in
       row
-        "nmt %-9s %3dx%3dx%3d  naive %6.2f  blocked %6.2f GFLOP/s (%4.2fx, \
+        "nmt %-9s %3dx%3dx%3d  loops %6.2f  kernel %6.2f GFLOP/s (%5.2fx, \
          %s)@."
-        label m n k naive blocked (blocked /. naive)
+        label m n k loops kernel (kernel /. loops)
         (if ok then "bit-identical" else "MISMATCH");
       json :=
-        (Printf.sprintf "nmt_%s_naive" label, naive)
-        :: (Printf.sprintf "nmt_%s_blocked" label, blocked)
+        (Printf.sprintf "nmt_%s_loops" label, loops)
+        :: (Printf.sprintf "nmt_%s_kernel" label, kernel)
         :: (Printf.sprintf "nmt_%s_identical" label, if ok then 1.0 else 0.0)
         :: !json)
     [
@@ -1490,8 +1463,9 @@ let () =
          (unless --only narrows it) and exit 1 if fused wall-clock \
          regresses, parallelism is non-monotone, any (zoo x planner x \
          fusion) config has a static race finding, or a sanitized run \
-         diverges; with --only E16, if the blocked matmul's bits differ \
-         from the naive loops'" );
+         diverges; with --only E15, if an executor's bits differ from the \
+         interpreter's; with --only E16, if the matmul kernel's bits differ \
+         from the reference loops'" );
     ]
   in
   Arg.parse args (fun _ -> ()) "echo experiment harness";
@@ -1547,8 +1521,9 @@ let () =
         false
       end
     in
+    let ok15 = render "E15" e15_violations in
     let ok16 = render "E16" e16_violations in
     let ok18 = render "E18" e18_violations in
     let ok22 = render "E22" e22_violations in
-    if not (ok16 && ok18 && ok22) then exit 1
+    if not (ok15 && ok16 && ok18 && ok22) then exit 1
   end

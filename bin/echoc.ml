@@ -230,10 +230,9 @@ let train_mode model_choice ~batch ~seq_len ~hidden ~layers ~vocab ~steps
       (fun path -> { Echo_train.Loop.path; every = checkpoint_every; resume })
       checkpoint_path
   in
-  (* --tune-exec: joint (planner, fuse, domains, blocking-threshold) search
-     over the escalation ladder with the host cost model, replacing the
-     hand-picked knobs with the predicted-fastest combination that fits the
-     budget. *)
+  (* --tune-exec: joint (planner, fuse, domains) search over the escalation
+     ladder with the host cost model, replacing the hand-picked knobs with
+     the predicted-fastest combination that fits the budget. *)
   let runtime, planner, fuse =
     if not tune_exec then
       (runtime, planner, if no_fuse then Some false else None)
@@ -248,11 +247,9 @@ let train_mode model_choice ~batch ~seq_len ~hidden ~layers ~vocab ~steps
       | Some choice ->
         let c = choice.A.combo in
         Format.printf
-          "tuned exec: policy=%s fuse=%b domains=%d blocking-threshold=%s \
-           (predicted %.3f ms/step, arena %d bytes)@."
+          "tuned exec: policy=%s fuse=%b domains=%d (predicted %.3f \
+           ms/step, arena %d bytes)@."
           (A.label choice.A.chosen) c.A.fuse c.A.domains
-          (if c.A.blocking_threshold = max_int then "off"
-           else string_of_int c.A.blocking_threshold)
           (choice.A.predicted_s *. 1e3)
           choice.A.arena_bytes;
         (A.combo_runtime c, Some choice.A.chosen.A.planner, Some c.A.fuse)
@@ -745,12 +742,11 @@ let main_term =
       value & flag
       & info [ "tune-exec" ]
           ~doc:
-            "With --train: pick the (policy, fuse, domains, \
-             blocking-threshold) combination jointly — walk the \
-             recomputation escalation ladder and price every execution-knob \
-             combination that fits --budget-bytes with the host cost model, \
-             then train with the predicted-fastest one. Overrides --no-fuse \
-             and -j.")
+            "With --train: pick the (policy, fuse, domains) combination \
+             jointly — walk the recomputation escalation ladder and price \
+             every execution-knob combination that fits --budget-bytes with \
+             the host cost model, then train with the predicted-fastest \
+             one. Overrides --no-fuse and -j.")
   in
   let dump_fusion =
     Arg.(

@@ -289,7 +289,7 @@ let derive_parts runtime ~rows ~work =
   if fan <= 1 || total < gate || rows <= 0 then 1
   else begin
     let quantum = max 1 (gate / 4) in
-    let parts = min (fan * Parallel.chunks_per_domain runtime) (max 1 (total / quantum)) in
+    let parts = min (fan * Parallel.chunks_per_domain) (max 1 (total / quantum)) in
     let parts = min parts rows in
     if parts <= 1 then 1 else parts
   end

@@ -208,9 +208,8 @@ type cache = {
 (* Everything that decides what [compile_graph] produces, digested into one
    stable key: the canonical graph fingerprint (never raw node ids), the
    planner instance label (name + bound knobs), the effective fusion
-   setting, the runtime's domain count and blocking threshold (both baked
-   into compiled instructions), and the budget ceiling the artifact was
-   proven under. *)
+   setting, the runtime's domain count (baked into compiled instructions),
+   and the budget ceiling the artifact was proven under. *)
 let cache_key ?planner ?runtime ?fuse ?budget_bytes ?sanitize graph =
   let planner_label =
     match planner with
@@ -236,7 +235,6 @@ let cache_key ?planner ?runtime ?fuse ?budget_bytes ?sanitize graph =
             planner_label;
             string_of_bool fuse;
             string_of_int (Echo_tensor.Parallel.domains rt);
-            string_of_int (Echo_tensor.Parallel.blocking_threshold rt);
             (match budget_bytes with
             | None -> "unbounded"
             | Some b -> string_of_int b);

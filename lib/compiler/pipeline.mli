@@ -234,9 +234,9 @@ val cache_key :
 (** The stable content address of what {!compile_graph} would produce:
     digest of the canonical {!Echo_ir.Graph.fingerprint} (never raw node
     ids), the planner instance label (name + knobs), the effective fusion
-    setting, the runtime's domain count and blocking threshold, the
-    budget ceiling, and the sanitizer mode (baked into the run loop, so a
-    sanitized and a plain executable never share an entry). Stable across
+    setting, the runtime's domain count, the budget ceiling, and the
+    sanitizer mode (baked into the run loop, so a sanitized and a plain
+    executable never share an entry). Stable across
     processes; two graphs with equal fingerprints compiled under equal
     knobs share one key. *)
 

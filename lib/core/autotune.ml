@@ -71,24 +71,24 @@ let fit_memory ~device ?fuse graph ~budget_bytes =
   in
   escalate fit_ladder
 
-(* {1 Joint (fuse, domains, blocking-threshold) search}
+(* {1 Joint (fuse, domains) search}
 
    [fit_memory] fixes the execution knobs and escalates only the
    recomputation plan; this search instead walks the same ladder and, at
    every rung that fits the budget, prices the full execution-knob grid
    with the host cost model ([Echo_opt.Fusion]) — the model that applies
-   the same fan-out gate, hardware cap and blocking threshold the runtime
-   applies. The result is the fastest *combination*, not the best value of
-   each knob independently: a rung whose fused arena fits may lose to an
-   earlier rung that only fits unfused, and a domain count that helps the
-   unfused schedule may hurt the fused one.
+   the same fan-out gate and hardware cap the runtime applies. The result
+   is the fastest *combination*, not the best value of each knob
+   independently: a rung whose fused arena fits may lose to an earlier
+   rung that only fits unfused, and a domain count that helps the unfused
+   schedule may hurt the fused one.
 
    The grid is priced at the *effective* fan-out (capped at the hardware,
    exactly as the runtime will cap it), so on a small machine every domain
    candidate predicts the same time and the smallest wins the tie — the
    returned combo never asks for parallelism the machine cannot give. *)
 
-type exec_combo = { fuse : bool; domains : int; blocking_threshold : int }
+type exec_combo = { fuse : bool; domains : int }
 
 type exec_choice = {
   chosen : outcome;
@@ -99,43 +99,30 @@ type exec_choice = {
 
 let default_domain_candidates = [ 1; 2; 4 ]
 
-let default_threshold_candidates =
-  [ 0; Echo_tensor.Parallel.blocking_threshold Echo_tensor.Parallel.sequential; max_int ]
+let combo_runtime c = Echo_tensor.Parallel.create ~domains:c.domains ()
 
-let combo_runtime c =
-  Echo_tensor.Parallel.create ~domains:c.domains
-    ~blocking_threshold:c.blocking_threshold ()
-
-let fit_exec ~device ?(domain_candidates = default_domain_candidates)
-    ?(threshold_candidates = default_threshold_candidates) graph ~budget_bytes
-    =
+let fit_exec ~device ?(domain_candidates = default_domain_candidates) graph
+    ~budget_bytes =
   let hw = Echo_tensor.Parallel.hardware_parallelism () in
   let consider best outcome ~fuse ~arena =
     List.fold_left
       (fun best domains ->
-        List.fold_left
-          (fun best threshold ->
-            let cfg =
-              {
-                Echo_opt.Fusion.host_config with
-                Echo_opt.Fusion.domains = min domains hw;
-                blocking_threshold = threshold;
-              }
-            in
-            let predicted_s =
-              Echo_opt.Fusion.host_graph_time cfg ~fuse outcome.graph
-            in
-            match best with
-            | Some b when b.predicted_s <= predicted_s -> best
-            | Some _ | None ->
-              Some
-                {
-                  chosen = outcome;
-                  combo = { fuse; domains; blocking_threshold = threshold };
-                  predicted_s;
-                  arena_bytes = arena;
-                })
-          best threshold_candidates)
+        let cfg =
+          { Echo_opt.Fusion.host_config with domains = min domains hw }
+        in
+        let predicted_s =
+          Echo_opt.Fusion.host_graph_time cfg ~fuse outcome.graph
+        in
+        match best with
+        | Some b when b.predicted_s <= predicted_s -> best
+        | Some _ | None ->
+          Some
+            {
+              chosen = outcome;
+              combo = { fuse; domains };
+              predicted_s;
+              arena_bytes = arena;
+            })
       best domain_candidates
   in
   List.fold_left

@@ -73,10 +73,8 @@ val best_throughput :
 type exec_combo = {
   fuse : bool;
   domains : int;  (** as requested — the runtime caps it at the hardware *)
-  blocking_threshold : int;
 }
-(** One point of the execution grid: fusion on/off, pool size, matmul
-    blocking threshold. *)
+(** One point of the execution grid: fusion on/off and pool size. *)
 
 type exec_choice = {
   chosen : outcome;  (** the accepted recomputation plan *)
@@ -90,26 +88,20 @@ type exec_choice = {
 val default_domain_candidates : int list
 (** [[1; 2; 4]]. *)
 
-val default_threshold_candidates : int list
-(** [[0; default; max_int]] — always-blocked, the default threshold, and
-    never-blocked. *)
-
 val combo_runtime : exec_combo -> Echo_tensor.Parallel.t
-(** A fresh runtime handle realising the combo's domain count and blocking
-    threshold, for passing to [Executor.compile ?runtime]. *)
+(** A fresh runtime handle realising the combo's domain count, for passing
+    to [Executor.compile ?runtime]. *)
 
 val fit_exec :
   device:Device.t ->
   ?domain_candidates:int list ->
-  ?threshold_candidates:int list ->
   Graph.t ->
   budget_bytes:int ->
   exec_choice option
 (** Walk {!fit_ladder} cheapest-recompute-first; at every rung whose arena
     (fused or unfused, each its own grid point) fits [budget_bytes], price
-    the whole (fuse, domains, threshold) grid with the host cost model —
-    the same fan-out gate and blocking switch the runtime applies, at the
-    hardware-capped effective fan-out — and return the globally fastest
-    combination. Ties keep the earliest (cheapest-recompute, smallest
+    the whole (fuse, domains) grid with the host cost model — the same
+    fan-out gate the runtime applies, at the hardware-capped effective
+    fan-out — and return the globally fastest combination. Ties keep the earliest (cheapest-recompute, smallest
     domain count) point, so the choice never asks for parallelism the
     machine cannot deliver. [None] when no rung fits the budget. *)

@@ -96,14 +96,6 @@ let classify = function
     Reduction
   | Op.Placeholder | Op.Variable -> Other
 
-let class_to_string = function
-  | Gemm -> "gemm"
-  | Conv -> "conv"
-  | Elementwise -> "elementwise"
-  | DataMovement -> "data movement"
-  | Reduction -> "reduction/softmax"
-  | Other -> "other"
-
 let time_by_class device graph =
   let totals = Hashtbl.create 8 in
   List.iter

@@ -24,7 +24,6 @@ val phase_times : Device.t -> Graph.t -> phase_times
 type kernel_class = Gemm | Conv | Elementwise | DataMovement | Reduction | Other
 
 val classify : Op.t -> kernel_class
-val class_to_string : kernel_class -> string
 
 val time_by_class : Device.t -> Graph.t -> (kernel_class * float) list
 (** Decreasing by time; classes with zero time omitted. *)

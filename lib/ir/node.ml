@@ -19,7 +19,6 @@ type t = {
    preserves. *)
 let counter = Atomic.make 0
 let fresh_id () = Atomic.fetch_and_add counter 1
-let reset_id_counter_for_tests () = Atomic.set counter 0
 
 let create ?name ?(region = Forward) ?shape ?hint op inputs =
   let input_shapes = List.map (fun n -> n.shape) inputs in

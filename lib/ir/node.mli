@@ -113,7 +113,3 @@ val conv2d : stride:int -> pad:int -> input:t -> kernel:t -> t
 
 val pp : Format.formatter -> t -> unit
 (** One line: [#id name op shape region]. *)
-
-val reset_id_counter_for_tests : unit -> unit
-(** Tests only: restart ids at 0 so expectations are stable. Never call this
-    while nodes from a previous epoch are still alive. *)

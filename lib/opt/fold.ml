@@ -36,9 +36,8 @@ let simplify node inputs =
   | Op.BroadcastAxis { n = 1; _ }, [ x ] -> Some x
   | _ -> None
 
-let rebuild graph =
+let run graph =
   let repr : (int, Node.t) Hashtbl.t = Hashtbl.create 1024 in
-  let folded = ref 0 in
   let resolve n =
     match Hashtbl.find_opt repr (Node.id n) with Some r -> r | None -> n
   in
@@ -46,9 +45,7 @@ let rebuild graph =
     (fun n ->
       let inputs = List.map resolve (Node.inputs n) in
       match simplify n inputs with
-      | Some replacement ->
-        incr folded;
-        Hashtbl.replace repr (Node.id n) replacement
+      | Some replacement -> Hashtbl.replace repr (Node.id n) replacement
       | None ->
         let changed =
           List.exists2 (fun a b -> not (Node.equal a b)) (Node.inputs n) inputs
@@ -58,7 +55,4 @@ let rebuild graph =
     (Graph.nodes graph);
   (* Outputs must survive even when folded away to an existing node: wrap in
      nothing — Graph outputs may alias interior nodes, which is fine. *)
-  (Graph.create (List.map resolve (Graph.outputs graph)), !folded)
-
-let run graph = fst (rebuild graph)
-let count_folded graph = snd (rebuild graph)
+  Graph.create (List.map resolve (Graph.outputs graph))

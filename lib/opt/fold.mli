@@ -17,6 +17,3 @@
 open Echo_ir
 
 val run : Graph.t -> Graph.t
-
-val count_folded : Graph.t -> int
-(** Number of nodes removed or replaced (statistics / tests). *)

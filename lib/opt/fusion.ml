@@ -7,9 +7,6 @@ type stats = { groups : int; fused_nodes : int; launches_saved : int }
 (* The grouping itself lives in [Echo_ir.Fuse] — one analysis shared with
    the memory planner and the compiled executor, so these statistics
    describe exactly what the fused backend runs. *)
-let elementwise = Fuse.elementwise
-let member_of = Fuse.member_of
-
 let analyse graph =
   let p = Fuse.analyse graph in
   let fused_nodes =
@@ -63,9 +60,8 @@ let fused_graph_time device graph =
      ([fanout_overhead_s]);
    - compute scales with the effective fan-out, but the memory term does
      not (the domains share one memory bus);
-   - a matmul whose [m*n*k] clears the handle's blocking threshold runs
-     the packed/register-blocked kernel, modelled as a flat
-     [blocked_speedup] on its flops.
+   - every matmul runs the register-blocked SIMD kernel, modelled as a
+     flat [blocked_speedup] on its flops.
 
    Because the model applies the same gate the runtime applies, a fused
    chain is priced with the fan-out decision the fused kernel will
@@ -75,7 +71,6 @@ let fused_graph_time device graph =
 type exec_config = {
   domains : int;  (** effective fan-out, already hardware-capped *)
   min_fanout_work : int;
-  blocking_threshold : int;
   fanout_overhead_s : float;
   scalar_rate : float;  (** weighted scalar ops/s of one domain *)
   mem_rate : float;  (** bytes/s of the shared memory system *)
@@ -87,7 +82,6 @@ let host_config =
   {
     domains = 1;
     min_fanout_work = Parallel.min_fanout_work Parallel.sequential;
-    blocking_threshold = Parallel.blocking_threshold Parallel.sequential;
     fanout_overhead_s = 30e-6;
     scalar_rate = 1e9;
     mem_rate = 8e9;
@@ -100,11 +94,10 @@ let of_runtime rt =
     host_config with
     domains = Parallel.effective_fanout rt;
     min_fanout_work = Parallel.min_fanout_work rt;
-    blocking_threshold = Parallel.blocking_threshold rt;
   }
 
 (* One kernel launch under [cfg]: [work] weighted scalar ops, [bytes] of
-   traffic, [speedup] on the compute term (blocked matmul). Mirrors
+   traffic, [speedup] on the compute term (the matmul kernel). Mirrors
    [Parallel.parallel_for]'s gate exactly. *)
 let kernel_time cfg ~work ~bytes ~speedup =
   let fans = cfg.domains > 1 && work >= float_of_int cfg.min_fanout_work in
@@ -120,10 +113,7 @@ let node_time cfg node =
     let work = Costmodel.node_flops node in
     let bytes = Costmodel.node_bytes node in
     let speedup =
-      match op with
-      | Op.Matmul _ when work /. 2.0 >= float_of_int cfg.blocking_threshold ->
-        cfg.blocked_speedup
-      | _ -> 1.0
+      match op with Op.Matmul _ -> cfg.blocked_speedup | _ -> 1.0
     in
     kernel_time cfg ~work ~bytes ~speedup
 

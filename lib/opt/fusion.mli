@@ -17,12 +17,6 @@ type stats = {
   launches_saved : int;  (** kernel launches the fused executor avoids *)
 }
 
-val elementwise : Node.t -> bool
-(** Re-export of {!Echo_ir.Fuse.elementwise}. *)
-
-val member_of : Graph.t -> Node.t -> Node.t option
-(** Re-export of {!Echo_ir.Fuse.member_of}. *)
-
 val analyse : Graph.t -> stats
 
 val fused_graph_time : Device.t -> Graph.t -> float
@@ -36,51 +30,43 @@ val fused_graph_time : Device.t -> Graph.t -> float
 
     Prices the machine the compiled executor actually runs on — the
     multicore kernel runtime ({!Echo_tensor.Parallel}) — using the same
-    fan-out gate, hardware cap and blocking threshold the runtime itself
-    applies, so the fusion decision and the execution schedule are one
-    system. This is the model behind [Fuse.analyse ~keep:(profitable cfg)]
-    and [Echo_core.Autotune]'s joint (fuse, domains, blocking-threshold)
-    search. *)
+    fan-out gate and hardware cap the runtime itself applies, so the
+    fusion decision and the execution schedule are one system. This is
+    the model behind [Fuse.analyse ~keep:(profitable cfg)] and
+    [Echo_core.Autotune]'s joint (fuse, domains) search.
+
+    One instruction costs a dispatch, plus the fan-out overhead iff its
+    flops clear the gate with more than one domain, plus the rooflined max
+    of compute (scaled by the fan-out, and by [blocked_speedup] for every
+    matmul) and memory traffic (never scaled — the domains share one bus).
+    A fused group costs one dispatch, its members' flops summed and bytes
+    counted once over externals and root, with the gate applied to the
+    merged kernel's total work — the decision {!Tensor.Into.fused} takes
+    at run time. *)
 
 type exec_config = {
   domains : int;
       (** effective fan-out — already capped at the hardware, like
           {!Echo_tensor.Parallel.effective_fanout} *)
   min_fanout_work : int;  (** the runtime's fan-out work gate *)
-  blocking_threshold : int;  (** the runtime's matmul blocking threshold *)
   fanout_overhead_s : float;  (** wakeup/join latency of one fan-out *)
   scalar_rate : float;  (** weighted scalar ops/s of one domain *)
   mem_rate : float;  (** bytes/s of the shared memory system *)
   dispatch_s : float;  (** per-instruction interpreter overhead *)
-  blocked_speedup : float;  (** flat gain of the packed/blocked matmul *)
+  blocked_speedup : float;  (** flat gain of the SIMD matmul kernel *)
 }
 
 val host_config : exec_config
-(** Single-domain defaults, sharing the gate and threshold values of
+(** Single-domain defaults, sharing the gate of
     {!Echo_tensor.Parallel.sequential}. *)
 
 val of_runtime : Echo_tensor.Parallel.t -> exec_config
-(** {!host_config} specialised to a runtime handle: its effective fan-out,
-    fan-out gate and blocking threshold. *)
-
-val node_time : exec_config -> Node.t -> float
-(** One instruction on the host: dispatch, plus fan-out overhead iff the
-    node's flops clear the gate with more than one domain, plus the
-    rooflined max of compute (scaled by the fan-out, and by
-    [blocked_speedup] for a matmul over the threshold) and memory traffic
-    (never scaled — the domains share one bus). *)
-
-val host_group_time : exec_config -> Fuse.group -> float
-(** A fused group: one dispatch, members' flops summed, bytes counted once
-    over externals and root — with the fan-out gate applied to the merged
-    kernel's total work, which is the decision {!Tensor.Into.fused} takes
-    at run time. *)
-
-val unfused_group_time : exec_config -> Fuse.group -> float
-(** The same members priced as separate instructions. *)
+(** {!host_config} specialised to a runtime handle: its effective fan-out
+    and fan-out gate. *)
 
 val profitable : exec_config -> Fuse.group -> bool
-(** [host_group_time <= unfused_group_time] — the [~keep] predicate for
+(** Whether the group priced as one fused kernel costs no more than its
+    members priced as separate instructions — the [~keep] predicate for
     {!Echo_ir.Fuse.analyse}. Fusing never adds scalar work, so this only
     rejects groups whose merged fan-out decision costs more than the saved
     dispatches and interior traffic. *)

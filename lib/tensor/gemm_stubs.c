@@ -1,4 +1,4 @@
-/* The SIMD micro-kernel behind Tensor.Into.matmul's blocked path.
+/* The SIMD micro-kernel behind every Tensor.Into.matmul.
 
    The kernel body is written once (gemm_kernel.h) and built twice:
 

@@ -10,26 +10,17 @@
    count to drain — a full barrier, so kernel calls never overlap and the
    tensor kernels need no per-call state.
 
-   A handle also carries an execution [config]: the matmul blocking
-   threshold, the fan-out work gate, the steal granularity, and whether
-   the pool may oversubscribe the hardware. The config rides on the
-   handle (not in a global) so two executors compiled with different
+   A handle also carries an execution [config]: the fan-out work gate and
+   whether the pool may oversubscribe the hardware. The config rides on
+   the handle (not in a global) so two executors compiled with different
    settings can run concurrently without racing on process state. *)
 
-type config = {
-  blocking_threshold : int;
-  min_fanout_work : int;
-  chunks_per_domain : int;
-  oversubscribe : bool;
-}
+type config = { min_fanout_work : int; oversubscribe : bool }
 
-let default_config =
-  {
-    blocking_threshold = 32_768;
-    min_fanout_work = 1 lsl 18;
-    chunks_per_domain = 4;
-    oversubscribe = false;
-  }
+let default_config = { min_fanout_work = 1 lsl 18; oversubscribe = false }
+
+(* Stealable chunks per fanned-out domain. *)
+let chunks_per_domain = 4
 
 type pool = {
   pool_domains : int;  (* participants, including the caller *)
@@ -50,10 +41,7 @@ type t = { kind : kind; config : config }
 
 let sequential = { kind = Seq; config = default_config }
 let domains t = match t.kind with Seq -> 1 | Pool p -> p.pool_domains
-let blocking_threshold t = t.config.blocking_threshold
 let min_fanout_work t = t.config.min_fanout_work
-let chunks_per_domain t = t.config.chunks_per_domain
-let oversubscribed t = t.config.oversubscribe
 
 let hardware_parallelism =
   let n = lazy (max 1 (Domain.recommended_domain_count ())) in
@@ -126,24 +114,17 @@ let env_domains () =
             domains), e.g. ECHO_DOMAINS=4"
            s))
 
-let create ?domains ?oversubscribe ?blocking_threshold ?min_fanout_work
-    ?chunks_per_domain () =
+let create ?domains ?oversubscribe ?min_fanout_work () =
   let d = match domains with Some d -> d | None -> env_domains () in
   if d < 1 then invalid_arg "Parallel.create: domains must be >= 1";
   let config =
     {
-      blocking_threshold =
-        Option.value blocking_threshold ~default:default_config.blocking_threshold;
       min_fanout_work =
         Option.value min_fanout_work ~default:default_config.min_fanout_work;
-      chunks_per_domain =
-        Option.value chunks_per_domain ~default:default_config.chunks_per_domain;
       oversubscribe =
         Option.value oversubscribe ~default:default_config.oversubscribe;
     }
   in
-  if config.chunks_per_domain < 1 then
-    invalid_arg "Parallel.create: chunks_per_domain must be >= 1";
   if config.min_fanout_work < 0 then
     invalid_arg "Parallel.create: min_fanout_work must be >= 0";
   (* Never spawn a worker the fan-out cap makes unusable. A parked domain
@@ -181,20 +162,15 @@ let create ?domains ?oversubscribe ?blocking_threshold ?min_fanout_work
 (* A second handle over the same pool (or Seq) with some config fields
    replaced. The workers are shared; only the per-call execution
    parameters differ, which is what lets one process hold executors
-   compiled under different blocking thresholds. *)
-let with_config ?oversubscribe ?blocking_threshold ?min_fanout_work
-    ?chunks_per_domain t =
+   compiled under different fan-out gates. *)
+let with_config ?oversubscribe ?min_fanout_work t =
   let c = t.config in
   {
     t with
     config =
       {
-        blocking_threshold =
-          Option.value blocking_threshold ~default:c.blocking_threshold;
         min_fanout_work =
           Option.value min_fanout_work ~default:c.min_fanout_work;
-        chunks_per_domain =
-          Option.value chunks_per_domain ~default:c.chunks_per_domain;
         oversubscribe = Option.value oversubscribe ~default:c.oversubscribe;
       };
   }
@@ -258,9 +234,7 @@ let parallel_for t ?(work = 1) ~n body =
            enough to amortize the atomic claim. *)
         let quantum = max 1 (c.min_fanout_work / 4) in
         let parts =
-          min
-            (fan * c.chunks_per_domain)
-            (max 1 (total_work / quantum))
+          min (fan * chunks_per_domain) (max 1 (total_work / quantum))
         in
         let parts = min parts n in
         if parts <= 1 then body 0 n else run_pool pool ~n ~parts body

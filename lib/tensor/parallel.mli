@@ -18,9 +18,9 @@
     differential suite enforces (see {!Tensor.Into}).
 
     {b Configuration.} Every handle carries its execution parameters —
-    matmul blocking threshold, fan-out work gate, steal granularity,
-    oversubscription — so two executors compiled with different settings
-    can run concurrently in one process without racing on global state. *)
+    fan-out work gate, oversubscription — so two executors compiled with
+    different settings can run concurrently in one process without racing
+    on global state. *)
 
 type t
 (** A kernel runtime handle: a sequential or pooled execution engine plus
@@ -33,9 +33,7 @@ val sequential : t
 val create :
   ?domains:int ->
   ?oversubscribe:bool ->
-  ?blocking_threshold:int ->
   ?min_fanout_work:int ->
-  ?chunks_per_domain:int ->
   unit ->
   t
 (** [create ~domains ()] spawns a pool of [domains - 1] worker domains; the
@@ -52,30 +50,21 @@ val create :
       across all live domains). [true] spawns the full requested pool
       regardless (used by the differential tests to force the pool path
       on small machines).
-    - [blocking_threshold] (default [32768]): minimum [m*n*k] at which
-      [Tensor.Into.matmul] switches from the naive loops to the
-      cache-blocked kernel.
     - [min_fanout_work] (default [2^18]): minimum total scalar work
       ([n * work]) below which [parallel_for] runs inline — the fan-out
       wakeup/join latency is tens of microseconds, so small kernels are
       strictly faster sequential.
-    - [chunks_per_domain] (default [4]): target number of stealable chunks
-      per fanned-out domain, bounding straggler imbalance on ragged rows.
 
-    @raise Invalid_argument if [domains < 1], [chunks_per_domain < 1] or
-    [min_fanout_work < 0]. *)
+    @raise Invalid_argument if [domains < 1] or [min_fanout_work < 0]. *)
 
 val with_config :
   ?oversubscribe:bool ->
-  ?blocking_threshold:int ->
   ?min_fanout_work:int ->
-  ?chunks_per_domain:int ->
   t ->
   t
 (** A new handle sharing the same workers (or sequential engine) with some
     configuration fields replaced. Cheap; this is how one process holds
-    executors compiled under different blocking thresholds over a single
-    pool. *)
+    executors compiled under different fan-out gates over a single pool. *)
 
 val domains : t -> int
 (** Total participating domains ([1] for {!sequential}). *)
@@ -89,21 +78,15 @@ val hardware_parallelism : unit -> int
 (** [Domain.recommended_domain_count] observed once at startup, clamped to
     at least 1. *)
 
-val blocking_threshold : t -> int
-(** The handle's matmul blocking threshold. *)
-
 val min_fanout_work : t -> int
 (** The handle's fan-out work gate. *)
 
-val chunks_per_domain : t -> int
-(** The handle's target number of stealable chunks per fanned-out domain.
-    Together with {!effective_fanout} and {!min_fanout_work}, this fully
-    determines the partition [parallel_for] uses for a given [(n, work)] —
-    what the static race checker re-derives. *)
-
-val oversubscribed : t -> bool
-(** Whether the handle may spread across more domains than the hardware
-    has ({!effective_fanout} already accounts for this). *)
+val chunks_per_domain : int
+(** [4]: the target number of stealable chunks per fanned-out domain,
+    bounding straggler imbalance on ragged rows. Together with
+    {!effective_fanout} and {!min_fanout_work}, this fully determines the
+    partition [parallel_for] uses for a given [(n, work)] — what the static
+    race checker re-derives. *)
 
 val shutdown : t -> unit
 (** Stop and join the pool's workers (idempotent, no-op on a sequential

@@ -481,21 +481,19 @@ let conv_out_dim ~stride ~pad ~k dim = ((dim + (2 * pad) - k) / stride) + 1
    work-stealing schedule, whose chunk boundaries are a pure function of
    the loop size and the handle's configuration. *)
 
-(* Blocked GEMM. Below the runtime's blocking threshold
-   ([Parallel.blocking_threshold]) multiply-adds the original unblocked
-   loops run unchanged (packing would dominate). Above it, one C
-   micro-kernel ([gemm_kernel], gemm_stubs.c) computes every output
-   element as its own dot product: a vector lane is one output element,
-   accumulating [product + acc] over ascending [l] from +0, stored once,
-   so callers skip the zero-fill. The kernel body is built twice — 2-lane
-   vectors in 4x4 tiles (SSE2 or NEON) and, on x86-64, 4-lane AVX2
-   vectors in 4x8 tiles — and the build is picked once per process, at
-   this module's initialisation ([gemm_isa]). The kernel needs one operand
-   with unit stride along the vectorised output axis: along j, B as k x n
-   (as it lies when not [trans_b]); along i, A as k x m (as it lies under
-   [trans_a]). Under [trans_b] alone one operand is packed by a
-   transposing copy (operand bits unchanged) — whichever is smaller: A to
-   k x m when m < n, else B to k x n.
+(* GEMM. One C micro-kernel ([gemm_kernel], gemm_stubs.c) runs every
+   matmul, computing each output element as its own dot product: a vector
+   lane is one output element, accumulating [product + acc] over
+   ascending [l] from +0, stored once, so callers skip the zero-fill. The
+   kernel body is built twice — 2-lane vectors in 4x4 tiles (SSE2 or
+   NEON) and, on x86-64, 4-lane AVX2 vectors in 4x8 tiles — and the build
+   is picked once per process, at this module's initialisation
+   ([gemm_isa]). The kernel needs one operand with unit stride along the
+   vectorised output axis: along j, B as k x n (as it lies when not
+   [trans_b]); along i, A as k x m (as it lies under [trans_a]). Under
+   [trans_b] alone one operand is packed by a transposing copy (operand
+   bits unchanged) — whichever is smaller: A to k x m when m < n, else B
+   to k x n.
 
    Every output element is still the sequential chain. The sequential
    semantics skip a term whose a(i,l) is exactly zero; the kernel adds it
@@ -508,18 +506,17 @@ let conv_out_dim ~stride ~pad ~k dim = ((dim + (2 * pad) - k) / stride) + 1
    exact. So the kernel reports whether it stored any NaN, and only then
    does the chunk recompute each NaN element of its own rows with
    [dot_skip], the per-element reference chain, written [product +. acc]
-   — the order the unblocked loops compile to (their accumulator is a
+   — the order a plain triple loop compiles to (its accumulator is a
    memory operand), so where a NaN product meets a different NaN in the
-   accumulator every path keeps the product's payload. Either way blocked,
-   unblocked, sequential and parallel variants, and both kernel builds,
-   produce identical bits. *)
+   accumulator the product's payload is kept. Either way sequential and
+   parallel variants, and both kernel builds, produce the bits of the
+   skipping triple loop. *)
 
 (* Transposing-pack scratch, grown monotonically and reused across
    calls. Packing always happens on the calling domain before the parallel
    region, so the scratch is keyed per domain ([Domain.DLS]): two
-   executors driven from different domains — e.g. concurrent compiles
-   under different blocking thresholds — each pack into their own buffer
-   and cannot race. *)
+   executors driven from different domains each pack into their own
+   buffer and cannot race. *)
 let pack_scratch : float array ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [||])
 
@@ -765,13 +762,12 @@ module Into = struct
   let scale_by ?runtime x s ~dst =
     unary ?runtime "scale_by" (F_scale s.data.(0)) x ~dst
 
-  (* Every variant computes each output element as the sequential triple
-     loop does — ascending l from +0, skipping a_il = 0 (see the GEMM
-     comment above for why the blocked path may add those terms) — so results
-     are bit-identical across the unblocked path, the blocked path, and every
-     domain count. [dst] must not alias an operand. Output rows are
-     partitioned across the runtime's domains; each chunk writes only its
-     own rows. *)
+  (* Every output element is computed as the sequential triple loop does —
+     ascending l from +0, skipping a_il = 0 (see the GEMM comment above for
+     why the kernel may add those terms) — so results are bit-identical
+     across kernel builds and every domain count. [dst] must not alias an
+     operand. Output rows are partitioned across the runtime's domains;
+     each chunk writes only its own rows. *)
   let matmul ?(runtime = Parallel.sequential) ?(trans_a = false)
       ?(trans_b = false) a b ~dst =
     if Shape.rank a.shape <> 2 || Shape.rank b.shape <> 2 then
@@ -787,90 +783,28 @@ module Into = struct
     let out = dst.data in
     let ad = a.data and bd = b.data in
     let work = 2 * k * n in
-    if m * n * k >= Parallel.blocking_threshold runtime then begin
-      (* Packs happen on the calling domain before the fan-out. The kernels
-         overwrite every element of their rows, so no zero-fill. *)
-      if trans_b && (trans_a || m < n) then begin
-        (* Along i: kernel rows are j over B (n x k), columns i over A as
-           k x m; the chunk's rows of [out] are kernel columns. *)
-        let at =
-          if trans_a then ad else pack_scratch_transpose ad ~rows:m ~cols:k
-        in
-        Parallel.parallel_for runtime ~work ~n:m (fun lo hi ->
-            if gemm_kernel bd at out k k 1 m 0 n lo hi 1 n then
-              fix_nans at bd out ~k ~n ~ai:1 ~al:m ~bj:k ~bl:1 lo hi)
-      end
-      else begin
-        (* Along j: kernel rows are i over A, columns j over B as k x n. *)
-        let ai, al = if trans_a then (1, m) else (k, 1) in
-        let bkn =
-          if trans_b then pack_scratch_transpose bd ~rows:n ~cols:k else bd
-        in
-        Parallel.parallel_for runtime ~work ~n:m (fun lo hi ->
-            if gemm_kernel ad bkn out k ai al n lo hi 0 n n 1 then
-              fix_nans ad bkn out ~k ~n ~ai ~al ~bj:1 ~bl:n lo hi)
-      end
-    end
-    else
+    (* Packs happen on the calling domain before the fan-out. The kernel
+       overwrites every element of its rows, so no zero-fill. *)
+    if trans_b && (trans_a || m < n) then begin
+      (* Along i: kernel rows are j over B (n x k), columns i over A as
+         k x m; the chunk's rows of [out] are kernel columns. *)
+      let at =
+        if trans_a then ad else pack_scratch_transpose ad ~rows:m ~cols:k
+      in
       Parallel.parallel_for runtime ~work ~n:m (fun lo hi ->
-          Array.fill out (lo * n) ((hi - lo) * n) 0.0;
-          match (trans_a, trans_b) with
-          | false, false ->
-            for i = lo to hi - 1 do
-              let arow = i * an and row = i * n in
-              for l = 0 to k - 1 do
-                let ail = Array.unsafe_get ad (arow + l) in
-                if ail <> 0.0 then begin
-                  let brow = l * bn in
-                  for j = 0 to n - 1 do
-                    Array.unsafe_set out (row + j)
-                      (Array.unsafe_get out (row + j)
-                      +. (ail *. Array.unsafe_get bd (brow + j)))
-                  done
-                end
-              done
-            done
-          | true, false ->
-            for i = lo to hi - 1 do
-              let row = i * n in
-              for l = 0 to k - 1 do
-                let ail = Array.unsafe_get ad ((l * an) + i) in
-                if ail <> 0.0 then begin
-                  let brow = l * bn in
-                  for j = 0 to n - 1 do
-                    Array.unsafe_set out (row + j)
-                      (Array.unsafe_get out (row + j)
-                      +. (ail *. Array.unsafe_get bd (brow + j)))
-                  done
-                end
-              done
-            done
-          | false, true ->
-            for i = lo to hi - 1 do
-              let arow = i * an and row = i * n in
-              for l = 0 to k - 1 do
-                let ail = Array.unsafe_get ad (arow + l) in
-                if ail <> 0.0 then
-                  for j = 0 to n - 1 do
-                    Array.unsafe_set out (row + j)
-                      (Array.unsafe_get out (row + j)
-                      +. (ail *. Array.unsafe_get bd ((j * bn) + l)))
-                  done
-              done
-            done
-          | true, true ->
-            for i = lo to hi - 1 do
-              let row = i * n in
-              for l = 0 to k - 1 do
-                let ail = Array.unsafe_get ad ((l * an) + i) in
-                if ail <> 0.0 then
-                  for j = 0 to n - 1 do
-                    Array.unsafe_set out (row + j)
-                      (Array.unsafe_get out (row + j)
-                      +. (ail *. Array.unsafe_get bd ((j * bn) + l)))
-                  done
-              done
-            done)
+          if gemm_kernel bd at out k k 1 m 0 n lo hi 1 n then
+            fix_nans at bd out ~k ~n ~ai:1 ~al:m ~bj:k ~bl:1 lo hi)
+    end
+    else begin
+      (* Along j: kernel rows are i over A, columns j over B as k x n. *)
+      let ai, al = if trans_a then (1, m) else (k, 1) in
+      let bkn =
+        if trans_b then pack_scratch_transpose bd ~rows:n ~cols:k else bd
+      in
+      Parallel.parallel_for runtime ~work ~n:m (fun lo hi ->
+          if gemm_kernel ad bkn out k ai al n lo hi 0 n n 1 then
+            fix_nans ad bkn out ~k ~n ~ai ~al ~bj:1 ~bl:n lo hi)
+    end
 
   (* [dst] may alias [m] (cell read before write); aliasing [b] only arises
      when rows = 1, where b.(j) is read before dst.(j) is written. *)

@@ -219,9 +219,9 @@ val conv2d_grad_kernel : stride:int -> pad:int -> input:t -> kernel_shape:Shape.
     Each output element is computed by exactly one domain in the
     sequential per-element accumulation order, so results stay
     bit-identical at every domain count and under the runtime's
-    deterministic work-stealing schedule. The runtime handle also carries
-    the matmul blocking threshold ({!Parallel.blocking_threshold}) — there
-    is no process-global kernel configuration. *)
+    deterministic work-stealing schedule. The runtime handle carries the
+    fan-out configuration — there is no process-global kernel
+    configuration. *)
 module Into : sig
   val fill : dst:t -> float -> unit
 
@@ -266,16 +266,13 @@ module Into : sig
   (** [dst] must not alias an operand (a GEMM cannot run in place).
 
       Each output element accumulates from [+0] over ascending inner index,
-      skipping terms whose [a] element is exactly zero. Products of at
-      least [Parallel.blocking_threshold runtime] multiply-adds take a
-      blocked path: a C SIMD kernel ({!gemm_isa}) in which each vector lane
-      is one output element's chain, with no fused multiply-add. It adds
-      the zero-[a] terms instead of skipping them, which cannot change an
+      skipping terms whose [a] element is exactly zero. Every product runs
+      one C SIMD kernel ({!gemm_isa}) in which each vector lane is one
+      output element's chain, with no fused multiply-add. It adds the
+      zero-[a] terms instead of skipping them, which cannot change an
       output it stores as a non-NaN; every NaN it stores is recomputed by
-      the skipping chain. So the switch never changes results. The
-      threshold rides on the runtime handle ([Parallel.create
-      ~blocking_threshold] / [Parallel.with_config]), so concurrent
-      executors with different settings cannot race. *)
+      the skipping chain. So results equal the skipping triple loop bit
+      for bit. *)
 
   val add_bias : ?runtime:Parallel.t -> t -> t -> dst:t -> unit
 
@@ -362,7 +359,7 @@ module Into : sig
 end
 
 val gemm_isa : unit -> string
-(** The build of the blocked-matmul kernel in use: ["avx2"] (4-lane
+(** The build of the matmul kernel in use: ["avx2"] (4-lane
     vectors, 4x8 tiles) where the CPU supports it, else the portable
     2-lane build, ["sse2"] on x86-64, ["neon"] on arm64 or ["generic"].
     Picked once, when this module is initialised. *)
@@ -370,7 +367,7 @@ val gemm_isa : unit -> string
 (** Test-only hooks. *)
 module For_testing : sig
   val with_portable_gemm : (unit -> 'a) -> 'a
-  (** [with_portable_gemm f] runs [f] with the blocked matmul on the
+  (** [with_portable_gemm f] runs [f] with every matmul on the
       portable kernel build, then restores the dispatched one. No other
       domain may be inside a matmul while it switches. *)
 end

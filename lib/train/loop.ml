@@ -11,14 +11,6 @@ type step_stats = { step : int; loss : float; grad_norm : float }
 type result = { losses : float list; params : (Node.t * Tensor.t) list }
 type checkpoint_spec = { path : string; every : int; resume : bool }
 
-let global_norm grads =
-  sqrt
-    (Array.fold_left
-       (fun acc g ->
-         let n = Tensor.frobenius g in
-         acc +. (n *. n))
-       0.0 grads)
-
 let missing_feed_error ~step names =
   invalid_arg
     (Printf.sprintf
@@ -331,7 +323,7 @@ let train ~graph ~params ~optimizer ?clip_norm ?on_step ?on_event ?budget_bytes
           Optimizer.clip_by_global_norm_into ~max_norm grads
             ~dst:!clip_buffers
       in
-      let grad_norm = global_norm grads in
+      let grad_norm = Optimizer.global_norm grads in
       if not (Float.is_finite loss && Float.is_finite grad_norm) then begin
         (* Keep the loss visible in the history, but protect the parameters
            from a poisoned update. *)

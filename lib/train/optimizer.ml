@@ -111,26 +111,27 @@ let restore (t : t) ~param_nodes snap =
   fill t.velocity snap.velocity;
   fill t.second snap.second
 
+let global_norm grads =
+  sqrt
+    (Array.fold_left
+       (fun acc g ->
+         let n = Tensor.frobenius g in
+         acc +. (n *. n))
+       0.0 grads)
+
 (* [Some k] when the global norm exceeds [max_norm]: every gradient is
    then scaled by [k]. *)
-let clip_factor ~max_norm norms =
-  let norm = sqrt norms in
+let clip_factor ~max_norm grads =
+  let norm = global_norm grads in
   if norm <= max_norm then None else Some (max_norm /. norm)
 
-let sum_sq grads =
-  Array.fold_left
-    (fun acc g ->
-      let n = Tensor.frobenius g in
-      acc +. (n *. n))
-    0.0 grads
-
 let clip_by_global_norm_arrays ~max_norm grads =
-  match clip_factor ~max_norm (sum_sq grads) with
+  match clip_factor ~max_norm grads with
   | None -> grads
   | Some k -> Array.map (fun g -> Tensor.scale k g) grads
 
 let clip_by_global_norm_into ~max_norm grads ~dst =
-  match clip_factor ~max_norm (sum_sq grads) with
+  match clip_factor ~max_norm grads with
   | None -> grads
   | Some k ->
     Array.iteri (fun i g -> Tensor.Into.scale k g ~dst:dst.(i)) grads;

@@ -65,6 +65,11 @@ val restore : t -> param_nodes:Node.t array -> snapshot -> unit
     Subsequent updates are bit-identical to an optimizer that never paused.
     @raise Invalid_argument if a snapshot index is out of range. *)
 
+val global_norm : Tensor.t array -> float
+(** The square root of the sum, in array order, of each gradient's squared
+    Frobenius norm — the norm {!clip_by_global_norm_arrays} compares with
+    [max_norm]. *)
+
 val clip_by_global_norm_arrays : max_norm:float -> Tensor.t array -> Tensor.t array
 (** Standard RNN-training gradient clipping: when the global norm of the
     gradients exceeds [max_norm], returns them scaled by

@@ -251,10 +251,8 @@ let test_pipeline_stages_compose () =
   | None -> Alcotest.fail "compiled without the sanitizer"
 
 (* Kernel runtime differential: the same LM training graph — loss and all
-   gradients — must come out bitwise identical from the interpreter, the
-   sequential executor, and pools of 1/2/4 domains, under both the naive
-   (threshold = max_int) and blocked (threshold = 0) matmul paths. The
-   comparison is on raw bits (not [Tensor.equal], whose structural compare
+   gradients — must come out bitwise identical from the interpreter and
+   executors on pools of 1/2/4 domains. The comparison is on raw bits (not [Tensor.equal], whose structural compare
    conflates 0.0 with -0.0), and dropout puts real zeros in the
    activations so the a(i,l) = 0 skip is exercised. *)
 let bits_equal a b =
@@ -295,41 +293,24 @@ let test_runtime_differential () =
       model.Model.placeholders
     @ Params.bindings model.Model.params
   in
-  (* Reference: the interpreter on its default runtime — blocked and naive
-     matmuls are bitwise identical by construction, so any threshold gives
-     the same reference bits. *)
+  (* Reference: the interpreter on its default runtime. *)
   let reference = Echo_exec.Interp.eval g ~feeds in
   let check_engine label outputs =
     check_bool label true (List.for_all2 bits_equal reference outputs)
   in
-  (* The threshold is per-runtime configuration: compile one executor per
-     (threshold, runtime) point. Pools are oversubscribed past the
+  (* One executor per domain count. Pools are oversubscribed past the
      hardware cap with the work gate open, so the fan-out path really
      executes even on one core. *)
   List.iter
-    (fun threshold ->
-      let path = if threshold = 0 then "blocked" else "naive" in
+    (fun d ->
+      let pool =
+        Parallel.create ~domains:d ~oversubscribe:true ~min_fanout_work:0 ()
+      in
+      Fun.protect ~finally:(fun () -> Parallel.shutdown pool) @@ fun () ->
       check_engine
-        (Printf.sprintf "%s seq executor" path)
-        (Executor.eval
-           (Executor.compile
-              ~runtime:
-                (Parallel.with_config ~blocking_threshold:threshold
-                   Parallel.sequential)
-              g)
-           ~feeds);
-      List.iter
-        (fun d ->
-          let pool =
-            Parallel.create ~domains:d ~oversubscribe:true ~min_fanout_work:0
-              ~blocking_threshold:threshold ()
-          in
-          Fun.protect ~finally:(fun () -> Parallel.shutdown pool) @@ fun () ->
-          check_engine
-            (Printf.sprintf "%s %d-domain executor" path d)
-            (Executor.eval (Executor.compile ~runtime:pool g) ~feeds))
-        [ 1; 2; 4 ])
-    [ max_int; 0 ]
+        (Printf.sprintf "%d-domain executor" d)
+        (Executor.eval (Executor.compile ~runtime:pool g) ~feeds))
+    [ 1; 2; 4 ]
 
 (* Fused elementwise codegen: the fusion stage must be invisible in the
    results — bit-identical to the unfused executor at every domain count —
@@ -679,11 +660,9 @@ let test_train_arity_message () =
    nothing — every value lands in a preallocated arena buffer and every
    scalar stays unboxed. What remains is a fixed per-run overhead (the
    parallel-for chunk closures and the like). The graph is a peephole
-   LSTM-LM step whose 16x64 . 64x256 gate matmuls (and their gradients)
-   clear the blocking threshold, so the blocked GEMM, the sigmoid kernel,
-   the slice copies and the peephole broadcasts all run; a second run at
-   threshold 0 sends every GEMM of the step through the blocked path.
-   Measured at 7_702 minor words per run at either threshold (347
+   LSTM-LM step with 16x64 . 64x256 gate matmuls (and their gradients),
+   so the GEMM kernel, the sigmoid kernel, the slice copies and the
+   peephole broadcasts all run. Measured at 7_702 minor words per run (347
    instructions, about 22 words each); the bound
    of 10_000 leaves a 30% margin. Before the kernels were made
    allocation-free the same run took 163_075 words: a kernel that boxes
@@ -728,48 +707,33 @@ let test_run_allocation_bound () =
   let model = lm.Language_model.model in
   let g = (Model.training model).Echo_autodiff.Grad.graph in
   let runtime = Parallel.sequential in
-  let threshold = Parallel.blocking_threshold runtime in
   let has p = List.exists (fun n -> p (Node.op n) n) (Graph.nodes g) in
-  check_bool "a matmul above the blocking threshold" true
-    (has (fun op n ->
-         match (op, Node.inputs n) with
-         | Op.Matmul _, [ a; _ ] ->
-           let s = Node.shape n in
-           s.(0) * s.(1) * Shape.numel (Node.shape a) / s.(0) >= threshold
-         | _ -> false));
   List.iter
     (fun (what, p) -> check_bool what true (has (fun op _ -> p op)))
     [
+      ("a matmul", function Op.Matmul _ -> true | _ -> false);
       ("a sigmoid", function Op.Sigmoid -> true | _ -> false);
       ("a broadcast", function Op.BroadcastAxis _ -> true | _ -> false);
       ("a slice", function Op.Slice _ -> true | _ -> false);
     ];
-  (* The default threshold, then one at which every GEMM of the step takes
-     the blocked path: its C kernel and pack scratch must not allocate. *)
+  (* The GEMM kernel and its pack scratch must not allocate. *)
+  let exe =
+    Pipeline.executor
+      (Pipeline.compile_graph ~runtime ~fuse:true
+         ~sanitize:Echo_analysis.Sanitize.Off g)
+  in
+  let rng = Rng.create 5 in
+  let ids n =
+    Tensor.init (Node.shape n) (fun _ -> float_of_int (Rng.int rng 50))
+  in
+  Executor.feed exe lm.Language_model.token_input
+    (ids lm.Language_model.token_input);
+  Executor.feed exe lm.Language_model.label_input
+    (ids lm.Language_model.label_input);
   List.iter
-    (fun (what, runtime) ->
-      let exe =
-        Pipeline.executor
-          (Pipeline.compile_graph ~runtime ~fuse:true
-             ~sanitize:Echo_analysis.Sanitize.Off g)
-      in
-      let rng = Rng.create 5 in
-      let ids n =
-        Tensor.init (Node.shape n) (fun _ -> float_of_int (Rng.int rng 50))
-      in
-      Executor.feed exe lm.Language_model.token_input
-        (ids lm.Language_model.token_input);
-      Executor.feed exe lm.Language_model.label_input
-        (ids lm.Language_model.label_input);
-      List.iter
-        (fun (n, v) -> Executor.feed exe n v)
-        (Params.bindings model.Model.params);
-      words_per_run ~what ~bound:10_000.0 exe)
-    [
-      ("default threshold", runtime);
-      ( "every GEMM blocked",
-        Parallel.with_config ~blocking_threshold:0 runtime );
-    ];
+    (fun (n, v) -> Executor.feed exe n v)
+    (Params.bindings model.Model.params);
+  words_per_run ~what:"LM" ~bound:10_000.0 exe;
   let ds2 = small_ds2 () in
   let exe =
     Pipeline.executor

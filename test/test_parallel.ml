@@ -92,22 +92,16 @@ let test_create_validation () =
     [
       ("domains=0 rejected", fun () -> Parallel.create ~domains:0 ());
       ("domains=-2 rejected", fun () -> Parallel.create ~domains:(-2) ());
-      ( "chunks_per_domain=0 rejected",
-        fun () -> Parallel.create ~domains:2 ~chunks_per_domain:0 () );
       ( "min_fanout_work=-1 rejected",
         fun () -> Parallel.create ~domains:2 ~min_fanout_work:(-1) () );
     ]
 
 let test_with_config_views () =
-  let rt =
-    Parallel.with_config ~blocking_threshold:7 ~min_fanout_work:9
-      Parallel.sequential
-  in
-  check_int "view threshold" 7 (Parallel.blocking_threshold rt);
+  let rt = Parallel.with_config ~min_fanout_work:9 Parallel.sequential in
   check_int "view gate" 9 (Parallel.min_fanout_work rt);
   check_int "view still sequential" 1 (Parallel.domains rt);
   check_bool "base handle untouched" true
-    (Parallel.blocking_threshold Parallel.sequential <> 7)
+    (Parallel.min_fanout_work Parallel.sequential <> 9)
 
 (* --- the work-stealing loop: coverage and bitwise determinism --- *)
 
@@ -251,7 +245,7 @@ let test_profitable_valve () =
     (Fusion.host_graph_time cfg ~fuse:false g)
     (Fusion.host_graph_time cfg ~fuse:true g)
 
-(* --- the joint (planner, fuse, domains, threshold) search --- *)
+(* --- the joint (planner, fuse, domains) search --- *)
 
 let test_fit_exec_search () =
   let lm =
@@ -276,9 +270,6 @@ let test_fit_exec_search () =
     check_bool "prediction positive" true (choice.A.predicted_s > 0.0);
     check_bool "domains candidate" true
       (List.mem choice.A.combo.A.domains A.default_domain_candidates);
-    check_bool "threshold candidate" true
-      (List.mem choice.A.combo.A.blocking_threshold
-         A.default_threshold_candidates);
     (* The budget is honoured: ask for one byte and the search must fail
        (every plan's arena is positive). *)
     check_bool "impossible budget refused" true

@@ -84,12 +84,6 @@ let test_cache_key_separates_knobs () =
     <> Pipeline.cache_key
          ~runtime:(Parallel.create ~domains:2 ~oversubscribe:true ())
          graph);
-  check_bool "blocking threshold changes the key" true
-    (Pipeline.cache_key ~runtime:(Parallel.create ~blocking_threshold:64 ())
-       graph
-    <> Pipeline.cache_key
-         ~runtime:(Parallel.create ~blocking_threshold:4096 ())
-         graph);
   let other = Echo_core.Planner.instantiate "recompute-all" in
   check_bool "planner changes the key" true
     (base <> Pipeline.cache_key ~planner:other graph)

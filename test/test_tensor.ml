@@ -161,13 +161,10 @@ let poison rng values t =
   done;
   t
 
-(* Sweep sizes across the blocking threshold, forced-naive / default /
-   forced-blocked thresholds, and sequential vs a 2-domain pool. The
-   threshold is per-runtime configuration now, so every point is a fresh
-   [with_config] view; the pool is oversubscribed past the hardware cap
-   with the work gate open, so the fan-out + work-stealing path genuinely
-   runs even on one core. Every combination must be bitwise equal to the
-   oracle. [dst] starts as NaN so an unwritten element can never pass.
+(* Sweep sizes and operand kinds, sequential vs a 2-domain pool. The pool
+   is oversubscribed past the hardware cap with the work gate open, so the
+   fan-out + work-stealing path genuinely runs even on one core. Every
+   combination must be bitwise equal to the oracle. [dst] starts as NaN so an unwritten element can never pass.
    The sweep runs once on the dispatched kernel build and once on the
    portable 2-lane build ([Tensor.For_testing.with_portable_gemm]), so a
    host with AVX2 still checks what other hosts run.
@@ -179,7 +176,7 @@ let poison rng values t =
    training step (hidden 64, batch 16, vocabulary 500) in the orientation
    the step runs them.
 
-   Four operand kinds pin the semantics the blocked kernel relies on:
+   Four operand kinds pin the semantics the kernel relies on:
    finite sparse operands (where it adds the zero-[a] terms instead of
    skipping them); infinities and NaNs in B where A has zeros (a skipped
    0 * inf must not turn into a NaN); NaNs in A (never skipped, so they
@@ -225,26 +222,18 @@ let matmul_blocked_sweep () =
   in
   Fun.protect ~finally:(fun () -> Parallel.shutdown pool) @@ fun () ->
   let rng = Rng.create 11 in
-  let default_threshold = Parallel.blocking_threshold Parallel.sequential in
   let check ~trans_a ~trans_b (m, n, k) kind a b =
     let expect = matmul_oracle ~trans_a ~trans_b ~m ~n ~k a b in
     List.iter
-      (fun threshold ->
-        List.iter
-          (fun (rt_name, base) ->
-            let runtime =
-              Parallel.with_config ~blocking_threshold:threshold base
-            in
-            let dst = Tensor.full [| m; n |] Float.nan in
-            Tensor.Into.matmul ~runtime ~trans_a ~trans_b a b ~dst;
-            if not (bits_equal expect dst) then
-              Alcotest.failf
-                "matmul %dx%dx%d ta=%b tb=%b threshold=%d runtime=%s \
-                 operands=%s gemm=%s differs from oracle"
-                m n k trans_a trans_b threshold rt_name kind
-                (Tensor.gemm_isa ()))
-          [ ("seq", Parallel.sequential); ("pool2", pool) ])
-      [ 0; default_threshold; max_int ];
+      (fun (rt_name, runtime) ->
+        let dst = Tensor.full [| m; n |] Float.nan in
+        Tensor.Into.matmul ~runtime ~trans_a ~trans_b a b ~dst;
+        if not (bits_equal expect dst) then
+          Alcotest.failf
+            "matmul %dx%dx%d ta=%b tb=%b runtime=%s operands=%s gemm=%s \
+             differs from oracle"
+            m n k trans_a trans_b rt_name kind (Tensor.gemm_isa ()))
+      [ ("seq", Parallel.sequential); ("pool2", pool) ];
     if not (bits_equal expect (Tensor.matmul ~trans_a ~trans_b a b)) then
       Alcotest.failf
         "allocating matmul %dx%dx%d ta=%b tb=%b operands=%s gemm=%s differs \
@@ -280,7 +269,6 @@ let matmul_blocked_sweep () =
      fix-up allocates nothing: the poisoned call allocates exactly what
      the clean one does. *)
   let m, n, k = (37, 41, 9) and i0, j0, l0 = (29, 6, 4) in
-  let blocked = Parallel.with_config ~blocking_threshold:0 Parallel.sequential in
   let words f =
     let w0 = Gc.minor_words () in
     f ();
@@ -301,9 +289,7 @@ let matmul_blocked_sweep () =
         check_bool "one NaN-prone output" (i = i0) (Float.is_finite x)
       done;
       let dst = Tensor.zeros [| m; n |] in
-      let run a b () =
-        Tensor.Into.matmul ~runtime:blocked ~trans_a ~trans_b a b ~dst
-      in
+      let run a b () = Tensor.Into.matmul ~trans_a ~trans_b a b ~dst in
       let clean = words (run clean_a clean_b) in
       check_float "fix-up allocates nothing" clean (words (run a b)))
     every;
