@@ -138,6 +138,68 @@ let matmul_loops ?(trans_a = false) ?(trans_b = false) ~m ~n ~k a b ~dst =
     done
   done
 
+(* Reference loops for E16's elementwise rows: each computes, one element
+   at a time, the OCaml scalar expression the C kernel it checks
+   documents (elementwise_kernel.h), writing into [dst]. *)
+let ew_loops_data = Echo_tensor.Tensor.unsafe_data
+
+let binary_loops op x y ~dst =
+  let x = ew_loops_data x and y = ew_loops_data y and d = ew_loops_data dst in
+  for i = 0 to Array.length d - 1 do
+    d.(i) <-
+      (match op with
+      | `Add -> x.(i) +. y.(i)
+      | `Sub -> x.(i) -. y.(i)
+      | `Mul -> x.(i) *. y.(i)
+      | `Div -> x.(i) /. y.(i))
+  done
+
+(* [scale] is [c *. x] and [add_scalar] is [c +. x]: the constant is the
+   first operand. *)
+let scalar_loops op c x ~dst =
+  let x = ew_loops_data x and d = ew_loops_data dst in
+  for i = 0 to Array.length d - 1 do
+    d.(i) <- (match op with `Scale -> c *. x.(i) | `Add_scalar -> c +. x.(i))
+  done
+
+(* The chain [f_mul 1; f_add 2; f_scale c; f_add_scalar k] over operands
+   [x; y; z]: per element ((x *. y) +. z), then [c *. _], then [k +. _]. *)
+let chain_loops ~c ~k x y z ~dst =
+  let x = ew_loops_data x and y = ew_loops_data y and z = ew_loops_data z in
+  let d = ew_loops_data dst in
+  for i = 0 to Array.length d - 1 do
+    let acc = (x.(i) *. y.(i)) +. z.(i) in
+    let acc = c *. acc in
+    d.(i) <- k +. acc
+  done
+
+(* The sum over the middle axis of an [outer x n x inner] tensor: each
+   output element accumulates [acc +. x] from +0 over ascending a. *)
+let reduce_sum_loops ~outer ~n ~inner src ~dst =
+  let s = ew_loops_data src and d = ew_loops_data dst in
+  for o = 0 to outer - 1 do
+    for k = 0 to inner - 1 do
+      let acc = ref 0.0 in
+      for a = 0 to n - 1 do
+        acc := !acc +. s.((((o * n) + a) * inner) + k)
+      done;
+      d.((o * inner) + k) <- !acc
+    done
+  done
+
+(* The slice [lo, hi) of the middle axis of an [outer x n x inner]
+   tensor, element by element. *)
+let slice_loops ~outer ~n ~inner ~lo ~hi src ~dst =
+  let s = ew_loops_data src and d = ew_loops_data dst in
+  let w = hi - lo in
+  for o = 0 to outer - 1 do
+    for a = 0 to w - 1 do
+      for k = 0 to inner - 1 do
+        d.((((o * w) + a) * inner) + k) <- s.((((o * n) + lo + a) * inner) + k)
+      done
+    done
+  done
+
 let mib bytes = float_of_int bytes /. (1024.0 *. 1024.0)
 let ms s = 1000.0 *. s
 

@@ -534,19 +534,23 @@ let e15 () =
   record "identical" (if identical then 1.0 else 0.0);
   record_json "E15" (List.rev !json)
 
-(* E16: matmul kernel micro-bench — GFLOP/s by size for the reference
-   triple loop ([Harness.matmul_loops]), the C SIMD micro-kernel (in the
-   build [Tensor.gemm_isa] names), and the kernel on a 2-domain pool; plus
-   the four transpose variants at the headline size and the four GEMM
-   shapes of an NMT training step. Each configuration is checked bit for
-   bit against the loop first; [--check] turns a mismatch into exit 1. *)
+(* E16: C kernel micro-bench — GFLOP/s by size for the reference triple
+   loop ([Harness.matmul_loops]), the C SIMD micro-kernel (in the build
+   [Tensor.gemm_isa] names), and the kernel on a 2-domain pool; plus the
+   four transpose variants at the headline size and the four GEMM shapes
+   of an NMT training step; then Melem/s of each elementwise C kernel
+   (binary, scalar, fused chain, reduce_sum with inner = 1 and 64, strided
+   copy) against [Harness]'s reference loops. Each configuration is checked
+   bit for bit against its loop first; [--check] turns a mismatch into
+   exit 1. *)
 let e16_violations = ref []
 
 let e16 () =
   let isa = Tensor.gemm_isa () in
   heading "E16"
     (Printf.sprintf
-       "matmul kernel GFLOP/s (reference loops vs C kernel [%s] vs parallel)"
+       "C kernels [%s]: matmul GFLOP/s (reference loops vs kernel vs \
+        parallel), elementwise Melem/s (reference loops vs kernel)"
        isa);
   let module I = Tensor.Into in
   let rng = Rng.create 77 in
@@ -676,6 +680,93 @@ let e16 () =
       ("dinput", 16, 64, 256, false, false);
       ("dweight", 256, 64, 16, true, false);
       ("proj", 320, 500, 64, false, true);
+    ];
+  (* The elementwise C kernels against [Harness]'s reference loops, on the
+     shapes an NMT step runs them: [16 x 64] gate tensors, attention
+     scores summed over 20 source positions ([inner] = 1), a [16 x 20 x
+     64] context sum ([inner] = 64), and slices of both. Every seventh
+     operand element is a NaN of one of two payloads, +-0, +-inf or a
+     subnormal, in a different rotation per operand ([shift]) so that the
+     two payloads meet: a kernel that keeps the second operand's NaN or
+     drops the quiet bit fails its row, as does any one-ulp change. *)
+  let specials =
+    [| Int64.float_of_bits 0x7FF8000000000001L;
+       Int64.float_of_bits 0xFFF8000000000ABCL; 0.0; -0.0; Float.infinity;
+       Float.neg_infinity; Int64.float_of_bits 3L |]
+  in
+  let operand ?(shift = 0) shape =
+    let t = Tensor.uniform rng shape ~lo:(-2.0) ~hi:2.0 in
+    let d = Tensor.unsafe_data t in
+    Array.iteri
+      (fun i _ ->
+        if i mod 7 = 3 then
+          d.(i) <- specials.(((i / 7) + shift) mod Array.length specials))
+      d;
+    t
+  in
+  let melems ~n ~reps f =
+    f () (* warm-up *);
+    let t0 = wall () in
+    for _ = 1 to reps do f () done;
+    float_of_int (n * reps) /. Float.max (wall () -. t0) 1e-9 /. 1e6
+  in
+  let x = operand [| 16; 64 |] and y = operand ~shift:1 [| 16; 64 |] in
+  let z = operand ~shift:2 [| 16; 64 |] in
+  let scores = operand [| 16; 20 |] and context = operand [| 16; 20; 64 |] in
+  List.iter
+    (fun (label, out_shape, reference, kernel) ->
+      let expect = Tensor.zeros out_shape and dst = Tensor.zeros out_shape in
+      reference expect;
+      kernel dst;
+      let ok = e16_identical ("elementwise " ^ label) expect dst in
+      let n = Tensor.numel dst in
+      let reps =
+        (match !scale with Full -> 20_000_000 | Quick -> 2_000_000) / n
+        |> max 1
+      in
+      let loops = melems ~n ~reps (fun () -> reference dst) in
+      let kern = melems ~n ~reps (fun () -> kernel dst) in
+      row "ew %-13s %6d elems  loops %7.1f  kernel %7.1f Melem/s (%5.2fx, %s)@."
+        label n loops kern (kern /. loops)
+        (if ok then "bit-identical" else "MISMATCH");
+      json :=
+        (Printf.sprintf "ew_%s_loops" label, loops)
+        :: (Printf.sprintf "ew_%s_kernel" label, kern)
+        :: (Printf.sprintf "ew_%s_identical" label, if ok then 1.0 else 0.0)
+        :: !json)
+    [
+      ("add", [| 16; 64 |], (fun dst -> binary_loops `Add x y ~dst),
+        fun dst -> I.add x y ~dst);
+      ("sub", [| 16; 64 |], (fun dst -> binary_loops `Sub x y ~dst),
+        fun dst -> I.sub x y ~dst);
+      ("mul", [| 16; 64 |], (fun dst -> binary_loops `Mul x y ~dst),
+        fun dst -> I.mul x y ~dst);
+      ("div", [| 16; 64 |], (fun dst -> binary_loops `Div x y ~dst),
+        fun dst -> I.div x y ~dst);
+      ("scale", [| 16; 64 |], (fun dst -> scalar_loops `Scale 0.75 x ~dst),
+        fun dst -> I.scale 0.75 x ~dst);
+      ("add_scalar", [| 16; 64 |],
+        (fun dst -> scalar_loops `Add_scalar (-1.5) x ~dst),
+        fun dst -> I.add_scalar (-1.5) x ~dst);
+      ("chain", [| 16; 64 |], (fun dst -> chain_loops ~c:0.5 ~k:1.0 x y z ~dst),
+        fun dst ->
+          I.fused
+            [| Tensor.f_mul 1; Tensor.f_add 2; Tensor.f_scale 0.5;
+               Tensor.f_add_scalar 1.0 |]
+            [| x; y; z |] ~dst);
+      ("reduce_inner1", [| 16 |],
+        (fun dst -> reduce_sum_loops ~outer:16 ~n:20 ~inner:1 scores ~dst),
+        fun dst -> I.reduce_sum ~axis:1 ~keepdims:false scores ~dst);
+      ("reduce_inner64", [| 16; 64 |],
+        (fun dst -> reduce_sum_loops ~outer:16 ~n:20 ~inner:64 context ~dst),
+        fun dst -> I.reduce_sum ~axis:1 ~keepdims:false context ~dst);
+      ("slice_16x1", [| 16; 1 |],
+        (fun dst -> slice_loops ~outer:16 ~n:20 ~inner:1 ~lo:3 ~hi:4 scores ~dst),
+        fun dst -> I.slice ~axis:1 ~lo:3 ~hi:4 scores ~dst);
+      ("slice_wide", [| 16; 8; 64 |],
+        (fun dst ->
+          slice_loops ~outer:16 ~n:20 ~inner:64 ~lo:2 ~hi:10 context ~dst),
+        fun dst -> I.slice ~axis:1 ~lo:2 ~hi:10 context ~dst);
     ];
   Parallel.shutdown pool2;
   record_json ~tags:[ ("gemm_isa", isa) ] "E16" (List.rev !json)

@@ -172,57 +172,82 @@ let op_of_tokens line tokens =
       { stride = i stride; pad = i pad; kernel_shape = shape_of_string line s }
   | _ -> fail line "unknown operator"
 
-(* [Printf.sprintf "%h" x], rendered straight into [buf]: the sign, then
-   [infinity], [nan], or [0x] + the leading digit + the mantissa's hex
-   digits without trailing zeros + [p] + the signed decimal exponent
-   (subnormals as [0x0.<digits>p-1022]). Allocation-free, where sprintf
-   allocates a format closure and a string per float; inlined, so the
-   float argument is not boxed either. *)
-let add_float_hex buf x =
+let float_hex_max = 24 (* "-0x1." ^ 13 hex digits ^ "p-1022" *)
+
+(* [set b i c] stores [c] at [i] and returns the next position. *)
+let set b i c =
+  Bytes.unsafe_set b i c;
+  i + 1
+[@@inline]
+
+let put_string b i s =
+  Bytes.blit_string s 0 b i (String.length s);
+  i + String.length s
+
+let put_digit b i d = set b i (Char.unsafe_chr (48 + d)) [@@inline]
+
+(* [Printf.sprintf "%h" x], rendered straight into [b] at [pos]: the
+   sign, then [infinity], [nan], or [0x] + the leading digit + the
+   mantissa's hex digits without trailing zeros + [p] + the signed decimal
+   exponent (subnormals as [0x0.<digits>p-1022]). Allocation-free, where
+   sprintf allocates a format closure and a string per float; inlined into
+   [put_tensor], so the float argument is not boxed either. *)
+let put_float_hex b pos x =
+  if pos < 0 || pos > Bytes.length b - float_hex_max then
+    invalid_arg "Serial.put_float_hex: fewer than float_hex_max bytes left";
   let bits = Int64.bits_of_float x in
-  if bits < 0L then Buffer.add_char buf '-';
+  let i = if bits < 0L then set b pos '-' else pos in
   let e = Int64.to_int (Int64.shift_right_logical bits 52) land 0x7ff in
   let m = Int64.to_int (Int64.logand bits 0xf_ffff_ffff_ffffL) in
-  if e = 0x7ff then Buffer.add_string buf (if m = 0 then "infinity" else "nan")
+  if e = 0x7ff then put_string b i (if m = 0 then "infinity" else "nan")
   else begin
-    Buffer.add_string buf (if e = 0 then "0x0" else "0x1");
+    let i = put_string b i (if e = 0 then "0x0" else "0x1") in
+    let i = ref i in
     if m <> 0 then begin
-      Buffer.add_char buf '.';
+      i := set b !i '.';
       let m = ref m in
       while !m <> 0 do
-        Buffer.add_char buf "0123456789abcdef".[!m lsr 48];
+        i := set b !i (String.unsafe_get "0123456789abcdef" (!m lsr 48));
         m := (!m lsl 4) land 0xf_ffff_ffff_ffff
       done
     end;
     let exp = if e = 0 then if m = 0 then 0 else -1022 else e - 1023 in
-    Buffer.add_char buf 'p';
-    Buffer.add_char buf (if exp < 0 then '-' else '+');
+    let i = set b !i 'p' in
+    let i = set b i (if exp < 0 then '-' else '+') in
     let a = abs exp in
-    if a >= 1000 then Buffer.add_char buf (Char.chr (48 + (a / 1000)));
-    if a >= 100 then Buffer.add_char buf (Char.chr (48 + (a / 100 mod 10)));
-    if a >= 10 then Buffer.add_char buf (Char.chr (48 + (a / 10 mod 10)));
-    Buffer.add_char buf (Char.chr (48 + (a mod 10)))
+    let i = if a >= 1000 then put_digit b i (a / 1000) else i in
+    let i = if a >= 100 then put_digit b i (a / 100 mod 10) else i in
+    let i = if a >= 10 then put_digit b i (a / 10 mod 10) else i in
+    put_digit b i (a mod 10)
   end
 [@@inline]
 
 (* Tensor <-> single token: SHAPE:V0,V1,... with %h floats so round-trips
-   are bit-exact. Used by the checkpoint format in [Echo_runtime]. *)
-let add_tensor ?(drain = ignore) buf t =
-  Buffer.add_string buf (shape_to_string (Tensor.shape t));
-  Buffer.add_char buf ':';
+   are bit-exact. Used by the checkpoint format in [Echo_runtime]. The
+   element loop lives here, beside [put_float_hex], so each float goes to
+   the renderer unboxed. *)
+let put_tensor b pos ~flush t =
+  let header = shape_to_string (Tensor.shape t) in
+  let room pos n = if pos > Bytes.length b - n then (flush pos; 0) else pos in
+  let pos = room pos (String.length header + 1) in
+  let pos = set b (put_string b pos header) ':' in
   let d = Tensor.unsafe_data t in
-  for i = 0 to Array.length d - 1 do
-    if i > 0 then begin
-      if i land 255 = 0 then drain buf;
-      Buffer.add_char buf ','
-    end;
-    add_float_hex buf (Array.unsafe_get d i)
-  done
+  let i = ref pos in
+  for k = 0 to Array.length d - 1 do
+    i := room !i (float_hex_max + 1);
+    if k > 0 then i := set b !i ',';
+    i := put_float_hex b !i (Array.unsafe_get d k)
+  done;
+  !i
 
 let tensor_to_string t =
-  let buf = Buffer.create (16 * Tensor.numel t) in
-  add_tensor buf t;
-  Buffer.contents buf
+  let b =
+    Bytes.create
+      (String.length (shape_to_string (Tensor.shape t))
+      + 1
+      + (Tensor.numel t * (float_hex_max + 1)))
+  in
+  Bytes.sub_string b 0 (put_tensor b 0 ~flush:(fun _ -> assert false) t)
 
 let tensor_of_string s =
   match String.index_opt s ':' with

@@ -32,17 +32,27 @@ val tensor_to_string : Echo_tensor.Tensor.t -> string
 (** One token, [SHAPE:v0,v1,...], with [%h] hex floats — round-trips are
     bit-exact. *)
 
-val add_tensor :
-  ?drain:(Buffer.t -> unit) -> Buffer.t -> Echo_tensor.Tensor.t -> unit
-(** {!tensor_to_string} appended to a buffer, without the intermediate
-    string or a copy of the data. [drain buf] (default: nothing) is called
-    after every 256 elements, so a writer that empties [buf] there streams
-    a tensor of any size through a buffer of bounded length. *)
+val shape_to_string : Echo_tensor.Shape.t -> string
+(** The [SHAPE] part of a tensor token: dimensions joined by ['x'], or
+    [scalar]. *)
 
-val add_float_hex : Buffer.t -> float -> unit
-(** Appends exactly the bytes of [Printf.sprintf "%h" x] (including
-    [nan], [-nan], [infinity], [-infinity], [-0x0p+0] and subnormals),
-    without allocating. *)
+val float_hex_max : int
+(** The longest rendering {!put_float_hex} writes: 24 bytes. *)
+
+val put_float_hex : Bytes.t -> int -> float -> int
+(** [put_float_hex b pos x] writes exactly the bytes of
+    [Printf.sprintf "%h" x] (including [nan], [-nan], [infinity],
+    [-infinity], [-0x0p+0] and subnormals) into [b] at [pos], without
+    allocating, and returns the position after them.
+    @raise Invalid_argument if fewer than {!float_hex_max} bytes of [b]
+    are left at [pos]. *)
+
+val put_tensor : Bytes.t -> int -> flush:(int -> unit) -> Echo_tensor.Tensor.t -> int
+(** [put_tensor b pos ~flush t] writes {!tensor_to_string}[ t] into [b] from
+    [pos], without allocating per element, and returns the position after
+    it. Whenever the next piece would not fit, it calls [flush n], which
+    must consume [b]'s first [n] bytes, and continues at 0; a [b] of at
+    least 64 bytes holds every piece but an oversized shape. *)
 
 val tensor_of_string : string -> Echo_tensor.Tensor.t
 (** @raise Parse_error on malformed input. *)

@@ -31,43 +31,59 @@ let fnv h s ~off ~len =
 
 let checksum s = fnv fnv_offset s ~off:0 ~len:(String.length s)
 
-(* The body streams to the channel through one line buffer: each line is
-   rendered in place (tensors straight from their floats, drained every
-   256 elements so the buffer never grows past its initial size), folded
-   into the running checksum and written out, so neither a whole-file nor
-   a whole-line string exists. The bytes are exactly the format's:
-   [header], [step], [opt-steps], [rng], [loss] lines, then [param] and
-   [slot] lines with [Serial] tensors. *)
-type sink = {
-  oc : out_channel;
-  line : Buffer.t;
-  chunk : Bytes.t;  (* checksum staging: [line] is copied out piecewise *)
-  mutable hash : int64;
-}
+(* The body streams to the channel through one byte chunk: every piece
+   is rendered straight into it (tensors from their floats, by
+   [Serial.put_tensor]), and a full chunk is folded into the running
+   checksum and written out in one pass, so neither a whole-file nor a
+   whole-line string exists and no byte is copied twice. The bytes are
+   exactly the format's: [header], [step], [opt-steps], [rng], [loss]
+   lines, then [param] and [slot] lines with [Serial] tensors. *)
+type sink = { oc : out_channel; chunk : Bytes.t; mutable pos : int; mutable hash : int64 }
 
-let drain w =
-  let len = Buffer.length w.line in
-  let size = Bytes.length w.chunk in
-  let off = ref 0 in
-  while !off < len do
-    let n = min size (len - !off) in
-    Buffer.blit w.line !off w.chunk 0 n;
-    w.hash <- fnv w.hash (Bytes.unsafe_to_string w.chunk) ~off:0 ~len:n;
-    off := !off + n
-  done;
-  Buffer.output_buffer w.oc w.line;
-  Buffer.clear w.line
+let flush w =
+  w.hash <- fnv w.hash (Bytes.unsafe_to_string w.chunk) ~off:0 ~len:w.pos;
+  output w.oc w.chunk 0 w.pos;
+  w.pos <- 0
 
-let end_line w =
-  Buffer.add_char w.line '\n';
-  drain w
+(* Makes room for [n] more bytes ([n] at most the chunk's length). *)
+let room w n = if w.pos + n > Bytes.length w.chunk then flush w
+
+let put_char w c =
+  room w 1;
+  Bytes.unsafe_set w.chunk w.pos c;
+  w.pos <- w.pos + 1
+
+let put_string w s =
+  let n = String.length s in
+  if n > Bytes.length w.chunk then begin
+    flush w;
+    w.hash <- fnv w.hash s ~off:0 ~len:n;
+    output_string w.oc s
+  end
+  else begin
+    room w n;
+    Bytes.blit_string s 0 w.chunk w.pos n;
+    w.pos <- w.pos + n
+  end
+
+let put_float w x =
+  room w Serial.float_hex_max;
+  w.pos <- Serial.put_float_hex w.chunk w.pos x
+
+let put_tensor w t =
+  w.pos <-
+    Serial.put_tensor w.chunk w.pos
+      ~flush:(fun n ->
+        w.pos <- n;
+        flush w)
+      t
 
 let write_body w ckpt =
   let line fmt =
     Printf.ksprintf
       (fun s ->
-        Buffer.add_string w.line s;
-        end_line w)
+        put_string w s;
+        put_char w '\n')
       fmt
   in
   line "%s" header;
@@ -78,14 +94,14 @@ let write_body w ckpt =
   | None -> ());
   List.iter
     (fun l ->
-      Buffer.add_string w.line "loss ";
-      Serial.add_float_hex w.line l;
-      end_line w)
+      put_string w "loss ";
+      put_float w l;
+      put_char w '\n')
     ckpt.losses;
   let tensor_line prefix t =
-    Buffer.add_string w.line prefix;
-    Serial.add_tensor ~drain:(fun _ -> drain w) w.line t;
-    end_line w
+    put_string w prefix;
+    put_tensor w t;
+    put_char w '\n'
   in
   List.iter
     (fun (name, t) ->
@@ -102,15 +118,9 @@ let write_body w ckpt =
 let save ~path ckpt =
   let tmp = path ^ ".tmp" in
   let oc = open_out tmp in
-  let w =
-    {
-      oc;
-      line = Buffer.create 16384;
-      chunk = Bytes.create 16384;
-      hash = fnv_offset;
-    }
-  in
+  let w = { oc; chunk = Bytes.create 65536; pos = 0; hash = fnv_offset } in
   write_body w ckpt;
+  flush w;
   Printf.fprintf oc "checksum %Lx\n" w.hash;
   close_out oc;
   Sys.rename tmp path

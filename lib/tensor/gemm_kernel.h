@@ -1,8 +1,9 @@
 /* One build of the GEMM micro-kernel, included once per build by
-   gemm_stubs.c, which defines before each inclusion:
+   kernel_stubs.c, which defines before each inclusion:
 
      LANES   doubles per vector (2 or 4); tiles are 4 x (2 * LANES)
-     KERNEL  the kernel's name; every helper is prefixed with it
+     BUILD   the build's name; the kernel is gemm_<BUILD>, and every
+             helper is prefixed with that name
      TARGET  the function attribute that selects the instruction set
 
    KERNEL(P, Q, out, k, pr, pl, qs, r0, r1, c0, c1, sr, sc) stores
@@ -15,6 +16,7 @@
 
 #define GEMM_CAT_(a, b) a##b
 #define GEMM_CAT(a, b) GEMM_CAT_(a, b)
+#define KERNEL GEMM_CAT(gemm_, BUILD)
 #define GEMM_V GEMM_CAT(KERNEL, _v)
 #define GEMM_VU GEMM_CAT(KERNEL, _vu)
 #define GEMM_DOT GEMM_CAT(KERNEL, _dot)
@@ -112,6 +114,4 @@ TARGET static int KERNEL(const double *P, const double *Q, double *out,
 #undef GEMM_DOT
 #undef GEMM_TILE
 #undef GEMM_ROWS
-#undef LANES
 #undef KERNEL
-#undef TARGET

@@ -159,22 +159,6 @@ let create ?domains ?oversubscribe ?min_fanout_work () =
     t
   end
 
-(* A second handle over the same pool (or Seq) with some config fields
-   replaced. The workers are shared; only the per-call execution
-   parameters differ, which is what lets one process hold executors
-   compiled under different fan-out gates. *)
-let with_config ?oversubscribe ?min_fanout_work t =
-  let c = t.config in
-  {
-    t with
-    config =
-      {
-        min_fanout_work =
-          Option.value min_fanout_work ~default:c.min_fanout_work;
-        oversubscribe = Option.value oversubscribe ~default:c.oversubscribe;
-      };
-  }
-
 (* Balanced contiguous partition of [0, n) into [parts] chunks: a pure
    function of (n, parts), independent of which domain runs which chunk. *)
 let chunk_bounds n parts i = ((i * n) / parts, ((i + 1) * n) / parts)

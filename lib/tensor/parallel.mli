@@ -57,15 +57,6 @@ val create :
 
     @raise Invalid_argument if [domains < 1] or [min_fanout_work < 0]. *)
 
-val with_config :
-  ?oversubscribe:bool ->
-  ?min_fanout_work:int ->
-  t ->
-  t
-(** A new handle sharing the same workers (or sequential engine) with some
-    configuration fields replaced. Cheap; this is how one process holds
-    executors compiled under different fan-out gates over a single pool. *)
-
 val domains : t -> int
 (** Total participating domains ([1] for {!sequential}). *)
 

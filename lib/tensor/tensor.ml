@@ -1,3 +1,4 @@
+(* kernel_stubs.c reads [data] as field 1. *)
 type t = { shape : Shape.t; data : float array }
 
 (* {1 Construction} *)
@@ -78,16 +79,6 @@ let map2 f a b =
          (Shape.to_string a.shape) (Shape.to_string b.shape));
   { shape = a.shape; data = Array.init (Array.length a.data) (fun i -> f a.data.(i) b.data.(i)) }
 
-(* Scalar kernels are named so the allocating operations and the
-   destination-passing [Into] variants share the exact same arithmetic —
-   bit-identity between the two code paths holds by construction. *)
-let k_neg x = -.x
-let k_sigmoid x = 1.0 /. (1.0 +. exp (-.x)) [@@inline]
-let k_relu x = if x > 0.0 then x else 0.0
-let k_sq x = x *. x
-let k_recip x = 1.0 /. x
-let k_sign x = if x > 0.0 then 1.0 else if x < 0.0 then -1.0 else 0.0
-
 (* The allocating elementwise wrappers ([add], [sigmoid], ...) are defined
    after [Into]: each allocates [dst] and delegates to the corresponding
    [Into] kernel, so there is exactly one loop body per op. *)
@@ -97,24 +88,17 @@ let k_sign x = if x > 0.0 then 1.0 else if x < 0.0 then -1.0 else 0.0
    A fused chain folds one scalar accumulator per output element through a
    sequence of steps: the accumulator is seeded from element [i] of
    [operands.(0)], each step transforms it (optionally reading element [i]
-   of another operand), and only the final value is stored. Interior values
-   of the chain live in registers — they are never materialized. The steps
-   are built from the {e same named scalar kernels} the [Into] kernels use,
-   so a fused chain is bit-identical to running its members one at a
-   time. *)
+   of another operand), and only the final value is stored. Each step is
+   the same C kernel op an unfused [Into] kernel runs, so a fused chain is
+   bit-identical to running its members one at a time. *)
 
-(* A closed opcode variant rather than a chain of closures: the kernel's
-   inner loop dispatches each step with a match the compiler turns into a
-   jump table, and every op body (the same named scalar kernels the [Into]
-   kernels use) is applied directly — composed closures would cost two
-   indirect calls and a float boxing per step per element, losing to the
-   separate unfused passes they replace. Binary steps carry the index of
-   the operand they read. *)
+(* A closed opcode variant, one constructor per kernel op, which the C
+   kernels decode in place (kernel_stubs.c): the constant constructors
+   and, in a second group, the constructors with an argument, each in the
+   order of the stub's opcode tables — keep the two in step. Binary steps
+   carry the index of the operand they read. *)
 type fused_step =
   | F_neg
-  | F_scale of float
-  | F_add_scalar of float
-  | F_pow_const of float
   | F_sigmoid
   | F_tanh
   | F_relu
@@ -124,6 +108,9 @@ type fused_step =
   | F_sq
   | F_recip
   | F_sign
+  | F_scale of float
+  | F_add_scalar of float
+  | F_pow_const of float
   | F_add of int
   | F_sub of int
   | F_mul of int
@@ -168,22 +155,10 @@ let fused_step_work = function
 
 (* {1 Linear algebra} *)
 
-(* [matmul] is defined after [Into]: there is exactly one matmul
-   implementation ([Into.matmul]); the allocating version allocates [dst]
-   and delegates, so the two code paths cannot diverge. *)
-
-let add_bias m b =
-  if Shape.rank m.shape <> 2 || Shape.rank b.shape <> 1 then
-    invalid_arg "Tensor.add_bias: expects 2-D matrix and 1-D bias";
-  let rows = m.shape.(0) and cols = m.shape.(1) in
-  if b.shape.(0) <> cols then invalid_arg "Tensor.add_bias: bias length mismatch";
-  let out = Array.make (rows * cols) 0.0 in
-  for i = 0 to rows - 1 do
-    for j = 0 to cols - 1 do
-      out.((i * cols) + j) <- m.data.((i * cols) + j) +. b.data.(j)
-    done
-  done;
-  create m.shape out
+(* [matmul] and [add_bias] are defined after [Into]: there is exactly one
+   implementation of each ([Into.matmul], [Into.add_bias]); the allocating
+   version allocates [dst] and delegates, so the two code paths cannot
+   diverge. *)
 
 let outer a b =
   if Shape.rank a.shape <> 1 || Shape.rank b.shape <> 1 then
@@ -209,8 +184,8 @@ let reshape t shape =
          (Shape.to_string shape));
   { shape; data = Array.copy t.data }
 
-(* [transpose2d] is defined after [Into] and delegates to
-   [Into.transpose2d], like [matmul]. *)
+(* [transpose2d], [slice], [concat] and [pad_slice] are defined after
+   [Into] and delegate to it, like [matmul]. *)
 
 (* Iterate over the cartesian product of [outer] positions before [axis],
    the axis range, and [inner] positions after it. Row-major layout means a
@@ -222,66 +197,17 @@ let axis_blocks shape axis =
     shape;
   (!outer, !inner)
 
-let slice ~axis ~lo ~hi t =
-  let out_shape = Shape.slice_result ~axis ~lo ~hi t.shape in
-  let d = t.shape.(axis) in
-  let outer, inner = axis_blocks t.shape axis in
-  let width = hi - lo in
-  let out = Array.make (outer * width * inner) 0.0 in
-  (* The kept [width * inner] cells of each outer block are contiguous. *)
-  for o = 0 to outer - 1 do
-    Array.blit t.data
-      (((o * d) + lo) * inner)
-      out
-      (o * width * inner)
-      (width * inner)
-  done;
-  create out_shape out
-
-let concat ~axis ts =
-  match ts with
-  | [] -> invalid_arg "Tensor.concat: empty list"
-  | first :: rest ->
-    let out_shape =
-      List.fold_left (fun acc t -> Shape.concat_result ~axis acc t.shape) first.shape rest
-    in
-    let outer, inner = axis_blocks first.shape axis in
-    let total = out_shape.(axis) in
-    let out = Array.make (Shape.numel out_shape) 0.0 in
-    let offset = ref 0 in
-    List.iter
-      (fun t ->
-        let d = t.shape.(axis) in
-        for o = 0 to outer - 1 do
-          Array.blit t.data
-            (o * d * inner)
-            out
-            (((o * total) + !offset) * inner)
-            (d * inner)
-        done;
-        offset := !offset + d)
-      ts;
-    create out_shape out
-
-let pad_slice ~axis ~lo ~full t =
-  if axis < 0 || axis >= Shape.rank t.shape then invalid_arg "Tensor.pad_slice: bad axis";
-  let d = t.shape.(axis) in
-  if lo < 0 || lo + d > full then invalid_arg "Tensor.pad_slice: slice does not fit";
-  let out_shape = Array.mapi (fun i k -> if i = axis then full else k) t.shape in
-  let outer, inner = axis_blocks t.shape axis in
-  let out = Array.make (Shape.numel out_shape) 0.0 in
-  for o = 0 to outer - 1 do
-    Array.blit t.data (o * d * inner) out (((o * full) + lo) * inner) (d * inner)
-  done;
-  create out_shape out
-
 (* {1 Reductions} *)
 
 let sum t = Array.fold_left ( +. ) 0.0 t.data
 let mean t = sum t /. float_of_int (numel t)
 let max_elt t = Array.fold_left Float.max neg_infinity t.data
 
+(* [reduce_sum], [reduce_mean] and [broadcast_axis] are defined after
+   [Into] and delegate to it. *)
+
 let reduce_shape ~axis ~keepdims shape =
+  if axis < 0 || axis >= Shape.rank shape then invalid_arg "Tensor.reduce: bad axis";
   if keepdims then Array.mapi (fun i d -> if i = axis then 1 else d) shape
   else begin
     match Array.length shape with
@@ -298,45 +224,6 @@ let reduce_shape ~axis ~keepdims shape =
         shape;
       out
   end
-
-let reduce_sum ~axis ~keepdims t =
-  if axis < 0 || axis >= Shape.rank t.shape then invalid_arg "Tensor.reduce_sum: bad axis";
-  let d = t.shape.(axis) in
-  let outer, inner = axis_blocks t.shape axis in
-  let out = Array.make (outer * inner) 0.0 in
-  for o = 0 to outer - 1 do
-    for a = 0 to d - 1 do
-      let src = ((o * d) + a) * inner in
-      let dst = o * inner in
-      for k = 0 to inner - 1 do
-        out.(dst + k) <- out.(dst + k) +. t.data.(src + k)
-      done
-    done
-  done;
-  create (reduce_shape ~axis ~keepdims t.shape) out
-
-(* [reduce_mean] is defined after [Into] (it delegates to
-   [Into.reduce_mean]). *)
-
-(* Repeat each [inner]-cell block of [src] [n] times. A one-cell block
-   (broadcasting a column) is a fill, not [n] one-element blits. *)
-let broadcast_blocks (src : float array) (dst : float array) ~outer ~n ~inner =
-  for o = 0 to outer - 1 do
-    if inner = 1 then Array.fill dst (o * n) n (Array.unsafe_get src o)
-    else
-      for a = 0 to n - 1 do
-        Array.blit src (o * inner) dst (((o * n) + a) * inner) inner
-      done
-  done
-
-let broadcast_axis ~axis ~n t =
-  if axis < 0 || axis >= Shape.rank t.shape then invalid_arg "Tensor.broadcast_axis: bad axis";
-  if t.shape.(axis) <> 1 then invalid_arg "Tensor.broadcast_axis: axis dim must be 1";
-  let outer, inner = axis_blocks t.shape axis in
-  let out_shape = Array.mapi (fun i d -> if i = axis then n else d) t.shape in
-  let out = Array.make (outer * n * inner) 0.0 in
-  broadcast_blocks t.data out ~outer ~n ~inner;
-  create out_shape out
 
 (* A plain loop, not [Array.fold_left]: the fold's closure would box the
    float accumulator on every element. *)
@@ -520,11 +407,6 @@ let conv_out_dim ~stride ~pad ~k dim = ((dim + (2 * pad) - k) / stride) + 1
 let pack_scratch : float array ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [||])
 
-(* Running-value scratch for the fused elementwise kernel (one chunk's
-   width per domain). *)
-let fused_scratch : float array ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [||])
-
 (* [src] is a row-major [rows x cols] matrix; writes its transpose
    ([cols x rows], row-major) into [dst]. Annotated [float array] so the
    copy moves unboxed doubles instead of going through the polymorphic
@@ -569,7 +451,7 @@ let fix_nans ad bd out ~k ~n ~ai ~al ~bj ~bl lo hi =
 (* [gemm_kernel p q out k pr pl qs r0 r1 c0 c1 sr sc] stores
    x(r,c) = sum_l p.(r*pr + l*pl) * q.(l*qs + c) at out.(r*sr + c*sc) for
    r in [r0, r1), c in [c0, c1), and returns whether any stored x(r,c) is
-   a NaN; see gemm_stubs.c. *)
+   a NaN; see kernel_stubs.c. *)
 external gemm_kernel :
   float array ->
   float array ->
@@ -587,112 +469,97 @@ external gemm_kernel :
   bool = "echo_gemm_byte" "echo_gemm"
 [@@noalloc]
 
-(* [gemm_select portable] points [gemm_kernel] at the best build the CPU
-   supports, or at the portable build when [portable]. *)
-external gemm_select : bool -> unit = "echo_gemm_select"
-external gemm_isa : unit -> string = "echo_gemm_isa"
+(* {1 Elementwise, reduction and copy kernels}
 
-(* Runs before any domain can call [gemm_kernel]. *)
-let () = gemm_select false
+   Each elementwise op, fused-chain step, the row sums of [reduce_sum] and
+   the bias add run one C loop (elementwise_kernel.h, built twice like the
+   GEMM), called once per [Parallel.parallel_for] chunk. Every lane
+   computes the OCaml scalar expression written beside its op in the
+   header, with libm's exp, tanh, log and pow for the transcendental steps;
+   where both operands of an add, subtract, multiply or divide are NaN the
+   kernel keeps the first operand's payload, quieted, as the OCaml
+   expression does. So results equal the scalar loops bit for bit, and [dst]
+   may alias an operand. *)
+
+(* [ew_map step x y d lo hi]: d.(i) <- step x.(i) for a unary step, or
+   x.(i) step y.(i) for a binary one (its operand index is ignored), on
+   [lo, hi). *)
+external ew_map :
+  fused_step ->
+  float array ->
+  float array ->
+  float array ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  unit = "echo_ew_map_byte" "echo_ew_map"
+[@@noalloc]
+
+(* [ew_chain steps operands d lo hi]: the fused chain over [lo, hi). *)
+external ew_chain :
+  fused_step array ->
+  t array ->
+  float array ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  unit = "echo_ew_chain_byte" "echo_ew_chain"
+[@@noalloc]
+
+(* [ew_add_bias m b d cols lo hi]: d.(i*cols + j) <- m.(i*cols + j) +. b.(j)
+   for rows i in [lo, hi). *)
+external ew_add_bias :
+  float array ->
+  float array ->
+  float array ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  unit = "echo_ew_add_bias_byte" "echo_ew_add_bias"
+[@@noalloc]
+
+(* [reduce_sum_kernel s out d inner lo hi]: out.(o*inner + k) <- the sum
+   over ascending a of s.((o*d + a)*inner + k), from +0, for o in
+   [lo, hi). *)
+external reduce_sum_kernel :
+  float array ->
+  float array ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  unit = "echo_reduce_sum_byte" "echo_reduce_sum"
+[@@noalloc]
+
+(* [copy_blocks src soff so sa dst doff dso dsa outer n width]: for o in
+   [0, outer) and a in [0, n), copies [width] elements from
+   src.(soff + o*so + a*sa) to dst.(doff + o*dso + a*dsa). *)
+external copy_blocks :
+  float array ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  float array ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  unit = "echo_copy_blocks_byte" "echo_copy_blocks"
+[@@noalloc]
+
+(* [kernels_select portable] points every SIMD kernel at the best build
+   the CPU supports, or at the portable build when [portable]. *)
+external kernels_select : bool -> unit = "echo_kernels_select"
+external gemm_isa : unit -> string = "echo_kernels_isa"
+
+(* Runs before any domain can call a kernel. *)
+let () = kernels_select false
 
 module For_testing = struct
-  let with_portable_gemm f =
-    gemm_select true;
-    Fun.protect ~finally:(fun () -> gemm_select false) f
+  let with_portable_kernels f =
+    kernels_select true;
+    Fun.protect ~finally:(fun () -> kernels_select false) f
 end
-
-(* {1 Dispatch-once elementwise loops}
-
-   One concrete stride-1 loop per opcode, selected once per chunk. The hot
-   loops carry no closure call and no float boxing: each arm reads and
-   writes unboxed floats through [Array.unsafe_get]/[unsafe_set] on plain
-   [float array]s (already an unboxed flat double buffer in OCaml). The
-   toolchain is the plain (non-flambda) native compiler, which inlines
-   only small functions on its own: a scalar kernel that is not inlined
-   takes and returns a boxed float per element, so any kernel too large
-   for the default threshold ([k_sigmoid]) is marked [@@inline]. *)
-
-(* [apply1 step s d lo hi]: d.(i) <- step s.(i) on [lo, hi). Binary
-   opcodes never reach here (the [Into] unary wrappers only build unary
-   steps). *)
-let apply1 step s d lo hi =
-  match step with
-  | F_neg ->
-    for i = lo to hi - 1 do
-      Array.unsafe_set d i (k_neg (Array.unsafe_get s i))
-    done
-  | F_scale c ->
-    for i = lo to hi - 1 do
-      Array.unsafe_set d i (c *. Array.unsafe_get s i)
-    done
-  | F_add_scalar c ->
-    for i = lo to hi - 1 do
-      Array.unsafe_set d i (c +. Array.unsafe_get s i)
-    done
-  | F_pow_const p ->
-    for i = lo to hi - 1 do
-      Array.unsafe_set d i (Float.pow (Array.unsafe_get s i) p)
-    done
-  | F_sigmoid ->
-    for i = lo to hi - 1 do
-      Array.unsafe_set d i (k_sigmoid (Array.unsafe_get s i))
-    done
-  | F_tanh ->
-    for i = lo to hi - 1 do
-      Array.unsafe_set d i (tanh (Array.unsafe_get s i))
-    done
-  | F_relu ->
-    for i = lo to hi - 1 do
-      Array.unsafe_set d i (k_relu (Array.unsafe_get s i))
-    done
-  | F_exp ->
-    for i = lo to hi - 1 do
-      Array.unsafe_set d i (exp (Array.unsafe_get s i))
-    done
-  | F_log ->
-    for i = lo to hi - 1 do
-      Array.unsafe_set d i (log (Array.unsafe_get s i))
-    done
-  | F_sqrt ->
-    for i = lo to hi - 1 do
-      Array.unsafe_set d i (sqrt (Array.unsafe_get s i))
-    done
-  | F_sq ->
-    for i = lo to hi - 1 do
-      Array.unsafe_set d i (k_sq (Array.unsafe_get s i))
-    done
-  | F_recip ->
-    for i = lo to hi - 1 do
-      Array.unsafe_set d i (k_recip (Array.unsafe_get s i))
-    done
-  | F_sign ->
-    for i = lo to hi - 1 do
-      Array.unsafe_set d i (k_sign (Array.unsafe_get s i))
-    done
-  | F_add _ | F_sub _ | F_mul _ | F_div _ | F_scale_by _ ->
-    invalid_arg "Tensor.apply1: binary step"
-
-(* [apply2 step x y d lo hi]: d.(i) <- x.(i) `step` y.(i) on [lo, hi).
-   The step's operand index is ignored — [y] is passed explicitly. *)
-let apply2 step x y d lo hi =
-  match step with
-  | F_add _ ->
-    for i = lo to hi - 1 do
-      Array.unsafe_set d i (Array.unsafe_get x i +. Array.unsafe_get y i)
-    done
-  | F_sub _ ->
-    for i = lo to hi - 1 do
-      Array.unsafe_set d i (Array.unsafe_get x i -. Array.unsafe_get y i)
-    done
-  | F_mul _ ->
-    for i = lo to hi - 1 do
-      Array.unsafe_set d i (Array.unsafe_get x i *. Array.unsafe_get y i)
-    done
-  | F_div _ ->
-    for i = lo to hi - 1 do
-      Array.unsafe_set d i (Array.unsafe_get x i /. Array.unsafe_get y i)
-    done
-  | _ -> invalid_arg "Tensor.apply2: unary step"
 
 (* {1 Destination-passing kernels} *)
 
@@ -713,13 +580,12 @@ module Into = struct
     Array.blit src.data 0 dst.data 0 (Array.length src.data)
 
   (* [dst] may alias [src]: each cell is read before it is written (by the
-     domain owning that cell's chunk). The opcode is dispatched once per
-     chunk ([apply1]), not per element. *)
+     domain owning that cell's chunk). *)
   let unary ?(runtime = Parallel.sequential) name step src ~dst =
     check name dst src.shape;
     let s = src.data and d = dst.data in
     Parallel.parallel_for runtime ~work:(fused_step_work step)
-      ~n:(Array.length s) (fun lo hi -> apply1 step s d lo hi)
+      ~n:(Array.length s) (fun lo hi -> ew_map step s s d lo hi)
 
   let neg ?runtime src ~dst = unary ?runtime "neg" F_neg src ~dst
   let scale ?runtime k src ~dst = unary ?runtime "scale" (F_scale k) src ~dst
@@ -749,7 +615,7 @@ module Into = struct
     check name dst a.shape;
     let x = a.data and y = b.data and d = dst.data in
     Parallel.parallel_for runtime ~n:(Array.length x) (fun lo hi ->
-        apply2 step x y d lo hi)
+        ew_map step x y d lo hi)
 
   let add ?runtime a b ~dst = binary ?runtime "add" (F_add 1) a b ~dst
   let sub ?runtime a b ~dst = binary ?runtime "sub" (F_sub 1) a b ~dst
@@ -817,26 +683,15 @@ module Into = struct
     check "add_bias" dst m.shape;
     let md = m.data and bd = b.data and d = dst.data in
     Parallel.parallel_for runtime ~work:cols ~n:rows (fun lo hi ->
-        for i = lo to hi - 1 do
-          let row = i * cols in
-          for j = 0 to cols - 1 do
-            Array.unsafe_set d (row + j)
-              (Array.unsafe_get md (row + j) +. Array.unsafe_get bd j)
-          done
-        done)
+        ew_add_bias md bd d cols lo hi)
 
   let slice ~axis ~lo ~hi src ~dst =
     check "slice" dst (Shape.slice_result ~axis ~lo ~hi src.shape);
     let d = src.shape.(axis) in
     let outer, inner = axis_blocks src.shape axis in
-    let width = hi - lo in
-    for o = 0 to outer - 1 do
-      Array.blit src.data
-        (((o * d) + lo) * inner)
-        dst.data
-        (o * width * inner)
-        (width * inner)
-    done
+    let width = (hi - lo) * inner in
+    copy_blocks src.data (lo * inner) (d * inner) 0 dst.data 0 width 0 outer 1
+      width
 
   let pad_slice ~axis ~lo ~full src ~dst =
     if axis < 0 || axis >= Shape.rank src.shape then
@@ -848,11 +703,8 @@ module Into = struct
       (Array.mapi (fun i k -> if i = axis then full else k) src.shape);
     let outer, inner = axis_blocks src.shape axis in
     Array.fill dst.data 0 (Array.length dst.data) 0.0;
-    for o = 0 to outer - 1 do
-      Array.blit src.data (o * d * inner) dst.data
-        (((o * full) + lo) * inner)
-        (d * inner)
-    done
+    copy_blocks src.data 0 (d * inner) 0 dst.data (lo * inner) (full * inner)
+      0 outer 1 (d * inner)
 
   let concat ~axis ts ~dst =
     match ts with
@@ -870,11 +722,8 @@ module Into = struct
       List.iter
         (fun t ->
           let d = t.shape.(axis) in
-          for o = 0 to outer - 1 do
-            Array.blit t.data (o * d * inner) dst.data
-              (((o * total) + !offset) * inner)
-              (d * inner)
-          done;
+          copy_blocks t.data 0 (d * inner) 0 dst.data (!offset * inner)
+            (total * inner) 0 outer 1 (d * inner);
           offset := !offset + d)
         ts
 
@@ -895,8 +744,8 @@ module Into = struct
         done)
 
   (* Partitioned over the [outer] blocks: a chunk owns dst cells
-     [lo*inner, hi*inner) outright (zero-fill included), and the a-ascending
-     accumulation per cell matches the sequential loop. *)
+     [lo*inner, hi*inner) outright, each accumulated in a register from +0
+     over ascending a. *)
   let reduce_sum ?(runtime = Parallel.sequential) ~axis ~keepdims src ~dst =
     if axis < 0 || axis >= Shape.rank src.shape then
       invalid_arg "Tensor.Into.reduce_sum: bad axis";
@@ -905,26 +754,13 @@ module Into = struct
     let outer, inner = axis_blocks src.shape axis in
     let s = src.data and out = dst.data in
     Parallel.parallel_for runtime ~work:(d * inner) ~n:outer (fun lo hi ->
-        Array.fill out (lo * inner) ((hi - lo) * inner) 0.0;
-        for o = lo to hi - 1 do
-          for a = 0 to d - 1 do
-            let src_off = ((o * d) + a) * inner in
-            let dst_off = o * inner in
-            for k = 0 to inner - 1 do
-              Array.unsafe_set out (dst_off + k)
-                (Array.unsafe_get out (dst_off + k)
-                +. Array.unsafe_get s (src_off + k))
-            done
-          done
-        done)
+        reduce_sum_kernel s out d inner lo hi)
 
   let reduce_mean ?runtime ~axis ~keepdims src ~dst =
     reduce_sum ?runtime ~axis ~keepdims src ~dst;
     let k = 1.0 /. float_of_int src.shape.(axis) in
     let out = dst.data in
-    for i = 0 to Array.length out - 1 do
-      Array.unsafe_set out i (k *. Array.unsafe_get out i)
-    done
+    ew_map (F_scale k) out out out 0 (Array.length out)
 
   let broadcast_axis ~axis ~n src ~dst =
     if axis < 0 || axis >= Shape.rank src.shape then
@@ -934,7 +770,7 @@ module Into = struct
     check "broadcast_axis" dst
       (Array.mapi (fun i d -> if i = axis then n else d) src.shape);
     let outer, inner = axis_blocks src.shape axis in
-    broadcast_blocks src.data dst.data ~outer ~n ~inner
+    copy_blocks src.data 0 inner 0 dst.data 0 (n * inner) inner outer n inner
 
   (* Softmax family: [dst] may alias the input — within each row the maximum
      and the normaliser are read from the input before any cell of that row
@@ -1089,87 +925,37 @@ module Into = struct
             done
         done)
 
-  (* One pass over the output: per element the whole chain folds in a
-     register, dispatched by a jump-table match over the step opcodes with
-     each scalar kernel applied directly (see [fused_step]). Binary steps'
-     data arrays resolve up front; [F_scale_by] reads its multiplier
-     per-element like [scale_by] reads it once — same value either way.
-     [dst] may alias any operand: element [i] of every operand is read
-     before element [i] of [dst] is written, and parallel chunks are
-     disjoint. The partition is the same flat-index chunking as
-     [unary]/[binary] — with the work hint summing the per-step weights,
-     so a fused chain clears the runtime's fan-out gate exactly when the
-     separate passes it replaces would have in aggregate — so results are
-     bit-identical at every domain count and to running the chain
-     unfused. *)
+  (* One C call per chunk (see [ew_chain]): in L1-sized blocks, each step
+     is one pass of the same kernel op the unfused instruction runs, so
+     every element sees the chain's operations in order. [F_scale_by] reads
+     its multiplier, element 0 of its operand, like [scale_by]. [dst] may
+     alias any operand: a block of every operand is read before that block
+     of [dst] is written, and parallel chunks are disjoint. The partition is
+     the same flat-index chunking as [unary]/[binary] — with the work hint
+     summing the per-step weights, so a fused chain clears the runtime's
+     fan-out gate exactly when the separate passes it replaces would have in
+     aggregate — so results are bit-identical at every domain count and to
+     running the chain unfused. *)
   let fused ?(runtime = Parallel.sequential) steps operands ~dst =
     if Array.length operands = 0 then
       invalid_arg "Tensor.Into.fused: no operands";
-    let seed = operands.(0) in
-    check "fused" dst seed.shape;
-    let datas =
-      Array.map
-        (fun step ->
-          match fused_step_operand step with
-          | Some j ->
-            let o = operands.(j) in
-            (match step with
-            | F_scale_by _ -> () (* a [1]-shaped multiplier *)
-            | _ -> check "fused" dst o.shape);
-            o.data
-          | None -> seed.data)
-        steps
-    in
-    let k = Array.length steps in
-    let work = Array.fold_left (fun a st -> a + fused_step_work st) 0 steps in
-    let s = seed.data and d = dst.data in
-    (* Step-outer evaluation: one dispatch and one stride-1 pass per step
-       over a per-domain scratch of the running value, instead of
-       re-interpreting the step array for every element. Each element still
-       sees the exact same operations in the exact same order, so results
-       are bit-identical to per-element chain evaluation — and to running
-       the chain unfused. The scratch (not [dst]) carries the intermediate
-       because in-place transfers may alias [dst] with any operand. *)
-    Parallel.parallel_for runtime ~work ~n:(Array.length d) (fun lo hi ->
-        let w = hi - lo in
-        let cell = Domain.DLS.get fused_scratch in
-        if Array.length !cell < w then cell := Array.make w 0.0;
-        let buf = !cell in
-        Array.blit s lo buf 0 w;
-        for st = 0 to k - 1 do
-          match Array.unsafe_get steps st with
-          | F_add _ ->
-            let o = Array.unsafe_get datas st in
-            for i = 0 to w - 1 do
-              Array.unsafe_set buf i
-                (Array.unsafe_get buf i +. Array.unsafe_get o (lo + i))
-            done
-          | F_sub _ ->
-            let o = Array.unsafe_get datas st in
-            for i = 0 to w - 1 do
-              Array.unsafe_set buf i
-                (Array.unsafe_get buf i -. Array.unsafe_get o (lo + i))
-            done
-          | F_mul _ ->
-            let o = Array.unsafe_get datas st in
-            for i = 0 to w - 1 do
-              Array.unsafe_set buf i
-                (Array.unsafe_get buf i *. Array.unsafe_get o (lo + i))
-            done
-          | F_div _ ->
-            let o = Array.unsafe_get datas st in
-            for i = 0 to w - 1 do
-              Array.unsafe_set buf i
-                (Array.unsafe_get buf i /. Array.unsafe_get o (lo + i))
-            done
-          | F_scale_by _ ->
-            let c = Array.unsafe_get (Array.unsafe_get datas st) 0 in
-            for i = 0 to w - 1 do
-              Array.unsafe_set buf i (c *. Array.unsafe_get buf i)
-            done
-          | step -> apply1 step buf buf 0 w
-        done;
-        Array.blit buf 0 d lo w)
+    check "fused" dst operands.(0).shape;
+    let work = ref 0 in
+    for st = 0 to Array.length steps - 1 do
+      let step = steps.(st) in
+      work := !work + fused_step_work step;
+      match fused_step_operand step with
+      | None -> ()
+      | Some j ->
+        if j < 0 || j >= Array.length operands then
+          invalid_arg "Tensor.Into.fused: operand index out of range";
+        (match step with
+        | F_scale_by _ -> () (* a [1]-shaped multiplier *)
+        | _ -> check "fused" dst operands.(j).shape)
+    done;
+    let d = dst.data in
+    Parallel.parallel_for runtime ~work:!work ~n:(Array.length d)
+      (fun lo hi -> ew_chain steps operands d lo hi)
 
   (* {2 Convolution (naive direct)}
 
@@ -1326,7 +1112,7 @@ module Into = struct
     for i = 0 to Array.length p - 1 do
       let gi = Array.unsafe_get g i in
       let m' = (beta1 *. Array.unsafe_get md i) +. (omb1 *. gi) in
-      let v' = (beta2 *. Array.unsafe_get vd i) +. (omb2 *. k_sq gi) in
+      let v' = (beta2 *. Array.unsafe_get vd i) +. (omb2 *. (gi *. gi)) in
       Array.unsafe_set md i m';
       Array.unsafe_set vd i v';
       Array.unsafe_set d i
@@ -1412,6 +1198,51 @@ let sq t = ew1 (Into.sq ?runtime:None) t
 let pow_const p t = ew1 (Into.pow_const ?runtime:None p) t
 let recip t = ew1 (Into.recip ?runtime:None) t
 let sign t = ew1 (Into.sign ?runtime:None) t
+
+let add_bias m b =
+  let dst = zeros m.shape in
+  Into.add_bias m b ~dst;
+  dst
+
+(* Shape and reduction kernels: allocate the result and delegate. *)
+
+let slice ~axis ~lo ~hi t =
+  let dst = zeros (Shape.slice_result ~axis ~lo ~hi t.shape) in
+  Into.slice ~axis ~lo ~hi t ~dst;
+  dst
+
+let concat ~axis ts =
+  match ts with
+  | [] -> invalid_arg "Tensor.concat: empty list"
+  | first :: rest ->
+    let dst =
+      zeros
+        (List.fold_left
+           (fun acc t -> Shape.concat_result ~axis acc t.shape)
+           first.shape rest)
+    in
+    Into.concat ~axis ts ~dst;
+    dst
+
+let with_axis_dim name ~axis n shape =
+  if axis < 0 || axis >= Shape.rank shape then
+    invalid_arg (Printf.sprintf "Tensor.%s: bad axis" name);
+  Array.mapi (fun i d -> if i = axis then n else d) shape
+
+let pad_slice ~axis ~lo ~full t =
+  let dst = zeros (with_axis_dim "pad_slice" ~axis full t.shape) in
+  Into.pad_slice ~axis ~lo ~full t ~dst;
+  dst
+
+let broadcast_axis ~axis ~n t =
+  let dst = zeros (with_axis_dim "broadcast_axis" ~axis n t.shape) in
+  Into.broadcast_axis ~axis ~n t ~dst;
+  dst
+
+let reduce_sum ~axis ~keepdims t =
+  let dst = zeros (reduce_shape ~axis ~keepdims t.shape) in
+  Into.reduce_sum ~axis ~keepdims t ~dst;
+  dst
 
 let reduce_mean ~axis ~keepdims t =
   let dst = zeros (reduce_shape ~axis ~keepdims t.shape) in

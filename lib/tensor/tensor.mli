@@ -7,7 +7,21 @@
     Operations outside {!Into} allocate fresh result tensors; most are thin
     wrappers that allocate the result and call the {!Into} kernel of the
     same name. Nothing aliases unless the documentation says so. Shape
-    errors raise [Invalid_argument]. *)
+    errors raise [Invalid_argument].
+
+    The hot loops are C (lib/tensor/kernel_stubs.c): every matmul
+    (gemm_kernel.h), and the elementwise ops, fused chains, [reduce_sum]
+    and [add_bias] (elementwise_kernel.h), each body built twice — portable
+    2-lane vectors and, on x86-64, 4-lane AVX2 vectors — with the build
+    picked once per process ({!gemm_isa}); the slicing kernels copy their
+    rows with one strided-copy call. Every kernel computes, per element,
+    the OCaml scalar expression written beside its op in the C source
+    (for [add], [x +. y]; for [scale k], [k *. x]), with no fused
+    multiply-add, and keeps the first operand's NaN payload where two NaNs
+    meet, so its bits do not depend on the build, the vector width or the
+    domain count. The softmax family, cross-entropy, embeddings,
+    convolutions, [transpose2d] and the optimizer updates stay OCaml
+    loops. *)
 
 type t
 
@@ -94,10 +108,9 @@ val sign : t -> t
     A chain folds one scalar accumulator per output element: seeded from
     element [i] of operand 0, transformed by each step in order (a zip step
     additionally reads element [i] of the operand it indexes), and stored
-    once at the end — interior values stay in registers. The constructors
-    below reuse the exact scalar kernels of the corresponding {!Into}
-    operations, so a fused chain is bit-identical to running its members
-    unfused. *)
+    once at the end. Each step runs the same C kernel op as the
+    corresponding {!Into} operation, so a fused chain is bit-identical to
+    running its members unfused. *)
 
 type fused_step
 
@@ -259,7 +272,7 @@ module Into : sig
       flat-index chunking as the unfused elementwise kernels, so results are
       bit-identical at every domain count and to the unfused chain.
       @raise Invalid_argument if a zip operand's shape differs from the
-      seed's. *)
+      seed's, or a step's operand index is outside [operands]. *)
 
   val matmul :
     ?runtime:Parallel.t -> ?trans_a:bool -> ?trans_b:bool -> t -> t -> dst:t -> unit
@@ -319,6 +332,9 @@ module Into : sig
   (** [dst] must not alias the input. *)
 
   val reduce_sum : ?runtime:Parallel.t -> axis:int -> keepdims:bool -> t -> dst:t -> unit
+  (** Each output element accumulates [acc +. x] from [+0] over the
+      reduced axis in ascending order. *)
+
   val reduce_mean : ?runtime:Parallel.t -> axis:int -> keepdims:bool -> t -> dst:t -> unit
   val broadcast_axis : axis:int -> n:int -> t -> dst:t -> unit
   val softmax : ?runtime:Parallel.t -> t -> dst:t -> unit
@@ -359,17 +375,17 @@ module Into : sig
 end
 
 val gemm_isa : unit -> string
-(** The build of the matmul kernel in use: ["avx2"] (4-lane
-    vectors, 4x8 tiles) where the CPU supports it, else the portable
-    2-lane build, ["sse2"] on x86-64, ["neon"] on arm64 or ["generic"].
-    Picked once, when this module is initialised. *)
+(** The build of the C kernels in use, matmul and elementwise alike:
+    ["avx2"] (4-lane vectors, 4x8 GEMM tiles) where the CPU supports it,
+    else the portable 2-lane build, ["sse2"] on x86-64, ["neon"] on arm64
+    or ["generic"]. Picked once, when this module is initialised. *)
 
 (** Test-only hooks. *)
 module For_testing : sig
-  val with_portable_gemm : (unit -> 'a) -> 'a
-  (** [with_portable_gemm f] runs [f] with every matmul on the
-      portable kernel build, then restores the dispatched one. No other
-      domain may be inside a matmul while it switches. *)
+  val with_portable_kernels : (unit -> 'a) -> 'a
+  (** [with_portable_kernels f] runs [f] with every C kernel (matmul and
+      elementwise) on the portable build, then restores the dispatched
+      one. No other domain may be inside a kernel while it switches. *)
 end
 
 (** {1 Comparison and printing} *)

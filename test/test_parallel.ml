@@ -96,13 +96,6 @@ let test_create_validation () =
         fun () -> Parallel.create ~domains:2 ~min_fanout_work:(-1) () );
     ]
 
-let test_with_config_views () =
-  let rt = Parallel.with_config ~min_fanout_work:9 Parallel.sequential in
-  check_int "view gate" 9 (Parallel.min_fanout_work rt);
-  check_int "view still sequential" 1 (Parallel.domains rt);
-  check_bool "base handle untouched" true
-    (Parallel.min_fanout_work Parallel.sequential <> 9)
-
 (* --- the work-stealing loop: coverage and bitwise determinism --- *)
 
 let prop_parallel_for_coverage =
@@ -322,7 +315,6 @@ let suite =
         t "ECHO_DOMAINS parsing" test_env_domains_parsing;
         t "ECHO_FUSION parsing" test_env_fusion_parsing;
         t "create validation" test_create_validation;
-        t "with_config views" test_with_config_views;
         QCheck_alcotest.to_alcotest prop_parallel_for_coverage;
         t "work stealing deterministic" test_stealing_determinism;
         t "fused executor repeated runs" test_executor_repeated_runs_deterministic;

@@ -444,6 +444,12 @@ let test_checkpoint_golden_bytes () =
 (* The allocation-free hex renderer against [%h] over random bit
    patterns: every exponent range, signs and payloads. *)
 let test_float_hex_matches_printf () =
+  (* Rendered at a nonzero offset into a buffer with exactly
+     [float_hex_max] bytes left. *)
+  let render x =
+    let b = Bytes.make (3 + Serial.float_hex_max) '#' in
+    Bytes.sub_string b 3 (Serial.put_float_hex b 3 x - 3)
+  in
   let rng = Rng.create 99 in
   for _ = 1 to 20_000 do
     let bits =
@@ -454,17 +460,14 @@ let test_float_hex_matches_printf () =
     (* Half the draws zero the low mantissa bits, to hit short digit runs. *)
     let bits = if Rng.int rng 2 = 0 then Int64.logand bits (-0x1_0000_0000L) else bits in
     let x = Int64.float_of_bits bits in
-    let b = Buffer.create 32 in
-    Serial.add_float_hex b x;
+    let got = render x in
     let want = Printf.sprintf "%h" x in
-    if Buffer.contents b <> want then
-      Alcotest.failf "%Lx: rendered %s, %%h gives %s" bits (Buffer.contents b) want
+    if got <> want then
+      Alcotest.failf "%Lx: rendered %s, %%h gives %s" bits got want
   done;
   Array.iter
     (fun x ->
-      let b = Buffer.create 32 in
-      Serial.add_float_hex b x;
-      Alcotest.(check string) "special" (Printf.sprintf "%h" x) (Buffer.contents b))
+      Alcotest.(check string) "special" (Printf.sprintf "%h" x) (render x))
     golden_floats
 
 let test_serial_tensor_roundtrip () =

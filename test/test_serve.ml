@@ -79,11 +79,11 @@ let test_cache_key_separates_knobs () =
   (* [~oversubscribe:true] keeps the requested domain count even on a
      single-core machine, where [create ~domains:2] would clamp to 1 and
      legitimately produce the same key. *)
-  check_bool "runtime changes the key" true
-    (Pipeline.cache_key ~runtime:(Parallel.create ~domains:1 ()) graph
-    <> Pipeline.cache_key
-         ~runtime:(Parallel.create ~domains:2 ~oversubscribe:true ())
-         graph);
+  let pool2 = Parallel.create ~domains:2 ~oversubscribe:true () in
+  Fun.protect ~finally:(fun () -> Parallel.shutdown pool2) (fun () ->
+      check_bool "runtime changes the key" true
+        (Pipeline.cache_key ~runtime:(Parallel.create ~domains:1 ()) graph
+        <> Pipeline.cache_key ~runtime:pool2 graph));
   let other = Echo_core.Planner.instantiate "recompute-all" in
   check_bool "planner changes the key" true
     (base <> Pipeline.cache_key ~planner:other graph)

@@ -166,7 +166,7 @@ let poison rng values t =
    fan-out + work-stealing path genuinely runs even on one core. Every
    combination must be bitwise equal to the oracle. [dst] starts as NaN so an unwritten element can never pass.
    The sweep runs once on the dispatched kernel build and once on the
-   portable 2-lane build ([Tensor.For_testing.with_portable_gemm]), so a
+   portable 2-lane build ([Tensor.For_testing.with_portable_kernels]), so a
    host with AVX2 still checks what other hosts run.
 
    Sizes: small ones in all four transpose variants; m and n = 1..7 mod 8
@@ -315,7 +315,7 @@ let test_matmul_blocked_sweep () = matmul_blocked_sweep ()
 
 let test_matmul_blocked_sweep_portable () =
   let dispatched = Tensor.gemm_isa () in
-  Tensor.For_testing.with_portable_gemm (fun () ->
+  Tensor.For_testing.with_portable_kernels (fun () ->
       check_bool "portable build selected" true
         (List.mem (Tensor.gemm_isa ()) [ "sse2"; "neon"; "generic" ]);
       matmul_blocked_sweep ());
@@ -738,6 +738,497 @@ let prop_reduce_sum_total =
       Float.abs (Tensor.sum (Tensor.reduce_sum ~axis:0 ~keepdims:false a) -. Tensor.sum a)
       < 1e-9)
 
+(* {1 C kernels vs the OCaml loops they replaced}
+
+   The elementwise ops, fused chains, [reduce_sum], [add_bias] and the row
+   copies of the slicing kernels run C code (kernel_stubs.c). [Old] keeps
+   the OCaml loops they replaced, copied verbatim (the scalar kernels,
+   [apply1], [apply2], [broadcast_blocks], and the loop bodies of the
+   destination-passing [fused], [reduce_sum], [add_bias], [slice],
+   [pad_slice] and [concat]), over a local copy of the step type. *)
+module Old = struct
+  type fused_step =
+    | F_neg
+    | F_scale of float
+    | F_add_scalar of float
+    | F_pow_const of float
+    | F_sigmoid
+    | F_tanh
+    | F_relu
+    | F_exp
+    | F_log
+    | F_sqrt
+    | F_sq
+    | F_recip
+    | F_sign
+    | F_add of int
+    | F_sub of int
+    | F_mul of int
+    | F_div of int
+    | F_scale_by of int
+
+  let to_step = function
+    | F_neg -> Tensor.f_neg
+    | F_scale c -> Tensor.f_scale c
+    | F_add_scalar c -> Tensor.f_add_scalar c
+    | F_pow_const p -> Tensor.f_pow_const p
+    | F_sigmoid -> Tensor.f_sigmoid
+    | F_tanh -> Tensor.f_tanh
+    | F_relu -> Tensor.f_relu
+    | F_exp -> Tensor.f_exp
+    | F_log -> Tensor.f_log
+    | F_sqrt -> Tensor.f_sqrt
+    | F_sq -> Tensor.f_sq
+    | F_recip -> Tensor.f_recip
+    | F_sign -> Tensor.f_sign
+    | F_add j -> Tensor.f_add j
+    | F_sub j -> Tensor.f_sub j
+    | F_mul j -> Tensor.f_mul j
+    | F_div j -> Tensor.f_div j
+    | F_scale_by j -> Tensor.f_scale_by j
+
+  let k_neg x = -.x
+  let k_sigmoid x = 1.0 /. (1.0 +. exp (-.x)) [@@inline]
+  let k_relu x = if x > 0.0 then x else 0.0
+  let k_sq x = x *. x
+  let k_recip x = 1.0 /. x
+  let k_sign x = if x > 0.0 then 1.0 else if x < 0.0 then -1.0 else 0.0
+
+  let apply1 step s d lo hi =
+    match step with
+    | F_neg ->
+      for i = lo to hi - 1 do
+        Array.unsafe_set d i (k_neg (Array.unsafe_get s i))
+      done
+    | F_scale c ->
+      for i = lo to hi - 1 do
+        Array.unsafe_set d i (c *. Array.unsafe_get s i)
+      done
+    | F_add_scalar c ->
+      for i = lo to hi - 1 do
+        Array.unsafe_set d i (c +. Array.unsafe_get s i)
+      done
+    | F_pow_const p ->
+      for i = lo to hi - 1 do
+        Array.unsafe_set d i (Float.pow (Array.unsafe_get s i) p)
+      done
+    | F_sigmoid ->
+      for i = lo to hi - 1 do
+        Array.unsafe_set d i (k_sigmoid (Array.unsafe_get s i))
+      done
+    | F_tanh ->
+      for i = lo to hi - 1 do
+        Array.unsafe_set d i (tanh (Array.unsafe_get s i))
+      done
+    | F_relu ->
+      for i = lo to hi - 1 do
+        Array.unsafe_set d i (k_relu (Array.unsafe_get s i))
+      done
+    | F_exp ->
+      for i = lo to hi - 1 do
+        Array.unsafe_set d i (exp (Array.unsafe_get s i))
+      done
+    | F_log ->
+      for i = lo to hi - 1 do
+        Array.unsafe_set d i (log (Array.unsafe_get s i))
+      done
+    | F_sqrt ->
+      for i = lo to hi - 1 do
+        Array.unsafe_set d i (sqrt (Array.unsafe_get s i))
+      done
+    | F_sq ->
+      for i = lo to hi - 1 do
+        Array.unsafe_set d i (k_sq (Array.unsafe_get s i))
+      done
+    | F_recip ->
+      for i = lo to hi - 1 do
+        Array.unsafe_set d i (k_recip (Array.unsafe_get s i))
+      done
+    | F_sign ->
+      for i = lo to hi - 1 do
+        Array.unsafe_set d i (k_sign (Array.unsafe_get s i))
+      done
+    | F_add _ | F_sub _ | F_mul _ | F_div _ | F_scale_by _ ->
+      invalid_arg "Tensor.apply1: binary step"
+
+  (* [apply2 step x y d lo hi]: d.(i) <- x.(i) `step` y.(i) on [lo, hi).
+     The step's operand index is ignored — [y] is passed explicitly. *)
+  let apply2 step x y d lo hi =
+    match step with
+    | F_add _ ->
+      for i = lo to hi - 1 do
+        Array.unsafe_set d i (Array.unsafe_get x i +. Array.unsafe_get y i)
+      done
+    | F_sub _ ->
+      for i = lo to hi - 1 do
+        Array.unsafe_set d i (Array.unsafe_get x i -. Array.unsafe_get y i)
+      done
+    | F_mul _ ->
+      for i = lo to hi - 1 do
+        Array.unsafe_set d i (Array.unsafe_get x i *. Array.unsafe_get y i)
+      done
+    | F_div _ ->
+      for i = lo to hi - 1 do
+        Array.unsafe_set d i (Array.unsafe_get x i /. Array.unsafe_get y i)
+      done
+    | _ -> invalid_arg "Tensor.apply2: unary step"
+
+
+  let broadcast_blocks (src : float array) (dst : float array) ~outer ~n ~inner =
+    for o = 0 to outer - 1 do
+      if inner = 1 then Array.fill dst (o * n) n (Array.unsafe_get src o)
+      else
+        for a = 0 to n - 1 do
+          Array.blit src (o * inner) dst (((o * n) + a) * inner) inner
+        done
+    done
+
+  (* [Into.fused]'s chunk body over [lo, hi), its per-domain scratch a
+     local buffer; [datas.(st)] is the data of step [st]'s operand. *)
+  let fused steps (datas : float array array) s d lo hi =
+    let k = Array.length steps in
+    let w = hi - lo in
+    let buf = Array.make w 0.0 in
+    Array.blit s lo buf 0 w;
+    for st = 0 to k - 1 do
+      match Array.unsafe_get steps st with
+      | F_add _ ->
+        let o = Array.unsafe_get datas st in
+        for i = 0 to w - 1 do
+          Array.unsafe_set buf i
+            (Array.unsafe_get buf i +. Array.unsafe_get o (lo + i))
+        done
+      | F_sub _ ->
+        let o = Array.unsafe_get datas st in
+        for i = 0 to w - 1 do
+          Array.unsafe_set buf i
+            (Array.unsafe_get buf i -. Array.unsafe_get o (lo + i))
+        done
+      | F_mul _ ->
+        let o = Array.unsafe_get datas st in
+        for i = 0 to w - 1 do
+          Array.unsafe_set buf i
+            (Array.unsafe_get buf i *. Array.unsafe_get o (lo + i))
+        done
+      | F_div _ ->
+        let o = Array.unsafe_get datas st in
+        for i = 0 to w - 1 do
+          Array.unsafe_set buf i
+            (Array.unsafe_get buf i /. Array.unsafe_get o (lo + i))
+        done
+      | F_scale_by _ ->
+        let c = Array.unsafe_get (Array.unsafe_get datas st) 0 in
+        for i = 0 to w - 1 do
+          Array.unsafe_set buf i (c *. Array.unsafe_get buf i)
+        done
+      | step -> apply1 step buf buf 0 w
+    done;
+    Array.blit buf 0 d lo w
+
+  (* [Into.reduce_sum]'s chunk body. *)
+  let reduce_sum (s : float array) (out : float array) ~d ~inner lo hi =
+    Array.fill out (lo * inner) ((hi - lo) * inner) 0.0;
+    for o = lo to hi - 1 do
+      for a = 0 to d - 1 do
+        let src_off = ((o * d) + a) * inner in
+        let dst_off = o * inner in
+        for k = 0 to inner - 1 do
+          Array.unsafe_set out (dst_off + k)
+            (Array.unsafe_get out (dst_off + k)
+            +. Array.unsafe_get s (src_off + k))
+        done
+      done
+    done
+
+  (* [Into.add_bias]'s chunk body. *)
+  let add_bias (md : float array) (bd : float array) (d : float array) ~cols
+      lo hi =
+    for i = lo to hi - 1 do
+      let row = i * cols in
+      for j = 0 to cols - 1 do
+        Array.unsafe_set d (row + j)
+          (Array.unsafe_get md (row + j) +. Array.unsafe_get bd j)
+      done
+    done
+
+  (* The row copies of [Into.slice], [Into.pad_slice] and [Into.concat]
+     (one tensor's share), along the middle axis of [outer x d x inner]. *)
+  let slice (src : float array) (dst : float array) ~outer ~d ~inner ~lo
+      ~hi =
+    let width = hi - lo in
+    for o = 0 to outer - 1 do
+      Array.blit src
+        (((o * d) + lo) * inner)
+        dst
+        (o * width * inner)
+        (width * inner)
+    done
+
+  let pad_slice (src : float array) (dst : float array) ~outer ~d ~inner
+      ~lo ~full =
+    Array.fill dst 0 (Array.length dst) 0.0;
+    for o = 0 to outer - 1 do
+      Array.blit src (o * d * inner) dst (((o * full) + lo) * inner) (d * inner)
+    done
+
+  let concat_one (src : float array) (dst : float array) ~outer ~d ~inner
+      ~offset ~total =
+    for o = 0 to outer - 1 do
+      Array.blit src (o * d * inner) dst
+        (((o * total) + offset) * inner)
+        (d * inner)
+    done
+end
+
+let same_bits (a : float array) (b : float array) =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* Operand values: two quiet NaNs of different payload and sign, +-0,
+   +-inf, subnormals, values whose products overflow or underflow, and
+   plain random ones. *)
+let special_values =
+  [|
+    Int64.float_of_bits 0x7FF8000000000001L;
+    Int64.float_of_bits 0xFFF8000000000ABCL;
+    0.0;
+    -0.0;
+    Float.infinity;
+    Float.neg_infinity;
+    Int64.float_of_bits 1L;
+    -.Int64.float_of_bits 0x000F000000000000L;
+    1e300;
+    -1e-300;
+    1.0;
+    -1.0;
+  |]
+
+(* One in three values is one of the two NaNs, so two different payloads
+   meet in about one element in eighteen. *)
+let kernel_value rng =
+  match Rng.int rng 6 with
+  | 0 | 1 as k -> special_values.(k)
+  | 2 | 3 -> special_values.(2 + Rng.int rng (Array.length special_values - 2))
+  | _ -> Rng.uniform rng ~lo:(-4.0) ~hi:4.0
+
+let kernel_tensor rng shape =
+  Tensor.init shape (fun _ -> kernel_value rng)
+
+let unary_steps rng =
+  let c () = kernel_value rng in
+  [
+    Old.F_neg; Old.F_scale (c ()); Old.F_add_scalar (c ());
+    Old.F_pow_const [| 2.0; 0.5; -1.0; 3.0; c () |].(Rng.int rng 5);
+    Old.F_sigmoid; Old.F_tanh; Old.F_relu; Old.F_exp; Old.F_log; Old.F_sqrt;
+    Old.F_sq; Old.F_recip; Old.F_sign;
+  ]
+
+(* The [Into] kernel of a unary step. *)
+let into_unary ~runtime step x ~dst =
+  let module I = Tensor.Into in
+  match step with
+  | Old.F_neg -> I.neg ~runtime x ~dst
+  | Old.F_scale c -> I.scale ~runtime c x ~dst
+  | Old.F_add_scalar c -> I.add_scalar ~runtime c x ~dst
+  | Old.F_pow_const p -> I.pow_const ~runtime p x ~dst
+  | Old.F_sigmoid -> I.sigmoid ~runtime x ~dst
+  | Old.F_tanh -> I.tanh_ ~runtime x ~dst
+  | Old.F_relu -> I.relu ~runtime x ~dst
+  | Old.F_exp -> I.exp_ ~runtime x ~dst
+  | Old.F_log -> I.log_ ~runtime x ~dst
+  | Old.F_sqrt -> I.sqrt_ ~runtime x ~dst
+  | Old.F_sq -> I.sq ~runtime x ~dst
+  | Old.F_recip -> I.recip ~runtime x ~dst
+  | Old.F_sign -> I.sign ~runtime x ~dst
+  | _ -> invalid_arg "into_unary: binary step"
+
+(* The [Into] kernel of a binary step. *)
+let into_binary ~runtime step x y ~dst =
+  let module I = Tensor.Into in
+  match step with
+  | Old.F_add _ -> I.add ~runtime x y ~dst
+  | Old.F_sub _ -> I.sub ~runtime x y ~dst
+  | Old.F_mul _ -> I.mul ~runtime x y ~dst
+  | Old.F_div _ -> I.div ~runtime x y ~dst
+  | _ -> invalid_arg "into_binary: unary step"
+
+(* One random case per kernel family, from [seed], on [runtime]: length
+   1..67 (every vector tail of both builds; no tensor has 0 elements),
+   [dst] a fresh NaN-filled tensor, the first operand or the second. On a
+   pool whose gate is open the chunks start at nonzero offsets. *)
+let kernels_match_old_loops ~runtime seed =
+  let rng = Rng.create seed in
+  let n = 1 + Rng.int rng 67 in
+  let x = kernel_tensor rng [| n |] and y = kernel_tensor rng [| n |] in
+  let data = Tensor.unsafe_data in
+  let fail what =
+    QCheck.Test.fail_reportf
+      "%s differs from the OCaml loop (n=%d, seed=%d, isa=%s)" what n seed
+      (Tensor.gemm_isa ())
+  in
+  (* [dst] choice: 0 fresh, 1 the first operand, 2 the second. *)
+  let with_dst operands run =
+    match Rng.int rng 3 with
+    | 0 ->
+      let dst = Tensor.full [| n |] Float.nan in
+      run operands dst;
+      dst
+    | k ->
+      let operands = Array.map Tensor.copy operands in
+      let dst = operands.(min (k - 1) (Array.length operands - 1)) in
+      run operands dst;
+      dst
+  in
+  (* Binary ops. *)
+  List.iter
+    (fun step ->
+      let expect = Array.make n 0.0 in
+      Old.apply2 step (data x) (data y) expect 0 n;
+      let got =
+        with_dst [| x; y |] (fun ops dst ->
+            into_binary ~runtime step ops.(0) ops.(1) ~dst)
+      in
+      if not (same_bits expect (data got)) then fail "binary step")
+    [ Old.F_add 1; Old.F_sub 1; Old.F_mul 1; Old.F_div 1 ];
+  (* Unary ops, constants drawn from the same values (a NaN constant is
+     the first operand of [scale] and [add_scalar]). *)
+  List.iter
+    (fun step ->
+      let expect = Array.make n 0.0 in
+      Old.apply1 step (data x) expect 0 n;
+      let got =
+        with_dst [| x |] (fun ops dst -> into_unary ~runtime step ops.(0) ~dst)
+      in
+      if not (same_bits expect (data got)) then fail "unary step")
+    (unary_steps rng);
+  (* A fused chain of 1..6 steps over operands [x; y; z; s], s a scalar
+     multiplier. *)
+  let z = kernel_tensor rng [| n |] and s = Tensor.scalar (kernel_value rng) in
+  let operands = [| x; y; z; s |] in
+  let steps =
+    Array.init (1 + Rng.int rng 6) (fun _ ->
+        match Rng.int rng 3 with
+        | 0 -> List.nth (unary_steps rng) (Rng.int rng 13)
+        | 1 -> (
+          let j = Rng.int rng 3 in
+          match Rng.int rng 4 with
+          | 0 -> Old.F_add j
+          | 1 -> Old.F_sub j
+          | 2 -> Old.F_mul j
+          | _ -> Old.F_div j)
+        | _ -> if Rng.int rng 2 = 0 then Old.F_scale_by 3 else Old.F_add (Rng.int rng 3))
+  in
+  let datas =
+    Array.map
+      (function
+        | Old.F_add j | Old.F_sub j | Old.F_mul j | Old.F_div j
+        | Old.F_scale_by j ->
+          data operands.(j)
+        | _ -> data x)
+      steps
+  in
+  let expect = Array.make n 0.0 in
+  Old.fused steps datas (data x) expect 0 n;
+  let got =
+    with_dst operands (fun ops dst ->
+        Tensor.Into.fused ~runtime (Array.map Old.to_step steps) ops ~dst)
+  in
+  if not (same_bits expect (data got)) then fail "fused chain";
+  (* reduce_sum over the middle axis of [outer x d x inner], inner = 1 or
+     1..67. *)
+  let outer = 1 + Rng.int rng 5 and d = 1 + Rng.int rng 6 in
+  let inner = if Rng.int rng 2 = 0 then 1 else n in
+  let t = kernel_tensor rng [| outer; d; inner |] in
+  let expect = Array.make (outer * inner) Float.nan in
+  Old.reduce_sum (data t) expect ~d ~inner 0 outer;
+  let dst = Tensor.full [| outer; inner |] Float.nan in
+  Tensor.Into.reduce_sum ~runtime ~axis:1 ~keepdims:false t ~dst;
+  if not (same_bits expect (data dst)) then fail "reduce_sum";
+  (* add_bias, [dst] fresh or the matrix. *)
+  let m = kernel_tensor rng [| outer; n |] in
+  let expect = Array.make (outer * n) 0.0 in
+  Old.add_bias (data m) (data x) expect ~cols:n 0 outer;
+  let dst =
+    if Rng.int rng 2 = 0 then Tensor.full [| outer; n |] Float.nan
+    else Tensor.copy m
+  in
+  Tensor.Into.add_bias ~runtime (Tensor.copy m) x ~dst;
+  if not (same_bits expect (data dst)) then fail "add_bias";
+  (* Row copies along the middle axis. *)
+  let lo = Rng.int rng d in
+  let hi = lo + 1 + Rng.int rng (d - lo) in
+  let expect = Array.make (outer * (hi - lo) * inner) 0.0 in
+  Old.slice (data t) expect ~outer ~d ~inner ~lo ~hi;
+  let dst = Tensor.full [| outer; hi - lo; inner |] Float.nan in
+  Tensor.Into.slice ~axis:1 ~lo ~hi t ~dst;
+  if not (same_bits expect (data dst)) then fail "slice";
+  let full = d + Rng.int rng 4 in
+  let lo = Rng.int rng (full - d + 1) in
+  let expect = Array.make (outer * full * inner) 0.0 in
+  Old.pad_slice (data t) expect ~outer ~d ~inner ~lo ~full;
+  let dst = Tensor.full [| outer; full; inner |] Float.nan in
+  Tensor.Into.pad_slice ~axis:1 ~lo ~full t ~dst;
+  if not (same_bits expect (data dst)) then fail "pad_slice";
+  let d2 = 1 + Rng.int rng 3 in
+  let t2 = kernel_tensor rng [| outer; d2; inner |] in
+  let expect = Array.make (outer * (d + d2) * inner) 0.0 in
+  Old.concat_one (data t) expect ~outer ~d ~inner ~offset:0 ~total:(d + d2);
+  Old.concat_one (data t2) expect ~outer ~d:d2 ~inner ~offset:d ~total:(d + d2);
+  let dst = Tensor.full [| outer; d + d2; inner |] Float.nan in
+  Tensor.Into.concat ~axis:1 [ t; t2 ] ~dst;
+  if not (same_bits expect (data dst)) then fail "concat";
+  let col = kernel_tensor rng [| outer; 1; inner |] in
+  let expect = Array.make (outer * d * inner) 0.0 in
+  Old.broadcast_blocks (data col) expect ~outer ~n:d ~inner;
+  let dst = Tensor.full [| outer; d; inner |] Float.nan in
+  Tensor.Into.broadcast_axis ~axis:1 ~n:d col ~dst;
+  if not (same_bits expect (data dst)) then fail "broadcast_axis";
+  true
+
+let prop_kernels_match_old_loops ~portable =
+  QCheck.Test.make
+    ~name:
+      (if portable then "C kernels == OCaml loops, portable build"
+       else "C kernels == OCaml loops")
+    ~count:150
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let pool =
+        Parallel.create ~domains:2 ~oversubscribe:true ~min_fanout_work:0 ()
+      in
+      Fun.protect ~finally:(fun () -> Parallel.shutdown pool) @@ fun () ->
+      let run () =
+        kernels_match_old_loops ~runtime:Parallel.sequential seed
+        && kernels_match_old_loops ~runtime:pool seed
+      in
+      if portable then Tensor.For_testing.with_portable_kernels run else run ())
+
+(* FMA canary for the elementwise kernels: the chain x * y + z with
+   x = 1 + 2^-30, y = 1 - 2^-30, z = -1, fused and unfused. Unfused, the
+   product rounds to 1 and every output is +0; a contracted multiply-add
+   gives -2^-60. Length 67 covers the vector body and the scalar tail. *)
+let test_elementwise_fma_canary () =
+  let e = Float.ldexp 1.0 (-30) in
+  let n = 67 in
+  let x = Tensor.full [| n |] (1.0 +. e) and y = Tensor.full [| n |] (1.0 -. e) in
+  let z = Tensor.full [| n |] (-1.0) in
+  let zeros = Array.make n 0.0 in
+  let check_build () =
+    let dst = Tensor.full [| n |] Float.nan in
+    Tensor.Into.fused [| Tensor.f_mul 1; Tensor.f_add 2 |] [| x; y; z |] ~dst;
+    check_bool "fused canary outputs are +0" true
+      (same_bits zeros (Tensor.unsafe_data dst));
+    let dst = Tensor.full [| n |] Float.nan in
+    Tensor.Into.mul x y ~dst;
+    Tensor.Into.add dst z ~dst;
+    check_bool "unfused canary outputs are +0" true
+      (same_bits zeros (Tensor.unsafe_data dst))
+  in
+  check_build ();
+  Tensor.For_testing.with_portable_kernels check_build
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   [
@@ -757,6 +1248,9 @@ let suite =
         t "unary ops" test_unary_ops;
         t "sigmoid/tanh" test_sigmoid_tanh;
         QCheck_alcotest.to_alcotest prop_add_commutes;
+        QCheck_alcotest.to_alcotest (prop_kernels_match_old_loops ~portable:false);
+        QCheck_alcotest.to_alcotest (prop_kernels_match_old_loops ~portable:true);
+        t "elementwise FMA canary" test_elementwise_fma_canary;
       ] );
     ( "tensor.linalg",
       [
