@@ -213,6 +213,16 @@ let row fmt = Format.printf fmt
    speedups. *)
 let wall () = Unix.gettimeofday ()
 
+(* Seconds per call of [f] over [reps] back-to-back calls, with no warm-up;
+   the total is clamped at 1 ns so a rate never divides by zero. Every
+   repeated-call timing loop in the experiments goes through here. *)
+let per_call ~reps f =
+  let t0 = wall () in
+  for _ = 1 to reps do
+    f ()
+  done;
+  Float.max (wall () -. t0) 1e-9 /. float_of_int reps
+
 (* Machine-readable results so the perf trajectory can be compared across
    PRs: E15/E16/E17 land in BENCH_E15.json (the default path), E18 in
    BENCH_E18.json. Sections accumulate in run order, keyed by output file,

@@ -434,11 +434,12 @@ let e14 () =
   in
   let t0 = Echo_gpusim.Costmodel.graph_time device graph in
   let t1 = Echo_gpusim.Costmodel.graph_time device echo_graph in
-  let f0 = Echo_opt.Fusion.fused_graph_time device graph in
-  let f1 = Echo_opt.Fusion.fused_graph_time device echo_graph in
-  let stats = Echo_opt.Fusion.analyse echo_graph in
+  let f0 = Echo_gpusim.Costmodel.fused_graph_time device graph in
+  let f1 = Echo_gpusim.Costmodel.fused_graph_time device echo_graph in
+  let fusion = Fuse.analyse echo_graph in
   row "fusion groups in the Echo graph: %d (%d launches saved)@."
-    stats.Echo_opt.Fusion.groups stats.Echo_opt.Fusion.launches_saved;
+    (Fuse.group_count fusion)
+    (Fuse.interior_count fusion);
   row "recompute overhead unfused: %+.1f%%, with a fusing backend: %+.1f%%@."
     (100.0 *. (t1 -. t0) /. t0)
     (100.0 *. (f1 -. f0) /. f0);
@@ -485,9 +486,7 @@ let e15 () =
   let steps = match !scale with Full -> 10 | Quick -> 3 in
   let steps_per_sec f =
     f () (* warm-up *);
-    let t0 = wall () in
-    for _ = 1 to steps do f () done;
-    float_of_int steps /. Float.max (wall () -. t0) 1e-9
+    1.0 /. per_call ~reps:steps f
   in
   let run_exe exe () =
     List.iter (fun (n, t) -> Executor.feed exe n t) feeds;
@@ -567,10 +566,7 @@ let e16 () =
   in
   let gflops ~m ~n ~k ~reps f =
     f () (* warm-up *);
-    let t0 = wall () in
-    for _ = 1 to reps do f () done;
-    2.0 *. float_of_int (m * n * k) *. float_of_int reps
-    /. Float.max (wall () -. t0) 1e-9 /. 1e9
+    2.0 *. float_of_int (m * n * k) /. per_call ~reps f /. 1e9
   in
   let bench_size size =
     let m = size and n = size and k = size in
@@ -706,9 +702,7 @@ let e16 () =
   in
   let melems ~n ~reps f =
     f () (* warm-up *);
-    let t0 = wall () in
-    for _ = 1 to reps do f () done;
-    float_of_int (n * reps) /. Float.max (wall () -. t0) 1e-9 /. 1e6
+    float_of_int n /. per_call ~reps f /. 1e6
   in
   let x = operand [| 16; 64 |] and y = operand ~shift:1 [| 16; 64 |] in
   let z = operand ~shift:2 [| 16; 64 |] in
@@ -977,7 +971,7 @@ let e18 () =
     in
     let arena_off = noinplace None and arena_on = noinplace (Some fusion) in
     let sim_off = Echo_gpusim.Costmodel.graph_time device graph in
-    let sim_on = Echo_opt.Fusion.fused_graph_time device graph in
+    let sim_on = Echo_gpusim.Costmodel.fused_graph_time device graph in
     row
       "%-5s pool-less arena %s -> %s (-%.1f%%); simulated device %.2f -> \
        %.2f ms/iter (%.2fx)@."
@@ -1005,9 +999,7 @@ let e18 () =
         List.iter (fun (n, t) -> Executor.feed exe n t) feeds;
         Executor.run exe
       in
-      let t0 = wall () in
-      for _ = 1 to steps do run () done;
-      1000.0 *. (wall () -. t0) /. float_of_int steps
+      1000.0 *. per_call ~reps:steps run
     in
     let calibrate exe =
       ignore (run_steps exe 1) (* warm-up *);
@@ -1332,18 +1324,16 @@ let e21 () =
       ignore (Engine.exec_all batched_engine eval_lines);
       List.iter (fun l -> ignore (Engine.exec serial_engine l)) eval_lines;
       let rounds = match !scale with Full -> 20 | Quick -> 5 in
-      let t0 = wall () in
-      for _ = 1 to rounds do
-        ignore (Engine.exec_all batched_engine eval_lines)
-      done;
-      let batched_t = Float.max (wall () -. t0) 1e-9 in
-      let t1 = wall () in
-      for _ = 1 to rounds do
-        List.iter (fun l -> ignore (Engine.exec serial_engine l)) eval_lines
-      done;
-      let serial_t = Float.max (wall () -. t1) 1e-9 in
-      let n = float_of_int (rounds * List.length eval_lines) in
-      let b_rps = n /. batched_t and s_rps = n /. serial_t in
+      let batched_round =
+        per_call ~reps:rounds (fun () ->
+            ignore (Engine.exec_all batched_engine eval_lines))
+      in
+      let serial_round =
+        per_call ~reps:rounds (fun () ->
+            List.iter (fun l -> ignore (Engine.exec serial_engine l)) eval_lines)
+      in
+      let n = float_of_int (List.length eval_lines) in
+      let b_rps = n /. batched_round and s_rps = n /. serial_round in
       let batched = Engine.exec_all batched_engine eval_lines in
       let serial = List.map (Engine.exec serial_engine) eval_lines in
       let identical =
@@ -1496,11 +1486,7 @@ let e22 () =
         step () (* warm-up *);
         let best = ref infinity in
         for _ = 1 to rounds do
-          let t0 = wall () in
-          for _ = 1 to steps do step () done;
-          best :=
-            Float.min !best
-              (1000.0 *. (wall () -. t0) /. float_of_int steps)
+          best := Float.min !best (1000.0 *. per_call ~reps:steps step)
         done;
         (!best, same)
       in

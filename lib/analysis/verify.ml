@@ -651,14 +651,14 @@ let check_binding ?fusion graph binding =
     by_bid;
   report
 
-let lint ?schedule ?fusion ?offsets ?binding ?max_externals graph =
+let lint ?schedule ?fusion ?offsets ?binding graph =
   let report = Report.create () in
   let add r = Report.append r ~into:report in
   add (check_schedule ?schedule graph);
   add (check_determinism graph);
   add (check_recompute graph);
   (match fusion with
-  | Some f -> add (check_fusion ?max_externals graph f)
+  | Some f -> add (check_fusion graph f)
   | None -> ());
   (match offsets with
   | Some a -> add (check_offsets graph a)

@@ -95,7 +95,6 @@ val lint :
   ?fusion:Fuse.plan ->
   ?offsets:Echo_exec.Assign.t ->
   ?binding:(Node.t * int) list ->
-  ?max_externals:int ->
   Graph.t ->
   Echo_diag.Report.t
 (** Run every checker applicable to the artifacts provided and collect all

@@ -198,13 +198,13 @@ let compile ?budget_bytes ?runtime ?plan ?sanitize graph =
       fun () ->
         I.conv2d_grad_kernel ~stride ~pad ~input:(x ()) ~grad_out:(y ()) ~dst
   in
-  (* One instruction per fused group: per output element the whole chain
-     folds in a register, reading only the group's external inputs and
-     writing only the root's buffer. The steps are built from the same named
-     scalar kernels the unfused instructions use ([Tensor.f_*]), so the
-     fused instruction is bit-identical to running the members one at a
-     time. Operand tensors are re-fetched from [values] on every run because
-     persistent slots rebind on feed. *)
+  (* One instruction per fused group, reading only the group's external
+     inputs and writing only the root's buffer. Each member becomes one
+     opcode ([Tensor.f_*]) of a [Tensor.fused_step] array that the C stub
+     decodes, applying per block the same kernel op the member's unfused
+     instruction runs, so the fused instruction is bit-identical to running
+     the members one at a time. Operand tensors are re-fetched from
+     [values] on every run because persistent slots rebind on feed. *)
   let build_fused g dst =
     let externals = Array.of_list g.Fuse.externals in
     let opslots =

@@ -143,8 +143,8 @@ val active_instruction_count : t -> int
 
 val fused_group_count : t -> int
 (** Number of fused groups compiled; [0] when the plan has no fusion.
-    Matches [Echo_opt.Fusion.stats] on the same graph by construction
-    (both derive from {!Echo_ir.Fuse.analyse}). *)
+    Equals [Fuse.group_count (Fuse.analyse g)] for a graph compiled under
+    {!Echo_ir.Fuse.analyse}'s plan, which the cost models price. *)
 
 val fused_interior_count : t -> int
 (** Chain members that were folded into a fused instruction and got no

@@ -92,24 +92,12 @@ type fused = {
   fused_memplan : Echo_exec.Memplan.report;
 }
 
-let fuse ?enabled ?runtime (pl : planned) =
+let fuse ?enabled ?runtime:_ (pl : planned) =
   let enabled =
     match enabled with Some e -> e | None -> Fuse.env_enabled ()
   in
   if enabled then begin
-    (* When the target runtime is known, drop groups the parallel-aware
-       host cost model predicts to lose wall-clock under that runtime's
-       fan-out gate and domain count (a dropped group's members compile as
-       ordinary instructions). Under the default configuration fusing is
-       never predicted to lose — the merged kernel's fan-out gain always
-       covers its fan-out overhead at the default gate — so this valve
-       only bites on handles with unusual configurations. *)
-    let keep =
-      match runtime with
-      | None -> fun _ -> true
-      | Some rt -> Echo_opt.Fusion.profitable (Echo_opt.Fusion.of_runtime rt)
-    in
-    let f = Fuse.analyse ~keep pl.graph in
+    let f = Fuse.analyse pl.graph in
     {
       planned = pl;
       graph = pl.graph;
@@ -249,7 +237,7 @@ let compile_graph ?budget_bytes ?planner ?runtime ?fuse ?sanitize ?cache
   let build () =
     of_training_graph graph
     |> optimize ~enabled:false |> rewrite ?planner |> plan
-    |> fuse_stage ?enabled:fuse ?runtime
+    |> fuse_stage ?enabled:fuse
     |> compile ?budget_bytes ?runtime ?sanitize
   in
   match cache with
@@ -263,7 +251,7 @@ let compile_source ?device ?optimize:(opt_enabled = true) ?planner
     ?budget_bytes ?runtime ?fuse ?sanitize src =
   let opt = optimize ~enabled:opt_enabled (differentiate src) in
   compile ?budget_bytes ?runtime ?sanitize
-    (fuse_stage ?enabled:fuse ?runtime (plan (rewrite ?device ?planner opt)))
+    (fuse_stage ?enabled:fuse (plan (rewrite ?device ?planner opt)))
 
 let describe fmt e =
   let pl = e.fused.planned in

@@ -135,13 +135,9 @@ val fuse : ?enabled:bool -> ?runtime:Echo_tensor.Parallel.t -> planned -> fused
     [enabled] defaults to {!Echo_ir.Fuse.env_enabled} ([ECHO_FUSION],
     on unless set to [0]/[off]/[false]/[no]).
 
-    When [runtime] is given, each discovered group is additionally vetted
-    by the parallel-aware host cost model
-    ({!Echo_opt.Fusion.profitable} under {!Echo_opt.Fusion.of_runtime}):
-    a chain predicted to lose wall-clock under that runtime's fan-out
-    configuration compiles unfused. Under default runtime configurations
-    the model never rejects a group (fusing strictly saves dispatches and
-    traffic without adding work), so passing the runtime is always safe. *)
+    The fusion plan is a function of the graph alone. [runtime] is
+    accepted and ignored: existing callers pass the handle they later
+    compile with, and no runtime setting changes what fuses. *)
 
 (** {1 Executable stage} *)
 

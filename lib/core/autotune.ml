@@ -1,4 +1,6 @@
+open Echo_ir
 open Echo_exec
+open Echo_gpusim
 
 type outcome = {
   planner : Planner.instance;
@@ -71,17 +73,64 @@ let fit_memory ~device ?fuse graph ~budget_bytes =
   in
   escalate fit_ladder
 
+(* {1 Host roofline}
+
+   The simulator prices the GPU the paper targets; [fit_exec] prices the
+   machine the compiled executor runs on, with a model structured like the
+   multicore runtime in [Echo_tensor.Parallel] (its rules are documented
+   on [fit_exec] in the interface). A fused group is gated on its merged
+   work, the decision [Tensor.Into.fused] takes at run time. *)
+
+let min_fanout_work =
+  Echo_tensor.Parallel.(min_fanout_work sequential)
+
+let fanout_overhead_s = 30e-6
+let scalar_rate = 1e9 (* weighted scalar ops/s of one domain *)
+let mem_rate = 8e9 (* bytes/s of the shared memory system *)
+let dispatch_s = 0.2e-6 (* per-instruction dispatch *)
+let blocked_speedup = 2.0
+
+let kernel_time ~domains ~work ~bytes ~speedup =
+  let fans = domains > 1 && work >= float_of_int min_fanout_work in
+  let fan = if fans then float_of_int domains else 1.0 in
+  let overhead = if fans then fanout_overhead_s else 0.0 in
+  dispatch_s +. overhead
+  +. Float.max (work /. (scalar_rate *. speedup *. fan)) (bytes /. mem_rate)
+
+let host_node_time ~domains node =
+  match Node.op node with
+  | Op.Placeholder | Op.Variable -> 0.0
+  | op ->
+    let speedup =
+      match op with Op.Matmul _ -> blocked_speedup | _ -> 1.0
+    in
+    kernel_time ~domains ~work:(Costmodel.node_flops node)
+      ~bytes:(Costmodel.node_bytes node) ~speedup
+
+let host_group_time ~domains g =
+  let work, bytes = Costmodel.group_work g in
+  kernel_time ~domains ~work ~bytes ~speedup:1.0
+
+(* Predicted host wall-clock of one pass at an effective fan-out of
+   [domains], fused under [Fuse.analyse] or every node separately. *)
+let host_graph_time ~domains ?(fuse = true) graph =
+  if fuse then
+    Costmodel.fused_time ~node:(host_node_time ~domains)
+      ~group:(host_group_time ~domains) graph
+  else
+    List.fold_left
+      (fun acc node -> acc +. host_node_time ~domains node)
+      0.0 (Graph.nodes graph)
+
 (* {1 Joint (fuse, domains) search}
 
    [fit_memory] fixes the execution knobs and escalates only the
    recomputation plan; this search instead walks the same ladder and, at
    every rung that fits the budget, prices the full execution-knob grid
-   with the host cost model ([Echo_opt.Fusion]) — the model that applies
-   the same fan-out gate and hardware cap the runtime applies. The result
-   is the fastest *combination*, not the best value of each knob
-   independently: a rung whose fused arena fits may lose to an earlier
-   rung that only fits unfused, and a domain count that helps the unfused
-   schedule may hurt the fused one.
+   with the host roofline above. The result is the fastest *combination*,
+   not the best value of each knob independently: a rung whose fused arena
+   fits may lose to an earlier rung that only fits unfused, and a domain
+   count that helps the unfused schedule may hurt the fused one.
 
    The grid is priced at the *effective* fan-out (capped at the hardware,
    exactly as the runtime will cap it), so on a small machine every domain
@@ -97,21 +146,17 @@ type exec_choice = {
   arena_bytes : int;
 }
 
-let default_domain_candidates = [ 1; 2; 4 ]
+let domain_candidates = [ 1; 2; 4 ]
 
 let combo_runtime c = Echo_tensor.Parallel.create ~domains:c.domains ()
 
-let fit_exec ~device ?(domain_candidates = default_domain_candidates) graph
-    ~budget_bytes =
+let fit_exec ~device graph ~budget_bytes =
   let hw = Echo_tensor.Parallel.hardware_parallelism () in
   let consider best outcome ~fuse ~arena =
     List.fold_left
       (fun best domains ->
-        let cfg =
-          { Echo_opt.Fusion.host_config with domains = min domains hw }
-        in
         let predicted_s =
-          Echo_opt.Fusion.host_graph_time cfg ~fuse outcome.graph
+          host_graph_time ~domains:(min domains hw) ~fuse outcome.graph
         in
         match best with
         | Some b when b.predicted_s <= predicted_s -> best

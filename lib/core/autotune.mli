@@ -80,28 +80,35 @@ type exec_choice = {
   chosen : outcome;  (** the accepted recomputation plan *)
   combo : exec_combo;
   predicted_s : float;
-      (** host-model wall-clock of one pass under [combo]
-          ({!Echo_opt.Fusion.host_graph_time}) *)
+      (** host-roofline wall-clock of one pass under [combo] (see
+          {!fit_exec}) *)
   arena_bytes : int;  (** the arena the choice was admitted under *)
 }
 
-val default_domain_candidates : int list
-(** [[1; 2; 4]]. *)
+val domain_candidates : int list
+(** The pool sizes {!fit_exec} prices: [[1; 2; 4]]. *)
 
 val combo_runtime : exec_combo -> Echo_tensor.Parallel.t
 (** A fresh runtime handle realising the combo's domain count, for passing
     to [Executor.compile ?runtime]. *)
 
 val fit_exec :
-  device:Device.t ->
-  ?domain_candidates:int list ->
-  Graph.t ->
-  budget_bytes:int ->
-  exec_choice option
+  device:Device.t -> Graph.t -> budget_bytes:int -> exec_choice option
 (** Walk {!fit_ladder} cheapest-recompute-first; at every rung whose arena
     (fused or unfused, each its own grid point) fits [budget_bytes], price
-    the whole (fuse, domains) grid with the host cost model — the same
-    fan-out gate the runtime applies, at the hardware-capped effective
-    fan-out — and return the globally fastest combination. Ties keep the earliest (cheapest-recompute, smallest
-    domain count) point, so the choice never asks for parallelism the
-    machine cannot deliver. [None] when no rung fits the budget. *)
+    the whole (fuse, {!domain_candidates}) grid and return the globally
+    fastest combination. [None] when no rung fits the budget.
+
+    The price is a host roofline private to this module, built on the
+    simulator's {!Echo_gpusim.Costmodel.node_flops},
+    {!Echo_gpusim.Costmodel.node_bytes} and
+    {!Echo_gpusim.Costmodel.group_work}. One instruction costs a dispatch,
+    plus a fan-out overhead iff its flops clear the runtime's default
+    fan-out gate with more than one domain, plus the rooflined max of
+    compute (scaled by the fan-out, and by a flat blocked-kernel speedup
+    for every matmul) and memory traffic (never scaled — the domains share
+    one bus). A fusion group ({!Echo_ir.Fuse.analyse}) costs one dispatch
+    over its summed work, with the gate applied to the merged kernel. The
+    fan-out is the hardware-capped effective one, so ties keep the
+    earliest (cheapest-recompute, smallest domain count) point and the
+    choice never asks for parallelism the machine cannot deliver. *)

@@ -58,18 +58,52 @@ let node_bytes node =
   | Op.Placeholder | Op.Variable -> 0.0
   | _ -> 4.0 *. (elts node +. input_elts node)
 
+(* One launch plus a roofline pass. *)
+let kernel_time device ~flops ~bytes =
+  device.Device.launch_overhead_s
+  +. Float.max (flops /. device.Device.peak_flops) (bytes /. device.Device.bandwidth)
+
 let node_time device node =
   match Node.op node with
   | Op.Placeholder | Op.Variable -> 0.0
-  | _ ->
-    let compute = node_flops node /. device.Device.peak_flops in
-    let memory = node_bytes node /. device.Device.bandwidth in
-    device.Device.launch_overhead_s +. Float.max compute memory
+  | _ -> kernel_time device ~flops:(node_flops node) ~bytes:(node_bytes node)
 
 let schedule_time device nodes =
   List.fold_left (fun acc n -> acc +. node_time device n) 0.0 nodes
 
 let graph_time device graph = schedule_time device (Graph.nodes graph)
+
+(* A fused group runs as one kernel: compute is the sum of the members'
+   flops (every scalar op still executes), but bytes are counted once — the
+   external inputs are read once and only the root is written, which is
+   precisely what [Tensor.Into.fused] does. *)
+let group_work g =
+  let flops =
+    List.fold_left (fun a m -> a +. node_flops m) 0.0 g.Fuse.members
+  in
+  let numels =
+    List.fold_left
+      (fun a e -> a + Shape.numel (Node.shape e))
+      (Shape.numel (Node.shape g.Fuse.root))
+      g.Fuse.externals
+  in
+  (flops, 4.0 *. float_of_int numels)
+
+let fused_time ~node ~group graph =
+  let p = Fuse.analyse graph in
+  List.fold_left
+    (fun acc n ->
+      if Fuse.is_interior p (Node.id n) then acc
+      else
+        match Fuse.group_of_root p (Node.id n) with
+        | Some g -> acc +. group g
+        | None -> acc +. node n)
+    0.0 (Graph.nodes graph)
+
+let fused_graph_time device graph =
+  fused_time graph ~node:(node_time device) ~group:(fun g ->
+      let flops, bytes = group_work g in
+      kernel_time device ~flops ~bytes)
 
 type phase_times = { forward_s : float; backward_s : float; total_s : float }
 

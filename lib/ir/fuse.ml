@@ -1,9 +1,12 @@
 (* Elementwise-fusion grouping: the single source of truth shared by the
-   cost model (Echo_opt.Fusion), the memory planner (Echo_exec.Memplan /
-   Liveness) and the compiled executor (Echo_compiler.Executor). All three
-   must agree on what fuses — the planner's predicted arena and the
-   executor's measured footprint are asserted equal by the test suite, and
-   the cost model's launch accounting must describe what actually runs. *)
+   memory planner (Echo_exec.Memplan / Liveness), the compiled executor
+   (Echo_compiler.Executor) and the cost models that price a fused
+   schedule (Echo_gpusim.Costmodel.fused_graph_time for the simulated GPU,
+   Echo_core.Autotune's host roofline). All of them must agree on what
+   fuses — the planner's predicted arena and the executor's measured
+   footprint are asserted equal by the test suite, and the launch
+   accounting must describe what actually runs. The plan is a function of
+   the graph alone. *)
 
 open Echo_tensor
 
@@ -86,8 +89,7 @@ let of_groups groups =
     groups;
   { groups; root_of; interior_tbl; by_root }
 
-let analyse ?(max_externals = default_max_externals) ?(keep = fun _ -> true)
-    graph =
+let analyse graph =
   let schedule = Graph.nodes graph in
   (* producer id -> the member that absorbs it *)
   let succ : (int, Node.t) Hashtbl.t = Hashtbl.create 256 in
@@ -97,12 +99,13 @@ let analyse ?(max_externals = default_max_externals) ?(keep = fun _ -> true)
       | Some producer -> Hashtbl.replace succ (Node.id producer) node
       | None -> ())
     schedule;
-  (* Split a maximal chain so no segment reads more than [max_externals]
-     buffers. Fusing holds every external live until the root executes, so
-     an unbounded group — a gradient-accumulation chain, say — would pin
-     all its summands simultaneously and grow the very arena it is meant to
-     shrink. A split point materializes the previous segment's root, which
-     the next segment then reads as its first external. *)
+  (* Split a maximal chain so no segment reads more than
+     [default_max_externals] buffers. Fusing holds every external live
+     until the root executes, so an unbounded group — a
+     gradient-accumulation chain, say — would pin all its summands
+     simultaneously and grow the very arena it is meant to shrink. A split
+     point materializes the previous segment's root, which the next
+     segment then reads as its first external. *)
   let split_chain members =
     let cost ~is_head m =
       if is_head then List.length (Node.inputs m)
@@ -112,7 +115,7 @@ let analyse ?(max_externals = default_max_externals) ?(keep = fun _ -> true)
       | [] -> List.rev (List.rev current :: acc)
       | m :: rest ->
         let c = cost ~is_head:(current = []) m in
-        if current <> [] && n_ext + c > max_externals then
+        if current <> [] && n_ext + c > default_max_externals then
           cut (List.rev current :: acc) [ m ] (cost ~is_head:true m) rest
         else cut acc (m :: current) (n_ext + c) rest
     in
@@ -152,10 +155,7 @@ let analyse ?(max_externals = default_max_externals) ?(keep = fun _ -> true)
         else [])
       schedule
   in
-  (* [keep] is the cost-model valve: a dropped group's members simply
-     compile as separate instructions, which is always semantically
-     correct (fusion is an identity on values). *)
-  of_groups (List.filter keep groups)
+  of_groups groups
 
 let groups p = p.groups
 let group_count p = List.length p.groups

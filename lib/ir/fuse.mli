@@ -6,11 +6,14 @@
     last member (the {e root}) writes a buffer, and every other member (an
     {e interior}) never materializes.
 
-    This module is the single source of truth for what fuses. The cost
-    model ({!Echo_opt.Fusion}), the planner ({!Echo_exec.Memplan} /
-    {!Echo_exec.Liveness}) and the compiled executor all consume the same
-    {!plan}, so the predicted arena, the simulated launch count and the
-    compiled instruction stream agree by construction.
+    This module is the single source of truth for what fuses, and its
+    {!plan} is a function of the graph alone. The planner
+    ({!Echo_exec.Memplan} / {!Echo_exec.Liveness}), the compiled executor
+    and the cost models that price a fused schedule (the simulated GPU's
+    [Echo_gpusim.Costmodel.fused_graph_time], the autotuner's host
+    roofline) all consume the same {!plan}, so the predicted arena, the
+    simulated launch count and the compiled instruction stream agree by
+    construction.
 
     The grouping rule ([member_of]): a node joins its first input's group
     iff both are elementwise with equal shapes, both live in the same
@@ -34,10 +37,9 @@ val member_of : Graph.t -> Node.t -> Node.t option
 (** The producer whose group [node] joins, if any. *)
 
 val default_max_externals : int
-(** Default external budget per group ([2]: the seed plus one more
-    operand — admits unary chains of any length and single-binary-step
-    patterns while keeping the fused arena no larger than the unfused
-    one). *)
+(** External budget per group ([2]: the seed plus one more operand —
+    admits unary chains of any length and single-binary-step patterns
+    while keeping the fused arena no larger than the unfused one). *)
 
 val of_groups : group list -> plan
 (** Index a raw group list into a plan, with no legality checking —
@@ -45,20 +47,14 @@ val of_groups : group list -> plan
     deliberately illegal groups to prove {!Echo_analysis.Verify} rejects
     them. *)
 
-val analyse : ?max_externals:int -> ?keep:(group -> bool) -> Graph.t -> plan
+val analyse : Graph.t -> plan
 (** Identify fusion groups. Maximal chains are split so no group reads more
-    than [max_externals] external buffers: every external stays live until
-    the group's root executes, so an unbounded group (a long gradient
-    accumulation, say) would pin all its summands simultaneously and grow
-    the arena fusion is meant to shrink. A split point materializes the
-    previous segment's root, which the next segment reads as its first
-    external.
-
-    [keep] (default: keep everything) filters the discovered groups: a
-    rejected group's members compile as ordinary separate instructions.
-    This is the hook the parallel-aware cost model
-    ([Echo_opt.Fusion.profitable]) plugs into when a chain is predicted to
-    lose wall-clock under the target runtime configuration. *)
+    than {!default_max_externals} external buffers: every external stays
+    live until the group's root executes, so an unbounded group (a long
+    gradient accumulation, say) would pin all its summands simultaneously
+    and grow the arena fusion is meant to shrink. A split point
+    materializes the previous segment's root, which the next segment reads
+    as its first external. *)
 
 val groups : plan -> group list
 (** Groups in schedule order of their heads. *)

@@ -187,15 +187,23 @@ let reshape t shape =
 (* [transpose2d], [slice], [concat] and [pad_slice] are defined after
    [Into] and delegate to it, like [matmul]. *)
 
-(* Iterate over the cartesian product of [outer] positions before [axis],
-   the axis range, and [inner] positions after it. Row-major layout means a
-   tensor decomposes as outer * axis_dim * inner contiguous blocks. *)
-let axis_blocks shape axis =
-  let outer = ref 1 and inner = ref 1 in
-  Array.iteri
-    (fun i d -> if i < axis then outer := !outer * d else if i > axis then inner := !inner * d)
-    shape;
-  (!outer, !inner)
+(* Row-major layout means a tensor decomposes around [axis] as
+   outer * axis_dim * inner contiguous blocks: [outer_blocks] is the product
+   of the dims before [axis], [inner_blocks] of those after it. Plain loops
+   returning ints, so the per-call copy kernels allocate nothing. *)
+let outer_blocks shape axis =
+  let p = ref 1 in
+  for i = 0 to axis - 1 do
+    p := !p * shape.(i)
+  done;
+  !p
+
+let inner_blocks shape axis =
+  let p = ref 1 in
+  for i = axis + 1 to Array.length shape - 1 do
+    p := !p * shape.(i)
+  done;
+  !p
 
 (* {1 Reductions} *)
 
@@ -570,6 +578,19 @@ module Into = struct
         (Printf.sprintf "Tensor.Into.%s: dst has shape %s, result needs %s" name
            (Shape.to_string dst.shape) (Shape.to_string expected))
 
+  (* [check] against [src] with dim [axis] replaced by [n], compared in
+     place: the expected shape, for the diagnostic, is built only on a
+     mismatch, so the per-call copy kernels allocate nothing. *)
+  let check_axis name dst src ~axis ~n =
+    let r = Array.length src in
+    let ok = ref (Array.length dst.shape = r) in
+    for i = 0 to r - 1 do
+      if !ok && dst.shape.(i) <> if i = axis then n else src.(i) then
+        ok := false
+    done;
+    if not !ok then
+      check name dst (Array.mapi (fun i d -> if i = axis then n else d) src)
+
   let fill ~dst v = Array.fill dst.data 0 (Array.length dst.data) v
 
   let blit ~src ~dst =
@@ -686,9 +707,14 @@ module Into = struct
         ew_add_bias md bd d cols lo hi)
 
   let slice ~axis ~lo ~hi src ~dst =
-    check "slice" dst (Shape.slice_result ~axis ~lo ~hi src.shape);
+    let s = src.shape in
+    (* [Shape.slice_result] raises the range diagnostic. *)
+    if axis < 0 || axis >= Array.length s || lo < 0 || lo >= hi || hi > s.(axis)
+    then check "slice" dst (Shape.slice_result ~axis ~lo ~hi s);
+    check_axis "slice" dst s ~axis ~n:(hi - lo);
     let d = src.shape.(axis) in
-    let outer, inner = axis_blocks src.shape axis in
+    let outer = outer_blocks src.shape axis
+    and inner = inner_blocks src.shape axis in
     let width = (hi - lo) * inner in
     copy_blocks src.data (lo * inner) (d * inner) 0 dst.data 0 width 0 outer 1
       width
@@ -699,9 +725,9 @@ module Into = struct
     let d = src.shape.(axis) in
     if lo < 0 || lo + d > full then
       invalid_arg "Tensor.Into.pad_slice: slice does not fit";
-    check "pad_slice" dst
-      (Array.mapi (fun i k -> if i = axis then full else k) src.shape);
-    let outer, inner = axis_blocks src.shape axis in
+    check_axis "pad_slice" dst src.shape ~axis ~n:full;
+    let outer = outer_blocks src.shape axis
+    and inner = inner_blocks src.shape axis in
     Array.fill dst.data 0 (Array.length dst.data) 0.0;
     copy_blocks src.data 0 (d * inner) 0 dst.data (lo * inner) (full * inner)
       0 outer 1 (d * inner)
@@ -716,7 +742,8 @@ module Into = struct
           first.shape rest
       in
       check "concat" dst out_shape;
-      let outer, inner = axis_blocks first.shape axis in
+      let outer = outer_blocks first.shape axis
+      and inner = inner_blocks first.shape axis in
       let total = out_shape.(axis) in
       let offset = ref 0 in
       List.iter
@@ -751,7 +778,8 @@ module Into = struct
       invalid_arg "Tensor.Into.reduce_sum: bad axis";
     check "reduce_sum" dst (reduce_shape ~axis ~keepdims src.shape);
     let d = src.shape.(axis) in
-    let outer, inner = axis_blocks src.shape axis in
+    let outer = outer_blocks src.shape axis
+    and inner = inner_blocks src.shape axis in
     let s = src.data and out = dst.data in
     Parallel.parallel_for runtime ~work:(d * inner) ~n:outer (fun lo hi ->
         reduce_sum_kernel s out d inner lo hi)
@@ -767,9 +795,9 @@ module Into = struct
       invalid_arg "Tensor.Into.broadcast_axis: bad axis";
     if src.shape.(axis) <> 1 then
       invalid_arg "Tensor.Into.broadcast_axis: axis dim must be 1";
-    check "broadcast_axis" dst
-      (Array.mapi (fun i d -> if i = axis then n else d) src.shape);
-    let outer, inner = axis_blocks src.shape axis in
+    check_axis "broadcast_axis" dst src.shape ~axis ~n;
+    let outer = outer_blocks src.shape axis
+    and inner = inner_blocks src.shape axis in
     copy_blocks src.data 0 inner 0 dst.data 0 (n * inner) inner outer n inner
 
   (* Softmax family: [dst] may alias the input — within each row the maximum

@@ -6,8 +6,12 @@
 
     Operations outside {!Into} allocate fresh result tensors; most are thin
     wrappers that allocate the result and call the {!Into} kernel of the
-    same name. Nothing aliases unless the documentation says so. Shape
-    errors raise [Invalid_argument].
+    same name. The exceptions are deliberate: {!softmax}, {!log_softmax},
+    {!cross_entropy}, {!cross_entropy_grad}, {!embedding} and
+    {!embedding_grad} keep their own loops because they are [Interp]'s
+    reference, independent of the {!Into} kernels the executor runs; the
+    test suite holds each pair equal bit for bit. Nothing aliases unless
+    the documentation says so. Shape errors raise [Invalid_argument].
 
     The hot loops are C (lib/tensor/kernel_stubs.c): every matmul
     (gemm_kernel.h), and the elementwise ops, fused chains, [reduce_sum]

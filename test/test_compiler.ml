@@ -267,6 +267,16 @@ let bits_equal a b =
   done;
   !ok
 
+(* What an executor compiled from its plan: fused groups, fused interiors
+   and the arena. The fusion plan is a function of the graph alone, so
+   every runtime a differential builds must compile the same one. *)
+let plan_signature exe =
+  ( Executor.fused_group_count exe,
+    Executor.fused_interior_count exe,
+    Executor.footprint_bytes exe )
+
+let check_plan = Alcotest.(check (triple int int int))
+
 let test_runtime_differential () =
   let lm =
     Language_model.build
@@ -301,15 +311,18 @@ let test_runtime_differential () =
   (* One executor per domain count. Pools are oversubscribed past the
      hardware cap with the work gate open, so the fan-out path really
      executes even on one core. *)
+  let plan = plan_signature (Executor.compile g) in
   List.iter
     (fun d ->
       let pool =
         Parallel.create ~domains:d ~oversubscribe:true ~min_fanout_work:0 ()
       in
       Fun.protect ~finally:(fun () -> Parallel.shutdown pool) @@ fun () ->
+      let exe = Executor.compile ~runtime:pool g in
+      check_plan (Printf.sprintf "%d-domain plan" d) plan (plan_signature exe);
       check_engine
         (Printf.sprintf "%d-domain executor" d)
-        (Executor.eval (Executor.compile ~runtime:pool g) ~feeds))
+        (Executor.eval exe ~feeds))
     [ 1; 2; 4 ]
 
 (* Fused elementwise codegen: the fusion stage must be invisible in the
@@ -379,9 +392,10 @@ let fused_model_differential ?(id_bound = 20) model =
   let reference = eval (Pipeline.compile_graph ~fuse:false g) in
   check_bool (model.Model.name ^ " has fusable chains") true
     (Fuse.group_count (Fuse.analyse g) > 0);
+  let fused = Pipeline.compile_graph ~fuse:true g in
+  let plan = plan_signature (Pipeline.executor fused) in
   check_bool (model.Model.name ^ " fused bit-identical") true
-    (List.for_all2 bits_equal reference
-       (eval (Pipeline.compile_graph ~fuse:true g)));
+    (List.for_all2 bits_equal reference (eval fused));
   List.iter
     (fun d ->
       (* Oversubscribed past the hardware cap with the work gate open, so
@@ -391,11 +405,15 @@ let fused_model_differential ?(id_bound = 20) model =
         Parallel.create ~domains:d ~oversubscribe:true ~min_fanout_work:0 ()
       in
       Fun.protect ~finally:(fun () -> Parallel.shutdown pool) @@ fun () ->
+      let exe = Pipeline.compile_graph ~fuse:true ~runtime:pool g in
+      check_plan
+        (Printf.sprintf "%s fused %d-domain plan" model.Model.name d)
+        plan
+        (plan_signature (Pipeline.executor exe));
       check_bool
         (Printf.sprintf "%s fused %d-domain bit-identical" model.Model.name d)
         true
-        (List.for_all2 bits_equal reference
-           (eval (Pipeline.compile_graph ~fuse:true ~runtime:pool g))))
+        (List.for_all2 bits_equal reference (eval exe)))
     [ 1; 2; 4 ]
 
 let test_fused_lm_differential () =
@@ -461,9 +479,9 @@ let test_fused_interiors_slotless () =
   in
   check_bool "interiors freed the arena" true (arena ~fusion () < arena ())
 
-(* The cost model and the executor must agree on what got fused: the
-   analysis the [Echo_opt.Fusion] stats report is the same plan the
-   executor compiled. *)
+(* The cost models and the executor must agree on what got fused: the
+   plan [Costmodel.fused_graph_time] and the autotuner price
+   ([Fuse.analyse] of the graph) is the one the executor compiled. *)
 let test_fusion_stats_match_executor () =
   let lm =
     Language_model.build
@@ -481,16 +499,15 @@ let test_fusion_stats_match_executor () =
   let g =
     (Model.training lm.Language_model.model).Echo_autodiff.Grad.graph
   in
-  let stats = Echo_opt.Fusion.analyse g in
+  let priced = Fuse.analyse g in
   let exe =
     Executor.compile
       ~plan:(Echo_exec.Memplan.plan ~fusion:(Fuse.analyse g) g)
       g
   in
-  Alcotest.(check int) "group counts agree" stats.Echo_opt.Fusion.groups
+  Alcotest.(check int) "group counts agree" (Fuse.group_count priced)
     (Executor.fused_group_count exe);
-  Alcotest.(check int) "interior counts agree"
-    stats.Echo_opt.Fusion.launches_saved
+  Alcotest.(check int) "interior counts agree" (Fuse.interior_count priced)
     (Executor.fused_interior_count exe)
 
 (* End to end through the training loop: the whole loss trajectory is

@@ -165,22 +165,24 @@ let test_pipeline_composes_with_echo () =
 
 (* Fusion analysis *)
 
+let members p =
+  List.fold_left (fun a g -> a + List.length g.Fuse.members) 0 (Fuse.groups p)
+
 let test_fusion_chain_detected () =
   let x = Node.placeholder [| 64 |] in
   let y = Node.sq (Node.tanh_ (Node.sigmoid (Node.neg x))) in
   let g = Graph.create [ y ] in
-  let s = Fusion.analyse g in
-  check_int "one group" 1 s.Fusion.groups;
-  check_int "four members" 4 s.Fusion.fused_nodes;
-  check_int "three launches saved" 3 s.Fusion.launches_saved
+  let p = Fuse.analyse g in
+  check_int "one group" 1 (Fuse.group_count p);
+  check_int "four members" 4 (members p);
+  check_int "three launches saved" 3 (Fuse.interior_count p)
 
 let test_fusion_breaks_at_gemm () =
   let x = Node.placeholder [| 8; 8 |] in
   let y = Node.sigmoid (Node.matmul (Node.tanh_ x) x) in
   let g = Graph.create [ y ] in
-  let s = Fusion.analyse g in
   (* tanh alone (single, no group) and sigmoid alone: no group of >= 2 *)
-  check_int "no groups across gemm" 0 s.Fusion.groups
+  check_int "no groups across gemm" 0 (Fuse.group_count (Fuse.analyse g))
 
 let test_fusion_breaks_at_fanout () =
   let x = Node.placeholder [| 8 |] in
@@ -189,15 +191,14 @@ let test_fusion_breaks_at_fanout () =
   let g = Graph.create [ Node.add b c ] in
   (* a has two consumers: b and c cannot join through it... but the Add can
      join its first input chain. Conservative single-consumer rule. *)
-  let s = Fusion.analyse g in
-  check_bool "limited fusion" true (s.Fusion.fused_nodes <= 3)
+  check_bool "limited fusion" true (members (Fuse.analyse g) <= 3)
 
 let test_fusion_time_saves_launches () =
   let x = Node.placeholder [| 64 |] in
   let y = Node.sq (Node.tanh_ (Node.sigmoid (Node.neg x))) in
   let g = Graph.create [ y ] in
   let t_unfused = Echo_gpusim.Costmodel.graph_time dev g in
-  let t_fused = Fusion.fused_graph_time dev g in
+  let t_fused = Echo_gpusim.Costmodel.fused_graph_time dev g in
   let saved = t_unfused -. t_fused in
   (* The fused group pays one launch instead of four, and its interiors
      never round-trip through memory, so the saving is the three launches

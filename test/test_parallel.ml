@@ -1,5 +1,5 @@
 (* The deterministic multicore kernel runtime and its integration with the
-   parallelism-aware fusion cost model.
+   autotuner's joint (fuse, domains) search.
 
    Pools in this suite are created with [~oversubscribe:true] and
    [~min_fanout_work:0] so the fan-out + work-stealing path genuinely
@@ -12,7 +12,6 @@ open Echo_tensor
 open Echo_ir
 open Echo_models
 module Executor = Echo_compiler.Executor
-module Fusion = Echo_opt.Fusion
 module A = Echo_core.Autotune
 
 let check_bool = Alcotest.(check bool)
@@ -199,44 +198,40 @@ let test_executor_repeated_runs_deterministic () =
          (Executor.eval exe ~feeds))
   done
 
-(* --- the profitability valve of the unified cost model --- *)
+(* --- the fusion plan is a function of the graph alone --- *)
 
-let test_profitable_valve () =
-  let x = Node.placeholder [| 64; 64 |] in
-  let y = Node.variable [| 64; 64 |] in
+(* No pool setting changes what fuses: the chain compiles to the plan
+   [Fuse.analyse] gives it, and one fused arena, at any domain count and
+   fan-out gate. Gate 50_000 sits between the members' work (8 * 4096 per
+   transcendental) and the merged group's (69632). [Pipeline.cache_key]
+   leaves the gate out, which is sound only because of this. *)
+let test_fusion_plan_runtime_free () =
+  let x = Node.placeholder [| 64; 64 |] and y = Node.variable [| 64; 64 |] in
   let g = Graph.create [ Node.tanh_ (Node.sigmoid (Node.add x y)) ] in
-  let unrestricted = Fuse.analyse g in
-  check_bool "chain fuses unrestricted" true
-    (Fuse.group_count unrestricted > 0);
-  (* Default host model: fusing strictly saves dispatches and traffic
-     without adding work, so every group survives the valve. *)
-  let default_cfg = Fusion.of_runtime Parallel.sequential in
-  check_int "default model keeps every group"
-    (Fuse.group_count unrestricted)
-    (Fuse.group_count (Fuse.analyse ~keep:(Fusion.profitable default_cfg) g));
-  (* Exaggerated config: 4-way fan-out, a work gate sitting between the
-     members' work (8 * 4096 = 32768 scalar ops for the transcendentals)
-     and the fused group's sum (69632), and a ruinous fan-out overhead.
-     The merged kernel crosses the gate its members stayed under, so the
-     model predicts a loss and the valve unfuses the chain. *)
-  let cfg =
-    {
-      default_cfg with
-      Fusion.domains = 4;
-      min_fanout_work = 50_000;
-      fanout_overhead_s = 10.0;
-    }
+  let show p = Format.asprintf "%a" Fuse.pp_plan p in
+  let compile (domains, gate) =
+    let runtime =
+      Parallel.create ~domains ~oversubscribe:true ~min_fanout_work:gate ()
+    in
+    Fun.protect ~finally:(fun () -> Parallel.shutdown runtime) @@ fun () ->
+    let exe = Echo_compiler.Pipeline.compile_graph ~fuse:true ~runtime g in
+    ( Option.map show exe.Echo_compiler.Pipeline.fused.fusion,
+      Executor.footprint_bytes (Echo_compiler.Pipeline.executor exe),
+      Echo_compiler.Pipeline.cache_key ~fuse:true ~runtime g )
   in
-  check_bool "exaggerated model rejects the group" false
-    (List.for_all (Fusion.profitable cfg) (Fuse.groups unrestricted));
-  check_int "valve unfuses the chain" 0
-    (Fuse.group_count (Fuse.analyse ~keep:(Fusion.profitable cfg) g));
-  (* host_graph_time prices the plan it would emit: with the valve biting,
-     the fused and unfused predictions coincide. *)
-  Alcotest.(check (float 1e-12))
-    "rejected plan priced as unfused"
-    (Fusion.host_graph_time cfg ~fuse:false g)
-    (Fusion.host_graph_time cfg ~fuse:true g)
+  check_bool "chain fuses" true (Fuse.group_count (Fuse.analyse g) > 0);
+  let plan, arena, key = compile (4, 0) in
+  let check_plan = Alcotest.(check (option string)) in
+  check_plan "analysed plan" (Some (show (Fuse.analyse g))) plan;
+  List.iter
+    (fun (d, gate) ->
+      let plan', arena', _ = compile (d, gate) in
+      let label = Printf.sprintf "%d domains, gate %d" d gate in
+      check_plan (label ^ ": plan") plan plan';
+      check_int (label ^ ": arena") arena arena')
+    [ (1, 0); (2, 0); (2, 1 lsl 18); (4, 50_000) ];
+  let _, _, key' = compile (4, 50_000) in
+  Alcotest.(check string) "gate left out of the cache key" key key'
 
 (* --- the joint (planner, fuse, domains) search --- *)
 
@@ -262,7 +257,7 @@ let test_fit_exec_search () =
   | Some choice ->
     check_bool "prediction positive" true (choice.A.predicted_s > 0.0);
     check_bool "domains candidate" true
-      (List.mem choice.A.combo.A.domains A.default_domain_candidates);
+      (List.mem choice.A.combo.A.domains A.domain_candidates);
     (* The budget is honoured: ask for one byte and the search must fail
        (every plan's arena is positive). *)
     check_bool "impossible budget refused" true
@@ -318,7 +313,7 @@ let suite =
         QCheck_alcotest.to_alcotest prop_parallel_for_coverage;
         t "work stealing deterministic" test_stealing_determinism;
         t "fused executor repeated runs" test_executor_repeated_runs_deterministic;
-        t "profitability valve" test_profitable_valve;
+        t "fusion plan ignores the runtime" test_fusion_plan_runtime_free;
         t "fit_exec joint search" test_fit_exec_search;
       ] );
   ]

@@ -293,6 +293,24 @@ let matmul_blocked_sweep () =
       let clean = words (run clean_a clean_b) in
       check_float "fix-up allocates nothing" clean (words (run a b)))
     every;
+  (* The row copies check [dst] in place, so a call that fits allocates
+     nothing at all. *)
+  let src = Tensor.uniform rng [| 4; 6; 3 |] ~lo:(-1.0) ~hi:1.0 in
+  let col = Tensor.slice ~axis:1 ~lo:0 ~hi:1 src in
+  let sliced = Tensor.zeros [| 4; 2; 3 |] in
+  let padded = Tensor.zeros [| 4; 9; 3 |] in
+  let wide = Tensor.zeros [| 4; 5; 3 |] in
+  List.iter
+    (fun (name, run) ->
+      run ();
+      check_float (name ^ " allocates nothing") 0.0 (words run))
+    [
+      ("slice", fun () -> Tensor.Into.slice ~axis:1 ~lo:2 ~hi:4 src ~dst:sliced);
+      ( "pad_slice",
+        fun () -> Tensor.Into.pad_slice ~axis:1 ~lo:3 ~full:9 src ~dst:padded );
+      ( "broadcast_axis",
+        fun () -> Tensor.Into.broadcast_axis ~axis:1 ~n:5 col ~dst:wide );
+    ];
   let e = Float.ldexp 1.0 (-30) in
   List.iter
     (fun (trans_a, trans_b) ->
@@ -350,9 +368,21 @@ let test_slice_axis0 () =
   let t = t2 [ [ 1.; 2. ]; [ 3.; 4. ]; [ 5.; 6. ] ] in
   assert_tensor "rows 1-2" (t2 [ [ 3.; 4. ]; [ 5.; 6. ] ]) (Tensor.slice ~axis:0 ~lo:1 ~hi:3 t)
 
+(* A [dst] that does not fit gets the full diagnostic. *)
+let check_raises_msg msg f = Alcotest.check_raises msg (Invalid_argument msg) f
+
 let test_slice_axis1 () =
   let t = t2 [ [ 1.; 2.; 3. ]; [ 4.; 5.; 6. ] ] in
-  assert_tensor "col 1" (t2 [ [ 2. ]; [ 5. ] ]) (Tensor.slice ~axis:1 ~lo:1 ~hi:2 t)
+  assert_tensor "col 1" (t2 [ [ 2. ]; [ 5. ] ]) (Tensor.slice ~axis:1 ~lo:1 ~hi:2 t);
+  let slice ~axis ~lo ~hi dst () = Tensor.Into.slice ~axis ~lo ~hi t ~dst in
+  check_raises_msg "Tensor.Into.slice: dst has shape [2x2], result needs [2x1]"
+    (slice ~axis:1 ~lo:1 ~hi:2 (Tensor.zeros [| 2; 2 |]));
+  check_raises_msg "Tensor.Into.slice: dst has shape [2], result needs [2x1]"
+    (slice ~axis:1 ~lo:1 ~hi:2 (Tensor.zeros [| 2 |]));
+  check_raises_msg "Shape.slice_result: bad range [2,1) for dim 3"
+    (slice ~axis:1 ~lo:2 ~hi:1 (Tensor.zeros [| 2; 1 |]));
+  check_raises_msg "Shape.slice_result: axis out of bounds"
+    (slice ~axis:2 ~lo:0 ~hi:1 (Tensor.zeros [| 2; 1 |]))
 
 let test_concat_axis0 () =
   let a = t2 [ [ 1.; 2. ] ] and b = t2 [ [ 3.; 4. ]; [ 5.; 6. ] ] in
@@ -366,7 +396,11 @@ let test_pad_slice () =
   let t = t2 [ [ 7.; 8. ] ] in
   assert_tensor "embedded"
     (t2 [ [ 0.; 0. ]; [ 7.; 8. ]; [ 0.; 0. ] ])
-    (Tensor.pad_slice ~axis:0 ~lo:1 ~full:3 t)
+    (Tensor.pad_slice ~axis:0 ~lo:1 ~full:3 t);
+  check_raises_msg
+    "Tensor.Into.pad_slice: dst has shape [2x2], result needs [3x2]"
+    (fun () ->
+      Tensor.Into.pad_slice ~axis:0 ~lo:1 ~full:3 t ~dst:(Tensor.zeros [| 2; 2 |]))
 
 let test_slice_concat_roundtrip () =
   let rng = Rng.create 2 in
@@ -399,6 +433,10 @@ let test_broadcast_axis () =
   let t = t2 [ [ 1.; 2. ] ] in
   assert_tensor "repeat rows" (t2 [ [ 1.; 2. ]; [ 1.; 2. ]; [ 1.; 2. ] ])
     (Tensor.broadcast_axis ~axis:0 ~n:3 t);
+  check_raises_msg
+    "Tensor.Into.broadcast_axis: dst has shape [3x2], result needs [4x2]"
+    (fun () ->
+      Tensor.Into.broadcast_axis ~axis:0 ~n:4 t ~dst:(Tensor.zeros [| 3; 2 |]));
   check_bool "axis dim must be 1" true
     (try
        ignore (Tensor.broadcast_axis ~axis:0 ~n:3 (t2 [ [ 1. ]; [ 2. ] ]));
@@ -1205,6 +1243,80 @@ let prop_kernels_match_old_loops ~portable =
       in
       if portable then Tensor.For_testing.with_portable_kernels run else run ())
 
+(* The softmax family, cross-entropy and the embeddings keep two loop
+   bodies on purpose: the allocating form is [Interp]'s reference,
+   independent of the [Into] kernel the executor runs. Each kernel must
+   equal its twin bit for bit. Rows are plain, or drawn from the special
+   values (NaN, +-inf, -0, ...); [dst] is fresh and NaN-filled or, for the
+   three ops [Memplan.inplace_capable] lets run in place, the input
+   itself. *)
+let into_matches_allocating ~runtime seed =
+  let module I = Tensor.Into in
+  let rng = Rng.create seed in
+  let rows = 1 + Rng.int rng 6 and cols = 1 + Rng.int rng 40 in
+  let row_kinds = Array.init rows (fun _ -> Rng.int rng 2) in
+  let logits =
+    Tensor.init [| rows; cols |] (fun idx ->
+        if row_kinds.(idx.(0)) = 0 then Rng.uniform rng ~lo:(-4.0) ~hi:4.0
+        else kernel_value rng)
+  in
+  let labels =
+    Tensor.init [| rows |] (fun _ -> float_of_int (Rng.int rng cols))
+  in
+  let fail what =
+    QCheck.Test.fail_reportf
+      "Into.%s differs from its allocating twin (seed=%d, %d domains)" what
+      seed (Parallel.domains runtime)
+  in
+  let in_place = Rng.int rng 2 = 0 in
+  let unary what expect run =
+    let src = Tensor.copy logits in
+    let dst =
+      if in_place then src else Tensor.full [| rows; cols |] Float.nan
+    in
+    run src dst;
+    if not (bits_equal expect dst) then fail what
+  in
+  unary "softmax" (Tensor.softmax logits) (fun src dst ->
+      I.softmax ~runtime src ~dst);
+  unary "log_softmax" (Tensor.log_softmax logits) (fun src dst ->
+      I.log_softmax ~runtime src ~dst);
+  unary "cross_entropy_grad" (Tensor.cross_entropy_grad ~logits ~labels)
+    (fun src dst -> I.cross_entropy_grad ~runtime ~logits:src ~labels ~dst ());
+  let dst = Tensor.scalar Float.nan in
+  I.cross_entropy ~logits ~labels ~dst;
+  if not (bits_equal (Tensor.scalar (Tensor.cross_entropy ~logits ~labels)) dst)
+  then fail "cross_entropy";
+  (* Ids repeat, so the scatter-add meets the same table row twice. *)
+  let v = 1 + Rng.int rng 5 and b = 1 + Rng.int rng 8 in
+  let table = kernel_tensor rng [| v; cols |] in
+  let ids = Tensor.init [| b |] (fun _ -> float_of_int (Rng.int rng v)) in
+  let dst = Tensor.full [| b; cols |] Float.nan in
+  I.embedding ~runtime ~table ~ids ~dst ();
+  if not (bits_equal (Tensor.embedding ~table ~ids) dst) then fail "embedding";
+  let grad_out = kernel_tensor rng [| b; cols |] in
+  let dst = Tensor.full [| v; cols |] Float.nan in
+  I.embedding_grad ~runtime ~ids ~grad_out ~dst ();
+  if
+    not
+      (bits_equal
+         (Tensor.embedding_grad ~table_shape:[| v; cols |] ~ids ~grad_out)
+         dst)
+  then fail "embedding_grad";
+  true
+
+let prop_into_matches_allocating =
+  QCheck.Test.make ~name:"softmax-family Into kernels == allocating twins"
+    ~count:150
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let pool =
+        Parallel.create ~domains:2 ~oversubscribe:true ~min_fanout_work:0 ()
+      in
+      Fun.protect ~finally:(fun () -> Parallel.shutdown pool) @@ fun () ->
+      into_matches_allocating ~runtime:Parallel.sequential seed
+      && into_matches_allocating ~runtime:pool seed)
+
 (* FMA canary for the elementwise kernels: the chain x * y + z with
    x = 1 + 2^-30, y = 1 - 2^-30, z = -1, fused and unfused. Unfused, the
    product rounds to 1 and every output is +0; a contracted multiply-add
@@ -1302,5 +1414,6 @@ let suite =
         QCheck_alcotest.to_alcotest prop_conv_kernels_match_naive;
         t "equality helpers" test_equal_and_diff;
         QCheck_alcotest.to_alcotest prop_softmax_rows_sum_to_one;
+        QCheck_alcotest.to_alcotest prop_into_matches_allocating;
       ] );
   ]
