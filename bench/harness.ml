@@ -115,16 +115,14 @@ let bits_equal a b =
   done;
   !ok
 
-(* The documented matmul semantics as a plain triple loop into [dst]
-   ([m x n]): each output element accumulates [product +. acc] over
+(* The documented matmul semantics as a plain triple loop over row-major
+   arrays into [dst] ([m x n]): each output element accumulates [product +. acc] over
    ascending l from +0, skipping terms whose a-side factor is exactly 0.0
    — the oracle of the tensor test suite. E16's bit reference and its
    baseline column. *)
-let matmul_loops ?(trans_a = false) ?(trans_b = false) ~m ~n ~k a b ~dst =
-  let open Echo_tensor in
-  let a = Tensor.unsafe_data a
-  and b = Tensor.unsafe_data b
-  and out = Tensor.unsafe_data dst in
+let matmul_loops ?(trans_a = false) ?(trans_b = false) ~m ~n ~k
+    (a : float array) (b : float array) ~(dst : float array) =
+  let out = dst in
   for i = 0 to m - 1 do
     for j = 0 to n - 1 do
       let acc = ref 0.0 in
@@ -140,11 +138,10 @@ let matmul_loops ?(trans_a = false) ?(trans_b = false) ~m ~n ~k a b ~dst =
 
 (* Reference loops for E16's elementwise rows: each computes, one element
    at a time, the OCaml scalar expression the C kernel it checks
-   documents (elementwise_kernel.h), writing into [dst]. *)
-let ew_loops_data = Echo_tensor.Tensor.unsafe_data
-
-let binary_loops op x y ~dst =
-  let x = ew_loops_data x and y = ew_loops_data y and d = ew_loops_data dst in
+   documents (elementwise_kernel.h), over row-major arrays, writing into
+   [dst]. *)
+let binary_loops op (x : float array) (y : float array) ~(dst : float array) =
+  let d = dst in
   for i = 0 to Array.length d - 1 do
     d.(i) <-
       (match op with
@@ -156,17 +153,17 @@ let binary_loops op x y ~dst =
 
 (* [scale] is [c *. x] and [add_scalar] is [c +. x]: the constant is the
    first operand. *)
-let scalar_loops op c x ~dst =
-  let x = ew_loops_data x and d = ew_loops_data dst in
+let scalar_loops op c (x : float array) ~(dst : float array) =
+  let d = dst in
   for i = 0 to Array.length d - 1 do
     d.(i) <- (match op with `Scale -> c *. x.(i) | `Add_scalar -> c +. x.(i))
   done
 
 (* The chain [f_mul 1; f_add 2; f_scale c; f_add_scalar k] over operands
    [x; y; z]: per element ((x *. y) +. z), then [c *. _], then [k +. _]. *)
-let chain_loops ~c ~k x y z ~dst =
-  let x = ew_loops_data x and y = ew_loops_data y and z = ew_loops_data z in
-  let d = ew_loops_data dst in
+let chain_loops ~c ~k (x : float array) (y : float array) (z : float array)
+    ~(dst : float array) =
+  let d = dst in
   for i = 0 to Array.length d - 1 do
     let acc = (x.(i) *. y.(i)) +. z.(i) in
     let acc = c *. acc in
@@ -175,8 +172,9 @@ let chain_loops ~c ~k x y z ~dst =
 
 (* The sum over the middle axis of an [outer x n x inner] tensor: each
    output element accumulates [acc +. x] from +0 over ascending a. *)
-let reduce_sum_loops ~outer ~n ~inner src ~dst =
-  let s = ew_loops_data src and d = ew_loops_data dst in
+let reduce_sum_loops ~outer ~n ~inner (src : float array) ~(dst : float array)
+    =
+  let s = src and d = dst in
   for o = 0 to outer - 1 do
     for k = 0 to inner - 1 do
       let acc = ref 0.0 in
@@ -189,8 +187,9 @@ let reduce_sum_loops ~outer ~n ~inner src ~dst =
 
 (* The slice [lo, hi) of the middle axis of an [outer x n x inner]
    tensor, element by element. *)
-let slice_loops ~outer ~n ~inner ~lo ~hi src ~dst =
-  let s = ew_loops_data src and d = ew_loops_data dst in
+let slice_loops ~outer ~n ~inner ~lo ~hi (src : float array)
+    ~(dst : float array) =
+  let s = src and d = dst in
   let w = hi - lo in
   for o = 0 to outer - 1 do
     for a = 0 to w - 1 do

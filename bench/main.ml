@@ -18,8 +18,8 @@ open Harness
 let scale = ref Full
 
 (* --check: smoke-gate mode. Runs the E18 grid and the E22 matrix (by
-   default alone) and exits 1 if any of their invariants, or an E15 or E16
-   bit-identity check, is violated. *)
+   default alone) and exits 1 if any of their invariants, an E15 or E16
+   bit-identity check or an E19 arena invariant is violated. *)
 let check_mode = ref false
 
 let zoo () =
@@ -74,37 +74,41 @@ let e2 () =
               (Footprint.human bytes)
               (100.0 *. float_of_int bytes /. float_of_int r.Memplan.live_peak_bytes))
         r.Memplan.breakdown;
-      if Graph.node_count graph < 10_000 then begin
-        let plan = Assign.assign graph in
-        Assign.validate plan;
-        row "  %-18s %10s  (best-fit offset assignment)@." "static plan"
-          (Footprint.human (Assign.total_with_persistent plan graph))
-      end)
+      row "  %-18s %10s  (persistent + best-fit slab + workspace)@."
+        "executed arena"
+        (Footprint.human r.Memplan.arena_bytes))
     (zoo ())
 
-(* E3: headline footprint reduction per policy per model. *)
+(* E3: headline footprint reduction per policy per model, at the live
+   peak and at the (unfused) arena the executor allocates. *)
 let e3 () =
-  heading "E3" "peak footprint by policy (headline)";
-  row "%-14s %-18s %12s %8s %9s@." "model" "policy" "peak" "factor" "overhead";
+  heading "E3" "peak footprint and executed arena by policy (headline)";
+  row "%-14s %-18s %12s %8s %9s %12s %8s@." "model" "policy" "peak" "factor"
+    "overhead" "arena" "factor";
   List.iter
     (fun entry ->
       let graph, model = graph_of entry in
       List.iter
         (fun (_, report) ->
-          row "%-14s %-18s %12s %7.2fx %+8.1f%%@." model.Model.name
+          let arena = report.Pass.optimised_mem.Memplan.arena_bytes in
+          row "%-14s %-18s %12s %7.2fx %+8.1f%% %12s %7.2fx@." model.Model.name
             report.Pass.planner
             (Footprint.human report.Pass.optimised_mem.Memplan.live_peak_bytes)
             (Pass.reduction report)
-            (100.0 *. Pass.overhead report))
+            (100.0 *. Pass.overhead report)
+            (Footprint.human arena)
+            (float_of_int report.Pass.baseline_mem.Memplan.arena_bytes
+            /. float_of_int arena))
         (policy_reports model.Model.name graph))
     (zoo ())
 
 (* E4: footprint vs batch size (the OOM wall moves right). *)
 let e4 () =
-  heading "E4" "footprint vs batch size (NMT, stash-all vs Echo 10%)";
+  heading "E4" "footprint vs batch size (NMT, stash-all vs Echo 10%): peak, then arena";
   let budget_line = device.Echo_gpusim.Device.memory_bytes in
   row "device memory: %s@." (Footprint.human budget_line);
-  row "%-8s %18s %18s %8s@." "batch" "stash-all" "echo(10%)" "factor";
+  row "%-8s %18s %18s %8s %12s %12s %8s@." "batch" "stash-all" "echo(10%)"
+    "factor" "arena" "arena" "factor";
   let batches = match !scale with Full -> [ 16; 32; 64; 128; 256 ] | Quick -> [ 8; 16 ] in
   List.iter
     (fun batch ->
@@ -119,9 +123,14 @@ let e4 () =
           (Footprint.human r.Memplan.live_peak_bytes)
           (if r.Memplan.live_peak_bytes > budget_line then " OOM" else "")
       in
-      row "%-8d %18s %18s %7.2fx@." batch (mark base) (mark echo)
+      row "%-8d %18s %18s %7.2fx %12s %12s %7.2fx@." batch (mark base)
+        (mark echo)
         (float_of_int base.Memplan.live_peak_bytes
-        /. float_of_int echo.Memplan.live_peak_bytes))
+        /. float_of_int echo.Memplan.live_peak_bytes)
+        (Footprint.human base.Memplan.arena_bytes)
+        (Footprint.human echo.Memplan.arena_bytes)
+        (float_of_int base.Memplan.arena_bytes
+        /. float_of_int echo.Memplan.arena_bytes))
     batches
 
 (* E5: simulated iteration-time overhead at equal batch size. *)
@@ -573,16 +582,22 @@ let e16 () =
     let a = Tensor.uniform rng [| m; k |] ~lo:(-1.0) ~hi:1.0 in
     let b = Tensor.uniform rng [| k; n |] ~lo:(-1.0) ~hi:1.0 in
     let dst = Tensor.zeros [| m; n |] in
-    let reference = Tensor.zeros [| m; n |] in
-    matmul_loops ~m ~n ~k a b ~dst:reference;
+    let ad = Tensor.to_array a and bd = Tensor.to_array b in
+    let reference = Array.make (m * n) 0.0 and scratch = Array.make (m * n) 0.0 in
+    matmul_loops ~m ~n ~k ad bd ~dst:reference;
     I.matmul a b ~dst;
-    let ok = e16_identical (Printf.sprintf "%dx%dx%d" m n k) reference dst in
+    let ok =
+      e16_identical (Printf.sprintf "%dx%dx%d" m n k)
+        (Tensor.create [| m; n |] reference) dst
+    in
     let reps =
       match !scale with
       | Full -> max 1 (50_000_000 / (m * n * k))
       | Quick -> max 1 (10_000_000 / (m * n * k))
     in
-    let loops = gflops ~m ~n ~k ~reps (fun () -> matmul_loops ~m ~n ~k a b ~dst) in
+    let loops =
+      gflops ~m ~n ~k ~reps (fun () -> matmul_loops ~m ~n ~k ad bd ~dst:scratch)
+    in
     let kernel = gflops ~m ~n ~k ~reps (fun () -> I.matmul a b ~dst) in
     let parallel2 =
       gflops ~m ~n ~k ~reps (fun () -> I.matmul ~runtime:pool2 a b ~dst)
@@ -606,11 +621,13 @@ let e16 () =
   let a = Tensor.uniform rng [| tsize; tsize |] ~lo:(-1.0) ~hi:1.0 in
   let b = Tensor.uniform rng [| tsize; tsize |] ~lo:(-1.0) ~hi:1.0 in
   let dst = Tensor.zeros [| tsize; tsize |] in
-  let reference = Tensor.zeros [| tsize; tsize |] in
+  let ad = Tensor.to_array a and bd = Tensor.to_array b in
+  let reference = Array.make (tsize * tsize) 0.0 in
+  let scratch = Array.make (tsize * tsize) 0.0 in
   let m = tsize and n = tsize and k = tsize in
   List.iter
     (fun (label, trans_a, trans_b) ->
-      matmul_loops ~trans_a ~trans_b ~m ~n ~k a b ~dst:reference;
+      matmul_loops ~trans_a ~trans_b ~m ~n ~k ad bd ~dst:reference;
       let reps =
         (match !scale with Full -> 20_000_000 | Quick -> 4_000_000)
         / (m * n * k)
@@ -618,11 +635,12 @@ let e16 () =
       in
       let loops =
         gflops ~m ~n ~k ~reps (fun () ->
-          matmul_loops ~trans_a ~trans_b ~m ~n ~k a b ~dst)
+          matmul_loops ~trans_a ~trans_b ~m ~n ~k ad bd ~dst:scratch)
       in
       I.matmul ~trans_a ~trans_b a b ~dst;
       let ok =
-        e16_identical (Printf.sprintf "%dd %s" tsize label) reference dst
+        e16_identical (Printf.sprintf "%dd %s" tsize label)
+          (Tensor.create [| m; n |] reference) dst
       in
       let kernel =
         gflops ~m ~n ~k ~reps (fun () -> I.matmul ~trans_a ~trans_b a b ~dst)
@@ -645,10 +663,14 @@ let e16 () =
       let a = operand (if trans_a then [| k; m |] else [| m; k |]) in
       let b = operand (if trans_b then [| n; k |] else [| k; n |]) in
       let dst = Tensor.zeros [| m; n |] in
-      let reference = Tensor.zeros [| m; n |] in
-      matmul_loops ~trans_a ~trans_b ~m ~n ~k a b ~dst:reference;
+      let ad = Tensor.to_array a and bd = Tensor.to_array b in
+      let reference = Array.make (m * n) 0.0 in
+      let scratch = Array.make (m * n) 0.0 in
+      matmul_loops ~trans_a ~trans_b ~m ~n ~k ad bd ~dst:reference;
       I.matmul ~trans_a ~trans_b a b ~dst;
-      let ok = e16_identical ("nmt " ^ label) reference dst in
+      let ok =
+        e16_identical ("nmt " ^ label) (Tensor.create [| m; n |] reference) dst
+      in
       let reps =
         (match !scale with Full -> 50_000_000 | Quick -> 10_000_000)
         / (m * n * k)
@@ -656,7 +678,7 @@ let e16 () =
       in
       let loops =
         gflops ~m ~n ~k ~reps (fun () ->
-          matmul_loops ~trans_a ~trans_b ~m ~n ~k a b ~dst)
+          matmul_loops ~trans_a ~trans_b ~m ~n ~k ad bd ~dst:scratch)
       in
       let kernel =
         gflops ~m ~n ~k ~reps (fun () -> I.matmul ~trans_a ~trans_b a b ~dst)
@@ -692,12 +714,10 @@ let e16 () =
   in
   let operand ?(shift = 0) shape =
     let t = Tensor.uniform rng shape ~lo:(-2.0) ~hi:2.0 in
-    let d = Tensor.unsafe_data t in
-    Array.iteri
-      (fun i _ ->
-        if i mod 7 = 3 then
-          d.(i) <- specials.(((i / 7) + shift) mod Array.length specials))
-      d;
+    for i = 0 to Tensor.numel t - 1 do
+      if i mod 7 = 3 then
+        Tensor.set1 t i specials.(((i / 7) + shift) mod Array.length specials)
+    done;
     t
   in
   let melems ~n ~reps f =
@@ -707,18 +727,27 @@ let e16 () =
   let x = operand [| 16; 64 |] and y = operand ~shift:1 [| 16; 64 |] in
   let z = operand ~shift:2 [| 16; 64 |] in
   let scores = operand [| 16; 20 |] and context = operand [| 16; 20; 64 |] in
+  (* The reference loops run over plain arrays, as an OCaml loop over its
+     own data would. *)
+  let xa = Tensor.to_array x and ya = Tensor.to_array y in
+  let za = Tensor.to_array z in
+  let scores_a = Tensor.to_array scores and context_a = Tensor.to_array context in
   List.iter
     (fun (label, out_shape, reference, kernel) ->
-      let expect = Tensor.zeros out_shape and dst = Tensor.zeros out_shape in
+      let n = Shape.numel out_shape in
+      let expect = Array.make n 0.0 and dst = Tensor.zeros out_shape in
       reference expect;
       kernel dst;
-      let ok = e16_identical ("elementwise " ^ label) expect dst in
-      let n = Tensor.numel dst in
+      let ok =
+        e16_identical ("elementwise " ^ label) (Tensor.create out_shape expect)
+          dst
+      in
       let reps =
         (match !scale with Full -> 20_000_000 | Quick -> 2_000_000) / n
         |> max 1
       in
-      let loops = melems ~n ~reps (fun () -> reference dst) in
+      let scratch = Array.make n 0.0 in
+      let loops = melems ~n ~reps (fun () -> reference scratch) in
       let kern = melems ~n ~reps (fun () -> kernel dst) in
       row "ew %-13s %6d elems  loops %7.1f  kernel %7.1f Melem/s (%5.2fx, %s)@."
         label n loops kern (kern /. loops)
@@ -729,37 +758,39 @@ let e16 () =
         :: (Printf.sprintf "ew_%s_identical" label, if ok then 1.0 else 0.0)
         :: !json)
     [
-      ("add", [| 16; 64 |], (fun dst -> binary_loops `Add x y ~dst),
+      ("add", [| 16; 64 |], (fun dst -> binary_loops `Add xa ya ~dst),
         fun dst -> I.add x y ~dst);
-      ("sub", [| 16; 64 |], (fun dst -> binary_loops `Sub x y ~dst),
+      ("sub", [| 16; 64 |], (fun dst -> binary_loops `Sub xa ya ~dst),
         fun dst -> I.sub x y ~dst);
-      ("mul", [| 16; 64 |], (fun dst -> binary_loops `Mul x y ~dst),
+      ("mul", [| 16; 64 |], (fun dst -> binary_loops `Mul xa ya ~dst),
         fun dst -> I.mul x y ~dst);
-      ("div", [| 16; 64 |], (fun dst -> binary_loops `Div x y ~dst),
+      ("div", [| 16; 64 |], (fun dst -> binary_loops `Div xa ya ~dst),
         fun dst -> I.div x y ~dst);
-      ("scale", [| 16; 64 |], (fun dst -> scalar_loops `Scale 0.75 x ~dst),
+      ("scale", [| 16; 64 |], (fun dst -> scalar_loops `Scale 0.75 xa ~dst),
         fun dst -> I.scale 0.75 x ~dst);
       ("add_scalar", [| 16; 64 |],
-        (fun dst -> scalar_loops `Add_scalar (-1.5) x ~dst),
+        (fun dst -> scalar_loops `Add_scalar (-1.5) xa ~dst),
         fun dst -> I.add_scalar (-1.5) x ~dst);
-      ("chain", [| 16; 64 |], (fun dst -> chain_loops ~c:0.5 ~k:1.0 x y z ~dst),
+      ("chain", [| 16; 64 |],
+        (fun dst -> chain_loops ~c:0.5 ~k:1.0 xa ya za ~dst),
         fun dst ->
           I.fused
             [| Tensor.f_mul 1; Tensor.f_add 2; Tensor.f_scale 0.5;
                Tensor.f_add_scalar 1.0 |]
             [| x; y; z |] ~dst);
       ("reduce_inner1", [| 16 |],
-        (fun dst -> reduce_sum_loops ~outer:16 ~n:20 ~inner:1 scores ~dst),
+        (fun dst -> reduce_sum_loops ~outer:16 ~n:20 ~inner:1 scores_a ~dst),
         fun dst -> I.reduce_sum ~axis:1 ~keepdims:false scores ~dst);
       ("reduce_inner64", [| 16; 64 |],
-        (fun dst -> reduce_sum_loops ~outer:16 ~n:20 ~inner:64 context ~dst),
+        (fun dst -> reduce_sum_loops ~outer:16 ~n:20 ~inner:64 context_a ~dst),
         fun dst -> I.reduce_sum ~axis:1 ~keepdims:false context ~dst);
       ("slice_16x1", [| 16; 1 |],
-        (fun dst -> slice_loops ~outer:16 ~n:20 ~inner:1 ~lo:3 ~hi:4 scores ~dst),
+        (fun dst ->
+          slice_loops ~outer:16 ~n:20 ~inner:1 ~lo:3 ~hi:4 scores_a ~dst),
         fun dst -> I.slice ~axis:1 ~lo:3 ~hi:4 scores ~dst);
       ("slice_wide", [| 16; 8; 64 |],
         (fun dst ->
-          slice_loops ~outer:16 ~n:20 ~inner:64 ~lo:2 ~hi:10 context ~dst),
+          slice_loops ~outer:16 ~n:20 ~inner:64 ~lo:2 ~hi:10 context_a ~dst),
         fun dst -> I.slice ~axis:1 ~lo:2 ~hi:10 context ~dst);
     ];
   Parallel.shutdown pool2;
@@ -960,9 +991,10 @@ let e18 () =
       (tag ^ "_arena_on")
       (float_of_int (Executor.footprint_bytes fused_seq));
     record (tag ^ "_identical") (if identical then 1.0 else 0.0);
-    (* The pool-less arena shows the elision itself (with the exact-size
-       pool and in-place transfers on, chains already recycle to ~one
-       buffer, so the default arena is equal rather than smaller); the
+    (* The arena without in-place transfers shows the elision itself
+       (with best-fit reuse and in-place transfers on, chains already
+       recycle to ~one range, so the default arena is equal rather than
+       smaller); the
        simulated device time shows the launch savings that motivate fusion
        on a real GPU, where every interior also costs a kernel launch and a
        memory round-trip. *)
@@ -1154,20 +1186,33 @@ let e18 () =
 
 (* E19: the footprint-vs-overhead frontier of every planner in the
    registry, over the model zoo. For each (model, planner) point: rewrite
-   through the registry and record live-peak footprint, reduction factor
-   and simulated time overhead. On graphs small enough for the
-   quadratic-ish static planners, also run the planner's own offset
-   assigner, prove the plan with Echo-verify's offset checker, and compare
-   the olla-arena solver's arena against the greedy best-fit plan it must
-   never regress from. Numbers land in BENCH_E19.json so the frontier is
-   tracked across PRs. *)
+   through the registry, record live-peak footprint, reduction factor and
+   simulated time overhead, then fuse and record the arena the executable
+   runs in — persistent + best-fit slab + workspace — and its gap to the
+   live peak. Each fused plan's slab layout is proven with Echo-verify's
+   range checker. Where the arena is at most [e19_executed_bytes] (every
+   quick config), the executor is compiled from that plan and its
+   footprint must equal the bytes it allocated; a full-scale arena of
+   hundreds of MiB would be allocated just to be counted. On graphs small
+   enough for the annealed solver, olla-arena's static plan is compared
+   with the greedy walk's (unfused) slab, which it must never exceed.
+   [--check] turns a failed range check, a footprint that differs from
+   the allocation or a solve above the greedy slab into exit 1. Numbers
+   land in BENCH_E19.json so the frontier is tracked across PRs. *)
+let e19_violations = ref []
+let e19_executed_bytes = 64 * 1024 * 1024
+
 let e19 () =
-  heading "E19" "planner frontier over the zoo (every registered planner)";
+  heading "E19" "planner frontier over the zoo: live peak vs executed arena";
   let module Pipeline = Echo_compiler.Pipeline in
+  let module Executor = Echo_compiler.Executor in
   let json = ref [] in
   let record key v = json := (key, v) :: !json in
-  row "%-14s %-18s %12s %8s %9s %12s %7s@." "model" "planner" "peak" "factor"
-    "overhead" "static" "verify";
+  let violation fmt =
+    Format.kasprintf (fun m -> e19_violations := m :: !e19_violations) fmt
+  in
+  row "%-14s %-18s %10s %8s %9s %10s %7s %7s@." "model" "planner" "peak"
+    "factor" "overhead" "arena" "gap" "verify";
   List.iter
     (fun entry ->
       let graph, model = graph_of entry in
@@ -1175,13 +1220,9 @@ let e19 () =
       let optimized =
         Pipeline.optimize ~enabled:false (Pipeline.of_training_graph ~name graph)
       in
-      (* The static-plan leg (offset assignment + verification) is
-         quadratic-ish in the schedule; skip it on the big full-scale
-         graphs, as E2 does — the quick configs cover every model. *)
+      (* The annealed solver is quadratic per move; run it only on graphs
+         the quick configs produce. *)
       let small = Graph.node_count graph < 10_000 in
-      if not small then
-        row "%-14s static-plan legs skipped (%d nodes)@." name
-          (Graph.node_count graph);
       List.iter
         (fun planner ->
           let inst = Planner.instantiate planner.Planner.name in
@@ -1190,43 +1231,60 @@ let e19 () =
           let report = rw.Pipeline.report in
           let key k = Printf.sprintf "%s/%s/%s" name label k in
           let peak = report.Pass.optimised_mem.Memplan.live_peak_bytes in
+          let solve = small && label = "olla-arena" in
+          let planned = Pipeline.plan ~offsets:solve rw in
+          let fused = Pipeline.fuse ~enabled:true planned in
+          let plan = fused.Pipeline.fused_memplan in
+          let arena = plan.Memplan.arena_bytes in
+          if arena <= e19_executed_bytes then begin
+            let exe =
+              Executor.compile ~runtime:Parallel.sequential ~plan
+                fused.Pipeline.graph
+            in
+            let footprint = Executor.footprint_bytes exe
+            and allocated = Executor.allocated_bytes exe in
+            if footprint <> allocated then
+              violation "%s/%s: footprint %d B but the executor allocated %d B"
+                name label footprint allocated
+          end;
+          let lint =
+            Echo_analysis.Verify.check_ranges ?fusion:fused.Pipeline.fusion
+              fused.Pipeline.graph (Assign.of_plan fused.Pipeline.graph plan)
+          in
+          let ok = not (Echo_diag.Report.has_errors lint) in
+          if not ok then
+            violation "%s/%s: the executed slab layout fails the range check"
+              name label;
           record (key "peak_bytes") (float_of_int peak);
           record (key "factor") (Pass.reduction report);
           record (key "overhead") (Pass.overhead report);
-          let static, verified =
-            if not small then ("-", "-")
-            else begin
-              let offsets = Planner.assigner inst rw.Pipeline.graph in
-              let lint =
-                Echo_analysis.Verify.lint ~offsets rw.Pipeline.graph
-              in
-              let ok = not (Echo_diag.Report.has_errors lint) in
-              record (key "static_arena") (float_of_int (Assign.arena_size offsets));
-              record (key "verified") (if ok then 1.0 else 0.0);
-              if Planner.label inst = "olla-arena" then begin
-                let greedy = Assign.assign rw.Pipeline.graph in
-                let saving =
-                  Arena_solver.improvement rw.Pipeline.graph ~greedy
-                    ~solved:offsets
-                in
-                record (key "le_greedy")
-                  (if Assign.arena_size offsets <= Assign.arena_size greedy
-                   then 1.0 else 0.0);
-                record (key "saving_vs_greedy") saving;
-                row "%-14s %-18s solver vs greedy arena: %s vs %s (%.2f%% saved)@."
-                  name label
-                  (Footprint.human (Assign.arena_size offsets))
-                  (Footprint.human (Assign.arena_size greedy))
-                  (100.0 *. saving)
-              end;
-              (Footprint.human (Assign.arena_size offsets),
-               if ok then "ok" else "FAIL")
-            end
-          in
-          row "%-14s %-18s %12s %7.2fx %+8.1f%% %12s %7s@." name label
+          record (key "arena_bytes") (float_of_int arena);
+          record (key "verified") (if ok then 1.0 else 0.0);
+          (match planned.Pipeline.offsets with
+          | Some solved ->
+            let greedy = Assign.of_plan planned.Pipeline.graph planned.Pipeline.memplan in
+            let saving =
+              Arena_solver.improvement planned.Pipeline.graph ~greedy ~solved
+            in
+            let le = Assign.arena_size solved <= Assign.arena_size greedy in
+            if not le then
+              violation "%s/%s: the solved slab (%d B) exceeds the greedy one (%d B)"
+                name label (Assign.arena_size solved) (Assign.arena_size greedy);
+            record (key "le_greedy") (if le then 1.0 else 0.0);
+            record (key "saving_vs_greedy") saving;
+            row "%-14s %-18s unfused slab, solver vs greedy: %s vs %s (%.2f%% saved)@."
+              name label
+              (Footprint.human (Assign.arena_size solved))
+              (Footprint.human (Assign.arena_size greedy))
+              (100.0 *. saving)
+          | None -> ());
+          row "%-14s %-18s %10s %7.2fx %+8.1f%% %10s %+6.1f%% %7s@." name label
             (Footprint.human peak) (Pass.reduction report)
             (100.0 *. Pass.overhead report)
-            static verified)
+            (Footprint.human arena)
+            (100.0 *. float_of_int (arena - plan.Memplan.live_peak_bytes)
+             /. float_of_int plan.Memplan.live_peak_bytes)
+            (if ok then "ok" else "FAIL"))
         (Planner.all ()))
     (zoo ());
   record_json ~path:"BENCH_E19.json" "E19" (List.rev !json)
@@ -1542,7 +1600,9 @@ let () =
          fusion) config has a static race finding, or a sanitized run \
          diverges; with --only E15, if an executor's bits differ from the \
          interpreter's; with --only E16, if the matmul kernel's bits differ \
-         from the reference loops'" );
+         from the reference loops'; with --only E19, if an executed slab \
+         layout fails the range check, a footprint differs from the bytes \
+         allocated or olla-arena's solve exceeds the greedy slab" );
     ]
   in
   Arg.parse args (fun _ -> ()) "echo experiment harness";
@@ -1601,6 +1661,7 @@ let () =
     let ok15 = render "E15" e15_violations in
     let ok16 = render "E16" e16_violations in
     let ok18 = render "E18" e18_violations in
+    let ok19 = render "E19" e19_violations in
     let ok22 = render "E22" e22_violations in
-    if not (ok15 && ok16 && ok18 && ok22) then exit 1
+    if not (ok15 && ok16 && ok18 && ok19 && ok22) then exit 1
   end

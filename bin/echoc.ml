@@ -348,13 +348,13 @@ let lint_policy ~runtime ~sanitize ~no_fuse ~corrupt label rw =
         | Some a -> a
         | None -> assert false
       in
-      (* Binding corruptions work on an unfused executor: the mutators
+      (* Layout corruptions work on an unfused executor: the mutators
          reason about unfused liveness when picking their site. *)
-      let unfused_binding () =
+      let unfused_offsets () =
         let exe_u =
           Pipeline.compile ~runtime (Pipeline.fuse ~enabled:false planned)
         in
-        Echo_compiler.Executor.buffer_binding (Pipeline.executor exe_u)
+        Echo_compiler.Executor.offsets (Pipeline.executor exe_u)
       in
       let need what = function
         | Some v -> v
@@ -375,17 +375,17 @@ let lint_policy ~runtime ~sanitize ~no_fuse ~corrupt label rw =
         let offsets = need "no slots at all" (Mutate.escape_slot offsets) in
         Verify.lint ~offsets graph
       | "alias" ->
-        let binding =
-          need "no two buffers live simultaneously"
-            (Mutate.alias_binding graph (unfused_binding ()))
+        let offsets =
+          need "no two values live simultaneously"
+            (Mutate.overlap_slots (unfused_offsets ()))
         in
-        Verify.lint ~binding graph
+        Verify.lint ~offsets graph
       | "inplace-donor" ->
-        let binding =
-          need "no non-elementwise consumer of a dying input"
-            (Mutate.retarget_inplace graph (unfused_binding ()))
+        let offsets =
+          need "no non-elementwise consumer of a same-size dying input"
+            (Mutate.retarget_inplace graph (unfused_offsets ()))
         in
-        Verify.lint ~binding graph
+        Verify.lint ~offsets graph
       | "clone-seed" ->
         let graph =
           need "no DropoutMask recomputation clone (pick a policy that \
@@ -419,8 +419,7 @@ let lint_policy ~runtime ~sanitize ~no_fuse ~corrupt label rw =
         let report =
           Race.check_kernels ~chunk_bounds:(Mutate.shift_partition shift)
             ?fusion:fused.Pipeline.fusion
-            ~binding:
-              (Echo_compiler.Executor.buffer_binding (Pipeline.executor exe))
+            ~offsets:(Echo_compiler.Executor.offsets (Pipeline.executor exe))
             ~runtime:fanout graph
         in
         Echo_tensor.Parallel.shutdown fanout;
@@ -430,17 +429,20 @@ let lint_policy ~runtime ~sanitize ~no_fuse ~corrupt label rw =
            against. *)
         let plan = Echo_compiler.Executor.plan (Pipeline.executor exe) in
         let intervals =
-          need "no buffer read after its definition step"
+          need "no value read after its definition step"
             (Mutate.shrink_lifetime (Memplan.intervals graph plan))
         in
         Race.check_lifetimes ?fusion:plan.Memplan.fusion ~intervals graph
       | "alias-offsets" ->
-        let binding = unfused_binding () in
-        let layout =
-          need "no two buffers with overlapping live ranges"
-            (Mutate.alias_offsets graph binding)
+        (* Shift a range of the plan the compiled executor runs so it
+           overlaps part of a live one. *)
+        let plan = Echo_compiler.Executor.plan (Pipeline.executor exe) in
+        let corrupted =
+          need "no value defined inside another's live range"
+            (Mutate.overlap_partially graph plan)
         in
-        Race.check_addresses ~layout graph binding
+        Race.check_addresses ?fusion:plan.Memplan.fusion graph
+          (Echo_exec.Assign.of_plan graph corrupted)
       | "fused-interior" ->
         let plan =
           need "no fusion plan (drop --no-fuse)" fused.Pipeline.fusion
@@ -762,9 +764,9 @@ let main_term =
       & info [ "lint" ]
           ~doc:
             "Run the Echo-verify static checkers over every compiled \
-             artifact (schedule, recomputation clones, offset assignment, \
-             fusion plan, buffer binding) and print the collected \
-             diagnostics.")
+             artifact (schedule, recomputation clones, fusion plan, the \
+             slab offsets the executor runs and the planner's static \
+             offset plan) and print the collected diagnostics.")
   in
   let lint_strict =
     Arg.(
@@ -792,10 +794,11 @@ let main_term =
       & info [ "sanitize" ]
           ~doc:
             "Shadow-memory sanitizer mode for every compiled executor: \
-             $(b,off), $(b,on) (tag each arena cell with its writer and \
+             $(b,off), $(b,on) (tag each slab cell with its writer and \
              generation; flag uninitialized, stale and plan-expired reads \
              and out-of-partition writes), or $(b,full) (additionally \
-             bit-compare every foreign buffer around each instruction — \
+             bit-compare every slab cell outside the destination around \
+             each instruction — \
              slowest, catches writes the tags cannot see). Training is \
              bit-identical under every mode. A bad value is rejected up \
              front naming the flag. Defaults to \\$(b,ECHO_SANITIZE)."

@@ -29,25 +29,23 @@ let swap_schedule graph =
 
 let overlap_slots assignment =
   let slots = Array.of_list (Assign.slots assignment) in
-  let concurrent a b =
-    a.Assign.def_step <= b.Assign.last_step
-    && b.Assign.def_step <= a.Assign.last_step
+  let arena = Assign.arena_size assignment in
+  (* A victim defined strictly inside a donor's live range, moved onto the
+     donor's offset: the two are live at the same time and neither is the
+     other's in-place handover, so only the alias check can accept or
+     reject it. *)
+  let inside a b =
+    a.Assign.def_step < b.Assign.def_step
+    && b.Assign.def_step < a.Assign.last_step
+    && a.Assign.offset + b.Assign.size <= arena
   in
-  let found = ref None in
-  Array.iteri
-    (fun i a ->
-      if !found = None then
-        for j = i + 1 to Array.length slots - 1 do
-          let b = slots.(j) in
-          if
-            !found = None && concurrent a b
-            && not
-                 (a.Assign.offset < b.Assign.offset + b.Assign.size
-                 && b.Assign.offset < a.Assign.offset + a.Assign.size)
-          then found := Some (a, b)
-        done)
-    slots;
-  match !found with
+  let site =
+    Array.find_map
+      (fun a ->
+        Array.find_map (fun b -> if inside a b then Some (a, b) else None) slots)
+      slots
+  in
+  match site with
   | None -> None
   | Some (a, b) ->
     let slots =
@@ -58,7 +56,7 @@ let overlap_slots assignment =
           else s)
         (Assign.slots assignment)
     in
-    Some (Assign.of_slots ~arena:(Assign.arena_size assignment) slots)
+    Some (Assign.of_slots ~arena slots)
 
 let escape_slot assignment =
   match Assign.slots assignment with
@@ -68,84 +66,45 @@ let escape_slot assignment =
     Some
       (Assign.of_slots ~arena ({ first with Assign.offset = arena } :: rest))
 
-let alias_binding graph binding =
+let retarget_inplace graph assignment =
   let pos = positions graph in
-  let bid_of = Hashtbl.create 256 in
-  List.iter (fun (n, bid) -> Hashtbl.replace bid_of (Node.id n) bid) binding;
-  (* A victim defined strictly inside a donor's live range, on a different
-     physical buffer: rebinding it aliases two simultaneously-live values. *)
-  let site =
+  let slot_of = Hashtbl.create 256 in
+  List.iter
+    (fun s -> Hashtbl.replace slot_of s.Assign.node_id s)
+    (Assign.slots assignment);
+  (* A consumer whose operator cannot write in place, reading an input
+     that dies exactly at its step: handing it the input's offset is
+     precisely the corrupted transfer the in-place checker exists to
+     reject. *)
+  let donor_of taker =
     List.find_opt
-      (fun (donor, dbid) ->
-        let d_def = Hashtbl.find pos (Node.id donor) in
-        let d_last = last_read graph pos donor d_def in
-        List.exists
-          (fun (victim, vbid) ->
-            vbid <> dbid
-            &&
-            let v_def = Hashtbl.find pos (Node.id victim) in
-            v_def > d_def && v_def < d_last)
-          binding)
-      binding
+      (fun input ->
+        match Hashtbl.find_opt slot_of (Node.id input) with
+        | None -> false
+        | Some _ ->
+          last_read graph pos input (Hashtbl.find pos (Node.id input))
+          = Hashtbl.find pos (Node.id taker))
+      (Node.inputs taker)
+  in
+  let site =
+    List.find_map
+      (fun s ->
+        let taker = Graph.find graph s.Assign.node_id in
+        if Echo_exec.Memplan.inplace_capable taker then None
+        else Option.map (fun d -> (taker, d)) (donor_of taker))
+      (Assign.slots assignment)
   in
   match site with
   | None -> None
-  | Some (donor, dbid) ->
-    let d_def = Hashtbl.find pos (Node.id donor) in
-    let d_last = last_read graph pos donor d_def in
-    let victim, _ =
-      List.find
-        (fun (victim, vbid) ->
-          vbid <> dbid
-          &&
-          let v_def = Hashtbl.find pos (Node.id victim) in
-          v_def > d_def && v_def < d_last)
-        binding
-    in
+  | Some (taker, donor) ->
+    let offset = (Hashtbl.find slot_of (Node.id donor)).Assign.offset in
     Some
-      (List.map
-         (fun (n, bid) ->
-           if Node.equal n victim then (n, dbid) else (n, bid))
-         binding)
-
-let retarget_inplace graph binding =
-  let pos = positions graph in
-  let in_binding = Hashtbl.create 256 in
-  List.iter (fun (n, bid) -> Hashtbl.replace in_binding (Node.id n) bid) binding;
-  (* A consumer whose operator cannot write in place, reading an input that
-     dies exactly at its step: handing it the input's buffer is precisely
-     the corrupted transfer the in-place checker exists to reject. *)
-  let site =
-    List.find_opt
-      (fun (taker, _) ->
-        (not (Echo_exec.Memplan.inplace_capable taker))
-        && List.exists
-             (fun input ->
-               Hashtbl.mem in_binding (Node.id input)
-               &&
-               let i_def = Hashtbl.find pos (Node.id input) in
-               last_read graph pos input i_def
-               = Hashtbl.find pos (Node.id taker))
-             (Node.inputs taker))
-      binding
-  in
-  match site with
-  | None -> None
-  | Some (taker, _) ->
-    let donor =
-      List.find
-        (fun input ->
-          Hashtbl.mem in_binding (Node.id input)
-          &&
-          let i_def = Hashtbl.find pos (Node.id input) in
-          last_read graph pos input i_def = Hashtbl.find pos (Node.id taker))
-        (Node.inputs taker)
-    in
-    let donor_bid = Hashtbl.find in_binding (Node.id donor) in
-    Some
-      (List.map
-         (fun (n, bid) -> if Node.equal n taker then (n, donor_bid) else (n, bid))
-         binding)
+      (Assign.of_slots ~arena:(Assign.arena_size assignment)
+         (List.map
+            (fun s ->
+              if s.Assign.node_id = Node.id taker then { s with Assign.offset }
+              else s)
+            (Assign.slots assignment)))
 
 (* Rebuild the graph with [replace] applied to matching nodes and every
    transitive consumer re-cloned onto the fresh inputs. *)
@@ -218,7 +177,7 @@ let bad_clone_hint graph =
 (* ------------------------------------------------------------------ *)
 (* Race-verify corruptions: each targets exactly one of the Race /
    Sanitize checkers, and the harness proves it fires both statically
-   (through Race's [?chunk_bounds]/[?intervals]/[?layout] injection
+   (through Race's [?chunk_bounds]/[?intervals]/[?offsets] injection
    points) and dynamically (through an executor compiled from a corrupted
    [Memplan] plan, or a directly-driven [Sanitize]).                  *)
 (* ------------------------------------------------------------------ *)
@@ -234,8 +193,8 @@ let shift_partition kind n parts i =
     | `Overlap -> (max 0 (lo - 1), hi)
     | `Gap -> (min hi (lo + 1), hi)
 
-(* Expire one read-after-def buffer at its definition step: the pool may
-   recycle it under the pending read. The corrupted intervals go to
+(* Expire one read-after-def value at its definition step: the slab may
+   reuse its range under the pending read. The corrupted intervals go to
    [Race.check_lifetimes ?intervals] statically and, through
    [Liveness.of_intervals], [Memplan.plan ~liveness] and
    [Executor.compile ~plan], to a real executor whose sanitizer must catch
@@ -258,54 +217,41 @@ let shrink_lifetime its =
            else itv)
          its)
 
-(* A corrupted arena layout: place one buffer on top of another whose
-   tenant is live across the victim's definition, so two simultaneously
-   live values share addresses. Plugs into [Race.check_addresses
-   ?layout]. *)
-let alias_offsets graph binding =
-  let pos = positions graph in
-  let overlap_pair =
+(* Move one value's range to start one element inside another value's
+   range that is live across its definition and read after it, keeping it
+   inside the slab: the two overlap in part, so neither a check for
+   shared offsets nor one for shared ranges sees it. The corrupted plan
+   goes to Verify's range
+   checker and Race's address checker statically, and through
+   [Executor.compile ~plan] to a real executor whose sanitizer must see
+   the victim's cells overwritten. *)
+let overlap_partially graph (r : Echo_exec.Memplan.report) =
+  let module M = Echo_exec.Memplan in
+  let nodes = Array.of_list (Graph.nodes graph) in
+  let off = r.M.offset_of_slot and expiry = r.M.expiry_of_slot in
+  let size s = Node.size_bytes nodes.(s) in
+  let placed = List.filter (fun s -> off.(s) >= 0) (List.init (Array.length nodes) Fun.id) in
+  let site =
     List.find_map
-      (fun (donor, dbid) ->
-        let d_def = Hashtbl.find pos (Node.id donor) in
-        let d_last = last_read graph pos donor d_def in
+      (fun b ->
         List.find_map
-          (fun (victim, vbid) ->
-            if vbid = dbid then None
-            else
-              let v_def = Hashtbl.find pos (Node.id victim) in
-              if v_def > d_def && v_def < d_last then Some (dbid, vbid)
-              else None)
-          binding)
-      binding
+          (fun a ->
+            let start = off.(a) + Node.elem_bytes in
+            if
+              a < b && b < expiry.(a)
+              && size a >= 2 * Node.elem_bytes
+              && start + size b <= r.M.slab_bytes
+            then Some (b, start)
+            else None)
+          placed)
+      placed
   in
-  match overlap_pair with
+  match site with
   | None -> None
-  | Some (dbid, vbid) ->
-    (* The honest end-to-end layout, with the victim's base rebased onto
-       the donor's. *)
-    let size_of = Hashtbl.create 64 in
-    List.iter
-      (fun (n, bid) ->
-        let sz = Echo_tensor.Shape.numel (Node.shape n) in
-        let cur = try Hashtbl.find size_of bid with Not_found -> 0 in
-        if sz > cur then Hashtbl.replace size_of bid sz)
-      binding;
-    let bids = List.sort_uniq compare (List.map snd binding) in
-    let base = ref 0 in
-    let layout =
-      List.map
-        (fun bid ->
-          let b = !base in
-          base := !base + (try Hashtbl.find size_of bid with Not_found -> 0);
-          (bid, b))
-        bids
-    in
-    let donor_base = List.assoc dbid layout in
-    Some
-      (List.map
-         (fun (bid, b) -> if bid = vbid then (bid, donor_base) else (bid, b))
-         layout)
+  | Some (b, start) ->
+    let offset_of_slot = Array.copy off in
+    offset_of_slot.(b) <- start;
+    Some { r with M.offset_of_slot }
 
 (* Swap one single-input interior of a fused group for a clone one row
    wider than the root's sweep: the member-at-a-time semantics the fused

@@ -12,24 +12,20 @@ val swap_schedule : Graph.t -> Node.t list option
     topological order for {!Verify.check_schedule}'s [?schedule]. *)
 
 val overlap_slots : Echo_exec.Assign.t -> Echo_exec.Assign.t option
-(** Force two simultaneously-live slots onto the same byte offset —
-    {!Verify.check_offsets} must report the address overlap. *)
+(** Move a slot defined strictly inside another slot's live range onto
+    that slot's byte offset — two simultaneously-live values share bytes
+    without either being the other's in-place handover, so
+    {!Verify.check_ranges} must report an [alias] error. *)
 
 val escape_slot : Echo_exec.Assign.t -> Echo_exec.Assign.t option
-(** Push one slot's offset past the arena end — {!Verify.check_offsets}
+(** Push one slot's offset past the arena end — {!Verify.check_ranges}
     must report the escape. *)
 
-val alias_binding :
-  Graph.t -> (Node.t * int) list -> (Node.t * int) list option
-(** Rebind a node onto the physical buffer of another node that is still
-    live at its definition — {!Verify.check_binding} must report the
-    alias. *)
-
 val retarget_inplace :
-  Graph.t -> (Node.t * int) list -> (Node.t * int) list option
-(** Hand a dying input's buffer to a consumer whose operator cannot write
-    in place — a corrupted in-place transfer {!Verify.check_binding} must
-    reject. *)
+  Graph.t -> Echo_exec.Assign.t -> Echo_exec.Assign.t option
+(** Hand an input dying at its step to a consumer whose operator cannot
+    write in place, by placing the consumer at the input's offset — a
+    corrupted in-place transfer {!Verify.check_ranges} must reject. *)
 
 val reseed_clone : Graph.t -> Graph.t option
 (** Rebuild the graph with one recomputation clone's [DropoutMask] seed
@@ -51,7 +47,7 @@ val cross_region_group : Graph.t -> Fuse.plan option
 
     Each targets exactly one {!Race} / {!Sanitize} checker; the harness
     proves every one fires both statically (through [Race]'s
-    [?chunk_bounds] / [?intervals] / [?layout] injection points) and
+    [?chunk_bounds] / [?intervals] / [?offsets] injection points) and
     dynamically (through an executor compiled from a corrupted memory plan,
     [Executor.compile ~plan], or a directly driven {!Sanitize}). *)
 
@@ -65,17 +61,21 @@ val shrink_lifetime :
   Echo_exec.Liveness.interval list -> Echo_exec.Liveness.interval list option
 (** Expire one read-after-def buffer of the given intervals (a
     [Liveness.intervals] analysis or an executor plan's
-    [Memplan.intervals]) at its definition step, so the pool may recycle it
+    [Memplan.intervals]) at its definition step, so the slab may reuse it
     under the pending read — {!Race.check_lifetimes} must report the stale
     read, and an executor compiled from
     [Memplan.plan ~liveness:(Liveness.of_intervals ...)] of the same
     corruption must trip the sanitizer. *)
 
-val alias_offsets : Graph.t -> (Node.t * int) list -> (int * int) list option
-(** A corrupted arena layout placing one buffer's base on top of another
-    whose tenant is live across the victim's definition —
-    {!Race.check_addresses}'s [?layout] must report the overlapping live
-    buffers. *)
+val overlap_partially :
+  Graph.t -> Echo_exec.Memplan.report -> Echo_exec.Memplan.report option
+(** Shift one slot's offset so its range starts one element inside the
+    range of another value that is live across its definition and read
+    after it, staying inside the slab: the two ranges overlap in part.
+    {!Verify.check_ranges} and {!Race.check_addresses} (over
+    [Echo_exec.Assign.of_plan] of the result) must report it, and an
+    executor compiled from the corrupted plan must trip the [Cells]
+    sanitizer. *)
 
 val widen_fused_interior : Fuse.plan -> Fuse.plan option
 (** Swap one single-input interior of a fused group for a clone one row

@@ -76,11 +76,11 @@ type access = {
   work : int;  (** per-index scalar work, mirroring the kernels' hints *)
   may_alias : Node.t list;
       (** inputs the kernel reads chunk-aligned (or wholly before the
-          fan-out): sharing the destination buffer is race-free *)
+          fan-out): sharing the destination's range is race-free *)
   no_alias : Node.t list;
       (** inputs the kernel gathers across chunk boundaries: a read from
-          these overlaps another domain's write if they share the
-          destination buffer *)
+          these overlaps another domain's write if its range overlaps
+          the destination's *)
   fans_out : bool;  (** the kernel consults [parallel_for] at all *)
 }
 
@@ -133,7 +133,7 @@ let access_of node =
       fans_out = true;
     }
   (* The [1]-shaped multiplier is captured before the fan-out, so even it
-     may share the destination buffer. *)
+     may share the destination's range. *)
   | Op.ScaleBy ->
     {
       rows = numel;
@@ -301,7 +301,7 @@ let derive_parts runtime ~rows ~work =
 let cache_line_bytes = 64
 let float_bytes = 8
 
-let check_kernels ?chunk_bounds:(bounds = chunk_bounds) ?fusion ?binding
+let check_kernels ?chunk_bounds:(bounds = chunk_bounds) ?fusion ?offsets
     ~runtime graph =
   let report = Report.create () in
   let err ~check ~nodes fmt =
@@ -313,9 +313,15 @@ let check_kernels ?chunk_bounds:(bounds = chunk_bounds) ?fusion ?binding
     | Some f -> fun node -> Fuse.group_of_root f (Node.id node)
     | None -> fun _ -> None
   in
-  let bid_of = Hashtbl.create 256 in
-  (match binding with
-  | Some b -> List.iter (fun (n, bid) -> Hashtbl.replace bid_of (Node.id n) bid) b
+  (* node id -> its byte range [lo, hi) in the slab *)
+  let range_of = Hashtbl.create 256 in
+  (match offsets with
+  | Some a ->
+    List.iter
+      (fun s ->
+        Hashtbl.replace range_of s.Echo_exec.Assign.node_id
+          (s.Echo_exec.Assign.offset, s.Echo_exec.Assign.offset + s.Echo_exec.Assign.size))
+      (Echo_exec.Assign.slots a)
   | None -> ());
   let partitioned = ref 0 in
   let unaligned_boundaries = ref 0 in
@@ -374,22 +380,22 @@ let check_kernels ?chunk_bounds:(bounds = chunk_bounds) ?fusion ?binding
             incr unaligned_instrs
           end;
           (* In-place alias legality under the partition: an input the
-             kernel gathers across chunk boundaries must not share the
-             destination's physical buffer — chunk [i]'s read of it would
-             overlap chunk [j]'s concurrent write. *)
-          match Hashtbl.find_opt bid_of (Node.id node) with
+             kernel gathers across chunk boundaries must not overlap the
+             destination's range — chunk [i]'s read of it would overlap
+             chunk [j]'s concurrent write. *)
+          match Hashtbl.find_opt range_of (Node.id node) with
           | None -> ()
-          | Some dst_bid ->
+          | Some (dlo, dhi) ->
             List.iter
               (fun input ->
-                match Hashtbl.find_opt bid_of (Node.id input) with
-                | Some b when b = dst_bid ->
+                match Hashtbl.find_opt range_of (Node.id input) with
+                | Some (ilo, ihi) when ilo < dhi && dlo < ihi ->
                   err ~check:"race-alias"
                     ~nodes:[ Node.id node; Node.id input ]
-                    "%s gathers %s across chunk boundaries while writing the \
-                     same physical buffer %d: the read overlaps a concurrent \
-                     domain's write"
-                    (describe node) (describe input) dst_bid
+                    "%s gathers %s (bytes [%d, %d)) across chunk boundaries \
+                     while writing bytes [%d, %d): the read overlaps a \
+                     concurrent domain's write"
+                    (describe node) (describe input) ilo ihi dlo dhi
                 | Some _ | None -> ())
               a.no_alias
         end)
@@ -503,121 +509,78 @@ let check_lifetimes ?fusion ~intervals graph =
     (Graph.nodes graph);
   report
 
-(* The synthetic address layout: physical buffers laid end to end in bid
-   order. The layout is only a coordinate system — with the real executor
-   every bid is a distinct allocation, so distinct bids are disjoint by
-   construction and the default layout reflects that. A [?layout] override
-   (the mutation harness's "alias two live offsets") places two buffers on
-   overlapping addresses, which this checker must refuse whenever both
-   hold live values. *)
-let default_layout binding =
-  let size_of = Hashtbl.create 64 in
-  List.iter
-    (fun (n, bid) ->
-      let sz = Shape.numel (Node.shape n) in
-      let cur = try Hashtbl.find size_of bid with Not_found -> 0 in
-      if sz > cur then Hashtbl.replace size_of bid sz)
-    binding;
-  let bids = List.sort_uniq compare (List.map snd binding) in
-  let base = ref 0 in
-  List.map
-    (fun bid ->
-      let b = !base in
-      base := !base + (try Hashtbl.find size_of bid with Not_found -> 0);
-      (bid, b))
-    bids
-
-let check_addresses ?fusion ?layout graph binding =
+(* The address layout is the plan's own offsets: the executor binds every
+   value to a view of one slab at exactly these bytes, so two values whose
+   ranges overlap share real cells. *)
+let check_addresses ?fusion graph offsets =
   let report = Report.create () in
   let err ~nodes fmt =
     Report.errorf report ~check:"race-address" ~stage:"executable" ~nodes fmt
   in
   let pos = positions graph in
   let roots, _ = fusion_index fusion in
-  let layout = match layout with Some l -> l | None -> default_layout binding in
-  let base_of = Hashtbl.create 64 in
-  List.iter (fun (bid, base) -> Hashtbl.replace base_of bid base) layout;
   let entries =
     List.filter_map
-      (fun (n, bid) ->
-        match Hashtbl.find_opt pos (Node.id n) with
+      (fun s ->
+        let id = s.Echo_exec.Assign.node_id in
+        match Hashtbl.find_opt pos id with
         | None ->
-          err ~nodes:[ Node.id n ] "bound node %s is not in the graph"
-            (describe n);
+          err ~nodes:[ id ] "placed node #%d is not in the graph" id;
           None
         | Some def ->
+          let n = Graph.find graph id in
           let last = derive_last graph pos roots n def in
-          let base =
-            match Hashtbl.find_opt base_of bid with
-            | Some b -> b
-            | None ->
-              err ~nodes:[ Node.id n ]
-                "buffer %d of %s has no base address in the layout" bid
-                (describe n);
-              0
-          in
-          Some (n, bid, base, Shape.numel (Node.shape n), def, last))
-      binding
+          Some (n, s.Echo_exec.Assign.offset, Node.size_bytes n, def, last))
+      (Echo_exec.Assign.slots offsets)
   in
   let arr = Array.of_list entries in
   (* Sort by base address; only address-overlapping pairs can race, and
      they are adjacent in this order. *)
-  Array.sort
-    (fun (_, _, b1, _, _, _) (_, _, b2, _, _, _) -> compare b1 b2)
-    arr;
+  Array.sort (fun (_, b1, _, _, _) (_, b2, _, _, _) -> compare b1 b2) arr;
+  let report_race wn w_def vn v_last ~lo ~hi =
+    err
+      ~nodes:[ Node.id wn; Node.id vn ]
+      "writing %s (step %d) overwrites bytes [%d, %d) of %s, live to step %s \
+       with a pending read: overlapping live ranges"
+      (describe wn) w_def lo hi (describe vn)
+      (if v_last = max_int then "end" else string_of_int v_last)
+  in
   let n_entries = Array.length arr in
   for i = 0 to n_entries - 1 do
-    let n1, bid1, base1, sz1, def1, last1 = arr.(i) in
+    let n1, base1, sz1, def1, last1 = arr.(i) in
     let j = ref (i + 1) in
     let continue = ref true in
     while !continue && !j < n_entries do
-      let n2, bid2, base2, sz2, def2, last2 = arr.(!j) in
+      let n2, base2, sz2, def2, last2 = arr.(!j) in
       if base2 >= base1 + sz1 then continue := false
-      else begin
+      else if not (Node.equal n1 n2) then begin
         (* Address ranges overlap. Writing one while the other still has
-           a pending read is a race — except the sanctioned same-buffer
-           handover, where the overwriting instruction IS the last
-           reader (in-place, legality proven by the binding checker). *)
-        let races (wn, w_def) (vn, v_def, v_last, v_bid) w_bid =
-          (not (Node.equal wn vn))
-          && v_def < w_def
-          && (if w_bid = v_bid then v_last > w_def else v_last >= w_def)
-        in
-        if races (n2, def2) (n1, def1, last1, bid1) bid2 then
-          err
-            ~nodes:[ Node.id n2; Node.id n1 ]
-            "writing %s (step %d) overwrites elements [%d, %d) of buffer %d \
-             while %s (buffer %d, live to step %s) still has a pending \
-             read: overlapping live buffers"
-            (describe n2) def2 (max base1 base2)
-            (min (base1 + sz1) (base2 + sz2))
-            bid2 (describe n1) bid1
-            (if last1 = max_int then "end" else string_of_int last1);
-        if races (n1, def1) (n2, def2, last2, bid2) bid1 then
-          err
-            ~nodes:[ Node.id n1; Node.id n2 ]
-            "writing %s (step %d) overwrites elements [%d, %d) of buffer %d \
-             while %s (buffer %d, live to step %s) still has a pending \
-             read: overlapping live buffers"
-            (describe n1) def1 (max base1 base2)
-            (min (base1 + sz1) (base2 + sz2))
-            bid1 (describe n2) bid2
-            (if last2 = max_int then "end" else string_of_int last2)
+           a pending read is a race — except the sanctioned handover of
+           one whole range, where the overwriting instruction IS the last
+           reader (in-place, legality proven by Verify's range checker).
+           A range overlapping another only in part is never a
+           handover. *)
+        let same = base1 = base2 && sz1 = sz2 in
+        let lo = max base1 base2 and hi = min (base1 + sz1) (base2 + sz2) in
+        if def1 < def2 && if same then last1 > def2 else last1 >= def2 then
+          report_race n2 def2 n1 last1 ~lo ~hi;
+        if def2 < def1 && if same then last2 > def1 else last2 >= def1 then
+          report_race n1 def1 n2 last2 ~lo ~hi
       end;
       incr j
     done
   done;
   report
 
-let check ?chunk_bounds ?layout ?intervals ?fusion ?binding ~runtime graph =
+let check ?chunk_bounds ?intervals ?fusion ?offsets ~runtime graph =
   let report = Report.create () in
   let add r = Report.append r ~into:report in
-  add (check_kernels ?chunk_bounds ?fusion ?binding ~runtime graph);
+  add (check_kernels ?chunk_bounds ?fusion ?offsets ~runtime graph);
   (match fusion with Some f -> add (check_fused f) | None -> ());
   (match intervals with
   | Some iv -> add (check_lifetimes ?fusion ~intervals:iv graph)
   | None -> ());
-  (match binding with
-  | Some b -> add (check_addresses ?fusion ?layout graph b)
+  (match offsets with
+  | Some a -> add (check_addresses ?fusion graph a)
   | None -> ());
   report

@@ -7,14 +7,14 @@
     (pairwise-disjoint writes), no gathered read can overlap a concurrent
     write through an in-place alias, fused sweeps stay inside every
     member's and external's extent, the liveness plan never recycles a
-    buffer under a pending read, and no two address-overlapping buffers
-    are ever simultaneously live.
+    range under a pending read, and no two address-overlapping ranges of
+    the slab are ever simultaneously live.
 
     Every predicate here deliberately {e duplicates} the runtime — the
     chunk formula, the fan-out gate, the per-operator access patterns —
     instead of importing it, so the checks are translation validation,
     not tautology (same philosophy as {!Verify}). The [?chunk_bounds],
-    [?intervals] and [?layout] overrides are how {!Mutate}'s corrupted
+    [?intervals] and [?offsets] arguments are how {!Mutate}'s corrupted
     artifacts are injected to prove each checker actually fires. *)
 
 open Echo_ir
@@ -28,11 +28,11 @@ type access = {
   work : int;  (** per-index scalar work, mirroring the kernels' hints *)
   may_alias : Node.t list;
       (** inputs the kernel reads chunk-aligned (or wholly before the
-          fan-out): sharing the destination buffer is race-free *)
+          fan-out): sharing the destination's range is race-free *)
   no_alias : Node.t list;
       (** inputs the kernel gathers across chunk boundaries: a read from
-          these races a concurrent domain's write if they share the
-          destination buffer *)
+          these races a concurrent domain's write if its range overlaps
+          the destination's *)
   fans_out : bool;  (** the kernel consults [parallel_for] at all *)
 }
 
@@ -59,19 +59,20 @@ val chunk_bounds : int -> int -> int -> int * int
     ["race-alias"] (in-place alias vs gathered read), ["race-fused"]
     (sweep extent vs member/external extents), ["race-liveness"] (plan
     intervals vs re-derived last reads), ["race-address"] (overlapping
-    live buffers in the arena layout). *)
+    live ranges in the slab layout). *)
 
 val check_kernels :
   ?chunk_bounds:(int -> int -> int -> int * int) ->
   ?fusion:Fuse.plan ->
-  ?binding:(Node.t * int) list ->
+  ?offsets:Echo_exec.Assign.t ->
   runtime:Echo_tensor.Parallel.t ->
   Graph.t ->
   Report.t
 (** Per fanned-out instruction: the chunks returned by [?chunk_bounds]
     (default: the re-stated runtime formula) must tile [0, rows) exactly
-    — monotone, gap-free, overlap-free — and no [no_alias] input may
-    share the destination's physical buffer. Also emits one [Info]
+    — monotone, gap-free, overlap-free — and, given the slab layout
+    [offsets], no [no_alias] input's range may overlap the destination's.
+    Also emits one [Info]
     summarising chunk boundaries that fall inside a 64-byte cache line
     (false sharing). *)
 
@@ -88,33 +89,28 @@ val check_lifetimes :
 (** The plan's liveness intervals (an executor plan's
     {!Echo_exec.Memplan.intervals}) against re-derived positions and last
     reads: an early expiry is a stale-read
-    race (the pool recycles the buffer under a pending read), a late one
+    race (the slab reuses the range under a pending read), a late one
     a phantom read, and every non-persistent, non-interior node must have
     exactly one interval. *)
 
 val check_addresses :
-  ?fusion:Fuse.plan ->
-  ?layout:(int * int) list ->
-  Graph.t ->
-  (Node.t * int) list ->
-  Report.t
-(** Walk the schedule over a concrete address layout ([(bid, base)] in
-    elements; default lays the buffers end to end) and flag any write
-    that lands on bytes still live for another value — the sanctioned
-    same-buffer in-place handover (overwriter {e is} the last reader)
-    excepted. *)
+  ?fusion:Fuse.plan -> Graph.t -> Echo_exec.Assign.t -> Report.t
+(** Walk the slab layout (each value at its byte offset, sized by its
+    node) with re-derived lifetimes and flag any write that lands on
+    bytes still live for another value — the sanctioned in-place handover
+    of one whole range (overwriter {e is} the last reader) excepted, so a
+    range that overlaps a live one only in part always races. *)
 
 val check :
   ?chunk_bounds:(int -> int -> int -> int * int) ->
-  ?layout:(int * int) list ->
   ?intervals:Echo_exec.Liveness.interval list ->
   ?fusion:Fuse.plan ->
-  ?binding:(Node.t * int) list ->
+  ?offsets:Echo_exec.Assign.t ->
   runtime:Echo_tensor.Parallel.t ->
   Graph.t ->
   Report.t
 (** All of the above, gated on which artifacts are supplied:
     {!check_kernels} always, {!check_fused} with [?fusion],
     {!check_lifetimes} with [?intervals], {!check_addresses} with
-    [?binding]. [Pipeline.race_verify] calls this with every artifact of
+    [?offsets]. [Pipeline.race_verify] calls this with every artifact of
     a compiled executable. *)

@@ -1,15 +1,17 @@
 (* Shadow-memory sanitizer for the compiled executor.
 
-   Every arena cell gets a shadow tag: which instruction (schedule slot)
+   Every slab cell gets a shadow tag: which instruction (schedule slot)
    last wrote it, and in which run (generation). Before an instruction
    runs, the tags of every cell it reads are checked against the plan:
    the cell must have been written, by the producer the graph says feeds
-   this instruction, in the current run, and the producer's buffer must
+   this instruction, in the current run, and the producer's value must
    still be within its planned lifetime. After the instruction runs, its
-   destination cells are stamped. [Full] mode additionally snapshots
-   every buffer and diffs the untouched ones after each instruction, so
-   a write that escapes its partition (or a fault-injected bit flip in a
-   transient buffer) is caught at the next step.
+   destination cells are stamped. Tags are per cell, so two reused ranges
+   that overlap only in part are caught like two that coincide. [Full]
+   mode additionally snapshots the slab and diffs every cell outside the
+   destination after each instruction, so a write that escapes its
+   partition (or a fault-injected bit flip in a transient value) is caught
+   at the next step.
 
    The module is deliberately executor-agnostic — it is driven by
    [Executor] through [begin_run]/[before_instr]/[after_instr] but holds
@@ -47,12 +49,13 @@ let env_mode () =
 (* What one schedule slot does, from the executor's point of view. *)
 type slot_info = {
   si_name : string;  (** node description for diagnostics *)
-  si_dst : (int * int) option;  (** (bid, numel) written; [None] = no-op *)
+  si_dst : (int * int) option;
+      (** (first slab cell, numel) written; [None] = no-op *)
   si_const : bool;
-      (** single-writer constant materialised at compile time: its cells
+      (** sole-tenant constant materialised at compile time: its cells
           are pre-stamped and survive across runs *)
   si_reads : (int * int * int) array;
-      (** (producer slot, bid, numel) per tracked (arena) input *)
+      (** (producer slot, first slab cell, numel) per tracked input *)
   si_expire : int;
       (** the plan's last read step for the value this slot produces;
           [max_int] = live to the end of the run *)
@@ -61,17 +64,16 @@ type slot_info = {
 (* The generation stamped on compile-time constants: valid in every run. *)
 let gen_const = max_int
 
-type shadow = {
-  storage : float array;
-  writer : int array;  (* -1 = never written *)
-  gen : int array;
-  mutable snapshot : float array;  (* [Full] only; [||] otherwise *)
-}
-
+(* One tag per slab cell, so a range reused while part of an older value
+   in it is still live is caught cell by cell, whatever the two ranges'
+   alignment. *)
 type t = {
   mode : mode;
   slots : slot_info array;
-  shadows : (int, shadow) Hashtbl.t;  (* bid -> shadow *)
+  storage : float array;  (* the slab, held by reference *)
+  writer : int array;  (* -1 = never written *)
+  gen : int array;
+  snapshot : float array;  (* [Full] only; [||] otherwise *)
   mutable cur_gen : int;
   report : Report.t;
   seen : (string, unit) Hashtbl.t;  (* finding dedup *)
@@ -88,38 +90,29 @@ let finding t ~check ~nodes key fmt =
     Report.errorf t.report ~check ~stage:"runtime" ~nodes fmt
   end
 
-let stamp t ~slot ~bid ranges =
-  match Hashtbl.find_opt t.shadows bid with
-  | None -> ()
-  | Some sh ->
-    let n = Array.length sh.writer in
-    List.iter
-      (fun (lo, hi) ->
-        let lo = max 0 lo and hi = min hi n in
-        for i = lo to hi - 1 do
-          sh.writer.(i) <- slot;
-          sh.gen.(i) <- t.cur_gen
-        done)
-      ranges
-
-let create mode ~slots ~buffers =
-  let shadows = Hashtbl.create (2 * List.length buffers) in
+(* Tag cells [base + lo, base + hi) of each range as written by [slot]
+   with generation [gen]. *)
+let stamp t ~slot ~gen ~base ranges =
+  let n = Array.length t.writer in
   List.iter
-    (fun (bid, storage) ->
-      let n = Array.length storage in
-      Hashtbl.replace shadows bid
-        {
-          storage;
-          writer = Array.make n (-1);
-          gen = Array.make n 0;
-          snapshot = (if mode = Full then Array.copy storage else [||]);
-        })
-    buffers;
+    (fun (lo, hi) ->
+      let lo = max 0 (base + lo) and hi = min n (base + hi) in
+      for i = lo to hi - 1 do
+        t.writer.(i) <- slot;
+        t.gen.(i) <- gen
+      done)
+    ranges
+
+let create mode ~slots ~slab =
+  let n = Array.length slab in
   let t =
     {
       mode;
       slots;
-      shadows;
+      storage = slab;
+      writer = Array.make n (-1);
+      gen = Array.make n 0;
+      snapshot = (if mode = Full then Array.copy slab else [||]);
       cur_gen = 0;
       report = Report.create ();
       seen = Hashtbl.create 64;
@@ -130,30 +123,19 @@ let create mode ~slots ~buffers =
      staleness checks. *)
   Array.iteri
     (fun slot info ->
-      if info.si_const then
-        match info.si_dst with
-        | Some (bid, numel) -> (
-          match Hashtbl.find_opt t.shadows bid with
-          | None -> ()
-          | Some sh ->
-            let n = min numel (Array.length sh.writer) in
-            for i = 0 to n - 1 do
-              sh.writer.(i) <- slot;
-              sh.gen.(i) <- gen_const
-            done)
-        | None -> ())
+      match info.si_dst with
+      | Some (base, numel) when info.si_const ->
+        stamp t ~slot ~gen:gen_const ~base [ (0, numel) ]
+      | Some _ | None -> ())
     slots;
   t
 
 let begin_run t =
   t.cur_gen <- t.cur_gen + 1;
-  (* Parameters move between runs (the optimizer steps them outside the
-     schedule), so [Full] mode re-baselines every snapshot. *)
+  (* Values move between runs (feeds, the optimizer), so [Full] mode
+     re-baselines the snapshot. *)
   if t.mode = Full then
-    Hashtbl.iter
-      (fun _ sh ->
-        Array.blit sh.storage 0 sh.snapshot 0 (Array.length sh.storage))
-      t.shadows
+    Array.blit t.storage 0 t.snapshot 0 (Array.length t.storage)
 
 (* Check every tracked read of [slot]: the cells must carry the expected
    producer's stamp from the current run, and the producer's planned
@@ -161,107 +143,95 @@ let begin_run t =
 let before_instr t slot =
   let info = t.slots.(slot) in
   Array.iter
-    (fun (producer, bid, numel) ->
+    (fun (producer, base, numel) ->
       let pinfo = t.slots.(producer) in
       if slot > pinfo.si_expire then
         finding t ~check:"sanitize-expired" ~nodes:[]
           (Printf.sprintf "expired:%d:%d" slot producer)
-          "%s (step %d) reads %s, whose buffer the plan expired at step %d: \
+          "%s (step %d) reads %s, whose range the plan expired at step %d: \
            stale read past the planned lifetime"
           info.si_name slot pinfo.si_name pinfo.si_expire;
-      match Hashtbl.find_opt t.shadows bid with
-      | None -> ()
-      | Some sh ->
-        let cells = Array.length sh.writer in
-        if numel > cells then
-          finding t ~check:"sanitize-oob" ~nodes:[]
-            (Printf.sprintf "oob:%d:%d" slot producer)
-            "%s (step %d) reads %d cell(s) of %s from buffer %d, which \
-             holds only %d: out-of-bounds read"
-            info.si_name slot numel pinfo.si_name bid cells
-        else begin
-          let stop = ref false in
-          let i = ref 0 in
-          while (not !stop) && !i < numel do
-            let w = sh.writer.(!i) and g = sh.gen.(!i) in
-            if w = -1 then begin
-              finding t ~check:"sanitize-uninit" ~nodes:[]
-                (Printf.sprintf "uninit:%d:%d" slot producer)
-                "%s (step %d) reads cell %d of %s (buffer %d) before \
-                 anything ever wrote it"
-                info.si_name slot !i pinfo.si_name bid;
-              stop := true
-            end
-            else if w <> producer then begin
-              finding t ~check:"sanitize-stale" ~nodes:[]
-                (Printf.sprintf "stale:%d:%d:%d" slot producer w)
-                "%s (step %d) expects cell %d of buffer %d to hold %s \
-                 (step %d) but it was last written by %s (step %d): the \
-                 buffer was recycled under a pending read"
-                info.si_name slot !i bid pinfo.si_name producer
-                t.slots.(w).si_name w;
-              stop := true
-            end
-            else if g <> t.cur_gen && g <> gen_const then begin
-              finding t ~check:"sanitize-gen" ~nodes:[]
-                (Printf.sprintf "gen:%d:%d" slot producer)
-                "%s (step %d) reads cell %d of %s (buffer %d) written in a \
-                 previous run: the producer never wrote it this run"
-                info.si_name slot !i pinfo.si_name bid;
-              stop := true
-            end
-            else incr i
-          done
-        end)
-    info.si_reads
-
-(* Diff every buffer the instruction did NOT declare as its destination
-   against its snapshot: any changed cell is a write that escaped its
-   partition (or a fault-injected flip). *)
-let diff_foreign t slot dst_bid =
-  let info = t.slots.(slot) in
-  Hashtbl.iter
-    (fun bid sh ->
-      if bid <> dst_bid then begin
-        let n = Array.length sh.storage in
-        let i = ref 0 and hit = ref false in
-        while (not !hit) && !i < n do
-          (* Bit-level compare: NaN must equal itself here. *)
-          if
-            Int64.bits_of_float sh.storage.(!i)
-            <> Int64.bits_of_float sh.snapshot.(!i)
-          then begin
-            hit := true;
-            finding t ~check:"sanitize-foreign" ~nodes:[]
-              (Printf.sprintf "foreign:%d:%d" slot bid)
-              "cell %d of buffer %d changed while %s (step %d) was writing \
-               buffer %s: out-of-partition write"
-              !i bid info.si_name slot
-              (match info.si_dst with
-              | Some (b, _) -> string_of_int b
-              | None -> "<none>");
-            (* Re-baseline so one escaped write is reported once, not at
-               every subsequent step. *)
-            Array.blit sh.storage 0 sh.snapshot 0 n
-          end;
-          incr i
+      let cells = Array.length t.writer in
+      if base < 0 || base + numel > cells then
+        finding t ~check:"sanitize-oob" ~nodes:[]
+          (Printf.sprintf "oob:%d:%d" slot producer)
+          "%s (step %d) reads cells [%d, %d) of the slab for %s, which holds \
+           only %d: out-of-bounds read"
+          info.si_name slot base (base + numel) pinfo.si_name cells
+      else begin
+        let stop = ref false in
+        let i = ref base in
+        while (not !stop) && !i < base + numel do
+          let w = t.writer.(!i) and g = t.gen.(!i) in
+          if w = -1 then begin
+            finding t ~check:"sanitize-uninit" ~nodes:[]
+              (Printf.sprintf "uninit:%d:%d" slot producer)
+              "%s (step %d) reads slab cell %d of %s before anything ever \
+               wrote it"
+              info.si_name slot !i pinfo.si_name;
+            stop := true
+          end
+          else if w <> producer then begin
+            finding t ~check:"sanitize-stale" ~nodes:[]
+              (Printf.sprintf "stale:%d:%d:%d" slot producer w)
+              "%s (step %d) expects slab cell %d to hold %s (step %d) but it \
+               was last written by %s (step %d): the range was reused under \
+               a pending read"
+              info.si_name slot !i pinfo.si_name producer
+              t.slots.(w).si_name w;
+            stop := true
+          end
+          else if g <> t.cur_gen && g <> gen_const then begin
+            finding t ~check:"sanitize-gen" ~nodes:[]
+              (Printf.sprintf "gen:%d:%d" slot producer)
+              "%s (step %d) reads slab cell %d of %s written in a previous \
+               run: the producer never wrote it this run"
+              info.si_name slot !i pinfo.si_name;
+            stop := true
+          end
+          else incr i
         done
       end)
-    t.shadows
+    info.si_reads
+
+(* Diff every slab cell outside the instruction's destination range
+   against the snapshot: any changed cell is a write that escaped its
+   partition (or a fault-injected flip). *)
+let diff_foreign t slot ~base ~numel =
+  let info = t.slots.(slot) in
+  let n = Array.length t.storage in
+  let i = ref 0 and hit = ref false in
+  while (not !hit) && !i < n do
+    (* Bit-level compare: NaN must equal itself here. *)
+    if
+      (!i < base || !i >= base + numel)
+      && Int64.bits_of_float t.storage.(!i)
+         <> Int64.bits_of_float t.snapshot.(!i)
+    then begin
+      hit := true;
+      finding t ~check:"sanitize-foreign" ~nodes:[]
+        (Printf.sprintf "foreign:%d:%d" slot !i)
+        "slab cell %d changed while %s (step %d) was writing cells [%d, \
+         %d): out-of-partition write"
+        !i info.si_name slot base (base + numel);
+      (* Re-baseline so one escaped write is reported once, not at every
+         subsequent step. *)
+      Array.blit t.storage 0 t.snapshot 0 n
+    end;
+    incr i
+  done
 
 let after_instr t ?written slot =
   let info = t.slots.(slot) in
   match info.si_dst with
   | None -> ()
-  | Some (bid, numel) ->
+  | Some (base, numel) ->
     if t.mode = Full then begin
-      diff_foreign t slot bid;
-      match Hashtbl.find_opt t.shadows bid with
-      | Some sh ->
-        Array.blit sh.storage 0 sh.snapshot 0 (Array.length sh.storage)
-      | None -> ()
+      diff_foreign t slot ~base ~numel;
+      let lo = max 0 base and hi = min (Array.length t.storage) (base + numel) in
+      if hi > lo then Array.blit t.storage lo t.snapshot lo (hi - lo)
     end;
     let ranges = match written with Some r -> r | None -> [ (0, numel) ] in
-    stamp t ~slot ~bid ranges
+    stamp t ~slot ~gen:t.cur_gen ~base ranges
 
 let check_exn t = if Report.has_errors t.report then raise (Sanitize_failed t.report)

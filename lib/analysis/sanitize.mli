@@ -1,11 +1,13 @@
 (** Shadow-memory sanitizer for the compiled executor.
 
-    Tags every arena cell with (writing slot, generation) and checks, at
-    each instruction, that every read sees the producer the graph
-    promised, written in the current run, within its planned lifetime.
-    [Full] mode additionally snapshots all buffers and diffs the
-    untouched ones after each instruction, catching writes that escape
-    their partition and fault-injected flips in transient buffers.
+    Tags every cell of the executor's slab with (writing slot, generation)
+    and checks, at each instruction, that every read sees the producer the
+    graph promised, written in the current run, within its planned
+    lifetime — so a range reused while part of it still holds a live
+    value is caught, however the two ranges overlap. [Full] mode
+    additionally snapshots the slab and diffs every cell outside the
+    destination after each instruction, catching writes that escape their
+    partition and fault-injected flips in transient values.
 
     Enabled per-executor via [Executor.compile ?sanitize], defaulting to
     {!env_mode} ([ECHO_SANITIZE]); [echoc --sanitize MODE] sets it from
@@ -45,19 +47,21 @@ val env_mode : unit -> mode
 
 type slot_info = {
   si_name : string;  (** node description for diagnostics *)
-  si_dst : (int * int) option;  (** (bid, numel) written; [None] = no-op *)
+  si_dst : (int * int) option;
+      (** (first slab cell, numel) written; [None] = no-op *)
   si_const : bool;
       (** compile-time constant: pre-stamped, valid across runs *)
   si_reads : (int * int * int) array;
-      (** (producer slot, bid, numel) per tracked (arena) input *)
+      (** (producer slot, first slab cell, numel) per tracked (slab)
+          input *)
   si_expire : int;
       (** plan's last read step for this slot's value; [max_int] = run end *)
 }
 
 type t
 
-val create : mode -> slots:slot_info array -> buffers:(int * float array) list -> t
-(** [buffers] maps each physical buffer id to its storage (held by
+val create : mode -> slots:slot_info array -> slab:float array -> t
+(** [slab] is the executor's storage for every transient value (held by
     reference: [Full] snapshots read through it). *)
 
 val mode : t -> mode
@@ -69,7 +73,7 @@ val before_instr : t -> int -> unit
 val after_instr : t -> ?written:(int * int) list -> int -> unit
 (** Stamp the slot's destination cells ([written] ranges in destination
     element indices, default the whole destination); in [Full] mode first
-    diff all other buffers against their snapshots. *)
+    diff every other slab cell against the snapshot. *)
 
 val report : t -> Report.t
 (** All findings so far (deduplicated per kind and slot pair). *)

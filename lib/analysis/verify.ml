@@ -448,210 +448,146 @@ let check_fusion ?(max_externals = Fuse.default_max_externals) graph plan =
     (Fuse.groups plan);
   report
 
-let check_offsets graph offsets =
+let check_ranges ?fusion graph offsets =
   let report = Report.create () in
-  let err ~nodes fmt =
-    Report.errorf report ~check:"assign" ~stage:"planned" ~nodes fmt
+  let err ~check ~nodes fmt =
+    Report.errorf report ~check ~stage:"planned" ~nodes fmt
   in
   let pos = positions graph in
-  let no_roots = Hashtbl.create 0 in
+  let roots, interiors, externals_of_root = fusion_index fusion in
   let arena = Assign.arena_size offsets in
   let slots = Assign.slots offsets in
-  (* Coverage: one slot per non-persistent node, no strays. *)
-  let slot_of : (int, unit) Hashtbl.t = Hashtbl.create 256 in
+  (* Coverage: one range per materialising node, none for persistent
+     nodes (fed, outside the slab) or fused interiors (registers). *)
+  let placed = Hashtbl.create 1024 in
   List.iter
     (fun s ->
       let id = s.Assign.node_id in
-      if Hashtbl.mem slot_of id then
-        err ~nodes:[ id ] "node #%d has two slots in the assignment" id
-      else Hashtbl.replace slot_of id ())
+      if Hashtbl.mem placed id then
+        err ~check:"alias" ~nodes:[ id ] "node #%d has two ranges in the slab"
+          id
+      else Hashtbl.replace placed id ())
     slots;
   List.iter
     (fun n ->
+      let id = Node.id n in
       if persistent_op (Node.op n) then begin
-        if Hashtbl.mem slot_of (Node.id n) then
-          err ~nodes:[ Node.id n ]
-            "persistent %s has a slot in the transient arena" (describe n)
+        if Hashtbl.mem placed id then
+          err ~check:"alias" ~nodes:[ id ]
+            "persistent %s has a range in the slab: its value would be \
+             overwritten when the range is reused"
+            (describe n)
       end
-      else if not (Hashtbl.mem slot_of (Node.id n)) then
-        err ~nodes:[ Node.id n ] "transient %s has no slot in the assignment"
-          (describe n))
+      else if Hashtbl.mem interiors id then begin
+        if Hashtbl.mem placed id then
+          err ~check:"alias" ~nodes:[ id ]
+            "fused interior %s has a range in the slab but lives only in \
+             the fused kernel's registers"
+            (describe n)
+      end
+      else if not (Hashtbl.mem placed id) then
+        err ~check:"alias" ~nodes:[ id ]
+          "%s materialises but has no range in the slab" (describe n))
     (Graph.nodes graph);
-  (* Re-derive every interval; distrust the recorded steps. *)
-  let derived =
+  (* Re-derive every interval and size; distrust the recorded ones. *)
+  let entries =
     List.filter_map
       (fun s ->
         let id = s.Assign.node_id in
         match Hashtbl.find_opt pos id with
         | None ->
-          err ~nodes:[ id ] "slot of node #%d, which is not in the graph" id;
+          err ~check:"alias" ~nodes:[ id ]
+            "range of node #%d, which is not in the graph" id;
           None
         | Some def ->
           let node = Graph.find graph id in
-          let last = derive_last graph pos no_roots node def in
+          let last = derive_last graph pos roots node def in
+          let size = Node.size_bytes node in
+          let lo = s.Assign.offset in
           if s.Assign.def_step <> def || s.Assign.last_step <> last then
-            err ~nodes:[ id ]
-              "slot of %s records steps %d..%d but the schedule implies \
+            err ~check:"arena" ~nodes:[ id ]
+              "range of %s records steps %d..%d but the schedule implies \
                %d..%d"
               (describe node) s.Assign.def_step s.Assign.last_step def last;
-          if s.Assign.offset < 0 || s.Assign.offset + s.Assign.size > arena
-          then
-            err ~nodes:[ id ]
-              "slot of %s ([%d, %d)) escapes the %d-byte arena" (describe node)
-              s.Assign.offset
-              (s.Assign.offset + s.Assign.size)
-              arena;
-          Some (s, def, last))
+          if s.Assign.size <> size then
+            err ~check:"arena" ~nodes:[ id ]
+              "range of %s records %d bytes but the value has %d"
+              (describe node) s.Assign.size size;
+          if lo < 0 || lo + size > arena then
+            err ~check:"arena" ~nodes:[ id ]
+              "range of %s ([%d, %d)) escapes the %d-byte slab" (describe node)
+              lo (lo + size) arena;
+          Some (node, lo, size, def, last))
       slots
   in
-  let arr = Array.of_list derived in
-  Array.sort (fun (_, d1, _) (_, d2, _) -> compare d1 d2) arr;
-  (* Sorted by definition step, a bounded forward scan sees every
-     concurrent pair: once [def] passes [a]'s last read, no later slot can
-     overlap [a] in time. *)
-  Array.iteri
-    (fun i (a, _, a_last) ->
-      let j = ref (i + 1) in
-      let continue = ref true in
-      while !continue && !j < Array.length arr do
-        let b, b_def, _ = arr.(!j) in
-        if b_def > a_last then continue := false
-        else if
-          a.Assign.offset < b.Assign.offset + b.Assign.size
-          && b.Assign.offset < a.Assign.offset + a.Assign.size
-        then
-          err
-            ~nodes:[ a.Assign.node_id; b.Assign.node_id ]
-            "slots of node #%d ([%d, %d)) and node #%d ([%d, %d)) are live \
-             simultaneously and overlap in address space"
-            a.Assign.node_id a.Assign.offset
-            (a.Assign.offset + a.Assign.size)
-            b.Assign.node_id b.Assign.offset
-            (b.Assign.offset + b.Assign.size);
-        incr j
-      done)
-    arr;
-  report
-
-let check_binding ?fusion graph binding =
-  let report = Report.create () in
-  let err ~check ~nodes fmt =
-    Report.errorf report ~check ~stage:"executable" ~nodes fmt
+  let arr = Array.of_list entries in
+  Array.sort (fun (_, o1, _, _, _) (_, o2, _, _, _) -> compare o1 o2) arr;
+  (* A taker placed at its donor's offset at the donor's last read: legal
+     only as an in-place transfer of the same range. *)
+  let check_handover (dn, _, dsz, _, _) (tn, _, tsz, _, _) =
+    if dsz <> tsz then
+      err ~check:"inplace"
+        ~nodes:[ Node.id tn; Node.id dn ]
+        "%s takes over the range of %s in place, but they differ in size \
+         (%d vs %d bytes)"
+        (describe tn) (describe dn) tsz dsz;
+    if not (inplace_capable_op (Node.op tn)) then
+      err ~check:"inplace"
+        ~nodes:[ Node.id tn; Node.id dn ]
+        "%s takes over the range of %s in place, but %s cannot write in \
+         place (it reads its inputs non-elementwise)"
+        (describe tn) (describe dn)
+        (Op.to_string (Node.op tn));
+    let candidates =
+      match Hashtbl.find_opt externals_of_root (Node.id tn) with
+      | Some externals -> externals
+      | None -> Node.inputs tn
+    in
+    if not (List.exists (fun c -> Node.id c = Node.id dn) candidates) then
+      err ~check:"inplace"
+        ~nodes:[ Node.id tn; Node.id dn ]
+        "%s writes in place over %s, which is not among the values its \
+         instruction reads — the donor's last read is elsewhere and would \
+         observe the overwrite"
+        (describe tn) (describe dn);
+    if Graph.is_output graph (Node.id dn) then
+      err ~check:"inplace"
+        ~nodes:[ Node.id tn; Node.id dn ]
+        "in-place donor %s is a graph output: its value must survive the \
+         step"
+        (describe dn)
   in
-  let pos = positions graph in
-  let roots, interiors, externals_of_root = fusion_index fusion in
-  (* Coverage: every materialising node bound exactly once. *)
-  let bound = Hashtbl.create 1024 in
-  List.iter
-    (fun (n, bid) ->
-      if Hashtbl.mem bound (Node.id n) then
-        err ~check:"alias" ~nodes:[ Node.id n ]
-          "%s is bound to two physical buffers" (describe n)
-      else Hashtbl.replace bound (Node.id n) bid)
-    binding;
-  List.iter
-    (fun n ->
-      if
-        (not (persistent_op (Node.op n)))
-        && (not (Hashtbl.mem interiors (Node.id n)))
-        && not (Hashtbl.mem bound (Node.id n))
-      then
-        err ~check:"alias" ~nodes:[ Node.id n ]
-          "%s materialises but has no physical buffer in the compiled binding"
-          (describe n))
-    (Graph.nodes graph);
-  (* Re-derive intervals and group by physical buffer. *)
-  let by_bid : (int, (Node.t * int * int) list) Hashtbl.t = Hashtbl.create 256 in
-  List.iter
-    (fun (n, bid) ->
-      if persistent_op (Node.op n) then
-        err ~check:"alias" ~nodes:[ Node.id n ]
-          "persistent %s is bound to transient buffer %d: its value would be \
-           overwritten by buffer reuse"
-          (describe n) bid
-      else if Hashtbl.mem interiors (Node.id n) then
-        err ~check:"alias" ~nodes:[ Node.id n ]
-          "fused interior %s materialises buffer %d but lives only in the \
-           fused kernel's registers"
-          (describe n) bid
-      else
-        match Hashtbl.find_opt pos (Node.id n) with
-        | None ->
-          err ~check:"alias" ~nodes:[ Node.id n ]
-            "bound node %s is not in the graph" (describe n)
-        | Some def ->
-          let last = derive_last graph pos roots n def in
-          let cur = try Hashtbl.find by_bid bid with Not_found -> [] in
-          Hashtbl.replace by_bid bid ((n, def, last) :: cur))
-    binding;
-  Hashtbl.iter
-    (fun bid entries ->
-      let arr = Array.of_list entries in
-      Array.sort (fun (_, d1, _) (_, d2, _) -> compare d1 d2) arr;
-      if Array.length arr > 1 then begin
-        (* Scan in definition order keeping the live holder (the entry whose
-           re-derived last read reaches furthest). A later definition before
-           the holder's last read is an aliasing violation; a definition
-           exactly at it is a buffer handover and must be a legal in-place
-           transfer; past it, plain pool reuse. *)
-        let holder = ref arr.(0) in
-        for k = 1 to Array.length arr - 1 do
-          let (hn, h_def, h_last) = !holder in
-          let ((n, n_def, n_last) as entry) = arr.(k) in
-          if Node.size_bytes n <> Node.size_bytes hn then
-            err ~check:"alias"
-              ~nodes:[ Node.id hn; Node.id n ]
-              "%s and %s share physical buffer %d but differ in size (%d vs \
-               %d bytes)"
-              (describe hn) (describe n) bid (Node.size_bytes hn)
-              (Node.size_bytes n);
-          if n_def < h_last then
-            err ~check:"alias"
-              ~nodes:[ Node.id hn; Node.id n ]
-              "%s (steps %d..%s) and %s (defined at step %d) are live \
-               simultaneously but share physical buffer %d"
-              (describe hn) h_def
-              (if h_last = max_int then "end" else string_of_int h_last)
-              (describe n) n_def bid
-          else if n_def = h_last then begin
-            (* Handover: the taker's instruction overwrites the donor's
-               buffer in the very step of the donor's last read. *)
-            if not (inplace_capable_op (Node.op n)) then
-              err ~check:"inplace"
-                ~nodes:[ Node.id n; Node.id hn ]
-                "%s takes over the buffer of %s in place, but %s cannot \
-                 write in place (it reads its inputs non-elementwise)"
-                (describe n) (describe hn)
-                (Op.to_string (Node.op n));
-            let candidates =
-              match Hashtbl.find_opt externals_of_root (Node.id n) with
-              | Some externals -> externals
-              | None -> Node.inputs n
-            in
-            if
-              not
-                (List.exists (fun c -> Node.id c = Node.id hn) candidates)
-            then
-              err ~check:"inplace"
-                ~nodes:[ Node.id n; Node.id hn ]
-                "%s writes in place over %s, which is not among the buffers \
-                 its instruction reads — the donor's last read is elsewhere \
-                 and would observe the overwrite"
-                (describe n) (describe hn);
-            if Graph.is_output graph (Node.id hn) then
-              err ~check:"inplace"
-                ~nodes:[ Node.id n; Node.id hn ]
-                "in-place donor %s is a graph output: its value must survive \
-                 the step"
-                (describe hn)
-          end;
-          if n_last > h_last then holder := entry
-        done
-      end)
-    by_bid;
+  (* Sorted by offset, a forward scan meets every range that overlaps
+     [a] in address space; of those, the ones live at the same time as
+     [a] conflict unless they are an exact handover. *)
+  let n_entries = Array.length arr in
+  for i = 0 to n_entries - 1 do
+    let ((an, alo, asz, adef, alast) as a) = arr.(i) in
+    let j = ref (i + 1) in
+    while !j < n_entries && (let _, blo, _, _, _ = arr.(!j) in blo < alo + asz) do
+      let ((bn, blo, bsz, bdef, blast) as b) = arr.(!j) in
+      if adef <= blast && bdef <= alast then begin
+        if alo = blo && bdef = alast then check_handover a b
+        else if alo = blo && adef = blast then check_handover b a
+        else
+          err ~check:"alias"
+            ~nodes:[ Node.id an; Node.id bn ]
+            "%s (steps %d..%s, bytes [%d, %d)) and %s (steps %d..%s, bytes \
+             [%d, %d)) are live at the same time and overlap in bytes [%d, \
+             %d)"
+            (describe an) adef
+            (if alast = max_int then "end" else string_of_int alast)
+            alo (alo + asz) (describe bn) bdef
+            (if blast = max_int then "end" else string_of_int blast)
+            blo (blo + bsz) (max alo blo)
+            (min (alo + asz) (blo + bsz))
+      end;
+      incr j
+    done
+  done;
   report
 
-let lint ?schedule ?fusion ?offsets ?binding graph =
+let lint ?schedule ?fusion ?offsets graph =
   let report = Report.create () in
   let add r = Report.append r ~into:report in
   add (check_schedule ?schedule graph);
@@ -661,9 +597,6 @@ let lint ?schedule ?fusion ?offsets ?binding graph =
   | Some f -> add (check_fusion graph f)
   | None -> ());
   (match offsets with
-  | Some a -> add (check_offsets graph a)
-  | None -> ());
-  (match binding with
-  | Some b -> add (check_binding ?fusion graph b)
+  | Some a -> add (check_ranges ?fusion graph a)
   | None -> ());
   report

@@ -1,8 +1,8 @@
 (** Echo-verify: independent static sanitizers over compiled artifacts.
 
     Every stage of the pipeline produces an inspectable artifact — a
-    schedule, a rewritten graph, an offset assignment, a fusion plan, a
-    compiled buffer binding. The checkers here re-prove the safety
+    schedule, a rewritten graph, a fusion plan, the byte offsets a compiled
+    executor runs in. The checkers here re-prove the safety
     conditions those artifacts rely on {e from scratch}: liveness intervals
     are re-derived from the graph (not read back from {!Echo_exec.Liveness}),
     and the elementwise / in-place-capable operator sets are duplicated
@@ -66,27 +66,26 @@ val check_fusion : ?max_externals:int -> Graph.t -> Fuse.plan -> Echo_diag.Repor
     {!Echo_ir.Fuse.default_max_externals}); no node belongs to two
     groups. *)
 
-val check_offsets : Graph.t -> Echo_exec.Assign.t -> Echo_diag.Report.t
-(** Check ["assign"]: re-derives every slot's live interval from the graph
-    (ignoring the interval the slot itself records, which is separately
-    checked against the derivation), then proves no two live-overlapping
-    slots overlap in address space and no slot escapes the arena; every
-    non-persistent node has exactly one slot. *)
-
-val check_binding :
-  ?fusion:Fuse.plan -> Graph.t -> (Node.t * int) list -> Echo_diag.Report.t
-(** Checks ["alias"] and ["inplace"] over a compiled executor's buffer
-    binding ({!val:Echo_compiler.Executor.buffer_binding}-shaped data).
-    Re-derives live intervals from scratch — under [fusion], a group
-    member's reads extend to the group root's step and interiors must not
-    appear in the binding at all — and proves that two nodes bound to the
-    same physical buffer never overlap in liveness. Back-to-back handover
-    (the taker defined exactly at the donor's last read) is legal only as an
-    in-place transfer: the taker's operator can write in place, the donor is
-    among the buffers the taker's instruction actually reads (group
-    externals for a fused root), sizes match, and the donor is not a graph
-    output. Also proves the binding covers every materialising node exactly
-    once. *)
+val check_ranges :
+  ?fusion:Fuse.plan -> Graph.t -> Echo_exec.Assign.t -> Echo_diag.Report.t
+(** The one range checker, over any byte-offset plan — the layout a
+    compiled executor runs ({!val:Echo_compiler.Executor.offsets}) or a
+    static artifact ({!Echo_exec.Assign.of_plan}, the OLLA solve).
+    Re-derives every value's live interval from the graph — under
+    [fusion], a group member's reads extend to the group root's step — and
+    checks, collect-all:
+    - ["alias"]: every materialising node has exactly one range, and no
+      persistent node or fused interior has one; no two values live at the
+      same time overlap in address space, whether the ranges coincide or
+      overlap only in part;
+    - ["inplace"]: the one sanctioned overlap, a handover (the taker
+      placed at the donor's offset and defined at the donor's last read),
+      is a legal in-place transfer: the two have the same size, the taker's
+      operator can write in place, the donor is among the values the
+      taker's instruction reads (group externals for a fused root), and the
+      donor is not a graph output;
+    - ["arena"]: every range lies inside the slab, and the steps and size
+      each slot records are the re-derived ones. *)
 
 (** {1 Composition} *)
 
@@ -94,11 +93,9 @@ val lint :
   ?schedule:Node.t list ->
   ?fusion:Fuse.plan ->
   ?offsets:Echo_exec.Assign.t ->
-  ?binding:(Node.t * int) list ->
   Graph.t ->
   Echo_diag.Report.t
 (** Run every checker applicable to the artifacts provided and collect all
     findings into one report: {!check_schedule}, {!check_determinism} and
     {!check_recompute} always; {!check_fusion} when [fusion] is given;
-    {!check_offsets} when [offsets] is given; {!check_binding} when
-    [binding] is given. *)
+    {!check_ranges} (under [fusion]) when [offsets] is given. *)

@@ -17,6 +17,9 @@ type t = {
   output_slots : int array;
   outs : Tensor.t array;
   plan : Memplan.report;
+  allocated_bytes : int;
+      (** device bytes of what {!compile} allocated, tallied in its own
+          walk: persistent values, the slab, the largest workspace *)
   mutable pending_flips : (int * int * int) list;
       (** (slot, index, bit) single-event upsets to apply during the next
           {!run}, right after the slot's instruction writes; cleared after
@@ -49,7 +52,7 @@ let compile ?budget_bytes ?runtime ?plan ?sanitize graph =
   let sanitize_mode =
     match sanitize with Some m -> m | None -> Sanitize.env_mode ()
   in
-  (* Fused interiors get no buffer, no tensor and no instruction; a group
+  (* Fused interiors get no range, no tensor and no instruction; a group
      root compiles to one fused instruction over the group's external
      inputs. Both follow the same [Fuse.plan] the planner used. *)
   let group_of_root node =
@@ -64,54 +67,77 @@ let compile ?budget_bytes ?runtime ?plan ?sanitize graph =
   let values = Array.make n (Tensor.scalar 0.0) in
   let is_persistent_slot = Array.make n false in
   let persistent = ref [] in
-  (* The plan decides every slot's physical buffer; the executor only
-     allocates what it says, so the footprint IS the plan's arena
-     prediction. [writers] counts the slots writing each buffer across the
-     whole schedule: a constant node owning a single-writer buffer is
-     materialised once at compile time and skipped at run time. *)
-  let bid_of_slot = plan.Memplan.buffer_of_slot in
-  let buffer_count = Array.fold_left max (-1) bid_of_slot + 1 in
-  let buffers = Array.make buffer_count [||] in
-  let writers = Array.make buffer_count 0 in
-  Array.iter
-    (fun b -> if b >= 0 then writers.(b) <- writers.(b) + 1)
-    bid_of_slot;
-  (* Bind every slot to its buffer in schedule order, creating each buffer
-     at its first use (ids are numbered in first-use order). The budget is
-     enforced here, before the buffer is created, so the raise carries the
-     running arena total at the slot where it first crosses the ceiling — a
-     simulated device OOM, not a post-hoc check. *)
-  let allocated = ref 0 and max_ws = ref 0 and created = ref 0 in
+  (* The plan decides every slot's range in one slab; the executor only
+     allocates what it says, so the footprint IS the plan's arena. Ranges
+     are bytes at the device's [Node.elem_bytes] per element; the slab
+     holds one float per element. *)
+  let offset_of_slot = plan.Memplan.offset_of_slot in
+  let elem_of_bytes b = b / Node.elem_bytes in
+  (* Walk the slots in schedule order, tracking the persistent bytes fed
+     so far and the slab's high-water mark. The budget is enforced here,
+     before the slab exists, so the raise carries the running total at the
+     slot where it first crosses the ceiling — a simulated device OOM, not
+     a post-hoc check. *)
+  let persistent_bytes = ref 0 and high_water = ref 0 and max_ws = ref 0 in
   Array.iteri
     (fun step node ->
       let ws = Workspace.bytes node in
       if ws > !max_ws then max_ws := ws;
-      let b = bid_of_slot.(step) in
-      let fresh = b = !created in
       if Liveness.is_persistent node then begin
         is_persistent_slot.(step) <- true;
         persistent := (node, step) :: !persistent;
-        allocated := !allocated + Node.size_bytes node
+        persistent_bytes := !persistent_bytes + Node.size_bytes node
       end
-      else if fresh then allocated := !allocated + Node.size_bytes node;
-      (match budget_bytes with
-      | Some budget when !allocated + !max_ws > budget ->
+      else if offset_of_slot.(step) >= 0 then
+        high_water :=
+          max !high_water (offset_of_slot.(step) + Node.size_bytes node);
+      match budget_bytes with
+      | Some budget when !persistent_bytes + !high_water + !max_ws > budget ->
         raise
           (Budget_exceeded
-             { requested_bytes = !allocated + !max_ws; budget_bytes = budget })
-      | Some _ | None -> ());
-      if b >= 0 then begin
-        if fresh then begin
-          buffers.(b) <- Array.make (Shape.numel (Node.shape node)) 0.0;
-          incr created
-        end;
-        values.(step) <- Tensor.create (Node.shape node) buffers.(b)
-      end)
+             {
+               requested_bytes = !persistent_bytes + !high_water + !max_ws;
+               budget_bytes = budget;
+             })
+      | Some _ | None -> ())
     nodes;
+  let slab = Array.make (elem_of_bytes plan.Memplan.slab_bytes) 0.0 in
+  Array.iteri
+    (fun step node ->
+      let off = offset_of_slot.(step) in
+      if off >= 0 then
+        values.(step) <-
+          Tensor.view slab ~off:(elem_of_bytes off) (Node.shape node))
+    nodes;
+  (* A slot whose range no other slot ever overlaps keeps its value across
+     steps and runs: with the slots sorted by offset, a range overlaps
+     another exactly when an earlier one reaches past its start or the
+     next one starts before its end. A constant node owning such a range
+     is materialised once at compile time and skipped at run time. *)
+  let sole_tenant = Array.make n false in
+  (let placed =
+     List.filter (fun s -> offset_of_slot.(s) >= 0) (List.init n Fun.id)
+     |> Array.of_list
+   in
+   Array.stable_sort
+     (fun a b -> compare offset_of_slot.(a) offset_of_slot.(b))
+     placed;
+   let reach = ref 0 in
+   Array.iteri
+     (fun k s ->
+       let lo = offset_of_slot.(s) in
+       let hi = lo + Node.size_bytes nodes.(s) in
+       sole_tenant.(s) <-
+         (k = 0 || !reach <= lo)
+         && (k = Array.length placed - 1
+            || offset_of_slot.(placed.(k + 1)) >= hi);
+       reach := max !reach hi)
+     placed);
   (* Compile each node to one closure over its input slots and its fixed
-     destination tensor; [writers] is the count of its buffer's writers. *)
+     destination tensor; [const] when the node may run once, at compile
+     time (a sole tenant). *)
   let instrs = Array.make n nop in
-  let build node dst writers =
+  let build node dst ~const =
     let slots =
       Array.of_list
         (List.map
@@ -124,20 +150,20 @@ let compile ?budget_bytes ?runtime ?plan ?sanitize graph =
     match Node.op node with
     | Op.Placeholder | Op.Variable -> assert false
     | Op.Zeros ->
-      if writers = 1 then begin
+      if const then begin
         I.fill ~dst 0.0;
         nop
       end
       else fun () -> I.fill ~dst 0.0
     | Op.ConstFill v ->
-      if writers = 1 then begin
+      if const then begin
         I.fill ~dst v;
         nop
       end
       else fun () -> I.fill ~dst v
     | Op.DropoutMask { p; seed } ->
       let mask = Tensor.dropout_mask ~seed ~p (Node.shape node) in
-      if writers = 1 then begin
+      if const then begin
         I.blit ~src:mask ~dst;
         nop
       end
@@ -199,7 +225,7 @@ let compile ?budget_bytes ?runtime ?plan ?sanitize graph =
         I.conv2d_grad_kernel ~stride ~pad ~input:(x ()) ~grad_out:(y ()) ~dst
   in
   (* One instruction per fused group, reading only the group's external
-     inputs and writing only the root's buffer. Each member becomes one
+     inputs and writing only the root's range. Each member becomes one
      opcode ([Tensor.f_*]) of a [Tensor.fused_step] array that the C stub
      decodes, applying per block the same kernel op the member's unfused
      instruction runs, so the fused instruction is bit-identical to running
@@ -265,12 +291,11 @@ let compile ?budget_bytes ?runtime ?plan ?sanitize graph =
   in
   Array.iteri
     (fun step node ->
-      let b = bid_of_slot.(step) in
-      if b >= 0 then
+      if offset_of_slot.(step) >= 0 then
         instrs.(step) <-
           (match group_of_root node with
           | Some g -> build_fused g values.(step)
-          | None -> build node values.(step) writers.(b)))
+          | None -> build node values.(step) ~const:sole_tenant.(step)))
     nodes;
   let output_slots =
     Array.of_list
@@ -279,10 +304,10 @@ let compile ?budget_bytes ?runtime ?plan ?sanitize graph =
          (Graph.outputs graph))
   in
   let persistent = Array.of_list (List.rev !persistent) in
-  (* Describe the schedule to the shadow-memory sanitizer: what each slot
-     writes (bid + extent), which arena cells it reads and from which
-     producer, and how long the plan keeps its value alive, in the same
-     buffer identities the static checkers see. *)
+  (* Describe the schedule to the shadow-memory sanitizer: which slab
+     cells each slot writes, which it reads and from which producer, and
+     how long the plan keeps its value alive — the same ranges the static
+     checkers see. *)
   let sanitizer =
     if not (Sanitize.is_on sanitize_mode) then None
     else begin
@@ -298,14 +323,15 @@ let compile ?budget_bytes ?runtime ?plan ?sanitize graph =
               Printf.sprintf "%s %s" (Op.to_string (Node.op node))
                 (Node.name node)
             in
-            let b = bid_of_slot.(step) in
+            let off = offset_of_slot.(step) in
             let si_dst =
-              if b < 0 then None else Some (b, Shape.numel (Node.shape node))
+              if off < 0 then None
+              else Some (elem_of_bytes off, Shape.numel (Node.shape node))
             in
             let si_const =
               match Node.op node with
               | Op.Zeros | Op.ConstFill _ | Op.DropoutMask _ ->
-                b >= 0 && writers.(b) = 1
+                off >= 0 && sole_tenant.(step)
               | _ -> false
             in
             let si_reads =
@@ -315,9 +341,11 @@ let compile ?budget_bytes ?runtime ?plan ?sanitize graph =
                   (List.filter_map
                      (fun input ->
                        match Hashtbl.find_opt slot_of_id (Node.id input) with
-                       | Some s when bid_of_slot.(s) >= 0 ->
+                       | Some s when offset_of_slot.(s) >= 0 ->
                          Some
-                           (s, bid_of_slot.(s), Shape.numel (Node.shape input))
+                           ( s,
+                             elem_of_bytes offset_of_slot.(s),
+                             Shape.numel (Node.shape input) )
                        | Some _ | None -> None)
                      (tracked_inputs node))
             in
@@ -325,10 +353,7 @@ let compile ?budget_bytes ?runtime ?plan ?sanitize graph =
             { Sanitize.si_name; si_dst; si_const; si_reads; si_expire })
           nodes
       in
-      Some
-        (Sanitize.create sanitize_mode ~slots
-           ~buffers:
-             (Array.to_list (Array.mapi (fun b arr -> (b, arr)) buffers)))
+      Some (Sanitize.create sanitize_mode ~slots ~slab)
     end
   in
   {
@@ -345,6 +370,8 @@ let compile ?budget_bytes ?runtime ?plan ?sanitize graph =
     output_slots;
     outs = Array.make (Array.length output_slots) (Tensor.scalar 0.0);
     plan;
+    allocated_bytes =
+      !persistent_bytes + (Node.elem_bytes * Array.length slab) + !max_ws;
     pending_flips = [];
     sanitize = sanitizer;
   }
@@ -365,11 +392,8 @@ let active_instruction_count e =
 
 let footprint_bytes e = e.plan.Memplan.arena_bytes
 
-let buffer_binding e =
-  let bids = e.plan.Memplan.buffer_of_slot in
-  List.filter_map
-    (fun s -> if bids.(s) >= 0 then Some (e.nodes.(s), bids.(s)) else None)
-    (List.init (Array.length e.nodes) Fun.id)
+let offsets e = Assign.of_plan e.graph e.plan
+let allocated_bytes e = e.allocated_bytes
 
 let sanitize_report e = Option.map Sanitize.report e.sanitize
 
@@ -388,10 +412,11 @@ let schedule_flip e ~slot ~index ~bit =
     invalid_arg
       (Printf.sprintf "Executor.schedule_flip: slot %d outside 0..%d" slot
          (Array.length e.nodes - 1));
-  (* Fused interiors own no value at run time; transient buffers and fed
+  (* Fused interiors own no value at run time; transient values and fed
      persistent tensors do. *)
-  let bids = e.plan.Memplan.buffer_of_slot in
-  if not (e.is_persistent_slot.(slot) || bids.(slot) >= 0) then
+  if
+    not (e.is_persistent_slot.(slot) || e.plan.Memplan.offset_of_slot.(slot) >= 0)
+  then
     invalid_arg
       (Printf.sprintf
          "Executor.schedule_flip: slot %d (%s) does not materialise — fused \

@@ -3,14 +3,15 @@
     [compile] lowers a planned graph once into a flat instruction array:
     the schedule is frozen, every node gets a dense integer {e slot}
     (its schedule index), input lookups are precompiled slot reads, and
-    every transient node is bound at compile time to the physical buffer
-    the memory plan it is handed ({!Echo_exec.Memplan.report}) assigned it
-    ([buffer_of_slot]: exact-size pool + in-place transfer into dying
-    same-size inputs). The executor allocates exactly those buffers and
-    decides none itself. Running a step is then a single array
-    sweep with {e zero} tensor allocation — buffers are reused across nodes
-    within a step and across training steps, which is the "compile once,
-    train many steps" execution model the Echo paper assumes.
+    every transient node is bound at compile time to a view of one slab, at
+    the offset the memory plan it is handed ({!Echo_exec.Memplan.report})
+    assigned it ([offset_of_slot]: best fit over the liveness intervals,
+    plus in-place transfer into dying same-size inputs). The executor
+    allocates that one slab and decides no placement itself. Running a
+    step is then a single array sweep with {e zero} tensor allocation —
+    slab ranges are reused across nodes within a step and across training
+    steps, which is the "compile once, train many steps" execution model
+    the Echo paper assumes.
 
     Numerics are bit-identical to the reference interpreter {!Echo_exec.Interp}
     by construction: both execute the same scalar kernels in the same
@@ -18,7 +19,7 @@
     enforced by differential tests.
 
     Aliasing contract: tensors returned by {!outputs}/{!eval} alias the
-    executor's internal buffers. They are valid until the next {!run} on the
+    executor's slab. They are valid until the next {!run} on the
     same executor; copy them ({!Echo_tensor.Tensor.copy}) to retain values
     across steps. Feed tensors are aliased, not copied — mutating a fed
     tensor between runs is a legitimate way to update an input in place. *)
@@ -29,10 +30,12 @@ open Echo_ir
 type t
 
 exception Budget_exceeded of { requested_bytes : int; budget_bytes : int }
-(** Raised by {!compile} when buffer allocation crosses [budget_bytes]: the
-    simulated device ran out of memory. [requested_bytes] is the arena total
-    (persistent + transient pool + max workspace) at the moment it first
-    exceeded the ceiling, so it is a lower bound on the full footprint. The
+(** Raised by {!compile} when the plan's footprint crosses [budget_bytes]:
+    the simulated device ran out of memory. [requested_bytes] is the running
+    total — persistent bytes so far + the slab's high-water mark so far +
+    the largest workspace so far, walking the slots in schedule order — at
+    the first slot where it exceeds the ceiling, so it is a lower bound on
+    the full footprint. The
     fault-tolerant training loop ([Echo_train.Loop]) catches this and
     re-plans through the recomputation escalation ladder. *)
 
@@ -43,10 +46,12 @@ val compile :
   ?sanitize:Echo_analysis.Sanitize.mode ->
   Graph.t ->
   t
-(** Compile the graph's schedule into instructions and bind buffers.
+(** Compile the graph's schedule into instructions and bind each slot to
+    its slab range.
 
-    [budget_bytes] is a hard ceiling on the device-accounted arena: buffer
-    allocation that crosses it aborts compilation with {!Budget_exceeded}.
+    [budget_bytes] is a hard ceiling on the device-accounted arena: a plan
+    whose footprint crosses it aborts compilation with {!Budget_exceeded}
+    before the slab is allocated.
     An executor compiled under a budget always satisfies
     [footprint_bytes <= budget_bytes].
 
@@ -58,18 +63,21 @@ val compile :
 
     [plan] (default [Memplan.plan graph]: unfused) is the memory plan the
     executor carries out, and {!plan} returns it; it must have been made
-    for [graph]. Every slot writes the buffer [plan.buffer_of_slot] names,
-    so [footprint_bytes] is [plan.arena_bytes]. Each group of
+    for [graph]. The executor allocates one slab of [plan.slab_bytes] and
+    every slot writes the range at [plan.offset_of_slot], so
+    [footprint_bytes] is [plan.arena_bytes]. Each group of
     [plan.fusion] compiles into a single fused instruction — one pass over
-    the root's buffer with the chain folding in registers, via
-    {!Echo_tensor.Tensor.Into.fused}; interiors get no buffer, no tensor
+    the root's range with the chain folding in registers, via
+    {!Echo_tensor.Tensor.Into.fused}; interiors get no range, no tensor
     and no instruction, and results stay bit-identical to the unfused
     executor (same scalar kernels, same partitioning). The sanitizer
     expires each slot's reads at [plan.expiry_of_slot]. A plan built over
     corrupted intervals ([Memplan.plan ~liveness:(Liveness.of_intervals
     ...)]) is the race-verify mutation harness's injection point: it
     becomes a real executor whose early frees the shadow-memory sanitizer
-    must catch.
+    must catch; so is a plan whose [offset_of_slot] was corrupted
+    ([Echo_analysis.Mutate.overlap_partially]), as long as every range
+    stays inside the slab ([Invalid_argument] otherwise).
 
     [sanitize] (default {!Echo_analysis.Sanitize.env_mode}, i.e. the
     [ECHO_SANITIZE] environment variable) brackets every instruction of
@@ -148,26 +156,33 @@ val fused_group_count : t -> int
 
 val fused_interior_count : t -> int
 (** Chain members that were folded into a fused instruction and got no
-    buffer, tensor or instruction of their own. *)
+    range, tensor or instruction of their own. *)
 
 val plan : t -> Echo_exec.Memplan.report
 (** The memory plan the executor was compiled from — the same value passed
-    as [?plan], not a copy: the buffers it allocates, the fusion groups it
+    as [?plan], not a copy: the slab it allocates, the fusion groups it
     compiles and the lifetimes it frees against. *)
 
 val footprint_bytes : t -> int
-(** Device-accounted (4 bytes/element) footprint of the compiled artifact:
-    persistent + transient pool + max workspace. Equal to
-    [(plan e).arena_bytes] by construction: the executor allocates exactly
-    the buffers that plan assigned. *)
+(** Device-accounted ([Node.elem_bytes] per element) footprint of the
+    compiled artifact: persistent + slab + max workspace. Equal to
+    [(plan e).arena_bytes] by construction, and equal to
+    {!allocated_bytes}: the executor allocates exactly what that plan
+    sized. *)
 
-val buffer_binding : t -> (Node.t * int) list
-(** The compile-time buffer binding: [(node, physical buffer id)] for every
-    transient slot that materialises (fused interiors are absent), in
-    schedule order — [Memplan.report.buffer_of_slot] without the [-1]s.
-    Two nodes share a physical buffer iff they carry the same id — the
-    verification layer ({!Echo_analysis.Verify}) re-derives liveness from
-    scratch and proves no two overlapping-live nodes share one. *)
+val allocated_bytes : t -> int
+(** Device bytes the executor allocated, tallied by {!compile} itself
+    rather than read from the plan: the persistent values fed to it, the
+    one slab every transient value views ([Node.elem_bytes] per float),
+    and the largest workspace any instruction needs. *)
+
+val offsets : t -> Echo_exec.Assign.t
+(** The layout the executor runs: one slot per transient value that
+    materialises (fused interiors are absent), in schedule order, with
+    its byte offset in the slab, its size and the plan's lifetime —
+    [Echo_exec.Assign.of_plan] of {!plan}. The verification layer
+    ({!Echo_analysis.Verify}, {!Echo_analysis.Race}) re-derives liveness
+    from scratch and proves no two overlapping-live ranges overlap. *)
 
 val sanitize_report : t -> Echo_diag.Report.t option
 (** The sanitizer's findings so far ([None] when compiled with it off).

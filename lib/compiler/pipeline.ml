@@ -79,7 +79,7 @@ let plan ?(offsets = false) (rw : rewritten) =
        rather than planning a third time. *)
     memplan = rw.report.Echo_core.Pass.optimised_mem;
     offsets =
-      (* The planner owns the static offset assigner: greedy best-fit
+      (* The planner owns the static offset plan: the walk's best fit
          unless it overrides it (the OLLA-style arena solver does). *)
       (if offsets then Some (Echo_core.Planner.assigner rw.planner rw.graph)
        else None);
@@ -116,9 +116,10 @@ type executable = { fused : fused; executor : Executor.t }
 
 (* The verification layer: every stage re-proven by the independent
    checkers of Echo_analysis.Verify. Later stages verify everything the
-   earlier ones do plus their own artifact; the planned stage computes the
-   offset assignment itself when the caller skipped it, so a [verify] is
-   never weaker than the stage allows. *)
+   earlier ones do plus their own artifact: from the planned stage on, the
+   offsets of the memory plan the stage carries (the walk's, never a
+   solver run the caller did not ask for), and the planner's static
+   offset plan too when [plan ~offsets:true] made one. *)
 type stage =
   | Source of source
   | Training of training
@@ -128,6 +129,16 @@ type stage =
   | Fused of fused
   | Executable of executable
 
+(* [report] plus the range check of the requested static offset plan,
+   which is unfused. *)
+let with_static_offsets (pl : planned) report =
+  (match pl.offsets with
+  | Some a ->
+    Echo_diag.Report.append ~into:report
+      (Echo_analysis.Verify.check_ranges pl.graph a)
+  | None -> ());
+  report
+
 let verify stage =
   match stage with
   | Source s -> Echo_analysis.Verify.lint (forward_graph s)
@@ -135,23 +146,24 @@ let verify stage =
   | Optimized o -> Echo_analysis.Verify.lint o.graph
   | Rewritten r -> Echo_analysis.Verify.lint r.graph
   | Planned pl ->
-    let offsets =
-      match pl.offsets with
-      | Some a -> a
-      | None -> Echo_core.Planner.assigner pl.rewritten.planner pl.graph
-    in
-    Echo_analysis.Verify.lint ~offsets pl.graph
+    with_static_offsets pl
+      (Echo_analysis.Verify.lint
+         ~offsets:(Echo_exec.Assign.of_plan pl.graph pl.memplan)
+         pl.graph)
   | Fused f ->
-    Echo_analysis.Verify.lint ?fusion:f.fusion
-      ?offsets:f.planned.offsets f.graph
+    with_static_offsets f.planned
+      (Echo_analysis.Verify.lint ?fusion:f.fusion
+         ~offsets:(Echo_exec.Assign.of_plan f.graph f.fused_memplan)
+         f.graph)
   | Executable e ->
     let f = e.fused in
-    Echo_analysis.Verify.lint ?fusion:f.fusion ?offsets:f.planned.offsets
-      ~binding:(Executor.buffer_binding e.executor) f.graph
+    with_static_offsets f.planned
+      (Echo_analysis.Verify.lint ?fusion:f.fusion
+         ~offsets:(Executor.offsets e.executor) f.graph)
 
 (* The race checker over a compiled executable: every artifact the
    executor actually carries — its runtime, and its plan's fusion groups,
-   buffer binding and the liveness intervals it frees against — handed to
+   slab offsets and the liveness intervals it frees against — handed to
    [Race.check]. *)
 let race_verify e =
   let executor = e.executor in
@@ -159,7 +171,7 @@ let race_verify e =
   let plan = Executor.plan executor in
   Echo_analysis.Race.check ?fusion:plan.Echo_exec.Memplan.fusion
     ~intervals:(Echo_exec.Memplan.intervals graph plan)
-    ~binding:(Executor.buffer_binding executor)
+    ~offsets:(Executor.offsets executor)
     ~runtime:(Executor.runtime executor) graph
 
 let compile ?budget_bytes ?runtime ?sanitize (f : fused) =

@@ -104,15 +104,18 @@ type planned = {
   memplan : Echo_exec.Memplan.report;
       (** the rewrite stage's unfused plan ([report.optimised_mem]) *)
   offsets : Echo_exec.Assign.t option;
-      (** static byte-offset assignment; request with [plan ~offsets:true] *)
+      (** the planner's static byte-offset plan, requested with
+          [plan ~offsets:true]; never what the executor runs, which is
+          [memplan]'s (or the fused stage's) own offsets *)
 }
 
 val plan : ?offsets:bool -> rewritten -> planned
-(** The unfused memory plan. [offsets] (default [false]) also runs
-    the planner's static offset assigner ({!Echo_core.Planner.assigner} —
-    greedy best-fit unless the planner overrides it, as [olla-arena] does),
-    which is quadratic-ish and only needed when the arena layout itself is
-    inspected. *)
+(** The unfused memory plan. [offsets] (default [false]) also runs the
+    planner's static offset plan ({!Echo_core.Planner.assigner} — the
+    walk's best-fit offsets unless the planner overrides it, as
+    [olla-arena] does with its annealed solve, which can take tens of
+    seconds on a full-size graph). It is an inspection artifact: the
+    default compile path never makes it. *)
 
 (** {1 Fused stage} *)
 
@@ -186,10 +189,13 @@ type stage =
 val verify : stage -> Echo_diag.Report.t
 (** Re-prove the artifacts the given stage carries: graph/schedule shape
     and topology, determinism, recomputation-clone fidelity at every stage;
-    plus the offset assignment at [Planned] (computed on the spot if the
-    stage skipped it), the fusion plan at [Fused], and the compiled buffer
-    binding at [Executable]. Returns the collected report; a sound artifact
-    has no error findings.
+    plus, from [Planned] on, the byte offsets of the memory plan the stage
+    carries ({!Echo_analysis.Verify.check_ranges}: the unfused plan at
+    [Planned], the fused plan at [Fused], the layout the executor runs at
+    [Executable]) and the planner's static offset plan when
+    [plan ~offsets:true] made one, and the fusion plan from [Fused] on.
+    Never runs an offset solver itself. Returns the collected report; a
+    sound artifact has no error findings.
 
     {!compile} runs this automatically under [ECHO_VERIFY=1]
     ({!Echo_analysis.Verify.env_enabled}) and raises
@@ -202,8 +208,9 @@ val race_verify : executable -> Echo_diag.Report.t
     fanned-out instruction, in-place alias legality, false-sharing lint),
     its fusion plan (sweep extents), the liveness intervals its plan frees
     against ({!Executor.plan}, rebuilt by {!Echo_exec.Memplan.intervals};
-    no buffer recycled under a pending read) and its buffer binding (no two
-    address-overlapping live values). A sound executable has no error
+    no range reused under a pending read) and its slab offsets
+    ({!Executor.offsets}: no two address-overlapping live values). A sound
+    executable has no error
     findings at any domain count. Also runs automatically — alongside
     {!verify} — inside {!compile} under [ECHO_VERIFY=1]. *)
 

@@ -47,14 +47,19 @@ let fit_ladder =
       Planner.instantiate "recompute-all";
     ]
 
+(* The arena of [outcome]'s graph compiled under [fusion] (a plan of that
+   graph), or unfused. *)
+let arena_under ?fusion outcome =
+  match fusion with
+  | Some f -> (Memplan.plan ~fusion:f outcome.graph).Memplan.arena_bytes
+  | None -> outcome.report.Pass.optimised_mem.Memplan.arena_bytes
+
 let fit_footprint ?fuse outcome =
   let fuse =
     match fuse with Some f -> f | None -> Echo_ir.Fuse.env_enabled ()
   in
-  if fuse then
-    let g = outcome.graph in
-    (Memplan.plan ~fusion:(Echo_ir.Fuse.analyse g) g).Memplan.arena_bytes
-  else outcome.report.Pass.optimised_mem.Memplan.arena_bytes
+  if fuse then arena_under ~fusion:(Echo_ir.Fuse.analyse outcome.graph) outcome
+  else arena_under outcome
 
 (* Unlike [for_memory_target], fitting here is judged on [arena_bytes] — the
    exact footprint of the compiled slot executor
@@ -112,12 +117,14 @@ let host_group_time ~domains g =
   kernel_time ~domains ~work ~bytes ~speedup:1.0
 
 (* Predicted host wall-clock of one pass at an effective fan-out of
-   [domains], fused under [Fuse.analyse] or every node separately. *)
-let host_graph_time ~domains ?(fuse = true) graph =
-  if fuse then
-    Costmodel.fused_time ~node:(host_node_time ~domains)
+   [domains], fused under [fusion] (a plan of [graph]) or every node
+   separately. *)
+let host_graph_time ~domains ?fusion graph =
+  match fusion with
+  | Some plan ->
+    Costmodel.fused_time ~plan ~node:(host_node_time ~domains)
       ~group:(host_group_time ~domains) graph
-  else
+  | None ->
     List.fold_left
       (fun acc node -> acc +. host_node_time ~domains node)
       0.0 (Graph.nodes graph)
@@ -152,11 +159,12 @@ let combo_runtime c = Echo_tensor.Parallel.create ~domains:c.domains ()
 
 let fit_exec ~device graph ~budget_bytes =
   let hw = Echo_tensor.Parallel.hardware_parallelism () in
-  let consider best outcome ~fuse ~arena =
+  let consider best outcome ?fusion ~arena () =
+    let fuse = Option.is_some fusion in
     List.fold_left
       (fun best domains ->
         let predicted_s =
-          host_graph_time ~domains:(min domains hw) ~fuse outcome.graph
+          host_graph_time ~domains:(min domains hw) ?fusion outcome.graph
         in
         match best with
         | Some b when b.predicted_s <= predicted_s -> best
@@ -170,15 +178,18 @@ let fit_exec ~device graph ~budget_bytes =
             })
       best domain_candidates
   in
+  (* One fusion analysis per rung: the fused arena and every fused
+     domain candidate are priced under the same plan. *)
   List.fold_left
     (fun best planner ->
       let outcome = run_one ~device planner graph in
+      let plan = Echo_ir.Fuse.analyse outcome.graph in
       List.fold_left
-        (fun best fuse ->
-          let arena = fit_footprint ~fuse outcome in
+        (fun best fusion ->
+          let arena = arena_under ?fusion outcome in
           if arena > budget_bytes then best
-          else consider best outcome ~fuse ~arena)
-        best [ false; true ])
+          else consider best outcome ?fusion ~arena ())
+        best [ None; Some plan ])
     None fit_ladder
 
 let best_throughput ~device graph ~budget_bytes ~candidates =

@@ -76,7 +76,7 @@ let plan i ~device graph = i.planner.plan ~knobs:i.knobs ~device graph
 
 let assigner i graph =
   match i.planner.offsets with
-  | None -> Assign.assign graph
+  | None -> Assign.of_plan graph (Memplan.plan graph)
   | Some f -> f ~knobs:i.knobs graph
 
 let parse spec =

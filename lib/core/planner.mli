@@ -55,8 +55,8 @@ type t = {
           knobless planners *)
   plan : knobs:knobs -> device:Device.t -> Graph.t -> outcome;
   offsets : (knobs:knobs -> Graph.t -> Echo_exec.Assign.t) option;
-      (** static arena assigner; [None] means the greedy best-fit
-          {!Echo_exec.Assign.assign} *)
+      (** static arena assigner; [None] means the offsets of the unfused
+          memory plan's best-fit walk ({!Echo_exec.Memplan.plan}) *)
 }
 
 type instance = { planner : t; knobs : knobs }
@@ -100,8 +100,9 @@ val with_knob : instance -> string -> float -> instance
 
 val plan : instance -> device:Device.t -> Graph.t -> outcome
 val assigner : instance -> Graph.t -> Echo_exec.Assign.t
-(** The instance's static offset assigner ({!Echo_exec.Assign.assign}
-    unless the planner overrides it). *)
+(** The instance's static offset plan: the offsets {!Echo_exec.Memplan.plan}'s
+    walk assigns the unfused graph ({!Echo_exec.Assign.of_plan}), unless
+    the planner overrides it. *)
 
 val pp_list : Format.formatter -> unit -> unit
 (** The [--policy list] rendering: every registered planner with its

@@ -70,7 +70,7 @@ let seed_orders items n_steps =
   ]
 
 let solve ?(config = default) graph =
-  let greedy = Assign.assign graph in
+  let greedy = Assign.of_plan graph (Memplan.plan graph) in
   let slots = Array.of_list (Assign.slots greedy) in
   let n = Array.length slots in
   if n <= 2 then greedy

@@ -1,7 +1,8 @@
 (** OLLA-style static arena optimisation (Steiner et al.): jointly search
     over slot placement orders, assigning each buffer the lowest
     non-conflicting byte offset, to shrink the transient arena below what
-    the one-shot best-fit planner of {!Assign} produces.
+    the one-shot best-fit walk of {!Memplan} produces (unfused, read
+    through {!Assign.of_plan}).
 
     The search is simulated annealing over placement orders, seeded with a
     handful of deterministic heuristics (size-descending, duration-
@@ -10,7 +11,7 @@
     lifetimes intersect, so every candidate is sound by construction and the
     final plan still passes {!Assign.check} / Echo-verify's offset checker.
 
-    [solve] never regresses: it returns the greedy {!Assign.assign} plan
+    [solve] never regresses: it returns the greedy walk's plan
     whenever no explored order beats it, so the solved arena is always [<=]
     the greedy arena. *)
 

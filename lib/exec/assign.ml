@@ -10,80 +10,26 @@ type slot = {
 
 type t = { slots : slot list; arena : int }
 
-(* Free holes as a sorted (offset, size) list; adjacent holes merge. *)
-module Holes = struct
-  let rec insert holes (off, size) =
-    match holes with
-    | [] -> [ (off, size) ]
-    | (o, s) :: rest ->
-      if off + size = o then (off, size + s) :: rest
-      else if o + s = off then insert rest (o, size + s)
-      else if off < o then (off, size) :: holes
-      else (o, s) :: insert rest (off, size)
-
-  (* Best fit: smallest hole that accommodates [size]. *)
-  let take holes size =
-    let best =
-      List.fold_left
-        (fun acc (o, s) ->
-          if s >= size then begin
-            match acc with
-            | Some (_, bs) when bs <= s -> acc
-            | Some _ | None -> Some (o, s)
-          end
-          else acc)
-        None holes
-    in
-    match best with
-    | None -> None
-    | Some (o, s) ->
-      let holes = List.filter (fun (o', _) -> o' <> o) holes in
-      let holes = if s > size then insert holes (o + size, s - size) else holes in
-      Some (o, holes)
-end
-
-let assign graph =
-  let liveness = Liveness.analyse graph in
-  let holes = ref [] in
-  let top = ref 0 in
-  let slots = ref [] in
-  let by_id : (int, slot) Hashtbl.t = Hashtbl.create 1024 in
-  List.iteri
-    (fun step node ->
-      if not (Liveness.is_persistent node) then begin
-        let size = Node.size_bytes node in
-        let itv = Liveness.interval liveness (Node.id node) in
-        let offset =
-          match Holes.take !holes size with
-          | Some (off, rest) ->
-            holes := rest;
-            off
-          | None ->
-            let off = !top in
-            top := !top + size;
-            off
-        in
-        let slot =
-          {
-            node_id = Node.id node;
-            offset;
-            size;
-            def_step = step;
-            last_step = itv.Liveness.last_step;
-          }
-        in
-        slots := slot :: !slots;
-        Hashtbl.replace by_id (Node.id node) slot;
-        (* Return buffers whose last read is this step. *)
-        List.iter
-          (fun dying ->
-            match Hashtbl.find_opt by_id (Node.id dying) with
-            | Some s -> holes := Holes.insert !holes (s.offset, s.size)
-            | None -> ())
-          (Liveness.dying_at liveness step)
-      end)
-    (Graph.nodes graph);
-  { slots = List.rev !slots; arena = !top }
+let of_plan graph (r : Memplan.report) =
+  let slots =
+    List.concat
+      (List.mapi
+         (fun step node ->
+           let offset = r.Memplan.offset_of_slot.(step) in
+           if offset < 0 then []
+           else
+             [
+               {
+                 node_id = Node.id node;
+                 offset;
+                 size = Node.size_bytes node;
+                 def_step = step;
+                 last_step = r.Memplan.expiry_of_slot.(step);
+               };
+             ])
+         (Graph.nodes graph))
+  in
+  { slots; arena = r.Memplan.slab_bytes }
 
 let arena_size t = t.arena
 let slots t = t.slots
@@ -118,6 +64,10 @@ let check t =
     a.offset < b.offset + b.size && b.offset < a.offset + a.size
   in
   let concurrent a b = a.def_step <= b.last_step && b.def_step <= a.last_step in
+  let handover a b =
+    a.offset = b.offset && a.size = b.size
+    && (b.def_step = a.last_step || a.def_step = b.last_step)
+  in
   let arr = Array.of_list t.slots in
   Array.iteri
     (fun i a ->
@@ -127,7 +77,7 @@ let check t =
           a.offset (a.offset + a.size) t.arena;
       for j = i + 1 to Array.length arr - 1 do
         let b = arr.(j) in
-        if concurrent a b && overlaps a b then
+        if concurrent a b && overlaps a b && not (handover a b) then
           err
             ~nodes:[ a.node_id; b.node_id ]
             "slots of nodes #%d ([%d, %d), steps %d..%d) and #%d ([%d, %d), \

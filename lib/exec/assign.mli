@@ -1,19 +1,18 @@
-(** Static buffer-offset assignment — the artifact MXNet's memory planner
-    actually produces.
+(** Static byte-offset plans — the artifact MXNet's memory planner
+    actually produces, and the layout the executor runs in.
 
-    Given the schedule and the liveness intervals, assign every transient
-    buffer a byte offset in one contiguous device arena such that buffers
-    with overlapping lifetimes never overlap in address space. Best-fit over
-    a free-hole list with merging of adjacent holes; the resulting arena
-    size is the {e static plan} footprint — it sits between the
-    ideal-allocator live peak and the exact-size-reuse pool of
-    {!Memplan}. *)
+    A plan assigns every transient value a byte offset in one contiguous
+    slab such that values with overlapping lifetimes never overlap in
+    address space, except an in-place taker and the dying donor it
+    overwrites, which share one range exactly. {!of_plan} reads the plan
+    {!Memplan}'s walk made (best fit over the liveness intervals); the
+    OLLA-style solver ({!Arena_solver}) searches for a smaller one. *)
 
 open Echo_ir
 
 type slot = {
   node_id : int;
-  offset : int;  (** byte offset in the transient arena *)
+  offset : int;  (** byte offset in the transient slab *)
   size : int;
   def_step : int;
   last_step : int;  (** [max_int] for graph outputs *)
@@ -21,7 +20,10 @@ type slot = {
 
 type t
 
-val assign : Graph.t -> t
+val of_plan : Graph.t -> Memplan.report -> t
+(** The offsets a memory plan assigned, one slot per placed value in
+    schedule order, with the plan's lifetimes and its [slab_bytes] as the
+    arena. [graph] must be the graph the report was planned for. *)
 
 val of_slots : arena:int -> slot list -> t
 (** Reconstruct an assignment from raw slots. Exists for the mutation
@@ -29,7 +31,7 @@ val of_slots : arena:int -> slot list -> t
     deserialised plans; no validation happens here. *)
 
 val arena_size : t -> int
-(** Bytes of the transient arena (persistent weights/inputs are outside). *)
+(** Bytes of the transient slab (persistent weights/inputs are outside). *)
 
 val slots : t -> slot list
 (** In schedule (definition) order. *)
@@ -41,8 +43,11 @@ val total_with_persistent : t -> Graph.t -> int
 val check : t -> Echo_diag.Report.t
 (** The planner's soundness condition, collect-all: one error-severity
     diagnostic (check ["assign"]) per pair of live-overlapping slots that
-    overlap in address space and per slot escaping the arena; a sound plan
-    yields an empty report. *)
+    overlap in address space — an exact handover (same range, the taker
+    defined at the donor's last step) excepted — and per slot escaping the
+    arena; a sound plan yields an empty report. The in-place legality of a
+    handover needs the graph: {!Echo_analysis.Verify.check_ranges} proves
+    it. *)
 
 val validate : t -> unit
 (** Raising wrapper over {!check} for callers that want the first error

@@ -69,7 +69,7 @@ let analyse ?fusion graph =
    and recycles buffers off whatever [t] it is handed, and the executor
    allocates that plan, so this is the injection point for the race-verify
    mutation harness: a corrupted interval list becomes a real executor
-   whose pool reuse genuinely clobbers live data. *)
+   whose slab reuse genuinely clobbers live data. *)
 let of_intervals ~steps intervals =
   let by_id = Hashtbl.create (2 * List.length intervals) in
   let deaths = Hashtbl.create (2 * List.length intervals) in

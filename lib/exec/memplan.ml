@@ -2,6 +2,7 @@ open Echo_ir
 
 type report = {
   arena_bytes : int;
+  slab_bytes : int;
   live_peak_bytes : int;
   peak_step : int;
   weight_bytes : int;
@@ -11,7 +12,7 @@ type report = {
   breakdown : (Category.t * int) list;
   node_count : int;
   step_of_backward_start : int option;
-  buffer_of_slot : int array;
+  offset_of_slot : int array;
   expiry_of_slot : int array;
   fusion : Fuse.plan option;
 }
@@ -33,6 +34,81 @@ let inplace_capable node =
   | Op.CrossEntropy | Op.Embedding | Op.EmbeddingGrad _ | Op.Conv2d _
   | Op.Conv2dGradInput _ | Op.Conv2dGradKernel _ ->
     false
+
+(* The free ranges of the slab below its high-water mark, as two parallel
+   arrays sorted by offset, with adjacent holes merged. Preallocated for
+   the largest possible hole count, so taking and returning a range
+   allocates nothing. *)
+type holes = {
+  h_off : int array;
+  h_size : int array;
+  mutable count : int;
+  mutable top : int;  (** the slab's high-water mark *)
+}
+
+let remove_hole h i =
+  Array.blit h.h_off (i + 1) h.h_off i (h.count - i - 1);
+  Array.blit h.h_size (i + 1) h.h_size i (h.count - i - 1);
+  h.count <- h.count - 1
+
+(* Best fit: the smallest hole that holds [size], the lowest-offset one
+   among equals. With none, the range starts at the hole that reaches the
+   high-water mark, if there is one, and the slab grows by what that hole
+   lacks; else it starts at the high-water mark. *)
+let take h size =
+  let best = ref (-1) in
+  for i = 0 to h.count - 1 do
+    let s = h.h_size.(i) in
+    if s >= size && (!best < 0 || s < h.h_size.(!best)) then best := i
+  done;
+  match !best with
+  | -1 ->
+    let last = h.count - 1 in
+    let off =
+      if last >= 0 && h.h_off.(last) + h.h_size.(last) = h.top then begin
+        let o = h.h_off.(last) in
+        remove_hole h last;
+        o
+      end
+      else h.top
+    in
+    h.top <- off + size;
+    off
+  | i ->
+    let off = h.h_off.(i) in
+    if h.h_size.(i) = size then remove_hole h i
+    else begin
+      h.h_off.(i) <- off + size;
+      h.h_size.(i) <- h.h_size.(i) - size
+    end;
+    off
+
+let give_back h off size =
+  (* [p]: the first hole above [off]. *)
+  let lo = ref 0 and hi = ref h.count in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if h.h_off.(mid) < off then lo := mid + 1 else hi := mid
+  done;
+  let p = !lo in
+  let joins_prev = p > 0 && h.h_off.(p - 1) + h.h_size.(p - 1) = off in
+  let joins_next = p < h.count && off + size = h.h_off.(p) in
+  if joins_prev && joins_next then begin
+    h.h_size.(p - 1) <- h.h_size.(p - 1) + size + h.h_size.(p);
+    remove_hole h p
+  end
+  else if joins_prev then h.h_size.(p - 1) <- h.h_size.(p - 1) + size
+  else if joins_next then begin
+    h.h_off.(p) <- off;
+    h.h_size.(p) <- h.h_size.(p) + size
+  end
+  else begin
+    Array.blit h.h_off p h.h_off (p + 1) (h.count - p);
+    Array.blit h.h_size p h.h_size (p + 1) (h.count - p);
+    h.h_off.(p) <- off;
+    h.h_size.(p) <- size;
+    h.count <- h.count + 1
+  end
 
 let plan ?(reuse = true) ?(inplace = true) ?fusion ?liveness graph =
   let liveness =
@@ -61,25 +137,21 @@ let plan ?(reuse = true) ?(inplace = true) ?fusion ?liveness graph =
       | _ -> ())
     schedule;
   let persistent = !weight_bytes + !input_bytes in
-  (* Exact-size free pool: size -> ids of the free buffers of that size,
-     most recently freed first. *)
-  let pool : (int, int list) Hashtbl.t = Hashtbl.create 64 in
-  let pool_take size =
-    match Hashtbl.find_opt pool size with
-    | Some (b :: rest) ->
-      Hashtbl.replace pool size rest;
-      Some b
-    | Some [] | None -> None
-  in
-  let pool_put size b =
-    Hashtbl.replace pool size
-      (b :: Option.value (Hashtbl.find_opt pool size) ~default:[])
-  in
   (* Per-slot state. A transient node's slot is its liveness interval's
      [def_step], so inputs and dying nodes are found without a lookup
      table of their own. *)
   let n = List.length schedule in
-  let buffer_of_slot = Array.make n (-1) in
+  (* Holes and placed ranges alternate below the high-water mark, so there
+     are never more than n + 1 holes. *)
+  let holes =
+    {
+      h_off = Array.make (n + 1) 0;
+      h_size = Array.make (n + 1) 0;
+      count = 0;
+      top = 0;
+    }
+  in
+  let offset_of_slot = Array.make n (-1) in
   (* Slots whose buffer was handed over to an in-place consumer: they must
      not be freed again when their death step is processed. *)
   let transferred = Array.make n false in
@@ -89,7 +161,6 @@ let plan ?(reuse = true) ?(inplace = true) ?fusion ?liveness graph =
       category.(slot) <- Category.index (Category.of_node graph node);
     category.(slot)
   in
-  let arena = ref 0 in
   let live = ref 0 in
   let live_by_cat = Array.make Category.count 0 in
   live_by_cat.(Category.index Category.Weights) <- !weight_bytes;
@@ -99,10 +170,9 @@ let plan ?(reuse = true) ?(inplace = true) ?fusion ?liveness graph =
   let peak_ws = ref 0 in
   let max_ws = ref 0 in
   let bwd_start = ref None in
-  let next_bid = ref 0 in
-  (* The slot of the first input whose buffer [node] may write into: a
-     bound transient buffer (persistent nodes and fused interiors have
-     none) of the same size, dying at this very step. *)
+  (* The slot of the first input whose range [node] may write into: a
+     placed transient value (persistent nodes and fused interiors have no
+     range) of the same size, dying at this very step. *)
   let inplace_donor step node =
     if not (inplace && inplace_capable node) then None
     else
@@ -115,7 +185,7 @@ let plan ?(reuse = true) ?(inplace = true) ?fusion ?liveness graph =
             let s = itv.Liveness.def_step in
             if
               itv.Liveness.last_step = step
-              && buffer_of_slot.(s) >= 0
+              && offset_of_slot.(s) >= 0
               && (not transferred.(s))
               && Node.size_bytes input = size
               && not (Graph.is_output graph (Node.id input))
@@ -129,25 +199,19 @@ let plan ?(reuse = true) ?(inplace = true) ?fusion ?liveness graph =
         bwd_start := Some step;
       if (not (Liveness.is_persistent node)) && not (interior node) then begin
         let size = Node.size_bytes node in
-        buffer_of_slot.(step) <-
+        offset_of_slot.(step) <-
           (match inplace_donor step node with
           | Some (s, input) ->
             transferred.(s) <- true;
             let from_cat = cat_of s input and to_cat = cat_of step node in
             live_by_cat.(from_cat) <- live_by_cat.(from_cat) - size;
             live_by_cat.(to_cat) <- live_by_cat.(to_cat) + size;
-            buffer_of_slot.(s)
-          | None -> (
+            offset_of_slot.(s)
+          | None ->
             live := !live + size;
             let ci = cat_of step node in
             live_by_cat.(ci) <- live_by_cat.(ci) + size;
-            match if reuse then pool_take size else None with
-            | Some b -> b
-            | None ->
-              arena := !arena + size;
-              let b = !next_bid in
-              incr next_bid;
-              b))
+            take holes size)
       end;
       let ws = Workspace.bytes node in
       if ws > !max_ws then max_ws := ws;
@@ -158,18 +222,21 @@ let plan ?(reuse = true) ?(inplace = true) ?fusion ?liveness graph =
         peak_breakdown := Array.copy live_by_cat;
         peak_ws := ws
       end;
+      (* Values whose last read is this step are given back only now,
+         after the step placed its result: an instruction's output never
+         overlaps a range it reads, except the in-place donor's. *)
       List.iter
         (fun dying ->
           let s =
             (Liveness.interval liveness (Node.id dying)).Liveness.def_step
           in
-          let b = buffer_of_slot.(s) in
-          if b >= 0 && not transferred.(s) then begin
+          let off = offset_of_slot.(s) in
+          if off >= 0 && not transferred.(s) then begin
             let size = Node.size_bytes dying in
             live := !live - size;
             let ci = cat_of s dying in
             live_by_cat.(ci) <- live_by_cat.(ci) - size;
-            pool_put size b
+            if reuse then give_back holes off size
           end)
         (Liveness.dying_at liveness step))
     schedule;
@@ -184,7 +251,8 @@ let plan ?(reuse = true) ?(inplace = true) ?fusion ?liveness graph =
     List.map (fun c -> (c, breakdown_arr.(Category.index c))) Category.all
   in
   {
-    arena_bytes = persistent + !arena + !max_ws;
+    arena_bytes = persistent + holes.top + !max_ws;
+    slab_bytes = holes.top;
     live_peak_bytes = !live_peak;
     peak_step = !peak_step;
     weight_bytes = !weight_bytes;
@@ -194,7 +262,7 @@ let plan ?(reuse = true) ?(inplace = true) ?fusion ?liveness graph =
     breakdown;
     node_count = n;
     step_of_backward_start = !bwd_start;
-    buffer_of_slot;
+    offset_of_slot;
     expiry_of_slot;
     fusion;
   }

@@ -89,8 +89,8 @@ let group_work g =
   in
   (flops, 4.0 *. float_of_int numels)
 
-let fused_time ~node ~group graph =
-  let p = Fuse.analyse graph in
+let fused_time ?plan ~node ~group graph =
+  let p = match plan with Some p -> p | None -> Fuse.analyse graph in
   List.fold_left
     (fun acc n ->
       if Fuse.is_interior p (Node.id n) then acc

@@ -30,10 +30,16 @@ val group_work : Fuse.group -> float * float
     kernel. *)
 
 val fused_time :
-  node:(Node.t -> float) -> group:(Fuse.group -> float) -> Graph.t -> float
+  ?plan:Fuse.plan ->
+  node:(Node.t -> float) ->
+  group:(Fuse.group -> float) ->
+  Graph.t ->
+  float
 (** One pass over the schedule with every fusion group priced once, by
     [group] at its root; interiors cost nothing and every other node costs
-    [node]. Summed in schedule order. *)
+    [node]. Summed in schedule order. [plan] (default
+    [Fuse.analyse graph]) is the graph's fusion plan, for callers that
+    already hold it. *)
 
 val fused_graph_time : Device.t -> Graph.t -> float
 (** Simulated iteration time with every fusion group launched once: one

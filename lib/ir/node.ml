@@ -46,7 +46,8 @@ let op n = n.op
 let inputs n = n.inputs
 let region n = n.region
 let name n = n.name
-let size_bytes n = 4 * Shape.numel n.shape
+let elem_bytes = 4
+let size_bytes n = elem_bytes * Shape.numel n.shape
 let equal a b = a.id = b.id
 let compare a b = Int.compare a.id b.id
 

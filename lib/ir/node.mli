@@ -52,8 +52,13 @@ val inputs : t -> t list
 val region : t -> region
 val name : t -> string
 
+val elem_bytes : int
+(** Device bytes per element (fp32: 4). Every byte count and byte offset
+    in the memory plan is a multiple of it; the executor's slab holds one
+    float per [elem_bytes] bytes. *)
+
 val size_bytes : t -> int
-(** Device footprint of the node's output: 4 bytes per element (fp32). *)
+(** Device footprint of the node's output: {!elem_bytes} per element. *)
 
 val equal : t -> t -> bool
 (** Identity (same id). *)

@@ -231,12 +231,11 @@ let put_tensor b pos ~flush t =
   let room pos n = if pos > Bytes.length b - n then (flush pos; 0) else pos in
   let pos = room pos (String.length header + 1) in
   let pos = set b (put_string b pos header) ':' in
-  let d = Tensor.unsafe_data t in
   let i = ref pos in
-  for k = 0 to Array.length d - 1 do
+  for k = 0 to Tensor.numel t - 1 do
     i := room !i (float_hex_max + 1);
     if k > 0 then i := set b !i ',';
-    i := put_float_hex b !i (Array.unsafe_get d k)
+    i := put_float_hex b !i (Tensor.unsafe_get1 t k)
   done;
   !i
 

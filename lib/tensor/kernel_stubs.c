@@ -138,24 +138,31 @@ value echo_kernels_isa(value unit)
   return caml_copy_string(impl->isa);
 }
 
-/* {1 GEMM} */
+/* {1 GEMM}
 
-value echo_gemm(value vp, value vq, value vout, intnat k, intnat pr,
-                intnat pl, intnat qs, intnat r0, intnat r1, intnat c0,
-                intnat c1, intnat sr, intnat sc)
+   Every array argument comes with the element offset at which its
+   operand starts: a Tensor.t is a view into a backing array that may hold
+   other tensors too (the executor's slab). */
+
+value echo_gemm(value vp, intnat po, value vq, intnat qo, value vout,
+                intnat oo, intnat k, intnat pr, intnat pl, intnat qs,
+                intnat r0, intnat r1, intnat c0, intnat c1, intnat sr,
+                intnat sc)
 {
-  return Val_bool(impl->gemm((const double *)vp, (const double *)vq,
-                             (double *)vout, k, pr, pl, qs, r0, r1, c0, c1,
-                             sr, sc));
+  return Val_bool(impl->gemm((const double *)vp + po, (const double *)vq + qo,
+                             (double *)vout + oo, k, pr, pl, qs, r0, r1, c0,
+                             c1, sr, sc));
 }
 
 value echo_gemm_byte(value *argv, int argc)
 {
   (void)argc;
-  return echo_gemm(argv[0], argv[1], argv[2], Long_val(argv[3]),
-                   Long_val(argv[4]), Long_val(argv[5]), Long_val(argv[6]),
+  return echo_gemm(argv[0], Long_val(argv[1]), argv[2], Long_val(argv[3]),
+                   argv[4], Long_val(argv[5]), Long_val(argv[6]),
                    Long_val(argv[7]), Long_val(argv[8]), Long_val(argv[9]),
-                   Long_val(argv[10]), Long_val(argv[11]), Long_val(argv[12]));
+                   Long_val(argv[10]), Long_val(argv[11]), Long_val(argv[12]),
+                   Long_val(argv[13]), Long_val(argv[14]),
+                   Long_val(argv[15]));
 }
 
 /* {1 Elementwise}
@@ -165,8 +172,8 @@ value echo_gemm_byte(value *argv, int argc)
    its constructors with an argument are blocks tagged 0..7 in declaration
    order, the first three carrying a boxed float constant and the rest an
    operand index. tensor.ml declares the type in exactly the order of
-   these tables. A Tensor.t is the record { shape; data }: its data is
-   field 1. */
+   these tables. A Tensor.t is the record { shape; data; off }: a view of
+   its data array (field 1) from element off (field 2, an OCaml int). */
 
 static const int ew_constant_ops[] = {EW_NEG,  EW_SIGMOID, EW_TANH, EW_RELU,
                                       EW_EXP,  EW_LOG,     EW_SQRT, EW_SQ,
@@ -176,7 +183,7 @@ static const int ew_block_ops[] = {EW_SCALE, EW_ADD_SCALAR, EW_POW, EW_ADD,
 #define EW_TAG_FIRST_OPERAND 3 /* F_add: the first step that reads one */
 #define EW_TAG_SCALE_BY 7
 
-#define TENSOR_DATA(t) ((double *)Field((t), 1))
+#define TENSOR_DATA(t) ((double *)Field((t), 1) + Long_val(Field((t), 2)))
 
 static int ew_op(value step)
 {
@@ -197,13 +204,14 @@ static double ew_constant(value step)
 }
 
 /* d[i] = step x[i] (unary steps) or x[i] step y[i] (binary steps, whose
-   operand index is ignored) for i in [lo, hi). */
+   operand index is ignored) for i in [lo, hi) of the three tensors'
+   views. */
 value echo_ew_map(value step, value x, value y, value d, intnat lo,
                   intnat hi)
 {
-  impl->step(ew_op(step), ew_constant(step), (const double *)x + lo,
-             ew_reads_operand(step) ? (const double *)y + lo : NULL,
-             (double *)d + lo, hi - lo);
+  impl->step(ew_op(step), ew_constant(step), TENSOR_DATA(x) + lo,
+             ew_reads_operand(step) ? TENSOR_DATA(y) + lo : NULL,
+             TENSOR_DATA(d) + lo, hi - lo);
   return Val_unit;
 }
 
@@ -227,7 +235,7 @@ value echo_ew_chain(value steps, value operands, value vdst, intnat lo,
 {
   intnat k = Wosize_val(steps);
   const double *seed = TENSOR_DATA(Field(operands, 0));
-  double *dst = (double *)vdst;
+  double *dst = TENSOR_DATA(vdst);
   double buf[EW_BLOCK];
   for (intnat b = lo; b < hi; b += EW_BLOCK) {
     intnat n = hi - b < EW_BLOCK ? hi - b : EW_BLOCK;
@@ -258,13 +266,14 @@ value echo_ew_chain_byte(value steps, value operands, value vdst, value lo,
   return echo_ew_chain(steps, operands, vdst, Long_val(lo), Long_val(hi));
 }
 
-/* d[i*cols + j] = m[i*cols + j] +. b[j] for rows i in [lo, hi). */
+/* d[i*cols + j] = m[i*cols + j] +. b[j] for rows i in [lo, hi) of the
+   tensors' views. */
 value echo_ew_add_bias(value m, value b, value d, intnat cols, intnat lo,
                        intnat hi)
 {
   for (intnat i = lo; i < hi; i++)
-    impl->step(EW_ADD, 0.0, (const double *)m + i * cols,
-               (const double *)b, (double *)d + i * cols, cols);
+    impl->step(EW_ADD, 0.0, TENSOR_DATA(m) + i * cols, TENSOR_DATA(b),
+               TENSOR_DATA(d) + i * cols, cols);
   return Val_unit;
 }
 
@@ -278,7 +287,7 @@ value echo_ew_add_bias_byte(value *argv, int argc)
 value echo_reduce_sum(value s, value out, intnat d, intnat inner, intnat lo,
                       intnat hi)
 {
-  impl->reduce((const double *)s, (double *)out, d, inner, lo, hi);
+  impl->reduce(TENSOR_DATA(s), TENSOR_DATA(out), d, inner, lo, hi);
   return Val_unit;
 }
 
@@ -288,6 +297,17 @@ value echo_reduce_sum_byte(value *argv, int argc)
   return echo_reduce_sum(argv[0], argv[1], Long_val(argv[2]),
                          Long_val(argv[3]), Long_val(argv[4]),
                          Long_val(argv[5]));
+}
+
+/* {1 Element access}
+
+   One element of a tensor's view, unboxed: Tensor.unsafe_get1. */
+
+double echo_tensor_get(value t, intnat i) { return TENSOR_DATA(t)[i]; }
+
+value echo_tensor_get_byte(value t, value i)
+{
+  return caml_copy_double(echo_tensor_get(t, Long_val(i)));
 }
 
 /* {1 Strided block copy}

@@ -1,5 +1,10 @@
-(* kernel_stubs.c reads [data] as field 1. *)
-type t = { shape : Shape.t; data : float array }
+(* A tensor is a view: its [len] elements are [data.(off)] onwards, in
+   row-major order. [data] may be longer and hold other tensors too (the
+   executor's slab), so no code here reads [data] outside
+   [off, off + len). [len] caches [Shape.numel shape], so a bounds check
+   costs one comparison. kernel_stubs.c reads [data] as field 1 and [off]
+   as field 2. *)
+type t = { shape : Shape.t; data : float array; off : int; len : int }
 
 (* {1 Construction} *)
 
@@ -9,7 +14,16 @@ let create shape data =
     invalid_arg
       (Printf.sprintf "Tensor.create: %d elements for shape %s"
          (Array.length data) (Shape.to_string shape));
-  { shape; data }
+  { shape; data; off = 0; len = Array.length data }
+
+let view data ~off shape =
+  Shape.validate shape;
+  let len = Shape.numel shape in
+  if off < 0 || off + len > Array.length data then
+    invalid_arg
+      (Printf.sprintf "Tensor.view: %s at offset %d overruns %d elements"
+         (Shape.to_string shape) off (Array.length data));
+  { shape; data; off; len }
 
 let full shape v = create shape (Array.make (Shape.numel shape) v)
 let zeros shape = full shape 0.0
@@ -48,36 +62,57 @@ let xavier rng shape =
 (* {1 Access} *)
 
 let shape t = t.shape
-let numel t = Array.length t.data
-let get t idx = t.data.(Shape.ravel t.shape idx)
-let set t idx v = t.data.(Shape.ravel t.shape idx) <- v
-let get1 t i = t.data.(i)
-let set1 t i v = t.data.(i) <- v
-let to_array t = Array.copy t.data
-let unsafe_data t = t.data
-let copy t = { shape = t.shape; data = Array.copy t.data }
+let numel t = t.len
+let get t idx = t.data.(t.off + Shape.ravel t.shape idx)
+let set t idx v = t.data.(t.off + Shape.ravel t.shape idx) <- v
+
+(* C accessors with an unboxed float, so a loop in another module that
+   streams a view allocates nothing (an OCaml function returning a float
+   across modules returns it boxed). *)
+external unsafe_get1 : t -> (int[@untagged]) -> (float[@unboxed])
+  = "echo_tensor_get_byte" "echo_tensor_get"
+[@@noalloc]
+
+(* Bounds are the view's, not the backing array's. *)
+let get1 t i =
+  if i < 0 || i >= t.len then invalid_arg "Tensor.get1: index out of bounds";
+  Array.unsafe_get t.data (t.off + i)
+
+let set1 t i v =
+  if i < 0 || i >= t.len then invalid_arg "Tensor.set1: index out of bounds";
+  Array.unsafe_set t.data (t.off + i) v
+
+let to_array t = Array.sub t.data t.off (numel t)
+let copy t = { t with data = to_array t; off = 0 }
 
 let flip_bit t ~index ~bit =
   if bit < 0 || bit > 63 then
     invalid_arg (Printf.sprintf "Tensor.flip_bit: bit %d outside 0..63" bit);
-  let n = Array.length t.data in
+  let n = numel t in
   if n = 0 then invalid_arg "Tensor.flip_bit: empty tensor";
   if index < 0 then invalid_arg "Tensor.flip_bit: negative index";
-  let i = index mod n in
+  let i = t.off + (index mod n) in
   t.data.(i) <-
     Int64.float_of_bits
       (Int64.logxor (Int64.bits_of_float t.data.(i)) (Int64.shift_left 1L bit))
 
 (* {1 Elementwise} *)
 
-let map f t = { shape = t.shape; data = Array.map f t.data }
+let map f t =
+  let o = t.off in
+  { t with data = Array.init t.len (fun i -> f t.data.(o + i)); off = 0 }
 
 let map2 f a b =
   if not (Shape.equal a.shape b.shape) then
     invalid_arg
       (Printf.sprintf "Tensor.map2: shape mismatch %s vs %s"
          (Shape.to_string a.shape) (Shape.to_string b.shape));
-  { shape = a.shape; data = Array.init (Array.length a.data) (fun i -> f a.data.(i) b.data.(i)) }
+  let ao = a.off and bo = b.off in
+  {
+    a with
+    data = Array.init a.len (fun i -> f a.data.(ao + i) b.data.(bo + i));
+    off = 0;
+  }
 
 (* The allocating elementwise wrappers ([add], [sigmoid], ...) are defined
    after [Into]: each allocates [dst] and delegates to the corresponding
@@ -164,13 +199,13 @@ let outer a b =
   if Shape.rank a.shape <> 1 || Shape.rank b.shape <> 1 then
     invalid_arg "Tensor.outer: expects 1-D operands";
   let m = a.shape.(0) and n = b.shape.(0) in
-  let ad = a.data and bd = b.data in
+  let ad = a.data and bd = b.data and ao = a.off and bo = b.off in
   let out = Array.make (m * n) 0.0 in
   for i = 0 to m - 1 do
-    let ai = Array.unsafe_get ad i in
+    let ai = Array.unsafe_get ad (ao + i) in
     let row = i * n in
     for j = 0 to n - 1 do
-      Array.unsafe_set out (row + j) (ai *. Array.unsafe_get bd j)
+      Array.unsafe_set out (row + j) (ai *. Array.unsafe_get bd (bo + j))
     done
   done;
   create [| m; n |] out
@@ -182,7 +217,7 @@ let reshape t shape =
     invalid_arg
       (Printf.sprintf "Tensor.reshape: %s -> %s" (Shape.to_string t.shape)
          (Shape.to_string shape));
-  { shape; data = Array.copy t.data }
+  { shape; data = to_array t; off = 0; len = t.len }
 
 (* [transpose2d], [slice], [concat] and [pad_slice] are defined after
    [Into] and delegate to it, like [matmul]. *)
@@ -207,9 +242,25 @@ let inner_blocks shape axis =
 
 (* {1 Reductions} *)
 
-let sum t = Array.fold_left ( +. ) 0.0 t.data
+(* Plain loops over the view, in the order of a left fold from the
+   start value. *)
+let sum t =
+  let d = t.data and o = t.off in
+  let acc = ref 0.0 in
+  for i = 0 to numel t - 1 do
+    acc := !acc +. Array.unsafe_get d (o + i)
+  done;
+  !acc
+
 let mean t = sum t /. float_of_int (numel t)
-let max_elt t = Array.fold_left Float.max neg_infinity t.data
+
+let max_elt t =
+  let d = t.data and o = t.off in
+  let acc = ref neg_infinity in
+  for i = 0 to numel t - 1 do
+    acc := Float.max !acc (Array.unsafe_get d (o + i))
+  done;
+  !acc
 
 (* [reduce_sum], [reduce_mean] and [broadcast_axis] are defined after
    [Into] and delegate to it. *)
@@ -236,10 +287,10 @@ let reduce_shape ~axis ~keepdims shape =
 (* A plain loop, not [Array.fold_left]: the fold's closure would box the
    float accumulator on every element. *)
 let frobenius t =
-  let d = t.data in
+  let d = t.data and o = t.off in
   let acc = ref 0.0 in
-  for i = 0 to Array.length d - 1 do
-    let x = Array.unsafe_get d i in
+  for i = 0 to numel t - 1 do
+    let x = Array.unsafe_get d (o + i) in
     acc := !acc +. (x *. x)
   done;
   sqrt !acc
@@ -256,15 +307,17 @@ let rows_of t =
 let softmax t =
   let rows, cols = rows_of t in
   let out = Array.make (numel t) 0.0 in
+  let s = t.data in
   for r = 0 to rows - 1 do
     let base = r * cols in
+    let sb = t.off + base in
     let m = ref neg_infinity in
     for j = 0 to cols - 1 do
-      if t.data.(base + j) > !m then m := t.data.(base + j)
+      if s.(sb + j) > !m then m := s.(sb + j)
     done;
     let z = ref 0.0 in
     for j = 0 to cols - 1 do
-      let e = exp (t.data.(base + j) -. !m) in
+      let e = exp (s.(sb + j) -. !m) in
       out.(base + j) <- e;
       z := !z +. e
     done;
@@ -277,19 +330,21 @@ let softmax t =
 let log_softmax t =
   let rows, cols = rows_of t in
   let out = Array.make (numel t) 0.0 in
+  let s = t.data in
   for r = 0 to rows - 1 do
     let base = r * cols in
+    let sb = t.off + base in
     let m = ref neg_infinity in
     for j = 0 to cols - 1 do
-      if t.data.(base + j) > !m then m := t.data.(base + j)
+      if s.(sb + j) > !m then m := s.(sb + j)
     done;
     let z = ref 0.0 in
     for j = 0 to cols - 1 do
-      z := !z +. exp (t.data.(base + j) -. !m)
+      z := !z +. exp (s.(sb + j) -. !m)
     done;
     let lz = !m +. log !z in
     for j = 0 to cols - 1 do
-      out.(base + j) <- t.data.(base + j) -. lz
+      out.(base + j) <- s.(sb + j) -. lz
     done
   done;
   create t.shape out
@@ -307,7 +362,7 @@ let cross_entropy ~logits ~labels =
   let lsm = log_softmax logits in
   let acc = ref 0.0 in
   for i = 0 to b - 1 do
-    let cls = int_of_float labels.data.(i) in
+    let cls = int_of_float labels.data.(labels.off + i) in
     if cls < 0 || cls >= v then invalid_arg "cross_entropy: label out of range";
     acc := !acc -. lsm.data.((i * v) + cls)
   done;
@@ -320,7 +375,7 @@ let cross_entropy_grad ~logits ~labels =
   let out = to_array sm in
   let inv_b = 1.0 /. float_of_int b in
   for i = 0 to b - 1 do
-    let cls = int_of_float labels.data.(i) in
+    let cls = int_of_float labels.data.(labels.off + i) in
     out.((i * v) + cls) <- out.((i * v) + cls) -. 1.0
   done;
   for i = 0 to Array.length out - 1 do
@@ -342,9 +397,9 @@ let embedding ~table ~ids =
   let b = (shape ids).(0) in
   let out = Array.make (b * d) 0.0 in
   for i = 0 to b - 1 do
-    let id = int_of_float ids.data.(i) in
+    let id = int_of_float ids.data.(ids.off + i) in
     if id < 0 || id >= v then invalid_arg "Tensor.embedding: id out of range";
-    Array.blit table.data (id * d) out (i * d) d
+    Array.blit table.data (table.off + (id * d)) out (i * d) d
   done;
   create [| b; d |] out
 
@@ -355,10 +410,11 @@ let embedding_grad ~table_shape ~ids ~grad_out =
   if not (Shape.equal (shape grad_out) [| b; d |]) then
     invalid_arg "Tensor.embedding_grad: grad_out shape mismatch";
   let out = Array.make (Shape.numel table_shape) 0.0 in
+  let g = grad_out.data and go = grad_out.off in
   for i = 0 to b - 1 do
-    let id = int_of_float ids.data.(i) in
+    let id = int_of_float ids.data.(ids.off + i) in
     for j = 0 to d - 1 do
-      out.((id * d) + j) <- out.((id * d) + j) +. grad_out.data.((i * d) + j)
+      out.((id * d) + j) <- out.((id * d) + j) +. g.(go + (i * d) + j)
     done
   done;
   create table_shape out
@@ -415,55 +471,59 @@ let conv_out_dim ~stride ~pad ~k dim = ((dim + (2 * pad) - k) / stride) + 1
 let pack_scratch : float array ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [||])
 
-(* [src] is a row-major [rows x cols] matrix; writes its transpose
-   ([cols x rows], row-major) into [dst]. Annotated [float array] so the
-   copy moves unboxed doubles instead of going through the polymorphic
-   array primitives. *)
-let pack_transpose (src : float array) ~rows ~cols (dst : float array) =
+(* [src] holds a row-major [rows x cols] matrix from element [so]; writes
+   its transpose ([cols x rows], row-major) into [dst] from element 0.
+   Annotated [float array] so the copy moves unboxed doubles instead of
+   going through the polymorphic array primitives. *)
+let pack_transpose (src : float array) ~so ~rows ~cols (dst : float array) =
   for r = 0 to rows - 1 do
-    let base = r * cols in
+    let base = so + (r * cols) in
     for c = 0 to cols - 1 do
       Array.unsafe_set dst ((c * rows) + r) (Array.unsafe_get src (base + c))
     done
   done
 
 (* [pack_transpose] into this domain's [pack_scratch]. *)
-let pack_scratch_transpose src ~rows ~cols =
+let pack_scratch_transpose src ~so ~rows ~cols =
   let cell = Domain.DLS.get pack_scratch in
   if Array.length !cell < rows * cols then cell := Array.make (rows * cols) 0.0;
-  pack_transpose src ~rows ~cols !cell;
+  pack_transpose src ~so ~rows ~cols !cell;
   !cell
 
-(* out[i,j] with the sequential skip, where a(i,l) is [ad.(i*ai + l*al)]
-   and b(l,j) is [bd.(j*bj + l*bl)]: the reference chain. *)
-let dot_skip (ad : float array) (bd : float array) (out : float array) ~k ~n
-    ~ai ~al ~bj ~bl i j =
+(* out[i,j] with the sequential skip, where a(i,l) is
+   [ad.(ao + i*ai + l*al)], b(l,j) is [bd.(bo + j*bj + l*bl)] and out[i,j]
+   is [out.(oo + i*n + j)]: the reference chain. *)
+let dot_skip (ad : float array) ~ao (bd : float array) ~bo (out : float array)
+    ~oo ~k ~n ~ai ~al ~bj ~bl i j =
   let acc = ref 0.0 in
   for l = 0 to k - 1 do
-    let x = Array.unsafe_get ad ((i * ai) + (l * al)) in
+    let x = Array.unsafe_get ad (ao + (i * ai) + (l * al)) in
     if x <> 0.0 then
-      acc := (x *. Array.unsafe_get bd ((j * bj) + (l * bl))) +. !acc
+      acc := (x *. Array.unsafe_get bd (bo + (j * bj) + (l * bl))) +. !acc
   done;
-  Array.unsafe_set out ((i * n) + j) !acc
+  Array.unsafe_set out (oo + (i * n) + j) !acc
 
 (* Recomputes by [dot_skip] every NaN element of out rows [lo, hi) (the
    kernel's output, see the GEMM comment above). *)
-let fix_nans ad bd out ~k ~n ~ai ~al ~bj ~bl lo hi =
+let fix_nans ad ~ao bd ~bo out ~oo ~k ~n ~ai ~al ~bj ~bl lo hi =
   for i = lo to hi - 1 do
     for j = 0 to n - 1 do
-      if Float.is_nan (Array.unsafe_get out ((i * n) + j)) then
-        dot_skip ad bd out ~k ~n ~ai ~al ~bj ~bl i j
+      if Float.is_nan (Array.unsafe_get out (oo + (i * n) + j)) then
+        dot_skip ad ~ao bd ~bo out ~oo ~k ~n ~ai ~al ~bj ~bl i j
     done
   done
 
-(* [gemm_kernel p q out k pr pl qs r0 r1 c0 c1 sr sc] stores
-   x(r,c) = sum_l p.(r*pr + l*pl) * q.(l*qs + c) at out.(r*sr + c*sc) for
-   r in [r0, r1), c in [c0, c1), and returns whether any stored x(r,c) is
-   a NaN; see kernel_stubs.c. *)
+(* [gemm_kernel p po q qo out oo k pr pl qs r0 r1 c0 c1 sr sc] stores
+   x(r,c) = sum_l p.(po + r*pr + l*pl) * q.(qo + l*qs + c) at
+   out.(oo + r*sr + c*sc) for r in [r0, r1), c in [c0, c1), and returns
+   whether any stored x(r,c) is a NaN; see kernel_stubs.c. *)
 external gemm_kernel :
   float array ->
+  (int[@untagged]) ->
   float array ->
+  (int[@untagged]) ->
   float array ->
+  (int[@untagged]) ->
   (int[@untagged]) ->
   (int[@untagged]) ->
   (int[@untagged]) ->
@@ -489,14 +549,17 @@ external gemm_kernel :
    expression does. So results equal the scalar loops bit for bit, and [dst]
    may alias an operand. *)
 
+(* These kernels take tensors and read each view's data and offset
+   themselves; indices are relative to the views. *)
+
 (* [ew_map step x y d lo hi]: d.(i) <- step x.(i) for a unary step, or
    x.(i) step y.(i) for a binary one (its operand index is ignored), on
    [lo, hi). *)
 external ew_map :
   fused_step ->
-  float array ->
-  float array ->
-  float array ->
+  t ->
+  t ->
+  t ->
   (int[@untagged]) ->
   (int[@untagged]) ->
   unit = "echo_ew_map_byte" "echo_ew_map"
@@ -506,7 +569,7 @@ external ew_map :
 external ew_chain :
   fused_step array ->
   t array ->
-  float array ->
+  t ->
   (int[@untagged]) ->
   (int[@untagged]) ->
   unit = "echo_ew_chain_byte" "echo_ew_chain"
@@ -515,9 +578,9 @@ external ew_chain :
 (* [ew_add_bias m b d cols lo hi]: d.(i*cols + j) <- m.(i*cols + j) +. b.(j)
    for rows i in [lo, hi). *)
 external ew_add_bias :
-  float array ->
-  float array ->
-  float array ->
+  t ->
+  t ->
+  t ->
   (int[@untagged]) ->
   (int[@untagged]) ->
   (int[@untagged]) ->
@@ -528,8 +591,8 @@ external ew_add_bias :
    over ascending a of s.((o*d + a)*inner + k), from +0, for o in
    [lo, hi). *)
 external reduce_sum_kernel :
-  float array ->
-  float array ->
+  t ->
+  t ->
   (int[@untagged]) ->
   (int[@untagged]) ->
   (int[@untagged]) ->
@@ -591,22 +654,21 @@ module Into = struct
     if not !ok then
       check name dst (Array.mapi (fun i d -> if i = axis then n else d) src)
 
-  let fill ~dst v = Array.fill dst.data 0 (Array.length dst.data) v
+  let fill ~dst v = Array.fill dst.data dst.off (numel dst) v
 
   let blit ~src ~dst =
-    if Array.length src.data <> Array.length dst.data then
+    let n = numel src in
+    if n <> numel dst then
       invalid_arg
-        (Printf.sprintf "Tensor.Into.blit: %d elements into %d"
-           (Array.length src.data) (Array.length dst.data));
-    Array.blit src.data 0 dst.data 0 (Array.length src.data)
+        (Printf.sprintf "Tensor.Into.blit: %d elements into %d" n (numel dst));
+    Array.blit src.data src.off dst.data dst.off n
 
   (* [dst] may alias [src]: each cell is read before it is written (by the
      domain owning that cell's chunk). *)
   let unary ?(runtime = Parallel.sequential) name step src ~dst =
     check name dst src.shape;
-    let s = src.data and d = dst.data in
     Parallel.parallel_for runtime ~work:(fused_step_work step)
-      ~n:(Array.length s) (fun lo hi -> ew_map step s s d lo hi)
+      ~n:(numel src) (fun lo hi -> ew_map step src src dst lo hi)
 
   let neg ?runtime src ~dst = unary ?runtime "neg" F_neg src ~dst
   let scale ?runtime k src ~dst = unary ?runtime "scale" (F_scale k) src ~dst
@@ -634,9 +696,8 @@ module Into = struct
         (Printf.sprintf "Tensor.Into.%s: shape mismatch %s vs %s" name
            (Shape.to_string a.shape) (Shape.to_string b.shape));
     check name dst a.shape;
-    let x = a.data and y = b.data and d = dst.data in
-    Parallel.parallel_for runtime ~n:(Array.length x) (fun lo hi ->
-        ew_map step x y d lo hi)
+    Parallel.parallel_for runtime ~n:(numel a) (fun lo hi ->
+        ew_map step a b dst lo hi)
 
   let add ?runtime a b ~dst = binary ?runtime "add" (F_add 1) a b ~dst
   let sub ?runtime a b ~dst = binary ?runtime "sub" (F_sub 1) a b ~dst
@@ -647,7 +708,7 @@ module Into = struct
      either operand — [F_scale] captures it up front, exactly like the
      fused [F_scale_by] opcode reads the same single cell. *)
   let scale_by ?runtime x s ~dst =
-    unary ?runtime "scale_by" (F_scale s.data.(0)) x ~dst
+    unary ?runtime "scale_by" (F_scale (get1 s 0)) x ~dst
 
   (* Every output element is computed as the sequential triple loop does —
      ascending l from +0, skipping a_il = 0 (see the GEMM comment above for
@@ -667,30 +728,35 @@ module Into = struct
       invalid_arg
         (Printf.sprintf "Tensor.Into.matmul: inner dims %d vs %d" k k');
     check "matmul" dst [| m; n |];
-    let out = dst.data in
-    let ad = a.data and bd = b.data in
+    let out = dst.data and oo = dst.off in
+    let ad = a.data and ao = a.off and bd = b.data and bo = b.off in
     let work = 2 * k * n in
-    (* Packs happen on the calling domain before the fan-out. The kernel
-       overwrites every element of its rows, so no zero-fill. *)
+    (* Packs happen on the calling domain before the fan-out; a packed
+       operand starts at element 0 of the scratch. The kernel overwrites
+       every element of its rows, so no zero-fill. *)
     if trans_b && (trans_a || m < n) then begin
       (* Along i: kernel rows are j over B (n x k), columns i over A as
          k x m; the chunk's rows of [out] are kernel columns. *)
-      let at =
-        if trans_a then ad else pack_scratch_transpose ad ~rows:m ~cols:k
+      let at, ato =
+        if trans_a then (ad, ao)
+        else (pack_scratch_transpose ad ~so:ao ~rows:m ~cols:k, 0)
       in
       Parallel.parallel_for runtime ~work ~n:m (fun lo hi ->
-          if gemm_kernel bd at out k k 1 m 0 n lo hi 1 n then
-            fix_nans at bd out ~k ~n ~ai:1 ~al:m ~bj:k ~bl:1 lo hi)
+          if gemm_kernel bd bo at ato out oo k k 1 m 0 n lo hi 1 n then
+            fix_nans at ~ao:ato bd ~bo out ~oo ~k ~n ~ai:1 ~al:m ~bj:k ~bl:1
+              lo hi)
     end
     else begin
       (* Along j: kernel rows are i over A, columns j over B as k x n. *)
       let ai, al = if trans_a then (1, m) else (k, 1) in
-      let bkn =
-        if trans_b then pack_scratch_transpose bd ~rows:n ~cols:k else bd
+      let bkn, bkno =
+        if trans_b then (pack_scratch_transpose bd ~so:bo ~rows:n ~cols:k, 0)
+        else (bd, bo)
       in
       Parallel.parallel_for runtime ~work ~n:m (fun lo hi ->
-          if gemm_kernel ad bkn out k ai al n lo hi 0 n n 1 then
-            fix_nans ad bkn out ~k ~n ~ai ~al ~bj:1 ~bl:n lo hi)
+          if gemm_kernel ad ao bkn bkno out oo k ai al n lo hi 0 n n 1 then
+            fix_nans ad ~ao bkn ~bo:bkno out ~oo ~k ~n ~ai ~al ~bj:1 ~bl:n lo
+              hi)
     end
 
   (* [dst] may alias [m] (cell read before write); aliasing [b] only arises
@@ -702,9 +768,8 @@ module Into = struct
     if b.shape.(0) <> cols then
       invalid_arg "Tensor.Into.add_bias: bias length mismatch";
     check "add_bias" dst m.shape;
-    let md = m.data and bd = b.data and d = dst.data in
     Parallel.parallel_for runtime ~work:cols ~n:rows (fun lo hi ->
-        ew_add_bias md bd d cols lo hi)
+        ew_add_bias m b dst cols lo hi)
 
   let slice ~axis ~lo ~hi src ~dst =
     let s = src.shape in
@@ -716,8 +781,9 @@ module Into = struct
     let outer = outer_blocks src.shape axis
     and inner = inner_blocks src.shape axis in
     let width = (hi - lo) * inner in
-    copy_blocks src.data (lo * inner) (d * inner) 0 dst.data 0 width 0 outer 1
-      width
+    copy_blocks src.data
+      (src.off + (lo * inner))
+      (d * inner) 0 dst.data dst.off width 0 outer 1 width
 
   let pad_slice ~axis ~lo ~full src ~dst =
     if axis < 0 || axis >= Shape.rank src.shape then
@@ -728,9 +794,10 @@ module Into = struct
     check_axis "pad_slice" dst src.shape ~axis ~n:full;
     let outer = outer_blocks src.shape axis
     and inner = inner_blocks src.shape axis in
-    Array.fill dst.data 0 (Array.length dst.data) 0.0;
-    copy_blocks src.data 0 (d * inner) 0 dst.data (lo * inner) (full * inner)
-      0 outer 1 (d * inner)
+    Array.fill dst.data dst.off (numel dst) 0.0;
+    copy_blocks src.data src.off (d * inner) 0 dst.data
+      (dst.off + (lo * inner))
+      (full * inner) 0 outer 1 (d * inner)
 
   let concat ~axis ts ~dst =
     match ts with
@@ -749,7 +816,8 @@ module Into = struct
       List.iter
         (fun t ->
           let d = t.shape.(axis) in
-          copy_blocks t.data 0 (d * inner) 0 dst.data (!offset * inner)
+          copy_blocks t.data t.off (d * inner) 0 dst.data
+            (dst.off + (!offset * inner))
             (total * inner) 0 outer 1 (d * inner);
           offset := !offset + d)
         ts
@@ -761,12 +829,13 @@ module Into = struct
       invalid_arg "Tensor.Into.transpose2d: expects 2-D";
     let m = src.shape.(0) and n = src.shape.(1) in
     check "transpose2d" dst [| n; m |];
-    let s = src.data and d = dst.data in
+    let s = src.data and so = src.off and d = dst.data and doff = dst.off in
     Parallel.parallel_for runtime ~work:m ~n (fun lo hi ->
         for a = lo to hi - 1 do
-          let row = a * m in
+          let row = doff + (a * m) in
           for b = 0 to m - 1 do
-            Array.unsafe_set d (row + b) (Array.unsafe_get s ((b * n) + a))
+            Array.unsafe_set d (row + b)
+              (Array.unsafe_get s (so + (b * n) + a))
           done
         done)
 
@@ -780,15 +849,13 @@ module Into = struct
     let d = src.shape.(axis) in
     let outer = outer_blocks src.shape axis
     and inner = inner_blocks src.shape axis in
-    let s = src.data and out = dst.data in
     Parallel.parallel_for runtime ~work:(d * inner) ~n:outer (fun lo hi ->
-        reduce_sum_kernel s out d inner lo hi)
+        reduce_sum_kernel src dst d inner lo hi)
 
   let reduce_mean ?runtime ~axis ~keepdims src ~dst =
     reduce_sum ?runtime ~axis ~keepdims src ~dst;
     let k = 1.0 /. float_of_int src.shape.(axis) in
-    let out = dst.data in
-    ew_map (F_scale k) out out out 0 (Array.length out)
+    ew_map (F_scale k) dst dst dst 0 (numel dst)
 
   let broadcast_axis ~axis ~n src ~dst =
     if axis < 0 || axis >= Shape.rank src.shape then
@@ -798,7 +865,8 @@ module Into = struct
     check_axis "broadcast_axis" dst src.shape ~axis ~n;
     let outer = outer_blocks src.shape axis
     and inner = inner_blocks src.shape axis in
-    copy_blocks src.data 0 inner 0 dst.data 0 (n * inner) inner outer n inner
+    copy_blocks src.data src.off inner 0 dst.data dst.off (n * inner) inner
+      outer n inner
 
   (* Softmax family: [dst] may alias the input — within each row the maximum
      and the normaliser are read from the input before any cell of that row
@@ -809,19 +877,19 @@ module Into = struct
     let s = src.data and out = dst.data in
     Parallel.parallel_for runtime ~work:(10 * cols) ~n:rows (fun lo hi ->
         for r = lo to hi - 1 do
-          let base = r * cols in
+          let sb = src.off + (r * cols) and ob = dst.off + (r * cols) in
           let m = ref neg_infinity in
           for j = 0 to cols - 1 do
-            if s.(base + j) > !m then m := s.(base + j)
+            if s.(sb + j) > !m then m := s.(sb + j)
           done;
           let z = ref 0.0 in
           for j = 0 to cols - 1 do
-            let e = exp (s.(base + j) -. !m) in
-            out.(base + j) <- e;
+            let e = exp (s.(sb + j) -. !m) in
+            out.(ob + j) <- e;
             z := !z +. e
           done;
           for j = 0 to cols - 1 do
-            out.(base + j) <- out.(base + j) /. !z
+            out.(ob + j) <- out.(ob + j) /. !z
           done
         done)
 
@@ -831,32 +899,32 @@ module Into = struct
     let s = src.data and out = dst.data in
     Parallel.parallel_for runtime ~work:(10 * cols) ~n:rows (fun lo hi ->
         for r = lo to hi - 1 do
-          let base = r * cols in
+          let sb = src.off + (r * cols) and ob = dst.off + (r * cols) in
           let m = ref neg_infinity in
           for j = 0 to cols - 1 do
-            if s.(base + j) > !m then m := s.(base + j)
+            if s.(sb + j) > !m then m := s.(sb + j)
           done;
           let z = ref 0.0 in
           for j = 0 to cols - 1 do
-            z := !z +. exp (s.(base + j) -. !m)
+            z := !z +. exp (s.(sb + j) -. !m)
           done;
           let lz = !m +. log !z in
           for j = 0 to cols - 1 do
-            out.(base + j) <- s.(base + j) -. lz
+            out.(ob + j) <- s.(sb + j) -. lz
           done
         done)
 
   (* Per row: log-normaliser from the logits, then acc -= logits[cls] - lz.
      Row order and operand values match [cross_entropy] exactly. *)
   let cross_entropy ~logits ~labels ~dst =
-    if Array.length dst.data <> 1 then
+    if numel dst <> 1 then
       invalid_arg "Tensor.Into.cross_entropy: dst must be scalar";
     let b = check_labels ~logits ~labels in
     let v = (shape logits).(1) in
     let s = logits.data in
     let acc = ref 0.0 in
     for i = 0 to b - 1 do
-      let base = i * v in
+      let base = logits.off + (i * v) in
       let m = ref neg_infinity in
       for j = 0 to v - 1 do
         if s.(base + j) > !m then m := s.(base + j)
@@ -866,12 +934,12 @@ module Into = struct
         z := !z +. exp (s.(base + j) -. !m)
       done;
       let lz = !m +. log !z in
-      let cls = int_of_float labels.data.(i) in
+      let cls = int_of_float labels.data.(labels.off + i) in
       if cls < 0 || cls >= v then
         invalid_arg "cross_entropy: label out of range";
       acc := !acc -. (s.(base + cls) -. lz)
     done;
-    dst.data.(0) <- !acc /. float_of_int b
+    dst.data.(dst.off) <- !acc /. float_of_int b
 
   (* Row-interleaved so [dst] may alias [logits]; each row reads its label
      index before the row is overwritten, so for the degenerate vocab-size-1
@@ -887,24 +955,24 @@ module Into = struct
     let inv_b = 1.0 /. float_of_int b in
     Parallel.parallel_for runtime ~work:(10 * v) ~n:b (fun lo hi ->
         for i = lo to hi - 1 do
-          let base = i * v in
-          let cls = int_of_float labels.data.(i) in
+          let sb = logits.off + (i * v) and ob = dst.off + (i * v) in
+          let cls = int_of_float labels.data.(labels.off + i) in
           let m = ref neg_infinity in
           for j = 0 to v - 1 do
-            if s.(base + j) > !m then m := s.(base + j)
+            if s.(sb + j) > !m then m := s.(sb + j)
           done;
           let z = ref 0.0 in
           for j = 0 to v - 1 do
-            let e = exp (s.(base + j) -. !m) in
-            out.(base + j) <- e;
+            let e = exp (s.(sb + j) -. !m) in
+            out.(ob + j) <- e;
             z := !z +. e
           done;
           for j = 0 to v - 1 do
-            out.(base + j) <- out.(base + j) /. !z
+            out.(ob + j) <- out.(ob + j) /. !z
           done;
-          out.(base + cls) <- out.(base + cls) -. 1.0;
+          out.(ob + cls) <- out.(ob + cls) -. 1.0;
           for j = 0 to v - 1 do
-            out.(base + j) <- out.(base + j) *. inv_b
+            out.(ob + j) <- out.(ob + j) *. inv_b
           done
         done)
 
@@ -918,10 +986,14 @@ module Into = struct
     check "embedding" dst [| b; d |];
     Parallel.parallel_for runtime ~work:d ~n:b (fun lo hi ->
         for i = lo to hi - 1 do
-          let id = int_of_float ids.data.(i) in
+          let id = int_of_float ids.data.(ids.off + i) in
           if id < 0 || id >= v then
             invalid_arg "Tensor.embedding: id out of range";
-          Array.blit table.data (id * d) dst.data (i * d) d
+          Array.blit table.data
+            (table.off + (id * d))
+            dst.data
+            (dst.off + (i * d))
+            d
         done)
 
   (* Scatter-add with duplicate ids, so the partition is over {e destination
@@ -936,20 +1008,22 @@ module Into = struct
     let b = (shape ids).(0) in
     if not (Shape.equal (shape grad_out) [| b; d |]) then
       invalid_arg "Tensor.Into.embedding_grad: grad_out shape mismatch";
-    let out = dst.data and g = grad_out.data in
+    let out = dst.data and oo = dst.off in
+    let g = grad_out.data and go = grad_out.off in
     (* Per table row: the O(b) id scan plus this row's share of the O(b*d)
        scatter adds. *)
     Parallel.parallel_for runtime
       ~work:(b + (b * d / max 1 v))
       ~n:v (fun lo hi ->
-        Array.fill out (lo * d) ((hi - lo) * d) 0.0;
+        Array.fill out (oo + (lo * d)) ((hi - lo) * d) 0.0;
         for i = 0 to b - 1 do
-          let id = int_of_float ids.data.(i) in
+          let id = int_of_float ids.data.(ids.off + i) in
           if id < 0 || id >= v then
             invalid_arg "Tensor.Into.embedding_grad: id out of range";
           if id >= lo && id < hi then
             for j = 0 to d - 1 do
-              out.((id * d) + j) <- out.((id * d) + j) +. g.((i * d) + j)
+              let c = oo + (id * d) + j in
+              out.(c) <- out.(c) +. g.(go + (i * d) + j)
             done
         done)
 
@@ -981,9 +1055,8 @@ module Into = struct
         | F_scale_by _ -> () (* a [1]-shaped multiplier *)
         | _ -> check "fused" dst operands.(j).shape)
     done;
-    let d = dst.data in
-    Parallel.parallel_for runtime ~work:!work ~n:(Array.length d)
-      (fun lo hi -> ew_chain steps operands d lo hi)
+    Parallel.parallel_for runtime ~work:!work ~n:(numel dst) (fun lo hi ->
+        ew_chain steps operands dst lo hi)
 
   (* {2 Convolution (naive direct)}
 
@@ -1001,7 +1074,8 @@ module Into = struct
     let oh = conv_out_dim ~stride ~pad ~k:kh h in
     let ow = conv_out_dim ~stride ~pad ~k:kw w in
     check "conv2d" dst [| b; cout; oh; ow |];
-    let x = input.data and k = kernel.data and d = dst.data in
+    let x = input.data and xo = input.off and k = kernel.data in
+    let ko = kernel.off and d = dst.data and doff = dst.off in
     for n = 0 to b - 1 do
       for co = 0 to cout - 1 do
         for oy = 0 to oh - 1 do
@@ -1012,7 +1086,7 @@ module Into = struct
               for ky = 0 to kh - 1 do
                 let iy = (oy * stride) + ky - pad in
                 if iy >= 0 && iy < h then begin
-                  let xr = (xc + iy) * w and kr = (kc + ky) * kw in
+                  let xr = xo + ((xc + iy) * w) and kr = ko + ((kc + ky) * kw) in
                   for kx = 0 to kw - 1 do
                     let ix = (ox * stride) + kx - pad in
                     if ix >= 0 && ix < w then
@@ -1021,7 +1095,7 @@ module Into = struct
                 end
               done
             done;
-            d.((((((n * cout) + co) * oh) + oy) * ow) + ox) <- !acc
+            d.(doff + ((((((n * cout) + co) * oh) + oy) * ow) + ox)) <- !acc
           done
         done
       done
@@ -1034,20 +1108,23 @@ module Into = struct
     let cout = kernel.shape.(0) and kh = kernel.shape.(2) in
     let kw = kernel.shape.(3) in
     let oh = grad_out.shape.(2) and ow = grad_out.shape.(3) in
-    let k = kernel.data and g = grad_out.data and d = dst.data in
-    Array.fill d 0 (Array.length d) 0.0;
+    let k = kernel.data and ko = kernel.off in
+    let g = grad_out.data and go = grad_out.off in
+    let d = dst.data and doff = dst.off in
+    Array.fill d doff (numel dst) 0.0;
     for n = 0 to b - 1 do
       for co = 0 to cout - 1 do
         for oy = 0 to oh - 1 do
           for ox = 0 to ow - 1 do
-            let gv = g.((((((n * cout) + co) * oh) + oy) * ow) + ox) in
+            let gv = g.(go + ((((((n * cout) + co) * oh) + oy) * ow) + ox)) in
             if gv <> 0.0 then
               for ci = 0 to cin - 1 do
                 let dc = ((n * cin) + ci) * h and kc = ((co * cin) + ci) * kh in
                 for ky = 0 to kh - 1 do
                   let iy = (oy * stride) + ky - pad in
                   if iy >= 0 && iy < h then begin
-                    let dr = (dc + iy) * w and kr = (kc + ky) * kw in
+                    let dr = doff + ((dc + iy) * w)
+                    and kr = ko + ((kc + ky) * kw) in
                     for kx = 0 to kw - 1 do
                       let ix = (ox * stride) + kx - pad in
                       if ix >= 0 && ix < w then
@@ -1067,20 +1144,23 @@ module Into = struct
     let h = input.shape.(2) and w = input.shape.(3) in
     let cout = dst.shape.(0) and kh = dst.shape.(2) and kw = dst.shape.(3) in
     let oh = grad_out.shape.(2) and ow = grad_out.shape.(3) in
-    let x = input.data and g = grad_out.data and d = dst.data in
-    Array.fill d 0 (Array.length d) 0.0;
+    let x = input.data and xo = input.off in
+    let g = grad_out.data and go = grad_out.off in
+    let d = dst.data and doff = dst.off in
+    Array.fill d doff (numel dst) 0.0;
     for n = 0 to b - 1 do
       for co = 0 to cout - 1 do
         for oy = 0 to oh - 1 do
           for ox = 0 to ow - 1 do
-            let gv = g.((((((n * cout) + co) * oh) + oy) * ow) + ox) in
+            let gv = g.(go + ((((((n * cout) + co) * oh) + oy) * ow) + ox)) in
             if gv <> 0.0 then
               for ci = 0 to cin - 1 do
                 let xc = ((n * cin) + ci) * h and dc = ((co * cin) + ci) * kh in
                 for ky = 0 to kh - 1 do
                   let iy = (oy * stride) + ky - pad in
                   if iy >= 0 && iy < h then begin
-                    let xr = (xc + iy) * w and dr = (dc + ky) * kw in
+                    let xr = xo + ((xc + iy) * w)
+                    and dr = doff + ((dc + ky) * kw) in
                     for kx = 0 to kw - 1 do
                       let ix = (ox * stride) + kx - pad in
                       if ix >= 0 && ix < w then
@@ -1109,21 +1189,25 @@ module Into = struct
   (* p - lr * g *)
   let sgd ~lr ~param ~grad ~dst =
     check_update "sgd" param [ grad; dst ];
-    let p = param.data and g = grad.data and d = dst.data in
-    for i = 0 to Array.length p - 1 do
-      Array.unsafe_set d i
-        (Array.unsafe_get p i -. (lr *. Array.unsafe_get g i))
+    let p = param.data and po = param.off and g = grad.data and go = grad.off in
+    let d = dst.data and doff = dst.off in
+    for i = 0 to numel param - 1 do
+      Array.unsafe_set d (doff + i)
+        (Array.unsafe_get p (po + i) -. (lr *. Array.unsafe_get g (go + i)))
     done
 
   (* v' = momentum * v + g; p - lr * v' *)
   let momentum ~lr ~momentum ~param ~grad ~velocity ~dst =
     check_update "momentum" param [ grad; velocity; dst ];
-    let p = param.data and g = grad.data and v = velocity.data in
-    let d = dst.data in
-    for i = 0 to Array.length p - 1 do
-      let v' = (momentum *. Array.unsafe_get v i) +. Array.unsafe_get g i in
-      Array.unsafe_set v i v';
-      Array.unsafe_set d i (Array.unsafe_get p i -. (lr *. v'))
+    let p = param.data and po = param.off and g = grad.data and go = grad.off in
+    let v = velocity.data and vo = velocity.off in
+    let d = dst.data and doff = dst.off in
+    for i = 0 to numel param - 1 do
+      let v' =
+        (momentum *. Array.unsafe_get v (vo + i)) +. Array.unsafe_get g (go + i)
+      in
+      Array.unsafe_set v (vo + i) v';
+      Array.unsafe_set d (doff + i) (Array.unsafe_get p (po + i) -. (lr *. v'))
     done
 
   (* m' = b1 * m + (1 - b1) * g; v' = b2 * v + (1 - b2) * g^2;
@@ -1135,16 +1219,19 @@ module Into = struct
     let c1 = 1.0 /. (1.0 -. Float.pow beta1 steps) in
     let c2 = 1.0 /. (1.0 -. Float.pow beta2 steps) in
     let omb1 = 1.0 -. beta1 and omb2 = 1.0 -. beta2 in
-    let p = param.data and g = grad.data in
-    let md = m.data and vd = v.data and d = dst.data in
-    for i = 0 to Array.length p - 1 do
-      let gi = Array.unsafe_get g i in
-      let m' = (beta1 *. Array.unsafe_get md i) +. (omb1 *. gi) in
-      let v' = (beta2 *. Array.unsafe_get vd i) +. (omb2 *. (gi *. gi)) in
-      Array.unsafe_set md i m';
-      Array.unsafe_set vd i v';
-      Array.unsafe_set d i
-        (Array.unsafe_get p i
+    let p = param.data and po = param.off and g = grad.data and go = grad.off in
+    let md = m.data and mo = m.off and vd = v.data and vo = v.off in
+    let d = dst.data and doff = dst.off in
+    for i = 0 to numel param - 1 do
+      let gi = Array.unsafe_get g (go + i) in
+      let m' = (beta1 *. Array.unsafe_get md (mo + i)) +. (omb1 *. gi) in
+      let v' =
+        (beta2 *. Array.unsafe_get vd (vo + i)) +. (omb2 *. (gi *. gi))
+      in
+      Array.unsafe_set md (mo + i) m';
+      Array.unsafe_set vd (vo + i) v';
+      Array.unsafe_set d (doff + i)
+        (Array.unsafe_get p (po + i)
         -. ((lr *. (c1 *. m')) /. (eps +. sqrt (c2 *. v'))))
     done
 end
@@ -1279,17 +1366,23 @@ let reduce_mean ~axis ~keepdims t =
 
 (* {1 Comparison and printing} *)
 
-let equal a b = Shape.equal a.shape b.shape && a.data = b.data
+(* Float [=] on each element of the two views: [-0.] equals [+0.] and a
+   NaN equals nothing. *)
+let equal a b =
+  Shape.equal a.shape b.shape
+  &&
+  let n = numel a in
+  let rec go i = i >= n || (a.data.(a.off + i) = b.data.(b.off + i) && go (i + 1)) in
+  go 0
 
 let max_abs_diff a b =
   if not (Shape.equal a.shape b.shape) then infinity
   else begin
     let m = ref 0.0 in
-    Array.iteri
-      (fun i x ->
-        let d = Float.abs (x -. b.data.(i)) in
-        if d > !m then m := d)
-      a.data;
+    for i = 0 to numel a - 1 do
+      let d = Float.abs (a.data.(a.off + i) -. b.data.(b.off + i)) in
+      if d > !m then m := d
+    done;
     !m
   end
 
@@ -1300,7 +1393,7 @@ let pp fmt t =
   let n = min (numel t) 16 in
   for i = 0 to n - 1 do
     if i > 0 then Format.pp_print_string fmt ", ";
-    Format.fprintf fmt "%g" t.data.(i)
+    Format.fprintf fmt "%g" t.data.(t.off + i)
   done;
   if numel t > n then Format.pp_print_string fmt ", ...";
   Format.pp_print_string fmt "}"

@@ -4,6 +4,13 @@
     numerical gradient checking accurate); the simulated GPU footprint model
     in [echo_exec] accounts tensors at 4 bytes/element, i.e. fp32 on device.
 
+    A tensor is a {e view}: [numel] consecutive elements of a backing array
+    from some offset. Every tensor this module allocates owns its array
+    from offset 0; {!view} makes one over a range of a larger array, which
+    is how the compiled executor places every value in one slab. Every
+    operation reads and writes only the cells of the views it is given, and
+    no function hands out the backing array.
+
     Operations outside {!Into} allocate fresh result tensors; most are thin
     wrappers that allocate the result and call the {!Into} kernel of the
     same name. The exceptions are deliberate: {!softmax}, {!log_softmax},
@@ -32,7 +39,15 @@ type t
 (** {1 Construction} *)
 
 val create : Shape.t -> float array -> t
-(** @raise Invalid_argument if the data length differs from [Shape.numel]. *)
+(** The tensor owning [data] (not copied).
+    @raise Invalid_argument if the data length differs from [Shape.numel]. *)
+
+val view : float array -> off:int -> Shape.t -> t
+(** [view data ~off shape] is the tensor of shape [shape] whose elements are
+    [data.(off)] onwards, sharing [data]: writes through either are seen by
+    the other, and by every other view of [data] overlapping it.
+    @raise Invalid_argument if the range [off, off + numel) is not inside
+    [data]. *)
 
 val zeros : Shape.t -> t
 val ones : Shape.t -> t
@@ -61,18 +76,23 @@ val numel : t -> int
 val get : t -> int array -> float
 val set : t -> int array -> float -> unit
 val get1 : t -> int -> float
-(** Linear (row-major) element access. *)
+(** Linear (row-major) element access within the view.
+    @raise Invalid_argument outside [0, numel). *)
 
 val set1 : t -> int -> float -> unit
-val to_array : t -> float array
-(** A fresh copy of the underlying buffer. *)
 
-val unsafe_data : t -> float array
-(** The underlying buffer itself, shared with [t]: writes through it change
-    [t]. For code that streams every element without allocating — a float
-    that {!get1} returns to another module is boxed. *)
+external unsafe_get1 : t -> (int[@untagged]) -> (float[@unboxed])
+  = "echo_tensor_get_byte" "echo_tensor_get"
+[@@noalloc]
+(** {!get1} without the bounds check, for loops that stream every element
+    of a view ([i] must be in [0, numel)): a direct C call whose float
+    result is never boxed, so such a loop allocates nothing. *)
+
+val to_array : t -> float array
+(** A fresh copy of the view's elements. *)
 
 val copy : t -> t
+(** A tensor owning a fresh copy of the view's elements. *)
 
 val flip_bit : t -> index:int -> bit:int -> unit
 (** Flip one bit of the IEEE-754 representation of element

@@ -95,9 +95,12 @@ let test_graph_check_clean_and_validate () =
   check_bool "graph check clean" true (Report.is_clean (Graph.check g));
   Graph.validate g
 
+(* The offsets of the unfused memory plan's walk. *)
+let walk_offsets g = Echo_exec.Assign.of_plan g (Echo_exec.Memplan.plan g)
+
 let test_assign_check_collects_all_corruptions () =
   let g = rewritten "stash-all" in
-  let a = Echo_exec.Assign.assign g in
+  let a = walk_offsets g in
   check_bool "sound plan is clean" true
     (Report.is_clean (Echo_exec.Assign.check a));
   Echo_exec.Assign.validate a;
@@ -125,36 +128,38 @@ let test_schedule_checker_fires_on_broken_order () =
 
 let test_offset_checker_fires_on_overlap_and_escape () =
   let g = rewritten "stash-all" in
-  let a = Echo_exec.Assign.assign g in
-  check_int "sound offsets" 0 (Report.error_count (Verify.check_offsets g a));
+  let a = walk_offsets g in
+  check_int "sound offsets" 0 (Report.error_count (Verify.check_ranges g a));
+  let overlapped = require "overlap" (Mutate.overlap_slots a) in
   check_bool "overlap fires" true
-    (has_error ~check:"assign"
-       (Verify.check_offsets g (require "overlap" (Mutate.overlap_slots a))));
+    (has_error ~check:"alias" (Verify.check_ranges g overlapped));
   check_bool "escape fires" true
-    (has_error ~check:"assign"
-       (Verify.check_offsets g (require "escape" (Mutate.escape_slot a))))
+    (has_error ~check:"arena"
+       (Verify.check_ranges g (require "escape" (Mutate.escape_slot a))))
 
-let unfused_binding g =
-  let exe = Pipeline.compile_graph ~fuse:false g in
-  Executor.buffer_binding (Pipeline.executor exe)
-
+(* The layout a fused executable runs, checked under its fusion plan. *)
 let test_alias_checker_fires_on_shared_live_buffer () =
   let g = rewritten "stash-all" in
-  let binding = unfused_binding g in
-  check_int "sound binding" 0
-    (Report.error_count (Verify.check_binding g binding));
-  let corrupted = require "alias_binding" (Mutate.alias_binding g binding) in
+  let exe = Pipeline.compile_graph ~fuse:true g in
+  let e = Pipeline.executor exe in
+  let fusion = (Executor.plan e).Echo_exec.Memplan.fusion in
+  let offsets = Executor.offsets e in
+  check_int "sound layout" 0
+    (Report.error_count (Verify.check_ranges ?fusion g offsets));
+  let corrupted = require "overlap_slots" (Mutate.overlap_slots offsets) in
   check_bool "fires" true
-    (has_error ~check:"alias" (Verify.check_binding g corrupted))
+    (has_error ~check:"alias" (Verify.check_ranges ?fusion g corrupted))
 
 let test_inplace_checker_fires_on_retargeted_donor () =
   let g = rewritten "stash-all" in
-  let binding = unfused_binding g in
+  let offsets =
+    Executor.offsets (Pipeline.executor (Pipeline.compile_graph ~fuse:false g))
+  in
   let corrupted =
-    require "retarget_inplace" (Mutate.retarget_inplace g binding)
+    require "retarget_inplace" (Mutate.retarget_inplace g offsets)
   in
   check_bool "fires" true
-    (has_error ~check:"inplace" (Verify.check_binding g corrupted))
+    (has_error ~check:"inplace" (Verify.check_ranges g corrupted))
 
 let test_recompute_checker_fires_on_reseeded_clone () =
   let g = rewritten "recompute-all" in
@@ -319,6 +324,59 @@ let test_zoo_matrix_lints_clean () =
         matrix_planners)
     (zoo_models ())
 
+(* The executed slab against the exact-size buffer pool it replaced. For
+   every zoo model x planner the fused executable's arena may not exceed
+   the pool's (the footprints below were measured on the pool executor,
+   same graphs and plans), and what the executor allocated — its slab, the
+   persistent values and the largest workspace — is exactly the footprint
+   it reports. *)
+let pool_footprints =
+  [
+    ("lstm-lm", "stash-all", 117636); ("lstm-lm", "echo", 107140);
+    ("lstm-lm", "checkpoint-sqrt", 110212); ("lstm-lm", "dp-bptt", 108420);
+    ("nmt-attn", "stash-all", 14396); ("nmt-attn", "echo", 13676);
+    ("nmt-attn", "checkpoint-sqrt", 13420); ("nmt-attn", "dp-bptt", 12868);
+    ("deepspeech2", "stash-all", 8996); ("deepspeech2", "echo", 8996);
+    ("deepspeech2", "checkpoint-sqrt", 8788); ("deepspeech2", "dp-bptt", 8692);
+    ("transformer-enc", "stash-all", 12692); ("transformer-enc", "echo", 11092);
+    ("transformer-enc", "checkpoint-sqrt", 10708);
+    ("transformer-enc", "dp-bptt", 10900);
+  ]
+
+let test_zoo_slab_within_pool () =
+  List.iter
+    (fun model ->
+      let opt = Pipeline.optimize (Pipeline.differentiate (Pipeline.of_model model)) in
+      List.iter
+        (fun name ->
+          let rw =
+            Pipeline.rewrite ~device:dev ~planner:(Planner.instantiate name) opt
+          in
+          let e =
+            Pipeline.executor
+              (Pipeline.compile (Pipeline.fuse ~enabled:true (Pipeline.plan rw)))
+          in
+          let label = model.Model.name ^ "/" ^ name in
+          let plan = Executor.plan e in
+          let footprint = Executor.footprint_bytes e in
+          let pool =
+            List.find_map
+              (fun (m, p, bytes) ->
+                if m = model.Model.name && p = name then Some bytes else None)
+              pool_footprints
+          in
+          (match pool with
+          | Some pool ->
+            check_bool (label ^ " slab arena <= pool arena") true
+              (footprint <= pool)
+          | None -> Alcotest.failf "%s: no pool footprint recorded" label);
+          check_bool (label ^ " arena >= live peak") true
+            (footprint >= plan.Echo_exec.Memplan.live_peak_bytes);
+          check_int (label ^ " footprint == bytes allocated") footprint
+            (Executor.allocated_bytes e))
+        [ "stash-all"; "echo"; "checkpoint-sqrt"; "dp-bptt" ])
+    (zoo_models ())
+
 let test_every_stage_verifies_clean () =
   let model = (Language_model.build tiny_lm_cfg).Language_model.model in
   let src = Pipeline.of_model model in
@@ -377,6 +435,8 @@ let suite =
           test_determinism_notes_shared_seeds;
         t "zoo x policy x fusion matrix lints clean"
           test_zoo_matrix_lints_clean;
+        t "zoo slab arena within the exact-size pool"
+          test_zoo_slab_within_pool;
         t "every pipeline stage verifies clean"
           test_every_stage_verifies_clean;
       ] );

@@ -606,11 +606,11 @@ let test_feed_by_name () =
        false
      with Invalid_argument msg -> contains ~sub:"dup" msg)
 
-(* The buffer assignment and the budget payload on a graph with in-place
-   transfers (tanh and sigmoid into their matmul inputs), exact-size pool
-   reuse (d and f take freed buffers; h picks one of two free same-size
-   buffers) and a second buffer size. A refactor of the assignment must
-   reproduce these exactly. *)
+(* The slab offsets and the budget payload on a graph with in-place
+   transfers (tanh and sigmoid into their matmul inputs), best-fit reuse
+   (d and f take freed ranges; h picks the lower of two free same-size
+   ranges) and a second value size. A refactor of the walk must reproduce
+   these exactly. *)
 let test_binding_and_budget_pinned () =
   let x = Node.placeholder ~name:"x" [| 4; 4 |] in
   let w = Node.variable ~name:"w" [| 4; 4 |] in
@@ -626,15 +626,18 @@ let test_binding_and_budget_pinned () =
   let g = Graph.create [ h; s ] in
   let exe = Executor.compile g in
   Alcotest.(check (list (pair int int)))
-    "binding (node id, buffer id)"
+    "binding (node id, byte offset)"
     (List.map
-       (fun (n, bid) -> (Node.id n, bid))
-       [ (a, 0); (b, 0); (s, 1); (c, 2); (d, 0); (e, 0); (f, 2); (ef, 3);
+       (fun (n, off) -> (Node.id n, off))
+       [ (a, 0); (b, 0); (s, 64); (c, 80); (d, 0); (e, 0); (f, 80); (ef, 144);
          (h, 0) ])
-    (List.map (fun (n, bid) -> (Node.id n, bid)) (Executor.buffer_binding exe));
+    (List.map
+       (fun s -> (s.Echo_exec.Assign.node_id, s.Echo_exec.Assign.offset))
+       (Echo_exec.Assign.slots (Executor.offsets exe)));
   Alcotest.(check int) "footprint" 336 (Executor.footprint_bytes exe);
   (* The payload is the running total at the first slot that crosses the
-     ceiling: persistent so far + transient buffers so far + workspace. *)
+     ceiling: persistent so far + the slab's high-water mark so far +
+     workspace. *)
   List.iter
     (fun (budget, expected) ->
       let requested =

@@ -233,6 +233,108 @@ let prop_plan_invariants =
       && r.Memplan.arena_bytes <= r_noreuse.Memplan.arena_bytes
       && r.Memplan.live_peak_bytes >= r.Memplan.weight_bytes + r.Memplan.input_bytes)
 
+(* Property: the walk's offsets on random schedules — values of sizes 1
+   to 48 elements built by elementwise ops (in-place capable), adds of
+   equal-size values, concats (larger) and slices (smaller), plus
+   single-consumer chains of elementwise ops. With each value's interval
+   re-derived from its consumers (closed: a value dying at step s is still
+   live when step s places its result), two values live at the same time
+   never overlap in bytes unless the later one took over the earlier as
+   an in-place transfer at its last read; every chain keeps one offset;
+   every range lies in the slab, and the slab is at least the live
+   peak. *)
+let prop_walk_offsets =
+  QCheck.Test.make ~name:"best-fit walk on random schedules" ~count:100
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let sized () = Node.placeholder [| 1 + Rng.int rng 48 |] in
+      let pool = ref [ sized (); sized (); Node.variable [| 8 |] ] in
+      let chains = ref [] in
+      let pick () = List.nth !pool (Rng.int rng (List.length !pool)) in
+      let len n = (Node.shape n).(0) in
+      for _ = 1 to 30 do
+        let n =
+          match Rng.int rng 6 with
+          | 0 -> Node.sigmoid (pick ())
+          | 1 ->
+            let a = pick () in
+            (match List.find_opt (fun b -> len b = len a) !pool with
+            | Some b -> Node.add a b
+            | None -> Node.neg a)
+          | 2 -> Node.concat ~axis:0 [ pick (); pick () ]
+          | 3 ->
+            let a = pick () in
+            let hi = 1 + Rng.int rng (len a) in
+            Node.slice ~axis:0 ~lo:(Rng.int rng hi) ~hi a
+          | 4 ->
+            (* only the chain's end enters the pool, so every member but
+               the last has exactly one consumer *)
+            let head = Node.neg (pick ()) in
+            let chain = ref [ head ] in
+            for _ = 1 to 1 + Rng.int rng 4 do
+              chain := Node.sigmoid (List.hd !chain) :: !chain
+            done;
+            chains := !chain :: !chains;
+            List.hd !chain
+          | _ -> sized ()
+        in
+        pool := n :: !pool
+      done;
+      let outputs = [ List.hd !pool; pick () ] in
+      let g = Graph.create outputs in
+      let r = Memplan.plan g in
+      let nodes = Array.of_list (Graph.nodes g) in
+      let pos = Hashtbl.create 64 in
+      Array.iteri (fun i n -> Hashtbl.replace pos (Node.id n) i) nodes;
+      let last i =
+        if Graph.is_output g (Node.id nodes.(i)) then max_int
+        else
+          List.fold_left
+            (fun acc c -> max acc (Hashtbl.find pos (Node.id c)))
+            i
+            (Graph.consumers g (Node.id nodes.(i)))
+      in
+      let off = r.Memplan.offset_of_slot in
+      let size i = Node.size_bytes nodes.(i) in
+      let ok = ref true in
+      let n = Array.length nodes in
+      for i = 0 to n - 1 do
+        if off.(i) >= 0 then begin
+          if off.(i) + size i > r.Memplan.slab_bytes then ok := false;
+          for j = i + 1 to n - 1 do
+            if
+              off.(j) >= 0
+              && j <= last i
+              && off.(i) < off.(j) + size j
+              && off.(j) < off.(i) + size i
+            then begin
+              let handover =
+                off.(i) = off.(j)
+                && size i = size j
+                && j = last i
+                && List.exists (Node.equal nodes.(i)) (Node.inputs nodes.(j))
+              in
+              if not handover then ok := false
+            end
+          done
+        end
+      done;
+      let offset_of node = off.(Hashtbl.find pos (Node.id node)) in
+      List.iter
+        (fun chain ->
+          (* a chain the outputs do not reach is not in the schedule *)
+          if Hashtbl.mem pos (Node.id (List.hd chain)) then begin
+            let o = offset_of (List.hd chain) in
+            if List.exists (fun m -> offset_of m <> o) chain then ok := false
+          end)
+        !chains;
+      !ok
+      && r.Memplan.arena_bytes
+         = r.Memplan.weight_bytes + r.Memplan.input_bytes + r.Memplan.slab_bytes
+           + r.Memplan.max_workspace_bytes
+      && r.Memplan.arena_bytes >= r.Memplan.live_peak_bytes)
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   [
@@ -264,6 +366,7 @@ let suite =
         t "live peak <= arena" test_plan_live_peak_le_arena;
         t "in-place spares stashed" test_inplace_not_for_stashed;
         QCheck_alcotest.to_alcotest prop_plan_invariants;
+        QCheck_alcotest.to_alcotest prop_walk_offsets;
       ] );
     ( "footprint",
       [

@@ -189,7 +189,7 @@ let test_dp_bptt_budget_knob () =
 let test_arena_solver_beats_greedy () =
   List.iter
     (fun g ->
-      let greedy = Echo_exec.Assign.assign g in
+      let greedy = Planner.assigner (Planner.instantiate "stash-all") g in
       let solved = Planner.assigner (Planner.instantiate "olla-arena") g in
       check_bool "solved <= greedy" true
         (Echo_exec.Assign.arena_size solved
@@ -218,7 +218,8 @@ let test_arena_solver_deterministic () =
   in
   check_bool "other seed <= greedy" true
     (Echo_exec.Assign.arena_size other
-    <= Echo_exec.Assign.arena_size (Echo_exec.Assign.assign g))
+    <= Echo_exec.Assign.arena_size
+         (Planner.assigner (Planner.instantiate "stash-all") g))
 
 (* ------------------------------------------------------------------ *)
 (* fit_ladder *)

@@ -167,12 +167,21 @@ let test_lifetime_checker_fires () =
 let test_alias_offsets_checker_fires () =
   let g = lm_graph () in
   let exe = Pipeline.compile_graph ~fuse:false g in
-  let binding = Executor.buffer_binding (Pipeline.executor exe) in
+  let e = Pipeline.executor exe in
   check_bool "compiled layout passes" false
-    (Report.has_errors (Race.check_addresses g binding));
-  let layout = require "alias_offsets" (Mutate.alias_offsets g binding) in
-  check_bool "aliased bases flagged" true
-    (has_error ~check:"race-address" (Race.check_addresses ~layout g binding))
+    (Report.has_errors (Race.check_addresses g (Executor.offsets e)));
+  let fused = Pipeline.executor (Pipeline.compile_graph ~fuse:true g) in
+  let plan = Executor.plan fused in
+  check_bool "fused layout passes" false
+    (Report.has_errors
+       (Race.check_addresses ?fusion:plan.Memplan.fusion g
+          (Executor.offsets fused)));
+  let corrupted =
+    require "overlap_partially" (Mutate.overlap_partially g (Executor.plan e))
+  in
+  check_bool "partially overlapping ranges flagged" true
+    (has_error ~check:"race-address"
+       (Race.check_addresses g (Echo_exec.Assign.of_plan g corrupted)))
 
 let test_fused_interior_checker_fires () =
   let g = lm_graph () in
@@ -201,6 +210,19 @@ let toy_training () =
   in
   (training.Echo_autodiff.Grad.graph, feeds)
 
+(* A small LM whose plan reuses slab ranges. *)
+let diff_cfg_small =
+  {
+    Language_model.ptb_default with
+    vocab = 20;
+    embed = 8;
+    hidden = 8;
+    layers = 1;
+    seq_len = 4;
+    batch = 2;
+    dropout = 0.0;
+  }
+
 (* [g]'s memory plan, made over its liveness with one lifetime shrunk. *)
 let shrunk_plan ?fusion g =
   let live = Liveness.analyse ?fusion g in
@@ -228,6 +250,41 @@ let test_sanitizer_catches_shrunk_lifetime () =
   ignore (Executor.eval clean ~feeds);
   let exe = Executor.compile ~plan:(shrunk_plan g) ~sanitize:Sanitize.Cells g in
   expect_stale_read exe ~feeds
+
+(* One range shifted to overlap part of a range live across its
+   definition, so the two share some cells but neither offset nor size.
+   Verify's
+   range checker and Race's address checker flag it statically, and the
+   Cells sanitizer sees the victim's cells overwritten in a real executor
+   compiled from the corrupted plan. *)
+let test_partial_overlap_caught_three_ways () =
+  let lm = Language_model.build diff_cfg_small in
+  let g = (Model.training lm.Language_model.model).Echo_autodiff.Grad.graph in
+  let plan = Memplan.plan g in
+  let corrupted =
+    require "overlap_partially" (Mutate.overlap_partially g plan)
+  in
+  let offsets = Echo_exec.Assign.of_plan g corrupted in
+  check_bool "clean plan passes the range check" false
+    (Report.has_errors
+       (Echo_analysis.Verify.check_ranges g (Echo_exec.Assign.of_plan g plan)));
+  check_bool "range check flags the overlap" true
+    (has_error ~check:"alias" (Echo_analysis.Verify.check_ranges g offsets));
+  check_bool "address check flags the overlap" true
+    (has_error ~check:"race-address" (Race.check_addresses g offsets));
+  let feeds =
+    [ (lm.Language_model.token_input, Tensor.zeros (Node.shape lm.Language_model.token_input));
+      (lm.Language_model.label_input, Tensor.ones (Node.shape lm.Language_model.label_input)) ]
+    @ Params.bindings lm.Language_model.model.Model.params
+  in
+  ignore
+    (Executor.eval (Executor.compile ~plan ~sanitize:Sanitize.Cells g) ~feeds);
+  let exe = Executor.compile ~plan:corrupted ~sanitize:Sanitize.Cells g in
+  match Executor.eval exe ~feeds with
+  | _ -> Alcotest.fail "sanitizer accepted a partially overwritten value"
+  | exception Sanitize.Sanitize_failed report ->
+    check_bool "stale cells flagged" true
+      (has_error ~check:"sanitize-stale" report)
 
 (* The fused stage's plan is the one the executable runs and race-verify
    checks: a lifetime shrunk in [fused_memplan] must surface both
@@ -263,7 +320,8 @@ let slot ?(dst = None) ?(reads = [||]) ?(expire = max_int) name =
   }
 
 let test_sanitizer_unit_checks () =
-  let buffers () = [ (0, Array.make 8 0.0); (1, Array.make 4 0.0) ] in
+  (* A 12-cell slab: one 8-cell value at cell 0, one 4-cell value at 8. *)
+  let slab () = Array.make 12 0.0 in
   let checks report name =
     check_bool (name ^ " fired") true (has_error ~check:name report)
   in
@@ -275,9 +333,9 @@ let test_sanitizer_unit_checks () =
       ~slots:
         [|
           slot ~dst:(Some (0, 8)) "writer";
-          slot ~dst:(Some (1, 4)) ~reads:[| (0, 0, 8) |] "reader";
+          slot ~dst:(Some (8, 4)) ~reads:[| (0, 0, 8) |] "reader";
         |]
-      ~buffers:(buffers ())
+      ~slab:(slab ())
   in
   Sanitize.begin_run t;
   Sanitize.before_instr t 0;
@@ -293,9 +351,9 @@ let test_sanitizer_unit_checks () =
         [|
           slot ~dst:(Some (0, 8)) "producer";
           slot ~dst:(Some (0, 8)) "interloper";
-          slot ~dst:(Some (1, 4)) ~reads:[| (0, 0, 8) |] "reader";
+          slot ~dst:(Some (8, 4)) ~reads:[| (0, 0, 8) |] "reader";
         |]
-      ~buffers:(buffers ())
+      ~slab:(slab ())
   in
   Sanitize.begin_run t;
   Sanitize.before_instr t 0;
@@ -311,9 +369,9 @@ let test_sanitizer_unit_checks () =
       ~slots:
         [|
           slot ~dst:(Some (0, 8)) "writer";
-          slot ~dst:(Some (1, 4)) ~reads:[| (0, 0, 16) |] "wide-reader";
+          slot ~dst:(Some (8, 4)) ~reads:[| (0, 0, 16) |] "wide-reader";
         |]
-      ~buffers:(buffers ())
+      ~slab:(slab ())
   in
   Sanitize.begin_run t;
   Sanitize.before_instr t 0;
@@ -326,10 +384,10 @@ let test_sanitizer_unit_checks () =
       ~slots:
         [|
           slot ~dst:(Some (0, 8)) ~expire:0 "short-lived";
-          slot ~dst:(Some (1, 4)) "bystander";
-          slot ~dst:(Some (1, 4)) ~reads:[| (0, 0, 8) |] "late-reader";
+          slot ~dst:(Some (8, 4)) "bystander";
+          slot ~dst:(Some (8, 4)) ~reads:[| (0, 0, 8) |] "late-reader";
         |]
-      ~buffers:(buffers ())
+      ~slab:(slab ())
   in
   Sanitize.begin_run t;
   Sanitize.before_instr t 0;
@@ -339,16 +397,16 @@ let test_sanitizer_unit_checks () =
   (* Full mode: a write that escapes its destination shows up as a
      foreign diff at the next instruction — the dynamic face of an
      out-of-partition write, and of an injected bit flip *)
-  let bufs = buffers () in
+  let cells = slab () in
   let t =
     Sanitize.create Sanitize.Full
-      ~slots:[| slot ~dst:(Some (1, 4)) "a"; slot ~dst:(Some (1, 4)) "b" |]
-      ~buffers:bufs
+      ~slots:[| slot ~dst:(Some (8, 4)) "a"; slot ~dst:(Some (8, 4)) "b" |]
+      ~slab:cells
   in
   Sanitize.begin_run t;
   Sanitize.before_instr t 0;
   Sanitize.after_instr t 0;
-  (List.assoc 0 bufs).(3) <- 42.0;
+  cells.(3) <- 42.0;
   Sanitize.before_instr t 1;
   Sanitize.after_instr t 1;
   checks (Sanitize.report t) "sanitize-foreign";
@@ -508,6 +566,9 @@ let suite =
           test_fused_interior_checker_fires;
         Alcotest.test_case "sanitizer catches a shrunk lifetime at runtime"
           `Quick test_sanitizer_catches_shrunk_lifetime;
+        Alcotest.test_case
+          "partial range overlap caught by verify, race and sanitizer" `Quick
+          test_partial_overlap_caught_three_ways;
         Alcotest.test_case "pipeline runs and race-checks the fused plan"
           `Quick test_pipeline_runs_and_checks_its_plan;
         Alcotest.test_case "sanitizer unit checks all fire" `Quick

@@ -106,10 +106,13 @@ let test_chain_constant_values () =
   let exe =
     Echo_compiler.Executor.compile ~sanitize:Echo_analysis.Sanitize.Cells g
   in
-  let buffers =
-    List.sort_uniq compare (List.map snd (Echo_compiler.Executor.buffer_binding exe))
+  let offsets =
+    List.sort_uniq compare
+      (List.map
+         (fun s -> s.Assign.offset)
+         (Assign.slots (Echo_compiler.Executor.offsets exe)))
   in
-  check_bool "chain binds at most two buffers" true (List.length buffers <= 2);
+  check_bool "chain binds at most two ranges" true (List.length offsets <= 2);
   check_bool "chain bit-identical to interp" true
     (List.for_all2 Tensor.equal (Interp.eval g ~feeds)
        (Echo_compiler.Executor.eval exe ~feeds))
@@ -126,13 +129,16 @@ let test_echo_retained_values_bounded () =
      blow up the number of simultaneously retained values *)
   check_bool "retained values comparable" true (p1 <= p0 * 2)
 
-(* Static offset assignment *)
+(* Static offset assignment: the offsets of Memplan's best-fit walk, here
+   without in-place transfers so every value gets a range of its own. *)
+
+let assign g = Assign.of_plan g (Memplan.plan ~inplace:false g)
 
 let test_assign_chain_two_buffers () =
   let x = Node.placeholder [| 256 |] in
   let rec extend acc k = if k = 0 then acc else extend (Node.sq acc) (k - 1) in
   let out = extend (Node.neg x) 10 in
-  let plan = Assign.assign (Graph.create [ out ]) in
+  let plan = assign (Graph.create [ out ]) in
   Assign.validate plan;
   check_int "two slots' worth of arena" 2048 (Assign.arena_size plan)
 
@@ -140,13 +146,13 @@ let test_assign_diamond () =
   let x = Node.placeholder [| 256 |] in
   let a = Node.neg x and b = Node.sq x in
   let c = Node.add a b in
-  let plan = Assign.assign (Graph.create [ c ]) in
+  let plan = assign (Graph.create [ c ]) in
   Assign.validate plan;
   check_int "three concurrent buffers" 3072 (Assign.arena_size plan)
 
 let test_assign_validates_models () =
   let graph, _ = lm_setup () in
-  let plan = Assign.assign graph in
+  let plan = assign graph in
   Assign.validate plan;
   let r = Memplan.plan ~inplace:false graph in
   let static_total = Assign.total_with_persistent plan graph in
@@ -162,7 +168,7 @@ let test_assign_echo_graph_smaller () =
       (Echo_core.Planner.instantiate ~knobs:[ ("budget", 0.3) ] "echo")
       graph
   in
-  let p0 = Assign.assign graph and p1 = Assign.assign rewritten in
+  let p0 = assign graph and p1 = assign rewritten in
   Assign.validate p0;
   Assign.validate p1;
   check_bool "echo shrinks the static arena" true
@@ -177,7 +183,7 @@ let test_assign_hole_merging () =
   let c = Node.concat ~axis:0 [ a; b ] in
   let d = Node.sq c in
   let e = Node.reduce_sum ~axis:0 ~keepdims:false d in
-  let plan = Assign.assign (Graph.create [ e ]) in
+  let plan = assign (Graph.create [ e ]) in
   Assign.validate plan;
   (* a(256) + b(256) + c(512) live at step c; then d reuses a+b's merged
      hole: arena stays at 1024 + e *)

@@ -1100,7 +1100,7 @@ let kernels_match_old_loops ~runtime seed =
   let rng = Rng.create seed in
   let n = 1 + Rng.int rng 67 in
   let x = kernel_tensor rng [| n |] and y = kernel_tensor rng [| n |] in
-  let data = Tensor.unsafe_data in
+  let data = Tensor.to_array in
   let fail what =
     QCheck.Test.fail_reportf
       "%s differs from the OCaml loop (n=%d, seed=%d, isa=%s)" what n seed
@@ -1331,15 +1331,202 @@ let test_elementwise_fma_canary () =
     let dst = Tensor.full [| n |] Float.nan in
     Tensor.Into.fused [| Tensor.f_mul 1; Tensor.f_add 2 |] [| x; y; z |] ~dst;
     check_bool "fused canary outputs are +0" true
-      (same_bits zeros (Tensor.unsafe_data dst));
+      (same_bits zeros (Tensor.to_array dst));
     let dst = Tensor.full [| n |] Float.nan in
     Tensor.Into.mul x y ~dst;
     Tensor.Into.add dst z ~dst;
     check_bool "unfused canary outputs are +0" true
-      (same_bits zeros (Tensor.unsafe_data dst))
+      (same_bits zeros (Tensor.to_array dst))
   in
   check_build ();
   Tensor.For_testing.with_portable_kernels check_build
+
+(* Views: a tensor placed at a random offset of a larger array whose other
+   cells hold a NaN no kernel produces. Every public accessor and every
+   [Into] kernel must give, on views, the bits it gives on standalone
+   tensors, and must leave every cell outside the views it was handed
+   untouched. *)
+let poison = Int64.float_of_bits 0x7FF4_0000_0BAD_F00DL
+
+let view_bits (a : float array) (b : float array) =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* [t]'s elements at a random offset of a fresh poisoned slab: the slab,
+   the range and the view. *)
+let place rng t =
+  let n = Tensor.numel t and lo = Rng.int rng 9 in
+  let slab = Array.make (lo + n + Rng.int rng 9) poison in
+  Array.blit (Tensor.to_array t) 0 slab lo n;
+  (slab, lo, n, Tensor.view slab ~off:lo (Tensor.shape t))
+
+let outside_untouched (slab, lo, n, _) =
+  let ok = ref true in
+  Array.iteri
+    (fun i x ->
+      if (i < lo || i >= lo + n)
+         && not (Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float poison))
+      then ok := false)
+    slab;
+  !ok
+
+let view_cases rng =
+  let d () = 1 + Rng.int rng 5 in
+  let m = d () and k = d () and n = d () in
+  let real s = Tensor.uniform rng s ~lo:(-2.0) ~hi:2.0 in
+  let ids v b = Tensor.init [| b |] (fun _ -> float_of_int (Rng.int rng v)) in
+  let module I = Tensor.Into in
+  let un name f = (name, [ real [| m; n |] ], [| m; n |], fun o ~dst -> f o.(0) ~dst) in
+  let bin name f =
+    ( name, [ real [| m; n |]; real [| m; n |] ], [| m; n |],
+      fun o ~dst -> f o.(0) o.(1) ~dst )
+  in
+  [
+    un "neg" (I.neg ?runtime:None); un "scale" (I.scale ?runtime:None 0.5);
+    un "add_scalar" (I.add_scalar ?runtime:None 1.5);
+    un "pow_const" (I.pow_const ?runtime:None 3.0);
+    un "sigmoid" (I.sigmoid ?runtime:None); un "tanh" (I.tanh_ ?runtime:None);
+    un "relu" (I.relu ?runtime:None); un "exp" (I.exp_ ?runtime:None);
+    un "log" (I.log_ ?runtime:None); un "sqrt" (I.sqrt_ ?runtime:None);
+    un "sq" (I.sq ?runtime:None); un "recip" (I.recip ?runtime:None);
+    un "sign" (I.sign ?runtime:None);
+    un "fill" (fun _ ~dst -> I.fill ~dst 2.5);
+    un "blit" (fun x ~dst -> I.blit ~src:x ~dst);
+    un "softmax" (I.softmax ?runtime:None);
+    un "log_softmax" (I.log_softmax ?runtime:None);
+    bin "add" (I.add ?runtime:None); bin "sub" (I.sub ?runtime:None);
+    bin "mul" (I.mul ?runtime:None); bin "div" (I.div ?runtime:None);
+    ( "scale_by", [ real [| m; n |]; real [| 1 |] ], [| m; n |],
+      fun o ~dst -> I.scale_by o.(0) o.(1) ~dst );
+    ( "fused", [ real [| m; n |]; real [| m; n |]; real [| 1 |] ], [| m; n |],
+      fun o ~dst ->
+        I.fused
+          [| Tensor.f_mul 1; Tensor.f_tanh; Tensor.f_scale_by 2; Tensor.f_sub 1 |]
+          o ~dst );
+    ( "matmul", [ real [| m; k |]; real [| k; n |] ], [| m; n |],
+      fun o ~dst -> I.matmul o.(0) o.(1) ~dst );
+    ( "matmul_tt", [ real [| k; m |]; real [| n; k |] ], [| m; n |],
+      fun o ~dst -> I.matmul ~trans_a:true ~trans_b:true o.(0) o.(1) ~dst );
+    ( "matmul_nt", [ real [| m; k |]; real [| n; k |] ], [| m; n |],
+      fun o ~dst -> I.matmul ~trans_b:true o.(0) o.(1) ~dst );
+    ( "add_bias", [ real [| m; n |]; real [| n |] ], [| m; n |],
+      fun o ~dst -> I.add_bias o.(0) o.(1) ~dst );
+    ( "slice", [ real [| m; n + 2 |] ], [| m; n |],
+      fun o ~dst -> I.slice ~axis:1 ~lo:1 ~hi:(n + 1) o.(0) ~dst );
+    ( "pad_slice", [ real [| m; n |] ], [| m; n + 3 |],
+      fun o ~dst -> I.pad_slice ~axis:1 ~lo:2 ~full:(n + 3) o.(0) ~dst );
+    ( "concat", [ real [| m; n |]; real [| m; k |] ], [| m; n + k |],
+      fun o ~dst -> I.concat ~axis:1 [ o.(0); o.(1) ] ~dst );
+    ( "transpose2d", [ real [| m; n |] ], [| n; m |],
+      fun o ~dst -> I.transpose2d o.(0) ~dst );
+    ( "reduce_sum", [ real [| m; k; n |] ], [| m; n |],
+      fun o ~dst -> I.reduce_sum ~axis:1 ~keepdims:false o.(0) ~dst );
+    ( "reduce_mean", [ real [| m; k; n |] ], [| m; 1; n |],
+      fun o ~dst -> I.reduce_mean ~axis:1 ~keepdims:true o.(0) ~dst );
+    ( "broadcast_axis", [ real [| m; 1; n |] ], [| m; k; n |],
+      fun o ~dst -> I.broadcast_axis ~axis:1 ~n:k o.(0) ~dst );
+    ( "cross_entropy", [ real [| m; n |]; ids n m ], [||],
+      fun o ~dst -> I.cross_entropy ~logits:o.(0) ~labels:o.(1) ~dst );
+    ( "cross_entropy_grad", [ real [| m; n |]; ids n m ], [| m; n |],
+      fun o ~dst -> I.cross_entropy_grad ~logits:o.(0) ~labels:o.(1) ~dst () );
+    ( "embedding", [ real [| k; n |]; ids k m ], [| m; n |],
+      fun o ~dst -> I.embedding ~table:o.(0) ~ids:o.(1) ~dst () );
+    ( "embedding_grad", [ ids k m; real [| m; n |] ], [| k; n |],
+      fun o ~dst -> I.embedding_grad ~ids:o.(0) ~grad_out:o.(1) ~dst () );
+    ( "conv2d", [ real [| 1; 2; m + 2; n + 2 |]; real [| 2; 2; 3; 3 |] ],
+      [| 1; 2; m; n |],
+      fun o ~dst -> I.conv2d ~stride:1 ~pad:0 ~input:o.(0) ~kernel:o.(1) ~dst );
+    ( "conv2d_grad_input", [ real [| 2; 2; 3; 3 |]; real [| 1; 2; m; n |] ],
+      [| 1; 2; m + 2; n + 2 |],
+      fun o ~dst ->
+        I.conv2d_grad_input ~stride:1 ~pad:0 ~kernel:o.(0) ~grad_out:o.(1) ~dst );
+    ( "conv2d_grad_kernel", [ real [| 1; 2; m + 2; n + 2 |]; real [| 1; 2; m; n |] ],
+      [| 2; 2; 3; 3 |],
+      fun o ~dst ->
+        I.conv2d_grad_kernel ~stride:1 ~pad:0 ~input:o.(0) ~grad_out:o.(1) ~dst );
+    ( "sgd", [ real [| m; n |]; real [| m; n |] ], [| m; n |],
+      fun o ~dst -> I.sgd ~lr:0.1 ~param:o.(0) ~grad:o.(1) ~dst );
+    ( "momentum", [ real [| m; n |]; real [| m; n |]; real [| m; n |] ], [| m; n |],
+      fun o ~dst ->
+        I.momentum ~lr:0.1 ~momentum:0.9 ~param:o.(0) ~grad:o.(1)
+          ~velocity:o.(2) ~dst );
+    ( "adam",
+      [ real [| m; n |]; real [| m; n |]; real [| m; n |]; Tensor.zeros [| m; n |] ],
+      [| m; n |],
+      fun o ~dst ->
+        I.adam ~lr:0.1 ~beta1:0.9 ~beta2:0.999 ~eps:1e-8 ~step:3 ~param:o.(0)
+          ~grad:o.(1) ~m:o.(2) ~v:o.(3) ~dst );
+  ]
+
+let prop_views_match_standalone =
+  QCheck.Test.make ~name:"views in a poisoned slab match standalone tensors"
+    ~count:40 QCheck.(int_range 0 100_000) (fun seed ->
+      let rng = Rng.create seed in
+      let fail what =
+        QCheck.Test.fail_reportf "%s differs on a view (seed %d)" what seed
+      in
+      List.iter
+        (fun (name, operands, dst_shape, run) ->
+          (* standalone: fresh copies; views: each operand and the
+             destination at a random offset of its own poisoned slab *)
+          let alone = Array.of_list (List.map Tensor.copy operands) in
+          let alone_dst = Tensor.full dst_shape poison in
+          run alone ~dst:alone_dst;
+          let placed = Array.of_list (List.map (place rng) operands) in
+          let views = Array.map (fun (_, _, _, v) -> v) placed in
+          let ((_, _, _, dst) as placed_dst) =
+            place rng (Tensor.full dst_shape poison)
+          in
+          run views ~dst;
+          if not (view_bits (Tensor.to_array alone_dst) (Tensor.to_array dst))
+          then fail name;
+          Array.iteri
+            (fun i v ->
+              if not (view_bits (Tensor.to_array alone.(i)) (Tensor.to_array v))
+              then fail (name ^ " operand"))
+            views;
+          if
+            not
+              (Array.for_all outside_untouched placed
+              && outside_untouched placed_dst)
+          then fail (name ^ " (a write outside its view)"))
+        (view_cases rng);
+      (* the accessors *)
+      let t = Tensor.uniform rng [| 1 + Rng.int rng 4; 1 + Rng.int rng 4 |] ~lo:(-3.0) ~hi:3.0 in
+      let ((_, _, _, v) as placed) = place rng t in
+      let n = Tensor.numel t in
+      let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      if Tensor.numel v <> n then fail "numel";
+      if not (Tensor.equal t v && Tensor.equal v t) then fail "equal";
+      if not (view_bits (Tensor.to_array t) (Tensor.to_array v)) then fail "to_array";
+      if not (view_bits (Tensor.to_array t) (Tensor.to_array (Tensor.copy v))) then fail "copy";
+      if not (same_float (Tensor.sum t) (Tensor.sum v)) then fail "sum";
+      if not (same_float (Tensor.max_elt t) (Tensor.max_elt v)) then fail "max_elt";
+      if not (same_float (Tensor.frobenius t) (Tensor.frobenius v)) then fail "frobenius";
+      if Tensor.to_string t <> Tensor.to_string v then fail "to_string";
+      if not (Tensor.equal (Tensor.map Float.abs t) (Tensor.map Float.abs v)) then fail "map";
+      if not (Tensor.equal (Tensor.reshape t [| n |]) (Tensor.reshape v [| n |])) then fail "reshape";
+      for i = 0 to n - 1 do
+        if not (same_float (Tensor.get1 t i) (Tensor.get1 v i)) then fail "get1";
+        if not (same_float (Tensor.get1 t i) (Tensor.unsafe_get1 v i)) then fail "unsafe_get1"
+      done;
+      let idx = [| Rng.int rng (Tensor.shape t).(0); Rng.int rng (Tensor.shape t).(1) |] in
+      if not (same_float (Tensor.get t idx) (Tensor.get v idx)) then fail "get";
+      (match Tensor.get1 v n with
+      | _ -> fail "get1 past the view"
+      | exception Invalid_argument _ -> ());
+      let index = Rng.int rng 1000 and bit = Rng.int rng 64 in
+      Tensor.flip_bit t ~index ~bit;
+      Tensor.flip_bit v ~index ~bit;
+      Tensor.set1 t 0 7.0;
+      Tensor.set1 v 0 7.0;
+      Tensor.set1 t (n - 1) (-7.0);
+      Tensor.set1 v (n - 1) (-7.0);
+      if not (view_bits (Tensor.to_array t) (Tensor.to_array v)) then fail "flip_bit/set1";
+      if not (outside_untouched placed) then fail "an accessor wrote outside its view";
+      true)
 
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
@@ -1362,6 +1549,7 @@ let suite =
         QCheck_alcotest.to_alcotest prop_add_commutes;
         QCheck_alcotest.to_alcotest (prop_kernels_match_old_loops ~portable:false);
         QCheck_alcotest.to_alcotest (prop_kernels_match_old_loops ~portable:true);
+        QCheck_alcotest.to_alcotest prop_views_match_standalone;
         t "elementwise FMA canary" test_elementwise_fma_canary;
       ] );
     ( "tensor.linalg",
