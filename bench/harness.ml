@@ -270,6 +270,24 @@ let json_flush () =
       Format.printf "wrote %s@." path)
     paths
 
+(* The inverse of [json_flush] for tags: every ["key": "value"] line of a
+   file it wrote, over all sections, read back with the [%S] escapes it
+   wrote them with. Number fields and section lines do not scan and are
+   skipped. *)
+let read_json_tags path =
+  let ic = open_in path in
+  let tags = Hashtbl.create 256 in
+  (try
+     while true do
+       let line = input_line ic in
+       match Scanf.sscanf line " %S: %S" (fun k v -> (k, v)) with
+       | key, value -> Hashtbl.replace tags key value
+       | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> ()
+     done
+   with End_of_file -> ());
+  close_in ic;
+  tags
+
 (* Pearson correlation. *)
 let pearson xs ys =
   let n = float_of_int (List.length xs) in

@@ -1,5 +1,5 @@
 (* The experiment harness: regenerates every table/figure of the paper's
-   evaluation (reconstructed index E1..E22 — see DESIGN.md) on the simulated
+   evaluation (reconstructed index E1..E24 — see DESIGN.md) on the simulated
    GPU substrate, plus a Bechamel micro-suite over the host kernels.
 
      dune exec bench/main.exe                 # everything
@@ -22,12 +22,12 @@ let scale = ref Full
    bit-identity check or an E19 arena invariant is violated. *)
 let check_mode = ref false
 
-let zoo () =
+let zoo ?(scale = !scale) () =
   [
-    ("lstm-lm", lazy (build_lm ~scale:!scale ()));
-    ("nmt-attn", lazy (build_nmt ~scale:!scale ()));
-    ("deepspeech2", lazy (build_ds2 ~scale:!scale ()));
-    ("transformer", lazy (build_transformer ~scale:!scale ()));
+    ("lstm-lm", lazy (build_lm ~scale ()));
+    ("nmt-attn", lazy (build_nmt ~scale ()));
+    ("deepspeech2", lazy (build_ds2 ~scale ()));
+    ("transformer", lazy (build_transformer ~scale ()));
   ]
 
 let graphs : (string, Graph.t * Model.t) Hashtbl.t = Hashtbl.create 8
@@ -1576,12 +1576,172 @@ let e22 () =
   record "sanitize_identical" (if !identical_everywhere then 1.0 else 0.0);
   record_json ~path:"BENCH_E22.json" "E22" (List.rev !json)
 
+(* E24: compile anatomy. Every quick-zoo model x registered planner goes
+   through the compile stages the way [Pipeline] chains them, and each
+   stage is timed with [per_call] beside the number of graphs
+   [Graph.create] built per call; differentiate and optimize run once per
+   model. Beside the times stand the exact facts the stages produce: the
+   node counts of the training, optimized and rewritten graphs, the clone
+   count, the fused arena, the fused groups and the verify/race-verify
+   error findings. The facts are a pure function of the zoo, so they are
+   recorded as strings in BENCH_E24.json and [--check] compares a run with
+   that record (exit 1 on any difference) instead of rewriting it. The
+   quick zoo is used at either scale, which keeps the check cheap enough
+   for [dune runtest]. *)
+let e24_violations = ref []
+let e24_record = "BENCH_E24.json"
+
+let e24 () =
+  heading "E24" "compile anatomy over the quick zoo: ms and Graph.create calls per stage";
+  let module Pipeline = Echo_compiler.Pipeline in
+  let module Executor = Echo_compiler.Executor in
+  let reps = if !check_mode then 1 else 5 in
+  let facts = ref [] and times = ref [] in
+  let totals = Hashtbl.create 8 in
+  let stage name f =
+    let out = ref None in
+    let c0 = Graph.created_count () in
+    let s = per_call ~reps (fun () -> out := Some (f ())) in
+    let creates = (Graph.created_count () - c0) / reps in
+    let prev_s, prev_c =
+      Option.value (Hashtbl.find_opt totals name) ~default:(0.0, 0)
+    in
+    Hashtbl.replace totals name (prev_s +. s, prev_c + creates);
+    (Option.get !out, s, creates)
+  in
+  let stages = [ "rewrite"; "plan"; "fuse"; "compile"; "verify"; "race" ] in
+  row "%-12s %-18s %s %7s %6s %9s %6s %6s@." "model" "planner"
+    (String.concat " "
+       (List.map (fun st -> Printf.sprintf "%11s" (st ^ " ms/gc")) stages))
+    "nodes" "clones" "arena" "groups" "errors";
+  List.iter
+    (fun (label, lazy_model) ->
+      let model = Lazy.force lazy_model in
+      let key k = Printf.sprintf "%s/%s" label k in
+      let tr, dt, dc =
+        stage "differentiate" (fun () ->
+            Pipeline.differentiate (Pipeline.of_model model))
+      in
+      let o, ot, oc = stage "optimize" (fun () -> Pipeline.optimize tr) in
+      let training_nodes =
+        Graph.node_count tr.Pipeline.autodiff.Echo_autodiff.Grad.graph
+      and optimized_nodes = Graph.node_count o.Pipeline.graph in
+      facts :=
+        (key "optimized_nodes", optimized_nodes)
+        :: (key "training_nodes", training_nodes) :: !facts;
+      times :=
+        (key "optimize_creates", float_of_int oc)
+        :: (key "optimize_ms", ms ot)
+        :: (key "differentiate_creates", float_of_int dc)
+        :: (key "differentiate_ms", ms dt) :: !times;
+      row "%-12s differentiate %.1f ms/%d, optimize %.1f ms/%d: %d -> %d nodes@."
+        label (ms dt) dc (ms ot) oc training_nodes optimized_nodes;
+      List.iter
+        (fun planner ->
+          let inst = Planner.instantiate planner.Planner.name in
+          let key k = Printf.sprintf "%s/%s/%s" label (Planner.label inst) k in
+          let r, rt, rc =
+            stage "rewrite" (fun () -> Pipeline.rewrite ~device ~planner:inst o)
+          in
+          let p, pt, pc = stage "plan" (fun () -> Pipeline.plan r) in
+          let f, ft, fc =
+            stage "fuse" (fun () ->
+                Pipeline.fuse ~enabled:true ~runtime:Parallel.sequential p)
+          in
+          let x, xt, xc =
+            stage "compile" (fun () ->
+                Pipeline.compile ~runtime:Parallel.sequential
+                  ~sanitize:Echo_analysis.Sanitize.Off f)
+          in
+          let v, vt, vc =
+            stage "verify" (fun () -> Pipeline.verify (Pipeline.Executable x))
+          in
+          let rv, rvt, rvc = stage "race" (fun () -> Pipeline.race_verify x) in
+          let exe = Pipeline.executor x in
+          let stage_facts =
+            [
+              ("rewritten_nodes", Graph.node_count r.Pipeline.graph);
+              ("clone_nodes", r.Pipeline.report.Pass.clone_nodes);
+              ("fused_arena_bytes", f.Pipeline.fused_memplan.Memplan.arena_bytes);
+              ("fused_groups", Executor.fused_group_count exe);
+              ( "errors",
+                Echo_diag.Report.error_count v
+                + Echo_diag.Report.error_count rv );
+            ]
+          in
+          let timed =
+            [
+              ("rewrite", rt, rc); ("plan", pt, pc); ("fuse", ft, fc);
+              ("compile", xt, xc); ("verify", vt, vc); ("race", rvt, rvc);
+            ]
+          in
+          facts := List.rev_map (fun (k, v) -> (key k, v)) stage_facts @ !facts;
+          times :=
+            List.concat_map
+              (fun (st, t, c) ->
+                [ (key (st ^ "_creates"), float_of_int c); (key (st ^ "_ms"), ms t) ])
+              (List.rev timed)
+            @ !times;
+          row "%-12s %-18s %s %7d %6d %9s %6d %6d@." label (Planner.label inst)
+            (String.concat " "
+               (List.map
+                  (fun (_, t, c) -> Printf.sprintf "%8.1f/%-2d" (ms t) c)
+                  timed))
+            (Graph.node_count r.Pipeline.graph)
+            r.Pipeline.report.Pass.clone_nodes
+            (Footprint.human f.Pipeline.fused_memplan.Memplan.arena_bytes)
+            (Executor.fused_group_count exe)
+            (List.assoc "errors" stage_facts))
+        (Planner.all ()))
+    (zoo ~scale:Quick ());
+  let all_stages = "differentiate" :: "optimize" :: stages in
+  row "%-12s %s@." "zoo total"
+    (String.concat ", "
+       (List.map
+          (fun st ->
+            let t, c = Hashtbl.find totals st in
+            Printf.sprintf "%s %.0f ms/%d" st (ms t) c)
+          all_stages));
+  List.iter
+    (fun st ->
+      let t, c = Hashtbl.find totals st in
+      times :=
+        (Printf.sprintf "total/%s_creates" st, float_of_int c)
+        :: (Printf.sprintf "total/%s_ms" st, ms t) :: !times)
+    all_stages;
+  let facts = List.rev_map (fun (k, v) -> (k, string_of_int v)) !facts in
+  if not !check_mode then
+    record_json ~path:e24_record ~tags:facts "E24" (List.rev !times)
+  else begin
+    let violation fmt =
+      Format.kasprintf (fun m -> e24_violations := m :: !e24_violations) fmt
+    in
+    if not (Sys.file_exists e24_record) then
+      violation "no %s to check the facts against" e24_record
+    else begin
+      let recorded = read_json_tags e24_record in
+      List.iter
+        (fun (k, v) ->
+          match Hashtbl.find_opt recorded k with
+          | None -> violation "%s = %s is not in the record" k v
+          | Some r when r <> v -> violation "%s = %s, recorded %s" k v r
+          | Some _ -> ())
+        facts;
+      Hashtbl.iter
+        (fun k r ->
+          if not (List.mem_assoc k facts) then
+            violation "recorded %s = %s was not produced" k r)
+        recorded
+    end
+  end
+
 let experiments =
   [
     ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6);
     ("E7", e7); ("E8", e8); ("E9", e9); ("E10", e10); ("E11", e11); ("E12", e12);
     ("E13", e13); ("E14", e14); ("E15", e15); ("E16", e16); ("E17", e17);
     ("E18", e18); ("E19", e19); ("E20", e20); ("E21", e21); ("E22", e22);
+    ("E24", e24);
   ]
 
 let () =
@@ -1602,7 +1762,9 @@ let () =
          interpreter's; with --only E16, if the matmul kernel's bits differ \
          from the reference loops'; with --only E19, if an executed slab \
          layout fails the range check, a footprint differs from the bytes \
-         allocated or olla-arena's solve exceeds the greedy slab" );
+         allocated or olla-arena's solve exceeds the greedy slab; with \
+         --only E24, if a compile stage's exact facts differ from \
+         BENCH_E24.json (which a check run reads and does not rewrite)" );
     ]
   in
   Arg.parse args (fun _ -> ()) "echo experiment harness";
@@ -1663,5 +1825,6 @@ let () =
     let ok18 = render "E18" e18_violations in
     let ok19 = render "E19" e19_violations in
     let ok22 = render "E22" e22_violations in
-    if not (ok15 && ok16 && ok18 && ok19 && ok22) then exit 1
+    let ok24 = render "E24" e24_violations in
+    if not (ok15 && ok16 && ok18 && ok19 && ok22 && ok24) then exit 1
   end

@@ -32,13 +32,19 @@ let run_selected ~share graph selection =
 let run_instance ~device instance graph =
   let baseline_mem = Memplan.plan graph in
   let baseline_time_s = Costmodel.graph_time device graph in
-  let { Planner.selection; share } = Planner.plan instance ~device graph in
-  let optimised = run_selected ~share graph selection in
-  (* An empty selection hands back the input graph itself: its plan and
-     simulated time are the baseline's. *)
-  let optimised_mem, optimised_time_s =
-    if optimised == graph then (baseline_mem, baseline_time_s)
-    else (Memplan.plan optimised, Costmodel.graph_time device optimised)
+  let { Planner.selection; share; rewritten } =
+    Planner.plan instance ~device ~baseline:baseline_mem graph
+  in
+  (* A planner that measured its own rewrite (the echo ladder) hands it
+     over; an empty selection hands back the input graph itself, whose
+     plan and simulated time are the baseline's. *)
+  let optimised, optimised_mem, optimised_time_s =
+    match rewritten with
+    | Some (g, mem) -> (g, mem, Costmodel.graph_time device g)
+    | None ->
+      let g = run_selected ~share graph selection in
+      if g == graph then (graph, baseline_mem, baseline_time_s)
+      else (g, Memplan.plan g, Costmodel.graph_time device g)
   in
   let report =
     {

@@ -31,10 +31,14 @@ type report = {
 
 val run_instance :
   device:Device.t -> Planner.instance -> Graph.t -> Graph.t * report
-(** Returns the rewritten graph and the measurement report. A planner whose
-    selection is empty (e.g. [stash-all], [olla-arena]) returns the input
-    graph unchanged, and its report's [optimised_mem] is the very
-    [baseline_mem] value (the graph is planned and costed once). *)
+(** Returns the rewritten graph and the measurement report. The baseline
+    is planned once and handed to the planner ({!Planner.plan}). A planner
+    whose selection is empty (e.g. [stash-all], [olla-arena]) returns the
+    input graph unchanged, and its report's [optimised_mem] is the very
+    [baseline_mem] value (the graph is planned and costed once). A planner
+    that already rewrote and planned its selection (the echo ladder,
+    {!Planner.outcome}[.rewritten]) returns that graph, and its report's
+    [optimised_mem] is that plan: neither is built again. *)
 
 val reduction : report -> float
 (** Baseline/optimised peak-footprint ratio (>1 is better), on the

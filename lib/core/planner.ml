@@ -4,7 +4,11 @@ open Echo_exec
 
 type knob = { key : string; doc : string; default : float }
 type knobs = (string * float) list
-type outcome = { selection : Select.selection; share : bool }
+type outcome = {
+  selection : Select.selection;
+  share : bool;
+  rewritten : (Graph.t * Memplan.report) option;
+}
 
 type t = {
   name : string;
@@ -12,7 +16,8 @@ type t = {
   knob_spec : knob list;
   claim_tolerance : float;
   label : knobs -> string;
-  plan : knobs:knobs -> device:Device.t -> Graph.t -> outcome;
+  plan :
+    knobs:knobs -> device:Device.t -> baseline:Memplan.report -> Graph.t -> outcome;
   offsets : (knobs:knobs -> Graph.t -> Assign.t) option;
 }
 
@@ -72,7 +77,8 @@ let with_knob i key v =
   ignore (spec_default i.planner key);
   { i with knobs = (key, v) :: List.remove_assoc key i.knobs }
 
-let plan i ~device graph = i.planner.plan ~knobs:i.knobs ~device graph
+let plan i ~device ~baseline graph =
+  i.planner.plan ~knobs:i.knobs ~device ~baseline graph
 
 let assigner i graph =
   match i.planner.offsets with
@@ -136,6 +142,9 @@ let pp_list fmt () =
 (* ------------------------------------------------------------------ *)
 (* Builtin planners                                                    *)
 
+(* An outcome the pass still has to rewrite and measure itself. *)
+let unchanged ?(share = true) selection = { selection; share; rewritten = None }
+
 let value spec knobs key =
   match List.assoc_opt key knobs with
   | Some v -> v
@@ -157,30 +166,31 @@ let knobless name description ?(claim_tolerance = 0.5) ?offsets plan_fn =
    measured peak (recomputation clones that outlive the peak can cost more
    memory than the stash they free — a failure mode the selection
    estimators cannot see, but the planner can). Falls back to a no-op when
-   nothing beats the baseline. *)
-let echo_ladder ~cheap_only ~device graph budget =
-  let baseline_peak = (Memplan.plan graph).Memplan.live_peak_bytes in
+   nothing beats the baseline. The baseline's plan is the caller's; each
+   non-empty rung selection is mirrored and planned once, and only the
+   best rung's graph and plan stay alive, handed back so [Pass] need not
+   rebuild them. *)
+let echo_ladder ~cheap_only ~device ~baseline graph budget =
   let budgets = [ budget; budget /. 2.0; budget /. 4.0; budget /. 8.0 ] in
-  let measure b =
-    let selection = Select.echo ~cheap_only device graph ~overhead_budget:b in
-    if Ids.Set.is_empty selection.Select.mirror_ids then
-      (selection, baseline_peak)
-    else begin
-      let graph' =
-        Rewrite.mirror ~share:true graph ~mirror_ids:selection.Select.mirror_ids
-      in
-      (selection, (Memplan.plan graph').Memplan.live_peak_bytes)
-    end
-  in
-  List.fold_left
-    (fun ((_, best_peak) as best) b ->
-      if b < 0.002 then best
-      else begin
-        let selection, peak = measure b in
-        if peak < best_peak then (selection, peak) else best
+  let best = ref (unchanged Select.empty) in
+  let best_peak = ref baseline.Memplan.live_peak_bytes in
+  List.iter
+    (fun b ->
+      if b >= 0.002 then begin
+        let selection = Select.echo ~cheap_only device graph ~overhead_budget:b in
+        let ids = selection.Select.mirror_ids in
+        (* An empty selection measures the baseline: it cannot win. *)
+        if not (Ids.Set.is_empty ids) then begin
+          let graph' = Rewrite.mirror ~share:true graph ~mirror_ids:ids in
+          let mem = Memplan.plan graph' in
+          if mem.Memplan.live_peak_bytes < !best_peak then begin
+            best_peak := mem.Memplan.live_peak_bytes;
+            best := { selection; share = true; rewritten = Some (graph', mem) }
+          end
+        end
       end)
-    (Select.empty, baseline_peak) budgets
-  |> fst
+    budgets;
+  !best
 
 let budget_knob =
   {
@@ -234,11 +244,11 @@ let dp_bptt_spec =
     };
   ]
 
-let dp_bptt_plan ~knobs ~device graph =
+let dp_bptt_plan ~knobs ~device ~baseline:_ graph =
   let stash = Stash.analyse graph in
   let fwd = Array.of_list (Graph.forward_nodes graph) in
   let n = Array.length fwd in
-  if n = 0 then { selection = Select.empty; share = true }
+  if n = 0 then unchanged Select.empty
   else begin
     let stashed_size node =
       if Stash.is_stashed stash (Node.id node) then Node.size_bytes node else 0
@@ -341,10 +351,7 @@ let dp_bptt_plan ~knobs ~device graph =
       end
     in
     let _, mirrored, claimed = evaluate k in
-    {
-      selection = Select.selection_of device mirrored ~claimed_saving:claimed;
-      share = true;
-    }
+    unchanged (Select.selection_of device mirrored ~claimed_saving:claimed)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -355,18 +362,18 @@ let dp_bptt_plan ~knobs ~device graph =
 let () =
   register
     (knobless "stash-all" "keep every feature map (the framework baseline)"
-       ~claim_tolerance:0.01 (fun ~knobs:_ ~device:_ _graph ->
-         { selection = Select.empty; share = true }));
+       ~claim_tolerance:0.01 (fun ~knobs:_ ~device:_ ~baseline:_ _graph ->
+         unchanged Select.empty));
   register
     (knobless "mirror-all-cheap"
        "legacy heuristic: mirror every cheap stashed map, no cost-benefit"
-       ~claim_tolerance:2.0 (fun ~knobs:_ ~device:_ graph ->
-         { selection = Select.mirror_all_cheap graph; share = true }));
+       ~claim_tolerance:2.0 (fun ~knobs:_ ~device:_ ~baseline:_ graph ->
+         unchanged (Select.mirror_all_cheap graph)));
   register
     (knobless "checkpoint-sqrt"
        "Chen et al. sqrt(n) segment checkpointing of the forward schedule"
-       ~claim_tolerance:1.0 (fun ~knobs:_ ~device graph ->
-         { selection = Select.checkpoint_sqrt device graph; share = true }));
+       ~claim_tolerance:1.0 (fun ~knobs:_ ~device ~baseline:_ graph ->
+         unchanged (Select.checkpoint_sqrt device graph)));
   register
     {
       name = "dp-bptt";
@@ -383,48 +390,37 @@ let () =
     (echo_family "echo"
        "the paper's cost-benefit selection under a measured-peak ladder"
        ~claim_tolerance:0.6
-       (fun ~knobs ~device graph ->
-         let budget = value [ budget_knob ] knobs "budget" in
-         {
-           selection = echo_ladder ~cheap_only:false ~device graph budget;
-           share = true;
-         }));
+       (fun ~knobs ~device ~baseline graph ->
+         echo_ladder ~cheap_only:false ~device ~baseline graph
+           (value [ budget_knob ] knobs "budget")));
   register
     (echo_family "echo-cheap"
        "Echo restricted to cheap (elementwise) recomputation chains"
        ~claim_tolerance:0.6
-       (fun ~knobs ~device graph ->
-         let budget = value [ budget_knob ] knobs "budget" in
-         {
-           selection = echo_ladder ~cheap_only:true ~device graph budget;
-           share = true;
-         }));
+       (fun ~knobs ~device ~baseline graph ->
+         echo_ladder ~cheap_only:true ~device ~baseline graph
+           (value [ budget_knob ] knobs "budget")));
   register
     (echo_family "echo-noshare"
        "ablation: recomputation clones are not shared among consumers"
        ~claim_tolerance:0.6
-       (fun ~knobs ~device graph ->
+       (fun ~knobs ~device ~baseline:_ graph ->
          let budget = value [ budget_knob ] knobs "budget" in
-         {
-           selection = Select.echo device graph ~overhead_budget:budget;
-           share = false;
-         }));
+         unchanged ~share:false
+           (Select.echo device graph ~overhead_budget:budget)));
   register
     (echo_family "echo-notrans"
        "ablation: naive estimator, no transitive-stashing accounting"
        ~claim_tolerance:2.0
-       (fun ~knobs ~device graph ->
+       (fun ~knobs ~device ~baseline:_ graph ->
          let budget = value [ budget_knob ] knobs "budget" in
-         {
-           selection =
-             Select.echo ~transitive:false device graph ~overhead_budget:budget;
-           share = true;
-         }));
+         unchanged
+           (Select.echo ~transitive:false device graph ~overhead_budget:budget)));
   register
     (knobless "recompute-all"
        "recompute every recomputable map: stash lower bound, time upper bound"
-       ~claim_tolerance:1.0 (fun ~knobs:_ ~device graph ->
-         { selection = Select.recompute_all device graph; share = true }));
+       ~claim_tolerance:1.0 (fun ~knobs:_ ~device ~baseline:_ graph ->
+         unchanged (Select.recompute_all device graph)));
   let olla_spec =
     [
       {
@@ -454,7 +450,7 @@ let () =
       claim_tolerance = 0.01;
       label = (fun _ -> "olla-arena");
       plan =
-        (fun ~knobs:_ ~device:_ _graph -> { selection = Select.empty; share = true });
+        (fun ~knobs:_ ~device:_ ~baseline:_ _graph -> unchanged Select.empty);
       offsets =
         Some
           (fun ~knobs graph ->

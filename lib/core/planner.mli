@@ -39,6 +39,11 @@ type knobs = (string * float) list
 type outcome = {
   selection : Select.selection;
   share : bool;  (** share recomputation clones among backward consumers *)
+  rewritten : (Graph.t * Echo_exec.Memplan.report) option;
+      (** the graph the selection rewrites to and its unfused memory plan
+          ({!Echo_exec.Memplan.plan}), when the planner already built and
+          measured them — [Pass] then neither rewrites nor plans again.
+          [None] for an empty selection. *)
 }
 
 type t = {
@@ -53,7 +58,14 @@ type t = {
   label : knobs -> string;
       (** instance display name, e.g. ["echo(10%)"]; equals [name] for
           knobless planners *)
-  plan : knobs:knobs -> device:Device.t -> Graph.t -> outcome;
+  plan :
+    knobs:knobs ->
+    device:Device.t ->
+    baseline:Echo_exec.Memplan.report ->
+    Graph.t ->
+    outcome;
+      (** [baseline] is the graph's own memory plan, which the pass has
+          already measured *)
   offsets : (knobs:knobs -> Graph.t -> Echo_exec.Assign.t) option;
       (** static arena assigner; [None] means the offsets of the unfused
           memory plan's best-fit walk ({!Echo_exec.Memplan.plan}) *)
@@ -98,7 +110,14 @@ val with_knob : instance -> string -> float -> instance
 (** Bind (or override) one knob. @raise Invalid_argument on an undeclared
     key. *)
 
-val plan : instance -> device:Device.t -> Graph.t -> outcome
+val plan :
+  instance ->
+  device:Device.t ->
+  baseline:Echo_exec.Memplan.report ->
+  Graph.t ->
+  outcome
+(** [baseline] must be {!Echo_exec.Memplan.plan} of the graph. *)
+
 val assigner : instance -> Graph.t -> Echo_exec.Assign.t
 (** The instance's static offset plan: the offsets {!Echo_exec.Memplan.plan}'s
     walk assigns the unfused graph ({!Echo_exec.Assign.of_plan}), unless

@@ -1,37 +1,63 @@
+(* Node ids come off one counter, so within a graph they are nearly
+   consecutive: the identity spreads them over the buckets evenly, without
+   [Hashtbl.hash]'s C call. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash id = id land max_int
+end)
+
 type t = {
   outputs : Node.t list;
   schedule : Node.t list;  (* all reachable nodes, deterministic topo order *)
-  by_id : (int, Node.t) Hashtbl.t;
-  consumers : (int, Node.t list) Hashtbl.t;  (* reverse edges, in schedule order *)
+  members : Node.t array;  (* [schedule] as an array *)
+  position : int Itbl.t;  (* node id -> its schedule index *)
+  consumers : Node.t list array;
+      (* by schedule index: reverse edges, in schedule order *)
   output_ids : Ids.Set.t;
 }
 
-(* Collect every node reachable from the outputs (iterative: unrolled
-   graphs far exceed the stack limit). *)
-let reachable outputs =
-  let seen = Hashtbl.create 1024 in
-  let acc = ref [] in
-  let stack = ref (List.map (fun n -> `Visit n) outputs) in
-  let rec loop () =
-    match !stack with
-    | [] -> ()
-    | `Done n :: rest ->
-      stack := rest;
-      acc := n :: !acc;
-      loop ()
-    | `Visit n :: rest ->
-      if Hashtbl.mem seen (Node.id n) then begin
-        stack := rest;
-        loop ()
+(* Graphs built so far, over every domain. *)
+let created = Atomic.make 0
+let created_count () = Atomic.get created
+
+(* Binary min-heap of member indices for the ready set of Kahn's walk. *)
+let heap_push heap size less j =
+  let i = ref !size in
+  incr size;
+  while
+    !i > 0
+    &&
+    let parent = (!i - 1) / 2 in
+    less j heap.(parent)
+  do
+    let parent = (!i - 1) / 2 in
+    heap.(!i) <- heap.(parent);
+    i := parent
+  done;
+  heap.(!i) <- j
+
+let heap_pop heap size less =
+  let top = heap.(0) in
+  decr size;
+  let last = heap.(!size) in
+  let i = ref 0 and settled = ref false in
+  while not !settled do
+    let l = (2 * !i) + 1 in
+    if l >= !size then settled := true
+    else begin
+      let r = l + 1 in
+      let c = if r < !size && less heap.(r) heap.(l) then r else l in
+      if less heap.(c) last then begin
+        heap.(!i) <- heap.(c);
+        i := c
       end
-      else begin
-        Hashtbl.add seen (Node.id n) ();
-        stack := List.map (fun i -> `Visit i) (Node.inputs n) @ (`Done n :: rest);
-        loop ()
-      end
-  in
-  loop ();
-  List.rev !acc
+      else settled := true
+    end
+  done;
+  heap.(!i) <- last;
+  top
 
 (* Program-order schedule: Kahn's algorithm picking the ready node with the
    smallest (hint, id). Hints default to creation ids, so an unmodified
@@ -39,79 +65,144 @@ let reachable outputs =
    engine emitted it — per-step gradient aggregation interleaves with the
    gradient chain instead of piling up at the end. Graph rewrites assign
    recomputation clones a hint just below their first consumer's, so clones
-   run just-in-time inside the backward pass. *)
-module Ready = Stdlib.Set.Make (struct
-  type t = float * int (* hint, id *)
+   run just-in-time inside the backward pass.
 
-  let compare = Stdlib.compare
-end)
-
-let hint_schedule members =
-  let pending = Hashtbl.create 1024 in
-  let consumers_of = Hashtbl.create 1024 in
-  let by_id = Hashtbl.create 1024 in
-  List.iter
-    (fun n ->
-      Hashtbl.replace by_id (Node.id n) n;
-      Hashtbl.replace pending (Node.id n) (List.length (Node.inputs n));
-      List.iter
-        (fun i ->
-          let cur = try Hashtbl.find consumers_of (Node.id i) with Not_found -> [] in
-          Hashtbl.replace consumers_of (Node.id i) (n :: cur))
-        (Node.inputs n))
-    members;
-  let ready = ref Ready.empty in
-  List.iter
-    (fun n ->
-      if Node.inputs n = [] then
-        ready := Ready.add (Node.hint n, Node.id n) !ready)
-    members;
-  let out = ref [] in
-  let placed = ref 0 in
-  while not (Ready.is_empty !ready) do
-    let ((_, id) as key) = Ready.min_elt !ready in
-    ready := Ready.remove key !ready;
-    let n = Hashtbl.find by_id id in
-    out := n :: !out;
-    incr placed;
-    List.iter
-      (fun c ->
-        let d = Hashtbl.find pending (Node.id c) - 1 in
-        Hashtbl.replace pending (Node.id c) d;
-        if d = 0 then ready := Ready.add (Node.hint c, Node.id c) !ready)
-      (try Hashtbl.find consumers_of id with Not_found -> [])
-  done;
-  if !placed <> List.length members then failwith "Graph: cycle detected";
-  List.rev !out
-
+   One linear pass over arrays. The nodes reachable from the outputs are
+   indexed once (iteratively: unrolled graphs far exceed the stack limit)
+   and their input edges laid out flat, one entry per input slot. The ready
+   set is a binary heap of indices ordered by [Float.compare] on the hint,
+   then by id; ids are unique, so no two keys tie and the heap pops exactly
+   the order of a sorted set of (hint, id) pairs. The walk renumbers the
+   nodes in pop order, so the id table and the reverse edges it leaves are
+   by schedule index. *)
 let create outputs =
   if outputs = [] then invalid_arg "Graph.create: empty output list";
-  let members = reachable outputs in
-  let schedule = hint_schedule members in
-  let by_id = Hashtbl.create (List.length schedule) in
-  List.iter (fun n -> Hashtbl.replace by_id (Node.id n) n) schedule;
-  let consumers = Hashtbl.create (List.length schedule) in
-  (* Build reverse edges in schedule order so consumer lists are stable. *)
-  List.iter
-    (fun n ->
+  Atomic.incr created;
+  let position = Itbl.create 1024 in
+  let found = ref [] and count = ref 0 and edges = ref 0 in
+  let stack = ref [] in
+  let visit n =
+    if not (Itbl.mem position (Node.id n)) then begin
+      Itbl.add position (Node.id n) !count;
+      incr count;
+      edges := !edges + List.length (Node.inputs n);
+      found := n :: !found;
+      stack := n :: !stack
+    end
+  in
+  let rec drain () =
+    match !stack with
+    | [] -> ()
+    | n :: rest ->
+      stack := rest;
+      List.iter visit (Node.inputs n);
+      drain ()
+  in
+  List.iter visit outputs;
+  drain ();
+  let count = !count in
+  let found =
+    let a = Array.make count (List.hd outputs) in
+    List.iteri (fun k n -> a.(count - 1 - k) <- n) !found;
+    a
+  in
+  (* Input slots, flat: node [j]'s inputs are [inputs.(in_start.(j))]
+     up to [in_start.(j + 1)]; [uses.(u)] counts the slots reading [u]. *)
+  let in_start = Array.make (count + 1) 0 in
+  let inputs = Array.make !edges 0 in
+  let uses = Array.make count 0 in
+  let e = ref 0 in
+  Array.iteri
+    (fun j n ->
+      in_start.(j) <- !e;
       List.iter
         (fun i ->
-          let cur = try Hashtbl.find consumers (Node.id i) with Not_found -> [] in
-          Hashtbl.replace consumers (Node.id i) (n :: cur))
+          let u = Itbl.find position (Node.id i) in
+          inputs.(!e) <- u;
+          uses.(u) <- uses.(u) + 1;
+          incr e)
         (Node.inputs n))
-    schedule;
-  Hashtbl.iter (fun k v -> Hashtbl.replace consumers k (List.rev v)) consumers;
+    found;
+  in_start.(count) <- !e;
+  (* The same edges reversed: the slots reading [u] are
+     [readers.(out_start.(u))] up to [out_start.(u + 1)]. *)
+  let out_start = Array.make (count + 1) 0 in
+  for u = 0 to count - 1 do
+    out_start.(u + 1) <- out_start.(u) + uses.(u)
+  done;
+  let readers = Array.make !edges 0 in
+  let fill = Array.sub out_start 0 count in
+  for j = 0 to count - 1 do
+    for s = in_start.(j) to in_start.(j + 1) - 1 do
+      let u = inputs.(s) in
+      readers.(fill.(u)) <- j;
+      fill.(u) <- fill.(u) + 1
+    done
+  done;
+  let hint = Array.map Node.hint found in
+  let id = Array.map Node.id found in
+  let less a b =
+    let c = Float.compare hint.(a) hint.(b) in
+    c < 0 || (c = 0 && id.(a) < id.(b))
+  in
+  let heap = Array.make count 0 and size = ref 0 in
+  let pending = Array.make count 0 in
+  for j = 0 to count - 1 do
+    pending.(j) <- in_start.(j + 1) - in_start.(j);
+    if pending.(j) = 0 then heap_push heap size less j
+  done;
+  (* [rank.(j)] is node [j]'s schedule index; its inputs are ranked
+     before it is popped. *)
+  let members = Array.make count (List.hd outputs) in
+  let rank = Array.make count 0 in
+  let consumers = Array.make count [] in
+  let placed = ref 0 in
+  while !size > 0 do
+    let j = heap_pop heap size less in
+    let n = found.(j) in
+    members.(!placed) <- n;
+    rank.(j) <- !placed;
+    incr placed;
+    for s = in_start.(j) to in_start.(j + 1) - 1 do
+      let u = rank.(inputs.(s)) in
+      consumers.(u) <- n :: consumers.(u)
+    done;
+    for s = out_start.(j) to out_start.(j + 1) - 1 do
+      let c = readers.(s) in
+      pending.(c) <- pending.(c) - 1;
+      if pending.(c) = 0 then heap_push heap size less c
+    done
+  done;
+  if !placed <> count then failwith "Graph: cycle detected";
+  Itbl.filter_map_inplace (fun _ j -> Some rank.(j)) position;
+  for u = 0 to count - 1 do
+    match consumers.(u) with
+    | [] | [ _ ] -> ()
+    | l -> consumers.(u) <- List.rev l
+  done;
   let output_ids =
     List.fold_left (fun s n -> Ids.Set.add (Node.id n) s) Ids.Set.empty outputs
   in
-  { outputs; schedule; by_id; consumers; output_ids }
+  {
+    outputs;
+    schedule = Array.to_list members;
+    members;
+    position;
+    consumers;
+    output_ids;
+  }
 
 let outputs g = g.outputs
 let nodes g = g.schedule
-let node_count g = List.length g.schedule
-let mem g id = Hashtbl.mem g.by_id id
-let find g id = Hashtbl.find g.by_id id
-let consumers g id = try Hashtbl.find g.consumers id with Not_found -> []
+let node_count g = Array.length g.members
+let mem g id = Itbl.mem g.position id
+let find g id = g.members.(Itbl.find g.position id)
+
+let consumers g id =
+  match Itbl.find_opt g.position id with
+  | Some u -> g.consumers.(u)
+  | None -> []
+
 let is_output g id = Ids.Set.mem id g.output_ids
 
 let forward_nodes g =
@@ -167,21 +258,23 @@ let total_output_bytes g =
    fingerprint instead renames every node to its schedule position — a pure
    function of the graph's structure and relative hint order, identical for
    every fresh build of the same model in any process. Per node it hashes
-   the operator (with all attributes), output shape, region and canonical
-   input ids; inputs of commutative operators are sorted so [a + b] and
-   [b + a] fingerprint alike. Leaf names are included: feedable inputs
-   (placeholders/variables) are resolved by name when a cached executable
-   serves a structurally identical graph from a different build, so two
-   graphs may only share a fingerprint when that resolution works.
-   Interior names are cosmetic and excluded. *)
+   the operator's exact key ([Op.key]: every attribute, floats by their
+   bits, so [Scale 0.5] and [Scale 0.5000001] differ), output shape, region
+   and canonical input ids; inputs of commutative operators are sorted so
+   [a + b] and [b + a] fingerprint alike. The names of feedable leaves
+   (placeholders and variables) are included: they are resolved by name
+   when a cached executable serves a structurally identical graph from a
+   different build, so two graphs may only share a fingerprint when that
+   resolution works. Every other name is excluded — interior names are
+   cosmetic, and constant leaves ([Zeros], [ConstFill], [DropoutMask]) are
+   named after their process-local id when unnamed. *)
 let fingerprint g =
-  let canon = Hashtbl.create (List.length g.schedule) in
-  List.iteri (fun i n -> Hashtbl.replace canon (Node.id n) i) g.schedule;
+  let canon id = Itbl.find g.position id in
   let buf = Buffer.create 4096 in
   List.iter
     (fun n ->
       let ins =
-        List.map (fun i -> Hashtbl.find canon (Node.id i)) (Node.inputs n)
+        List.map (fun i -> canon (Node.id i)) (Node.inputs n)
       in
       let ins =
         (* Only ops whose value is invariant under input permutation. *)
@@ -189,16 +282,17 @@ let fingerprint g =
         | Op.Add | Op.Mul -> List.sort Int.compare ins
         | _ -> ins
       in
-      Buffer.add_string buf (Op.to_string (Node.op n));
+      Buffer.add_string buf (Op.key (Node.op n));
       Buffer.add_char buf '|';
       Buffer.add_string buf (Echo_tensor.Shape.to_string (Node.shape n));
       Buffer.add_char buf '|';
       Buffer.add_string buf
         (match Node.region n with Node.Forward -> "f" | Node.Backward -> "b");
-      if Op.is_leaf (Node.op n) then begin
+      (match Node.op n with
+      | Op.Placeholder | Op.Variable ->
         Buffer.add_char buf '|';
         Buffer.add_string buf (Node.name n)
-      end;
+      | _ -> ());
       List.iter
         (fun i ->
           Buffer.add_char buf ',';
@@ -210,7 +304,7 @@ let fingerprint g =
   List.iter
     (fun o ->
       Buffer.add_char buf ' ';
-      Buffer.add_string buf (string_of_int (Hashtbl.find canon (Node.id o))))
+      Buffer.add_string buf (string_of_int (canon (Node.id o))))
     g.outputs;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 

@@ -2,14 +2,20 @@
 
     A graph is its list of output nodes; everything reachable from them
     through input edges belongs to the graph. Scheduling is deterministic:
-    Kahn's algorithm breaking ties by smallest node id, which reproduces
-    program (creation) order — forward nodes first, backward nodes next, and
-    recomputation clones as late as their consumers allow. *)
+    Kahn's algorithm taking the ready node with the smallest (hint, id),
+    which reproduces program (creation) order — forward nodes first,
+    backward nodes next, and recomputation clones as late as their
+    consumers allow. {!create} indexes the graph and schedules it in one
+    linear pass. *)
 
 type t
 
 val create : Node.t list -> t
 (** @raise Invalid_argument on an empty output list. *)
+
+val created_count : unit -> int
+(** Graphs {!create} has built in this process, over every domain: the
+    compile-anatomy bench counts them per stage. *)
 
 val outputs : t -> Node.t list
 
@@ -49,15 +55,17 @@ val total_output_bytes : t -> int
     footprint, before liveness or reuse). *)
 
 val fingerprint : t -> string
-(** Canonical structural digest (32 hex chars): operators with attributes,
-    shapes, regions, leaf names, canonical (schedule-position) input edges
-    and output list — never raw node ids, which are process-local. Two
-    independent builds of the same model, in the same or different
-    processes, fingerprint identically; inputs of commutative operators are
-    sorted, so the digest is order-independent where that is legal. This is
-    the only node-graph hash that may feed content-addressed cache keys
-    ({!Echo_compiler.Pipeline.cache_key}); the ad-hoc keys inside
-    [Echo_opt.Cse] embed raw ids and must not. *)
+(** Canonical structural digest (32 hex chars): operators with every
+    attribute exact ({!Op.key}: floats by their bits), shapes, regions, the
+    names of feedable leaves (placeholders and variables), canonical
+    (schedule-position) input edges and output list — never raw node ids,
+    which are process-local, nor the names of constant leaves, which
+    default to them. Two independent builds of the same model, in the same
+    or different processes, fingerprint identically; inputs of commutative
+    operators are sorted, so the digest is order-independent where that is
+    legal. This is the only node-graph hash that may feed content-addressed
+    cache keys ({!Echo_compiler.Pipeline.cache_key}); the ad-hoc keys
+    inside [Echo_opt.Cse] embed raw ids and must not. *)
 
 val pp_stats : Format.formatter -> t -> unit
 val to_dot : t -> string

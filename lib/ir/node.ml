@@ -25,7 +25,7 @@ let create ?name ?(region = Forward) ?shape ?hint op inputs =
   let out_shape = Op.infer_shape op input_shapes shape in
   let id = fresh_id () in
   let name =
-    match name with Some n -> n | None -> Printf.sprintf "n%d" id
+    match name with Some n -> n | None -> "n" ^ string_of_int id
   in
   let hint = match hint with Some h -> h | None -> float_of_int id in
   { id; name; op; inputs; shape = out_shape; region; hint }

@@ -83,9 +83,6 @@ let is_recomputable op =
   | Conv2dGradKernel _ ->
     true
 
-let shape_error op_name msg =
-  invalid_arg (Printf.sprintf "Op.infer_shape(%s): %s" op_name msg)
-
 let unary_name = function
   | Neg -> "Neg"
   | Scale _ -> "Scale"
@@ -150,25 +147,48 @@ let to_string = function
 
 let pp fmt op = Format.pp_print_string fmt (to_string op)
 
-let expect_rank name r s =
-  if Shape.rank s <> r then
-    shape_error name (Printf.sprintf "expected rank %d, got %s" r (Shape.to_string s))
+(* [to_string] prints floats with [%g] (6 significant digits) and leaves out
+   the shapes the convolution gradients carry; the key spells every
+   attribute exactly, floats by their bits. *)
+let key op =
+  let bits v = Printf.sprintf "%Lx" (Int64.bits_of_float v) in
+  match op with
+  | ConstFill v -> "ConstFill#" ^ bits v
+  | DropoutMask { p; seed } -> Printf.sprintf "DropoutMask#%s,%d" (bits p) seed
+  | Scale k -> "Scale#" ^ bits k
+  | AddScalar k -> "AddScalar#" ^ bits k
+  | PowConst p -> "PowConst#" ^ bits p
+  | Conv2dGradInput { stride; pad; input_shape } ->
+    Printf.sprintf "Conv2dGradInput(s=%d,p=%d,%s)" stride pad
+      (Shape.to_string input_shape)
+  | Conv2dGradKernel { stride; pad; kernel_shape } ->
+    Printf.sprintf "Conv2dGradKernel(s=%d,p=%d,%s)" stride pad
+      (Shape.to_string kernel_shape)
+  | other -> to_string other
 
-let expect_equal name a b =
+(* The op's name is formatted only once a check has failed: shape
+   inference runs for every node built. *)
+let shape_error op msg =
+  invalid_arg (Printf.sprintf "Op.infer_shape(%s): %s" (to_string op) msg)
+
+let expect_rank op r s =
+  if Shape.rank s <> r then
+    shape_error op (Printf.sprintf "expected rank %d, got %s" r (Shape.to_string s))
+
+let expect_equal op a b =
   if not (Shape.equal a b) then
-    shape_error name
+    shape_error op
       (Printf.sprintf "shape mismatch %s vs %s" (Shape.to_string a) (Shape.to_string b))
 
 let infer_shape op input_shapes explicit =
-  let name = to_string op in
   let nargs = List.length input_shapes in
   (match arity op with
   | Some n when n <> nargs ->
-    shape_error name (Printf.sprintf "expected %d inputs, got %d" n nargs)
+    shape_error op (Printf.sprintf "expected %d inputs, got %d" n nargs)
   | Some _ | None -> ());
   (match (explicit, is_leaf op) with
-  | Some _, false -> shape_error name "explicit shape given for a non-leaf"
-  | None, true -> shape_error name "leaf requires an explicit shape"
+  | Some _, false -> shape_error op "explicit shape given for a non-leaf"
+  | None, true -> shape_error op "leaf requires an explicit shape"
   | _ -> ());
   match (op, input_shapes) with
   | (Placeholder | Variable | Zeros | ConstFill _ | DropoutMask _), [] -> (
@@ -182,45 +202,45 @@ let infer_shape op input_shapes explicit =
       [ s ] ) ->
     s
   | (Add | Sub | Mul | Div), [ a; b ] ->
-    expect_equal name a b;
+    expect_equal op a b;
     a
   | Matmul { trans_a; trans_b }, [ a; b ] ->
-    expect_rank name 2 a;
-    expect_rank name 2 b;
+    expect_rank op 2 a;
+    expect_rank op 2 b;
     let m, k = if trans_a then (a.(1), a.(0)) else (a.(0), a.(1)) in
     let k', n = if trans_b then (b.(1), b.(0)) else (b.(0), b.(1)) in
     if k <> k' then
-      shape_error name
+      shape_error op
         (Printf.sprintf "inner dims %d vs %d (%s x %s)" k k' (Shape.to_string a)
            (Shape.to_string b));
     [| m; n |]
   | AddBias, [ m; b ] ->
-    expect_rank name 2 m;
-    expect_rank name 1 b;
-    if m.(1) <> b.(0) then shape_error name "bias length mismatch";
+    expect_rank op 2 m;
+    expect_rank op 1 b;
+    if m.(1) <> b.(0) then shape_error op "bias length mismatch";
     m
   | ScaleBy, [ x; s ] ->
-    if Shape.rank s <> 0 then shape_error name "second input must be a scalar";
+    if Shape.rank s <> 0 then shape_error op "second input must be a scalar";
     x
   | Slice { axis; lo; hi }, [ s ] -> Shape.slice_result ~axis ~lo ~hi s
   | PadSlice { axis; lo; full }, [ s ] ->
-    if axis < 0 || axis >= Shape.rank s then shape_error name "axis out of bounds";
-    if lo < 0 || lo + s.(axis) > full then shape_error name "slice does not fit";
+    if axis < 0 || axis >= Shape.rank s then shape_error op "axis out of bounds";
+    if lo < 0 || lo + s.(axis) > full then shape_error op "slice does not fit";
     Array.mapi (fun i d -> if i = axis then full else d) s
   | Concat { axis }, first :: rest ->
     List.fold_left (fun acc s -> Shape.concat_result ~axis acc s) first rest
-  | Concat _, [] -> shape_error name "empty input list"
+  | Concat _, [] -> shape_error op "empty input list"
   | Reshape target, [ s ] ->
     if Shape.numel target <> Shape.numel s then
-      shape_error name
+      shape_error op
         (Printf.sprintf "cannot reshape %s to %s" (Shape.to_string s)
            (Shape.to_string target));
     target
   | Transpose2d, [ s ] ->
-    expect_rank name 2 s;
+    expect_rank op 2 s;
     [| s.(1); s.(0) |]
   | (ReduceSum { axis; keepdims } | ReduceMean { axis; keepdims }), [ s ] ->
-    if axis < 0 || axis >= Shape.rank s then shape_error name "axis out of bounds";
+    if axis < 0 || axis >= Shape.rank s then shape_error op "axis out of bounds";
     if keepdims then Array.mapi (fun i d -> if i = axis then 1 else d) s
     else if Shape.rank s = 1 then Shape.scalar
     else begin
@@ -236,45 +256,45 @@ let infer_shape op input_shapes explicit =
       out
     end
   | BroadcastAxis { axis; n }, [ s ] ->
-    if axis < 0 || axis >= Shape.rank s then shape_error name "axis out of bounds";
-    if s.(axis) <> 1 then shape_error name "broadcast axis dim must be 1";
+    if axis < 0 || axis >= Shape.rank s then shape_error op "axis out of bounds";
+    if s.(axis) <> 1 then shape_error op "broadcast axis dim must be 1";
     Array.mapi (fun i d -> if i = axis then n else d) s
   | (Softmax | LogSoftmax), [ s ] ->
-    if Shape.rank s < 1 then shape_error name "rank must be >= 1";
+    if Shape.rank s < 1 then shape_error op "rank must be >= 1";
     s
   | CrossEntropy, [ logits; labels ] ->
-    expect_rank name 2 logits;
-    expect_rank name 1 labels;
-    if logits.(0) <> labels.(0) then shape_error name "batch mismatch";
+    expect_rank op 2 logits;
+    expect_rank op 1 labels;
+    if logits.(0) <> labels.(0) then shape_error op "batch mismatch";
     Shape.scalar
   | CrossEntropyGrad, [ logits; labels ] ->
-    expect_rank name 2 logits;
-    expect_rank name 1 labels;
-    if logits.(0) <> labels.(0) then shape_error name "batch mismatch";
+    expect_rank op 2 logits;
+    expect_rank op 1 labels;
+    if logits.(0) <> labels.(0) then shape_error op "batch mismatch";
     logits
   | Embedding, [ table; ids ] ->
-    expect_rank name 2 table;
-    expect_rank name 1 ids;
+    expect_rank op 2 table;
+    expect_rank op 1 ids;
     [| ids.(0); table.(1) |]
   | EmbeddingGrad { vocab }, [ ids; grad_out ] ->
-    expect_rank name 1 ids;
-    expect_rank name 2 grad_out;
-    if grad_out.(0) <> ids.(0) then shape_error name "batch mismatch";
+    expect_rank op 1 ids;
+    expect_rank op 2 grad_out;
+    if grad_out.(0) <> ids.(0) then shape_error op "batch mismatch";
     [| vocab; grad_out.(1) |]
   | Conv2d { stride; pad }, [ input; kernel ] ->
-    expect_rank name 4 input;
-    expect_rank name 4 kernel;
-    if input.(1) <> kernel.(1) then shape_error name "channel mismatch";
+    expect_rank op 4 input;
+    expect_rank op 4 kernel;
+    if input.(1) <> kernel.(1) then shape_error op "channel mismatch";
     let out d k = ((d + (2 * pad) - k) / stride) + 1 in
     let oh = out input.(2) kernel.(2) and ow = out input.(3) kernel.(3) in
-    if oh < 1 || ow < 1 then shape_error name "output collapses to zero";
+    if oh < 1 || ow < 1 then shape_error op "output collapses to zero";
     [| input.(0); kernel.(0); oh; ow |]
   | Conv2dGradInput { input_shape; _ }, [ kernel; grad_out ] ->
-    expect_rank name 4 kernel;
-    expect_rank name 4 grad_out;
+    expect_rank op 4 kernel;
+    expect_rank op 4 grad_out;
     input_shape
   | Conv2dGradKernel { kernel_shape; _ }, [ input; grad_out ] ->
-    expect_rank name 4 input;
-    expect_rank name 4 grad_out;
+    expect_rank op 4 input;
+    expect_rank op 4 grad_out;
     kernel_shape
-  | _, _ -> shape_error name "wrong number of inputs"
+  | _, _ -> shape_error op "wrong number of inputs"

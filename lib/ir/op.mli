@@ -89,4 +89,14 @@ val infer_shape : t -> Shape.t list -> Shape.t option -> Shape.t
     @raise Invalid_argument on rank/dimension errors. *)
 
 val to_string : t -> string
+(** Display form: floats print with [%g], so it may merge distinct ops. *)
+
+val key : t -> string
+(** Exact structural key: two operators share a key exactly when they have
+    the same constructor and attributes, float attributes compared bit for
+    bit. Content-addressed and structural-equality uses
+    ([Graph.fingerprint], [Echo_opt.Cse]) key on this, never on
+    {!to_string}. For an operator without float or shape attributes the
+    key is its {!to_string}. *)
+
 val pp : Format.formatter -> t -> unit

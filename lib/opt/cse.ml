@@ -1,8 +1,8 @@
 open Echo_ir
 
-(* Structural key: operator (with attributes), exact input identities, and
-   region. [Op.to_string] includes every attribute, so it is a faithful
-   fingerprint of the operator.
+(* Structural key: operator (every attribute exact, floats by their bits —
+   [Op.to_string]'s [%g] would merge [Scale 0.5] with [Scale 0.5000001]),
+   exact input identities, and region.
 
    These keys embed raw [Node.id]s, which come off a process-local counter:
    they are only meaningful within one [rebuild] walk and MUST NOT feed
@@ -10,7 +10,7 @@ open Echo_ir
    [Graph.fingerprint] instead, which renames nodes to schedule
    positions). *)
 let key op inputs region =
-  ( Op.to_string op,
+  ( Op.key op,
     List.map Node.id inputs,
     match region with Node.Forward -> 0 | Node.Backward -> 1 )
 
@@ -48,7 +48,12 @@ let rebuild graph =
       in
       if not (Node.equal final n) then Hashtbl.replace repr (Node.id n) final)
     (Graph.nodes graph);
-  (Graph.create (List.map resolve (Graph.outputs graph)), !removed)
+  let rebuilt =
+    (* Nothing merged and nothing rewired: the input graph stands. *)
+    if Hashtbl.length repr = 0 then graph
+    else Graph.create (List.map resolve (Graph.outputs graph))
+  in
+  (rebuilt, !removed)
 
 let run graph = fst (rebuild graph)
 let count_redundant graph = snd (rebuild graph)

@@ -18,6 +18,7 @@
 open Echo_ir
 
 val run : Graph.t -> Graph.t
+(** Returns its argument itself when no node merges. *)
 
 val count_redundant : Graph.t -> int
 (** Number of nodes CSE would remove (statistics / tests). *)

@@ -53,6 +53,10 @@ let run graph =
         if changed then
           Hashtbl.replace repr (Node.id n) (Node.clone_with_inputs n inputs))
     (Graph.nodes graph);
-  (* Outputs must survive even when folded away to an existing node: wrap in
-     nothing — Graph outputs may alias interior nodes, which is fine. *)
-  Graph.create (List.map resolve (Graph.outputs graph))
+  (* Nothing rewritten: hand back the input graph itself, so a confirming
+     fixpoint pass walks the graph without rebuilding it. *)
+  if Hashtbl.length repr = 0 then graph
+  else
+    (* Outputs must survive even when folded away to an existing node: wrap
+       in nothing — Graph outputs may alias interior nodes, which is fine. *)
+    Graph.create (List.map resolve (Graph.outputs graph))

@@ -17,3 +17,4 @@
 open Echo_ir
 
 val run : Graph.t -> Graph.t
+(** Returns its argument itself ([==]) when no node is rewritten. *)

@@ -253,6 +253,200 @@ let prop_random_dag_schedules =
       Graph.validate g;
       true)
 
+(* The scheduler [Graph.create] replaced, kept as its oracle: collect every
+   node reachable from the outputs, then run Kahn's walk over a [Set] of
+   (hint, id) pairs ordered by polymorphic compare. Returns the schedule's
+   ids. *)
+module Ready = Stdlib.Set.Make (struct
+  type t = float * int
+
+  let compare = Stdlib.compare
+end)
+
+let reference_schedule outputs =
+  let seen = Hashtbl.create 256 in
+  let members = ref [] in
+  let stack = ref outputs in
+  while !stack <> [] do
+    match !stack with
+    | [] -> ()
+    | n :: rest ->
+      stack := rest;
+      if not (Hashtbl.mem seen (Node.id n)) then begin
+        Hashtbl.add seen (Node.id n) ();
+        members := n :: !members;
+        stack := Node.inputs n @ !stack
+      end
+  done;
+  let pending = Hashtbl.create 256 and consumers_of = Hashtbl.create 256 in
+  List.iter
+    (fun n ->
+      Hashtbl.replace pending (Node.id n) (List.length (Node.inputs n));
+      List.iter
+        (fun i ->
+          let cur = Option.value (Hashtbl.find_opt consumers_of (Node.id i)) ~default:[] in
+          Hashtbl.replace consumers_of (Node.id i) (n :: cur))
+        (Node.inputs n))
+    !members;
+  let ready =
+    ref
+      (List.fold_left
+         (fun s n ->
+           if Node.inputs n = [] then Ready.add (Node.hint n, Node.id n) s else s)
+         Ready.empty !members)
+  in
+  let out = ref [] in
+  while not (Ready.is_empty !ready) do
+    let ((_, id) as key) = Ready.min_elt !ready in
+    ready := Ready.remove key !ready;
+    out := id :: !out;
+    List.iter
+      (fun c ->
+        let d = Hashtbl.find pending (Node.id c) - 1 in
+        Hashtbl.replace pending (Node.id c) d;
+        if d = 0 then ready := Ready.add (Node.hint c, Node.id c) !ready)
+      (Option.value (Hashtbl.find_opt consumers_of id) ~default:[])
+  done;
+  List.rev !out
+
+(* [Graph.nodes] is the oracle's order, and [Graph.consumers] lists each
+   node's readers in that order, once per input slot. *)
+let matches_reference g =
+  let order = List.map Node.id (Graph.nodes g) in
+  order = reference_schedule (Graph.outputs g)
+  && List.for_all
+       (fun n ->
+         let readers =
+           List.concat_map
+             (fun c ->
+               List.filter_map
+                 (fun i -> if Node.equal i n then Some (Node.id c) else None)
+                 (Node.inputs c))
+             (Graph.nodes g)
+         in
+         List.map Node.id (Graph.consumers g (Node.id n)) = readers)
+       (Graph.nodes g)
+
+(* Random DAGs whose hints tie (small integers, broken by id), go negative,
+   and sit a clone's fraction [h - 1e-3] below another node's. *)
+let build_hinted_dag seed =
+  let rng = Rng.create seed in
+  let pool = ref [ Node.placeholder [| 2; 2 |]; Node.variable [| 2; 2 |] ] in
+  let pick () = List.nth !pool (Rng.int rng (List.length !pool)) in
+  for _ = 1 to 40 do
+    let hint =
+      match Rng.int rng 6 with
+      | 0 -> None
+      | 1 -> Some (float_of_int (Rng.int rng 6))
+      | 2 -> Some (-.float_of_int (Rng.int rng 40) -. 0.25)
+      | 3 -> Some (Node.hint (pick ()) -. 1e-3)
+      | 4 -> Some (Node.hint (pick ()))
+      | _ -> Some (Rng.float rng *. 100.0)
+    in
+    let n =
+      match Rng.int rng 6 with
+      | 0 -> Node.create ?hint Op.Add [ pick (); pick () ]
+      | 1 -> Node.create ?hint Op.Mul [ pick (); pick () ]
+      | 2 -> Node.create ?hint Op.Sigmoid [ pick () ]
+      | 3 -> Node.create ?hint (Op.Matmul { trans_a = false; trans_b = true }) [ pick (); pick () ]
+      | 4 -> Node.create ?hint ~shape:[| 2; 2 |] Op.Zeros []
+      | _ -> Node.create ?hint (Op.Concat { axis = 0 }) [ pick (); pick () ]
+    in
+    (* Concat doubles a dim; keep the pool at one shape. *)
+    let n =
+      if Node.shape n = [| 4; 2 |] then
+        Node.create ?hint (Op.Slice { axis = 0; lo = 1; hi = 3 }) [ n ]
+      else n
+    in
+    pool := n :: !pool
+  done;
+  [ List.hd !pool; pick (); pick () ]
+
+let prop_schedule_matches_reference =
+  QCheck.Test.make ~name:"schedule equals the Set-based reference" ~count:200
+    random_dag_gen (fun seed -> matches_reference (Graph.create (build_hinted_dag seed)))
+
+(* Every zoo model's training, optimized and rewritten graphs, under every
+   registered planner, schedule exactly as the reference does. *)
+let small_zoo () =
+  let open Echo_models in
+  [
+    (Language_model.build
+       {
+         Language_model.ptb_default with
+         vocab = 40;
+         embed = 8;
+         hidden = 8;
+         layers = 2;
+         seq_len = 5;
+         batch = 2;
+         dropout = 0.3;
+       })
+      .Language_model.model;
+    (Nmt.build
+       {
+         Nmt.gnmt_like with
+         src_vocab = 20;
+         tgt_vocab = 20;
+         embed = 6;
+         hidden = 6;
+         enc_layers = 1;
+         dec_layers = 1;
+         src_len = 3;
+         tgt_len = 3;
+         batch = 2;
+         dropout = 0.1;
+       })
+      .Nmt.model;
+    (Deepspeech.build
+       {
+         Deepspeech.ds2_like with
+         batch = 1;
+         time = 12;
+         freq = 8;
+         conv_channels = 2;
+         rnn_hidden = 4;
+         rnn_layers = 1;
+         classes = 5;
+         dropout = 0.0;
+       })
+      .Deepspeech.model;
+    (Transformer.build
+       {
+         Transformer.base_like with
+         vocab = 20;
+         seq_len = 4;
+         batch = 2;
+         d_model = 8;
+         heads = 2;
+         d_ff = 12;
+         layers = 1;
+         dropout = 0.1;
+       })
+      .Transformer.model;
+  ]
+
+let test_zoo_schedules_match_reference () =
+  let device = Echo_gpusim.Device.titan_xp in
+  List.iter
+    (fun model ->
+      let training = (Echo_models.Model.training model).Echo_autodiff.Grad.graph in
+      let optimized, _ = Echo_opt.Pipeline.run training in
+      let check what g =
+        check_bool
+          (Printf.sprintf "%s %s" model.Echo_models.Model.name what)
+          true (matches_reference g)
+      in
+      check "training" training;
+      check "optimized" optimized;
+      List.iter
+        (fun planner ->
+          let inst = Echo_core.Planner.instantiate planner.Echo_core.Planner.name in
+          let rewritten, _ = Echo_core.Pass.run_instance ~device inst optimized in
+          check (Echo_core.Planner.label inst) rewritten)
+        (Echo_core.Planner.all ()))
+    (small_zoo ())
+
 (* Graph.fingerprint: the canonical structural digest compile caches key
    on. It must be invariant under rebuilds (fresh node ids), commutative
    input order and serialisation — and sensitive to structure, attributes
@@ -326,6 +520,72 @@ let test_fingerprint_golden () =
   Alcotest.(check string)
     "golden digest" "cbc3b90901aa9e0da20792e110e7ba02" (Graph.fingerprint g)
 
+(* Two builds of a model with unnamed constant leaves: dropout masks are
+   named after their process-local ids, which must not reach the digest. *)
+let test_fingerprint_stable_with_dropout () =
+  let build () =
+    let lm =
+      Echo_models.Language_model.build
+        {
+          Echo_models.Language_model.ptb_default with
+          vocab = 30;
+          embed = 6;
+          hidden = 6;
+          layers = 1;
+          seq_len = 3;
+          batch = 2;
+          dropout = 0.3;
+        }
+    in
+    (Echo_models.Model.training lm.Echo_models.Language_model.model)
+      .Echo_autodiff.Grad.graph
+  in
+  let a = build () in
+  let b = build () in
+  check_bool "has dropout masks" true
+    (List.exists
+       (fun n -> match Node.op n with Op.DropoutMask _ -> true | _ -> false)
+       (Graph.nodes a));
+  Alcotest.(check string)
+    "same fingerprint" (Graph.fingerprint a) (Graph.fingerprint b)
+
+let test_fingerprint_exact_floats () =
+  let scaled k =
+    let x = Node.placeholder ~name:"x" [| 2 |] in
+    Graph.create [ Node.scale k x ]
+  in
+  check_bool "0.5 vs 0.5000001" true
+    (Graph.fingerprint (scaled 0.5) <> Graph.fingerprint (scaled 0.5000001));
+  Alcotest.(check string)
+    "same float, same digest" (Graph.fingerprint (scaled 0.5))
+    (Graph.fingerprint (scaled 0.5))
+
+(* Shape errors name the op the way [Op.to_string] prints it, formatted
+   only when the check fails. *)
+let test_infer_shape_messages () =
+  let message f =
+    match f () with
+    | _ -> "no error"
+    | exception Invalid_argument m -> m
+  in
+  let x = Node.placeholder [| 2; 3 |] and y = Node.placeholder [| 4; 5 |] in
+  Alcotest.(check string)
+    "matmul" "Op.infer_shape(Matmul(N,T)): inner dims 3 vs 5 ([2x3] x [4x5])"
+    (message (fun () -> Node.matmul ~trans_b:true x y));
+  Alcotest.(check string)
+    "reshape" "Op.infer_shape(Reshape([7])): cannot reshape [2x3] to [7]"
+    (message (fun () -> Node.reshape [| 7 |] x));
+  Alcotest.(check string)
+    "arity" "Op.infer_shape(Scale(0.5)): expected 1 inputs, got 2"
+    (message (fun () -> Node.create (Op.Scale 0.5) [ x; x ]));
+  Alcotest.(check string)
+    "leaf" "Op.infer_shape(ConstFill(0.25)): leaf requires an explicit shape"
+    (message (fun () -> Op.infer_shape (Op.ConstFill 0.25) [] None));
+  Alcotest.(check string)
+    "dropout" "Op.infer_shape(DropoutMask(p=0.3,seed=7)): expected 0 inputs, got 1"
+    (message (fun () ->
+         Op.infer_shape (Op.DropoutMask { p = 0.3; seed = 7 }) [ [| 2 |] ] (Some [| 2 |])))
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   [
@@ -338,6 +598,7 @@ let suite =
         t "reductions" test_infer_reduce;
         t "nn kernels" test_infer_nn;
         t "classification" test_op_classification;
+        t "shape error messages" test_infer_shape_messages;
       ] );
     ( "node",
       [
@@ -361,6 +622,8 @@ let suite =
         t "empty outputs" test_graph_empty_outputs;
         t "dot output" test_graph_to_dot;
         QCheck_alcotest.to_alcotest prop_random_dag_schedules;
+        QCheck_alcotest.to_alcotest prop_schedule_matches_reference;
+        t "zoo schedules match the reference" test_zoo_schedules_match_reference;
       ] );
     ( "fingerprint",
       [
@@ -369,5 +632,7 @@ let suite =
         t "serial round-trip" test_fingerprint_serial_roundtrip;
         t "distinguishes structure" test_fingerprint_distinguishes;
         t "golden digest" test_fingerprint_golden;
+        t "stable across rebuilds with dropout" test_fingerprint_stable_with_dropout;
+        t "exact float attributes" test_fingerprint_exact_floats;
       ] );
   ]

@@ -106,6 +106,34 @@ let test_fold_shape_noops () =
   let g' = Fold.run (Fold.run g) in
   check_int "noops removed" 2 (Graph.node_count g')
 
+(* Float attributes are keyed by their bits: [%g] prints 0.5 and
+   0.5000001 alike, but they are different values. *)
+let test_cse_exact_float_attrs () =
+  let x = Node.placeholder [| 4 |] in
+  let g = Graph.create [ Node.sub (Node.scale 0.5 x) (Node.scale 0.5000001 x) ] in
+  check_int "nothing to merge" 0 (Cse.count_redundant g);
+  check_int "both scales survive" 4 (Graph.node_count (Cse.run g));
+  let y = Node.placeholder [| 4 |] in
+  let h = Graph.create [ Node.sub (Node.add_scalar 1e-9 y) (Node.add_scalar 1.0000001e-9 y) ] in
+  check_int "tiny constants differ" 0 (Cse.count_redundant h)
+
+let test_cse_returns_input_when_unchanged () =
+  let x = Node.placeholder [| 4 |] in
+  let g = Graph.create [ Node.add (Node.sigmoid x) (Node.tanh_ x) ] in
+  check_bool "same graph" true (Cse.run g == g)
+
+let test_fold_returns_input_when_unchanged () =
+  let x = Node.placeholder [| 2; 2 |] in
+  let g = Graph.create [ Node.add (Node.scale 2.0 x) (Node.transpose2d x) ] in
+  check_bool "same graph" true (Fold.run g == g);
+  (* The optimisation pipeline's confirming fold pass builds nothing. *)
+  let folded = Graph.create [ Node.scale 1.0 (Node.sigmoid x) ] in
+  let before = Graph.created_count () in
+  let g', stats = Pipeline.run folded in
+  check_int "one fold" 1 stats.Pipeline.folded;
+  check_int "one graph built, by the folding pass" 1 (Graph.created_count () - before);
+  check_bool "confirming pass hands it back" true (Fold.run g' == g')
+
 let test_fold_keeps_region () =
   let x = Node.placeholder [| 2 |] in
   let b = Node.scale ~region:Node.Backward 0.0 x in
@@ -370,6 +398,8 @@ let suite =
         t "region barrier" test_cse_region_barrier;
         t "semantics preserved" test_cse_semantics_preserved;
         t "chain cascade" test_cse_chain_cascade;
+        t "exact float attrs" test_cse_exact_float_attrs;
+        t "unchanged graph returned" test_cse_returns_input_when_unchanged;
       ] );
     ( "opt.fold",
       [
@@ -379,6 +409,7 @@ let suite =
         t "scale fusion" test_fold_scale_fusion;
         t "shape noops" test_fold_shape_noops;
         t "keeps region" test_fold_keeps_region;
+        t "unchanged graph returned" test_fold_returns_input_when_unchanged;
       ] );
     ( "opt.pipeline",
       [

@@ -222,6 +222,102 @@ let test_arena_solver_deterministic () =
          (Planner.assigner (Planner.instantiate "stash-all") g))
 
 (* ------------------------------------------------------------------ *)
+(* The echo family's reuse path. [Pass.run_instance] hands the planner the
+   baseline plan, and the ladder hands back the rewrite it measured, so the
+   pass neither re-mirrors nor re-plans. The reference is the pass as it
+   ran before: the ladder planned every rung from scratch and returned a
+   bare selection, which the pass mirrored and planned again. *)
+let reference_outcome inst graph =
+  let open Echo_core in
+  let module Memplan = Echo_exec.Memplan in
+  let budget = Planner.knob_value inst "budget" in
+  let selection, share =
+    match inst.Planner.planner.Planner.name with
+    | ("echo" | "echo-cheap") as name ->
+      let cheap_only = name = "echo-cheap" in
+      let baseline_peak = (Memplan.plan graph).Memplan.live_peak_bytes in
+      let measure b =
+        let sel = Select.echo ~cheap_only dev graph ~overhead_budget:b in
+        if Echo_ir.Ids.Set.is_empty sel.Select.mirror_ids then (sel, baseline_peak)
+        else
+          ( sel,
+            (Memplan.plan
+               (Rewrite.mirror ~share:true graph ~mirror_ids:sel.Select.mirror_ids))
+              .Memplan.live_peak_bytes )
+      in
+      ( fst
+          (List.fold_left
+             (fun ((_, best_peak) as best) b ->
+               if b < 0.002 then best
+               else
+                 let sel, peak = measure b in
+                 if peak < best_peak then (sel, peak) else best)
+             (Select.empty, baseline_peak)
+             [ budget; budget /. 2.0; budget /. 4.0; budget /. 8.0 ]),
+        true )
+    | "echo-noshare" -> (Select.echo dev graph ~overhead_budget:budget, false)
+    | "echo-notrans" ->
+      (Select.echo ~transitive:false dev graph ~overhead_budget:budget, true)
+    | other -> Alcotest.failf "no reference for %s" other
+  in
+  let rewritten =
+    if Echo_ir.Ids.Set.is_empty selection.Select.mirror_ids then graph
+    else Rewrite.mirror ~share graph ~mirror_ids:selection.Select.mirror_ids
+  in
+  (selection, rewritten)
+
+let test_echo_family_reuse () =
+  let open Echo_core in
+  let module Memplan = Echo_exec.Memplan in
+  let module Costmodel = Echo_gpusim.Costmodel in
+  let signature g =
+    List.map
+      (fun n -> (Echo_ir.Op.key (Echo_ir.Node.op n), Echo_ir.Node.name n))
+      (Echo_ir.Graph.nodes g)
+  in
+  let family =
+    List.filter
+      (fun p -> String.length p.Planner.name >= 4 && String.sub p.Planner.name 0 4 = "echo")
+      (Planner.all ())
+  in
+  check_int "four echo-family planners" 4 (List.length family);
+  let ladder_rewrites = ref 0 in
+  List.iter
+    (fun model ->
+      let graph = (Model.training model).Echo_autodiff.Grad.graph in
+      List.iter
+        (fun p ->
+          List.iter
+            (fun budget ->
+              let inst = Planner.instantiate ~knobs:[ ("budget", budget) ] p.Planner.name in
+              let what k =
+                Printf.sprintf "%s %s %s" model.Model.name (Planner.label inst) k
+              in
+              let optimised, r = Pass.run_instance ~device:dev inst graph in
+              let sel, expected = reference_outcome inst graph in
+              if r.Pass.mirrored_nodes > 0 && List.mem p.Planner.name [ "echo"; "echo-cheap" ]
+              then incr ladder_rewrites;
+              check_int (what "mirrored")
+                (Echo_ir.Ids.Set.cardinal sel.Select.mirror_ids)
+                r.Pass.mirrored_nodes;
+              check_int (what "clones") (Rewrite.clone_count expected) r.Pass.clone_nodes;
+              check_int (what "claimed bytes") sel.Select.claimed_saving_bytes
+                r.Pass.claimed_saving_bytes;
+              check_bool (what "claimed cost") true
+                (sel.Select.claimed_cost_s = r.Pass.claimed_cost_s);
+              check_bool (what "baseline time") true
+                (Costmodel.graph_time dev graph = r.Pass.baseline_time_s);
+              check_bool (what "optimised time") true
+                (Costmodel.graph_time dev expected = r.Pass.optimised_time_s);
+              check_bool (what "same rewrite") true (signature expected = signature optimised);
+              check_bool (what "baseline plan") true (Memplan.plan graph = r.Pass.baseline_mem);
+              check_bool (what "optimised plan, field for field") true
+                (Memplan.plan optimised = r.Pass.optimised_mem))
+            [ 0.10; 0.30 ])
+        family)
+    (Test_ir.small_zoo ());
+  check_bool "the ladder handed over a rewrite" true (!ladder_rewrites > 0)
+
 (* fit_ladder *)
 
 let test_ladder_composition () =
@@ -377,6 +473,7 @@ let suite =
       [
         t "composition" test_ladder_composition;
         t "overhead monotone" test_ladder_overhead_monotone;
+        t "echo family reuses its measured rewrite" test_echo_family_reuse;
       ] );
     ( "planners.claims",
       [ t "claimed saving within declared tolerance" test_claims_honest ] );
