@@ -329,7 +329,7 @@ let lint_policy ~runtime ~sanitize ~no_fuse ~corrupt label rw =
   let module Verify = Echo_analysis.Verify in
   let module Mutate = Echo_analysis.Mutate in
   let module Race = Echo_analysis.Race in
-  let planned = Pipeline.plan ~offsets:true rw in
+  let planned = Pipeline.plan rw in
   let fused =
     if no_fuse then Pipeline.fuse ~enabled:false planned
     else Pipeline.fuse planned
@@ -343,18 +343,11 @@ let lint_policy ~runtime ~sanitize ~no_fuse ~corrupt label rw =
       Echo_diag.Report.append ~into:report (Pipeline.race_verify exe);
       report
     | Some kind ->
+      (* Layout corruptions work on the unfused plan's offsets, the layout
+         an unfused executor runs: the mutators reason about unfused
+         liveness when picking their site. *)
       let offsets =
-        match planned.Pipeline.offsets with
-        | Some a -> a
-        | None -> assert false
-      in
-      (* Layout corruptions work on an unfused executor: the mutators
-         reason about unfused liveness when picking their site. *)
-      let unfused_offsets () =
-        let exe_u =
-          Pipeline.compile ~runtime (Pipeline.fuse ~enabled:false planned)
-        in
-        Echo_compiler.Executor.offsets (Pipeline.executor exe_u)
+        Assign.of_plan planned.Pipeline.graph planned.Pipeline.memplan
       in
       let need what = function
         | Some v -> v
@@ -377,13 +370,13 @@ let lint_policy ~runtime ~sanitize ~no_fuse ~corrupt label rw =
       | "alias" ->
         let offsets =
           need "no two values live simultaneously"
-            (Mutate.overlap_slots (unfused_offsets ()))
+            (Mutate.overlap_slots offsets)
         in
         Verify.lint ~offsets graph
       | "inplace-donor" ->
         let offsets =
           need "no non-elementwise consumer of a same-size dying input"
-            (Mutate.retarget_inplace graph (unfused_offsets ()))
+            (Mutate.retarget_inplace graph offsets)
         in
         Verify.lint ~offsets graph
       | "clone-seed" ->
@@ -639,10 +632,9 @@ let main_term =
           ~doc:
             "Recomputation planner, resolved through the registry: \
              $(b,name) or $(b,name:key=v,key2=v2) (e.g. \
-             $(b,echo:budget=0.05), $(b,dp-bptt:slots=8), \
-             $(b,olla-arena)). $(b,list) prints every registered planner \
-             with its knobs. Defaults to \\$(b,ECHO_POLICY), else \
-             $(b,echo).")
+             $(b,echo:budget=0.05), $(b,dp-bptt:slots=8)). $(b,list) \
+             prints every registered planner with its knobs. Defaults to \
+             \\$(b,ECHO_POLICY), else $(b,echo).")
   in
   let budget =
     Arg.(

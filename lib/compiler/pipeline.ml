@@ -68,21 +68,15 @@ type planned = {
   rewritten : rewritten;
   graph : Graph.t;
   memplan : Echo_exec.Memplan.report;
-  offsets : Echo_exec.Assign.t option;
 }
 
-let plan ?(offsets = false) (rw : rewritten) =
+let plan (rw : rewritten) =
   {
     rewritten = rw;
     graph = rw.graph;
     (* The rewrite stage already measured the rewritten graph; reuse it
        rather than planning a third time. *)
     memplan = rw.report.Echo_core.Pass.optimised_mem;
-    offsets =
-      (* The planner owns the static offset plan: the walk's best fit
-         unless it overrides it (the OLLA-style arena solver does). *)
-      (if offsets then Some (Echo_core.Planner.assigner rw.planner rw.graph)
-       else None);
   }
 
 type fused = {
@@ -117,9 +111,7 @@ type executable = { fused : fused; executor : Executor.t }
 (* The verification layer: every stage re-proven by the independent
    checkers of Echo_analysis.Verify. Later stages verify everything the
    earlier ones do plus their own artifact: from the planned stage on, the
-   offsets of the memory plan the stage carries (the walk's, never a
-   solver run the caller did not ask for), and the planner's static
-   offset plan too when [plan ~offsets:true] made one. *)
+   offsets of the memory plan the stage carries. *)
 type stage =
   | Source of source
   | Training of training
@@ -129,16 +121,6 @@ type stage =
   | Fused of fused
   | Executable of executable
 
-(* [report] plus the range check of the requested static offset plan,
-   which is unfused. *)
-let with_static_offsets (pl : planned) report =
-  (match pl.offsets with
-  | Some a ->
-    Echo_diag.Report.append ~into:report
-      (Echo_analysis.Verify.check_ranges pl.graph a)
-  | None -> ());
-  report
-
 let verify stage =
   match stage with
   | Source s -> Echo_analysis.Verify.lint (forward_graph s)
@@ -146,20 +128,17 @@ let verify stage =
   | Optimized o -> Echo_analysis.Verify.lint o.graph
   | Rewritten r -> Echo_analysis.Verify.lint r.graph
   | Planned pl ->
-    with_static_offsets pl
-      (Echo_analysis.Verify.lint
-         ~offsets:(Echo_exec.Assign.of_plan pl.graph pl.memplan)
-         pl.graph)
+    Echo_analysis.Verify.lint
+      ~offsets:(Echo_exec.Assign.of_plan pl.graph pl.memplan)
+      pl.graph
   | Fused f ->
-    with_static_offsets f.planned
-      (Echo_analysis.Verify.lint ?fusion:f.fusion
-         ~offsets:(Echo_exec.Assign.of_plan f.graph f.fused_memplan)
-         f.graph)
+    Echo_analysis.Verify.lint ?fusion:f.fusion
+      ~offsets:(Echo_exec.Assign.of_plan f.graph f.fused_memplan)
+      f.graph
   | Executable e ->
     let f = e.fused in
-    with_static_offsets f.planned
-      (Echo_analysis.Verify.lint ?fusion:f.fusion
-         ~offsets:(Executor.offsets e.executor) f.graph)
+    Echo_analysis.Verify.lint ?fusion:f.fusion
+      ~offsets:(Executor.offsets e.executor) f.graph
 
 (* The race checker over a compiled executable: every artifact the
    executor actually carries — its runtime, and its plan's fusion groups,
@@ -281,12 +260,6 @@ let describe fmt e =
     (Echo_core.Planner.label rw.planner)
     rw.report.Echo_core.Pass.clone_nodes;
   Format.fprintf fmt "  planned: %a@," Echo_exec.Memplan.pp pl.memplan;
-  (match pl.offsets with
-  | Some a ->
-    Format.fprintf fmt "  offsets: arena=%d bytes (%d slots)@,"
-      (Echo_exec.Assign.arena_size a)
-      (List.length (Echo_exec.Assign.slots a))
-  | None -> ());
   (match e.fused.fusion with
   | Some f ->
     Format.fprintf fmt

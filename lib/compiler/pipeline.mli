@@ -8,7 +8,7 @@
       source      --differentiate-->  training     (autodiff: loss + grads)
       training    --optimize------->  optimized    (fold + CSE)
       optimized   --rewrite-------->  rewritten    (the Echo pass)
-      rewritten   --plan----------->  planned      (memplan + assign)
+      rewritten   --plan----------->  planned      (the rewrite's memory plan)
       planned     --fuse----------->  fused        (elementwise chain groups)
       fused       --compile-------->  executable   (slot-based executor)
     v}
@@ -79,9 +79,7 @@ type rewritten = {
   optimized : optimized;
   graph : Graph.t;
   planner : Echo_core.Planner.instance;
-      (** the registry planner the stage ran — downstream stages resolve
-          planner-owned artifacts (e.g. the static offset assigner)
-          through it *)
+      (** the registry planner the stage ran *)
   report : Echo_core.Pass.report;
       (** baseline + optimised footprint/time measurements *)
 }
@@ -102,20 +100,14 @@ type planned = {
   rewritten : rewritten;
   graph : Graph.t;
   memplan : Echo_exec.Memplan.report;
-      (** the rewrite stage's unfused plan ([report.optimised_mem]) *)
-  offsets : Echo_exec.Assign.t option;
-      (** the planner's static byte-offset plan, requested with
-          [plan ~offsets:true]; never what the executor runs, which is
-          [memplan]'s (or the fused stage's) own offsets *)
+      (** the rewrite stage's unfused plan ([report.optimised_mem]): its
+          best-fit offsets ({!Echo_exec.Assign.of_plan}) are what an
+          unfused executor runs *)
 }
 
-val plan : ?offsets:bool -> rewritten -> planned
-(** The unfused memory plan. [offsets] (default [false]) also runs the
-    planner's static offset plan ({!Echo_core.Planner.assigner} — the
-    walk's best-fit offsets unless the planner overrides it, as
-    [olla-arena] does with its annealed solve, which can take tens of
-    seconds on a full-size graph). It is an inspection artifact: the
-    default compile path never makes it. *)
+val plan : rewritten -> planned
+(** The unfused memory plan, which the rewrite stage already measured: no
+    graph is planned again. *)
 
 (** {1 Fused stage} *)
 
@@ -192,10 +184,8 @@ val verify : stage -> Echo_diag.Report.t
     plus, from [Planned] on, the byte offsets of the memory plan the stage
     carries ({!Echo_analysis.Verify.check_ranges}: the unfused plan at
     [Planned], the fused plan at [Fused], the layout the executor runs at
-    [Executable]) and the planner's static offset plan when
-    [plan ~offsets:true] made one, and the fusion plan from [Fused] on.
-    Never runs an offset solver itself. Returns the collected report; a
-    sound artifact has no error findings.
+    [Executable]), and the fusion plan from [Fused] on. Returns the
+    collected report; a sound artifact has no error findings.
 
     {!compile} runs this automatically under [ECHO_VERIFY=1]
     ({!Echo_analysis.Verify.env_enabled}) and raises

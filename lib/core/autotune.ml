@@ -17,20 +17,6 @@ let run_one ~device planner graph =
 let label o = Planner.label o.planner
 let echo_rung b = Planner.instantiate ~knobs:[ ("budget", b) ] "echo"
 
-let for_memory_target ~device graph ~target_bytes =
-  let fits outcome =
-    outcome.report.Pass.optimised_mem.Memplan.live_peak_bytes <= target_bytes
-  in
-  let rec escalate = function
-    | [] -> None
-    | budget :: rest ->
-      let outcome = run_one ~device (echo_rung budget) graph in
-      if fits outcome then Some outcome else escalate rest
-  in
-  (* The baseline may already fit. *)
-  let baseline = run_one ~device (Planner.instantiate "stash-all") graph in
-  if fits baseline then Some baseline else escalate escalation
-
 (* Cheapest-overhead-first. The registry's segment planners slot in between
    the Echo rungs and recompute-all: √n checkpointing recomputes each
    segment once from a count-balanced frontier, dp-bptt's byte-balanced
@@ -61,13 +47,12 @@ let fit_footprint ?fuse outcome =
   if fuse then arena_under ~fusion:(Echo_ir.Fuse.analyse outcome.graph) outcome
   else arena_under outcome
 
-(* Unlike [for_memory_target], fitting here is judged on [arena_bytes] — the
-   exact footprint of the compiled slot executor
-   ([Executor.footprint_bytes]) — so a plan accepted under a budget is
-   guaranteed to also compile under that budget. [fuse] must match the
-   fusion setting of that later compile: the fused planner skips group
-   interiors but extends external lifetimes, so the two arenas differ in
-   both directions. *)
+(* Fitting is judged on [arena_bytes] — the exact footprint of the compiled
+   slot executor ([Executor.footprint_bytes]) — so a plan accepted under a
+   budget is guaranteed to also compile under that budget. [fuse] must
+   match the fusion setting of that later compile: the fused planner skips
+   group interiors but extends external lifetimes, so the two arenas
+   differ in both directions. *)
 let fit_memory ~device ?fuse graph ~budget_bytes =
   let rec escalate = function
     | [] -> None
@@ -191,19 +176,3 @@ let fit_exec ~device graph ~budget_bytes =
           else consider best outcome ?fusion ~arena ())
         best [ None; Some plan ])
     None fit_ladder
-
-let best_throughput ~device graph ~budget_bytes ~candidates =
-  List.fold_left
-    (fun best planner ->
-      let outcome = run_one ~device planner graph in
-      if outcome.report.Pass.optimised_mem.Memplan.live_peak_bytes > budget_bytes
-      then best
-      else begin
-        match best with
-        | Some b
-          when b.report.Pass.optimised_time_s
-               <= outcome.report.Pass.optimised_time_s ->
-          best
-        | Some _ | None -> Some outcome
-      end)
-    None candidates

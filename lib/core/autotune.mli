@@ -6,7 +6,9 @@
     (here: simulated) footprint and time, instead of asking the user to
     hand-pick flags. Every candidate is a {!Planner.instance} resolved
     through the registry, so newly registered planners join the search
-    space without touching this module. *)
+    space without touching this module. Every fit is judged in executed
+    bytes: the arena the compiled executor allocates
+    ([Memplan.report.arena_bytes]), never the live peak. *)
 
 open Echo_ir
 open Echo_gpusim
@@ -51,22 +53,6 @@ val fit_memory :
 
 val fit_footprint : ?fuse:bool -> outcome -> int
 (** The arena footprint {!fit_memory} judged the outcome by. *)
-
-val for_memory_target :
-  device:Device.t -> Graph.t -> target_bytes:int -> outcome option
-(** Cheapest Echo plan (by simulated overhead) whose measured peak footprint
-    fits [target_bytes]: escalates the overhead budget through
-    {1%%, 3%%, 5%%, 10%%, 20%%, 30%%, 50%%, 100%%} and stops at the first
-    budget that fits. [None] when even the most aggressive plan does not. *)
-
-val best_throughput :
-  device:Device.t ->
-  Graph.t ->
-  budget_bytes:int ->
-  candidates:Planner.instance list ->
-  outcome option
-(** Among [candidates] whose plan fits [budget_bytes], the one with the
-    smallest simulated iteration time. [None] if none fits. *)
 
 (** {1 Joint execution-knob search} *)
 

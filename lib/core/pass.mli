@@ -33,18 +33,19 @@ val run_instance :
   device:Device.t -> Planner.instance -> Graph.t -> Graph.t * report
 (** Returns the rewritten graph and the measurement report. The baseline
     is planned once and handed to the planner ({!Planner.plan}). A planner
-    whose selection is empty (e.g. [stash-all], [olla-arena]) returns the
-    input graph unchanged, and its report's [optimised_mem] is the very
-    [baseline_mem] value (the graph is planned and costed once). A planner
+    whose selection is empty (e.g. [stash-all]) returns the input graph
+    unchanged, and its report's [optimised_mem] is the very [baseline_mem]
+    value (the graph is planned and costed once). A planner
     that already rewrote and planned its selection (the echo ladder,
     {!Planner.outcome}[.rewritten]) returns that graph, and its report's
     [optimised_mem] is that plan: neither is built again. *)
 
 val reduction : report -> float
 (** Baseline/optimised peak-footprint ratio (>1 is better), on the
-    static-planner ([live_peak]) metric — MXNet plans buffer offsets
-    offline, so its device footprint tracks the live peak rather than a
-    caching allocator's arena. *)
+    [live_peak_bytes] metric: the lower bound any offset plan of the graph
+    must pay. The executed footprint is [optimised_mem.arena_bytes], the
+    slab the executor allocates — on nmt-train 3,768,336 B against a
+    3,679,908 B live peak. *)
 
 val overhead : report -> float
 (** (optimised - baseline) / baseline simulated iteration time. *)

@@ -18,7 +18,6 @@ type t = {
   label : knobs -> string;
   plan :
     knobs:knobs -> device:Device.t -> baseline:Memplan.report -> Graph.t -> outcome;
-  offsets : (knobs:knobs -> Graph.t -> Assign.t) option;
 }
 
 type instance = { planner : t; knobs : knobs }
@@ -38,8 +37,15 @@ let register p =
 let all () = List.rev_map (Hashtbl.find registry) !registration_order
 let find name = Hashtbl.find_opt registry name
 
-(* Names the pre-registry [echoc] accepted. *)
-let aliases = [ ("mirror-all", "mirror-all-cheap"); ("checkpoint", "checkpoint-sqrt") ]
+(* Names the pre-registry [echoc] accepted, and [olla-arena], which
+   perfbench's compile-zoo still instantiates: it always compiled as
+   stash-all. *)
+let aliases =
+  [
+    ("mirror-all", "mirror-all-cheap");
+    ("checkpoint", "checkpoint-sqrt");
+    ("olla-arena", "stash-all");
+  ]
 
 let resolve_name name =
   match List.assoc_opt name aliases with Some n -> n | None -> name
@@ -79,11 +85,6 @@ let with_knob i key v =
 
 let plan i ~device ~baseline graph =
   i.planner.plan ~knobs:i.knobs ~device ~baseline graph
-
-let assigner i graph =
-  match i.planner.offsets with
-  | None -> Assign.of_plan graph (Memplan.plan graph)
-  | Some f -> f ~knobs:i.knobs graph
 
 let parse spec =
   let name, args =
@@ -150,7 +151,7 @@ let value spec knobs key =
   | Some v -> v
   | None -> (List.find (fun k -> k.key = key) spec).default
 
-let knobless name description ?(claim_tolerance = 0.5) ?offsets plan_fn =
+let knobless name description ?(claim_tolerance = 0.5) plan_fn =
   {
     name;
     description;
@@ -158,7 +159,6 @@ let knobless name description ?(claim_tolerance = 0.5) ?offsets plan_fn =
     claim_tolerance;
     label = (fun _ -> name);
     plan = plan_fn;
-    offsets;
   }
 
 (* Echo measures its own plans with the memory planner: the pass tries a
@@ -210,7 +210,6 @@ let echo_family name description ~claim_tolerance plan_fn =
         Printf.sprintf "%s(%.0f%%)" name
           (100.0 *. value [ budget_knob ] knobs "budget"));
     plan = plan_fn;
-    offsets = None;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -384,7 +383,6 @@ let () =
       claim_tolerance = 1.0;
       label = (fun _ -> "dp-bptt");
       plan = dp_bptt_plan;
-      offsets = None;
     };
   register
     (echo_family "echo"
@@ -420,46 +418,4 @@ let () =
     (knobless "recompute-all"
        "recompute every recomputable map: stash lower bound, time upper bound"
        ~claim_tolerance:1.0 (fun ~knobs:_ ~device ~baseline:_ graph ->
-         unchanged (Select.recompute_all device graph)));
-  let olla_spec =
-    [
-      {
-        key = "iters";
-        doc = "annealing steps per restart (auto-scaled down on big graphs)";
-        default = float_of_int Arena_solver.default.Arena_solver.iters;
-      };
-      {
-        key = "restarts";
-        doc = "independent annealing restarts";
-        default = float_of_int Arena_solver.default.Arena_solver.restarts;
-      };
-      {
-        key = "seed";
-        doc = "RNG seed: same seed, same plan";
-        default = float_of_int Arena_solver.default.Arena_solver.seed;
-      };
-    ]
-  in
-  register
-    {
-      name = "olla-arena";
-      description =
-        "stash-all semantics + OLLA-style annealed lifetime/offset solver \
-         for the static arena";
-      knob_spec = olla_spec;
-      claim_tolerance = 0.01;
-      label = (fun _ -> "olla-arena");
-      plan =
-        (fun ~knobs:_ ~device:_ ~baseline:_ _graph -> unchanged Select.empty);
-      offsets =
-        Some
-          (fun ~knobs graph ->
-            let config =
-              {
-                Arena_solver.iters = int_of_float (value olla_spec knobs "iters");
-                restarts = int_of_float (value olla_spec knobs "restarts");
-                seed = int_of_float (value olla_spec knobs "seed");
-              }
-            in
-            Arena_solver.solve ~config graph);
-    }
+         unchanged (Select.recompute_all device graph)))

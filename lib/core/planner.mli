@@ -2,11 +2,12 @@
 
     A planner is a named strategy that, given a device and a training graph,
     produces a {!Select.selection} (which forward nodes to mirror into the
-    backward pass) plus, optionally, its own static offset assigner for the
-    {!Echo_exec.Assign} arena. Planners self-describe: each carries a knob
-    list (name, doc, default) so drivers like [echoc --policy list] and the
-    README policy table are generated from the registry instead of being
-    maintained by hand.
+    backward pass). Where its values live is not the planner's business:
+    every compile places the rewritten graph with {!Echo_exec.Memplan.plan}'s
+    best-fit walk, the one layout the executor runs. Planners
+    self-describe: each carries a knob list (name, doc, default) so drivers
+    like [echoc --policy list] and the README policy table are generated
+    from the registry instead of being maintained by hand.
 
     Everything downstream — [Pass], [Autotune], [Pipeline.rewrite],
     [Loop.train], [echoc], the benches, the examples and the tests — names
@@ -19,10 +20,12 @@
       [budget]), [echo-cheap], [echo-noshare], [echo-notrans],
       [recompute-all] — the paper's comparison set and ablations;
     - [dp-bptt] — Gruslys et al.-style balanced-byte segment checkpointing
-      with an optional memory budget (knobs [slots], [budget-mib]);
-    - [olla-arena] — stash-all semantics with the OLLA-style annealed
-      lifetime+offset arena solver ({!Echo_exec.Arena_solver}) as its
-      static-plan assigner (knobs [iters], [restarts], [seed]). *)
+      with an optional memory budget (knobs [slots], [budget-mib]).
+
+    Legacy names resolve through aliases: [mirror-all], [checkpoint], and
+    [olla-arena], which compiles as [stash-all] (the OLLA-style annealer,
+    {!Echo_exec.Arena_solver}, is E19's placement comparison, not a
+    planner). *)
 
 open Echo_ir
 open Echo_gpusim
@@ -66,9 +69,6 @@ type t = {
     outcome;
       (** [baseline] is the graph's own memory plan, which the pass has
           already measured *)
-  offsets : (knobs:knobs -> Graph.t -> Echo_exec.Assign.t) option;
-      (** static arena assigner; [None] means the offsets of the unfused
-          memory plan's best-fit walk ({!Echo_exec.Memplan.plan}) *)
 }
 
 type instance = { planner : t; knobs : knobs }
@@ -93,7 +93,8 @@ val instantiate : ?knobs:knobs -> string -> instance
 val parse : string -> (instance, string) result
 (** Parse a command-line spec: [name] or [name:key=v,key2=v2], e.g.
     ["echo:budget=0.05"] or ["dp-bptt:slots=8"]. Legacy aliases
-    ([mirror-all], [checkpoint]) resolve to their registered names. *)
+    ([mirror-all], [checkpoint], [olla-arena]) resolve to their registered
+    names. *)
 
 (** {1 Instances} *)
 
@@ -117,11 +118,6 @@ val plan :
   Graph.t ->
   outcome
 (** [baseline] must be {!Echo_exec.Memplan.plan} of the graph. *)
-
-val assigner : instance -> Graph.t -> Echo_exec.Assign.t
-(** The instance's static offset plan: the offsets {!Echo_exec.Memplan.plan}'s
-    walk assigns the unfused graph ({!Echo_exec.Assign.of_plan}), unless
-    the planner overrides it. *)
 
 val pp_list : Format.formatter -> unit -> unit
 (** The [--policy list] rendering: every registered planner with its

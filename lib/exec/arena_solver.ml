@@ -149,6 +149,6 @@ let solve ?(config = default) graph =
     end
   end
 
-let improvement _graph ~greedy ~solved =
+let improvement ~greedy ~solved =
   let g = Assign.arena_size greedy and s = Assign.arena_size solved in
   if g <= 0 then 0.0 else float_of_int (g - s) /. float_of_int g

@@ -1,8 +1,7 @@
-(** OLLA-style static arena optimisation (Steiner et al.): jointly search
-    over slot placement orders, assigning each buffer the lowest
-    non-conflicting byte offset, to shrink the transient arena below what
-    the one-shot best-fit walk of {!Memplan} produces (unfused, read
-    through {!Assign.of_plan}).
+(** OLLA-style static arena placement (Steiner et al.): search over slot
+    placement orders, assigning each buffer the lowest non-conflicting byte
+    offset, for a slab smaller than the one-shot best-fit walk of {!Memplan}
+    produces (unfused, read through {!Assign.of_plan}).
 
     The search is simulated annealing over placement orders, seeded with a
     handful of deterministic heuristics (size-descending, duration-
@@ -11,9 +10,14 @@
     lifetimes intersect, so every candidate is sound by construction and the
     final plan still passes {!Assign.check} / Echo-verify's offset checker.
 
-    [solve] never regresses: it returns the greedy walk's plan
-    whenever no explored order beats it, so the solved arena is always [<=]
-    the greedy arena. *)
+    It places without in-place handovers: a taker and the donor it would
+    overwrite count as concurrent, so each gets its own range. No executor
+    runs its layout — the executor runs the walk's — and it exists as a
+    comparison: E19 solves the stash-all row of every small zoo graph and
+    records where, and by how much, it beats the walk.
+
+    The one guarantee is [<=] greedy: [solve] returns the walk's plan
+    whenever no explored order beats it. *)
 
 open Echo_ir
 
@@ -29,5 +33,5 @@ val solve : ?config:config -> Graph.t -> Assign.t
 (** Optimised static plan for the graph's transient buffers. The result is
     validated internally ({!Assign.validate}) before being returned. *)
 
-val improvement : Graph.t -> greedy:Assign.t -> solved:Assign.t -> float
+val improvement : greedy:Assign.t -> solved:Assign.t -> float
 (** Fractional arena saving of [solved] over [greedy] (0 when equal). *)

@@ -6,7 +6,8 @@
     address space, except an in-place taker and the dying donor it
     overwrites, which share one range exactly. {!of_plan} reads the plan
     {!Memplan}'s walk made (best fit over the liveness intervals); the
-    OLLA-style solver ({!Arena_solver}) searches for a smaller one. *)
+    OLLA-style solver ({!Arena_solver}) searches for a smaller one, which
+    E19 compares against it and no executor runs. *)
 
 open Echo_ir
 

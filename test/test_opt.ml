@@ -280,42 +280,6 @@ let test_timeline_launch_share () =
 
 (* Autotune *)
 
-let test_autotune_memory_target () =
-  let g, _ = lm_graph () in
-  let base = (Memplan.plan g).Memplan.live_peak_bytes in
-  (* baseline fits a generous target *)
-  (match Echo_core.Autotune.for_memory_target ~device:dev g ~target_bytes:(2 * base) with
-  | Some o ->
-    check_bool "baseline chosen" true (Echo_core.Autotune.label o = "stash-all")
-  | None -> Alcotest.fail "generous target must fit");
-  (* a slightly tight target forces recomputation *)
-  (match Echo_core.Autotune.for_memory_target ~device:dev g ~target_bytes:(base - 1) with
-  | Some o ->
-    check_bool "fits" true
-      (o.Echo_core.Autotune.report.Echo_core.Pass.optimised_mem.Memplan.live_peak_bytes
-      < base)
-  | None -> check_bool "acceptable if infeasible" true true);
-  (* an impossible target *)
-  check_bool "impossible target" true
-    (Echo_core.Autotune.for_memory_target ~device:dev g ~target_bytes:1 = None)
-
-let test_autotune_best_throughput () =
-  let g, _ = lm_graph () in
-  let base = (Memplan.plan g).Memplan.live_peak_bytes in
-  match
-    Echo_core.Autotune.best_throughput ~device:dev g ~budget_bytes:(2 * base)
-      ~candidates:
-        [
-          Echo_core.Planner.instantiate "stash-all";
-          Echo_core.Planner.instantiate "checkpoint-sqrt";
-          Echo_core.Planner.instantiate ~knobs:[ ("budget", 0.3) ] "echo";
-        ]
-  with
-  | Some o ->
-    check_bool "fastest fitting = baseline" true
-      (Echo_core.Autotune.label o = "stash-all")
-  | None -> Alcotest.fail "budget was generous"
-
 (* fit_memory — the fault-tolerant runtime's escalation ladder. Rungs are
    judged by planned *arena* footprint (what the compiled slot executor
    actually allocates) and the first fit wins. The arena itself is not
@@ -432,8 +396,6 @@ let suite =
       ] );
     ( "autotune",
       [
-        t "memory target" test_autotune_memory_target;
-        t "best throughput" test_autotune_best_throughput;
         t "fit_memory below floor" test_fit_memory_below_floor;
         t "fit_memory exact rung" test_fit_memory_exact_rung;
         t "fit_memory first-fit monotone" test_fit_memory_first_fit_monotone;

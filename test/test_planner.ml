@@ -7,9 +7,12 @@
      crash;
    - the dp-bptt segment planner trades frontier bytes for recomputation in
      the direction its knobs promise;
-   - the OLLA-style arena solver never regresses from the greedy best-fit
-     plan, is deterministic under a fixed seed, and always produces a plan
-     Echo-verify's offset checker accepts;
+   - every planner name perfbench instantiates resolves, the retired
+     [olla-arena] as an alias that compiles exactly as stash-all;
+   - the OLLA-style arena solver (E19's placement comparison) never
+     regresses from the greedy best-fit plan, is deterministic under a
+     fixed seed, and always produces a plan Echo-verify's offset checker
+     accepts;
    - the escalation ladder's tail really is ordered by measured overhead;
    - every planner's claimed saving is honest to within its declared
      tolerance;
@@ -72,7 +75,6 @@ let builtin_names =
   [
     "stash-all"; "mirror-all-cheap"; "checkpoint-sqrt"; "dp-bptt"; "echo";
     "echo-cheap"; "echo-noshare"; "echo-notrans"; "recompute-all";
-    "olla-arena";
   ]
 
 let test_registry_builtins () =
@@ -112,11 +114,38 @@ let test_parse_specs () =
   (match Planner.parse "checkpoint" with
   | Ok i -> check_string "alias" "checkpoint-sqrt" (Planner.label i)
   | Error e -> Alcotest.fail e);
+  (match Planner.parse "olla-arena" with
+  | Ok i -> check_string "alias" "stash-all" (Planner.label i)
+  | Error e -> Alcotest.fail e);
   let is_error = function Error _ -> true | Ok _ -> false in
   check_bool "unknown name" true (is_error (Planner.parse "no-such"));
   check_bool "unknown knob" true (is_error (Planner.parse "echo:slots=3"));
   check_bool "malformed kv" true (is_error (Planner.parse "echo:budget"));
   check_bool "non-numeric" true (is_error (Planner.parse "echo:budget=lots"))
+
+(* The planner names perfbench's compile-zoo instantiates: each must keep
+   resolving. [olla-arena] is no planner any more, only an alias whose
+   compile is stash-all's: the input graph back, planned once. *)
+let benchmark_names =
+  [ "stash-all"; "echo"; "checkpoint-sqrt"; "dp-bptt"; "olla-arena" ]
+
+let test_benchmark_names_resolve () =
+  List.iter
+    (fun name ->
+      match Planner.instantiate name with
+      | exception Invalid_argument msg -> Alcotest.fail msg
+      | _ -> ())
+    benchmark_names;
+  check_bool "olla-arena is not registered" true
+    (Planner.find "olla-arena" = None);
+  let g = Lazy.force lm_graph in
+  List.iter
+    (fun name ->
+      let out, r = Pass.run_instance ~device:dev (Planner.instantiate name) g in
+      check_bool (name ^ " returns the input graph") true (out == g);
+      check_bool (name ^ " plans once") true
+        (r.Pass.optimised_mem == r.Pass.baseline_mem))
+    [ "stash-all"; "olla-arena" ]
 
 let test_instance_api () =
   let raises f =
@@ -184,18 +213,20 @@ let test_dp_bptt_budget_knob () =
   check_bool "tight budget claims >= loose budget" true (tight >= loose)
 
 (* ------------------------------------------------------------------ *)
-(* olla-arena / Arena_solver *)
+(* Arena_solver: E19's placement comparison *)
+
+let greedy_offsets g = Echo_exec.Assign.of_plan g (Echo_exec.Memplan.plan g)
 
 let test_arena_solver_beats_greedy () =
   List.iter
     (fun g ->
-      let greedy = Planner.assigner (Planner.instantiate "stash-all") g in
-      let solved = Planner.assigner (Planner.instantiate "olla-arena") g in
+      let greedy = greedy_offsets g in
+      let solved = Echo_exec.Arena_solver.solve g in
       check_bool "solved <= greedy" true
         (Echo_exec.Assign.arena_size solved
         <= Echo_exec.Assign.arena_size greedy);
       check_bool "improvement >= 0" true
-        (Echo_exec.Arena_solver.improvement g ~greedy ~solved >= 0.0);
+        (Echo_exec.Arena_solver.improvement ~greedy ~solved >= 0.0);
       (* The solved plan must satisfy the planner's own soundness check and
          Echo-verify's independent offset checker. *)
       check_bool "Assign.check clean" false
@@ -207,19 +238,19 @@ let test_arena_solver_beats_greedy () =
 
 let test_arena_solver_deterministic () =
   let g = Lazy.force lm_graph in
-  let slots inst = Echo_exec.Assign.slots (Planner.assigner inst g) in
-  let a = slots (Planner.instantiate "olla-arena") in
-  let b = slots (Planner.instantiate "olla-arena") in
-  check_bool "same seed, same plan" true (a = b);
+  let slots ?config () =
+    Echo_exec.Assign.slots (Echo_exec.Arena_solver.solve ?config g)
+  in
+  check_bool "same seed, same plan" true (slots () = slots ());
   (* A different seed may find a different plan, but it must stay sound and
      never regress from greedy. *)
-  let other =
-    Planner.assigner (Planner.instantiate ~knobs:[ ("seed", 7.0) ] "olla-arena") g
-  in
+  let config = { Echo_exec.Arena_solver.default with seed = 7 } in
+  let other = Echo_exec.Arena_solver.solve ~config g in
+  check_bool "other seed sound" false
+    (Echo_diag.Report.has_errors (Echo_exec.Assign.check other));
   check_bool "other seed <= greedy" true
     (Echo_exec.Assign.arena_size other
-    <= Echo_exec.Assign.arena_size
-         (Planner.assigner (Planner.instantiate "stash-all") g))
+    <= Echo_exec.Assign.arena_size (greedy_offsets g))
 
 (* ------------------------------------------------------------------ *)
 (* The echo family's reuse path. [Pass.run_instance] hands the planner the
@@ -456,6 +487,7 @@ let suite =
         t "builtins registered and listed" test_registry_builtins;
         t "spec parsing" test_parse_specs;
         t "instance knob API" test_instance_api;
+        t "benchmark planner names resolve" test_benchmark_names_resolve;
       ] );
     ( "planners.dp-bptt",
       [
@@ -463,7 +495,7 @@ let suite =
         t "slots trade frontier for recompute" test_dp_bptt_slots_tradeoff;
         t "budget knob monotone" test_dp_bptt_budget_knob;
       ] );
-    ( "planners.olla-arena",
+    ( "planners.arena-solver",
       [
         t "never regresses from greedy, verifies"
           test_arena_solver_beats_greedy;
