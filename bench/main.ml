@@ -1582,13 +1582,32 @@ let e22 () =
    model. Beside the times stand the exact facts the stages produce: the
    node counts of the training, optimized and rewritten graphs, the clone
    count, the fused arena, the fused groups and the verify/race-verify
-   error findings. The facts are a pure function of the zoo, so they are
-   recorded as strings in BENCH_E24.json and [--check] compares a run with
-   that record (exit 1 on any difference) instead of rewriting it. The
-   quick zoo is used at either scale, which keeps the check cheap enough
-   for [dune runtest]. *)
+   error findings, and a digest of the fused plan's placement (every
+   slot's offset and the lifetime it is freed against), so a planner
+   change that keeps the arena's size but moves a value is caught too.
+   The facts are a pure function of the zoo, so they are recorded as
+   strings in BENCH_E24.json and [--check] compares a run with that record
+   (exit 1 on any difference) instead of rewriting it. The quick zoo is
+   used at either scale, which keeps the check cheap enough for [dune
+   runtest].
+
+   Below the stages, a breakdown times the functions the plan, verify and
+   race stages spend their time in, each on the stage's own artifacts:
+   [Liveness.analyse] and the [Memplan] walk over the fused graph (the
+   walk handed that analysis), [Verify.check_ranges] and
+   [Race.check_addresses] over the executor's offsets, and
+   [Race.check_lifetimes] over the plan's intervals. *)
 let e24_violations = ref []
 let e24_record = "BENCH_E24.json"
+
+(* Every slot's offset and expiry, in schedule order, digested. *)
+let placement_digest (r : Memplan.report) =
+  let buf = Buffer.create 4096 in
+  Array.iteri
+    (fun s off ->
+      Printf.bprintf buf "%d:%d;" off r.Memplan.expiry_of_slot.(s))
+    r.Memplan.offset_of_slot;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let e24 () =
   heading "E24" "compile anatomy over the quick zoo: ms and Graph.create calls per stage";
@@ -1609,6 +1628,10 @@ let e24 () =
     (Option.get !out, s, creates)
   in
   let stages = [ "rewrite"; "plan"; "fuse"; "compile"; "verify"; "race" ] in
+  let parts = Hashtbl.create 8 in
+  let breakdown_parts =
+    [ "liveness"; "walk"; "check_ranges"; "check_addresses"; "check_lifetimes" ]
+  in
   row "%-12s %-18s %s %7s %6s %9s %6s %6s@." "model" "planner"
     (String.concat " "
        (List.map (fun st -> Printf.sprintf "%11s" (st ^ " ms/gc")) stages))
@@ -1626,8 +1649,8 @@ let e24 () =
         Graph.node_count tr.Pipeline.autodiff.Echo_autodiff.Grad.graph
       and optimized_nodes = Graph.node_count o.Pipeline.graph in
       facts :=
-        (key "optimized_nodes", optimized_nodes)
-        :: (key "training_nodes", training_nodes) :: !facts;
+        (key "optimized_nodes", string_of_int optimized_nodes)
+        :: (key "training_nodes", string_of_int training_nodes) :: !facts;
       times :=
         (key "optimize_creates", float_of_int oc)
         :: (key "optimize_ms", ms ot)
@@ -1657,15 +1680,45 @@ let e24 () =
           in
           let rv, rvt, rvc = stage "race" (fun () -> Pipeline.race_verify x) in
           let exe = Pipeline.executor x in
+          let errors =
+            Echo_diag.Report.error_count v + Echo_diag.Report.error_count rv
+          in
+          let fplan = f.Pipeline.fused_memplan in
           let stage_facts =
+            List.map
+              (fun (k, v) -> (k, string_of_int v))
+              [
+                ("rewritten_nodes", Graph.node_count r.Pipeline.graph);
+                ("clone_nodes", r.Pipeline.report.Pass.clone_nodes);
+                ("fused_arena_bytes", fplan.Memplan.arena_bytes);
+                ("fused_groups", Executor.fused_group_count exe);
+                ("errors", errors);
+              ]
+            @ [ ("placement_digest", placement_digest fplan) ]
+          in
+          let graph = f.Pipeline.graph and fusion = f.Pipeline.fusion in
+          let offsets = Executor.offsets exe in
+          let liveness = ref None in
+          let part name fn =
+            let s = per_call ~reps fn in
+            let prev = Option.value (Hashtbl.find_opt parts name) ~default:0.0 in
+            Hashtbl.replace parts name (prev +. s);
+            (name, s)
+          in
+          let breakdown =
             [
-              ("rewritten_nodes", Graph.node_count r.Pipeline.graph);
-              ("clone_nodes", r.Pipeline.report.Pass.clone_nodes);
-              ("fused_arena_bytes", f.Pipeline.fused_memplan.Memplan.arena_bytes);
-              ("fused_groups", Executor.fused_group_count exe);
-              ( "errors",
-                Echo_diag.Report.error_count v
-                + Echo_diag.Report.error_count rv );
+              part "liveness" (fun () ->
+                  liveness := Some (Liveness.analyse ?fusion graph));
+              part "walk" (fun () ->
+                  ignore (Memplan.plan ?fusion ?liveness:!liveness graph));
+              part "check_ranges" (fun () ->
+                  ignore (Echo_analysis.Verify.check_ranges ?fusion graph offsets));
+              part "check_addresses" (fun () ->
+                  ignore (Echo_analysis.Race.check_addresses ?fusion graph offsets));
+              part "check_lifetimes" (fun () ->
+                  ignore
+                    (Echo_analysis.Race.check_lifetimes ?fusion
+                       ~intervals:(Memplan.intervals graph fplan) graph));
             ]
           in
           let timed =
@@ -1676,10 +1729,11 @@ let e24 () =
           in
           facts := List.rev_map (fun (k, v) -> (key k, v)) stage_facts @ !facts;
           times :=
-            List.concat_map
-              (fun (st, t, c) ->
-                [ (key (st ^ "_creates"), float_of_int c); (key (st ^ "_ms"), ms t) ])
-              (List.rev timed)
+            List.rev_map (fun (p, t) -> (key (p ^ "_ms"), ms t)) breakdown
+            @ List.concat_map
+                (fun (st, t, c) ->
+                  [ (key (st ^ "_creates"), float_of_int c); (key (st ^ "_ms"), ms t) ])
+                (List.rev timed)
             @ !times;
           row "%-12s %-18s %s %7d %6d %9s %6d %6d@." label (Planner.label inst)
             (String.concat " "
@@ -1690,7 +1744,10 @@ let e24 () =
             r.Pipeline.report.Pass.clone_nodes
             (Footprint.human f.Pipeline.fused_memplan.Memplan.arena_bytes)
             (Executor.fused_group_count exe)
-            (List.assoc "errors" stage_facts))
+            errors;
+          row "%-12s %-18s %s@." "" "  breakdown ms"
+            (String.concat " "
+               (List.map (fun (p, t) -> Printf.sprintf "%s %.2f" p (ms t)) breakdown)))
         (Planner.all ()))
     (zoo ~scale:Quick ());
   let all_stages = "differentiate" :: "optimize" :: stages in
@@ -1708,7 +1765,15 @@ let e24 () =
         (Printf.sprintf "total/%s_creates" st, float_of_int c)
         :: (Printf.sprintf "total/%s_ms" st, ms t) :: !times)
     all_stages;
-  let facts = List.rev_map (fun (k, v) -> (k, string_of_int v)) !facts in
+  row "%-12s %s@." "breakdown"
+    (String.concat ", "
+       (List.map
+          (fun p ->
+            let t = Hashtbl.find parts p in
+            times := (Printf.sprintf "total/%s_ms" p, ms t) :: !times;
+            Printf.sprintf "%s %.0f ms" p (ms t))
+          breakdown_parts));
+  let facts = List.rev !facts in
   if not !check_mode then
     record_json ~path:e24_record ~tags:facts "E24" (List.rev !times)
   else begin

@@ -368,11 +368,16 @@ let lint_policy ~runtime ~sanitize ~no_fuse ~corrupt label rw =
         let offsets = need "no slots at all" (Mutate.escape_slot offsets) in
         Verify.lint ~offsets graph
       | "alias" ->
-        let offsets =
-          need "no two values live simultaneously"
-            (Mutate.overlap_slots offsets)
+        (* A partial overlap, where [slot-overlap] makes two ranges
+           coincide. *)
+        let corrupted =
+          need "no value defined inside another's live range"
+            (Mutate.overlap_partially planned.Pipeline.graph
+               planned.Pipeline.memplan)
         in
-        Verify.lint ~offsets graph
+        Verify.lint
+          ~offsets:(Assign.of_plan planned.Pipeline.graph corrupted)
+          graph
       | "inplace-donor" ->
         let offsets =
           need "no non-elementwise consumer of a same-size dying input"

@@ -26,44 +26,40 @@ let describe n =
   Printf.sprintf "%s %s (#%d)" (Op.to_string (Node.op n)) (Node.name n)
     (Node.id n)
 
-let positions graph =
-  let tbl = Hashtbl.create 1024 in
-  List.iteri (fun i n -> Hashtbl.replace tbl (Node.id n) i) (Graph.nodes graph);
-  tbl
-
-(* Member id -> group root, and the interior set, re-derived from the raw
-   group list. *)
-let fusion_index fusion =
-  let roots = Hashtbl.create 64 and interiors = Hashtbl.create 64 in
+(* By schedule slot, re-derived from the raw group list: the slot whose
+   instruction does a slot's reads (its group root's for a member, -1 when
+   that root is not in the graph, the slot itself otherwise), and the
+   interiors. *)
+let fusion_index graph fusion =
+  let n = Graph.node_count graph in
+  let reader = Array.init n Fun.id and interior = Array.make n false in
   (match fusion with
   | None -> ()
   | Some f ->
     List.iter
       (fun g ->
+        let root =
+          match Graph.position graph (Node.id g.Fuse.root) with
+          | r -> r
+          | exception Not_found -> -1
+        in
         List.iter
           (fun m ->
-            Hashtbl.replace roots (Node.id m) g.Fuse.root;
-            if Node.id m <> Node.id g.Fuse.root then
-              Hashtbl.replace interiors (Node.id m) ())
+            match Graph.position graph (Node.id m) with
+            | s ->
+              reader.(s) <- root;
+              if Node.id m <> Node.id g.Fuse.root then interior.(s) <- true
+            | exception Not_found -> ())
           g.Fuse.members)
       (Fuse.groups f));
-  (roots, interiors)
+  (reader, interior)
 
-let derive_last graph pos roots node def =
-  if Graph.is_output graph (Node.id node) then max_int
-  else
-    List.fold_left
-      (fun acc c ->
-        let reader =
-          match Hashtbl.find_opt roots (Node.id c) with
-          | Some root -> root
-          | None -> c
-        in
-        match Hashtbl.find_opt pos (Node.id reader) with
-        | Some p -> max acc p
-        | None -> acc)
-      def
-      (Graph.consumers graph (Node.id node))
+(* Each slot's last read: [max_int] for a graph output, else the latest
+   reading instruction over its consumer edges. *)
+let derive_last graph reader =
+  Array.init (Graph.node_count graph) (fun s ->
+      if Graph.is_output_at graph s then max_int
+      else Graph.fold_consumers_at graph s (fun acc c -> max acc reader.(c)) s)
 
 (* ------------------------------------------------------------------ *)
 (* The per-operator access model: what each compiled kernel's chunks
@@ -307,7 +303,7 @@ let check_kernels ?chunk_bounds:(bounds = chunk_bounds) ?fusion ?offsets
   let err ~check ~nodes fmt =
     Report.errorf report ~check ~stage:"executable" ~nodes fmt
   in
-  let _, interiors = fusion_index fusion in
+  let _, interiors = fusion_index graph fusion in
   let group_of_root =
     match fusion with
     | Some f -> fun node -> Fuse.group_of_root f (Node.id node)
@@ -326,11 +322,11 @@ let check_kernels ?chunk_bounds:(bounds = chunk_bounds) ?fusion ?offsets
   let partitioned = ref 0 in
   let unaligned_boundaries = ref 0 in
   let unaligned_instrs = ref 0 in
-  List.iter
-    (fun node ->
+  List.iteri
+    (fun slot node ->
       match Node.op node with
       | Op.Placeholder | Op.Variable -> ()
-      | _ when Hashtbl.mem interiors (Node.id node) -> ()
+      | _ when interiors.(slot) -> ()
       | _ ->
         let a =
           match group_of_root node with
@@ -447,24 +443,31 @@ let check_lifetimes ?fusion ~intervals graph =
   let err ~nodes fmt =
     Report.errorf report ~check:"race-liveness" ~stage:"executable" ~nodes fmt
   in
-  let pos = positions graph in
-  let roots, interiors = fusion_index fusion in
-  let claimed = Hashtbl.create 1024 in
+  let reader, interiors = fusion_index graph fusion in
+  let last_of = derive_last graph reader in
+  (* Intervals claimed per slot; those of nodes outside the graph by id. *)
+  let claimed = Array.make (Graph.node_count graph) false in
+  let foreign = Hashtbl.create 8 in
   List.iter
     (fun { Echo_exec.Liveness.node; def_step = def; last_step = last } ->
       let id = Node.id node in
-      if Hashtbl.mem claimed id then
+      let slot = try Graph.position graph id with Not_found -> -1 in
+      let again =
+        if slot >= 0 then claimed.(slot) else Hashtbl.mem foreign id
+      in
+      if again then
         err ~nodes:[ id ] "node #%d has two liveness intervals in the plan" id
-      else Hashtbl.replace claimed id ();
-      match Hashtbl.find_opt pos id with
-      | None ->
+      else if slot >= 0 then claimed.(slot) <- true
+      else Hashtbl.replace foreign id ();
+      if slot < 0 then
         err ~nodes:[ id ]
           "the plan carries a liveness interval for node #%d, which is not \
            in the graph"
           id
-      | Some derived_def ->
-        let node = Graph.find graph id in
-        let derived_last = derive_last graph pos roots node derived_def in
+      else begin
+        let derived_def = slot in
+        let node = Graph.node_at graph slot in
+        let derived_last = last_of.(slot) in
         if def <> derived_def then
           err ~nodes:[ id ]
             "the plan defines %s at step %d but it is scheduled at step %d"
@@ -485,24 +488,20 @@ let check_lifetimes ?fusion ~intervals graph =
             (describe node)
             (if last = max_int then "end" else string_of_int last)
             (if derived_last = max_int then "end"
-             else string_of_int derived_last))
+             else string_of_int derived_last)
+      end)
     intervals;
   (* Coverage: a node the plan forgot has no interval at all — the
      executor would free its buffer immediately. *)
-  List.iter
-    (fun n ->
-      let id = Node.id n in
+  List.iteri
+    (fun slot n ->
       let persistent =
         match Node.op n with
         | Op.Placeholder | Op.Variable -> true
         | _ -> false
       in
-      if
-        (not persistent)
-        && (not (Hashtbl.mem interiors id))
-        && not (Hashtbl.mem claimed id)
-      then
-        err ~nodes:[ id ]
+      if (not persistent) && (not interiors.(slot)) && not claimed.(slot) then
+        err ~nodes:[ Node.id n ]
           "%s has no liveness interval in the plan: the executor has no \
            basis to keep its buffer alive"
           (describe n))
@@ -517,26 +516,22 @@ let check_addresses ?fusion graph offsets =
   let err ~nodes fmt =
     Report.errorf report ~check:"race-address" ~stage:"executable" ~nodes fmt
   in
-  let pos = positions graph in
-  let roots, _ = fusion_index fusion in
+  let reader, _ = fusion_index graph fusion in
+  let last_of = derive_last graph reader in
   let entries =
     List.filter_map
       (fun s ->
         let id = s.Echo_exec.Assign.node_id in
-        match Hashtbl.find_opt pos id with
-        | None ->
+        match Graph.position graph id with
+        | exception Not_found ->
           err ~nodes:[ id ] "placed node #%d is not in the graph" id;
           None
-        | Some def ->
-          let n = Graph.find graph id in
-          let last = derive_last graph pos roots n def in
-          Some (n, s.Echo_exec.Assign.offset, Node.size_bytes n, def, last))
+        | def ->
+          let n = Graph.node_at graph def in
+          Some (n, s.Echo_exec.Assign.offset, Node.size_bytes n, def, last_of.(def)))
       (Echo_exec.Assign.slots offsets)
   in
   let arr = Array.of_list entries in
-  (* Sort by base address; only address-overlapping pairs can race, and
-     they are adjacent in this order. *)
-  Array.sort (fun (_, b1, _, _, _) (_, b2, _, _, _) -> compare b1 b2) arr;
   let report_race wn w_def vn v_last ~lo ~hi =
     err
       ~nodes:[ Node.id wn; Node.id vn ]
@@ -545,31 +540,32 @@ let check_addresses ?fusion graph offsets =
       (describe wn) w_def lo hi (describe vn)
       (if v_last = max_int then "end" else string_of_int v_last)
   in
-  let n_entries = Array.length arr in
-  for i = 0 to n_entries - 1 do
-    let n1, base1, sz1, def1, last1 = arr.(i) in
-    let j = ref (i + 1) in
-    let continue = ref true in
-    while !continue && !j < n_entries do
-      let n2, base2, sz2, def2, last2 = arr.(!j) in
-      if base2 >= base1 + sz1 then continue := false
-      else if not (Node.equal n1 n2) then begin
-        (* Address ranges overlap. Writing one while the other still has
-           a pending read is a race — except the sanctioned handover of
-           one whole range, where the overwriting instruction IS the last
-           reader (in-place, legality proven by Verify's range checker).
-           A range overlapping another only in part is never a
-           handover. *)
-        let same = base1 = base2 && sz1 = sz2 in
-        let lo = max base1 base2 and hi = min (base1 + sz1) (base2 + sz2) in
-        if def1 < def2 && if same then last1 > def2 else last1 >= def2 then
-          report_race n2 def2 n1 last1 ~lo ~hi;
-        if def2 < def1 && if same then last2 > def1 else last2 >= def1 then
-          report_race n1 def1 n2 last2 ~lo ~hi
-      end;
-      incr j
-    done
-  done;
+  (* Writing one of two address-overlapping ranges while the other still
+     has a pending read is a race — except the sanctioned handover of one
+     whole range, where the overwriting instruction IS the last reader
+     (in-place, legality proven by Verify's range checker). A range
+     overlapping another only in part is never a handover. *)
+  let races (n1, base1, sz1, def1, last1) (n2, base2, sz2, def2, _) =
+    def1 < def2
+    && (not (Node.equal n1 n2))
+    && if base1 = base2 && sz1 = sz2 then last1 > def2 else last1 >= def2
+  in
+  let keep i j = races arr.(i) arr.(j) || races arr.(j) arr.(i) in
+  let field f = Array.map f arr in
+  List.iter
+    (fun (i, j) ->
+      let ((n1, base1, sz1, def1, last1) as e1) = arr.(i)
+      and ((n2, base2, sz2, def2, last2) as e2) = arr.(j) in
+      let lo = max base1 base2 and hi = min (base1 + sz1) (base2 + sz2) in
+      (* [races e1 e2]: writing [e2] lands on [e1]'s pending read. *)
+      if races e1 e2 then report_race n2 def2 n1 last1 ~lo ~hi;
+      if races e2 e1 then report_race n1 def1 n2 last2 ~lo ~hi)
+    (Overlap.live_pairs ~steps:(Graph.node_count graph)
+       ~def:(field (fun (_, _, _, d, _) -> d))
+       ~last:(field (fun (_, _, _, _, l) -> l))
+       ~offset:(field (fun (_, o, _, _, _) -> o))
+       ~size:(field (fun (_, _, z, _, _) -> z))
+       ~keep);
   report
 
 let check ?chunk_bounds ?intervals ?fusion ?offsets ~runtime graph =

@@ -63,49 +63,41 @@ let describe n =
   Printf.sprintf "%s %s (#%d)" (Op.to_string (Node.op n)) (Node.name n)
     (Node.id n)
 
-let positions graph =
-  let tbl = Hashtbl.create 1024 in
-  List.iteri (fun i n -> Hashtbl.replace tbl (Node.id n) i) (Graph.nodes graph);
-  tbl
-
 (* Fusion structure re-derived from the raw group list (not from the plan's
-   own index tables): member id -> group root, and the set of interiors. *)
-let fusion_index fusion =
-  let roots = Hashtbl.create 64 and interiors = Hashtbl.create 64 in
-  let externals_of_root = Hashtbl.create 64 in
+   own index tables), by schedule slot: the slot whose instruction does a
+   slot's reads (its group root's for a member, -1 when that root is not
+   in the graph, the slot itself otherwise), the interiors, and each
+   root's recorded externals. *)
+let fusion_index graph fusion =
+  let n = Graph.node_count graph in
+  let reader = Array.init n Fun.id and interior = Array.make n false in
+  let externals_of_root = Array.make n None in
+  let slot node = Graph.position graph (Node.id node) in
   (match fusion with
   | None -> ()
   | Some f ->
     List.iter
       (fun g ->
-        Hashtbl.replace externals_of_root (Node.id g.Fuse.root) g.Fuse.externals;
+        let root = try slot g.Fuse.root with Not_found -> -1 in
+        if root >= 0 then externals_of_root.(root) <- Some g.Fuse.externals;
         List.iter
           (fun m ->
-            Hashtbl.replace roots (Node.id m) g.Fuse.root;
-            if Node.id m <> Node.id g.Fuse.root then
-              Hashtbl.replace interiors (Node.id m) ())
+            match slot m with
+            | s ->
+              reader.(s) <- root;
+              if Node.id m <> Node.id g.Fuse.root then interior.(s) <- true
+            | exception Not_found -> ())
           g.Fuse.members)
       (Fuse.groups f));
-  (roots, interiors, externals_of_root)
+  (reader, interior, externals_of_root)
 
-(* Last step at which [node]'s buffer is read, re-derived from consumer
+(* Last step at which each slot's buffer is read, re-derived from consumer
    edges: [max_int] for graph outputs (they survive the step), and under
    fusion a group member's reads happen at its root's instruction. *)
-let derive_last graph pos roots node def =
-  if Graph.is_output graph (Node.id node) then max_int
-  else
-    List.fold_left
-      (fun acc c ->
-        let reader =
-          match Hashtbl.find_opt roots (Node.id c) with
-          | Some root -> root
-          | None -> c
-        in
-        match Hashtbl.find_opt pos (Node.id reader) with
-        | Some p -> max acc p
-        | None -> acc)
-      def
-      (Graph.consumers graph (Node.id node))
+let derive_last graph reader =
+  Array.init (Graph.node_count graph) (fun s ->
+      if Graph.is_output_at graph s then max_int
+      else Graph.fold_consumers_at graph s (fun acc c -> max acc reader.(c)) s)
 
 (* -------------------------------------------------------------------- *)
 
@@ -453,40 +445,51 @@ let check_ranges ?fusion graph offsets =
   let err ~check ~nodes fmt =
     Report.errorf report ~check ~stage:"planned" ~nodes fmt
   in
-  let pos = positions graph in
-  let roots, interiors, externals_of_root = fusion_index fusion in
+  let reader, interiors, externals_of_root = fusion_index graph fusion in
+  let last_of = derive_last graph reader in
   let arena = Assign.arena_size offsets in
   let slots = Assign.slots offsets in
   (* Coverage: one range per materialising node, none for persistent
-     nodes (fed, outside the slab) or fused interiors (registers). *)
-  let placed = Hashtbl.create 1024 in
+     nodes (fed, outside the slab) or fused interiors (registers). Ranges
+     of nodes outside the graph are tallied by id. *)
+  let placed = Array.make (Graph.node_count graph) false in
+  let foreign = Hashtbl.create 8 in
   List.iter
     (fun s ->
       let id = s.Assign.node_id in
-      if Hashtbl.mem placed id then
+      let again =
+        match Graph.position graph id with
+        | p ->
+          let again = placed.(p) in
+          placed.(p) <- true;
+          again
+        | exception Not_found ->
+          let again = Hashtbl.mem foreign id in
+          Hashtbl.replace foreign id ();
+          again
+      in
+      if again then
         err ~check:"alias" ~nodes:[ id ] "node #%d has two ranges in the slab"
-          id
-      else Hashtbl.replace placed id ())
+          id)
     slots;
-  List.iter
-    (fun n ->
-      let id = Node.id n in
+  List.iteri
+    (fun p n ->
       if persistent_op (Node.op n) then begin
-        if Hashtbl.mem placed id then
-          err ~check:"alias" ~nodes:[ id ]
+        if placed.(p) then
+          err ~check:"alias" ~nodes:[ Node.id n ]
             "persistent %s has a range in the slab: its value would be \
              overwritten when the range is reused"
             (describe n)
       end
-      else if Hashtbl.mem interiors id then begin
-        if Hashtbl.mem placed id then
-          err ~check:"alias" ~nodes:[ id ]
+      else if interiors.(p) then begin
+        if placed.(p) then
+          err ~check:"alias" ~nodes:[ Node.id n ]
             "fused interior %s has a range in the slab but lives only in \
              the fused kernel's registers"
             (describe n)
       end
-      else if not (Hashtbl.mem placed id) then
-        err ~check:"alias" ~nodes:[ id ]
+      else if not placed.(p) then
+        err ~check:"alias" ~nodes:[ Node.id n ]
           "%s materialises but has no range in the slab" (describe n))
     (Graph.nodes graph);
   (* Re-derive every interval and size; distrust the recorded ones. *)
@@ -494,14 +497,14 @@ let check_ranges ?fusion graph offsets =
     List.filter_map
       (fun s ->
         let id = s.Assign.node_id in
-        match Hashtbl.find_opt pos id with
-        | None ->
+        match Graph.position graph id with
+        | exception Not_found ->
           err ~check:"alias" ~nodes:[ id ]
             "range of node #%d, which is not in the graph" id;
           None
-        | Some def ->
-          let node = Graph.find graph id in
-          let last = derive_last graph pos roots node def in
+        | def ->
+          let node = Graph.node_at graph def in
+          let last = last_of.(def) in
           let size = Node.size_bytes node in
           let lo = s.Assign.offset in
           if s.Assign.def_step <> def || s.Assign.last_step <> last then
@@ -521,70 +524,90 @@ let check_ranges ?fusion graph offsets =
       slots
   in
   let arr = Array.of_list entries in
-  Array.sort (fun (_, o1, _, _, _) (_, o2, _, _, _) -> compare o1 o2) arr;
   (* A taker placed at its donor's offset at the donor's last read: legal
-     only as an in-place transfer of the same range. *)
-  let check_handover (dn, _, dsz, _, _) (tn, _, tsz, _, _) =
-    if dsz <> tsz then
-      err ~check:"inplace"
-        ~nodes:[ Node.id tn; Node.id dn ]
-        "%s takes over the range of %s in place, but they differ in size \
-         (%d vs %d bytes)"
-        (describe tn) (describe dn) tsz dsz;
-    if not (inplace_capable_op (Node.op tn)) then
-      err ~check:"inplace"
-        ~nodes:[ Node.id tn; Node.id dn ]
-        "%s takes over the range of %s in place, but %s cannot write in \
-         place (it reads its inputs non-elementwise)"
-        (describe tn) (describe dn)
-        (Op.to_string (Node.op tn));
+     only as an in-place transfer of the same range. Each fault is a
+     thunk that reports it; a legal transfer has none. *)
+  let handover_faults (dn, _, dsz, _, _) (tn, _, tsz, tdef, _) =
+    let nodes = [ Node.id tn; Node.id dn ] in
+    let fault cond report = if cond then Some report else None in
     let candidates =
-      match Hashtbl.find_opt externals_of_root (Node.id tn) with
+      match externals_of_root.(tdef) with
       | Some externals -> externals
       | None -> Node.inputs tn
     in
-    if not (List.exists (fun c -> Node.id c = Node.id dn) candidates) then
-      err ~check:"inplace"
-        ~nodes:[ Node.id tn; Node.id dn ]
-        "%s writes in place over %s, which is not among the values its \
-         instruction reads — the donor's last read is elsewhere and would \
-         observe the overwrite"
-        (describe tn) (describe dn);
-    if Graph.is_output graph (Node.id dn) then
-      err ~check:"inplace"
-        ~nodes:[ Node.id tn; Node.id dn ]
-        "in-place donor %s is a graph output: its value must survive the \
-         step"
-        (describe dn)
+    List.filter_map Fun.id
+      [
+        fault (dsz <> tsz) (fun () ->
+            err ~check:"inplace" ~nodes
+              "%s takes over the range of %s in place, but they differ in \
+               size (%d vs %d bytes)"
+              (describe tn) (describe dn) tsz dsz);
+        fault (not (inplace_capable_op (Node.op tn))) (fun () ->
+            err ~check:"inplace" ~nodes
+              "%s takes over the range of %s in place, but %s cannot write \
+               in place (it reads its inputs non-elementwise)"
+              (describe tn) (describe dn)
+              (Op.to_string (Node.op tn)));
+        fault
+          (not (List.exists (fun c -> Node.id c = Node.id dn) candidates))
+          (fun () ->
+            err ~check:"inplace" ~nodes
+              "%s writes in place over %s, which is not among the values \
+               its instruction reads — the donor's last read is elsewhere \
+               and would observe the overwrite"
+              (describe tn) (describe dn));
+        fault (Graph.is_output graph (Node.id dn)) (fun () ->
+            err ~check:"inplace" ~nodes
+              "in-place donor %s is a graph output: its value must survive \
+               the step"
+              (describe dn));
+      ]
   in
-  (* Sorted by offset, a forward scan meets every range that overlaps
-     [a] in address space; of those, the ones live at the same time as
-     [a] conflict unless they are an exact handover. *)
-  let n_entries = Array.length arr in
-  for i = 0 to n_entries - 1 do
-    let ((an, alo, asz, adef, alast) as a) = arr.(i) in
-    let j = ref (i + 1) in
-    while !j < n_entries && (let _, blo, _, _, _ = arr.(!j) in blo < alo + asz) do
-      let ((bn, blo, bsz, bdef, blast) as b) = arr.(!j) in
-      if adef <= blast && bdef <= alast then begin
-        if alo = blo && bdef = alast then check_handover a b
-        else if alo = blo && adef = blast then check_handover b a
-        else
-          err ~check:"alias"
-            ~nodes:[ Node.id an; Node.id bn ]
-            "%s (steps %d..%s, bytes [%d, %d)) and %s (steps %d..%s, bytes \
-             [%d, %d)) are live at the same time and overlap in bytes [%d, \
-             %d)"
-            (describe an) adef
-            (if alast = max_int then "end" else string_of_int alast)
-            alo (alo + asz) (describe bn) bdef
-            (if blast = max_int then "end" else string_of_int blast)
-            blo (blo + bsz) (max alo blo)
-            (min (alo + asz) (blo + bsz))
-      end;
-      incr j
-    done
-  done;
+  (* Two ranges live at the same time and sharing bytes conflict unless
+     they are an exact handover: the same offset, one defined at the
+     other's last read. Which one is the donor does not depend on the
+     order the pair comes in, unless each is defined at the other's last
+     read, which no legal handover is. *)
+  let handover (_, alo, _, adef, alast) (_, blo, _, bdef, blast) =
+    if alo <> blo then `None
+    else if bdef = alast && adef = blast then `Both
+    else if bdef = alast then `Forward
+    else if adef = blast then `Backward
+    else `None
+  in
+  let keep i j =
+    let a = arr.(i) and b = arr.(j) in
+    match handover a b with
+    | `Forward -> handover_faults a b <> []
+    | `Backward -> handover_faults b a <> []
+    | `Both | `None -> true
+  in
+  let field f = Array.map f arr in
+  List.iter
+    (fun (i, j) ->
+      let ((an, alo, asz, adef, alast) as a) = arr.(i)
+      and ((bn, blo, bsz, bdef, blast) as b) = arr.(j) in
+      match handover a b with
+      | `Forward | `Both -> List.iter (fun f -> f ()) (handover_faults a b)
+      | `Backward -> List.iter (fun f -> f ()) (handover_faults b a)
+      | `None ->
+        err ~check:"alias"
+          ~nodes:[ Node.id an; Node.id bn ]
+          "%s (steps %d..%s, bytes [%d, %d)) and %s (steps %d..%s, bytes \
+           [%d, %d)) are live at the same time and overlap in bytes [%d, \
+           %d)"
+          (describe an) adef
+          (if alast = max_int then "end" else string_of_int alast)
+          alo (alo + asz) (describe bn) bdef
+          (if blast = max_int then "end" else string_of_int blast)
+          blo (blo + bsz) (max alo blo)
+          (min (alo + asz) (blo + bsz)))
+    (Overlap.live_pairs ~steps:(Graph.node_count graph)
+       ~def:(field (fun (_, _, _, d, _) -> d))
+       ~last:(field (fun (_, _, _, _, l) -> l))
+       ~offset:(field (fun (_, o, _, _, _) -> o))
+       ~size:(field (fun (_, _, z, _, _) -> z))
+       ~keep);
   report
 
 let lint ?schedule ?fusion ?offsets graph =

@@ -9,7 +9,6 @@ type t = {
   nodes : Node.t array;  (** the frozen schedule; slot = index *)
   instrs : (unit -> unit) array;
   values : Tensor.t array;
-  slot_of_id : (int, int) Hashtbl.t;
   persistent : (Node.t * int) array;  (** (node, slot), schedule order *)
   is_persistent_slot : bool array;
   fed : bool array;  (** indexed by slot; meaningful for persistent slots *)
@@ -62,8 +61,7 @@ let compile ?budget_bytes ?runtime ?plan ?sanitize graph =
   in
   let nodes = Array.of_list (Graph.nodes graph) in
   let n = Array.length nodes in
-  let slot_of_id = Hashtbl.create (2 * n) in
-  Array.iteri (fun i node -> Hashtbl.replace slot_of_id (Node.id node) i) nodes;
+  let slot_of node = Graph.position graph (Node.id node) in
   let values = Array.make n (Tensor.scalar 0.0) in
   let is_persistent_slot = Array.make n false in
   let persistent = ref [] in
@@ -138,12 +136,7 @@ let compile ?budget_bytes ?runtime ?plan ?sanitize graph =
      time (a sole tenant). *)
   let instrs = Array.make n nop in
   let build node dst ~const =
-    let slots =
-      Array.of_list
-        (List.map
-           (fun i -> Hashtbl.find slot_of_id (Node.id i))
-           (Node.inputs node))
-    in
+    let slots = Array.of_list (List.map slot_of (Node.inputs node)) in
     let x () = values.(Array.unsafe_get slots 0) in
     let y () = values.(Array.unsafe_get slots 1) in
     let module I = Tensor.Into in
@@ -234,7 +227,7 @@ let compile ?budget_bytes ?runtime ?plan ?sanitize graph =
   let build_fused g dst =
     let externals = Array.of_list g.Fuse.externals in
     let opslots =
-      Array.map (fun e -> Hashtbl.find slot_of_id (Node.id e)) externals
+      Array.map slot_of externals
     in
     let next_ext = ref 0 in
     let take () =
@@ -300,7 +293,7 @@ let compile ?budget_bytes ?runtime ?plan ?sanitize graph =
   let output_slots =
     Array.of_list
       (List.map
-         (fun o -> Hashtbl.find slot_of_id (Node.id o))
+         slot_of
          (Graph.outputs graph))
   in
   let persistent = Array.of_list (List.rev !persistent) in
@@ -340,13 +333,13 @@ let compile ?budget_bytes ?runtime ?plan ?sanitize graph =
                 Array.of_list
                   (List.filter_map
                      (fun input ->
-                       match Hashtbl.find_opt slot_of_id (Node.id input) with
-                       | Some s when offset_of_slot.(s) >= 0 ->
+                       match slot_of input with
+                       | s when offset_of_slot.(s) >= 0 ->
                          Some
                            ( s,
                              elem_of_bytes offset_of_slot.(s),
                              Shape.numel (Node.shape input) )
-                       | Some _ | None -> None)
+                       | _ | (exception Not_found) -> None)
                      (tracked_inputs node))
             in
             let si_expire = plan.Memplan.expiry_of_slot.(step) in
@@ -362,7 +355,6 @@ let compile ?budget_bytes ?runtime ?plan ?sanitize graph =
     nodes;
     instrs;
     values;
-    slot_of_id;
     persistent;
     is_persistent_slot;
     fed = Array.make n false;
@@ -397,7 +389,10 @@ let allocated_bytes e = e.allocated_bytes
 
 let sanitize_report e = Option.map Sanitize.report e.sanitize
 
-let slot_opt e node = Hashtbl.find_opt e.slot_of_id (Node.id node)
+let slot_opt e node =
+  match Graph.position e.graph (Node.id node) with
+  | s -> Some s
+  | exception Not_found -> None
 
 let slot e node =
   match slot_opt e node with

@@ -34,19 +34,22 @@ let index = function
 
 let count = 7
 
-(* Classify a node's output buffer. [graph] supplies consumer regions. *)
-let of_node graph node =
+(* Classify the output buffer of the node at a schedule slot. [graph]
+   supplies consumer regions. *)
+let of_slot graph s =
+  let node = Graph.node_at graph s in
   match Node.op node with
   | Op.Variable -> Weights
   | Op.Placeholder -> Inputs
   | _ -> (
     match Node.region node with
     | Node.Backward ->
-      if Graph.is_output graph (Node.id node) then Gradients else Bwd_temporaries
+      if Graph.is_output_at graph s then Gradients else Bwd_temporaries
     | Node.Forward ->
       let stashed =
-        List.exists
-          (fun c -> Node.region c = Node.Backward)
-          (Graph.consumers graph (Node.id node))
+        Graph.fold_consumers_at graph s
+          (fun acc c ->
+            acc || Node.region (Graph.node_at graph c) = Node.Backward)
+          false
       in
       if stashed then Feature_maps else Fwd_temporaries)

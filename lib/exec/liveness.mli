@@ -3,7 +3,11 @@
     A node's output buffer is born at its schedule position and dies right
     after its last consumer executes; graph outputs live to the end of the
     iteration. Persistent nodes ([Variable], [Placeholder]) are allocated
-    outside the transient arena and are never part of the intervals here. *)
+    outside the transient arena and are never part of the intervals here.
+
+    The analysis is kept by schedule slot: the last read of the buffer
+    each slot defines, and the slots dying at each step, read off the
+    graph's slot-indexed consumer edges in one pass. *)
 
 open Echo_ir
 
@@ -22,7 +26,7 @@ val analyse : ?fusion:Fuse.plan -> Graph.t -> t
 
 val of_intervals : steps:int -> interval list -> t
 (** An analysis rebuilt from explicit intervals (death table re-derived
-    from the [last_step]s). [Memplan.plan ?liveness] frees buffers off
+    from the [last_step]s), at most one per [def_step]. [Memplan.plan ?liveness] frees buffers off
     whatever analysis it is handed and the executor allocates the plan it
     is given, so this is how the race-verify mutation harness turns a
     corrupted interval list into a real executor whose early frees the
@@ -39,6 +43,13 @@ val step_count : t -> int
 val dying_at : t -> int -> Node.t list
 (** Buffers whose last read is the given step (and which may therefore be
     freed once that step completes). Outputs never appear. *)
+
+val last_read : t -> int -> int
+(** By slot: the [last_step] of the interval the slot defines, [-1] when
+    it defines none. *)
+
+val iter_dying_slots : t -> int -> (int -> unit) -> unit
+(** The defining slots of {!dying_at}'s buffers, in interval order. *)
 
 val is_persistent : Node.t -> bool
 (** [Variable] and [Placeholder] nodes. *)

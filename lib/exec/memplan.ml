@@ -114,33 +114,40 @@ let plan ?(reuse = true) ?(inplace = true) ?fusion ?liveness graph =
   let liveness =
     match liveness with Some l -> l | None -> Liveness.analyse ?fusion graph
   in
-  let schedule = Graph.nodes graph in
+  let n = Graph.node_count graph in
   (* Fused interiors never materialize: no allocation, no liveness, and the
      in-place candidates of a group root are the group's external inputs —
-     the buffers its fused instruction actually reads. *)
-  let interior node =
+     the buffers its fused instruction actually reads. Both by slot. *)
+  let reader =
     match fusion with
-    | Some f -> Fuse.is_interior f (Node.id node)
-    | None -> false
+    | Some f -> Fuse.reader_slots f graph
+    | None -> Array.init n Fun.id
   in
-  let inplace_inputs node =
-    match fusion with
-    | Some f -> Fuse.inplace_candidates f node
-    | None -> Node.inputs node
-  in
+  let interior s = reader.(s) <> s in
+  let externals = Array.make n None in
+  Option.iter
+    (fun f ->
+      let slot_of e =
+        match Graph.position graph (Node.id e) with
+        | s -> s
+        | exception Not_found -> -1
+      in
+      List.iter
+        (fun g ->
+          match Graph.position graph (Node.id g.Fuse.root) with
+          | r -> externals.(r) <- Some (List.map slot_of g.Fuse.externals)
+          | exception Not_found -> ())
+        (Fuse.groups f))
+    fusion;
   let weight_bytes = ref 0 and input_bytes = ref 0 in
-  List.iter
-    (fun n ->
-      match Node.op n with
-      | Op.Variable -> weight_bytes := !weight_bytes + Node.size_bytes n
-      | Op.Placeholder -> input_bytes := !input_bytes + Node.size_bytes n
-      | _ -> ())
-    schedule;
+  for s = 0 to n - 1 do
+    let node = Graph.node_at graph s in
+    match Node.op node with
+    | Op.Variable -> weight_bytes := !weight_bytes + Node.size_bytes node
+    | Op.Placeholder -> input_bytes := !input_bytes + Node.size_bytes node
+    | _ -> ()
+  done;
   let persistent = !weight_bytes + !input_bytes in
-  (* Per-slot state. A transient node's slot is its liveness interval's
-     [def_step], so inputs and dying nodes are found without a lookup
-     table of their own. *)
-  let n = List.length schedule in
   (* Holes and placed ranges alternate below the high-water mark, so there
      are never more than n + 1 holes. *)
   let holes =
@@ -156,9 +163,9 @@ let plan ?(reuse = true) ?(inplace = true) ?fusion ?liveness graph =
      not be freed again when their death step is processed. *)
   let transferred = Array.make n false in
   let category = Array.make n (-1) in
-  let cat_of slot node =
+  let cat_of slot =
     if category.(slot) < 0 then
-      category.(slot) <- Category.index (Category.of_node graph node);
+      category.(slot) <- Category.index (Category.of_slot graph slot);
     category.(slot)
   in
   let live = ref 0 in
@@ -170,81 +177,73 @@ let plan ?(reuse = true) ?(inplace = true) ?fusion ?liveness graph =
   let peak_ws = ref 0 in
   let max_ws = ref 0 in
   let bwd_start = ref None in
-  (* The slot of the first input whose range [node] may write into: a
+  (* The first input slot whose range the slot at [step] may write into: a
      placed transient value (persistent nodes and fused interiors have no
-     range) of the same size, dying at this very step. *)
+     range) of the same size, dying at this very step; -1 for none. *)
   let inplace_donor step node =
-    if not (inplace && inplace_capable node) then None
+    if not (inplace && inplace_capable node) then -1
     else
       let size = Node.size_bytes node in
-      List.find_map
-        (fun input ->
-          match Liveness.interval liveness (Node.id input) with
-          | exception Not_found -> None
-          | itv ->
-            let s = itv.Liveness.def_step in
-            if
-              itv.Liveness.last_step = step
-              && offset_of_slot.(s) >= 0
-              && (not transferred.(s))
-              && Node.size_bytes input = size
-              && not (Graph.is_output graph (Node.id input))
-            then Some (s, input)
-            else None)
-        (inplace_inputs node)
+      let donor found u =
+        if
+          found < 0 && u >= 0
+          && Liveness.last_read liveness u = step
+          && offset_of_slot.(u) >= 0
+          && (not transferred.(u))
+          && Node.size_bytes (Graph.node_at graph u) = size
+          && not (Graph.is_output_at graph u)
+        then u
+        else found
+      in
+      match externals.(step) with
+      | Some slots -> List.fold_left donor (-1) slots
+      | None -> Graph.fold_inputs_at graph step donor (-1)
   in
-  List.iteri
-    (fun step node ->
-      if !bwd_start = None && Node.region node = Node.Backward then
-        bwd_start := Some step;
-      if (not (Liveness.is_persistent node)) && not (interior node) then begin
-        let size = Node.size_bytes node in
-        offset_of_slot.(step) <-
-          (match inplace_donor step node with
-          | Some (s, input) ->
-            transferred.(s) <- true;
-            let from_cat = cat_of s input and to_cat = cat_of step node in
-            live_by_cat.(from_cat) <- live_by_cat.(from_cat) - size;
-            live_by_cat.(to_cat) <- live_by_cat.(to_cat) + size;
-            offset_of_slot.(s)
-          | None ->
-            live := !live + size;
-            let ci = cat_of step node in
-            live_by_cat.(ci) <- live_by_cat.(ci) + size;
-            take holes size)
-      end;
-      let ws = Workspace.bytes node in
-      if ws > !max_ws then max_ws := ws;
-      let candidate = persistent + !live + ws in
-      if candidate > !live_peak then begin
-        live_peak := candidate;
-        peak_step := step;
-        peak_breakdown := Array.copy live_by_cat;
-        peak_ws := ws
-      end;
-      (* Values whose last read is this step are given back only now,
-         after the step placed its result: an instruction's output never
-         overlaps a range it reads, except the in-place donor's. *)
-      List.iter
-        (fun dying ->
-          let s =
-            (Liveness.interval liveness (Node.id dying)).Liveness.def_step
-          in
-          let off = offset_of_slot.(s) in
-          if off >= 0 && not transferred.(s) then begin
-            let size = Node.size_bytes dying in
-            live := !live - size;
-            let ci = cat_of s dying in
-            live_by_cat.(ci) <- live_by_cat.(ci) - size;
-            if reuse then give_back holes off size
-          end)
-        (Liveness.dying_at liveness step))
-    schedule;
-  let expiry_of_slot = Array.make n (-1) in
-  List.iter
-    (fun { Liveness.def_step; last_step; _ } ->
-      expiry_of_slot.(def_step) <- last_step)
-    (Liveness.intervals liveness);
+  (* Values whose last read is [step] are given back only after the step
+     placed its result: an instruction's output never overlaps a range it
+     reads, except the in-place donor's. *)
+  let expire s =
+    let off = offset_of_slot.(s) in
+    if off >= 0 && not transferred.(s) then begin
+      let size = Node.size_bytes (Graph.node_at graph s) in
+      live := !live - size;
+      let ci = cat_of s in
+      live_by_cat.(ci) <- live_by_cat.(ci) - size;
+      if reuse then give_back holes off size
+    end
+  in
+  for step = 0 to n - 1 do
+    let node = Graph.node_at graph step in
+    if !bwd_start = None && Node.region node = Node.Backward then
+      bwd_start := Some step;
+    if (not (Liveness.is_persistent node)) && not (interior step) then begin
+      let size = Node.size_bytes node in
+      offset_of_slot.(step) <-
+        (match inplace_donor step node with
+        | -1 ->
+          live := !live + size;
+          let ci = cat_of step in
+          live_by_cat.(ci) <- live_by_cat.(ci) + size;
+          take holes size
+        | s ->
+          transferred.(s) <- true;
+          let from_cat = cat_of s and to_cat = cat_of step in
+          live_by_cat.(from_cat) <- live_by_cat.(from_cat) - size;
+          live_by_cat.(to_cat) <- live_by_cat.(to_cat) + size;
+          offset_of_slot.(s))
+    end;
+    let ws = Workspace.bytes node in
+    if ws > !max_ws then max_ws := ws;
+    let candidate = persistent + !live + ws in
+    if candidate > !live_peak then begin
+      live_peak := candidate;
+      peak_step := step;
+      peak_breakdown := Array.copy live_by_cat;
+      peak_ws := ws
+    end;
+    Liveness.iter_dying_slots liveness step expire
+  done;
+  let expiry_of_slot = Array.init n (Liveness.last_read liveness) in
   let breakdown_arr = !peak_breakdown in
   breakdown_arr.(Category.index Category.Workspace) <- !peak_ws;
   let breakdown =

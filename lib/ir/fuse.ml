@@ -18,7 +18,6 @@ type group = {
 
 type plan = {
   groups : group list;
-  root_of : (int, Node.t) Hashtbl.t;
   interior_tbl : (int, unit) Hashtbl.t;
   by_root : (int, group) Hashtbl.t;
 }
@@ -74,7 +73,6 @@ let default_max_externals = 2
    harness also enters here directly, with deliberately illegal groups, to
    prove the verifier rejects them. *)
 let of_groups groups =
-  let root_of = Hashtbl.create 256 in
   let interior_tbl = Hashtbl.create 256 in
   let by_root = Hashtbl.create 64 in
   List.iter
@@ -82,12 +80,11 @@ let of_groups groups =
       Hashtbl.replace by_root (Node.id g.root) g;
       List.iter
         (fun m ->
-          Hashtbl.replace root_of (Node.id m) g.root;
           if Node.id m <> Node.id g.root then
             Hashtbl.replace interior_tbl (Node.id m) ())
         g.members)
     groups;
-  { groups; root_of; interior_tbl; by_root }
+  { groups; interior_tbl; by_root }
 
 let analyse graph =
   let schedule = Graph.nodes graph in
@@ -163,19 +160,19 @@ let is_interior p id = Hashtbl.mem p.interior_tbl id
 let interior_count p = Hashtbl.length p.interior_tbl
 let group_of_root p id = Hashtbl.find_opt p.by_root id
 
-let reader p node =
-  match Hashtbl.find_opt p.root_of (Node.id node) with
-  | Some root -> root
-  | None -> node
-
-(* What the root's compiled instruction actually reads: the group's external
-   inputs. The planner's in-place transfer and the executor's buffer
-   binding both pick candidates from this list, in this order, so their
-   decisions cannot diverge. *)
-let inplace_candidates p node =
-  match group_of_root p (Node.id node) with
-  | Some g -> g.externals
-  | None -> Node.inputs node
+let reader_slots p graph =
+  let readers = Array.init (Graph.node_count graph) Fun.id in
+  List.iter
+    (fun g ->
+      let root = lazy (Graph.position graph (Node.id g.root)) in
+      List.iter
+        (fun m ->
+          match Graph.position graph (Node.id m) with
+          | s -> readers.(s) <- Lazy.force root
+          | exception Not_found -> ())
+        g.members)
+    p.groups;
+  readers
 
 let interior_bytes g =
   List.fold_left

@@ -64,15 +64,13 @@ val is_interior : plan -> int -> bool
 val interior_count : plan -> int
 val group_of_root : plan -> int -> group option
 
-val reader : plan -> Node.t -> Node.t
-(** The node at whose schedule position the given consumer's reads actually
-    happen: the root of its group for a member, itself otherwise. Liveness
-    extends every buffer a group reads to the root's step through this. *)
-
-val inplace_candidates : plan -> Node.t -> Node.t list
-(** Inputs the node's compiled instruction actually reads: the group's
-    externals for a root, [Node.inputs] otherwise. In-place transfer picks
-    its dying same-size donor from this list. *)
+val reader_slots : plan -> Graph.t -> int array
+(** By schedule slot of [graph], the slot at which the node's reads
+    actually happen: its group root's for a member, its own otherwise — so
+    a slot is an interior exactly when its reader is another slot.
+    Liveness extends every buffer a group reads to the root's step through
+    this. @raise Not_found if a group with a member in the graph has its
+    root outside it. *)
 
 val interior_bytes : group -> int
 (** Bytes of arena the group's interiors no longer need. *)

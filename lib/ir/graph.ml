@@ -15,7 +15,13 @@ type t = {
   position : int Itbl.t;  (* node id -> its schedule index *)
   consumers : Node.t list array;
       (* by schedule index: reverse edges, in schedule order *)
-  output_ids : Ids.Set.t;
+  in_start : int array;
+  in_slots : int array;
+      (* by slot, flat: slot [s]'s inputs are [in_slots.(in_start.(s))] up
+         to [in_start.(s + 1)], in [Node.inputs] order *)
+  out_start : int array;
+  out_slots : int array;  (* the same edges reversed, in schedule order *)
+  output_at : Bytes.t;  (* by slot: '\001' for a graph output *)
 }
 
 (* Graphs built so far, over every domain. *)
@@ -73,8 +79,8 @@ let heap_pop heap size less =
    set is a binary heap of indices ordered by [Float.compare] on the hint,
    then by id; ids are unique, so no two keys tie and the heap pops exactly
    the order of a sorted set of (hint, id) pairs. The walk renumbers the
-   nodes in pop order, so the id table and the reverse edges it leaves are
-   by schedule index. *)
+   nodes in pop order, so the id table and the edges it leaves are by
+   schedule index. *)
 let create outputs =
   if outputs = [] then invalid_arg "Graph.create: empty output list";
   Atomic.incr created;
@@ -152,20 +158,25 @@ let create outputs =
     if pending.(j) = 0 then heap_push heap size less j
   done;
   (* [rank.(j)] is node [j]'s schedule index; its inputs are ranked
-     before it is popped. *)
+     before it is popped, so its input slots are laid out as it is. *)
   let members = Array.make count (List.hd outputs) in
   let rank = Array.make count 0 in
-  let consumers = Array.make count [] in
-  let placed = ref 0 in
+  let slot_in_start = Array.make (count + 1) 0 in
+  let in_slots = Array.make !edges 0 in
+  let slot_out_start = Array.make (count + 1) 0 in
+  let placed = ref 0 and laid = ref 0 in
   while !size > 0 do
     let j = heap_pop heap size less in
-    let n = found.(j) in
-    members.(!placed) <- n;
-    rank.(j) <- !placed;
+    let p = !placed in
+    members.(p) <- found.(j);
+    rank.(j) <- p;
+    slot_in_start.(p) <- !laid;
+    (* the consumer count for now, summed into offsets below *)
+    slot_out_start.(p + 1) <- uses.(j);
     incr placed;
     for s = in_start.(j) to in_start.(j + 1) - 1 do
-      let u = rank.(inputs.(s)) in
-      consumers.(u) <- n :: consumers.(u)
+      in_slots.(!laid) <- rank.(inputs.(s));
+      incr laid
     done;
     for s = out_start.(j) to out_start.(j + 1) - 1 do
       let c = readers.(s) in
@@ -174,22 +185,45 @@ let create outputs =
     done
   done;
   if !placed <> count then failwith "Graph: cycle detected";
+  slot_in_start.(count) <- !laid;
   Itbl.filter_map_inplace (fun _ j -> Some rank.(j)) position;
+  (* Reverse edges by slot: consumers land in schedule order, one entry
+     per input slot that reads the producer. *)
   for u = 0 to count - 1 do
-    match consumers.(u) with
-    | [] | [ _ ] -> ()
-    | l -> consumers.(u) <- List.rev l
+    slot_out_start.(u + 1) <- slot_out_start.(u) + slot_out_start.(u + 1)
   done;
-  let output_ids =
-    List.fold_left (fun s n -> Ids.Set.add (Node.id n) s) Ids.Set.empty outputs
-  in
+  let out_slots = Array.make !edges 0 in
+  let fill = Array.sub slot_out_start 0 count in
+  for p = 0 to count - 1 do
+    for s = slot_in_start.(p) to slot_in_start.(p + 1) - 1 do
+      let u = in_slots.(s) in
+      out_slots.(fill.(u)) <- p;
+      fill.(u) <- fill.(u) + 1
+    done
+  done;
+  let consumers = Array.make count [] in
+  for u = 0 to count - 1 do
+    let l = ref [] in
+    for s = slot_out_start.(u + 1) - 1 downto slot_out_start.(u) do
+      l := members.(out_slots.(s)) :: !l
+    done;
+    consumers.(u) <- !l
+  done;
+  let output_at = Bytes.make count '\000' in
+  List.iter
+    (fun o -> Bytes.set output_at (Itbl.find position (Node.id o)) '\001')
+    outputs;
   {
     outputs;
     schedule = Array.to_list members;
     members;
     position;
     consumers;
-    output_ids;
+    in_start = slot_in_start;
+    in_slots;
+    out_start = slot_out_start;
+    out_slots;
+    output_at;
   }
 
 let outputs g = g.outputs
@@ -203,7 +237,28 @@ let consumers g id =
   | Some u -> g.consumers.(u)
   | None -> []
 
-let is_output g id = Ids.Set.mem id g.output_ids
+let is_output g id =
+  match Itbl.find_opt g.position id with
+  | Some s -> Bytes.get g.output_at s <> '\000'
+  | None -> false
+
+let position g id = Itbl.find g.position id
+let node_at g s = g.members.(s)
+let is_output_at g s = Bytes.get g.output_at s <> '\000'
+
+let fold_inputs_at g s f acc =
+  let acc = ref acc in
+  for k = g.in_start.(s) to g.in_start.(s + 1) - 1 do
+    acc := f !acc g.in_slots.(k)
+  done;
+  !acc
+
+let fold_consumers_at g s f acc =
+  let acc = ref acc in
+  for k = g.out_start.(s) to g.out_start.(s + 1) - 1 do
+    acc := f !acc g.out_slots.(k)
+  done;
+  !acc
 
 let forward_nodes g =
   List.filter (fun n -> Node.region n = Node.Forward) g.schedule

@@ -37,6 +37,28 @@ val consumers : t -> int -> Node.t list
 
 val is_output : t -> int -> bool
 
+(** {1 By schedule slot}
+
+    A node's {e slot} is its index in {!nodes}. {!create} indexes the
+    graph by slot anyway; these expose that index, so analyses that walk
+    the schedule can keep per-slot arrays instead of tables keyed by node
+    id. *)
+
+val position : t -> int -> int
+(** The slot of the node with this id. @raise Not_found if absent. *)
+
+val node_at : t -> int -> Node.t
+(** The node at a slot. *)
+
+val is_output_at : t -> int -> bool
+
+val fold_inputs_at : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
+(** Folds over the slots of the node's inputs, in [Node.inputs] order. *)
+
+val fold_consumers_at : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
+(** Folds over the slots of the node's consumers, in schedule order, once
+    per input slot that reads it (the slots of {!consumers}). *)
+
 val forward_nodes : t -> Node.t list
 val backward_nodes : t -> Node.t list
 

@@ -397,6 +397,328 @@ let test_every_stage_verifies_clean () =
       ("executable", Pipeline.Executable exe);
     ]
 
+(* ---------------- slot-indexed analyses against brute force ---------- *)
+
+(* Liveness and the range checkers index everything by schedule slot and
+   find overlapping ranges with one sweep. The oracles here re-derive the
+   same facts the slow, obvious way: node lookups by linear search, reads
+   by scanning every node's inputs, and every pair of placed ranges. *)
+
+module Liveness = Echo_exec.Liveness
+module Memplan = Echo_exec.Memplan
+module Assign = Echo_exec.Assign
+module Race = Echo_analysis.Race
+module Rng = Echo_tensor.Rng
+
+(* The schedule, a slot-by-id lookup and every slot's last read: its own
+   slot at least, the slot of the latest instruction that reads it (a
+   fused member's reads happen at its group root), [max_int] for graph
+   outputs. *)
+type brute = {
+  nodes : Node.t array;
+  outputs : Node.t list;
+  slot : int -> int;  (** -1 for a node outside the graph *)
+  interior : bool array;
+  last : int array;
+}
+
+let brute ?fusion graph =
+  let nodes = Array.of_list (Graph.nodes graph) in
+  let n = Array.length nodes in
+  let slot id =
+    let rec go i =
+      if i >= n then -1 else if Node.id nodes.(i) = id then i else go (i + 1)
+    in
+    go 0
+  in
+  let reader = Array.init n Fun.id and interior = Array.make n false in
+  Option.iter
+    (fun f ->
+      List.iter
+        (fun g ->
+          let root = slot (Node.id g.Fuse.root) in
+          List.iter
+            (fun m ->
+              let s = slot (Node.id m) in
+              if s >= 0 then begin
+                reader.(s) <- root;
+                if s <> root then interior.(s) <- true
+              end)
+            g.Fuse.members)
+        (Fuse.groups f))
+    fusion;
+  let last =
+    Array.init n (fun s ->
+        if List.exists (Node.equal nodes.(s)) (Graph.outputs graph) then max_int
+        else begin
+          let acc = ref s in
+          Array.iteri
+            (fun c consumer ->
+              List.iter
+                (fun i -> if Node.equal i nodes.(s) then acc := max !acc reader.(c))
+                (Node.inputs consumer))
+            nodes;
+          !acc
+        end)
+  in
+  { nodes; outputs = Graph.outputs graph; slot; interior; last }
+
+let persistent n =
+  match Node.op n with Op.Placeholder | Op.Variable -> true | _ -> false
+
+(* [Liveness.analyse] against the brute-force intervals: the interval
+   list, the per-id lookup, the death table, and an [of_intervals]
+   rebuild of the same list. *)
+let liveness_matches ?fusion graph =
+  let b = brute ?fusion graph in
+  let expected =
+    List.filter_map Fun.id
+      (Array.to_list
+         (Array.mapi
+            (fun s n ->
+              if persistent n || b.interior.(s) then None
+              else Some (Node.id n, s, b.last.(s)))
+            b.nodes))
+  in
+  let flat t =
+    List.map
+      (fun i -> (Node.id i.Liveness.node, i.Liveness.def_step, i.Liveness.last_step))
+      (Liveness.intervals t)
+  in
+  let steps = Array.length b.nodes in
+  let deaths t =
+    List.init steps (fun k -> List.map Node.id (Liveness.dying_at t k))
+  in
+  let expected_deaths =
+    List.init steps (fun k ->
+        List.rev
+          (List.filter_map
+             (fun (id, _, last) -> if last = k then Some id else None)
+             expected))
+  in
+  let t = Liveness.analyse ?fusion graph in
+  let rebuilt = Liveness.of_intervals ~steps (Liveness.intervals t) in
+  flat t = expected
+  && flat rebuilt = expected
+  && deaths t = expected_deaths
+  && deaths rebuilt = expected_deaths
+  && List.for_all
+       (fun (id, def, last) ->
+         let i = Liveness.interval t id in
+         i.Liveness.def_step = def && i.Liveness.last_step = last)
+       expected
+  && Array.for_all
+       (fun n ->
+         (not (persistent n || b.interior.(b.slot (Node.id n))))
+         ||
+         match Liveness.interval t (Node.id n) with
+         | _ -> false
+         | exception Not_found -> true)
+       b.nodes
+
+(* A random DAG with shared operands, matmuls and single-consumer
+   elementwise chains (fusion material), reaching one to three outputs. *)
+let random_dag seed =
+  let rng = Rng.create seed in
+  let leaf () =
+    if Rng.int rng 2 = 0 then Node.placeholder [| 4; 4 |]
+    else Node.variable [| 4; 4 |]
+  in
+  let pool = ref [ leaf (); leaf () ] in
+  let pick () = List.nth !pool (Rng.int rng (List.length !pool)) in
+  for _ = 1 to 10 + Rng.int rng 30 do
+    let n =
+      match Rng.int rng 7 with
+      | 0 -> Node.add (pick ()) (pick ())
+      | 1 -> Node.tanh_ (pick ())
+      | 2 -> Node.matmul (pick ()) (pick ())
+      | 3 -> Node.mul (pick ()) (pick ())
+      | 4 -> leaf ()
+      | _ ->
+        let chain = ref (Node.neg (pick ())) in
+        for _ = 1 to Rng.int rng 4 do
+          chain := Node.sigmoid (Node.add !chain (pick ()))
+        done;
+        !chain
+    in
+    pool := n :: !pool
+  done;
+  let outputs = List.init (1 + Rng.int rng 3) (fun _ -> pick ()) in
+  Graph.create (List.hd !pool :: outputs)
+
+(* The tiny zoo through rewrite, plan and fuse, fused and unfused: a graph,
+   its fusion plan and the plan the executor would run. *)
+let zoo_artifacts =
+  lazy
+    (List.concat_map
+       (fun model ->
+         let opt =
+           Pipeline.optimize (Pipeline.differentiate (Pipeline.of_model model))
+         in
+         let planner = Planner.instantiate ~knobs:[ ("budget", 0.2) ] "echo" in
+         let pl = Pipeline.plan (Pipeline.rewrite ~device:dev ~planner opt) in
+         List.map
+           (fun enabled ->
+             let f = Pipeline.fuse ~enabled pl in
+             (f.Pipeline.graph, f.Pipeline.fusion, f.Pipeline.fused_memplan))
+           [ true; false ])
+       (zoo_models ()))
+
+let random_artifact seed =
+  if seed mod 3 = 0 then begin
+    let zoo = Lazy.force zoo_artifacts in
+    List.nth zoo (seed / 3 mod List.length zoo)
+  end
+  else begin
+    let g = random_dag seed in
+    let fusion = if seed mod 2 = 0 then Some (Fuse.analyse g) else None in
+    (g, fusion, Memplan.plan ?fusion g)
+  end
+
+let prop_liveness_brute_force =
+  QCheck.Test.make ~name:"liveness == brute-force intervals" ~count:90
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let g, fusion, _ = random_artifact seed in
+      liveness_matches ?fusion g)
+
+(* A plan's layout with a few corruptions seeded: a mutator's, then
+   ranges moved onto another's offset, shifted by whole elements (in part
+   onto a neighbour, or below the slab) and placed twice. *)
+let corrupt_layout rng graph (plan : Memplan.report) =
+  let base = Assign.of_plan graph plan in
+  let base =
+    match Rng.int rng 5 with
+    | 0 -> Option.value (Mutate.overlap_slots base) ~default:base
+    | 1 -> Option.value (Mutate.retarget_inplace graph base) ~default:base
+    | 2 -> Option.value (Mutate.escape_slot base) ~default:base
+    | 3 -> (
+      match Mutate.overlap_partially graph plan with
+      | Some r -> Assign.of_plan graph r
+      | None -> base)
+    | _ -> base
+  in
+  let slots = Array.of_list (Assign.slots base) in
+  let n = Array.length slots in
+  if n = 0 then base
+  else begin
+    let extra = ref [] in
+    for _ = 1 to Rng.int rng 5 do
+      let i = Rng.int rng n in
+      let s = slots.(i) in
+      match Rng.int rng 4 with
+      | 0 -> slots.(i) <- { s with Assign.offset = slots.(Rng.int rng n).Assign.offset }
+      | 1 ->
+        slots.(i) <-
+          { s with Assign.offset = s.Assign.offset + (Node.elem_bytes * (Rng.int rng 64 - 32)) }
+      | 2 -> extra := s :: !extra
+      | _ -> ()
+    done;
+    Assign.of_slots ~arena:(Assign.arena_size base)
+      (Array.to_list slots @ !extra)
+  end
+
+(* The placed ranges as both checkers see them — each at its node's slot
+   with the brute-force last read — and every pair of them live at a
+   common step that a scan over the ranges sorted by offset meets: by
+   rank, the later one starting inside the earlier one. *)
+let brute_pairs b offsets =
+  let entries =
+    List.filter_map
+      (fun s ->
+        let p = b.slot s.Assign.node_id in
+        if p < 0 then None
+        else
+          Some
+            ( b.nodes.(p),
+              s.Assign.offset,
+              Node.size_bytes b.nodes.(p),
+              p,
+              b.last.(p) ))
+      (Assign.slots offsets)
+  in
+  let arr = Array.of_list entries in
+  Array.sort (fun (_, o1, _, _, _) (_, o2, _, _, _) -> compare o1 o2) arr;
+  let pairs = ref [] in
+  Array.iteri
+    (fun i ((_, alo, asz, adef, alast) as a) ->
+      Array.iteri
+        (fun j ((_, blo, _, bdef, blast) as b) ->
+          if j > i && blo < alo + asz && adef <= blast && bdef <= alast then
+            pairs := (a, b) :: !pairs)
+        arr)
+    arr;
+  List.rev !pairs
+
+let pair_findings report checks =
+  List.filter_map
+    (fun d ->
+      match d.Echo_diag.nodes with
+      | [ _; _ ] when List.mem d.Echo_diag.check checks ->
+        Some (d.Echo_diag.check, d.Echo_diag.nodes)
+      | _ -> None)
+    (Report.diags report)
+
+(* What [Verify.check_ranges] must say about each pair: an exact handover
+   is judged as an in-place transfer, anything else is an alias. *)
+let verify_oracle ?fusion b pairs =
+  let externals t =
+    match fusion with
+    | None -> None
+    | Some f ->
+      List.find_map
+        (fun g ->
+          if Node.equal g.Fuse.root t then Some g.Fuse.externals else None)
+        (List.rev (Fuse.groups f))
+  in
+  let handover (dn, _, dsz, _, _) (tn, _, tsz, _, _) =
+    let nodes = [ Node.id tn; Node.id dn ] in
+    let reads = Option.value (externals tn) ~default:(Node.inputs tn) in
+    List.filter_map Fun.id
+      [
+        (if dsz <> tsz then Some ("inplace", nodes) else None);
+        (if Memplan.inplace_capable tn then None else Some ("inplace", nodes));
+        (if List.exists (Node.equal dn) reads then None else Some ("inplace", nodes));
+        (if List.exists (Node.equal dn) b.outputs then Some ("inplace", nodes)
+         else None);
+      ]
+  in
+  List.concat_map
+    (fun (((an, alo, _, adef, alast) as a), ((bn, blo, _, bdef, blast) as b')) ->
+      if alo = blo && bdef = alast then handover a b'
+      else if alo = blo && adef = blast then handover b' a
+      else [ ("alias", [ Node.id an; Node.id bn ]) ])
+    pairs
+
+let race_oracle pairs =
+  List.concat_map
+    (fun ((n1, base1, sz1, def1, last1), (n2, base2, sz2, def2, last2)) ->
+      if Node.equal n1 n2 then []
+      else begin
+        let same = base1 = base2 && sz1 = sz2 in
+        (if def1 < def2 && if same then last1 > def2 else last1 >= def2 then
+           [ ("race-address", [ Node.id n2; Node.id n1 ]) ]
+         else [])
+        @
+        if def2 < def1 && if same then last2 > def1 else last2 >= def1 then
+          [ ("race-address", [ Node.id n1; Node.id n2 ]) ]
+        else []
+      end)
+    pairs
+
+let prop_range_checks_brute_force =
+  QCheck.Test.make ~name:"range checks == pairwise oracle" ~count:150
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let g, fusion, plan = random_artifact seed in
+      let offsets = corrupt_layout (Rng.create seed) g plan in
+      let b = brute ?fusion g in
+      let pairs = brute_pairs b offsets in
+      pair_findings (Verify.check_ranges ?fusion g offsets) [ "alias"; "inplace" ]
+      = verify_oracle ?fusion b pairs
+      && pair_findings (Race.check_addresses ?fusion g offsets) [ "race-address" ]
+         = race_oracle pairs)
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   [
@@ -432,5 +754,7 @@ let suite =
           test_zoo_slab_within_pool;
         t "every pipeline stage verifies clean"
           test_every_stage_verifies_clean;
+        QCheck_alcotest.to_alcotest prop_liveness_brute_force;
+        QCheck_alcotest.to_alcotest prop_range_checks_brute_force;
       ] );
   ]
