@@ -455,13 +455,15 @@ let input_slot_by_name e name =
           unique input names"
          (List.length hits) name)
 
-let feed e node tensor =
+let input_slot e node =
   match slot_opt e node with
+  | Some s -> Some s
+  | None -> input_slot_by_name e (Node.name node)
+
+let feed e node tensor =
+  match input_slot e node with
   | Some s -> set_input e s tensor
-  | None -> (
-    match input_slot_by_name e (Node.name node) with
-    | Some s -> set_input e s tensor
-    | None -> () (* feeds for inputs this graph lacks are legal, like Interp *))
+  | None -> () (* feeds for inputs this graph lacks are legal, like Interp *)
 
 let run e =
   if not e.all_fed then begin

@@ -97,6 +97,14 @@ val set_input : t -> int -> Tensor.t -> unit
     is aliased, not copied.
     @raise Invalid_argument on a non-input slot or a shape mismatch. *)
 
+val input_slot : t -> Node.t -> int option
+(** The slot {!feed} binds for a node: its own slot when the node is in
+    the graph, else the unique [Placeholder]/[Variable] carrying its name,
+    else [None]. A caller feeding the same executable many times can
+    resolve once and {!set_input} by slot after that.
+    @raise Invalid_argument when several inputs share the absent node's
+    name. *)
+
 val feed : t -> Node.t -> Tensor.t -> unit
 (** [set_input] by node. A node absent from the graph resolves by name to
     the unique [Placeholder]/[Variable] carrying it: this lets a cached

@@ -308,6 +308,12 @@ let validate g =
 let total_output_bytes g =
   List.fold_left (fun acc n -> acc + Node.size_bytes n) 0 g.schedule
 
+(* Decimal digits of a non-negative int (a dimension or a slot), written
+   without a string. *)
+let rec add_nat buf n =
+  if n >= 10 then add_nat buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
 (* Canonical structural digest. Raw node ids are process-local (a global
    atomic counter), so they must never feed anything content-addressed; the
    fingerprint instead renames every node to its schedule position — a pure
@@ -322,44 +328,51 @@ let total_output_bytes g =
    different build, so two graphs may only share a fingerprint when that
    resolution works. Every other name is excluded — interior names are
    cosmetic, and constant leaves ([Zeros], [ConstFill], [DropoutMask]) are
-   named after their process-local id when unnamed. *)
+   named after their process-local id when unnamed.
+
+   The canonical input ids are the per-slot input edges [create] laid out,
+   and every node's line goes straight into one buffer. *)
 let fingerprint g =
-  let canon id = Itbl.find g.position id in
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun n ->
-      let ins =
-        List.map (fun i -> canon (Node.id i)) (Node.inputs n)
-      in
-      let ins =
-        (* Only ops whose value is invariant under input permutation. *)
-        match Node.op n with
-        | Op.Add | Op.Mul -> List.sort Int.compare ins
-        | _ -> ins
-      in
-      Buffer.add_string buf (Op.key (Node.op n));
-      Buffer.add_char buf '|';
-      Buffer.add_string buf (Echo_tensor.Shape.to_string (Node.shape n));
-      Buffer.add_char buf '|';
+  let buf = Buffer.create (64 * Array.length g.members) in
+  Array.iteri
+    (fun s n ->
+      let op = Node.op n in
+      Buffer.add_string buf (Op.key op);
+      Buffer.add_string buf "|[";
+      let shape = Node.shape n in
+      Array.iteri
+        (fun d x ->
+          if d > 0 then Buffer.add_char buf 'x';
+          add_nat buf x)
+        shape;
       Buffer.add_string buf
-        (match Node.region n with Node.Forward -> "f" | Node.Backward -> "b");
-      (match Node.op n with
+        (match Node.region n with Node.Forward -> "]|f" | Node.Backward -> "]|b");
+      (match op with
       | Op.Placeholder | Op.Variable ->
         Buffer.add_char buf '|';
         Buffer.add_string buf (Node.name n)
       | _ -> ());
-      List.iter
-        (fun i ->
+      let lo = g.in_start.(s) and hi = g.in_start.(s + 1) in
+      (match op with
+      | (Op.Add | Op.Mul) when hi - lo = 2 ->
+        (* Only ops whose value is invariant under input permutation. *)
+        let a = g.in_slots.(lo) and b = g.in_slots.(lo + 1) in
+        Buffer.add_char buf ',';
+        add_nat buf (min a b);
+        Buffer.add_char buf ',';
+        add_nat buf (max a b)
+      | _ ->
+        for k = lo to hi - 1 do
           Buffer.add_char buf ',';
-          Buffer.add_string buf (string_of_int i))
-        ins;
+          add_nat buf g.in_slots.(k)
+        done);
       Buffer.add_char buf '\n')
-    g.schedule;
+    g.members;
   Buffer.add_string buf "outputs";
   List.iter
     (fun o ->
       Buffer.add_char buf ' ';
-      Buffer.add_string buf (string_of_int (canon (Node.id o))))
+      add_nat buf (Itbl.find g.position (Node.id o)))
     g.outputs;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 

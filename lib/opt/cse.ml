@@ -2,15 +2,18 @@ open Echo_ir
 
 (* Structural key: operator (every attribute exact, floats by their bits —
    [Op.to_string]'s [%g] would merge [Scale 0.5] with [Scale 0.5000001]),
-   exact input identities, and region.
+   output shape (leaves such as [Zeros] and [DropoutMask] carry their shape
+   outside the operator, so [Zeros [4]] and [Zeros [2x3]] differ only
+   here), exact input identities, and region.
 
    These keys embed raw [Node.id]s, which come off a process-local counter:
    they are only meaningful within one [rebuild] walk and MUST NOT feed
    anything content-addressed (compile caches key on the canonical
    [Graph.fingerprint] instead, which renames nodes to schedule
    positions). *)
-let key op inputs region =
+let key op shape inputs region =
   ( Op.key op,
+    shape,
     List.map Node.id inputs,
     match region with Node.Forward -> 0 | Node.Backward -> 1 )
 
@@ -21,7 +24,9 @@ let can_unify op =
 
 let rebuild graph =
   let repr : (int, Node.t) Hashtbl.t = Hashtbl.create 1024 in
-  let seen : (string * int list * int, Node.t) Hashtbl.t = Hashtbl.create 1024 in
+  let seen : (string * Echo_tensor.Shape.t * int list * int, Node.t) Hashtbl.t =
+    Hashtbl.create 1024
+  in
   let removed = ref 0 in
   let resolve n =
     match Hashtbl.find_opt repr (Node.id n) with Some r -> r | None -> n
@@ -35,7 +40,7 @@ let rebuild graph =
       let node = if changed then Node.clone_with_inputs n inputs else n in
       let final =
         if can_unify (Node.op n) then begin
-          let k = key (Node.op node) inputs (Node.region node) in
+          let k = key (Node.op node) (Node.shape node) inputs (Node.region node) in
           match Hashtbl.find_opt seen k with
           | Some existing ->
             incr removed;

@@ -16,18 +16,34 @@ exception Reject of string
 
 let reject fmt = Printf.ksprintf (fun s -> raise (Reject s)) fmt
 
+(* Which graph of a spec a cache key names: the training graph of
+   [compile], [lint] and [train], or the forward graph of a stacked eval. *)
+type graph_kind = Training | Forward
+
+(* What a cached eval executable holds: the canonical spec (batch = k)
+   whose parameters were last fed into it, and its token input's slot. The
+   executor is held weakly, so the record never keeps an evicted entry
+   alive; a record whose executor is gone, or is not the one the cache
+   serves now (a recompile after eviction), matches nothing. *)
+type fed = {
+  executor : Executor.t Weak.t;  (** length 1 *)
+  spec : Language_model.config;
+  token_slot : int;
+}
+
 type t = {
   cache : Plan_cache.t;
   tenants : (string * int) list;  (** name -> budget bytes *)
   max_batch : int;
   runtime : Parallel.t option;
-  keys : (Language_model.config * int option, string) Hashtbl.t;
-      (** Memoised [Pipeline.cache_key] per (spec, budget): the training
-          graph is a pure function of the spec, so once a spec's key is
-          known a cache hit answers without rebuilding the model — the
-          dominant cost of a warm [compile] request. In-process only, so
-          structural hashing is fine here (no run-to-run stability
-          requirement, unlike {!Echo_ir.Graph.fingerprint}). *)
+  keys : (graph_kind * Language_model.config * int option, string) Hashtbl.t;
+      (** Memoised [Pipeline.cache_key] per (graph kind, spec, budget):
+          each graph is a pure function of the spec, so once a spec's key
+          is known a cache hit answers without rebuilding the model — the
+          dominant cost of a warm request. In-process only, so structural
+          hashing is fine here (no run-to-run stability requirement,
+          unlike {!Echo_ir.Graph.fingerprint}). *)
+  fed : (string, fed) Hashtbl.t;  (** by cache key, eval entries only *)
 }
 
 let create ?cache_bytes ?(tenants = []) ?(max_batch = 8) ?runtime () =
@@ -53,6 +69,7 @@ let create ?cache_bytes ?(tenants = []) ?(max_batch = 8) ?runtime () =
     max_batch;
     runtime;
     keys = Hashtbl.create 16;
+    fed = Hashtbl.create 16;
   }
 
 let cache t = t.cache
@@ -153,22 +170,25 @@ let budget_of t kvs =
 let training_graph lm =
   (Model.training lm.Language_model.model).Echo_autodiff.Grad.graph
 
-(* The cache key for a spec, building the training graph only when the
-   (spec, budget) pair has never been keyed on this engine. *)
-let key_of t cfg budget_bytes =
-  match Hashtbl.find_opt t.keys (cfg, budget_bytes) with
+(* The cache key of a spec's graph, calling [graph] only when the
+   (kind, spec, budget) triple has never been keyed on this engine. *)
+let key_of t kind cfg budget_bytes graph =
+  match Hashtbl.find_opt t.keys (kind, cfg, budget_bytes) with
   | Some key -> key
   | None ->
-    let graph = training_graph (Language_model.build cfg) in
-    let key = Pipeline.cache_key ?runtime:t.runtime ?budget_bytes graph in
-    Hashtbl.replace t.keys (cfg, budget_bytes) key;
+    let key = Pipeline.cache_key ?runtime:t.runtime ?budget_bytes (graph ()) in
+    Hashtbl.replace t.keys (kind, cfg, budget_bytes) key;
     key
+
+let training_key t cfg budget_bytes =
+  key_of t Training cfg budget_bytes (fun () ->
+      training_graph (Language_model.build cfg))
 
 let do_compile t kvs =
   check_keys ~verb:"compile" ~allowed:spec_keys kvs;
   let cfg = spec_of kvs in
   let budget_bytes = Option.map snd (budget_of t kvs) in
-  let key = key_of t cfg budget_bytes in
+  let key = training_key t cfg budget_bytes in
   let exe, hit =
     Plan_cache.fetch t.cache ~key ~compile:(fun () ->
         (* The graph is rebuilt here rather than threaded from [key_of]:
@@ -228,7 +248,7 @@ let do_lint t kvs =
   check_keys ~verb:"lint" ~allowed:spec_keys kvs;
   let cfg = spec_of kvs in
   let budget_bytes = Option.map snd (budget_of t kvs) in
-  let key = key_of t cfg budget_bytes in
+  let key = training_key t cfg budget_bytes in
   let exe, hit =
     Plan_cache.fetch t.cache ~key ~compile:(fun () ->
         Pipeline.compile_graph ?budget_bytes ?runtime:t.runtime
@@ -356,14 +376,25 @@ let rec chunk n = function
    between the token ids and the logits is row-independent and the kernels
    are bit-identical under partitioning, so each row's logits — and the
    host-side NLL folded over them in ascending-[t] order — are bit-identical
-   to a [k = 1] run of the same request. *)
+   to a [k = 1] run of the same request.
+
+   A warm chunk answers from the plan cache alone: the memoised key finds
+   the entry, and when the entry's [fed] record names this very executor
+   and spec, its parameters are still in place, so only the ids are set.
+   The model is built (and its parameters fed) only when the key, the
+   entry or the record misses: a first request, another [seed] on the same
+   structure, a recompile after eviction. *)
 let eval_stacked t reqs =
   let k = List.length reqs in
   let r0 = List.hd reqs in
   let t_len = r0.cfg.Language_model.seq_len in
   let cfg = { r0.cfg with Language_model.batch = k } in
-  let lm = Language_model.build cfg in
-  let fwd = Graph.create [ lm.Language_model.logits ] in
+  let built =
+    lazy
+      (let lm = Language_model.build cfg in
+       (lm, Graph.create [ lm.Language_model.logits ]))
+  in
+  let forward () = snd (Lazy.force built) in
   let budget_bytes =
     List.fold_left
       (fun acc r ->
@@ -373,10 +404,10 @@ let eval_stacked t reqs =
         | Some (_, b), Some a -> Some (min a b))
       None reqs
   in
-  let key = Pipeline.cache_key ?runtime:t.runtime ?budget_bytes fwd in
+  let key = key_of t Forward cfg budget_bytes forward in
   let exe, _ =
     Plan_cache.fetch t.cache ~key ~compile:(fun () ->
-        Pipeline.compile_graph ?budget_bytes ?runtime:t.runtime fwd)
+        Pipeline.compile_graph ?budget_bytes ?runtime:t.runtime (forward ()))
   in
   let e = Pipeline.executor exe in
   let toks = Array.of_list (List.map (fun r -> r.tokens) reqs) in
@@ -387,13 +418,30 @@ let eval_stacked t reqs =
         let row = idx.(0) in
         float_of_int toks.(row mod k).(row / k))
   in
-  (* Cache-hit executors belong to whichever build populated the entry, so
-     [Executor.feed] resolves these nodes by name; params the graph buried
-     are skipped. *)
-  Executor.feed e lm.Language_model.token_input ids;
-  List.iter
-    (fun (node, v) -> Executor.feed e node v)
-    (Params.bindings lm.Language_model.model.Model.params);
+  let holds r =
+    r.spec = cfg
+    && match Weak.get r.executor 0 with Some e' -> e' == e | None -> false
+  in
+  (match Hashtbl.find_opt t.fed key with
+  | Some r when holds r -> Executor.set_input e r.token_slot ids
+  | _ ->
+    (* Cache-hit executors belong to whichever build populated the entry,
+       so the nodes resolve by name; params the graph buried are skipped.
+       The record goes first, so a feed that raises leaves none behind. *)
+    Hashtbl.remove t.fed key;
+    let lm = fst (Lazy.force built) in
+    let token_slot =
+      match Executor.input_slot e lm.Language_model.token_input with
+      | Some s -> s
+      | None -> invalid_arg "Engine.eval: the executable has no token input"
+    in
+    Executor.set_input e token_slot ids;
+    List.iter
+      (fun (node, v) -> Executor.feed e node v)
+      (Params.bindings lm.Language_model.model.Model.params);
+    let executor = Weak.create 1 in
+    Weak.set executor 0 (Some e);
+    Hashtbl.replace t.fed key { executor; spec = cfg; token_slot });
   Executor.run e;
   let logits = (Executor.outputs e).(0) in
   List.mapi

@@ -55,6 +55,16 @@
     so batched losses are {e bit-identical} to serial ones; the serve test
     suite asserts this at 1/2/4 domains.
 
+    A warm chunk answers from the plan cache alone. Its cache key is
+    memoised per (spec, batch, budget), and each cached eval executable
+    carries a record of the spec whose parameters it holds; when the
+    record matches, the chunk only sets the token ids and runs — no model
+    build, no fingerprint, no parameter feed. Another [seed] on the same
+    structure, a recompile after eviction or a chunk new to the engine
+    builds and feeds instead. The record holds its executable weakly, so
+    an evicted entry is not kept alive. Answers are the same bytes either
+    way.
+
     {2 Tenants}
 
     [tenants] maps tenant names to device-memory budgets. A request

@@ -520,6 +520,64 @@ let test_fingerprint_golden () =
   Alcotest.(check string)
     "golden digest" "cbc3b90901aa9e0da20792e110e7ba02" (Graph.fingerprint g)
 
+(* The digest as first specified, one string per node and every input
+   looked up by id: [Graph.fingerprint] writes the same bytes from the
+   per-slot edges, so the two must agree on every graph. *)
+let reference_fingerprint g =
+  let canon n = Graph.position g (Node.id n) in
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun n ->
+      let ins = List.map canon (Node.inputs n) in
+      let ins =
+        match Node.op n with
+        | Op.Add | Op.Mul -> List.sort Int.compare ins
+        | _ -> ins
+      in
+      Buffer.add_string buf (Op.key (Node.op n));
+      Buffer.add_char buf '|';
+      Buffer.add_string buf (Shape.to_string (Node.shape n));
+      Buffer.add_char buf '|';
+      Buffer.add_string buf
+        (match Node.region n with Node.Forward -> "f" | Node.Backward -> "b");
+      (match Node.op n with
+      | Op.Placeholder | Op.Variable ->
+        Buffer.add_char buf '|';
+        Buffer.add_string buf (Node.name n)
+      | _ -> ());
+      List.iter (fun i -> Buffer.add_string buf ("," ^ string_of_int i)) ins;
+      Buffer.add_char buf '\n')
+    (Graph.nodes g);
+  Buffer.add_string buf "outputs";
+  List.iter
+    (fun o -> Buffer.add_string buf (" " ^ string_of_int (canon o)))
+    (Graph.outputs g);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let prop_fingerprint_matches_reference =
+  QCheck.Test.make ~name:"fingerprint equals the per-node reference"
+    ~count:100 random_dag_gen (fun seed ->
+      let g = Graph.create (build_random_dag seed :: build_hinted_dag seed) in
+      Graph.fingerprint g = reference_fingerprint g)
+
+(* Every zoo model's training, optimized and echo-rewritten graphs: leaves,
+   convolution gradients (shapes in the key), dropout masks, slices. *)
+let test_zoo_fingerprints_match_reference () =
+  let device = Echo_gpusim.Device.titan_xp in
+  let echo = Echo_core.Planner.instantiate "echo" in
+  List.iter
+    (fun model ->
+      let training = (Echo_models.Model.training model).Echo_autodiff.Grad.graph in
+      let optimized, _ = Echo_opt.Pipeline.run training in
+      let rewritten, _ = Echo_core.Pass.run_instance ~device echo optimized in
+      List.iter
+        (fun (what, g) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s" model.Echo_models.Model.name what)
+            (reference_fingerprint g) (Graph.fingerprint g))
+        [ ("training", training); ("optimized", optimized); ("echo", rewritten) ])
+    (small_zoo ())
+
 (* Two builds of a model with unnamed constant leaves: dropout masks are
    named after their process-local ids, which must not reach the digest. *)
 let test_fingerprint_stable_with_dropout () =
@@ -634,5 +692,7 @@ let suite =
         t "golden digest" test_fingerprint_golden;
         t "stable across rebuilds with dropout" test_fingerprint_stable_with_dropout;
         t "exact float attributes" test_fingerprint_exact_floats;
+        QCheck_alcotest.to_alcotest prop_fingerprint_matches_reference;
+        t "zoo digests match the reference" test_zoo_fingerprints_match_reference;
       ] );
   ]

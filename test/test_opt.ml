@@ -62,6 +62,32 @@ let test_cse_chain_cascade () =
   let g = Graph.create [ Node.add (mk ()) (mk ()) ] in
   check_int "collapsed to single chain" 4 (Graph.node_count (Cse.run g))
 
+(* Leaves of one operator but different shapes are different values: CSE
+   must not merge them (merging [Zeros [2x3]] into [Zeros [4]] rewires an
+   [Add] onto a mismatched shape). *)
+let cse_keeps_shapes_apart leaf =
+  let a = Node.placeholder [| 2; 3 |] and b = Node.placeholder [| 4 |] in
+  let g =
+    Graph.create
+      [ Node.add a (leaf [| 2; 3 |]); Node.add b (leaf [| 4 |]) ]
+  in
+  check_int "nothing merged" 0 (Cse.count_redundant g);
+  let g' = Cse.run g in
+  check_int "both leaves kept" (Graph.node_count g) (Graph.node_count g');
+  let rng = Rng.create 2 in
+  let feeds =
+    [
+      (a, Tensor.uniform rng [| 2; 3 |] ~lo:(-1.0) ~hi:1.0);
+      (b, Tensor.uniform rng [| 4 |] ~lo:(-1.0) ~hi:1.0);
+    ]
+  in
+  check_bool "equal outputs" true (outputs_equal g g' ~feeds)
+
+let test_cse_zeros_of_different_shapes () = cse_keeps_shapes_apart Node.zeros
+
+let test_cse_dropout_masks_of_different_shapes () =
+  cse_keeps_shapes_apart (Node.dropout_mask ~p:0.5 ~seed:1)
+
 (* Folding *)
 
 let feeds_for x = [ (x, Tensor.of_list1 [ 1.5; -2.0 ]) ]
@@ -364,6 +390,9 @@ let suite =
         t "chain cascade" test_cse_chain_cascade;
         t "exact float attrs" test_cse_exact_float_attrs;
         t "unchanged graph returned" test_cse_returns_input_when_unchanged;
+        t "zeros of different shapes" test_cse_zeros_of_different_shapes;
+        t "dropout masks of different shapes"
+          test_cse_dropout_masks_of_different_shapes;
       ] );
     ( "opt.fold",
       [

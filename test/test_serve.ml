@@ -275,6 +275,116 @@ let test_batched_eval_bit_identical () =
         batched serial)
     [ 1; 2; 4 ]
 
+(* Warm evals answer from the plan cache alone: a hit whose executable
+   still holds the requested spec's parameters only sets the ids. Every
+   path around that record — another seed on the same structure, a
+   recompile after eviction, the per-request budget fallback — must answer
+   byte for byte as a fresh engine answers the same request cold. *)
+
+let eval_line ?(hidden = 8) ?(seed = 42) ?tenant toks =
+  Printf.sprintf "eval hidden=%d vocab=20 seed=%d tokens=%s%s" hidden seed toks
+    (match tenant with Some n -> " tenant=" ^ n | None -> "")
+
+let fresh_answer ?tenants line = Engine.exec (Engine.create ?tenants ()) line
+
+(* The canonical forward graph a chunk of [k] five-token [eval_line]s
+   compiles. *)
+let eval_forward ~k =
+  let lm = Language_model.build (lm_cfg ~batch:k ~seq_len:4 ()) in
+  Echo_ir.Graph.create [ lm.Language_model.logits ]
+
+let eval_footprint ~k =
+  Executor.footprint_bytes
+    (Pipeline.executor (Pipeline.compile_graph (eval_forward ~k)))
+
+let test_warm_eval_seed_interleaving () =
+  let engine = Engine.create () in
+  List.iter
+    (fun seed ->
+      let lines = List.map (eval_line ~seed) [ "1,2,3,4,5"; "5,4,3,2,1" ] in
+      Alcotest.(check (list string))
+        (Printf.sprintf "seed %d stacked = fresh engine" seed)
+        (Engine.exec_all (Engine.create ()) lines)
+        (Engine.exec_all engine lines);
+      List.iter
+        (fun line ->
+          check_string
+            (Printf.sprintf "seed %d single = fresh engine" seed)
+            (fresh_answer line) (Engine.exec engine line))
+        lines)
+    [ 42; 7; 42; 42; 7 ];
+  (* Seeds 42 and 7 share one structure, so one entry per batch size:
+     two compiles (k = 2 and k = 1), every later chunk a hit. *)
+  let s = Plan_cache.stats (Engine.cache engine) in
+  check_int "one compile per batch size" 2 s.Plan_cache.misses;
+  check_int "every other chunk a hit" 13 s.Plan_cache.hits
+
+let test_warm_eval_after_eviction () =
+  (* Room for one k = 1 eval executable: evaluating the other hidden size
+     evicts it. *)
+  let cap = eval_footprint ~k:1 + 1 in
+  let engine = Engine.create ~cache_bytes:cap () in
+  let a = eval_line "1,2,3,4,5" and b = eval_line ~hidden:6 "1,2,3,4,5" in
+  let expect_a = fresh_answer a and expect_b = fresh_answer b in
+  List.iter
+    (fun (line, expected) ->
+      check_string "answer = fresh engine" expected (Engine.exec engine line))
+    [ (a, expect_a); (a, expect_a); (b, expect_b); (a, expect_a); (b, expect_b) ];
+  check_bool "evictions happened" true
+    ((Plan_cache.stats (Engine.cache engine)).Plan_cache.evictions >= 3)
+
+(* The record holds its executable weakly: once the cache evicts the entry
+   nothing keeps it alive. *)
+let eval_executor_probe engine =
+  let key = Pipeline.cache_key (eval_forward ~k:1) in
+  let exe, hit =
+    Plan_cache.fetch (Engine.cache engine) ~key ~compile:(fun () ->
+        Alcotest.fail "the eval executable should be cached")
+  in
+  check_bool "probe is a hit" true hit;
+  let probe = Weak.create 1 in
+  Weak.set probe 0 (Some (Pipeline.executor exe));
+  probe
+
+let test_evicted_eval_unreachable () =
+  let cap = eval_footprint ~k:1 + 1 in
+  let engine = Engine.create ~cache_bytes:cap () in
+  ignore (Engine.exec engine (eval_line "1,2,3,4,5"));
+  let probe = eval_executor_probe engine in
+  Gc.full_major ();
+  check_bool "cached executable alive" true (Weak.check probe 0);
+  ignore (Engine.exec engine (eval_line ~hidden:6 "1,2,3,4,5"));
+  check_int "entry evicted" 1
+    (Plan_cache.stats (Engine.cache engine)).Plan_cache.evictions;
+  Gc.full_major ();
+  check_bool "evicted executable collected" false (Weak.check probe 0);
+  (* The engine, and the record it keeps, outlive the probe. *)
+  let line = eval_line "1,2,3,4,5" in
+  check_string "recompiled answer = fresh engine" (fresh_answer line)
+    (Engine.exec engine line)
+
+let test_warm_eval_budget_fallback () =
+  (* A budget that fits one request's forward step but not four stacked. *)
+  let fit = eval_footprint ~k:1 in
+  check_bool "stacked needs more" true (eval_footprint ~k:4 > fit);
+  let tenants = [ ("mid", fit) ] in
+  let engine = Engine.create ~tenants () in
+  let lines =
+    List.map
+      (fun t -> eval_line ~tenant:"mid" t)
+      [ "1,2,3,4,5"; "5,4,3,2,1"; "7,7,7,7,7"; "0,19,3,11,6" ]
+  in
+  let expected = List.map (fresh_answer ~tenants) lines in
+  List.iter
+    (fun _ ->
+      let got = Engine.exec_all engine lines in
+      List.iter2
+        (fun e g ->
+          check_string "fallback answer = fresh engine" e g;
+          check_bool "answered at k = 1" true (snd (loss_of g) = 1))
+        expected got)
+    [ 1; 2; 3 ]
+
 (* Tenants: unknown tenants are rejected by name; a tiny budget rejects
    compilation loudly; a batch mixing a budgeted tenant falls back without
    corrupting the unbudgeted request's result. *)
@@ -539,6 +649,10 @@ let suite =
         t "cached train bit-identical" test_cached_train_bit_identical;
         t "batched eval bit-identical" test_batched_eval_bit_identical;
         t "tenant budgets" test_tenant_budgets;
+        t "warm eval across seeds" test_warm_eval_seed_interleaving;
+        t "warm eval after eviction" test_warm_eval_after_eviction;
+        t "evicted eval executable unreachable" test_evicted_eval_unreachable;
+        t "warm eval budget fallback" test_warm_eval_budget_fallback;
         t "protocol errors" test_protocol_errors;
         t "corpus load_text" test_corpus_load_text;
         t "socket end to end" test_socket_end_to_end;
