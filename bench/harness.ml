@@ -233,6 +233,9 @@ let json_fragments :
     ref =
   ref []
 
+(* A number field as [json_flush] writes it. *)
+let json_number v = Printf.sprintf "%.6g" v
+
 let record_json ?(path = "BENCH_E15.json") ?(tags = []) section fields =
   json_fragments := !json_fragments @ [ (path, section, tags, fields) ]
 
@@ -260,7 +263,7 @@ let json_flush () =
               if j > 0 then Buffer.add_string buf ",\n";
               Buffer.add_string buf ("    " ^ line))
             (List.map (fun (k, v) -> Printf.sprintf "%S: %S" k v) tags
-            @ List.map (fun (k, v) -> Printf.sprintf "%S: %.6g" k v) fields);
+            @ List.map (fun (k, v) -> Printf.sprintf "%S: %s" k (json_number v)) fields);
           Buffer.add_string buf "\n  }")
         sections;
       Buffer.add_string buf "\n}\n";
@@ -270,23 +273,58 @@ let json_flush () =
       Format.printf "wrote %s@." path)
     paths
 
-(* The inverse of [json_flush] for tags: every ["key": "value"] line of a
-   file it wrote, over all sections, read back with the [%S] escapes it
-   wrote them with. Number fields and section lines do not scan and are
-   skipped. *)
-let read_json_tags path =
+(* The inverse of [json_flush]: every field line of a file it wrote,
+   over all sections, that [scan] reads as a key and a value. *)
+let read_json_fields scan path =
   let ic = open_in path in
-  let tags = Hashtbl.create 256 in
+  let fields = Hashtbl.create 256 in
   (try
      while true do
        let line = input_line ic in
-       match Scanf.sscanf line " %S: %S" (fun k v -> (k, v)) with
-       | key, value -> Hashtbl.replace tags key value
+       match Scanf.sscanf line " %S: %r" scan (fun k v -> (k, v)) with
+       | key, Some value -> Hashtbl.replace fields key value
+       | _, None -> ()
        | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> ()
      done
    with End_of_file -> ());
   close_in ic;
-  tags
+  fields
+
+(* The tags, read back with the [%S] escapes they were written with;
+   number fields and section lines are skipped. *)
+let read_json_tags =
+  read_json_fields (fun ib -> Some (Scanf.bscanf ib "%S" Fun.id))
+
+(* The number fields, as the text [json_number] wrote; tags and section
+   lines are skipped. *)
+let read_json_numbers =
+  read_json_fields (fun ib ->
+      match Scanf.bscanf ib "%[-+.0-9a-z]" Fun.id with
+      | "" -> None
+      | v -> Some v)
+
+(* Compare a run's exact facts with the record at [path], read by [read]:
+   one [violation] per fact the record lacks or holds another value for,
+   and per recorded fact the run did not produce. *)
+let check_record ~violation ~read path facts =
+  if not (Sys.file_exists path) then
+    violation (Printf.sprintf "no %s to check the facts against" path)
+  else begin
+    let recorded = read path in
+    List.iter
+      (fun (k, v) ->
+        match Hashtbl.find_opt recorded k with
+        | None -> violation (Printf.sprintf "%s = %s is not in the record" k v)
+        | Some r when r <> v ->
+          violation (Printf.sprintf "%s = %s, recorded %s" k v r)
+        | Some _ -> ())
+      facts;
+    Hashtbl.iter
+      (fun k r ->
+        if not (List.mem_assoc k facts) then
+          violation (Printf.sprintf "recorded %s = %s was not produced" k r))
+      recorded
+  end
 
 (* Pearson correlation. *)
 let pearson xs ys =

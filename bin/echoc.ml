@@ -343,12 +343,10 @@ let lint_policy ~runtime ~sanitize ~no_fuse ~corrupt label rw =
       Echo_diag.Report.append ~into:report (Pipeline.race_verify exe);
       report
     | Some kind ->
-      (* Layout corruptions work on the unfused plan's offsets, the layout
-         an unfused executor runs: the mutators reason about unfused
-         liveness when picking their site. *)
-      let offsets =
-        Assign.of_plan planned.Pipeline.graph planned.Pipeline.memplan
-      in
+      (* Layout corruptions work on the unfused plan, the layout an
+         unfused executor runs: the mutators reason about unfused liveness
+         when picking their site. *)
+      let unfused = planned.Pipeline.memplan in
       let need what = function
         | Some v -> v
         | None ->
@@ -360,30 +358,27 @@ let lint_policy ~runtime ~sanitize ~no_fuse ~corrupt label rw =
         let schedule = need "no node with inputs" (Mutate.swap_schedule graph) in
         Verify.lint ~schedule graph
       | "slot-overlap" ->
-        let offsets =
-          need "no pair of concurrent slots" (Mutate.overlap_slots offsets)
+        let plan =
+          need "no pair of concurrent slots" (Mutate.overlap_slots graph unfused)
         in
-        Verify.lint ~offsets graph
+        Verify.lint ~plan graph
       | "slot-escape" ->
-        let offsets = need "no slots at all" (Mutate.escape_slot offsets) in
-        Verify.lint ~offsets graph
+        let plan = need "no slots at all" (Mutate.escape_slot unfused) in
+        Verify.lint ~plan graph
       | "alias" ->
         (* A partial overlap, where [slot-overlap] makes two ranges
            coincide. *)
-        let corrupted =
+        let plan =
           need "no value defined inside another's live range"
-            (Mutate.overlap_partially planned.Pipeline.graph
-               planned.Pipeline.memplan)
+            (Mutate.overlap_partially graph unfused)
         in
-        Verify.lint
-          ~offsets:(Assign.of_plan planned.Pipeline.graph corrupted)
-          graph
+        Verify.lint ~plan graph
       | "inplace-donor" ->
-        let offsets =
+        let plan =
           need "no non-elementwise consumer of a same-size dying input"
-            (Mutate.retarget_inplace graph offsets)
+            (Mutate.retarget_inplace graph unfused)
         in
-        Verify.lint ~offsets graph
+        Verify.lint ~plan graph
       | "clone-seed" ->
         let graph =
           need "no DropoutMask recomputation clone (pick a policy that \
@@ -416,8 +411,7 @@ let lint_policy ~runtime ~sanitize ~no_fuse ~corrupt label rw =
         in
         let report =
           Race.check_kernels ~chunk_bounds:(Mutate.shift_partition shift)
-            ?fusion:fused.Pipeline.fusion
-            ~offsets:(Echo_compiler.Executor.offsets (Pipeline.executor exe))
+            ~plan:(Echo_compiler.Executor.plan (Pipeline.executor exe))
             ~runtime:fanout graph
         in
         Echo_tensor.Parallel.shutdown fanout;
@@ -439,8 +433,7 @@ let lint_policy ~runtime ~sanitize ~no_fuse ~corrupt label rw =
           need "no value defined inside another's live range"
             (Mutate.overlap_partially graph plan)
         in
-        Race.check_addresses ?fusion:plan.Memplan.fusion graph
-          (Echo_exec.Assign.of_plan graph corrupted)
+        Race.check_addresses graph corrupted
       | "fused-interior" ->
         let plan =
           need "no fusion plan (drop --no-fuse)" fused.Pipeline.fusion

@@ -1,24 +1,17 @@
 open Echo_ir
-module Assign = Echo_exec.Assign
+module Memplan = Echo_exec.Memplan
 
-(* Schedule positions and re-derived last-read steps (unfused), the same
-   quantities Verify re-derives; the mutators use them to find a site where
-   the corruption actually violates the property under test. *)
-let positions graph =
-  let tbl = Hashtbl.create 1024 in
-  List.iteri (fun i n -> Hashtbl.replace tbl (Node.id n) i) (Graph.nodes graph);
-  tbl
+(* The slots a plan places, in schedule order. *)
+let placed (r : Memplan.report) =
+  List.filter
+    (fun s -> r.Memplan.offset_of_slot.(s) >= 0)
+    (List.init (Array.length r.Memplan.offset_of_slot) Fun.id)
 
-let last_read graph pos node def =
-  if Graph.is_output graph (Node.id node) then max_int
-  else
-    List.fold_left
-      (fun acc c ->
-        match Hashtbl.find_opt pos (Node.id c) with
-        | Some p -> max acc p
-        | None -> acc)
-      def
-      (Graph.consumers graph (Node.id node))
+(* [r] with the given slots moved to the given offsets. *)
+let moved (r : Memplan.report) moves =
+  let offset_of_slot = Array.copy r.Memplan.offset_of_slot in
+  List.iter (fun (s, off) -> offset_of_slot.(s) <- off) moves;
+  { r with Memplan.offset_of_slot }
 
 let swap_schedule graph =
   let schedule = Graph.nodes graph in
@@ -27,84 +20,56 @@ let swap_schedule graph =
   | Some n ->
     Some (n :: List.filter (fun m -> not (Node.equal m n)) schedule)
 
-let overlap_slots assignment =
-  let slots = Array.of_list (Assign.slots assignment) in
-  let arena = Assign.arena_size assignment in
+let overlap_slots graph (r : Memplan.report) =
+  let off = r.Memplan.offset_of_slot and expiry = r.Memplan.expiry_of_slot in
+  let slots = placed r in
   (* A victim defined strictly inside a donor's live range, moved onto the
      donor's offset: the two are live at the same time and neither is the
      other's in-place handover, so only the alias check can accept or
      reject it. *)
   let inside a b =
-    a.Assign.def_step < b.Assign.def_step
-    && b.Assign.def_step < a.Assign.last_step
-    && a.Assign.offset + b.Assign.size <= arena
+    a < b && b < expiry.(a)
+    && off.(a) + Node.size_bytes (Graph.node_at graph b) <= r.Memplan.slab_bytes
   in
-  let site =
-    Array.find_map
-      (fun a ->
-        Array.find_map (fun b -> if inside a b then Some (a, b) else None) slots)
-      slots
-  in
-  match site with
-  | None -> None
-  | Some (a, b) ->
-    let slots =
-      List.map
-        (fun s ->
-          if s.Assign.node_id = b.Assign.node_id then
-            { s with Assign.offset = a.Assign.offset }
-          else s)
-        (Assign.slots assignment)
-    in
-    Some (Assign.of_slots ~arena slots)
+  List.find_map
+    (fun a ->
+      List.find_map
+        (fun b -> if inside a b then Some (moved r [ (b, off.(a)) ]) else None)
+        slots)
+    slots
 
-let escape_slot assignment =
-  match Assign.slots assignment with
+let escape_slot (r : Memplan.report) =
+  match placed r with
   | [] -> None
-  | first :: rest ->
-    let arena = Assign.arena_size assignment in
-    Some
-      (Assign.of_slots ~arena ({ first with Assign.offset = arena } :: rest))
+  | first :: _ -> Some (moved r [ (first, r.Memplan.slab_bytes) ])
 
-let retarget_inplace graph assignment =
-  let pos = positions graph in
-  let slot_of = Hashtbl.create 256 in
-  List.iter
-    (fun s -> Hashtbl.replace slot_of s.Assign.node_id s)
-    (Assign.slots assignment);
+let retarget_inplace graph (r : Memplan.report) =
+  let off = r.Memplan.offset_of_slot in
+  (* The unfused last read of a slot, re-derived from its consumer edges. *)
+  let last_read s =
+    if Graph.is_output_at graph s then max_int
+    else Graph.fold_consumers_at graph s max s
+  in
   (* A consumer whose operator cannot write in place, reading an input
      that dies exactly at its step: handing it the input's offset is
      precisely the corrupted transfer the in-place checker exists to
      reject. *)
-  let donor_of taker =
-    List.find_opt
+  let donor_of taker t =
+    List.find_map
       (fun input ->
-        match Hashtbl.find_opt slot_of (Node.id input) with
-        | None -> false
-        | Some _ ->
-          last_read graph pos input (Hashtbl.find pos (Node.id input))
-          = Hashtbl.find pos (Node.id taker))
+        match Graph.position graph (Node.id input) with
+        | d when off.(d) >= 0 && last_read d = t -> Some d
+        | _ -> None
+        | exception Not_found -> None)
       (Node.inputs taker)
   in
-  let site =
-    List.find_map
-      (fun s ->
-        let taker = Graph.find graph s.Assign.node_id in
-        if Echo_exec.Memplan.inplace_capable taker then None
-        else Option.map (fun d -> (taker, d)) (donor_of taker))
-      (Assign.slots assignment)
-  in
-  match site with
-  | None -> None
-  | Some (taker, donor) ->
-    let offset = (Hashtbl.find slot_of (Node.id donor)).Assign.offset in
-    Some
-      (Assign.of_slots ~arena:(Assign.arena_size assignment)
-         (List.map
-            (fun s ->
-              if s.Assign.node_id = Node.id taker then { s with Assign.offset }
-              else s)
-            (Assign.slots assignment)))
+  List.find_map
+    (fun t ->
+      let taker = Graph.node_at graph t in
+      if Memplan.inplace_capable taker then None
+      else
+        Option.map (fun d -> moved r [ (t, off.(d)) ]) (donor_of taker t))
+    (placed r)
 
 (* Rebuild the graph with [replace] applied to matching nodes and every
    transitive consumer re-cloned onto the fresh inputs. *)
@@ -177,7 +142,7 @@ let bad_clone_hint graph =
 (* ------------------------------------------------------------------ *)
 (* Race-verify corruptions: each targets exactly one of the Race /
    Sanitize checkers, and the harness proves it fires both statically
-   (through Race's [?chunk_bounds]/[?intervals]/[?offsets] injection
+   (through Race's [?chunk_bounds]/[?intervals]/[?plan] injection
    points) and dynamically (through an executor compiled from a corrupted
    [Memplan] plan, or a directly-driven [Sanitize]).                  *)
 (* ------------------------------------------------------------------ *)
@@ -225,33 +190,23 @@ let shrink_lifetime its =
    checker and Race's address checker statically, and through
    [Executor.compile ~plan] to a real executor whose sanitizer must see
    the victim's cells overwritten. *)
-let overlap_partially graph (r : Echo_exec.Memplan.report) =
-  let module M = Echo_exec.Memplan in
-  let nodes = Array.of_list (Graph.nodes graph) in
-  let off = r.M.offset_of_slot and expiry = r.M.expiry_of_slot in
-  let size s = Node.size_bytes nodes.(s) in
-  let placed = List.filter (fun s -> off.(s) >= 0) (List.init (Array.length nodes) Fun.id) in
-  let site =
-    List.find_map
-      (fun b ->
-        List.find_map
-          (fun a ->
-            let start = off.(a) + Node.elem_bytes in
-            if
-              a < b && b < expiry.(a)
-              && size a >= 2 * Node.elem_bytes
-              && start + size b <= r.M.slab_bytes
-            then Some (b, start)
-            else None)
-          placed)
-      placed
-  in
-  match site with
-  | None -> None
-  | Some (b, start) ->
-    let offset_of_slot = Array.copy off in
-    offset_of_slot.(b) <- start;
-    Some { r with M.offset_of_slot }
+let overlap_partially graph (r : Memplan.report) =
+  let off = r.Memplan.offset_of_slot and expiry = r.Memplan.expiry_of_slot in
+  let size s = Node.size_bytes (Graph.node_at graph s) in
+  let slots = placed r in
+  List.find_map
+    (fun b ->
+      List.find_map
+        (fun a ->
+          let start = off.(a) + Node.elem_bytes in
+          if
+            a < b && b < expiry.(a)
+            && size a >= 2 * Node.elem_bytes
+            && start + size b <= r.Memplan.slab_bytes
+          then Some (moved r [ (b, start) ])
+          else None)
+        slots)
+    slots
 
 (* Swap one single-input interior of a fused group for a clone one row
    wider than the root's sweep: the member-at-a-time semantics the fused

@@ -11,18 +11,23 @@ val swap_schedule : Graph.t -> Node.t list option
 (** A schedule with one node hoisted in front of its inputs — breaks
     topological order for {!Verify.check_schedule}'s [?schedule]. *)
 
-val overlap_slots : Echo_exec.Assign.t -> Echo_exec.Assign.t option
-(** Move a slot defined strictly inside another slot's live range onto
-    that slot's byte offset — two simultaneously-live values share bytes
-    without either being the other's in-place handover, so
-    {!Verify.check_ranges} must report an [alias] error. *)
+(** The layout mutators take a memory plan and return a corrupted copy of
+    it (the input is not modified): only [offset_of_slot] changes. *)
 
-val escape_slot : Echo_exec.Assign.t -> Echo_exec.Assign.t option
-(** Push one slot's offset past the arena end — {!Verify.check_ranges}
-    must report the escape. *)
+val overlap_slots :
+  Graph.t -> Echo_exec.Memplan.report -> Echo_exec.Memplan.report option
+(** Move a slot defined strictly inside another slot's live range
+    ([expiry_of_slot]) onto that slot's byte offset — two
+    simultaneously-live values share bytes without either being the
+    other's in-place handover, so {!Verify.check_ranges} must report an
+    [alias] error. *)
+
+val escape_slot : Echo_exec.Memplan.report -> Echo_exec.Memplan.report option
+(** Push the first placed slot's offset to the slab's end —
+    {!Verify.check_ranges} must report the escape. *)
 
 val retarget_inplace :
-  Graph.t -> Echo_exec.Assign.t -> Echo_exec.Assign.t option
+  Graph.t -> Echo_exec.Memplan.report -> Echo_exec.Memplan.report option
 (** Hand an input dying at its step to a consumer whose operator cannot
     write in place, by placing the consumer at the input's offset — a
     corrupted in-place transfer {!Verify.check_ranges} must reject. *)
@@ -47,7 +52,7 @@ val cross_region_group : Graph.t -> Fuse.plan option
 
     Each targets exactly one {!Race} / {!Sanitize} checker; the harness
     proves every one fires both statically (through [Race]'s
-    [?chunk_bounds] / [?intervals] / [?offsets] injection points) and
+    [?chunk_bounds] / [?intervals] / [?plan] injection points) and
     dynamically (through an executor compiled from a corrupted memory plan,
     [Executor.compile ~plan], or a directly driven {!Sanitize}). *)
 
@@ -72,8 +77,8 @@ val overlap_partially :
 (** Shift one slot's offset so its range starts one element inside the
     range of another value that is live across its definition and read
     after it, staying inside the slab: the two ranges overlap in part.
-    {!Verify.check_ranges} and {!Race.check_addresses} (over
-    [Echo_exec.Assign.of_plan] of the result) must report it, and an
+    {!Verify.check_ranges} and {!Race.check_addresses} must report it on
+    the result, and an
     executor compiled from the corrupted plan must trip the [Cells]
     sanitizer. *)
 

@@ -21,6 +21,7 @@ open Echo_ir
 module Report = Echo_diag.Report
 module Parallel = Echo_tensor.Parallel
 module Shape = Echo_tensor.Shape
+module Memplan = Echo_exec.Memplan
 
 let describe n =
   Printf.sprintf "%s %s (#%d)" (Op.to_string (Node.op n)) (Node.name n)
@@ -53,6 +54,8 @@ let fusion_index graph fusion =
           g.Fuse.members)
       (Fuse.groups f));
   (reader, interior)
+
+let fusion_of plan = Option.bind plan (fun p -> p.Memplan.fusion)
 
 (* Each slot's last read: [max_int] for a graph output, else the latest
    reading instruction over its consumer edges. *)
@@ -297,28 +300,30 @@ let derive_parts runtime ~rows ~work =
 let cache_line_bytes = 64
 let float_bytes = 8
 
-let check_kernels ?chunk_bounds:(bounds = chunk_bounds) ?fusion ?offsets
-    ~runtime graph =
+let check_kernels ?chunk_bounds:(bounds = chunk_bounds) ?plan ~runtime graph =
   let report = Report.create () in
   let err ~check ~nodes fmt =
     Report.errorf report ~check ~stage:"executable" ~nodes fmt
   in
+  let fusion = fusion_of plan in
   let _, interiors = fusion_index graph fusion in
   let group_of_root =
     match fusion with
     | Some f -> fun node -> Fuse.group_of_root f (Node.id node)
     | None -> fun _ -> None
   in
-  (* node id -> its byte range [lo, hi) in the slab *)
-  let range_of = Hashtbl.create 256 in
-  (match offsets with
-  | Some a ->
-    List.iter
-      (fun s ->
-        Hashtbl.replace range_of s.Echo_exec.Assign.node_id
-          (s.Echo_exec.Assign.offset, s.Echo_exec.Assign.offset + s.Echo_exec.Assign.size))
-      (Echo_exec.Assign.slots a)
-  | None -> ());
+  (* A node's byte range [lo, hi) in the slab, when the plan places it. *)
+  let range_of node =
+    match plan with
+    | None -> None
+    | Some p -> (
+      match Graph.position graph (Node.id node) with
+      | s when p.Memplan.offset_of_slot.(s) >= 0 ->
+        let lo = p.Memplan.offset_of_slot.(s) in
+        Some (lo, lo + Node.size_bytes node)
+      | _ -> None
+      | exception Not_found -> None)
+  in
   let partitioned = ref 0 in
   let unaligned_boundaries = ref 0 in
   let unaligned_instrs = ref 0 in
@@ -379,12 +384,12 @@ let check_kernels ?chunk_bounds:(bounds = chunk_bounds) ?fusion ?offsets
              kernel gathers across chunk boundaries must not overlap the
              destination's range — chunk [i]'s read of it would overlap
              chunk [j]'s concurrent write. *)
-          match Hashtbl.find_opt range_of (Node.id node) with
+          match range_of node with
           | None -> ()
           | Some (dlo, dhi) ->
             List.iter
               (fun input ->
-                match Hashtbl.find_opt range_of (Node.id input) with
+                match range_of input with
                 | Some (ilo, ihi) when ilo < dhi && dlo < ihi ->
                   err ~check:"race-alias"
                     ~nodes:[ Node.id node; Node.id input ]
@@ -511,27 +516,27 @@ let check_lifetimes ?fusion ~intervals graph =
 (* The address layout is the plan's own offsets: the executor binds every
    value to a view of one slab at exactly these bytes, so two values whose
    ranges overlap share real cells. *)
-let check_addresses ?fusion graph offsets =
+let check_addresses graph (plan : Memplan.report) =
   let report = Report.create () in
   let err ~nodes fmt =
     Report.errorf report ~check:"race-address" ~stage:"executable" ~nodes fmt
   in
-  let reader, _ = fusion_index graph fusion in
+  let n = Graph.node_count graph in
+  let offset = plan.Memplan.offset_of_slot in
+  if Array.length offset <> n then
+    invalid_arg "Race.check_addresses: the plan is for another graph";
+  let reader, _ = fusion_index graph plan.Memplan.fusion in
   let last_of = derive_last graph reader in
-  let entries =
-    List.filter_map
-      (fun s ->
-        let id = s.Echo_exec.Assign.node_id in
-        match Graph.position graph id with
-        | exception Not_found ->
-          err ~nodes:[ id ] "placed node #%d is not in the graph" id;
-          None
-        | def ->
-          let n = Graph.node_at graph def in
-          Some (n, s.Echo_exec.Assign.offset, Node.size_bytes n, def, last_of.(def)))
-      (Echo_exec.Assign.slots offsets)
-  in
-  let arr = Array.of_list entries in
+  let entries = ref [] in
+  for def = n - 1 downto 0 do
+    if offset.(def) >= 0 then begin
+      let node = Graph.node_at graph def in
+      entries :=
+        (node, offset.(def), Node.size_bytes node, def, last_of.(def))
+        :: !entries
+    end
+  done;
+  let arr = Array.of_list !entries in
   let report_race wn w_def vn v_last ~lo ~hi =
     err
       ~nodes:[ Node.id wn; Node.id vn ]
@@ -568,15 +573,14 @@ let check_addresses ?fusion graph offsets =
        ~keep);
   report
 
-let check ?chunk_bounds ?intervals ?fusion ?offsets ~runtime graph =
+let check ?chunk_bounds ?intervals ?plan ~runtime graph =
   let report = Report.create () in
   let add r = Report.append r ~into:report in
-  add (check_kernels ?chunk_bounds ?fusion ?offsets ~runtime graph);
+  let fusion = fusion_of plan in
+  add (check_kernels ?chunk_bounds ?plan ~runtime graph);
   (match fusion with Some f -> add (check_fused f) | None -> ());
   (match intervals with
   | Some iv -> add (check_lifetimes ?fusion ~intervals:iv graph)
   | None -> ());
-  (match offsets with
-  | Some a -> add (check_addresses ?fusion graph a)
-  | None -> ());
+  (match plan with Some p -> add (check_addresses graph p) | None -> ());
   report

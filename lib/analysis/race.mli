@@ -14,8 +14,11 @@
     chunk formula, the fan-out gate, the per-operator access patterns —
     instead of importing it, so the checks are translation validation,
     not tautology (same philosophy as {!Verify}). The [?chunk_bounds],
-    [?intervals] and [?offsets] arguments are how {!Mutate}'s corrupted
-    artifacts are injected to prove each checker actually fires. *)
+    [?intervals] and [?plan] arguments are how {!Mutate}'s corrupted
+    artifacts are injected to prove each checker actually fires. A plan
+    is read through its fields only ([offset_of_slot], [slab_bytes] and
+    [fusion]); the checkers call neither {!Echo_exec.Liveness} nor
+    {!Echo_exec.Memplan}. *)
 
 open Echo_ir
 module Report = Echo_diag.Report
@@ -63,15 +66,15 @@ val chunk_bounds : int -> int -> int -> int * int
 
 val check_kernels :
   ?chunk_bounds:(int -> int -> int -> int * int) ->
-  ?fusion:Fuse.plan ->
-  ?offsets:Echo_exec.Assign.t ->
+  ?plan:Echo_exec.Memplan.report ->
   runtime:Echo_tensor.Parallel.t ->
   Graph.t ->
   Report.t
-(** Per fanned-out instruction: the chunks returned by [?chunk_bounds]
-    (default: the re-stated runtime formula) must tile [0, rows) exactly
-    — monotone, gap-free, overlap-free — and, given the slab layout
-    [offsets], no [no_alias] input's range may overlap the destination's.
+(** Per fanned-out instruction (a fused group's root as one, under the
+    plan's fusion): the chunks returned by [?chunk_bounds] (default: the
+    re-stated runtime formula) must tile [0, rows) exactly — monotone,
+    gap-free, overlap-free — and, given the plan's slab layout, no
+    [no_alias] input's range may overlap the destination's.
     Also emits one [Info]
     summarising chunk boundaries that fall inside a 64-byte cache line
     (false sharing). *)
@@ -93,24 +96,25 @@ val check_lifetimes :
     a phantom read, and every non-persistent, non-interior node must have
     exactly one interval. *)
 
-val check_addresses :
-  ?fusion:Fuse.plan -> Graph.t -> Echo_exec.Assign.t -> Report.t
-(** Walk the slab layout (each value at its byte offset, sized by its
-    node) with re-derived lifetimes and flag any write that lands on
+val check_addresses : Graph.t -> Echo_exec.Memplan.report -> Report.t
+(** Walk the plan's slab layout (each placed slot at its byte offset,
+    sized by its node, in schedule order) with lifetimes re-derived under
+    the plan's fusion and flag any write that lands on
     bytes still live for another value — the sanctioned in-place handover
     of one whole range (overwriter {e is} the last reader) excepted, so a
-    range that overlaps a live one only in part always races. *)
+    range that overlaps a live one only in part always races.
+    @raise Invalid_argument if the plan does not have one offset per
+    schedule slot of the graph. *)
 
 val check :
   ?chunk_bounds:(int -> int -> int -> int * int) ->
   ?intervals:Echo_exec.Liveness.interval list ->
-  ?fusion:Fuse.plan ->
-  ?offsets:Echo_exec.Assign.t ->
+  ?plan:Echo_exec.Memplan.report ->
   runtime:Echo_tensor.Parallel.t ->
   Graph.t ->
   Report.t
 (** All of the above, gated on which artifacts are supplied:
-    {!check_kernels} always, {!check_fused} with [?fusion],
-    {!check_lifetimes} with [?intervals], {!check_addresses} with
-    [?offsets]. [Pipeline.race_verify] calls this with every artifact of
-    a compiled executable. *)
+    {!check_kernels} always, {!check_fused} when [?plan] has a fusion
+    plan, {!check_lifetimes} (under that fusion) with [?intervals],
+    {!check_addresses} with [?plan]. [Pipeline.race_verify] calls this
+    with every artifact of a compiled executable. *)

@@ -1,5 +1,5 @@
 open Echo_ir
-module Assign = Echo_exec.Assign
+module Memplan = Echo_exec.Memplan
 module Report = Echo_diag.Report
 
 exception Verify_failed of Echo_diag.Report.t
@@ -440,90 +440,62 @@ let check_fusion ?(max_externals = Fuse.default_max_externals) graph plan =
     (Fuse.groups plan);
   report
 
-let check_ranges ?fusion graph offsets =
+let check_ranges graph (plan : Memplan.report) =
   let report = Report.create () in
   let err ~check ~nodes fmt =
     Report.errorf report ~check ~stage:"planned" ~nodes fmt
   in
-  let reader, interiors, externals_of_root = fusion_index graph fusion in
-  let last_of = derive_last graph reader in
-  let arena = Assign.arena_size offsets in
-  let slots = Assign.slots offsets in
-  (* Coverage: one range per materialising node, none for persistent
-     nodes (fed, outside the slab) or fused interiors (registers). Ranges
-     of nodes outside the graph are tallied by id. *)
-  let placed = Array.make (Graph.node_count graph) false in
-  let foreign = Hashtbl.create 8 in
-  List.iter
-    (fun s ->
-      let id = s.Assign.node_id in
-      let again =
-        match Graph.position graph id with
-        | p ->
-          let again = placed.(p) in
-          placed.(p) <- true;
-          again
-        | exception Not_found ->
-          let again = Hashtbl.mem foreign id in
-          Hashtbl.replace foreign id ();
-          again
-      in
-      if again then
-        err ~check:"alias" ~nodes:[ id ] "node #%d has two ranges in the slab"
-          id)
-    slots;
-  List.iteri
-    (fun p n ->
-      if persistent_op (Node.op n) then begin
-        if placed.(p) then
-          err ~check:"alias" ~nodes:[ Node.id n ]
-            "persistent %s has a range in the slab: its value would be \
-             overwritten when the range is reused"
-            (describe n)
-      end
-      else if interiors.(p) then begin
-        if placed.(p) then
-          err ~check:"alias" ~nodes:[ Node.id n ]
-            "fused interior %s has a range in the slab but lives only in \
-             the fused kernel's registers"
-            (describe n)
-      end
-      else if not placed.(p) then
-        err ~check:"alias" ~nodes:[ Node.id n ]
-          "%s materialises but has no range in the slab" (describe n))
-    (Graph.nodes graph);
-  (* Re-derive every interval and size; distrust the recorded ones. *)
-  let entries =
-    List.filter_map
-      (fun s ->
-        let id = s.Assign.node_id in
-        match Graph.position graph id with
-        | exception Not_found ->
-          err ~check:"alias" ~nodes:[ id ]
-            "range of node #%d, which is not in the graph" id;
-          None
-        | def ->
-          let node = Graph.node_at graph def in
-          let last = last_of.(def) in
-          let size = Node.size_bytes node in
-          let lo = s.Assign.offset in
-          if s.Assign.def_step <> def || s.Assign.last_step <> last then
-            err ~check:"arena" ~nodes:[ id ]
-              "range of %s records steps %d..%d but the schedule implies \
-               %d..%d"
-              (describe node) s.Assign.def_step s.Assign.last_step def last;
-          if s.Assign.size <> size then
-            err ~check:"arena" ~nodes:[ id ]
-              "range of %s records %d bytes but the value has %d"
-              (describe node) s.Assign.size size;
-          if lo < 0 || lo + size > arena then
-            err ~check:"arena" ~nodes:[ id ]
-              "range of %s ([%d, %d)) escapes the %d-byte slab" (describe node)
-              lo (lo + size) arena;
-          Some (node, lo, size, def, last))
-      slots
+  let n = Graph.node_count graph in
+  let offset = plan.Memplan.offset_of_slot
+  and expiry = plan.Memplan.expiry_of_slot in
+  if Array.length offset <> n || Array.length expiry <> n then
+    invalid_arg "Verify.check_ranges: the plan is for another graph";
+  let reader, interiors, externals_of_root =
+    fusion_index graph plan.Memplan.fusion
   in
-  let arr = Array.of_list entries in
+  let last_of = derive_last graph reader in
+  let arena = plan.Memplan.slab_bytes in
+  (* Coverage: one range per materialising node, none for persistent
+     nodes (fed, outside the slab) or fused interiors (registers). *)
+  for p = 0 to n - 1 do
+    let node = Graph.node_at graph p and placed = offset.(p) >= 0 in
+    if persistent_op (Node.op node) then begin
+      if placed then
+        err ~check:"alias" ~nodes:[ Node.id node ]
+          "persistent %s has a range in the slab: its value would be \
+           overwritten when the range is reused"
+          (describe node)
+    end
+    else if interiors.(p) then begin
+      if placed then
+        err ~check:"alias" ~nodes:[ Node.id node ]
+          "fused interior %s has a range in the slab but lives only in \
+           the fused kernel's registers"
+          (describe node)
+    end
+    else if not placed then
+      err ~check:"alias" ~nodes:[ Node.id node ]
+        "%s materialises but has no range in the slab" (describe node)
+  done;
+  (* Re-derive every interval; distrust the recorded expiry. *)
+  let entries = ref [] in
+  for def = 0 to n - 1 do
+    let lo = offset.(def) in
+    if lo >= 0 then begin
+      let node = Graph.node_at graph def in
+      let size = Node.size_bytes node and last = last_of.(def) in
+      if expiry.(def) <> last then
+        err ~check:"arena" ~nodes:[ Node.id node ]
+          "range of %s records steps %d..%d but the schedule implies %d..%d"
+          (describe node) def expiry.(def) def last;
+      if lo + size > arena then
+        err ~check:"arena" ~nodes:[ Node.id node ]
+          "range of %s ([%d, %d)) escapes the %d-byte slab" (describe node) lo
+          (lo + size) arena;
+      entries := (node, lo, size, def, last) :: !entries
+    end
+  done;
+  let arr = Array.of_list (List.rev !entries) in
   (* A taker placed at its donor's offset at the donor's last read: legal
      only as an in-place transfer of the same range. Each fault is a
      thunk that reports it; a legal transfer has none. *)
@@ -610,7 +582,7 @@ let check_ranges ?fusion graph offsets =
        ~keep);
   report
 
-let lint ?schedule ?fusion ?offsets graph =
+let lint ?schedule ?fusion ?plan graph =
   let report = Report.create () in
   let add r = Report.append r ~into:report in
   add (check_schedule ?schedule graph);
@@ -619,7 +591,5 @@ let lint ?schedule ?fusion ?offsets graph =
   (match fusion with
   | Some f -> add (check_fusion graph f)
   | None -> ());
-  (match offsets with
-  | Some a -> add (check_ranges ?fusion graph a)
-  | None -> ());
+  (match plan with Some p -> add (check_ranges graph p) | None -> ());
   report

@@ -1,8 +1,8 @@
 (** Echo-verify: independent static sanitizers over compiled artifacts.
 
     Every stage of the pipeline produces an inspectable artifact — a
-    schedule, a rewritten graph, a fusion plan, the byte offsets a compiled
-    executor runs in. The checkers here re-prove the safety
+    schedule, a rewritten graph, a fusion plan, the memory plan (byte
+    offsets and lifetimes) a compiled executor runs in. The checkers here re-prove the safety
     conditions those artifacts rely on {e from scratch}: liveness intervals
     are re-derived from the graph (not read back from {!Echo_exec.Liveness}),
     and the elementwise / in-place-capable operator sets are duplicated
@@ -66,36 +66,41 @@ val check_fusion : ?max_externals:int -> Graph.t -> Fuse.plan -> Echo_diag.Repor
     {!Echo_ir.Fuse.default_max_externals}); no node belongs to two
     groups. *)
 
-val check_ranges :
-  ?fusion:Fuse.plan -> Graph.t -> Echo_exec.Assign.t -> Echo_diag.Report.t
-(** The one range checker, over any byte-offset plan — the layout a
-    compiled executor runs ({!val:Echo_compiler.Executor.offsets}) or a
-    static artifact ({!Echo_exec.Assign.of_plan}, the OLLA solve).
-    Re-derives every value's live interval from the graph — under
-    [fusion], a group member's reads extend to the group root's step — and
-    checks, collect-all:
-    - ["alias"]: every materialising node has exactly one range, and no
-      persistent node or fused interior has one; no two values live at the
-      same time overlap in address space, whether the ranges coincide or
-      overlap only in part;
+val check_ranges : Graph.t -> Echo_exec.Memplan.report -> Echo_diag.Report.t
+(** The one range checker, over any memory plan — the plan a compiled
+    executor runs ({!val:Echo_compiler.Executor.plan}), a stage's plan or
+    a static artifact (the OLLA solve, [Echo_exec.Arena_solver.solve]).
+    It reads the plan's [offset_of_slot], [expiry_of_slot], [slab_bytes]
+    and [fusion] fields only: a slot is placed when its offset is [>= 0],
+    and its range spans its node's size. Re-derives every value's live
+    interval from the graph — under the plan's [fusion], a group member's
+    reads extend to the group root's step — and checks, collect-all, in
+    schedule order:
+    - ["alias"]: every materialising node has a range, and no persistent
+      node or fused interior has one; no two values live at the same time
+      overlap in address space, whether the ranges coincide or overlap
+      only in part;
     - ["inplace"]: the one sanctioned overlap, a handover (the taker
       placed at the donor's offset and defined at the donor's last read),
       is a legal in-place transfer: the two have the same size, the taker's
       operator can write in place, the donor is among the values the
       taker's instruction reads (group externals for a fused root), and the
       donor is not a graph output;
-    - ["arena"]: every range lies inside the slab, and the steps and size
-      each slot records are the re-derived ones. *)
+    - ["arena"]: every range lies inside the slab, and the lifetime each
+      slot records ([expiry_of_slot]) is the re-derived last read.
+
+    @raise Invalid_argument if the plan's arrays do not have one entry per
+    schedule slot of [graph]. *)
 
 (** {1 Composition} *)
 
 val lint :
   ?schedule:Node.t list ->
   ?fusion:Fuse.plan ->
-  ?offsets:Echo_exec.Assign.t ->
+  ?plan:Echo_exec.Memplan.report ->
   Graph.t ->
   Echo_diag.Report.t
 (** Run every checker applicable to the artifacts provided and collect all
     findings into one report: {!check_schedule}, {!check_determinism} and
     {!check_recompute} always; {!check_fusion} when [fusion] is given;
-    {!check_ranges} (under [fusion]) when [offsets] is given. *)
+    {!check_ranges} (under the plan's own fusion) when [plan] is given. *)

@@ -384,7 +384,6 @@ let active_instruction_count e =
 
 let footprint_bytes e = e.plan.Memplan.arena_bytes
 
-let offsets e = Assign.of_plan e.graph e.plan
 let allocated_bytes e = e.allocated_bytes
 
 let sanitize_report e = Option.map Sanitize.report e.sanitize

@@ -168,8 +168,11 @@ val fused_interior_count : t -> int
 
 val plan : t -> Echo_exec.Memplan.report
 (** The memory plan the executor was compiled from — the same value passed
-    as [?plan], not a copy: the slab it allocates, the fusion groups it
-    compiles and the lifetimes it frees against. *)
+    as [?plan], not a copy: the slab it allocates, the offset each slot's
+    view is bound at, the fusion groups it compiles and the lifetimes it
+    frees against. The verification layer ({!Echo_analysis.Verify},
+    {!Echo_analysis.Race}) reads this layout, re-derives liveness from
+    scratch and proves no two overlapping-live ranges overlap. *)
 
 val footprint_bytes : t -> int
 (** Device-accounted ([Node.elem_bytes] per element) footprint of the
@@ -183,14 +186,6 @@ val allocated_bytes : t -> int
     rather than read from the plan: the persistent values fed to it, the
     one slab every transient value views ([Node.elem_bytes] per float),
     and the largest workspace any instruction needs. *)
-
-val offsets : t -> Echo_exec.Assign.t
-(** The layout the executor runs: one slot per transient value that
-    materialises (fused interiors are absent), in schedule order, with
-    its byte offset in the slab, its size and the plan's lifetime —
-    [Echo_exec.Assign.of_plan] of {!plan}. The verification layer
-    ({!Echo_analysis.Verify}, {!Echo_analysis.Race}) re-derives liveness
-    from scratch and proves no two overlapping-live ranges overlap. *)
 
 val sanitize_report : t -> Echo_diag.Report.t option
 (** The sanitizer's findings so far ([None] when compiled with it off).

@@ -111,7 +111,7 @@ type executable = { fused : fused; executor : Executor.t }
 (* The verification layer: every stage re-proven by the independent
    checkers of Echo_analysis.Verify. Later stages verify everything the
    earlier ones do plus their own artifact: from the planned stage on, the
-   offsets of the memory plan the stage carries. *)
+   memory plan the stage carries. *)
 type stage =
   | Source of source
   | Training of training
@@ -127,31 +127,25 @@ let verify stage =
   | Training t -> Echo_analysis.Verify.lint t.autodiff.Echo_autodiff.Grad.graph
   | Optimized o -> Echo_analysis.Verify.lint o.graph
   | Rewritten r -> Echo_analysis.Verify.lint r.graph
-  | Planned pl ->
-    Echo_analysis.Verify.lint
-      ~offsets:(Echo_exec.Assign.of_plan pl.graph pl.memplan)
-      pl.graph
+  | Planned pl -> Echo_analysis.Verify.lint ~plan:pl.memplan pl.graph
   | Fused f ->
-    Echo_analysis.Verify.lint ?fusion:f.fusion
-      ~offsets:(Echo_exec.Assign.of_plan f.graph f.fused_memplan)
-      f.graph
+    Echo_analysis.Verify.lint ?fusion:f.fusion ~plan:f.fused_memplan f.graph
   | Executable e ->
     let f = e.fused in
     Echo_analysis.Verify.lint ?fusion:f.fusion
-      ~offsets:(Executor.offsets e.executor) f.graph
+      ~plan:(Executor.plan e.executor) f.graph
 
 (* The race checker over a compiled executable: every artifact the
-   executor actually carries — its runtime, and its plan's fusion groups,
-   slab offsets and the liveness intervals it frees against — handed to
+   executor actually carries — its runtime, and its plan (fusion groups,
+   slab offsets and the liveness intervals it frees against) — handed to
    [Race.check]. *)
 let race_verify e =
   let executor = e.executor in
   let graph = Executor.graph executor in
   let plan = Executor.plan executor in
-  Echo_analysis.Race.check ?fusion:plan.Echo_exec.Memplan.fusion
+  Echo_analysis.Race.check
     ~intervals:(Echo_exec.Memplan.intervals graph plan)
-    ~offsets:(Executor.offsets executor)
-    ~runtime:(Executor.runtime executor) graph
+    ~plan ~runtime:(Executor.runtime executor) graph
 
 let compile ?budget_bytes ?runtime ?sanitize (f : fused) =
   let e =

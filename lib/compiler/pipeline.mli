@@ -101,8 +101,7 @@ type planned = {
   graph : Graph.t;
   memplan : Echo_exec.Memplan.report;
       (** the rewrite stage's unfused plan ([report.optimised_mem]): its
-          best-fit offsets ({!Echo_exec.Assign.of_plan}) are what an
-          unfused executor runs *)
+          best-fit offsets are what an unfused executor runs *)
 }
 
 val plan : rewritten -> planned
@@ -181,10 +180,11 @@ type stage =
 val verify : stage -> Echo_diag.Report.t
 (** Re-prove the artifacts the given stage carries: graph/schedule shape
     and topology, determinism, recomputation-clone fidelity at every stage;
-    plus, from [Planned] on, the byte offsets of the memory plan the stage
-    carries ({!Echo_analysis.Verify.check_ranges}: the unfused plan at
-    [Planned], the fused plan at [Fused], the layout the executor runs at
-    [Executable]), and the fusion plan from [Fused] on. Returns the
+    plus, from [Planned] on, the memory plan the stage carries
+    ({!Echo_analysis.Verify.check_ranges}, under the plan's own fusion:
+    the unfused plan at [Planned], the fused plan at [Fused], the plan the
+    executor runs, {!Executor.plan}, at [Executable]), and the fusion plan
+    from [Fused] on. Returns the
     collected report; a sound artifact has no error findings.
 
     {!compile} runs this automatically under [ECHO_VERIFY=1]
@@ -196,10 +196,10 @@ val race_verify : executable -> Echo_diag.Report.t
     ({!Echo_analysis.Race.check}) over everything the compiled executable
     carries: its kernel runtime (chunk coverage and disjointness of every
     fanned-out instruction, in-place alias legality, false-sharing lint),
-    its fusion plan (sweep extents), the liveness intervals its plan frees
-    against ({!Executor.plan}, rebuilt by {!Echo_exec.Memplan.intervals};
-    no range reused under a pending read) and its slab offsets
-    ({!Executor.offsets}: no two address-overlapping live values). A sound
+    and its plan ({!Executor.plan}): the fusion groups (sweep extents),
+    the liveness intervals it frees against (rebuilt by
+    {!Echo_exec.Memplan.intervals}; no range reused under a pending read)
+    and its slab offsets (no two address-overlapping live values). A sound
     executable has no error
     findings at any domain count. Also runs automatically — alongside
     {!verify} — inside {!compile} under [ECHO_VERIFY=1]. *)

@@ -1,3 +1,4 @@
+open Echo_ir
 open Echo_tensor
 
 type config = { iters : int; restarts : int; seed : int }
@@ -69,9 +70,33 @@ let seed_orders items n_steps =
     Array.init n (fun i -> i) (* schedule order, lowest-offset placement *);
   ]
 
+(* The annealer's own post-condition: every range inside the slab, no
+   two concurrent ones sharing a byte. The public range checker
+   ([Echo_analysis.Verify.check_ranges]) lives above this library. *)
+let check_placement items offs arena =
+  let n = Array.length items in
+  for i = 0 to n - 1 do
+    let a = items.(i) in
+    if offs.(i) < 0 || offs.(i) + a.size > arena then
+      failwith "Arena_solver.solve: a range escapes the slab";
+    for j = i + 1 to n - 1 do
+      let b = items.(j) in
+      if
+        concurrent a b
+        && offs.(i) < offs.(j) + b.size
+        && offs.(j) < offs.(i) + a.size
+      then failwith "Arena_solver.solve: two live ranges overlap"
+    done
+  done
+
 let solve ?(config = default) graph =
-  let greedy = Assign.of_plan graph (Memplan.plan graph) in
-  let slots = Array.of_list (Assign.slots greedy) in
+  let greedy = Memplan.plan graph in
+  let off = greedy.Memplan.offset_of_slot in
+  (* The placed slots in schedule order, as the walk freed them. *)
+  let slots =
+    Array.of_list
+      (List.filter (fun s -> off.(s) >= 0) (List.init (Array.length off) Fun.id))
+  in
   let n = Array.length slots in
   if n <= 2 then greedy
   else begin
@@ -80,9 +105,9 @@ let solve ?(config = default) graph =
         (fun i s ->
           {
             idx = i;
-            size = s.Assign.size;
-            def = s.Assign.def_step;
-            last = s.Assign.last_step;
+            size = Node.size_bytes (Graph.node_at graph s);
+            def = s;
+            last = greedy.Memplan.expiry_of_slot.(s);
           })
         slots
     in
@@ -135,20 +160,20 @@ let solve ?(config = default) graph =
         end
       done
     done;
-    if !best >= Assign.arena_size greedy then greedy
+    if !best >= greedy.Memplan.slab_bytes then greedy
     else begin
-      let out =
-        Array.mapi
-          (fun i s -> { s with Assign.offset = best_offs.(i) })
-          slots
-      in
-      Array.sort (fun a b -> compare a.Assign.def_step b.Assign.def_step) out;
-      let t = Assign.of_slots ~arena:!best (Array.to_list out) in
-      Assign.validate t;
-      t
+      check_placement items best_offs !best;
+      let offset_of_slot = Array.copy off in
+      Array.iteri (fun i s -> offset_of_slot.(s) <- best_offs.(i)) slots;
+      {
+        greedy with
+        Memplan.offset_of_slot;
+        slab_bytes = !best;
+        arena_bytes = greedy.Memplan.arena_bytes - greedy.Memplan.slab_bytes + !best;
+      }
     end
   end
 
 let improvement ~greedy ~solved =
-  let g = Assign.arena_size greedy and s = Assign.arena_size solved in
+  let g = greedy.Memplan.slab_bytes and s = solved.Memplan.slab_bytes in
   if g <= 0 then 0.0 else float_of_int (g - s) /. float_of_int g

@@ -5,8 +5,6 @@ let state_multiplier = function Sgd -> 0 | Momentum -> 1 | Adam -> 2
 let total_bytes (r : Memplan.report) ~optimizer =
   r.live_peak_bytes + (state_multiplier optimizer * r.weight_bytes)
 
-let fits r ~optimizer ~budget_bytes = total_bytes r ~optimizer <= budget_bytes
-
 let human bytes =
   let b = float_of_int bytes in
   if b >= 1024.0 ** 3.0 then Printf.sprintf "%.2f GiB" (b /. (1024.0 ** 3.0))

@@ -10,8 +10,6 @@ val state_multiplier : optimizer -> int
 val total_bytes : Memplan.report -> optimizer:optimizer -> int
 (** Static-planner peak footprint ([live_peak]) plus optimizer state. *)
 
-val fits : Memplan.report -> optimizer:optimizer -> budget_bytes:int -> bool
-
 val human : int -> string
 (** "512.0 MiB", "3.2 GiB", ... *)
 

@@ -226,12 +226,14 @@ let do_train t kvs =
       (Corpus.lm_batches corpus ~batch:cfg.Language_model.batch
          ~seq_len:cfg.Language_model.seq_len ~steps)
   in
+  (* A serve request has no fault key: the process's [ECHO_FAULTS] must not
+     reach it, or a malformed plan there would fail every drain. *)
   let result =
     Loop.train
       ~graph:(training_graph lm)
       ~params:(Params.bindings lm.Language_model.model.Model.params)
       ~optimizer:(Optimizer.create (Optimizer.Sgd { lr }))
-      ?budget_bytes ?runtime:t.runtime
+      ~faults:Echo_runtime.Fault.none ?budget_bytes ?runtime:t.runtime
       ~cache:(Plan_cache.hook t.cache)
       ~batches ()
   in

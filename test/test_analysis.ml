@@ -15,6 +15,7 @@ module Verify = Echo_analysis.Verify
 module Mutate = Echo_analysis.Mutate
 module Pipeline = Echo_compiler.Pipeline
 module Executor = Echo_compiler.Executor
+module Memplan = Echo_exec.Memplan
 module Report = Echo_diag.Report
 
 let check_bool = Alcotest.(check bool)
@@ -88,34 +89,28 @@ let test_check_exn_raises_on_errors () =
     | () -> false
     | exception Verify.Verify_failed r -> Report.has_errors r)
 
-(* ---------------- satellite ports: Graph.check / Assign.check -------- *)
+(* ---------------- satellite ports: Graph.check / range check -------- *)
 
 let test_graph_check_clean_and_validate () =
   let g = lm_training_graph () in
   check_bool "graph check clean" true (Report.is_clean (Graph.check g));
   Graph.validate g
 
-(* The offsets of the unfused memory plan's walk. *)
-let walk_offsets g = Echo_exec.Assign.of_plan g (Echo_exec.Memplan.plan g)
-
-let test_assign_check_collects_all_corruptions () =
+let test_range_check_collects_all_corruptions () =
   let g = rewritten "stash-all" in
-  let a = walk_offsets g in
+  let plan = Memplan.plan g in
   check_bool "sound plan is clean" true
-    (Report.is_clean (Echo_exec.Assign.check a));
-  Echo_exec.Assign.validate a;
-  (* Two independent corruptions -> two diagnostics in one report: the
-     collect-all port, where the old validate stopped at the first. *)
+    (Report.is_clean (Verify.check_ranges g plan));
+  (* Two independent corruptions on one plan -> at least two diagnostics
+     in one report: the checker collects, it does not stop at the first. *)
   let corrupted =
     require "overlap_slots"
-      (Mutate.overlap_slots (require "escape_slot" (Mutate.escape_slot a)))
+      (Mutate.overlap_slots g (require "escape_slot" (Mutate.escape_slot plan)))
   in
-  let report = Echo_exec.Assign.check corrupted in
+  let report = Verify.check_ranges g corrupted in
   check_bool "collects at least two" true (Report.error_count report >= 2);
-  check_bool "validate raises" true
-    (match Echo_exec.Assign.validate corrupted with
-    | () -> false
-    | exception Failure _ -> true)
+  check_bool "the escape is one" true (has_error ~check:"arena" report);
+  check_bool "the overlap is another" true (has_error ~check:"alias" report)
 
 (* ---------------- negative tests: one per checker ---------------- *)
 
@@ -128,35 +123,52 @@ let test_schedule_checker_fires_on_broken_order () =
 
 let test_offset_checker_fires_on_overlap_and_escape () =
   let g = rewritten "stash-all" in
-  let a = walk_offsets g in
-  check_int "sound offsets" 0 (Report.error_count (Verify.check_ranges g a));
-  let overlapped = require "overlap" (Mutate.overlap_slots a) in
+  let plan = Memplan.plan g in
+  check_int "sound offsets" 0 (Report.error_count (Verify.check_ranges g plan));
+  let overlapped = require "overlap" (Mutate.overlap_slots g plan) in
   check_bool "overlap fires" true
     (has_error ~check:"alias" (Verify.check_ranges g overlapped));
   check_bool "escape fires" true
     (has_error ~check:"arena"
-       (Verify.check_ranges g (require "escape" (Mutate.escape_slot a))))
+       (Verify.check_ranges g (require "escape" (Mutate.escape_slot plan))))
 
-(* The layout a fused executable runs, checked under its fusion plan. *)
+(* A recorded lifetime that differs from the re-derived last read is
+   reported even when no two ranges overlap: the expiry is what the
+   executor frees against. *)
+let test_expiry_checker_fires_on_recorded_lifetime () =
+  let g = rewritten "stash-all" in
+  let plan = Memplan.plan g in
+  let victim =
+    List.find
+      (fun s ->
+        plan.Memplan.offset_of_slot.(s) >= 0
+        && plan.Memplan.expiry_of_slot.(s) <> max_int)
+      (List.init (Graph.node_count g) Fun.id)
+  in
+  let expiry_of_slot = Array.copy plan.Memplan.expiry_of_slot in
+  expiry_of_slot.(victim) <- expiry_of_slot.(victim) + 1;
+  let report = Verify.check_ranges g { plan with Memplan.expiry_of_slot } in
+  check_int "one finding" 1 (Report.error_count report);
+  check_bool "an arena finding" true (has_error ~check:"arena" report)
+
+(* The layout a fused executable runs, checked under its own fusion plan. *)
 let test_alias_checker_fires_on_shared_live_buffer () =
   let g = rewritten "stash-all" in
   let exe = Pipeline.compile_graph ~fuse:true g in
-  let e = Pipeline.executor exe in
-  let fusion = (Executor.plan e).Echo_exec.Memplan.fusion in
-  let offsets = Executor.offsets e in
-  check_int "sound layout" 0
-    (Report.error_count (Verify.check_ranges ?fusion g offsets));
-  let corrupted = require "overlap_slots" (Mutate.overlap_slots offsets) in
+  let plan = Executor.plan (Pipeline.executor exe) in
+  check_bool "fused" true (plan.Memplan.fusion <> None);
+  check_int "sound layout" 0 (Report.error_count (Verify.check_ranges g plan));
+  let corrupted = require "overlap_slots" (Mutate.overlap_slots g plan) in
   check_bool "fires" true
-    (has_error ~check:"alias" (Verify.check_ranges ?fusion g corrupted))
+    (has_error ~check:"alias" (Verify.check_ranges g corrupted))
 
 let test_inplace_checker_fires_on_retargeted_donor () =
   let g = rewritten "stash-all" in
-  let offsets =
-    Executor.offsets (Pipeline.executor (Pipeline.compile_graph ~fuse:false g))
+  let plan =
+    Executor.plan (Pipeline.executor (Pipeline.compile_graph ~fuse:false g))
   in
   let corrupted =
-    require "retarget_inplace" (Mutate.retarget_inplace g offsets)
+    require "retarget_inplace" (Mutate.retarget_inplace g plan)
   in
   check_bool "fires" true
     (has_error ~check:"inplace" (Verify.check_ranges g corrupted))
@@ -405,8 +417,6 @@ let test_every_stage_verifies_clean () =
    by scanning every node's inputs, and every pair of placed ranges. *)
 
 module Liveness = Echo_exec.Liveness
-module Memplan = Echo_exec.Memplan
-module Assign = Echo_exec.Assign
 module Race = Echo_analysis.Race
 module Rng = Echo_tensor.Rng
 
@@ -582,60 +592,47 @@ let prop_liveness_brute_force =
       let g, fusion, _ = random_artifact seed in
       liveness_matches ?fusion g)
 
-(* A plan's layout with a few corruptions seeded: a mutator's, then
-   ranges moved onto another's offset, shifted by whole elements (in part
-   onto a neighbour, or below the slab) and placed twice. *)
+(* A plan with a few corruptions seeded: a mutator's, then ranges moved
+   onto another's offset or shifted by whole elements (in part onto a
+   neighbour, or below the slab, which leaves the slot with no range). *)
 let corrupt_layout rng graph (plan : Memplan.report) =
-  let base = Assign.of_plan graph plan in
   let base =
     match Rng.int rng 5 with
-    | 0 -> Option.value (Mutate.overlap_slots base) ~default:base
-    | 1 -> Option.value (Mutate.retarget_inplace graph base) ~default:base
-    | 2 -> Option.value (Mutate.escape_slot base) ~default:base
-    | 3 -> (
-      match Mutate.overlap_partially graph plan with
-      | Some r -> Assign.of_plan graph r
-      | None -> base)
-    | _ -> base
+    | 0 -> Mutate.overlap_slots graph plan
+    | 1 -> Mutate.retarget_inplace graph plan
+    | 2 -> Mutate.escape_slot plan
+    | 3 -> Mutate.overlap_partially graph plan
+    | _ -> None
   in
-  let slots = Array.of_list (Assign.slots base) in
+  let base = Option.value base ~default:plan in
+  let off = Array.copy base.Memplan.offset_of_slot in
+  let slots =
+    Array.of_list
+      (List.filter (fun s -> off.(s) >= 0) (List.init (Array.length off) Fun.id))
+  in
   let n = Array.length slots in
-  if n = 0 then base
-  else begin
-    let extra = ref [] in
+  if n > 0 then
     for _ = 1 to Rng.int rng 5 do
-      let i = Rng.int rng n in
-      let s = slots.(i) in
+      let s = slots.(Rng.int rng n) in
       match Rng.int rng 4 with
-      | 0 -> slots.(i) <- { s with Assign.offset = slots.(Rng.int rng n).Assign.offset }
-      | 1 ->
-        slots.(i) <-
-          { s with Assign.offset = s.Assign.offset + (Node.elem_bytes * (Rng.int rng 64 - 32)) }
-      | 2 -> extra := s :: !extra
+      | 0 -> off.(s) <- off.(slots.(Rng.int rng n))
+      | 1 -> off.(s) <- off.(s) + (Node.elem_bytes * (Rng.int rng 64 - 32))
       | _ -> ()
     done;
-    Assign.of_slots ~arena:(Assign.arena_size base)
-      (Array.to_list slots @ !extra)
-  end
+  { base with Memplan.offset_of_slot = off }
 
-(* The placed ranges as both checkers see them — each at its node's slot
-   with the brute-force last read — and every pair of them live at a
-   common step that a scan over the ranges sorted by offset meets: by
-   rank, the later one starting inside the earlier one. *)
-let brute_pairs b offsets =
+(* The placed ranges as both checkers see them — each at its slot with the
+   brute-force last read — and every pair of them live at a common step
+   that a scan over the ranges sorted by offset meets: by rank, the later
+   one starting inside the earlier one. *)
+let brute_pairs b (plan : Memplan.report) =
   let entries =
     List.filter_map
-      (fun s ->
-        let p = b.slot s.Assign.node_id in
-        if p < 0 then None
-        else
-          Some
-            ( b.nodes.(p),
-              s.Assign.offset,
-              Node.size_bytes b.nodes.(p),
-              p,
-              b.last.(p) ))
-      (Assign.slots offsets)
+      (fun p ->
+        let off = plan.Memplan.offset_of_slot.(p) in
+        if off < 0 then None
+        else Some (b.nodes.(p), off, Node.size_bytes b.nodes.(p), p, b.last.(p)))
+      (List.init (Array.length b.nodes) Fun.id)
   in
   let arr = Array.of_list entries in
   Array.sort (fun (_, o1, _, _, _) (_, o2, _, _, _) -> compare o1 o2) arr;
@@ -711,12 +708,12 @@ let prop_range_checks_brute_force =
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let g, fusion, plan = random_artifact seed in
-      let offsets = corrupt_layout (Rng.create seed) g plan in
+      let plan = corrupt_layout (Rng.create seed) g plan in
       let b = brute ?fusion g in
-      let pairs = brute_pairs b offsets in
-      pair_findings (Verify.check_ranges ?fusion g offsets) [ "alias"; "inplace" ]
+      let pairs = brute_pairs b plan in
+      pair_findings (Verify.check_ranges g plan) [ "alias"; "inplace" ]
       = verify_oracle ?fusion b pairs
-      && pair_findings (Race.check_addresses ?fusion g offsets) [ "race-address" ]
+      && pair_findings (Race.check_addresses g plan) [ "race-address" ]
          = race_oracle pairs)
 
 let suite =
@@ -728,12 +725,14 @@ let suite =
         t "check_exn raises on error findings" test_check_exn_raises_on_errors;
         t "Graph.check is clean on real graphs"
           test_graph_check_clean_and_validate;
-        t "Assign.check collects every corruption"
-          test_assign_check_collects_all_corruptions;
+        t "range check collects every corruption"
+          test_range_check_collects_all_corruptions;
         t "schedule checker fires on broken order"
           test_schedule_checker_fires_on_broken_order;
         t "offset checker fires on overlap and escape"
           test_offset_checker_fires_on_overlap_and_escape;
+        t "expiry checker fires on a recorded lifetime"
+          test_expiry_checker_fires_on_recorded_lifetime;
         t "alias checker fires on shared live buffers"
           test_alias_checker_fires_on_shared_live_buffer;
         t "in-place checker fires on a retargeted donor"

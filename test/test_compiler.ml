@@ -631,9 +631,13 @@ let test_binding_and_budget_pinned () =
        (fun (n, off) -> (Node.id n, off))
        [ (a, 0); (b, 0); (s, 64); (c, 80); (d, 0); (e, 0); (f, 80); (ef, 144);
          (h, 0) ])
-    (List.map
-       (fun s -> (s.Echo_exec.Assign.node_id, s.Echo_exec.Assign.offset))
-       (Echo_exec.Assign.slots (Executor.offsets exe)));
+    (let plan = Executor.plan exe in
+     List.filter_map
+       (fun s ->
+         let off = plan.Echo_exec.Memplan.offset_of_slot.(s) in
+         if off < 0 then None
+         else Some (Node.id (Graph.node_at (Executor.graph exe) s), off))
+       (List.init (Graph.node_count (Executor.graph exe)) Fun.id));
   Alcotest.(check int) "footprint" 336 (Executor.footprint_bytes exe);
   (* The payload is the running total at the first slot that crosses the
      ceiling: persistent so far + the slab's high-water mark so far +

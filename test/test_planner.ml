@@ -215,42 +215,46 @@ let test_dp_bptt_budget_knob () =
 (* ------------------------------------------------------------------ *)
 (* Arena_solver: E19's placement comparison *)
 
-let greedy_offsets g = Echo_exec.Assign.of_plan g (Echo_exec.Memplan.plan g)
+let slab r = r.Echo_exec.Memplan.slab_bytes
+
+(* A solved plan is a report of the same graph: only its offsets and
+   slab differ from the walk's, and Echo-verify's range checker accepts
+   it. *)
+let check_solved g ~greedy solved =
+  check_bool "solved <= greedy" true (slab solved <= slab greedy);
+  check_int "arena moves with the slab"
+    (greedy.Echo_exec.Memplan.arena_bytes - slab greedy + slab solved)
+    solved.Echo_exec.Memplan.arena_bytes;
+  check_bool "same lifetimes" true
+    (solved.Echo_exec.Memplan.expiry_of_slot
+    = greedy.Echo_exec.Memplan.expiry_of_slot);
+  check_int "range check clean" 0
+    (Echo_diag.Report.error_count (Echo_analysis.Verify.check_ranges g solved))
 
 let test_arena_solver_beats_greedy () =
   List.iter
     (fun g ->
-      let greedy = greedy_offsets g in
+      let greedy = Echo_exec.Memplan.plan g in
       let solved = Echo_exec.Arena_solver.solve g in
-      check_bool "solved <= greedy" true
-        (Echo_exec.Assign.arena_size solved
-        <= Echo_exec.Assign.arena_size greedy);
+      check_solved g ~greedy solved;
       check_bool "improvement >= 0" true
         (Echo_exec.Arena_solver.improvement ~greedy ~solved >= 0.0);
-      (* The solved plan must satisfy the planner's own soundness check and
-         Echo-verify's independent offset checker. *)
-      check_bool "Assign.check clean" false
-        (Echo_diag.Report.has_errors (Echo_exec.Assign.check solved));
-      check_bool "Echo-verify accepts" false
+      check_bool "Echo-verify lint accepts" false
         (Echo_diag.Report.has_errors
-           (Echo_analysis.Verify.lint ~offsets:solved g)))
+           (Echo_analysis.Verify.lint ~plan:solved g)))
     [ Lazy.force lm_graph; Lazy.force tiny_nmt_graph ]
 
 let test_arena_solver_deterministic () =
   let g = Lazy.force lm_graph in
-  let slots ?config () =
-    Echo_exec.Assign.slots (Echo_exec.Arena_solver.solve ?config g)
+  let offsets ?config () =
+    (Echo_exec.Arena_solver.solve ?config g).Echo_exec.Memplan.offset_of_slot
   in
-  check_bool "same seed, same plan" true (slots () = slots ());
+  check_bool "same seed, same plan" true (offsets () = offsets ());
   (* A different seed may find a different plan, but it must stay sound and
      never regress from greedy. *)
   let config = { Echo_exec.Arena_solver.default with seed = 7 } in
-  let other = Echo_exec.Arena_solver.solve ~config g in
-  check_bool "other seed sound" false
-    (Echo_diag.Report.has_errors (Echo_exec.Assign.check other));
-  check_bool "other seed <= greedy" true
-    (Echo_exec.Assign.arena_size other
-    <= Echo_exec.Assign.arena_size (greedy_offsets g))
+  check_solved g ~greedy:(Echo_exec.Memplan.plan g)
+    (Echo_exec.Arena_solver.solve ~config g)
 
 (* ------------------------------------------------------------------ *)
 (* The echo family's reuse path. [Pass.run_instance] hands the planner the

@@ -169,19 +169,15 @@ let test_alias_offsets_checker_fires () =
   let exe = Pipeline.compile_graph ~fuse:false g in
   let e = Pipeline.executor exe in
   check_bool "compiled layout passes" false
-    (Report.has_errors (Race.check_addresses g (Executor.offsets e)));
+    (Report.has_errors (Race.check_addresses g (Executor.plan e)));
   let fused = Pipeline.executor (Pipeline.compile_graph ~fuse:true g) in
-  let plan = Executor.plan fused in
   check_bool "fused layout passes" false
-    (Report.has_errors
-       (Race.check_addresses ?fusion:plan.Memplan.fusion g
-          (Executor.offsets fused)));
+    (Report.has_errors (Race.check_addresses g (Executor.plan fused)));
   let corrupted =
     require "overlap_partially" (Mutate.overlap_partially g (Executor.plan e))
   in
   check_bool "partially overlapping ranges flagged" true
-    (has_error ~check:"race-address"
-       (Race.check_addresses g (Echo_exec.Assign.of_plan g corrupted)))
+    (has_error ~check:"race-address" (Race.check_addresses g corrupted))
 
 let test_fused_interior_checker_fires () =
   let g = lm_graph () in
@@ -264,14 +260,12 @@ let test_partial_overlap_caught_three_ways () =
   let corrupted =
     require "overlap_partially" (Mutate.overlap_partially g plan)
   in
-  let offsets = Echo_exec.Assign.of_plan g corrupted in
   check_bool "clean plan passes the range check" false
-    (Report.has_errors
-       (Echo_analysis.Verify.check_ranges g (Echo_exec.Assign.of_plan g plan)));
+    (Report.has_errors (Echo_analysis.Verify.check_ranges g plan));
   check_bool "range check flags the overlap" true
-    (has_error ~check:"alias" (Echo_analysis.Verify.check_ranges g offsets));
+    (has_error ~check:"alias" (Echo_analysis.Verify.check_ranges g corrupted));
   check_bool "address check flags the overlap" true
-    (has_error ~check:"race-address" (Race.check_addresses g offsets));
+    (has_error ~check:"race-address" (Race.check_addresses g corrupted));
   let feeds =
     [ (lm.Language_model.token_input, Tensor.zeros (Node.shape lm.Language_model.token_input));
       (lm.Language_model.label_input, Tensor.ones (Node.shape lm.Language_model.label_input)) ]

@@ -636,6 +636,35 @@ let test_socket_end_to_end () =
   check_string "shutdown" "ok bye" (nth 8);
   check_bool "socket file removed" true (not (Sys.file_exists socket))
 
+(* A drain's answers do not depend on the process's [ECHO_FAULTS]: a
+   train request has no fault key, so neither a malformed plan nor a valid
+   one reaches its loop. The variable is restored afterwards. *)
+let test_train_ignores_env_faults () =
+  let lines =
+    [ "ping"; "train model=lm hidden=8 seq_len=4 batch=2 vocab=16 steps=2";
+      "stats" ]
+  in
+  let drain () = Engine.exec_all (Engine.create ()) lines in
+  let with_faults value f =
+    let saved = Sys.getenv_opt "ECHO_FAULTS" in
+    Unix.putenv "ECHO_FAULTS" value;
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.putenv "ECHO_FAULTS" (Option.value saved ~default:""))
+      f
+  in
+  let unset = with_faults "" drain in
+  check_string "ping answered" "ok pong" (List.hd unset);
+  check_bool "train answered" true
+    (String.starts_with ~prefix:"ok steps=2" (List.nth unset 1));
+  List.iter
+    (fun value ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "ECHO_FAULTS=%s" value)
+        unset
+        (with_faults value drain))
+    [ "garbage"; "flip@0=act:999999:0:0" ]
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   [
@@ -653,6 +682,8 @@ let suite =
         t "warm eval after eviction" test_warm_eval_after_eviction;
         t "evicted eval executable unreachable" test_evicted_eval_unreachable;
         t "warm eval budget fallback" test_warm_eval_budget_fallback;
+        t "train ignores the process's ECHO_FAULTS"
+          test_train_ignores_env_faults;
         t "protocol errors" test_protocol_errors;
         t "corpus load_text" test_corpus_load_text;
         t "socket end to end" test_socket_end_to_end;

@@ -108,9 +108,10 @@ let test_chain_constant_values () =
   in
   let offsets =
     List.sort_uniq compare
-      (List.map
-         (fun s -> s.Assign.offset)
-         (Assign.slots (Echo_compiler.Executor.offsets exe)))
+      (List.filter
+         (fun off -> off >= 0)
+         (Array.to_list
+            (Echo_compiler.Executor.plan exe).Memplan.offset_of_slot))
   in
   check_bool "chain binds at most two ranges" true (List.length offsets <= 2);
   check_bool "chain bit-identical to interp" true
@@ -130,36 +131,37 @@ let test_echo_retained_values_bounded () =
   check_bool "retained values comparable" true (p1 <= p0 * 2)
 
 (* Static offset assignment: the offsets of Memplan's best-fit walk, here
-   without in-place transfers so every value gets a range of its own. *)
+   without in-place transfers so every value gets a range of its own, each
+   layout proven by Echo-verify's range checker. *)
 
-let assign g = Assign.of_plan g (Memplan.plan ~inplace:false g)
+let assign g =
+  let plan = Memplan.plan ~inplace:false g in
+  check_int "range check clean" 0
+    (Echo_diag.Report.error_count (Echo_analysis.Verify.check_ranges g plan));
+  plan
 
 let test_assign_chain_two_buffers () =
   let x = Node.placeholder [| 256 |] in
   let rec extend acc k = if k = 0 then acc else extend (Node.sq acc) (k - 1) in
   let out = extend (Node.neg x) 10 in
   let plan = assign (Graph.create [ out ]) in
-  Assign.validate plan;
-  check_int "two slots' worth of arena" 2048 (Assign.arena_size plan)
+  check_int "two slots' worth of arena" 2048 plan.Memplan.slab_bytes
 
 let test_assign_diamond () =
   let x = Node.placeholder [| 256 |] in
   let a = Node.neg x and b = Node.sq x in
   let c = Node.add a b in
   let plan = assign (Graph.create [ c ]) in
-  Assign.validate plan;
-  check_int "three concurrent buffers" 3072 (Assign.arena_size plan)
+  check_int "three concurrent buffers" 3072 plan.Memplan.slab_bytes
 
 let test_assign_validates_models () =
   let graph, _ = lm_setup () in
-  let plan = assign graph in
-  Assign.validate plan;
-  let r = Memplan.plan ~inplace:false graph in
-  let static_total = Assign.total_with_persistent plan graph in
+  let r = assign graph in
   check_bool "static plan >= live peak" true
-    (static_total >= r.Memplan.live_peak_bytes);
+    (r.Memplan.arena_bytes >= r.Memplan.live_peak_bytes);
   check_bool "static plan <= no-reuse arena" true
-    (static_total <= (Memplan.plan ~reuse:false ~inplace:false graph).Memplan.arena_bytes)
+    (r.Memplan.arena_bytes
+    <= (Memplan.plan ~reuse:false ~inplace:false graph).Memplan.arena_bytes)
 
 let test_assign_echo_graph_smaller () =
   let graph, _ = lm_setup () in
@@ -169,10 +171,8 @@ let test_assign_echo_graph_smaller () =
       graph
   in
   let p0 = assign graph and p1 = assign rewritten in
-  Assign.validate p0;
-  Assign.validate p1;
   check_bool "echo shrinks the static arena" true
-    (Assign.arena_size p1 <= Assign.arena_size p0)
+    (p1.Memplan.slab_bytes <= p0.Memplan.slab_bytes)
 
 let test_assign_hole_merging () =
   (* Two buffers freed back to back must merge into one hole a larger buffer
@@ -184,10 +184,9 @@ let test_assign_hole_merging () =
   let d = Node.sq c in
   let e = Node.reduce_sum ~axis:0 ~keepdims:false d in
   let plan = assign (Graph.create [ e ]) in
-  Assign.validate plan;
   (* a(256) + b(256) + c(512) live at step c; then d reuses a+b's merged
      hole: arena stays at 1024 + e *)
-  check_bool "merged reuse keeps arena tight" true (Assign.arena_size plan <= 1028)
+  check_bool "merged reuse keeps arena tight" true (plan.Memplan.slab_bytes <= 1028)
 
 (* Serialization *)
 
