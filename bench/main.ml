@@ -1327,12 +1327,120 @@ let e20 () =
      A warm eval answers from the plan cache alone (no model build, no
      fingerprint, no parameter feed), so batching now buys only the
      stacked step itself; the ratio is reported, not claimed;
-   - warm evals of one spec under seeds 42, 7, 42 on one engine.
+   - warm evals of one spec under seeds 42, 7, 42 on one engine;
+   - the eviction replay: a seeded Zipf stream of the plan-cache fetches
+     that quick-scale [compile] and [eval] requests make, over the four
+     LM cells at three widths, under a byte cap of a quarter of their
+     summed footprint. Each request is its fetch (the training graph for
+     a compile, the batch-8 forward graph for an eval) and a miss serves
+     an executable compiled once up front, so the leg prices the eviction
+     policy alone, in well under a second: its hits, misses, evictions and
+     the summed node count of the graphs it had to recompile are exact
+     facts, recorded as tags.
    With --check the exact facts gate: every repeated compile answers
-   [cached=true], and every batched and warm answer is bit-identical to
-   the serial or fresh-engine answer at 1, 2 and 4 domains. Timings stay
+   [cached=true], every batched and warm answer is bit-identical to the
+   serial or fresh-engine answer at 1, 2 and 4 domains, and the eviction
+   replay's facts equal the record in BENCH_E21.json. Timings stay
    informational, and a check run does not rewrite BENCH_E21.json. *)
 let e21_violations = ref []
+let e21_record = "BENCH_E21.json"
+
+(* E21's eviction replay; returns its exact facts. *)
+let e21_eviction_replay () =
+  let module Plan_cache = Echo_serve.Plan_cache in
+  let module Pipeline = Echo_compiler.Pipeline in
+  let module Executor = Echo_compiler.Executor in
+  let cells =
+    [
+      ("lm", Recurrent.Lstm);
+      ("gru-lm", Recurrent.Gru);
+      ("rnn-lm", Recurrent.Vanilla);
+      ("peephole-lm", Recurrent.Peephole);
+    ]
+  in
+  (* Zipf rank order: widths outer, cells inner, as serve-mixed draws. *)
+  let specs =
+    Array.of_list
+      (List.concat_map
+         (fun hidden -> List.map (fun cell -> (cell, hidden)) cells)
+         [ 16; 32; 48 ])
+  in
+  let compile_item ((name, cell), hidden) kind =
+    let cfg =
+      {
+        Language_model.cell;
+        hidden;
+        embed = hidden;
+        layers = 1;
+        seq_len = 10;
+        batch = 8;
+        vocab = 300;
+        dropout = 0.0;
+        seed = 42;
+      }
+    in
+    let lm = Language_model.build cfg in
+    let graph =
+      match kind with
+      | `Compile -> training_graph lm.Language_model.model
+      | `Eval -> Graph.create [ lm.Language_model.logits ]
+    in
+    let exe =
+      Pipeline.compile_graph ~runtime:Parallel.sequential ~fuse:true
+        ~sanitize:Echo_analysis.Sanitize.Off graph
+    in
+    let e = Pipeline.executor exe in
+    ( Printf.sprintf "%s/%d/%s" name hidden
+        (match kind with `Compile -> "train" | `Eval -> "fwd"),
+      exe,
+      Graph.node_count (Executor.graph e),
+      Executor.footprint_bytes e )
+  in
+  let items =
+    Array.map
+      (fun sp -> (compile_item sp `Compile, compile_item sp `Eval))
+      specs
+  in
+  let working_set =
+    Array.fold_left
+      (fun acc ((_, _, _, b1), (_, _, _, b2)) -> acc + b1 + b2)
+      0 items
+  in
+  let cap = working_set / 4 in
+  let weights =
+    Array.mapi (fun r _ -> 1.0 /. (float_of_int (r + 1) ** 1.1)) specs
+  in
+  let total = Array.fold_left ( +. ) 0.0 weights in
+  let zipf rng =
+    let u = Rng.float rng *. total in
+    let rec go i acc =
+      let acc = acc +. weights.(i) in
+      if i = Array.length weights - 1 || u < acc then i else go (i + 1) acc
+    in
+    go 0 0.0
+  in
+  let rng = Rng.create 21 in
+  let fetches = 2000 in
+  let cache = Plan_cache.create ~cap_bytes:cap () in
+  let recompiled_nodes = ref 0 in
+  for _ = 1 to fetches do
+    let train, fwd = items.(zipf rng) in
+    let key, exe, nodes, _ = if Rng.float rng < 0.4 then train else fwd in
+    ignore
+      (Plan_cache.fetch cache ~key ~compile:(fun () ->
+           recompiled_nodes := !recompiled_nodes + nodes;
+           exe))
+  done;
+  let s = Plan_cache.stats cache in
+  [
+    ("evict/fetches", fetches);
+    ("evict/working_set_bytes", working_set);
+    ("evict/cap_bytes", cap);
+    ("evict/hits", s.Plan_cache.hits);
+    ("evict/misses", s.Plan_cache.misses);
+    ("evict/evictions", s.Plan_cache.evictions);
+    ("evict/recompiled_nodes", !recompiled_nodes);
+  ]
 
 let e21 () =
   heading "E21" "serve: plan-cache hit latency, eval batching and warm evals";
@@ -1473,8 +1581,19 @@ let e21 () =
     !identical_everywhere;
   record "batched_identical" (flag !identical_everywhere);
   record "warm_identical" (flag !warm_everywhere);
+  let t0 = wall () in
+  let replay = e21_eviction_replay () in
+  row "eviction replay (%.0f ms): %s@."
+    (ms (wall () -. t0))
+    (String.concat ", "
+       (List.map (fun (k, v) -> Printf.sprintf "%s %d" k v) replay));
+  let facts = List.map (fun (k, v) -> (k, string_of_int v)) replay in
   if not !check_mode then
-    record_json ~path:"BENCH_E21.json" "E21" (List.rev !json)
+    record_json ~path:e21_record ~tags:facts "E21" (List.rev !json)
+  else
+    check_record
+      ~violation:(fun m -> e21_violations := m :: !e21_violations)
+      ~read:read_json_tags e21_record facts
 
 (* E22: the race-verify layer — what certifying a plan costs and what
    running sanitized costs. Two tables are measured and recorded in
@@ -1631,7 +1750,8 @@ let e22 () =
   row "sanitized runs bit-identical to plain everywhere: %b@."
     !identical_everywhere;
   record "sanitize_identical" (if !identical_everywhere then 1.0 else 0.0);
-  record_json ~path:"BENCH_E22.json" "E22" (List.rev !json)
+  if not !check_mode then
+    record_json ~path:"BENCH_E22.json" "E22" (List.rev !json)
 
 (* E24: compile anatomy. Every quick-zoo model x registered planner goes
    through the compile stages the way [Pipeline] chains them, and each
@@ -1868,8 +1988,9 @@ let () =
          from the bytes allocated, the annealed solve of the stash-all graph \
          exceeds the greedy slab or a number differs from BENCH_E19.json \
          (which a check run reads and does not rewrite); with --only E21, if a repeated compile is not a \
-         cache hit or a batched or warm eval differs from its serial or \
-         fresh-engine answer; with --only E24, if a compile stage's exact facts \
+         cache hit, a batched or warm eval differs from its serial or \
+         fresh-engine answer or an eviction-replay count differs from \
+         BENCH_E21.json; with --only E24, if a compile stage's exact facts \
          differ from BENCH_E24.json (which a check run reads and does not \
          rewrite)" );
     ]

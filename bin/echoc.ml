@@ -889,13 +889,19 @@ let serve_run socket cache_mib tenants_spec max_batch domains =
   in
   let tenants = Option.map parse_tenants tenants_spec in
   let max_batch = parse_positive ~flag:"--max-batch" max_batch in
-  let runtime =
-    match domains with
-    | Some d -> Echo_tensor.Parallel.set_default_domains d
-    | None -> Echo_tensor.Parallel.default ()
-  in
-  let engine =
-    Echo_serve.Engine.create ?cache_bytes ?tenants ~max_batch ~runtime ()
+  (* A malformed ECHO_DOMAINS, ECHO_FUSION or ECHO_SANITIZE fails here,
+     once, by name: the engine resolves them at creation, so no request
+     reads them. *)
+  let runtime, engine =
+    try
+      let runtime =
+        match domains with
+        | Some d -> Echo_tensor.Parallel.set_default_domains d
+        | None -> Echo_tensor.Parallel.default ()
+      in
+      ( runtime,
+        Echo_serve.Engine.create ?cache_bytes ?tenants ~max_batch ~runtime () )
+    with Invalid_argument msg -> die "%s" msg
   in
   Format.printf "echoc serve: listening on %s (%d domain(s), cache %s, %s)@."
     socket
@@ -925,9 +931,9 @@ let serve_cmd =
       & opt (some string) None
       & info [ "cache-mib" ]
           ~doc:
-            "Byte cap on the content-addressed plan cache, in MiB \
-             (least-recently-used compiled artifacts are evicted past it; \
-             default unbounded)."
+            "Byte cap on the content-addressed plan cache, in MiB; past \
+             it the compiled artifact with the fewest uses times rebuild \
+             cost (graph nodes) per byte is evicted (default unbounded)."
           ~docv:"MIB")
   in
   let tenants =

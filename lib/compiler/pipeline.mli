@@ -209,7 +209,8 @@ val race_verify : executable -> Echo_diag.Report.t
     The content-addressed plan-cache hook. The pipeline stays policy-free
     about storage and eviction: a cache is one function that either serves
     [key] from its table or runs [compile] once and remembers the result.
-    [Echo_serve.Plan_cache] implements it with an LRU under a byte cap and
+    [Echo_serve.Plan_cache] implements it with cost-aware
+    (GreedyDual-Size-Frequency) eviction under a byte cap and
     single-flight compilation. *)
 
 type cache = {

@@ -35,7 +35,12 @@ type t = {
   cache : Plan_cache.t;
   tenants : (string * int) list;  (** name -> budget bytes *)
   max_batch : int;
-  runtime : Parallel.t option;
+  runtime : Parallel.t;
+  fuse : bool;
+  sanitize : Echo_analysis.Sanitize.mode;
+      (** [runtime], [fuse] and [sanitize] are resolved from the process
+          environment once, at [create]: every request compiles and keys
+          under these values and reads no variable itself. *)
   keys : (graph_kind * Language_model.config * int option, string) Hashtbl.t;
       (** Memoised [Pipeline.cache_key] per (graph kind, spec, budget):
           each graph is a pure function of the spec, so once a spec's key
@@ -63,11 +68,18 @@ let create ?cache_bytes ?(tenants = []) ?(max_batch = 8) ?runtime () =
         invalid_arg
           (Printf.sprintf "Engine.create: duplicate tenant %S" name))
     tenants;
+  let fuse = Fuse.env_enabled () in
+  let sanitize = Echo_analysis.Sanitize.env_mode () in
+  let runtime =
+    match runtime with Some r -> r | None -> Parallel.default ()
+  in
   {
     cache = Plan_cache.create ?cap_bytes:cache_bytes ();
     tenants;
     max_batch;
     runtime;
+    fuse;
+    sanitize;
     keys = Hashtbl.create 16;
     fed = Hashtbl.create 16;
   }
@@ -176,9 +188,16 @@ let key_of t kind cfg budget_bytes graph =
   match Hashtbl.find_opt t.keys (kind, cfg, budget_bytes) with
   | Some key -> key
   | None ->
-    let key = Pipeline.cache_key ?runtime:t.runtime ?budget_bytes (graph ()) in
+    let key =
+      Pipeline.cache_key ~runtime:t.runtime ~fuse:t.fuse ~sanitize:t.sanitize
+        ?budget_bytes (graph ())
+    in
     Hashtbl.replace t.keys (kind, cfg, budget_bytes) key;
     key
+
+let compile t ?budget_bytes graph =
+  Pipeline.compile_graph ?budget_bytes ~runtime:t.runtime ~fuse:t.fuse
+    ~sanitize:t.sanitize graph
 
 let training_key t cfg budget_bytes =
   key_of t Training cfg budget_bytes (fun () ->
@@ -194,8 +213,7 @@ let do_compile t kvs =
         (* The graph is rebuilt here rather than threaded from [key_of]:
            on a plan-cache hit no build happens at all, which is the
            latency the warm path is measured on. *)
-        Pipeline.compile_graph ?budget_bytes ?runtime:t.runtime
-          (training_graph (Language_model.build cfg)))
+        compile t ?budget_bytes (training_graph (Language_model.build cfg)))
   in
   Printf.sprintf "ok key=%s cached=%b footprint=%d" key hit
     (Executor.footprint_bytes (Pipeline.executor exe))
@@ -233,7 +251,8 @@ let do_train t kvs =
       ~graph:(training_graph lm)
       ~params:(Params.bindings lm.Language_model.model.Model.params)
       ~optimizer:(Optimizer.create (Optimizer.Sgd { lr }))
-      ~faults:Echo_runtime.Fault.none ?budget_bytes ?runtime:t.runtime
+      ~faults:Echo_runtime.Fault.none ?budget_bytes ~runtime:t.runtime
+      ~fuse:t.fuse ~sanitize:t.sanitize
       ~cache:(Plan_cache.hook t.cache)
       ~batches ()
   in
@@ -253,8 +272,7 @@ let do_lint t kvs =
   let key = training_key t cfg budget_bytes in
   let exe, hit =
     Plan_cache.fetch t.cache ~key ~compile:(fun () ->
-        Pipeline.compile_graph ?budget_bytes ?runtime:t.runtime
-          (training_graph (Language_model.build cfg)))
+        compile t ?budget_bytes (training_graph (Language_model.build cfg)))
   in
   let report = Echo_diag.Report.create () in
   Echo_diag.Report.append ~into:report
@@ -409,7 +427,7 @@ let eval_stacked t reqs =
   let key = key_of t Forward cfg budget_bytes forward in
   let exe, _ =
     Plan_cache.fetch t.cache ~key ~compile:(fun () ->
-        Pipeline.compile_graph ?budget_bytes ?runtime:t.runtime (forward ()))
+        compile t ?budget_bytes (forward ()))
   in
   let e = Pipeline.executor exe in
   let toks = Array.of_list (List.map (fun r -> r.tokens) reqs) in

@@ -88,9 +88,18 @@ val create :
 (** [cache_bytes] caps the plan cache ({!Plan_cache.create}); [tenants]
     maps names to budget bytes; [max_batch] (default 8) caps the stacked
     eval batch; [runtime] is the kernel runtime every compile uses
-    (default: sized by [ECHO_DOMAINS]).
-    @raise Invalid_argument on a non-positive [cache_bytes]/[max_batch]
-    or a duplicate/empty tenant name. *)
+    (default: {!Echo_tensor.Parallel.default}, sized by [ECHO_DOMAINS]).
+
+    The runtime, the fusion setting ([ECHO_FUSION],
+    {!Echo_ir.Fuse.env_enabled}) and the sanitizer mode ([ECHO_SANITIZE],
+    {!Echo_analysis.Sanitize.env_mode}) are resolved from the environment
+    once, here, and every request keys, compiles and trains under them:
+    no request reads those variables, so a value set after [create]
+    cannot fail a drain. ([ECHO_VERIFY], which accepts any value, is
+    still read by each compile.)
+    @raise Invalid_argument on a non-positive [cache_bytes]/[max_batch],
+    a duplicate/empty tenant name, or a malformed [ECHO_FUSION],
+    [ECHO_SANITIZE] or [ECHO_DOMAINS] (the message names the variable). *)
 
 val cache : t -> Plan_cache.t
 

@@ -4,6 +4,9 @@ module Executor = Echo_compiler.Executor
 type entry = {
   exe : Pipeline.executable;
   bytes : int;
+  cost : int;  (** rebuild cost: the compiled graph's node count *)
+  mutable uses : int;  (** 1 at admission, +1 per hit *)
+  mutable priority : float;  (** [L + uses * cost / bytes] at the last fetch *)
   mutable last_use : int;  (** logical clock of the most recent fetch *)
 }
 
@@ -15,6 +18,7 @@ type t = {
   table : (string, entry) Hashtbl.t;
   inflight : (string, unit) Hashtbl.t;
   mutable clock : int;
+  mutable inflation : float;  (** [L]: the priority of the last victim *)
   mutable bytes : int;
   mutable hits : int;
   mutable misses : int;
@@ -42,20 +46,36 @@ let create ?cap_bytes () =
     table = Hashtbl.create 64;
     inflight = Hashtbl.create 8;
     clock = 0;
+    inflation = 0.0;
     bytes = 0;
     hits = 0;
     misses = 0;
     evictions = 0;
   }
 
-(* Caller holds [t.lock]. Evict the least-recently-used entry; ties cannot
-   happen (the clock is strictly increasing). *)
-let evict_lru t =
+(* Caller holds [t.lock]. Stamp a fetch of [e]: its priority restarts
+   from the current inflation, so an entry nobody asks for falls behind
+   the newcomers that raise it. *)
+let touch t e =
+  t.clock <- t.clock + 1;
+  e.last_use <- t.clock;
+  e.priority <-
+    t.inflation
+    +. (float_of_int e.uses *. float_of_int e.cost /. float_of_int (max 1 e.bytes))
+
+(* Caller holds [t.lock]. Evict the entry of lowest priority, the older
+   fetch on a tie (the clock is strictly increasing, so the victim does
+   not depend on the table's iteration order), and raise the inflation
+   to its priority. *)
+let evict t =
   let victim =
     Hashtbl.fold
       (fun key e acc ->
         match acc with
-        | Some (_, e') when e'.last_use <= e.last_use -> acc
+        | Some (_, v)
+          when v.priority < e.priority
+               || (v.priority = e.priority && v.last_use < e.last_use) ->
+          acc
         | _ -> Some (key, e))
       t.table None
   in
@@ -63,6 +83,7 @@ let evict_lru t =
   | None -> ()
   | Some (key, e) ->
     Hashtbl.remove t.table key;
+    t.inflation <- e.priority;
     t.bytes <- t.bytes - e.bytes;
     t.evictions <- t.evictions + 1
 
@@ -71,8 +92,8 @@ let fetch t ~key ~compile =
   let rec resolve () =
     match Hashtbl.find_opt t.table key with
     | Some e ->
-      t.clock <- t.clock + 1;
-      e.last_use <- t.clock;
+      e.uses <- e.uses + 1;
+      touch t e;
       t.hits <- t.hits + 1;
       Mutex.unlock t.lock;
       (e.exe, true)
@@ -95,17 +116,28 @@ let fetch t ~key ~compile =
           Mutex.unlock t.lock;
           raise ex
       in
-      let bytes = Executor.footprint_bytes (Pipeline.executor exe) in
+      let e = Pipeline.executor exe in
+      let entry =
+        {
+          exe;
+          bytes = Executor.footprint_bytes e;
+          cost = Echo_ir.Graph.node_count (Executor.graph e);
+          uses = 1;
+          priority = 0.0;
+          last_use = 0;
+        }
+      in
       Mutex.lock t.lock;
-      t.clock <- t.clock + 1;
-      Hashtbl.replace t.table key { exe; bytes; last_use = t.clock };
-      t.bytes <- t.bytes + bytes;
+      touch t entry;
+      Hashtbl.replace t.table key entry;
+      t.bytes <- t.bytes + entry.bytes;
       (match t.cap_bytes with
       | Some cap ->
-        (* The fresh entry carries the highest clock, so it is evicted
-           last — and evicted too when it alone exceeds the cap. *)
+        (* The fresh entry competes like any other: when it is the
+           victim (alone over the cap, or worth less per byte than what
+           is resident) it is served and not retained. *)
         while t.bytes > cap && Hashtbl.length t.table > 0 do
-          evict_lru t
+          evict t
         done
       | None -> ());
       Hashtbl.remove t.inflight key;

@@ -8,11 +8,22 @@
     [ECHO_VERIFY=1] self-certification.
 
     Storage policy:
-    - {b LRU under a byte cap.} Entries are charged their executor's
-      {!Echo_compiler.Executor.footprint_bytes}; when an insert pushes the
-      total over [cap_bytes], least-recently-used entries are evicted until
-      it fits again. An entry that alone exceeds the cap is compiled,
-      served, and not retained.
+    - {b Cost-aware eviction under a byte cap (GreedyDual-Size-Frequency).}
+      Entries are charged their executor's
+      {!Echo_compiler.Executor.footprint_bytes}. Each entry counts its
+      [uses] (1 at admission, +1 per hit) and a rebuild [cost], the
+      compiled graph's node count, and carries the priority
+      [H = L + uses * cost / bytes], recomputed on every fetch of it. When
+      an insert pushes the total over [cap_bytes], the entry of lowest [H]
+      is evicted (the less recently fetched on a tie) and the cache's
+      inflation [L] rises to its [H], until the total fits again. So an
+      entry that is asked for often, or is dear to rebuild for its size,
+      stays; one nobody asks for any more falls behind the newcomers that
+      raise [L]. The cost is a count, not a clock, so the same fetch
+      sequence always evicts the same entries and ends with the same
+      {!stats}. A fresh entry competes too: when it is the victim (alone
+      over the cap, or worth less per byte than what is resident) it is
+      compiled, served, and not retained.
     - {b Single-flight.} Concurrent fetches of one missing key run exactly
       one compile: the first caller compiles, the rest block on a condition
       variable and are served the finished entry. A compile that raises

@@ -1,7 +1,8 @@
 (* Tests for the echoc serve stack: the content-addressed plan cache
-   (hit/miss, LRU eviction under a byte cap, single-flight compiles), the
-   request engine (protocol, same-shape eval batching, tenant budgets), the
-   real-corpus loader, and the Unix-socket server end to end.
+   (hit/miss, cost-aware eviction under a byte cap, single-flight
+   compiles), the request engine (protocol, same-shape eval batching,
+   tenant budgets), the real-corpus loader, and the Unix-socket server end
+   to end.
 
    The load-bearing properties are differential: a cache-served executable
    must train bit-identically to a cold-compiled one (the served executor
@@ -88,56 +89,111 @@ let test_cache_key_separates_knobs () =
   check_bool "planner changes the key" true
     (base <> Pipeline.cache_key ~planner:other graph)
 
-(* LRU eviction under the byte cap: oldest-used entries fall out first; an
-   entry that alone exceeds the cap is served but not retained. *)
+(* GreedyDual-Size-Frequency eviction under the byte cap. Keys are free
+   labels here, so one compiled graph fetched under several keys gives
+   entries of exactly equal cost per byte. *)
 
-let test_cache_eviction () =
-  let _, g_small = training_graph (lm_cfg ~hidden:4 ()) in
-  let _, g_mid = training_graph (lm_cfg ~hidden:6 ()) in
-  let _, g_big = training_graph (lm_cfg ~hidden:8 ()) in
-  let size g =
-    Executor.footprint_bytes (Pipeline.executor (Pipeline.compile_graph g))
-  in
-  let sz_small = size g_small and sz_mid = size g_mid and sz_big = size g_big in
-  (* Cap fits small+mid (and small+big, so evicting mid alone settles the
-     cache) but not all three at once. *)
-  let cap = sz_small + sz_big + (sz_mid / 2) in
-  let cache = Plan_cache.create ~cap_bytes:cap () in
-  let fetch g =
-    ignore
-      (Plan_cache.fetch cache ~key:(Pipeline.cache_key g) ~compile:(fun () ->
-           Pipeline.compile_graph g))
-  in
-  fetch g_small;
-  fetch g_mid;
-  (* Touch small so mid is the LRU victim. *)
-  fetch g_small;
-  fetch g_big;
+let cache_fetch cache (key, g) =
+  snd
+    (Plan_cache.fetch cache ~key ~compile:(fun () -> Pipeline.compile_graph g))
+
+let footprint g =
+  Executor.footprint_bytes (Pipeline.executor (Pipeline.compile_graph g))
+
+(* Rebuild cost per byte, as the cache prices an entry. *)
+let cost_per_byte g =
+  let e = Pipeline.executor (Pipeline.compile_graph g) in
+  float_of_int (Echo_ir.Graph.node_count (Executor.graph e))
+  /. float_of_int (Executor.footprint_bytes e)
+
+let test_cache_frequency () =
+  let _, g = training_graph (lm_cfg ~hidden:4 ()) in
+  let a = ("a", g) and b = ("b", g) and c = ("c", g) in
+  (* Room for two entries, not three. *)
+  let cache = Plan_cache.create ~cap_bytes:((5 * footprint g) / 2) () in
+  List.iter (fun k -> ignore (cache_fetch cache k)) [ a; a; a; b; c ];
   let s = Plan_cache.stats cache in
-  check_bool "under cap" true (s.Plan_cache.bytes <= cap);
   check_int "one eviction" 1 s.Plan_cache.evictions;
-  (* small survived (it was touched after mid, so mid was the LRU victim):
-     fetching it again is a hit. Check this *before* re-fetching mid — that
-     re-insert goes over cap again and evicts the then-LRU entry. *)
-  let hits_before = (Plan_cache.stats cache).Plan_cache.hits in
-  fetch g_small;
-  check_int "recently-used entry survived" (hits_before + 1)
-    (Plan_cache.stats cache).Plan_cache.hits;
-  (* mid was evicted: fetching it again is a miss. *)
-  let before = (Plan_cache.stats cache).Plan_cache.misses in
-  fetch g_mid;
-  check_int "evicted entry recompiles" (before + 1)
-    (Plan_cache.stats cache).Plan_cache.misses;
-  (* An entry alone over the cap is compiled but not retained. *)
+  check_int "two retained" 2 s.Plan_cache.entries;
+  (* a is the least recently fetched, but used three times: the newer,
+     once-used b goes (it ties with c and is the older of the two). *)
+  check_bool "twice-hit entry survives" true (cache_fetch cache a);
+  check_bool "newer once-used entry evicted" false (cache_fetch cache b)
+
+let test_cache_cost_per_byte () =
+  let _, g_small = training_graph (lm_cfg ~hidden:4 ()) in
+  let _, g_big = training_graph (lm_cfg ~hidden:8 ()) in
+  check_bool "the smaller graph is dearer per byte" true
+    (cost_per_byte g_small > cost_per_byte g_big);
+  let cap = (2 * footprint g_small) + footprint g_big - 1 in
+  let cache = Plan_cache.create ~cap_bytes:cap () in
+  let x1 = ("x1", g_small) and y = ("y", g_big) and x2 = ("x2", g_small) in
+  List.iter (fun k -> ignore (cache_fetch cache k)) [ x1; y; x2 ];
+  let s = Plan_cache.stats cache in
+  check_int "one eviction" 1 s.Plan_cache.evictions;
+  check_bool "under cap" true (s.Plan_cache.bytes <= cap);
+  (* Recency alone would evict x1, the oldest. *)
+  check_bool "higher cost per byte survives" true (cache_fetch cache x1);
+  check_bool "lower cost per byte evicted" false (cache_fetch cache y)
+
+(* Aging: each eviction raises the inflation to the victim's priority, so
+   newcomers enter ever higher and an entry hot once, then never asked for
+   again, is evicted after enough newcomer misses. *)
+let test_cache_aging () =
+  let _, g = training_graph (lm_cfg ~hidden:4 ()) in
+  let hot_after newcomers =
+    let cache = Plan_cache.create ~cap_bytes:((5 * footprint g) / 2) () in
+    List.iter (fun _ -> ignore (cache_fetch cache ("hot", g))) [ 1; 2; 3 ];
+    for i = 1 to newcomers do
+      ignore (cache_fetch cache (Printf.sprintf "new%d" i, g))
+    done;
+    cache_fetch cache ("hot", g)
+  in
+  check_bool "hot entry outlives the first newcomer evictions" true
+    (hot_after 2);
+  check_bool "stale hot entry evicted once newcomers raise L" false
+    (hot_after 10)
+
+let test_cache_over_cap_not_retained () =
+  let _, g = training_graph (lm_cfg ~hidden:4 ()) in
   let tiny = Plan_cache.create ~cap_bytes:16 () in
   let e, hit =
-    Plan_cache.fetch tiny ~key:(Pipeline.cache_key g_small) ~compile:(fun () ->
-        Pipeline.compile_graph g_small)
+    Plan_cache.fetch tiny ~key:"g" ~compile:(fun () -> Pipeline.compile_graph g)
   in
   check_bool "served" false hit;
   check_bool "executable works" true
     (Executor.footprint_bytes (Pipeline.executor e) > 16);
   check_int "not retained" 0 (Plan_cache.stats tiny).Plan_cache.entries
+
+(* The rebuild cost is a node count, not a clock: two caches fed one fetch
+   sequence evict alike and end with identical stats. *)
+let test_cache_deterministic () =
+  let graphs =
+    Array.of_list
+      (List.map (fun h -> snd (training_graph (lm_cfg ~hidden:h ()))) [ 4; 6; 8 ])
+  in
+  let compiled = Array.map Pipeline.compile_graph graphs in
+  let cap = 2 * footprint graphs.(2) in
+  let rng = Rng.create 11 in
+  let sequence =
+    List.init 200 (fun _ ->
+        let i = Rng.int rng 3 in
+        (Printf.sprintf "k%d/%d" (Rng.int rng 4) i, i))
+  in
+  let replay () =
+    let cache = Plan_cache.create ~cap_bytes:cap () in
+    let hits =
+      List.map
+        (fun (key, i) ->
+          snd (Plan_cache.fetch cache ~key ~compile:(fun () -> compiled.(i))))
+        sequence
+    in
+    (hits, Plan_cache.stats cache)
+  in
+  let hits1, s1 = replay () and hits2, s2 = replay () in
+  check_bool "evictions happened" true (s1.Plan_cache.evictions > 0);
+  check_bool "same hits and misses, fetch by fetch" true (hits1 = hits2);
+  check_bool "identical stats" true (s1 = s2)
 
 (* Single-flight: concurrent fetches of one missing key run exactly one
    compile; every domain receives the same executable. *)
@@ -289,13 +345,11 @@ let fresh_answer ?tenants line = Engine.exec (Engine.create ?tenants ()) line
 
 (* The canonical forward graph a chunk of [k] five-token [eval_line]s
    compiles. *)
-let eval_forward ~k =
-  let lm = Language_model.build (lm_cfg ~batch:k ~seq_len:4 ()) in
+let eval_forward ?hidden ~k () =
+  let lm = Language_model.build (lm_cfg ?hidden ~batch:k ~seq_len:4 ()) in
   Echo_ir.Graph.create [ lm.Language_model.logits ]
 
-let eval_footprint ~k =
-  Executor.footprint_bytes
-    (Pipeline.executor (Pipeline.compile_graph (eval_forward ~k)))
+let eval_footprint ~k = footprint (eval_forward ~k ())
 
 let test_warm_eval_seed_interleaving () =
   let engine = Engine.create () in
@@ -319,12 +373,22 @@ let test_warm_eval_seed_interleaving () =
   check_int "one compile per batch size" 2 s.Plan_cache.misses;
   check_int "every other chunk a hit" 13 s.Plan_cache.hits
 
+(* Hidden 4 is more than twice as dear per byte as hidden 8 (one
+   structure, fewer bytes), so a hidden-4 newcomer evicts a hidden-8
+   entry fetched twice. *)
+let check_eval_pricing () =
+  check_bool "hidden 4 outprices a twice-used hidden 8" true
+    (cost_per_byte (eval_forward ~hidden:4 ~k:1 ())
+    > 2.0 *. cost_per_byte (eval_forward ~k:1 ()))
+
 let test_warm_eval_after_eviction () =
-  (* Room for one k = 1 eval executable: evaluating the other hidden size
-     evicts it. *)
+  (* Room for one k = 1 eval executable. a is fetched twice (its warm
+     path), then b evicts it; every later miss evicts the other, since
+     each eviction raises the inflation past the resident entry. *)
+  check_eval_pricing ();
   let cap = eval_footprint ~k:1 + 1 in
   let engine = Engine.create ~cache_bytes:cap () in
-  let a = eval_line "1,2,3,4,5" and b = eval_line ~hidden:6 "1,2,3,4,5" in
+  let a = eval_line "1,2,3,4,5" and b = eval_line ~hidden:4 "1,2,3,4,5" in
   let expect_a = fresh_answer a and expect_b = fresh_answer b in
   List.iter
     (fun (line, expected) ->
@@ -336,7 +400,7 @@ let test_warm_eval_after_eviction () =
 (* The record holds its executable weakly: once the cache evicts the entry
    nothing keeps it alive. *)
 let eval_executor_probe engine =
-  let key = Pipeline.cache_key (eval_forward ~k:1) in
+  let key = Pipeline.cache_key (eval_forward ~k:1 ()) in
   let exe, hit =
     Plan_cache.fetch (Engine.cache engine) ~key ~compile:(fun () ->
         Alcotest.fail "the eval executable should be cached")
@@ -347,13 +411,16 @@ let eval_executor_probe engine =
   probe
 
 let test_evicted_eval_unreachable () =
+  (* The probe's fetch is the entry's second use; the hidden-4 newcomer
+     still outprices it. *)
+  check_eval_pricing ();
   let cap = eval_footprint ~k:1 + 1 in
   let engine = Engine.create ~cache_bytes:cap () in
   ignore (Engine.exec engine (eval_line "1,2,3,4,5"));
   let probe = eval_executor_probe engine in
   Gc.full_major ();
   check_bool "cached executable alive" true (Weak.check probe 0);
-  ignore (Engine.exec engine (eval_line ~hidden:6 "1,2,3,4,5"));
+  ignore (Engine.exec engine (eval_line ~hidden:4 "1,2,3,4,5"));
   check_int "entry evicted" 1
     (Plan_cache.stats (Engine.cache engine)).Plan_cache.evictions;
   Gc.full_major ();
@@ -665,6 +732,42 @@ let test_train_ignores_env_faults () =
         (with_faults value drain))
     [ "garbage"; "flip@0=act:999999:0:0" ]
 
+(* ECHO_FUSION and ECHO_SANITIZE are resolved once, by [Engine.create]: a
+   malformed value fails there by name, and a value set after creation
+   reaches no request. Each variable is restored afterwards. *)
+let with_env name value f =
+  let saved = Sys.getenv_opt name in
+  Unix.putenv name value;
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv name (Option.value saved ~default:""))
+    f
+
+let test_engine_env_resolved_at_create () =
+  let lines =
+    [
+      "ping";
+      "compile model=lm hidden=8 seq_len=4 batch=2 vocab=16";
+      "eval hidden=8 vocab=16 tokens=1,2,3,4,5";
+      "stats";
+    ]
+  in
+  let expected = Engine.exec_all (Engine.create ()) lines in
+  List.iter
+    (fun name ->
+      check_bool
+        (Printf.sprintf "garbage %s rejected by name at create" name)
+        true
+        (match with_env name "garbage" (fun () -> Engine.create ()) with
+        | _ -> false
+        | exception Invalid_argument msg ->
+          String.starts_with ~prefix:(name ^ "=") msg);
+      let engine = Engine.create () in
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s=garbage after create: every line answered" name)
+        expected
+        (with_env name "garbage" (fun () -> Engine.exec_all engine lines)))
+    [ "ECHO_FUSION"; "ECHO_SANITIZE" ]
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   [
@@ -672,7 +775,12 @@ let suite =
       [
         t "cache hit and miss" test_cache_hit_miss;
         t "cache key separates knobs" test_cache_key_separates_knobs;
-        t "cache LRU eviction" test_cache_eviction;
+        t "cache keeps the frequently used" test_cache_frequency;
+        t "cache keeps the dear per byte" test_cache_cost_per_byte;
+        t "cache ages out stale entries" test_cache_aging;
+        t "cache serves an over-cap entry unretained"
+          test_cache_over_cap_not_retained;
+        t "cache eviction is deterministic" test_cache_deterministic;
         t "cache single-flight" test_cache_single_flight;
         t "failed compile releases key" test_cache_failed_compile_releases_key;
         t "cached train bit-identical" test_cached_train_bit_identical;
@@ -684,6 +792,8 @@ let suite =
         t "warm eval budget fallback" test_warm_eval_budget_fallback;
         t "train ignores the process's ECHO_FAULTS"
           test_train_ignores_env_faults;
+        t "engine resolves the environment at create"
+          test_engine_env_resolved_at_create;
         t "protocol errors" test_protocol_errors;
         t "corpus load_text" test_corpus_load_text;
         t "socket end to end" test_socket_end_to_end;
